@@ -29,7 +29,6 @@ import ctypes
 import gc
 import json
 import os
-import resource
 import shutil
 import signal
 import statistics
@@ -51,10 +50,6 @@ SETUP_REPEATS = 3
 #: sea-surface re-run ~170 MB, each deleted before the next operation.
 MIN_FREE_BYTES = 2 * 1024**3
 
-#: ``mallopt`` parameters (glibc ``malloc.h``).
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-
 END_TO_END_UNITS = {
     "setup_s": "s",
     "op_p50_ms": "ms",
@@ -62,9 +57,8 @@ END_TO_END_UNITS = {
     "write_mb": "MB",
     "peak_rss_mb": "MB",
 }
-#: Printed in the table but not reported: across runs it spread wider than
-#: any allowed bound (27 % on fleet_cold).
-TABLE_ONLY_UNITS = {"publish_p50_ms": "ms"}
+#: Printed in the table but not reported: only ``serve_live`` ingests.
+TABLE_ONLY_UNITS = {"ingest_p50_ms": "ms"}
 
 #: The workload's own name for a metric in the table: alias -> (metric, unit).
 ALIASES = {
@@ -74,7 +68,6 @@ ALIASES = {
     "serve_live": {
         "view_p50_ms": ("op_p50_ms", "ms"),
         "view_p90_ms": ("op_p90_ms", "ms"),
-        "ingest_p50_ms": ("publish_p50_ms", "ms"),
     },
 }
 
@@ -114,19 +107,23 @@ def median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def end_to_end(workload, ops: Ops, setup: list[float]) -> dict[str, tuple[float, int]]:
+def end_to_end(
+    workload, ops: Ops, setup: list[float], peak_rss_mb: float
+) -> dict[str, tuple[float, int]]:
     """End-to-end metric -> (value, sample count)."""
     walls = [t.wall_s for t in ops.untraced[workload.primary]]
-    publish = workload.samples["publish"]
     write = workload.samples["write"]
-    return {
+    values = {
         "setup_s": (median(setup), len(setup)),
         "op_p50_ms": (median(walls) * 1e3, len(walls)),
         "op_p90_ms": (percentile(walls, 90) * 1e3, len(walls)),
-        "publish_p50_ms": (median(publish) * 1e3, len(publish)),
         "write_mb": (median(write) / 1e6, len(write)),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": (peak_rss_mb, 1),
     }
+    if "ingest" in workload.samples:
+        ingest = workload.samples["ingest"]
+        values["ingest_p50_ms"] = (median(ingest) * 1e3, len(ingest))
+    return values
 
 
 def per_layer(workload, ops: Ops) -> dict[str, float]:
@@ -185,28 +182,35 @@ def layer_unit(name: str) -> str:
     return "ratio"
 
 
-def pin_allocator() -> None:
-    """Fix glibc's malloc thresholds for the whole run.
+def release_free_memory() -> None:
+    """Return memory that glibc's malloc holds but no object uses to the OS.
 
-    By default glibc adapts its mmap and trim thresholds to the allocation
-    history, which depends on the heap layout (and so on the per-process
-    hash seed).  Identical runs then split into a mode that re-faults every
-    large array on each operation and one that reuses heap memory, up to
-    ~1.8x apart on ``fleet_rerun``.  Fixed thresholds keep every run, and
-    every forked worker, in the reuse mode.
+    Set-up frees hundreds of MB that the allocator would otherwise keep
+    resident; without this the measured peak is mostly set-up leftovers.
+    The allocator's settings are left as they are.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        ctypes.CDLL(None).malloc_trim(0)
     except (OSError, AttributeError):
-        return  # not glibc: nothing to pin
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 1 << 30)
-    mallopt(M_TRIM_THRESHOLD, 2**31 - 1)
+        pass  # not glibc
+
+
+def reset_peak_rss() -> None:
+    """Restart the process's peak resident set (``VmHWM``) from its current size."""
+    with open("/proc/self/clear_refs", "w") as f:
+        f.write("5")
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set since the last :func:`reset_peak_rss`."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
 def run_workload(args: argparse.Namespace) -> int:
-    pin_allocator()
     sys.path.insert(0, str(ROOT / "src"))
     import layertrace
     from workloads import WORKLOADS
@@ -246,6 +250,10 @@ def _measure(args, workload_cls, layertrace, scratch: Path) -> int:
             workload.setup(scratch / f"setup{repeat}")
             setup.append(time.perf_counter() - start)
 
+        # Peak memory counts the measured steps only, not set-up or checks.
+        gc.collect()
+        release_free_memory()
+        reset_peak_rss()
         deadline = time.perf_counter() + args.seconds
         steps = 0
         # Past the deadline, keep going only until every metric has a sample.
@@ -257,6 +265,7 @@ def _measure(args, workload_cls, layertrace, scratch: Path) -> int:
                 gc.collect()
             workload.step(ops)
             steps += 1
+        peak_mb = peak_rss_mb()
         failures = workload.check()
     finally:
         workload.teardown()
@@ -285,7 +294,7 @@ def _measure(args, workload_cls, layertrace, scratch: Path) -> int:
         for name, value in metrics.items():
             print(f"  {name:<28} {value:>12.6g} {units[name]}")
     else:
-        values = end_to_end(workload, ops, setup)
+        values = end_to_end(workload, ops, setup, peak_mb)
         units = END_TO_END_UNITS
         metrics = {name: value for name, (value, _) in values.items() if name in units}
         for name, (value, n) in values.items():
@@ -357,10 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Turn SIGTERM into SystemExit so the scratch directory is removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    # asyncio.run (behind every routed view) only installs its own SIGINT
-    # handler, and pays for it, when SIGINT has Python's default handler;
-    # a launcher that ignores SIGINT would otherwise change what views cost.
-    signal.signal(signal.SIGINT, signal.default_int_handler)
     if args.workload == "all":
         return run_all(args)
     return run_workload(args)

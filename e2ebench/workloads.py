@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import shutil
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -72,6 +73,13 @@ BASE = ExperimentConfig(
 #: The 4-granule fleet: season {winter, freeze_up} x cloud {0.15, 0.4}.
 FLEET_GRID = {"season": ("winter", "freeze_up"), "cloud_fraction": (0.15, 0.4)}
 
+#: Campaign seed of the fleet that ``fleet_rerun`` and ``serve_live`` work on.
+#: It stays fixed because their cost depends on the fleet's data, not only
+#: on its size: on some fleets every re-run re-faults ~160 MB of freshly
+#: mapped arrays (glibc serves them by ``mmap``) and takes ~1.4x as long as on
+#: others.  The workload seed drives what is done with the fleet.
+FLEET_SEED = 17
+
 
 def fleet_config(seed: int, grid: Any = FLEET_GRID, **execution: Any) -> CampaignConfig:
     return CampaignConfig(base=BASE, grid=grid, seed=seed, **execution)
@@ -115,8 +123,6 @@ class Workload:
     #: Operation kinds a traced run traces; per-layer metrics are per
     #: traced ``primary`` operation.
     traced_kinds: tuple[str, ...] = ()
-    #: Product publications measured after each fleet or re-run operation.
-    publish_repeats = 1
 
     def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
@@ -124,9 +130,8 @@ class Workload:
         self.attempted = 0
         self.failed_ops = 0
         self.failures: list[str] = []
-        #: ``publish``: seconds to publish products; ``write``: bytes an
-        #: operation adds to disk.
-        self.samples: dict[str, list[float]] = {"publish": [], "write": []}
+        #: ``write``: bytes an operation adds to disk.
+        self.samples: dict[str, list[float]] = {"write": []}
         self.counters: dict[str, float] = {}
         self._steps = 0
 
@@ -160,16 +165,6 @@ class Workload:
     def _fail(self, message: str) -> None:
         self.failures.append(message)
 
-    def _publish(self, runner: CampaignRunner, result: Any, l3: Any, ops: OpContext) -> None:
-        """Write the L3 products to a fresh serving directory, timing each."""
-        assert self.workdir is not None
-        products = self.workdir / "publish"
-        for _ in range(self.publish_repeats):
-            with ops("publish") as timing:
-                runner.serve(str(products), result=result, l3=l3).close()
-            self.samples["publish"].append(timing.wall_s)
-            shutil.rmtree(products)
-
     def _count_stage_hits(self, *results: Any) -> None:
         hits = sum(len(r.stage_hits) for r in results)
         misses = sum(len(r.stage_misses) for r in results)
@@ -184,8 +179,6 @@ class FleetWorkload(Workload):
 
     primary = "fleet"
     traced_kinds = ("fleet",)
-    #: A fleet takes seconds, so several publications give a steady median.
-    publish_repeats = 8
 
     def __init__(self, seed: int, n_workers: int, executor: str) -> None:
         super().__init__(seed)
@@ -203,7 +196,7 @@ class FleetWorkload(Workload):
                 result = runner.run()
                 l3 = runner.to_l3(result)
                 runner.serve(str(workdir / "products"), result=result, l3=l3).close()
-        return runner, result, l3, file_sizes(cache), cache
+        return result, l3, file_sizes(cache), cache
 
     def setup(self, workdir: Path) -> None:
         # Half the fleet, through the same execution path, warms imports,
@@ -219,13 +212,12 @@ class FleetWorkload(Workload):
         self._steps += 1
         self.attempted += 1
         try:
-            runner, result, l3, sizes, cache = self._fleet(self.config, opdir, ops)
+            result, l3, sizes, cache = self._fleet(self.config, opdir, ops)
         except Exception:
             self._op_failed("fleet")
             return
         finally:
             shutil.rmtree(opdir, ignore_errors=True)
-        self._publish(runner, result, l3, ops)
         self.samples["write"].append(sum(sizes.values()))
         stage, result_tier = tier_bytes(sizes, cache)
         self.counters["stage_tier_bytes"] = stage
@@ -245,7 +237,7 @@ class FleetWorkload(Workload):
             n_workers=2 if serial else 1,
             executor="process" if serial else self.config.executor,
         )
-        _, _, l3, _, _ = self._fleet(other, self.workdir / "check", None)
+        _, l3, _, _ = self._fleet(other, self.workdir / "check", None)
         shutil.rmtree(self.workdir / "check", ignore_errors=True)
         mode = "fan-out" if serial else "serial"
         if self.digests and grid_digest(l3.mosaic) != self.digests[0]:
@@ -257,11 +249,12 @@ class FleetCold(FleetWorkload):
     name = "fleet_cold"
     why = (
         "a serial 4-granule fleet into an empty cache: curation kernels do most "
-        "of the work, and the run writes the whole stage cache"
+        "of the work, and the run writes the whole stage cache; its map-reduce "
+        "jobs run through MapReduceEngine.run on the serial executor"
     )
     stresses = (
         "surface", "atl03", "sentinel2", "resampling", "labeling",
-        "classification", "pipeline", "campaign",
+        "classification", "pipeline", "campaign", "distributed",
     )
     bypasses = ("serve", "ingest")
 
@@ -273,7 +266,7 @@ class FleetFanout(FleetWorkload):
     name = "fleet_fanout"
     why = (
         "fleet_cold over 2 worker processes with shared-memory transport: the "
-        "only workload that goes through the distributed map-reduce engine"
+        "only workload whose map-reduce jobs use a process pool"
     )
     stresses = ("distributed", "pipeline", "campaign")
     bypasses = ("serve", "ingest")
@@ -289,7 +282,7 @@ class FleetRerun(Workload):
         "are cache hits, so cache reads and writes, freeboard, products and L3 "
         "do the work"
     )
-    stresses = ("pipeline", "campaign", "freeboard", "products", "l3")
+    stresses = ("pipeline", "campaign", "freeboard", "products", "l3", "distributed")
     bypasses = (
         "surface", "atl03", "sentinel2", "resampling", "labeling",
         "classification", "serve", "ingest",
@@ -302,7 +295,7 @@ class FleetRerun(Workload):
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.config = fleet_config(seed)
+        self.config = fleet_config(FLEET_SEED)
         default = BASE.sea_surface.window_length_m
         candidates = [v for v in np.arange(6_000.0, 14_001.0, 250.0) if v != default]
         #: Distinct sea-surface window lengths, one per re-run, cycled.
@@ -359,7 +352,6 @@ class FleetRerun(Workload):
         if self.digests.setdefault(value, digest) != digest:
             self._fail(f"{self.name}: window {value:g} m gave two different mosaics")
         self._restore()
-        self._publish(runner, result, l3, ops)
         if sum(file_sizes(self.cache).values()) != self.seeded_bytes:
             self._fail(f"{self.name}: a re-run changed the seeded cache entries")
 
@@ -383,15 +375,27 @@ class ServeLive(Workload):
         "one closed-loop client rendering Zipf-popular map views while new "
         "granules arrive: serve and ingest do all the work"
     )
-    stresses = ("serve", "ingest")
+    #: ``QueryEngine.query_batch`` fetches products through
+    #: ``MapReduceEngine.run`` (serial executor), so views also pass through
+    #: ``distributed``.
+    stresses = ("serve", "ingest", "distributed")
     bypasses = (
         "surface", "atl03", "sentinel2", "resampling", "labeling",
         "classification", "freeboard", "products", "pipeline", "campaign",
-        "distributed",
     )
     primary = "view"
     traced_kinds = ("view", "ingest")
     collect_between_steps = False
+    #: Views take milliseconds; every episode deletes its products, so disk
+    #: use stays bounded however many steps a run makes.
+    max_steps = 100_000
+    # Views and ingests are issued from one client thread, as a server's
+    # worker thread would issue them.  From the main thread, the sync
+    # query path's ``asyncio.run`` installs a SIGINT handler whenever SIGINT
+    # has Python's default handler, and restoring it formats the finished
+    # task's tiles with numpy's repr: ~90 % of a view's time, depending on
+    # how the benchmark was launched, and ~1.8x slower or faster with the
+    # state of a shared host.
 
     #: Granules gridded during setup that arrive during the run.
     N_ARRIVALS = 4
@@ -402,11 +406,6 @@ class ServeLive(Workload):
     #: Tiles per side of the 80-cell mosaic at zooms 0, 1 and 2.
     TILES_PER_SIDE = (5, 3, 2)
     ZIPF_EXPONENT = 1.1
-    #: Campaign seed of the served fleet and of the tile popularity ranking.
-    #: Both stay fixed because a view's cost depends on which tiles are
-    #: popular and what they hold; the workload seed drives the traffic: the
-    #: sequence of views and the order in which granules arrive.
-    FLEET_SEED = 17
     #: Counters read from the shards' ``QueryStats`` and ``RouterStats``.
     ROUTER_COUNTERS = ("tile_hits", "tile_misses", "decodes", "shed", "coalesced", "errors")
     VARIABLES = (
@@ -420,10 +419,14 @@ class ServeLive(Workload):
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.config = fleet_config(self.FLEET_SEED)
+        # The served fleet and the tile popularity ranking come from
+        # FLEET_SEED: a view's cost depends on which tiles are popular and
+        # what they hold.  The workload seed drives the traffic: the sequence
+        # of views and the order in which granules arrive.
+        self.config = fleet_config(FLEET_SEED)
         # Arrivals: granules of a wider scenario grid that the fleet lacks.
         wider = fleet_config(
-            self.FLEET_SEED,
+            FLEET_SEED,
             grid={
                 "season": FLEET_GRID["season"],
                 "cloud_fraction": (*FLEET_GRID["cloud_fraction"], 0.25, 0.3),
@@ -443,21 +446,23 @@ class ServeLive(Workload):
             for row in range(n_tiles)
             for col in range(n_tiles)
         ]
-        ranks = np.random.default_rng(self.FLEET_SEED).permutation(len(self.templates)) + 1
+        ranks = np.random.default_rng(FLEET_SEED).permutation(len(self.templates)) + 1
         weights = 1.0 / ranks.astype(float) ** self.ZIPF_EXPONENT
         self.popularity = weights / weights.sum()
         self.runner: CampaignRunner | None = None
         self.handle: Any = None
+        self.client: ThreadPoolExecutor | None = None
         self.episode = 0
         for key in (*self.ROUTER_COUNTERS, "dirty_cells", "rebuilt_tiles", "invalidated"):
             self.counters[key] = 0
+        #: Seconds from a granule's arrival to merged, published tiles.
+        self.samples["ingest"] = []
 
     # -- setup --------------------------------------------------------------
 
     def setup(self, workdir: Path) -> None:
         self.workdir = workdir
-        #: Batch mosaic and its pyramid after n arrivals (checks only).
-        self._batch: dict[int, tuple[Level3Grid, Any]] = {}
+        self.client = ThreadPoolExecutor(max_workers=1, thread_name_prefix="client")
         self.runner = CampaignRunner(replace(self.config, cache_dir=str(workdir / "cache")))
         self.result = self.runner.run()
         self.l3 = self.runner.to_l3(self.result)
@@ -465,6 +470,9 @@ class ServeLive(Workload):
             self.runner.grid_new_granule(spec, result=self.result)
             for spec in self.arrival_specs
         ]
+        #: Batch mosaic and its pyramid after n arrivals, for the checks;
+        #: made here so that the measured steps hold no check-only memory.
+        self._batch = [self._batch_mosaic(n) for n in range(self.N_ARRIVALS + 1)]
         self._open_episode()
         x0, y0, x1, y1 = self.handle.catalog.extent()
         span = SERVE.tile_size * BASE.l3.cell_size_m
@@ -507,6 +515,9 @@ class ServeLive(Workload):
         if self.runner is not None:
             self.runner.close()
             self.runner = None
+        if self.client is not None:
+            self.client.shutdown(wait=True)
+            self.client = None
         super().teardown()
 
     # -- steps --------------------------------------------------------------
@@ -548,7 +559,7 @@ class ServeLive(Workload):
         before = self._router_counts()
         try:
             with ops(self.primary):
-                responses = self.handle.query_batch(requests)
+                responses = self.client.submit(self.handle.query_batch, requests).result()
         except Exception:
             self._op_failed("map view")
             return
@@ -565,7 +576,7 @@ class ServeLive(Workload):
         self.n_ingested += 1
         try:
             with ops("ingest") as timing:
-                report = self.handle.ingest(granule)
+                report = self.client.submit(self.handle.ingest, granule).result()
         except Exception:
             self._op_failed("ingest")
             return
@@ -574,7 +585,7 @@ class ServeLive(Workload):
             for p in self.products.rglob("*")
             if p.is_file() and before.get(p) != p.stat().st_mtime_ns
         )
-        self.samples["publish"].append(timing.wall_s)
+        self.samples["ingest"].append(timing.wall_s)
         self.samples["write"].append(written)
         self.counters["dirty_cells"] += report.n_dirty_cells
         self.counters["rebuilt_tiles"] += len(report.rebuilt_tiles)
@@ -585,19 +596,18 @@ class ServeLive(Workload):
     # -- checks (outside the timed regions) ---------------------------------
 
     def _batch_mosaic(self, n_ingested: int) -> tuple[Level3Grid, Any]:
-        """``Level3Processor.mosaic`` over the fleet plus the first arrivals."""
-        if n_ingested not in self._batch:
-            grids = dict(self.l3.granules)
-            for granule in self.arrivals[:n_ingested]:
-                grids[str(granule.metadata["granule_id"])] = granule
-            processor = Level3Processor.from_config(BASE.l3, scene=BASE.scene)
-            mosaic = processor.mosaic([grids[gid] for gid in sorted(grids)])
-            self._batch[n_ingested] = (mosaic, build_pyramid(mosaic, serve=SERVE))
-        return self._batch[n_ingested]
+        """``Level3Processor.mosaic`` over the fleet plus the first arrivals,
+        and its tile pyramid."""
+        grids = dict(self.l3.granules)
+        for granule in self.arrivals[:n_ingested]:
+            grids[str(granule.metadata["granule_id"])] = granule
+        processor = Level3Processor.from_config(BASE.l3, scene=BASE.scene)
+        mosaic = processor.mosaic([grids[gid] for gid in sorted(grids)])
+        return mosaic, build_pyramid(mosaic, serve=SERVE)
 
     def _check_live_mosaic(self) -> None:
         """The published live mosaic is byte-identical to the batch mosaic."""
-        batch, _ = self._batch_mosaic(self.n_ingested)
+        batch, _ = self._batch[self.n_ingested]
         live = read_level3(self.products / "mosaic")
         for name, expected in batch.variables.items():
             got = np.asarray(live.variables.get(name))
@@ -614,7 +624,7 @@ class ServeLive(Workload):
         Checked as soon as the view returns: a later ingest rebuilds the
         pyramid in place, and tiles already handed out change with it.
         """
-        _, pyramid = self._batch_mosaic(self.n_ingested)
+        _, pyramid = self._batch[self.n_ingested]
         for response in responses:
             for (row, col), tile in response.tiles.items():
                 expected = pyramid.tile(response.request.variable, response.zoom, row, col)
