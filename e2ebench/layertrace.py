@@ -131,8 +131,9 @@ _CURRENT: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 
 @dataclass
 class OpTiming:
-    """Wall time and CPU time of one timed operation."""
+    """Start, wall time and CPU time of one timed operation."""
 
+    start_s: float = 0.0
     wall_s: float = 0.0
     driver_cpu_s: float = 0.0
     worker_cpu_s: float = 0.0
@@ -254,9 +255,9 @@ class LayerTracer:
         try:
             cpu_self = _cpu_seconds(resource.RUSAGE_SELF)
             cpu_children = _cpu_seconds(resource.RUSAGE_CHILDREN)
-            start = time.perf_counter()
+            timing.start_s = time.perf_counter()
             yield timing
-            timing.wall_s = time.perf_counter() - start
+            timing.wall_s = time.perf_counter() - timing.start_s
             timing.driver_cpu_s = _cpu_seconds(resource.RUSAGE_SELF) - cpu_self
             timing.worker_cpu_s = _cpu_seconds(resource.RUSAGE_CHILDREN) - cpu_children
         finally:

@@ -116,6 +116,9 @@ class Workload:
     bypasses: tuple[str, ...] = ()
     #: Kind of the operation whose latency is the headline metric.
     primary = ""
+    #: ``op_p90_ms`` is the median of the p90s of stretches of this many
+    #: ``primary`` operations; ``None``: the p90 of the whole run.
+    p90_block: int | None = None
     #: Hard cap on steps per run, whatever ``--seconds`` says.
     max_steps = 2_000
     #: Run a full garbage collection before each step (outside the timing).
@@ -174,17 +177,26 @@ class Workload:
         )
 
 
-class FleetWorkload(Workload):
-    """A 4-granule fleet into an empty cache, then L3 and product writes."""
+class FleetCold(Workload):
+    """A serial 4-granule fleet into an empty cache, then L3 and product writes."""
 
+    name = "fleet_cold"
+    why = (
+        "a serial 4-granule fleet into an empty cache: curation kernels do most "
+        "of the work, and the run writes the whole stage cache; its map-reduce "
+        "jobs run through MapReduceEngine.run on the serial executor"
+    )
+    stresses = (
+        "surface", "atl03", "sentinel2", "resampling", "labeling",
+        "classification", "pipeline", "campaign", "distributed",
+    )
+    bypasses = ("serve", "ingest")
     primary = "fleet"
     traced_kinds = ("fleet",)
 
-    def __init__(self, seed: int, n_workers: int, executor: str) -> None:
+    def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.config = fleet_config(
-            seed, n_workers=n_workers, executor=executor, use_shm=True
-        )
+        self.config = fleet_config(seed, n_workers=1, executor="process", use_shm=True)
         self.digests: list[str] = []
 
     def _fleet(self, config: CampaignConfig, workdir: Path, ops: OpContext | None):
@@ -199,8 +211,7 @@ class FleetWorkload(Workload):
         return result, l3, file_sizes(cache), cache
 
     def setup(self, workdir: Path) -> None:
-        # Half the fleet, through the same execution path, warms imports,
-        # lazy modules, first-touch memory and (fan-out) the worker pool.
+        # Half the fleet warms imports, lazy modules and first-touch memory.
         self.workdir = workdir
         warmup = replace(self.config, grid={**FLEET_GRID, "season": ("winter",)})
         self._fleet(warmup, workdir / "warmup", None)
@@ -229,50 +240,15 @@ class FleetWorkload(Workload):
         assert self.workdir is not None
         if len(set(self.digests)) > 1:
             self._fail(f"{self.name}: fleet mosaics differ between operations")
-        # The same fleet with the other execution mode must give the same
-        # bytes: serial and process fan-out are bit-identical by contract.
-        serial = self.config.n_workers == 1
-        other = replace(
-            self.config,
-            n_workers=2 if serial else 1,
-            executor="process" if serial else self.config.executor,
-        )
-        _, l3, _, _ = self._fleet(other, self.workdir / "check", None)
+        # The same fleet fanned out over 2 worker processes with shared-memory
+        # transport must give the same bytes: serial and process fan-out are
+        # bit-identical by contract.
+        fanout = replace(self.config, n_workers=2)
+        _, l3, _, _ = self._fleet(fanout, self.workdir / "check", None)
         shutil.rmtree(self.workdir / "check", ignore_errors=True)
-        mode = "fan-out" if serial else "serial"
         if self.digests and grid_digest(l3.mosaic) != self.digests[0]:
-            self._fail(f"{self.name}: {mode} fleet mosaic differs from the measured one")
+            self._fail(f"{self.name}: fan-out fleet mosaic differs from the serial one")
         return super().check()
-
-
-class FleetCold(FleetWorkload):
-    name = "fleet_cold"
-    why = (
-        "a serial 4-granule fleet into an empty cache: curation kernels do most "
-        "of the work, and the run writes the whole stage cache; its map-reduce "
-        "jobs run through MapReduceEngine.run on the serial executor"
-    )
-    stresses = (
-        "surface", "atl03", "sentinel2", "resampling", "labeling",
-        "classification", "pipeline", "campaign", "distributed",
-    )
-    bypasses = ("serve", "ingest")
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed, n_workers=1, executor="process")
-
-
-class FleetFanout(FleetWorkload):
-    name = "fleet_fanout"
-    why = (
-        "fleet_cold over 2 worker processes with shared-memory transport: the "
-        "only workload whose map-reduce jobs use a process pool"
-    )
-    stresses = ("distributed", "pipeline", "campaign")
-    bypasses = ("serve", "ingest")
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed, n_workers=2, executor="process")
 
 
 class FleetRerun(Workload):
@@ -289,6 +265,7 @@ class FleetRerun(Workload):
     )
     primary = "rerun"
     traced_kinds = ("rerun",)
+    p90_block = 10
     #: A re-run writes ~170 MB; the cache is restored after each one, and
     #: this caps how many a run makes.
     max_steps = 200
@@ -401,6 +378,8 @@ class ServeLive(Workload):
     N_ARRIVALS = 4
     #: A granule arrives after every this many views.
     VIEWS_PER_ARRIVAL = 8
+    #: One serving episode's views: the tail is taken per episode.
+    p90_block = (N_ARRIVALS + 1) * VIEWS_PER_ARRIVAL
     #: Region requests per map view.
     REQUESTS_PER_VIEW = 8
     #: Tiles per side of the 80-cell mosaic at zooms 0, 1 and 2.
@@ -638,5 +617,5 @@ class ServeLive(Workload):
 
 
 WORKLOADS: dict[str, type[Workload]] = {
-    cls.name: cls for cls in (FleetCold, FleetRerun, FleetFanout, ServeLive)
+    cls.name: cls for cls in (FleetCold, FleetRerun, ServeLive)
 }
