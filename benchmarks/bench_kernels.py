@@ -1,6 +1,6 @@
 """Reference-vs-vectorized timings for the ``repro.kernels`` hot paths.
 
-Three kernel pairs are timed on deterministic, ATL03-representative inputs:
+Five kernel pairs are timed on deterministic, ATL03-representative inputs:
 
 * **windowed sea-surface estimation** — a 400 km track whose open-water
   candidates cluster into discrete leads (contiguous 2 m segments), the way
@@ -8,10 +8,15 @@ Three kernel pairs are timed on deterministic, ATL03-representative inputs:
 * **confidence binning** — 400 k photons in along-track order at ~4
   photons/m over 100 km (20 m bins, ±15 m telemetry band);
 * **LSTM forward/backward** — a pooled campaign minibatch of 8 k sequences
-  of five 2 m segments with six features, 16 units.
+  of five 2 m segments with six features, 16 units;
+* **drift search** — the coarse 33 x 33 candidate grid (+-800 m, 50 m steps)
+  of one granule: a 3,200-segment track over an 800 x 800-pixel class map;
+* **2 m resampling** — ``resample_fixed_window`` over a 6.4 km beam of
+  ~36 k photons, under each kernel backend.
 
-Each pair is asserted equivalent (1e-10) before it is timed, so a benchmark
-run doubles as an integration check.  ``benchmarks/check_regression.py``
+Each pair is asserted equivalent (1e-10; the drift and resampling pairs
+exactly) before it is timed, so a benchmark run doubles as an integration
+check.  ``benchmarks/check_regression.py``
 turns the emitted ``--benchmark-json`` file into per-kernel speedups and
 compares them against the committed baselines in
 ``benchmarks/results/kernel_baselines.json`` (machine-independent: ratios,
@@ -23,6 +28,7 @@ Run:  python -m pytest benchmarks/bench_kernels.py --benchmark-json=bench.json
 from __future__ import annotations
 
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +38,20 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro import kernels
+from repro.atl03.granule import BeamData
+from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
 from repro.kernels import confidence as kconf
+from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
 from repro.kernels import sea_surface as ksea
+from repro.resampling.window import resample_fixed_window
+from repro.sentinel2.scene import S2Image
+from repro.surface.fields import (
+    add_linear_leads,
+    gaussian_random_field,
+    smooth_threshold_classes,
+)
 
 ROUNDS = dict(rounds=7, iterations=1, warmup_rounds=2)
 
@@ -156,3 +173,92 @@ def test_lstm_backward_reference(benchmark, lstm_batch):
 
 def test_lstm_backward_vectorized(benchmark, lstm_batch):
     benchmark.pedantic(klstm.lstm_backward_vectorized, args=lstm_batch[1], **ROUNDS)
+
+
+# ---------------------------------------------------------------------------
+# Drift search over the coarse candidate grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def drift_search_args():
+    rng = np.random.default_rng(5)
+    ny = nx = 800
+    field = gaussian_random_field((ny, nx), 40.0, rng)
+    # Lowest field values are thick ice (class 0), highest open water (2).
+    class_map = smooth_threshold_classes(field, (0.70, 0.18, 0.12))
+    class_map = add_linear_leads(class_map, 8, CLASS_OPEN_WATER, 3, rng)
+    image = S2Image(
+        bands=np.zeros((4, ny, nx)),
+        origin_x_m=0.0,
+        origin_y_m=0.0,
+        pixel_size_m=10.0,
+        acquisition_time=datetime(2019, 11, 1),
+        cloud_optical_depth=np.zeros((ny, nx)),
+        shadow_mask=np.zeros((ny, nx), dtype=bool),
+        truth_class_map=class_map,
+    )
+    # A 6.4 km track of 2 m segments whose heights follow the labels of an
+    # image drifted by (120, -80) m.
+    along = np.arange(3_200) * 2.0
+    x = 800.0 + 0.8 * along
+    y = 1_000.0 + 0.6 * along
+    labels = class_map[image.pixel_index(x + 120.0, y - 80.0)]
+    rank = np.where(labels == CLASS_OPEN_WATER, 0.0, np.where(labels == CLASS_THICK_ICE, 2.0, 1.0))
+    height = 0.15 * rank + rng.normal(0.0, 0.08, along.size)
+    offsets = np.arange(-800.0, 825.0, 50.0)
+    args = (class_map, image, x, y, height, offsets, offsets)
+    assert kdrift.drift_search_reference(*args) == kdrift.drift_search_vectorized(*args)
+    return args
+
+
+def test_drift_reference(benchmark, drift_search_args):
+    benchmark.pedantic(kdrift.drift_search_reference, args=drift_search_args, **ROUNDS)
+
+
+def test_drift_vectorized(benchmark, drift_search_args):
+    benchmark.pedantic(kdrift.drift_search_vectorized, args=drift_search_args, **ROUNDS)
+
+
+# ---------------------------------------------------------------------------
+# 2 m fixed-window resampling of one beam
+# ---------------------------------------------------------------------------
+
+
+def _resample(backend, beam):
+    with kernels.use_backend(backend):
+        return resample_fixed_window(beam)
+
+
+@pytest.fixture(scope="module")
+def beam():
+    rng = np.random.default_rng(13)
+    n = 36_000
+    along = np.sort(rng.uniform(0.0, 6_400.0, n))
+    beam = BeamData(
+        name="gt2r",
+        along_track_m=along,
+        height_m=rng.normal(0.25, 0.2, n),
+        lat_deg=-75.0 + along * 9e-6,
+        lon_deg=170.0 + along * 2e-5,
+        x_m=300_000.0 + 0.8 * along,
+        y_m=-1_300_000.0 + 0.6 * along,
+        delta_time_s=along / 7_000.0,
+        signal_conf=rng.choice(np.array([0, 2, 3, 4]), n, p=[0.02, 0.02, 0.16, 0.8]),
+        is_signal=np.ones(n, dtype=bool),
+        background_rate_hz=rng.uniform(1e5, 1e6, n),
+        truth_class=rng.choice(np.array([0, 1, 2]), n, p=[0.7, 0.18, 0.12]),
+    )
+    ref = _resample("reference", beam).as_dict()
+    vec = _resample("vectorized", beam).as_dict()
+    for name, value in ref.items():
+        assert np.array_equal(value, vec[name], equal_nan=value.dtype.kind == "f"), name
+    return beam
+
+
+def test_resample_reference(benchmark, beam):
+    benchmark.pedantic(_resample, args=("reference", beam), **ROUNDS)
+
+
+def test_resample_vectorized(benchmark, beam):
+    benchmark.pedantic(_resample, args=("vectorized", beam), **ROUNDS)

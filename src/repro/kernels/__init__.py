@@ -16,12 +16,20 @@ implementations in this package:
   composite-key ``np.bincount`` and segmented ``np.lexsort`` medians);
 * :mod:`repro.kernels.pyramid` — tile-pyramid overview reductions
   (NaN-aware count-weighted means and coverage fractions over 2x2 child
-  blocks, computed from four strided child planes at once).
+  blocks, computed from four strided child planes at once);
+* :mod:`repro.kernels.drift` — the S2 drift search (per-dx column and
+  per-dy row index slabs over a precomputed rank image, one gather and one
+  matrix-vector product per row of candidates, exact re-scoring of the
+  near-best candidates);
+* :mod:`repro.kernels.resampling` — the 2 m resampling median and majority
+  class (one ``np.lexsort`` by (window, height) and one composite-key
+  ``np.bincount`` over all windows).
 
 The *reference* implementations are the original per-window / per-bin /
-per-step loops, kept as the ground truth the vectorized kernels are
-equivalence-tested against (``tests/test_kernels_equivalence.py`` asserts
-agreement to 1e-10) and benchmarked against (``benchmarks/bench_kernels.py``).
+per-step / per-candidate loops, kept as the ground truth the vectorized
+kernels are equivalence-tested against (``tests/test_kernels_equivalence.py``
+asserts agreement to 1e-10, and exact agreement for the drift and resampling
+kernels) and benchmarked against (``benchmarks/bench_kernels.py``).
 
 Backend selection
 -----------------
@@ -88,15 +96,25 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
-from repro.kernels import confidence, gridding, lstm, pyramid, sea_surface  # noqa: E402
+from repro.kernels import (  # noqa: E402
+    confidence,
+    drift,
+    gridding,
+    lstm,
+    pyramid,
+    resampling,
+    sea_surface,
+)
 
 __all__ = [
     "KERNEL_BACKENDS",
     "confidence",
+    "drift",
     "get_backend",
     "gridding",
     "lstm",
     "pyramid",
+    "resampling",
     "resolve_backend",
     "sea_surface",
     "set_backend",

@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import resolve_backend
+from repro.kernels._segments import segmented_median
 
 
 def _prepare(
@@ -132,31 +133,6 @@ def cell_class_counts_reference(
 # ---------------------------------------------------------------------------
 
 
-def _segmented_median(
-    idx: np.ndarray, vals: np.ndarray, count: np.ndarray
-) -> np.ndarray:
-    """Median per cell via one lexsort over (cell, value) composite keys.
-
-    ``count`` is the per-cell occupancy (``bincount`` of ``idx``); cells are
-    contiguous runs after the sort, so each cell's two middle elements are
-    plain offsets from the run start.  ``0.5 * (lo + hi)`` reproduces
-    ``np.median`` exactly: for odd runs ``lo == hi``, for even runs the mean
-    of two doubles is the same correctly-rounded value either way.
-    """
-    median = np.full(count.size, np.nan)
-    if idx.size == 0:
-        return median
-    order = np.lexsort((vals, idx))
-    sorted_vals = vals[order]
-    starts = np.zeros(count.size, dtype=np.int64)
-    np.cumsum(count[:-1], out=starts[1:])
-    occupied = count > 0
-    lo = starts[occupied] + (count[occupied] - 1) // 2
-    hi = starts[occupied] + count[occupied] // 2
-    median[occupied] = 0.5 * (sorted_vals[lo] + sorted_vals[hi])
-    return median
-
-
 def cell_statistics_vectorized(
     cell_index: np.ndarray, values: np.ndarray, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -174,10 +150,10 @@ def cell_statistics_vectorized(
             np.nan,
         )
     std = np.sqrt(var)
-    median = _segmented_median(idx, vals, count)
+    median = segmented_median(idx, vals, count)
     with np.errstate(invalid="ignore"):
         abs_deviation = np.abs(vals - median[idx])
-    mad = _segmented_median(idx, abs_deviation, count)
+    mad = segmented_median(idx, abs_deviation, count)
     return count, mean, median, std, mad
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.kernels import resolve_backend
 from repro.kernels._segments import cumsum0 as _cumsum0
+from repro.kernels._segments import group_median_sorted as _group_median_sorted
 
 #: Along-track gap (m) above which open-water segments belong to separate leads.
 LEAD_MAX_GAP_M = 100.0
@@ -154,22 +155,6 @@ def window_estimates_reference(
 # ---------------------------------------------------------------------------
 # Vectorized backend: all windows at once
 # ---------------------------------------------------------------------------
-
-
-def _group_median_sorted(
-    values: np.ndarray, offsets: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Median per group over values already sorted within each group.
-
-    Matches ``np.median`` exactly: the middle element for odd counts, the
-    mean of the two middle elements for even counts.  Empty groups get NaN.
-    """
-    med = np.full(counts.size, np.nan)
-    nz = counts > 0
-    lo = offsets[:-1][nz] + (counts[nz] - 1) // 2
-    hi = offsets[:-1][nz] + counts[nz] // 2
-    med[nz] = (values[lo] + values[hi]) / 2.0
-    return med
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
+from repro.kernels import drift as kdrift
 from repro.sentinel2.scene import S2Image
 from repro.utils.validation import ensure_1d, ensure_same_length
 
@@ -44,37 +44,6 @@ class DriftEstimate:
         angle = np.degrees(np.arctan2(self.dx_m, self.dy_m)) % 360.0
         names = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
         return names[int(((angle + 22.5) % 360.0) // 45.0)]
-
-
-def _alignment_score(
-    class_map: np.ndarray,
-    image: S2Image,
-    seg_x: np.ndarray,
-    seg_y: np.ndarray,
-    seg_height: np.ndarray,
-    dx: float,
-    dy: float,
-) -> float:
-    """Score a candidate shift by label/elevation consistency.
-
-    A correct alignment puts open-water labels on the lowest segments, thin
-    ice in between and thick ice on the highest ones, so the score is the
-    Pearson correlation between the segment heights and the ordinal label
-    rank (water=0, thin=1, thick=2).  Correlation is robust to the strong
-    class imbalance of the Ross Sea pack (a handful of water segments cannot
-    dominate the score the way a class-mean difference could).  Querying the
-    image at (x - dx) is equivalent to shifting the image by (dx, dy).
-    """
-    row, col = image.pixel_index(seg_x - dx, seg_y - dy)
-    labels = class_map[row, col]
-    rank = np.empty(labels.shape, dtype=float)
-    rank[labels == CLASS_OPEN_WATER] = 0.0
-    rank[(labels != CLASS_OPEN_WATER) & (labels != CLASS_THICK_ICE)] = 1.0
-    rank[labels == CLASS_THICK_ICE] = 2.0
-    # The correlation is undefined when either side is constant.
-    if rank.std() < 1e-9 or seg_height.std() < 1e-9:
-        return -np.inf
-    return float(np.corrcoef(rank, seg_height)[0, 1])
 
 
 def estimate_drift(
@@ -129,17 +98,11 @@ def estimate_drift(
 
     def search(center: tuple[float, float], half_width: float, step: float) -> tuple[float, float, float, int]:
         offsets = np.arange(-half_width, half_width + step * 0.5, step)
-        best = (-np.inf, 0.0, 0.0)
-        count = 0
-        for dx in np.clip(offsets + center[0], -max_shift_m, max_shift_m):
-            for dy in np.clip(offsets + center[1], -max_shift_m, max_shift_m):
-                count += 1
-                score = _alignment_score(class_map, image, seg_x, seg_y, seg_h, dx, dy)
-                if score > best[0]:
-                    best = (score, float(dx), float(dy))
-        return best[1], best[2], best[0], count
+        dxs = np.clip(offsets + center[0], -max_shift_m, max_shift_m)
+        dys = np.clip(offsets + center[1], -max_shift_m, max_shift_m)
+        return kdrift.drift_search(class_map, image, seg_x, seg_y, seg_h, dxs, dys)
 
-    zero_score = _alignment_score(class_map, image, seg_x, seg_y, seg_h, 0.0, 0.0)
+    zero_score = kdrift.alignment_score(class_map, image, seg_x, seg_y, seg_h, 0.0, 0.0)
     dx0, dy0, _, n0 = search((0.0, 0.0), max_shift_m, coarse_step_m)
     dx1, dy1, score, n1 = search((dx0, dy0), coarse_step_m, fine_step_m)
     # Querying the image at (x - dx) is exactly what the image would return

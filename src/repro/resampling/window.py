@@ -6,7 +6,8 @@ summarised by robust statistics of its signal photons (mean/median/std of
 height, photon counts, background rate, ...).  The implementation is
 vectorised: photons are already sorted by along-track distance, so window
 membership is a ``searchsorted`` over the window edges and every statistic is
-computed with ``np.add.reduceat``-style grouped reductions.
+computed with ``np.add.reduceat``-style grouped reductions; the median height
+and the majority class come from the :mod:`repro.kernels.resampling` kernels.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from repro.atl03.granule import BeamData
 from repro.config import RESAMPLE_WINDOW_M
+from repro.kernels import resampling as kresampling
 from repro.utils.validation import ensure_positive
 
 
@@ -178,11 +180,7 @@ def _grouped_reduce(values: np.ndarray, boundaries: np.ndarray, func: str) -> np
         out[non_empty] = np.maximum.reduceat(values, boundaries[:-1][non_empty])
         return out
     if func == "median":
-        # Median has no reduceat; do it per group but only over non-empty ones.
-        idx = np.flatnonzero(non_empty)
-        for i in idx:
-            out[i] = np.median(values[boundaries[i]:boundaries[i + 1]])
-        return out
+        return kresampling.grouped_median(values, boundaries)
     raise ValueError(f"unsupported reduction {func!r}")
 
 
@@ -190,7 +188,6 @@ def resample_fixed_window(
     beam: BeamData,
     window_length_m: float = RESAMPLE_WINDOW_M,
     min_confidence: int = 3,
-    ground_speed_m_s: float = 7000.0,
 ) -> SegmentArray:
     """Resample one beam's photons into fixed-length along-track segments.
 
@@ -265,13 +262,8 @@ def resample_fixed_window(
     photon_rate = counts / shots_per_window
 
     # Majority ground-truth class per segment (evaluation only).
-    truth = np.full(n_segments, -1, dtype=np.int8)
+    truth = kresampling.grouped_majority(sig_truth, boundaries)
     non_empty = counts > 0
-    idx = np.flatnonzero(non_empty)
-    for i in idx:
-        seg_truth = sig_truth[boundaries[i]:boundaries[i + 1]]
-        vals, cnts = np.unique(seg_truth, return_counts=True)
-        truth[i] = vals[np.argmax(cnts)]
 
     # Geolocate empty segments by interpolating along the window centres so
     # downstream windowing still has coordinates for every segment.

@@ -12,6 +12,9 @@ await before a later deadline fires.  That is what makes the router's
 concurrency tests reproducible (no real sleeps, no scheduler races) and
 lets the open-loop simulator push millions of Poisson arrivals through the
 router in seconds of real time.
+
+:func:`run_sync` is the tier's ``asyncio.run`` for the synchronous entry
+points (``RequestRouter.serve``, ``TrafficSimulator.run_open_loop``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,29 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
+from typing import Awaitable, TypeVar
+
+T = TypeVar("T")
+
+
+def run_sync(awaitable: Awaitable[T]) -> T:
+    """Run ``awaitable`` on a fresh event loop and return its result.
+
+    Unlike a bare ``asyncio.run(awaitable)``, the result never becomes the
+    loop task's result.  On the main thread ``asyncio.run`` checks its SIGINT
+    handler with ``signal.getsignal``, which formats that handler — a
+    ``functools.partial`` bound to the finished task — and so reprs the
+    task's result: for a batch of served tiles, every tile array is
+    numpy-formatted.  Handing the result back through a closure leaves the
+    task with ``None`` to repr.
+    """
+    results: list[T] = []
+
+    async def _main() -> None:
+        results.append(await awaitable)
+
+    asyncio.run(_main())
+    return results[0]
 
 
 class MonotonicClock:

@@ -49,7 +49,7 @@ from repro.config import DEFAULT_SERVE, RouterConfig, ServeConfig
 from repro.l3.writer import Level3ProductError
 from repro.obs.core import Obs, default_obs
 from repro.serve.catalog import CatalogEntry, ProductCatalog
-from repro.serve.clock import MonotonicClock, VirtualClock
+from repro.serve.clock import MonotonicClock, VirtualClock, run_sync
 from repro.serve.query import (
     ProductLoader,
     QueryEngine,
@@ -477,7 +477,7 @@ class RequestRouter:
         async def _run() -> list[TileResponse]:
             return list(await asyncio.gather(*(self.query(req) for req in requests)))
 
-        return asyncio.run(_run())
+        return run_sync(_run())
 
     # -- live invalidation ---------------------------------------------------
 

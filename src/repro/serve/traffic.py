@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.distributed.cluster import ClusterCostModel
+from repro.serve.clock import run_sync
 from repro.serve.query import QueryEngine, QueryStats, TileRequest, TileResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -577,7 +578,7 @@ class TrafficSimulator:
         chunk_size: int = 65536,
     ) -> OpenLoopResult:
         """Synchronous wrapper for :meth:`arun_open_loop` on a fresh loop."""
-        return asyncio.run(
+        return run_sync(
             self.arun_open_loop(
                 router,
                 arrival_rate_rps,

@@ -50,7 +50,6 @@ def gaussian_random_field(
     kx = np.fft.fftfreq(nx)[None, :]
     k2 = kx**2 + ky**2
     # Gaussian spectral filter: exp(-(k * L)^2 / 2) with L in pixels.
-    filt = np.exp(-0.5 * k2 * (2.0 * np.pi * correlation_length_px) ** 2 / (2.0 * np.pi) ** 2 * (2.0 * np.pi) ** 2)
     filt = np.exp(-0.5 * k2 * (correlation_length_px * 2.0 * np.pi) ** 2)
     spec = np.fft.fft2(white) * np.sqrt(filt)
     field = np.real(np.fft.ifft2(spec))
@@ -111,16 +110,26 @@ def add_linear_leads(
     rng = default_rng(rng)
     out = np.array(class_map, copy=True)
     ny, nx = out.shape
-    yy, xx = np.mgrid[0:ny, 0:nx]
     for _ in range(n_leads):
         x0, y0 = rng.uniform(0, nx), rng.uniform(0, ny)
         angle = rng.uniform(0, np.pi)
         length = rng.uniform(0.3, 1.0) * max(nx, ny)
         dx, dy = np.cos(angle), np.sin(angle)
+        # Only pixels inside the lead's bounding box can be stamped: the box
+        # spans half the length along each axis plus the full width, a
+        # margin wider than the half-width the mask tests against.
+        half_x = length / 2.0 * abs(dx) + width_px
+        half_y = length / 2.0 * abs(dy) + width_px
+        x_lo = max(int(np.floor(x0 - half_x)), 0)
+        x_hi = min(int(np.ceil(x0 + half_x)) + 1, nx)
+        y_lo = max(int(np.floor(y0 - half_y)), 0)
+        y_hi = min(int(np.ceil(y0 + half_y)) + 1, ny)
+        xx = np.arange(x_lo, x_hi)[None, :]
+        yy = np.arange(y_lo, y_hi)[:, None]
         # Signed distance of every pixel from the lead's centre line and the
         # projection of the pixel along the line (to bound the lead length).
         dist = np.abs((xx - x0) * dy - (yy - y0) * dx)
         along = (xx - x0) * dx + (yy - y0) * dy
         mask = (dist <= width_px / 2.0) & (np.abs(along) <= length / 2.0)
-        out[mask] = lead_class
+        out[y_lo:y_hi, x_lo:x_hi][mask] = lead_class
     return out

@@ -1,11 +1,14 @@
 """Property-based equivalence tests for the vectorized kernel layer.
 
 Every kernel in :mod:`repro.kernels` ships two backends — the original
-per-window / per-bin / per-step ``reference`` loops and the ``vectorized``
-rewrites.  These tests assert that on random scenes (and the degenerate
-corners: empty windows, all-open-water tracks, single-photon bins, NaN
-photons) the two backends agree to 1e-10.
+per-window / per-bin / per-step / per-candidate ``reference`` loops and the
+``vectorized`` rewrites.  These tests assert that on random scenes (and the
+degenerate corners: empty windows, all-open-water tracks, single-photon
+bins, NaN photons) the two backends agree to 1e-10; the drift-search and
+resampling kernels, and the bounding-box lead stamping, must agree exactly.
 """
+
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -14,11 +17,18 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.atl03.confidence import classify_confidence
+from repro.atl03.granule import BeamData
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
 from repro.freeboard.sea_surface import SEA_SURFACE_METHODS, estimate_sea_surface
 from repro.kernels import confidence as kconf
+from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
+from repro.kernels import resampling as kresampling
 from repro.kernels import sea_surface as ksea
+from repro.labeling.alignment import estimate_drift
+from repro.resampling.window import resample_fixed_window
+from repro.sentinel2.scene import S2Image
+from repro.surface.fields import add_linear_leads
 
 HYPOTHESIS_SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -384,3 +394,275 @@ class TestPredictBatched:
         assert model.predict_batched([]) == []
         out = model.predict_batched([np.empty((0, 4))])
         assert out[0].shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Drift search
+# ---------------------------------------------------------------------------
+
+
+def _image(class_map, pixel_size_m=10.0, origin=(0.0, 0.0)):
+    ny, nx = class_map.shape
+    return S2Image(
+        bands=np.zeros((4, ny, nx)),
+        origin_x_m=origin[0],
+        origin_y_m=origin[1],
+        pixel_size_m=pixel_size_m,
+        acquisition_time=datetime(2019, 11, 1),
+        cloud_optical_depth=np.zeros((ny, nx)),
+        shadow_mask=np.zeros((ny, nx), dtype=bool),
+        truth_class_map=class_map,
+    )
+
+
+def _drift_fields(estimate):
+    return (estimate.dx_m, estimate.dy_m, estimate.score, estimate.n_candidates)
+
+
+def _compare_drift(image, class_map, x, y, h, **search):
+    with kernels.use_backend("reference"):
+        ref = estimate_drift(image, class_map, x, y, h, **search)
+    with kernels.use_backend("vectorized"):
+        vec = estimate_drift(image, class_map, x, y, h, **search)
+    # Exact equality of every field; -inf scores compare equal.
+    assert _drift_fields(ref) == _drift_fields(vec), (ref, vec)
+    return ref
+
+
+def _random_track(rng, extent_m, n):
+    """A straight track crossing the image, with a little along-track jitter."""
+    t = np.sort(rng.uniform(-0.1, 1.1, n))
+    x0, y0, x1, y1 = rng.uniform(0.0, extent_m, 4)
+    return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+
+
+class TestDriftKernel:
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(4, 60),
+        n=st.integers(2, 300),
+        pixel_size_m=st.sampled_from([10.0, 20.0, 60.0]),
+    )
+    def test_random_maps_and_tracks(self, seed, size, n, pixel_size_m):
+        rng = np.random.default_rng(seed)
+        class_map = rng.integers(-1, 3, (size, size + 3)).astype(np.int8)
+        image = _image(class_map, pixel_size_m)
+        x, y = _random_track(rng, size * pixel_size_m, n)
+        # Heights loosely follow the true labels so the score has a peak.
+        row, col = image.pixel_index(x, y)
+        h = 0.1 * (class_map[row, col] == CLASS_THICK_ICE) + rng.normal(0.0, 0.05, n)
+        _compare_drift(
+            image, class_map, x, y, h, max_shift_m=200.0, coarse_step_m=50.0, fine_step_m=25.0
+        )
+
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200))
+    def test_tied_candidates_keep_the_first_maximum(self, seed, n):
+        # 200 m pixels under 25/50 m steps: many candidates read exactly the
+        # same pixels, so exact score ties are everywhere.
+        rng = np.random.default_rng(seed)
+        class_map = rng.integers(0, 3, (6, 6)).astype(np.int8)
+        image = _image(class_map, pixel_size_m=200.0)
+        x, y = _random_track(rng, 1_200.0, n)
+        h = rng.normal(0.0, 0.1, n)
+        _compare_drift(
+            image, class_map, x, y, h, max_shift_m=300.0, coarse_step_m=50.0, fine_step_m=25.0
+        )
+
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(seed=st.integers(0, 2**32 - 1), center=st.sampled_from([-790.0, 790.0]))
+    def test_duplicate_clipped_candidates(self, seed, center):
+        # Offsets around a centre near +-max_shift clip onto the boundary,
+        # so the candidate lists repeat the clipped shift.
+        rng = np.random.default_rng(seed)
+        class_map = rng.integers(0, 3, (40, 40)).astype(np.int8)
+        image = _image(class_map, pixel_size_m=50.0)
+        x, y = _random_track(rng, 2_000.0, 150)
+        h = rng.normal(0.0, 0.1, 150)
+        offsets = np.arange(-50.0, 50.0 + 12.5, 25.0)
+        dxs = np.clip(offsets + center, -800.0, 800.0)
+        dys = np.clip(offsets - center, -800.0, 800.0)
+        assert np.unique(dxs).size < dxs.size
+        args = (class_map, image, x, y, h, dxs, dys)
+        assert kdrift.drift_search_reference(*args) == kdrift.drift_search_vectorized(*args)
+        _compare_drift(
+            image, class_map, x, y, h, max_shift_m=800.0, coarse_step_m=50.0, fine_step_m=25.0
+        )
+
+    def test_constant_rank_map_scores_minus_inf(self):
+        rng = np.random.default_rng(2)
+        class_map = np.full((30, 30), CLASS_THICK_ICE, dtype=np.int8)
+        image = _image(class_map)
+        x, y = _random_track(rng, 300.0, 80)
+        h = rng.normal(0.0, 0.1, 80)
+        args = (class_map, image, x, y, h, np.array([-25.0, 0.0]), np.array([0.0, 25.0]))
+        assert kdrift.drift_search_vectorized(*args) == (0.0, 0.0, -np.inf, 4)
+        assert kdrift.drift_search_reference(*args) == (0.0, 0.0, -np.inf, 4)
+        est = _compare_drift(image, class_map, x, y, h, max_shift_m=100.0)
+        assert est.score == -np.inf and est.distance_m == 0.0
+
+    def test_all_nan_heights_but_one(self):
+        rng = np.random.default_rng(4)
+        class_map = rng.integers(0, 3, (30, 30)).astype(np.int8)
+        image = _image(class_map)
+        x, y = _random_track(rng, 300.0, 50)
+        h = np.full(50, np.nan)
+        h[17] = 0.3
+        est = _compare_drift(image, class_map, x, y, h, max_shift_m=100.0)
+        assert est.score == -np.inf and est.distance_m == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Fixed-window resampling reductions
+# ---------------------------------------------------------------------------
+
+
+def assert_identical(a, b, label):
+    """Same dtype, shape, NaN pattern and bytes everywhere else."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, label
+    if a.dtype.kind == "f":
+        nan = np.isnan(a)
+        assert np.array_equal(nan, np.isnan(b)), f"{label}: NaN pattern differs"
+        a, b = a[~nan], b[~nan]
+    assert a.tobytes() == b.tobytes(), f"{label}: values differ"
+
+
+def _boundaries(rng, n_windows, max_count, offset=0):
+    counts = rng.integers(0, max_count + 1, n_windows)
+    return offset + np.concatenate([[0], np.cumsum(counts)])
+
+
+def _compare_grouped(values, boundaries):
+    assert_identical(
+        kresampling.grouped_median_reference(values, boundaries),
+        kresampling.grouped_median_vectorized(values, boundaries),
+        "median",
+    )
+
+
+def _compare_majority(codes, boundaries):
+    assert_identical(
+        kresampling.grouped_majority_reference(codes, boundaries),
+        kresampling.grouped_majority_vectorized(codes, boundaries),
+        "majority",
+    )
+
+
+class TestResamplingKernels:
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_windows=st.integers(1, 300),
+        max_count=st.integers(0, 9),
+        offset=st.integers(0, 5),
+    )
+    def test_random_windows(self, seed, n_windows, max_count, offset):
+        # Empty, single-photon, odd and even windows; photons outside the
+        # first/last boundary must not leak in.
+        rng = np.random.default_rng(seed)
+        boundaries = _boundaries(rng, n_windows, max_count, offset)
+        n = int(boundaries[-1]) + offset
+        values = np.round(rng.normal(0.0, 0.5, n), 2)  # rounding makes ties
+        _compare_grouped(values, boundaries)
+        codes = rng.integers(-1, 3, n).astype(np.int8)
+        _compare_majority(codes, boundaries)
+
+    def test_all_empty_windows(self):
+        boundaries = np.zeros(6, dtype=np.int64)
+        _compare_grouped(np.empty(0), boundaries)
+        _compare_majority(np.empty(0, dtype=np.int8), boundaries)
+
+    def test_single_photon_and_even_count_windows(self):
+        values = np.array([0.3, 1.0, 2.0, -1.0, 5.0, 4.0, 0.5])
+        boundaries = np.array([0, 1, 1, 3, 7])  # 1, 0, 2 and 4 photons
+        _compare_grouped(values, boundaries)
+        med = kresampling.grouped_median_vectorized(values, boundaries)
+        assert med[0] == 0.3 and np.isnan(med[1]) and med[2] == 1.5 and med[3] == 2.25
+
+    def test_nan_photon_poisons_only_its_window(self):
+        values = np.array([1.0, np.nan, 3.0, 2.0, 4.0])
+        boundaries = np.array([0, 3, 5])
+        _compare_grouped(values, boundaries)
+        med = kresampling.grouped_median_vectorized(values, boundaries)
+        assert np.isnan(med[0]) and med[1] == 3.0
+
+    def test_class_count_tie_takes_the_smallest_class(self):
+        codes = np.array([2, 1, 2, 1, 0, -1, -1, 0], dtype=np.int8)
+        boundaries = np.array([0, 4, 8])
+        _compare_majority(codes, boundaries)
+        assert list(kresampling.grouped_majority_vectorized(codes, boundaries)) == [1, -1]
+
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3_000))
+    def test_resample_fixed_window_fields_identical(self, seed, n):
+        rng = np.random.default_rng(seed)
+        along = np.sort(rng.uniform(0.0, n * 0.7, n))
+        beam = BeamData(
+            name="gt1r",
+            along_track_m=along,
+            height_m=np.round(rng.normal(0.2, 0.3, n), 3),
+            lat_deg=-75.0 + along * 1e-5,
+            lon_deg=170.0 + along * 1e-5,
+            x_m=along * 0.6,
+            y_m=along * 0.8,
+            delta_time_s=along / 7000.0,
+            signal_conf=rng.integers(0, 5, n),
+            is_signal=rng.random(n) < 0.8,
+            background_rate_hz=rng.uniform(1e5, 1e6, n),
+            truth_class=rng.integers(-1, 3, n),
+        )
+        with kernels.use_backend("reference"):
+            ref = resample_fixed_window(beam)
+        with kernels.use_backend("vectorized"):
+            vec = resample_fixed_window(beam)
+        for name, value in ref.as_dict().items():
+            assert_identical(value, vec.as_dict()[name], name)
+
+
+# ---------------------------------------------------------------------------
+# Lead stamping (bounding-box evaluation vs the full-grid original)
+# ---------------------------------------------------------------------------
+
+
+def _add_linear_leads_full_grid(class_map, n_leads, lead_class, width_px, rng):
+    """The original formulation: two full-grid planes per lead."""
+    rng = np.random.default_rng(rng)
+    out = np.array(class_map, copy=True)
+    ny, nx = out.shape
+    yy, xx = np.mgrid[0:ny, 0:nx]
+    for _ in range(n_leads):
+        x0, y0 = rng.uniform(0, nx), rng.uniform(0, ny)
+        angle = rng.uniform(0, np.pi)
+        length = rng.uniform(0.3, 1.0) * max(nx, ny)
+        dx, dy = np.cos(angle), np.sin(angle)
+        dist = np.abs((xx - x0) * dy - (yy - y0) * dx)
+        along = (xx - x0) * dx + (yy - y0) * dy
+        mask = (dist <= width_px / 2.0) & (np.abs(along) <= length / 2.0)
+        out[mask] = lead_class
+    return out
+
+
+class TestLeadStamping:
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(1, 90),
+        nx=st.integers(1, 90),
+        n_leads=st.integers(0, 10),
+        width_px=st.integers(1, 12),
+    )
+    def test_matches_full_grid(self, seed, ny, nx, n_leads, width_px):
+        base = np.random.default_rng(seed).integers(0, 3, (ny, nx)).astype(np.int8)
+        expected = _add_linear_leads_full_grid(base, n_leads, 2, width_px, seed)
+        assert_identical(add_linear_leads(base, n_leads, 2, width_px, rng=seed), expected, "leads")
+
+    def test_leads_crossing_the_image_edge(self):
+        # Leads up to the full image length, centred anywhere: most run off
+        # the grid, so their bounding boxes are clipped.
+        base = np.zeros((64, 48), dtype=np.int8)
+        out = add_linear_leads(base, 12, 2, 3, rng=9)
+        assert_identical(out, _add_linear_leads_full_grid(base, 12, 2, 3, 9), "edge leads")
+        border = np.concatenate([out[0], out[-1], out[:, 0], out[:, -1]])
+        assert (border == 2).any()

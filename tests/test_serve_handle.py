@@ -6,6 +6,7 @@ the ``CampaignRunner.serve`` integration including the deprecated
 same dataclass whichever front (bare engine or router) serves the query.
 """
 
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -132,6 +133,27 @@ class TestUnifiedTileResponse:
         assert response.latency_s == response.queue_wait_s + response.seconds
         assert not response.stale
         assert not response.coalesced
+
+
+class TestMainThreadServing:
+    def test_query_batch_never_reprs_the_responses(self, tmp_path, monkeypatch):
+        # On the main thread asyncio.run formats its SIGINT handler, which is
+        # bound to the finished loop task; a task holding the response list
+        # would repr (numpy-format) every served tile.
+        assert threading.current_thread() is threading.main_thread()
+        handle = handle_over_synthetic_fleet(tmp_path).with_router(RouterConfig(n_shards=2))
+        reprs = []
+        original = TileResponse.__repr__
+
+        def counting_repr(self):
+            reprs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(TileResponse, "__repr__", counting_repr)
+        responses = handle.query_batch([REQUEST, REQUEST])
+        assert len(responses) == 2
+        assert all(isinstance(r, TileResponse) for r in responses)
+        assert reprs == []
 
 
 class TestCampaignServeRedesign:

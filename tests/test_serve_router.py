@@ -22,7 +22,12 @@ from repro.serve.clock import MonotonicClock, VirtualClock
 from repro.serve.query import ProductLoader, QueryEngine, TileRequest, TileResponse
 from repro.serve.router import RequestRouter, RouterOverloadedError
 from repro.serve.shard import ShardedCatalog, shard_index
-from repro.serve.traffic import TrafficConfig, TrafficSimulator, router_scaling_rows
+from repro.serve.traffic import (
+    OpenLoopResult,
+    TrafficConfig,
+    TrafficSimulator,
+    router_scaling_rows,
+)
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=128)
 
@@ -559,6 +564,24 @@ class TestOpenLoop:
         assert result.throughput_rps == pytest.approx(
             0.25 * saturation_rps, rel=0.15
         )
+
+    def test_open_loop_result_is_never_repred(self, monkeypatch):
+        # The synchronous wrapper must not leave the result on the loop task,
+        # which asyncio.run formats on the main thread.
+        harness = Harness(self.entries(), RouterConfig(n_shards=4, max_queue_depth=8))
+        reprs = []
+        original = OpenLoopResult.__repr__
+
+        def counting_repr(self):
+            reprs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(OpenLoopResult, "__repr__", counting_repr)
+        result = self.simulator(harness.router, 100).run_open_loop(
+            harness.router, arrival_rate_rps=100.0
+        )
+        assert isinstance(result, OpenLoopResult)
+        assert reprs == []
 
     def test_open_loop_is_deterministic_on_the_virtual_clock(self):
         def once():
