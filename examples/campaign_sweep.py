@@ -8,8 +8,10 @@ inference/freeboard/ATL07/ATL10 retrieval back out, and prints per-granule
 and campaign-level metrics plus the simulated cluster scaling table.
 
 The campaign is then run a second time with the same configuration to
-demonstrate the fingerprint-keyed on-disk cache: every artifact is reused and
-the re-run completes in a fraction of the original time.
+demonstrate the content-addressed on-disk stage cache: the re-run reads one
+finished result per granule plus the shared classifier, computes nothing,
+and completes in a fraction of the original time.  The script exits non-zero
+if the resumed run misses the cache anywhere.
 
 Run:  python examples/campaign_sweep.py [--quick]
 
@@ -19,6 +21,7 @@ epochs — the CI smoke configuration.
 
 import argparse
 import shutil
+import sys
 import tempfile
 import time
 
@@ -75,7 +78,7 @@ def main() -> None:
     result = CampaignRunner(config).run()
     first_s = time.perf_counter() - start
     print(f"\nFirst run: {first_s:.1f} s "
-          f"({len(result.cache_misses)} artifacts computed and cached)\n")
+          f"({len(result.stage_misses)} stage-cache entries computed and stored)\n")
     print(result.summary())
 
     start = time.perf_counter()
@@ -83,9 +86,12 @@ def main() -> None:
     second_s = time.perf_counter() - start
     print(
         f"\nSecond run resumed from cache in {second_s:.2f} s "
-        f"({len(resumed.cache_hits)} hits, {len(resumed.cache_misses)} misses)"
+        f"({len(resumed.stage_hits)} stage hits, {len(resumed.stage_misses)} "
+        "stage misses)"
     )
     shutil.rmtree(cache_dir, ignore_errors=True)
+    if resumed.stage_misses:
+        sys.exit(f"resumed run recomputed {len(resumed.stage_misses)} entries")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ virtual clock:
    control sheds the overflow immediately (the shed *is* the failure mode
    the SLO watches, and also what keeps the served requests fast);
 3. the fast burn-rate window fires at the next evaluator tick — the
-   ``HealthMonitor`` publishes the v2 dashboard carrying the firing alert,
+   ``HealthMonitor`` publishes the dashboard carrying the firing alert,
    the overspent error budget and the ``router.shed`` events whose trace
    ids join back to the shedding ``router.request`` spans;
 4. traffic returns to sustainable rates, the shed rate drops to zero, and
@@ -34,7 +34,13 @@ from pathlib import Path
 
 from repro import kernels
 from repro.config import RouterConfig, ServeConfig, SloConfig
-from repro.obs import HealthMonitor, Obs, SloEvaluator, availability_slo
+from repro.obs import (
+    DASHBOARD_SCHEMA_VERSION,
+    HealthMonitor,
+    Obs,
+    SloEvaluator,
+    availability_slo,
+)
 from repro.serve import TileRequest
 from repro.serve.catalog import CatalogEntry
 from repro.serve.clock import VirtualClock
@@ -149,9 +155,9 @@ def main() -> None:
         doc = json.loads((workdir / "health.json").read_text())
         budget = doc["slo"]["error_budgets"][0]
         shed_events = [e for e in doc["events"] if e["event"] == "router.shed"]
-        assert doc["schema_version"] == 2 and shed_events
+        assert doc["schema_version"] == DASHBOARD_SCHEMA_VERSION and shed_events
         print(
-            f"           dashboard v2: budget {budget['bad_events']:.0f}/"
+            f"           dashboard v{DASHBOARD_SCHEMA_VERSION}: budget {budget['bad_events']:.0f}/"
             f"{budget['budget_events']:.2f} bad events spent "
             f"(remaining {budget['remaining_fraction']:.0%}), "
             f"shed event trace {shed_events[0]['trace_id']}"

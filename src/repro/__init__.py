@@ -23,8 +23,8 @@ provides:
   typed, content-fingerprinted stage; graph runs cache per stage and
   recompute only downstream of a config change (:mod:`repro.pipeline`);
 * multi-granule campaigns: scenario grids run in parallel through the whole
-  stage graph with one shared classifier and a two-tier resumable on-disk
-  cache (:mod:`repro.campaign`);
+  stage graph with one shared classifier and a resumable content-addressed
+  on-disk cache (:mod:`repro.campaign`);
 * vectorized hot-path kernels — windowed sea-surface estimation, ATL03
   confidence binning, LSTM time-stepping, Level-3 polar-grid binning — with
   a reference/vectorized dispatch switch and equivalence-tested backends

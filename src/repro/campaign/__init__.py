@@ -10,9 +10,10 @@ target:
   config path) into per-granule experiment configs with derived seeds;
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner` curates all granules
   in parallel over a process pool, trains **one** classifier on the pooled
-  labelled segments, then fans inference/freeboard/ATL07/ATL10 back out;
-* :mod:`repro.campaign.cache` — a resumable on-disk artifact store keyed by
-  the campaign's config fingerprint, so re-runs skip completed granules;
+  labelled segments, then fans inference/freeboard/ATL07/ATL10 back out,
+  caching every stage output and each finished granule in the
+  content-addressed :class:`~repro.pipeline.cache.StageCache`, so re-runs
+  skip completed granules;
 * :mod:`repro.campaign.metrics` — per-granule and pooled campaign metrics
   plus the cost-model-based simulated cluster scaling report.
 
@@ -29,7 +30,6 @@ Quick start::
     print(result.summary())
 """
 
-from repro.campaign.cache import CampaignCache
 from repro.campaign.config import (
     AXIS_ALIASES,
     CampaignConfig,
@@ -56,7 +56,6 @@ from repro.campaign.runner import (
 
 __all__ = [
     "AXIS_ALIASES",
-    "CampaignCache",
     "CampaignConfig",
     "CampaignL3Result",
     "CampaignMetrics",

@@ -18,10 +18,12 @@ training knobs (:data:`CAMPAIGN_LEVEL_FIELDS`), which the shared classifier
 reads from ``base`` and which are therefore rejected as axes.
 
 :func:`CampaignConfig.fingerprint` gives a stable content hash of everything
-that affects the science output (base config, grid, replicates, seed).  It
-deliberately excludes execution knobs (worker count, executor kind, cache
-location) so a campaign resumed with a different level of parallelism still
-hits the same cache entries.
+that affects the science output (base config, grid, replicates, seed), which
+names the campaign in results and dashboards.  It deliberately excludes
+execution knobs (worker count, executor kind, cache location), so the same
+science has one name whatever the parallelism.  Cache entries are keyed by
+per-stage content fingerprints instead (:mod:`repro.pipeline`), which ignore
+the execution knobs too.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ class CampaignConfig:
         (zero-copy array transport); execution knob only, excluded from the
         fingerprint like ``n_workers``/``executor``.
     cache_dir:
-        Directory for the resumable on-disk result cache; ``None`` disables
-        caching.
+        Root of the resumable on-disk stage cache (``<cache_dir>/stages/``);
+        ``None`` disables caching.
     """
 
     base: ExperimentConfig = field(default_factory=ExperimentConfig)
@@ -281,8 +283,8 @@ class CampaignConfig:
         """Stable hash of the science-relevant configuration.
 
         Covers ``base``, ``grid``, ``replicates`` and ``seed``; excludes
-        ``n_workers``/``executor``/``cache_dir`` so cache entries survive a
-        change of parallelism or cache location.
+        ``n_workers``/``executor``/``cache_dir``, which never change the
+        science output.
         """
         payload = {
             "version": "campaign-v1",
@@ -300,8 +302,8 @@ class CampaignConfig:
 def _ensure_unique_granule_ids(specs: Sequence[GranuleSpec]) -> None:
     """Reject duplicate granule ids with a clear error.
 
-    Granule ids key the campaign cache and result lookup, so a collision
-    would silently overwrite one granule's artifacts with another's.  Ids
+    Granule ids key the result lookup and feed every per-granule cache
+    fingerprint, so a collision would silently mix two granules' results.  Ids
     embed the expansion index, so duplicates cannot arise from a well-formed
     expansion — this guards custom spec construction and future id schemes.
     """
@@ -311,6 +313,6 @@ def _ensure_unique_granule_ids(specs: Sequence[GranuleSpec]) -> None:
             raise ValueError(
                 f"duplicate granule_id {spec.granule_id!r} (indices "
                 f"{seen[spec.granule_id]} and {spec.index}): granule ids key "
-                "the campaign cache and results, so they must be unique"
+                "the campaign's results and cache entries, so they must be unique"
             )
         seen[spec.granule_id] = spec.index

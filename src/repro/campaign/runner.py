@@ -19,21 +19,22 @@ The runner executes the same :mod:`repro.pipeline` graph that powers
    engine, as graph executions with the curated artifacts and the shared
    classifier injected.
 
-Caching is two-tier.  The *result tier* (:class:`~repro.campaign.cache.CampaignCache`)
-keys whole-granule artifacts by the campaign fingerprint, so an interrupted
-or repeated campaign resumes from completed granules.  The *stage tier*
-(:class:`~repro.pipeline.cache.StageCache`, shared across campaign
-fingerprints under the same cache root) keys every stage output by its
-content fingerprint — so changing only the sea-surface config re-runs just
+Caching is one content-addressed tier: the
+:class:`~repro.pipeline.cache.StageCache` under ``<cache_dir>/stages/``,
+shared across campaign fingerprints.  Every stage output is keyed by its
+content fingerprint, so changing only the sea-surface config re-runs just
 sea-surface → freeboard → ATL07/ATL10 → metrics, never curation or
-training.  Measured per-stage serial times are routed through the
+training.  Two pooled entries (the trained classifier and the fleet
+mosaic) and one finished :class:`GranuleResult` per granule sit beside the
+graph stages under the same scheme, so a fully cached resume reads one
+entry per granule plus the classifier and no raw granule data.  Measured
+per-stage serial times are routed through the
 :class:`~repro.distributed.cluster.ClusterCostModel` into a simulated
 cluster scaling report.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,7 +42,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.campaign.cache import CampaignCache
 from repro.campaign.config import CampaignConfig, GranuleSpec
 from repro.campaign.metrics import (
     CampaignMetrics,
@@ -86,6 +86,13 @@ POOLED_TRAIN_STAGE = "train-pooled"
 #: order, and the kernel backend.
 MOSAIC_STAGE = "mosaic_campaign"
 
+#: Stage-cache name of one granule's finished :class:`GranuleResult`, keyed
+#: by that granule's ``granule_metrics`` fingerprint (which chains the
+#: curation config, the pooled classifier and the kernel backend).  It keeps
+#: the stage times the scaling report needs, so a resumed campaign never
+#: loads the curation bundles just to rebuild that report.
+GRANULE_RESULT_STAGE = "granule_result"
+
 #: Retrieval-side artifacts materialised per granule by the graph.
 _RETRIEVAL_TARGETS = ("freeboard", "atl07", "atl10", "granule_metrics")
 
@@ -105,11 +112,6 @@ class CuratedGranule:
     labels: np.ndarray
     groups: np.ndarray
     seconds: float
-    #: Content fingerprint of the ``training_set`` artifact (covers every
-    #: curation knob plus the kernel backend).  The result tier validates
-    #: cached entries against the current config's fingerprint, so a
-    #: backend or config change never serves stale curated data.
-    fingerprint: str = ""
 
 
 @dataclass
@@ -118,8 +120,7 @@ class GranuleResult:
 
     Carries both stage times (``curation_seconds`` from stage 1,
     ``seconds`` from the retrieval stage) so a fully cached resume can
-    rebuild the scaling report without deserialising the heavy per-granule
-    curated artifacts.
+    rebuild the scaling report without loading any curation bundle.
     """
 
     granule_id: str
@@ -129,11 +130,6 @@ class GranuleResult:
     metrics: GranuleMetrics
     seconds: float
     curation_seconds: float = 0.0
-    #: Content fingerprint of the ``granule_metrics`` artifact — the deepest
-    #: node of the retrieval subgraph, so it chains the curation config, the
-    #: pooled classifier and the kernel backend.  Used to validate
-    #: result-tier cache entries (see :class:`CuratedGranule`).
-    fingerprint: str = ""
 
 
 @dataclass
@@ -146,13 +142,9 @@ class CampaignResult:
     metrics: CampaignMetrics
     timing: TimingRecord
     scaling: list[CampaignScalingRow]
-    #: Result-tier cache keys consulted this run (both empty when caching is
-    #: disabled).
-    cache_hits: tuple[str, ...] = ()
-    cache_misses: tuple[str, ...] = ()
-    #: Stage-tier (content-addressed) cache keys touched this run.  Only
-    #: stages that actually executed appear; a fully resumed campaign never
-    #: touches the stage tier.
+    #: Stage-cache keys read (hits) and computed and stored (misses) this
+    #: run; both empty when caching is disabled.  A fully resumed campaign
+    #: hits one ``granule_result`` key per granule plus ``train-pooled``.
     stage_hits: tuple[str, ...] = ()
     stage_misses: tuple[str, ...] = ()
 
@@ -256,7 +248,6 @@ class _CurateTask:
                 # bundles), so warm re-curation doesn't collapse the
                 # cluster scaling report to ~0.
                 seconds=sum(e.seconds for e in result.executions),
-                fingerprint=result.artifacts["training_set"].fingerprint,
             )
             out.append((curated, result.cache_hits, result.cache_misses))
         return out
@@ -385,7 +376,6 @@ class _RetrieveTask:
                         # granule's share of the pooled classification pass.
                         seconds=sum(e.seconds for e in result.executions) + share,
                         curation_seconds=curated.seconds,
-                        fingerprint=fps[gid].get("granule_metrics", ""),
                     ),
                     tuple(hits[gid]),
                     tuple(misses[gid]),
@@ -413,12 +403,7 @@ class CampaignRunner:
         self.cluster = cluster
         self.obs = obs if obs is not None else default_obs()
         self.fingerprint = config.fingerprint()
-        self.cache: CampaignCache | None = (
-            CampaignCache(config.cache_dir, self.fingerprint)
-            if config.cache_dir is not None
-            else None
-        )
-        #: Root of the stage tier, shared by every campaign fingerprint
+        #: Root of the stage cache, shared by every campaign fingerprint
         #: under the same cache directory.
         self.stage_root: str | None = config.cache_dir
         #: Memoized fingerprint maps per kernel backend (the only non-config
@@ -467,40 +452,31 @@ class CampaignRunner:
 
     # -- cache helpers ---------------------------------------------------------
 
-    def _cache_load(self, key: str, hits: list[str], misses: list[str], valid=None):
-        """Load one result-tier artifact, recording the hit/miss.
+    def _load_stage(
+        self, cache: StageCache | None, stage: str, fp: str | None, hits: list[str]
+    ):
+        """Load one driver-side stage-cache bundle, recording a hit.
 
-        Returns the :data:`~repro.pipeline.cache.MISS` sentinel on a miss
-        (or when caching is disabled), so a legitimately cached ``None`` is
-        still distinguishable.  An entry that loads but fails the ``valid``
-        predicate (wrong type, malformed bundle from another code version)
-        is recorded — and returned — as a miss, so the hit/miss bookkeeping
-        always matches what actually recomputed.
+        Returns :data:`~repro.pipeline.cache.MISS` on a miss, or when caching
+        is disabled or the entry has no fingerprint.  A miss is recorded by
+        the caller once it has computed and stored the entry, as the graph
+        runner does.
         """
-        if self.cache is None:
+        if cache is None or fp is None:
             return MISS
-        value = self.cache.load(key, MISS)
-        if value is MISS or (valid is not None and not valid(value)):
-            misses.append(key)
+        key = cache.key(stage, fp)
+        bundle = cache.load_stage(stage, fp)
+        if bundle is MISS:
             self.obs.log.debug("campaign.cache_miss", key=key)
             return MISS
         hits.append(key)
         self.obs.log.debug("campaign.cache_hit", key=key)
-        return value
-
-    def _cache_store(self, key: str, value) -> None:
-        if self.cache is not None:
-            self.cache.store(key, value)
+        return bundle
 
     def _spec_fingerprints(
         self, specs: Sequence[GranuleSpec]
     ) -> dict[str, dict[str, str]] | None:
-        """Per-granule curation-subgraph fingerprints, or ``None`` uncached.
-
-        Derived purely from config (no execution), these validate
-        result-tier ``.curated`` entries: an entry written under a different
-        kernel backend or curation config reads as a miss.
-        """
+        """Per-granule curation-subgraph fingerprints, or ``None`` uncached."""
         if self.stage_root is None:
             return None
         runner = GraphRunner(default_graph())
@@ -517,7 +493,7 @@ class CampaignRunner:
         """Per-granule retrieval fingerprints with the classifier injected.
 
         ``granule_metrics`` is the deepest retrieval artifact, so its
-        fingerprint validates result-tier ``.result`` entries end to end.
+        fingerprint keys the granule's :data:`GRANULE_RESULT_STAGE` entry.
         """
         if pooled_fp is None:
             return None
@@ -605,7 +581,7 @@ class CampaignRunner:
             result = self._run()
             span.set(
                 n_granules=result.n_granules,
-                cache_hits=len(result.cache_hits),
+                stage_hits=len(result.stage_hits),
                 stage_misses=len(result.stage_misses),
             )
         self.obs.counter("campaign_runs_total").inc()
@@ -615,115 +591,58 @@ class CampaignRunner:
     def _run(self) -> CampaignResult:
         specs = self.config.expand()
         timing = TimingRecord()
-        hits: list[str] = []
-        misses: list[str] = []
         stage_hits: list[str] = []
         stage_misses: list[str] = []
+        cache = _stage_cache(self.stage_root)
 
-        # Content fingerprints (derived purely from config, including the
-        # kernel backend) both key the shared stage tier and validate every
-        # result-tier entry — an artifact produced under a different backend
-        # or stage version must never be reused just because the campaign
-        # fingerprint matches.
-        spec_fps, pooled_fp, retrieval_fps = self._fingerprint_maps(specs)
-
-        # Probe the cheap result-tier artifacts first: the shared classifier
-        # bundle and per-granule results.  They determine which heavy curated
-        # artifacts this run actually needs, so a fully cached resume never
-        # deserialises any raw granule data.
-        bundle = self._cache_load(
-            "classifier",
-            hits,
-            misses,
-            valid=lambda v: isinstance(v, dict)
-            and "classifier" in v
-            and (pooled_fp is None or v.get("fingerprint") == pooled_fp),
-        )
-        classifier: TrainedClassifier | None = (
-            bundle["classifier"] if bundle is not MISS else None
-        )
-        training_seconds: float = (
-            bundle.get("training_seconds", 0.0) if bundle is not MISS else 0.0
-        )
-
-        results: dict[str, GranuleResult] = {}
-        to_retrieve_specs: list[GranuleSpec] = []
-        for spec in specs:
-            expected = (
+        # Every cache key is a content fingerprint derived purely from config
+        # and the kernel backend, so an entry produced under another config,
+        # backend or stage version is simply a different key.
+        _, pooled_fp, retrieval_fps = self._fingerprint_maps(specs)
+        result_fps = {
+            spec.granule_id: (
                 retrieval_fps[spec.granule_id].get("granule_metrics")
                 if retrieval_fps is not None
                 else None
             )
-            cached = self._cache_load(
-                f"{spec.granule_id}.result",
-                hits,
-                misses,
-                valid=lambda v, want=expected: isinstance(v, GranuleResult)
-                and (want is None or getattr(v, "fingerprint", "") == want),
-            )
-            if cached is not MISS:
-                results[spec.granule_id] = cached
-            else:
-                to_retrieve_specs.append(spec)
+            for spec in specs
+        }
 
-        # The pooled-training barrier is content-addressed in the stage tier,
-        # shared across campaign fingerprints: a campaign differing from a
-        # cached one only downstream of curation (e.g. sea-surface method)
-        # reuses the trained classifier without curating anything extra.
-        if classifier is None and pooled_fp is not None:
-            stage_cache = _stage_cache(self.stage_root)
-            train_bundle = stage_cache.load_stage(POOLED_TRAIN_STAGE, pooled_fp)
-            if train_bundle is not MISS:
-                classifier = train_bundle["outputs"]["classifier"]
-                training_seconds = train_bundle["seconds"]
-                stage_hits.append(f"{POOLED_TRAIN_STAGE}-{pooled_fp}")
-                # Promote into this fingerprint's result tier so later
-                # resumes stay result-tier-only.
-                self._cache_store(
-                    "classifier",
-                    {
-                        "classifier": classifier,
-                        "training_seconds": training_seconds,
-                        "fingerprint": pooled_fp,
-                    },
-                )
+        # Probe the finished granule results and the pooled classifier first:
+        # they decide which granules need curating at all, so a fully cached
+        # resume reads one entry per granule plus the classifier and never
+        # touches raw granule data.
+        results: dict[str, GranuleResult] = {}
+        for spec in specs:
+            gid = spec.granule_id
+            bundle = self._load_stage(
+                cache, GRANULE_RESULT_STAGE, result_fps[gid], stage_hits
+            )
+            if bundle is not MISS:
+                results[gid] = bundle["outputs"]["result"]
+        to_retrieve_specs = [spec for spec in specs if spec.granule_id not in results]
+
+        # The pooled-training barrier is shared across campaign fingerprints:
+        # a campaign differing from a cached one only downstream of curation
+        # (e.g. sea-surface method) reuses the trained classifier.
+        bundle = self._load_stage(cache, POOLED_TRAIN_STAGE, pooled_fp, stage_hits)
+        classifier: TrainedClassifier | None = None
+        training_seconds = 0.0
+        if bundle is not MISS:
+            classifier = bundle["outputs"]["classifier"]
+            training_seconds = bundle["seconds"]
 
         # Stage 1: curation fan-out.  Training needs every granule curated;
         # with a cached classifier, only granules without a cached result do.
         sw = Stopwatch().start()
-        needed = specs if classifier is None else to_retrieve_specs
-        needed_ids = {spec.granule_id for spec in needed}
+        pending = specs if classifier is None else to_retrieve_specs
         curated: dict[str, CuratedGranule] = {}
-        pending: list[GranuleSpec] = []
-        for spec in specs:
-            key = f"{spec.granule_id}.curated"
-            if spec.granule_id in needed_ids:
-                expected = (
-                    spec_fps[spec.granule_id].get("training_set")
-                    if spec_fps is not None
-                    else None
-                )
-                cached = self._cache_load(
-                    key,
-                    hits,
-                    misses,
-                    valid=lambda v, want=expected: isinstance(v, CuratedGranule)
-                    and (want is None or getattr(v, "fingerprint", "") == want),
-                )
-                if cached is not MISS:
-                    curated[spec.granule_id] = cached
-                else:
-                    pending.append(spec)
-            elif self.cache is not None and self.cache.has(key):
-                # Present but not needed this run: count it without reading.
-                hits.append(key)
         for item, item_hits, item_misses in self._fan_out(
             pending, _CurateTask(self.stage_root)
         ):
             curated[item.granule_id] = item
             stage_hits.extend(item_hits)
             stage_misses.extend(item_misses)
-            self._cache_store(f"{item.granule_id}.curated", item)
         curation_s = sw.stop()
         timing.add("curation", curation_s)
         self.obs.record("campaign.curation", curation_s, n_pending=len(pending))
@@ -762,22 +681,14 @@ class CampaignRunner:
             training_seconds = sw.stop()
             timing.add("training", training_seconds)
             self.obs.record("campaign.training", training_seconds, cached=False)
-            self._cache_store(
-                "classifier",
-                {
-                    "classifier": classifier,
-                    "training_seconds": training_seconds,
-                    "fingerprint": pooled_fp,
-                },
-            )
-            if pooled_fp is not None:
-                _stage_cache(self.stage_root).store_stage(
+            if cache is not None and pooled_fp is not None:
+                cache.store_stage(
                     POOLED_TRAIN_STAGE,
                     pooled_fp,
                     {"classifier": classifier},
                     training_seconds,
                 )
-                stage_misses.append(f"{POOLED_TRAIN_STAGE}-{pooled_fp}")
+                stage_misses.append(cache.key(POOLED_TRAIN_STAGE, pooled_fp))
         else:
             # Cache hit: the measured fit time comes from the bundle so the
             # scaling report is identical to the original run's.
@@ -797,7 +708,10 @@ class CampaignRunner:
             results[item.granule_id] = item
             stage_hits.extend(item_hits)
             stage_misses.extend(item_misses)
-            self._cache_store(f"{item.granule_id}.result", item)
+            fp = result_fps[item.granule_id]
+            if cache is not None and fp is not None:
+                cache.store_stage(GRANULE_RESULT_STAGE, fp, {"result": item}, item.seconds)
+                stage_misses.append(cache.key(GRANULE_RESULT_STAGE, fp))
         inference_s = sw.stop()
         timing.add("inference", inference_s)
         self.obs.record("campaign.inference", inference_s, n_retrieved=len(to_retrieve))
@@ -818,11 +732,7 @@ class CampaignRunner:
         self.obs.record("campaign.aggregation", aggregation_s)
 
         self.obs.log.info(
-            "campaign.stage_cache",
-            hits=len(hits),
-            misses=len(misses),
-            stage_hits=len(stage_hits),
-            stage_misses=len(stage_misses),
+            "campaign.stage_cache", hits=len(stage_hits), misses=len(stage_misses)
         )
         return CampaignResult(
             fingerprint=self.fingerprint,
@@ -831,8 +741,6 @@ class CampaignRunner:
             metrics=metrics,
             timing=timing,
             scaling=scaling,
-            cache_hits=tuple(hits),
-            cache_misses=tuple(misses),
             stage_hits=tuple(stage_hits),
             stage_misses=tuple(stage_misses),
         )
@@ -908,13 +816,10 @@ class CampaignRunner:
                 }
             )
 
-        mosaic = None
-        if mosaic_fp is not None and cache is not None:
-            bundle = cache.load_stage(MOSAIC_STAGE, mosaic_fp)
-            if bundle is not MISS:
-                mosaic = bundle["outputs"]["l3_mosaic"]
-                hits.append(f"{MOSAIC_STAGE}-{mosaic_fp}")
-        if mosaic is None:
+        bundle = self._load_stage(cache, MOSAIC_STAGE, mosaic_fp, hits)
+        if bundle is not MISS:
+            mosaic = bundle["outputs"]["l3_mosaic"]
+        else:
             processor = Level3Processor.from_config(
                 self.config.base.l3, scene=self.config.base.scene
             )
@@ -926,7 +831,7 @@ class CampaignRunner:
                 cache.store_stage(
                     MOSAIC_STAGE, mosaic_fp, {"l3_mosaic": mosaic}, mosaic_seconds
                 )
-                misses.append(f"{MOSAIC_STAGE}-{mosaic_fp}")
+                misses.append(cache.key(MOSAIC_STAGE, mosaic_fp))
 
         return CampaignL3Result(
             mosaic=mosaic,
@@ -979,7 +884,6 @@ class CampaignRunner:
         l3: CampaignL3Result | None = None,
         n_workers: int | None = None,
         executor: str = "thread",
-        router: bool | None = None,
     ):
         """Write the campaign's Level-3 products and return a serving handle.
 
@@ -1003,12 +907,6 @@ class CampaignRunner:
         caches live on the driver.  Its ``gridder`` hook is wired to
         :meth:`grid_new_granule`, so an attached ingest service can grid
         newly arrived granule specs through the cached pipeline stages.
-
-        ``router`` is a **deprecated** boolean shim: ``router=True`` returns
-        the raw :class:`~repro.serve.router.RequestRouter` and
-        ``router=False`` the raw :class:`~repro.serve.query.QueryEngine`,
-        as before this parameter was replaced by the builder — both under a
-        ``DeprecationWarning``.
         """
         # Local imports: repro.serve sits downstream of the campaign layer,
         # mirroring to_l3's treatment of repro.l3.
@@ -1040,7 +938,7 @@ class CampaignRunner:
                 campaign_result = self.run()
             return self.grid_new_granule(spec, result=campaign_result)
 
-        handle = ServeHandle(
+        return ServeHandle(
             catalog,
             serve=self.config.base.serve,
             products_dir=out_dir,
@@ -1050,18 +948,6 @@ class CampaignRunner:
             seed_l3=l3,
             obs=self.obs,
         )
-        if router is not None:
-            warnings.warn(
-                "CampaignRunner.serve(router=...) is deprecated: serve() now "
-                "returns a ServeHandle — use serve(dir).with_router(...) for "
-                "the service tier, or the bare handle for a query engine",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if router:
-                return handle.with_router().router
-            return handle.engine
-        return handle
 
 
 def run_campaign(config: CampaignConfig, **kwargs) -> CampaignResult:

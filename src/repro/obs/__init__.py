@@ -29,7 +29,6 @@ from repro.obs.export import (
     build_health_dashboard,
     chrome_trace,
     dashboard_schema,
-    migrate_dashboard,
     prometheus_text,
     validate_dashboard,
     validate_json,
@@ -115,7 +114,6 @@ __all__ = [
     "harvest_worker_telemetry",
     "latency_slo",
     "merge_worker_telemetry",
-    "migrate_dashboard",
     "prometheus_text",
     "set_default_obs",
     "validate_dashboard",

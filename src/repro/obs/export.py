@@ -40,7 +40,6 @@ __all__ = [
     "build_health_dashboard",
     "chrome_trace",
     "dashboard_schema",
-    "migrate_dashboard",
     "prometheus_text",
     "validate_dashboard",
     "validate_json",
@@ -51,8 +50,9 @@ __all__ = [
 #: Version stamped into (and required from) every dashboard document.
 #: v2 added the interpretation layer: ``slo`` (alerts + error budgets),
 #: ``events`` (recent structured log records) and ``trace`` (ring-buffer
-#: drop accounting).  :func:`migrate_dashboard` upgrades v1 documents.
-DASHBOARD_SCHEMA_VERSION = 2
+#: drop accounting).  v3 reduced ``campaign.cache`` to the one stage-cache
+#: tier's ``{hits, misses}``.
+DASHBOARD_SCHEMA_VERSION = 3
 
 _SCHEMA_PATH = Path(__file__).with_name("dashboard.schema.json")
 
@@ -127,31 +127,6 @@ def validate_dashboard(doc: Mapping[str, Any]) -> None:
         )
 
 
-def migrate_dashboard(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Upgrade a dashboard document to the current schema version.
-
-    v1 → v2 adds the interpretation sections a v1 writer could not have
-    produced — ``slo: null``, ``events: []``, ``trace: null`` — and bumps
-    ``schema_version``.  Already-current documents come back as an
-    unchanged copy; unknown (newer) versions are refused rather than
-    silently downgraded.
-    """
-    version = doc.get("schema_version")
-    migrated = dict(doc)
-    if version == 1:
-        migrated["schema_version"] = 2
-        migrated.setdefault("slo", None)
-        migrated.setdefault("events", [])
-        migrated.setdefault("trace", None)
-        version = 2
-    if version != DASHBOARD_SCHEMA_VERSION:
-        raise ValueError(
-            f"cannot migrate dashboard schema_version {doc.get('schema_version')!r} "
-            f"to {DASHBOARD_SCHEMA_VERSION}"
-        )
-    return migrated
-
-
 # ---------------------------------------------------------------------------
 # Health dashboard
 # ---------------------------------------------------------------------------
@@ -166,10 +141,8 @@ def _campaign_summary(result: Any) -> dict[str, Any]:
         "timing_s": {stage: float(seconds) for stage, seconds in timing.items()},
         "total_s": float(result.timing.total()),
         "cache": {
-            "hits": len(result.cache_hits),
-            "misses": len(result.cache_misses),
-            "stage_hits": len(result.stage_hits),
-            "stage_misses": len(result.stage_misses),
+            "hits": len(result.stage_hits),
+            "misses": len(result.stage_misses),
         },
     }
 

@@ -1,11 +1,12 @@
-"""On-disk artifact stores for the pipeline and campaign layers.
+"""The on-disk, content-addressed cache of the pipeline and campaign layers.
 
 :class:`ArtifactStore` is the generic namespaced pickle store: one directory
 per namespace, one atomically-written file per key, corrupt entries treated
-as misses.  :class:`repro.campaign.cache.CampaignCache` subclasses it with a
-campaign fingerprint as the namespace; :class:`StageCache` wraps it with
-content-addressed per-stage keys (``<stage>-<fingerprint>``) shared by every
-campaign and workflow run under the same cache root.
+as misses.  :class:`StageCache` wraps it with content-addressed per-stage
+keys (``<stage>-<fingerprint>``) under ``<root>/stages/``, shared by every
+campaign and workflow run under the same cache root.  It is the only cache
+tier: because every key is a content fingerprint, an entry can never be
+served for a config, kernel backend or stage version it was not made under.
 
 Misses are reported with the :data:`MISS` sentinel (when asked for), so a
 legitimately cached ``None`` is distinguishable from an absent entry.

@@ -1,8 +1,7 @@
 """ServeHandle: one builder owning the serving stack's lifecycle.
 
 ``CampaignRunner.serve(products_dir)`` returns a :class:`ServeHandle` — the
-single construction surface of the serve tier, replacing the accreted
-bool-flag dispatch (``serve(dir, router=True)``).  The handle owns the
+single construction surface of the serve tier.  The handle owns the
 catalog and builds the rest on demand:
 
 * bare: a lazily constructed :class:`~repro.serve.query.QueryEngine` over

@@ -5,10 +5,12 @@ Covers the failure modes a long campaign actually meets:
 * a corrupt/truncated ``.pkl`` entry mid-campaign is treated as a miss and
   recomputed to identical products;
 * a campaign interrupted between stages (curation done, training/retrieval
-  not) resumes from the curated artifacts;
+  not) resumes from the cached curation stages;
 * stage-granular invalidation: changing only ``sea_surface.method`` must
   not invalidate curated or classifier artifacts — only the stages
-  downstream of sea surface re-run.
+  downstream of sea surface re-run;
+* a re-run under the other kernel backend shares no cache entry with the
+  first backend's run.
 """
 
 import numpy as np
@@ -16,10 +18,14 @@ import pytest
 
 from dataclasses import replace
 
+from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
+from repro.campaign.runner import GRANULE_RESULT_STAGE
 from repro.config import SeaSurfaceConfig
+from repro.pipeline import GraphRunner, StageCache, default_graph
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
+from tests.test_campaign_runner import assert_same_granule, granule_result_key
 
 BASE = ExperimentConfig(
     scene=SceneConfig(
@@ -52,6 +58,9 @@ UPSTREAM_STAGES = (
     "infer-",
 )
 
+#: Curation stages a warm re-curation reads from the stage tier.
+CURATION_STAGES = ("scene-", "atl03-", "segmentation-", "resample-", "drift-", "autolabel-")
+
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
@@ -69,71 +78,46 @@ def first_run(config):
 
 
 class TestCorruptEntryMidCampaign:
-    def test_truncated_curated_artifact_is_recomputed_identically(self, config, first_run):
-        runner = CampaignRunner(config)
+    def test_truncated_granule_result_recomputed(self, config, first_run):
         target = first_run.granules[0].granule_id
-        # Truncate the curated artifact and delete its result, as if the
-        # machine died while the result tier was being rewritten.
-        path = runner.cache.path(f"{target}.curated")
+        key = granule_result_key(config, first_run, target)
+        # Truncate the finished result, as if the machine died mid-write
+        # under a non-atomic layout.
+        path = StageCache(config.cache_dir).store.path(key)
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 7])
-        runner.cache.path(f"{target}.result").unlink()
 
-        second = runner.run()
-        assert f"{target}.curated" in second.cache_misses
-        assert f"{target}.result" in second.cache_misses
-        original = first_run.granule(target)
-        recomputed = second.granule(target)
-        for beam in original.products.freeboard:
-            np.testing.assert_array_equal(
-                original.products.freeboard[beam].freeboard_m,
-                recomputed.products.freeboard[beam].freeboard_m,
-            )
+        second = CampaignRunner(config).run()
+        assert second.stage_misses == (key,)
         # The re-curation itself was served from the intact stage tier.
-        assert second.stage_misses == ()
+        for prefix in CURATION_STAGES:
+            assert any(hit.startswith(prefix) for hit in second.stage_hits), prefix
+        assert_same_granule(first_run.granule(target), second.granule(target))
 
     def test_corrupt_stage_tier_entry_is_recomputed(self, config, first_run):
-        runner = CampaignRunner(config)
         target = first_run.granules[1].granule_id
-        runner.cache.path(f"{target}.curated").write_bytes(b"not a pickle")
-        runner.cache.path(f"{target}.result").unlink()
+        stage_cache = StageCache(config.cache_dir)
+        stage_cache.store.path(granule_result_key(config, first_run, target)).unlink()
         # Corrupt one stage-tier entry this granule's re-curation needs.
-        from repro.pipeline import GraphRunner, StageCache, default_graph
-
         spec = next(s for s in config.expand() if s.granule_id == target)
         fps = GraphRunner(default_graph()).fingerprints(spec.config)
-        stage_cache = StageCache(config.cache_dir)
         stage_cache.store.path(f"autolabel-{fps['labels']}").write_bytes(b"garbage")
 
-        third = runner.run()
+        third = CampaignRunner(config).run()
         assert any(key.startswith("autolabel-") for key in third.stage_misses)
-        original = first_run.granule(target)
-        recomputed = third.granule(target)
-        for beam in original.products.freeboard:
-            np.testing.assert_array_equal(
-                original.products.freeboard[beam].freeboard_m,
-                recomputed.products.freeboard[beam].freeboard_m,
-            )
+        assert_same_granule(first_run.granule(target), third.granule(target))
 
 
 class TestInterruptedResume:
     def test_resume_after_interruption_between_stages(self, config, first_run):
         """Curation cached, classifier/results wiped: resume trains + retrieves."""
-        runner = CampaignRunner(config)
-        runner.cache.path("classifier").unlink()
-        for granule in first_run.granules:
-            runner.cache.path(f"{granule.granule_id}.result").unlink()
-        # Also drop the stage tier's pooled classifier so training re-runs.
-        from repro.pipeline import StageCache
-
         stage_cache = StageCache(config.cache_dir)
         for key in stage_cache.store.keys():
-            if key.startswith(("train-pooled-", "infer-")):
+            if key.startswith(("train-pooled-", "infer-", f"{GRANULE_RESULT_STAGE}-")):
                 stage_cache.store.path(key).unlink()
 
-        resumed = runner.run()
-        curated_keys = {f"{g.granule_id}.curated" for g in first_run.granules}
-        assert curated_keys <= set(resumed.cache_hits)
-        assert "classifier" in resumed.cache_misses
+        resumed = CampaignRunner(config).run()
+        assert any(key.startswith("train-pooled-") for key in resumed.stage_misses)
+        assert not any(key.startswith(CURATION_STAGES) for key in resumed.stage_misses)
         # Retraining on identical curated data reproduces the classifier and
         # products bit-for-bit.
         for a, b in zip(
@@ -156,7 +140,7 @@ class TestStageGranularInvalidation:
             cache_dir=config.cache_dir,
         )
         runner = CampaignRunner(changed)
-        assert runner.fingerprint != first_run.fingerprint  # new result tier
+        assert runner.fingerprint != first_run.fingerprint  # a different campaign
         result = runner.run()
 
         # Nothing upstream of sea surface was recomputed...
@@ -168,7 +152,9 @@ class TestStageGranularInvalidation:
             assert any(key.startswith(prefix) for key in result.stage_hits), prefix
         # ...and exactly the sea-surface-downstream stages missed.
         missed_kinds = {key.rsplit("-", 1)[0] for key in result.stage_misses}
-        assert missed_kinds == {"sea_surface", "freeboard", "atl07", "atl10", "metrics"}
+        assert missed_kinds == {
+            "sea_surface", "freeboard", "atl07", "atl10", "metrics", GRANULE_RESULT_STAGE
+        }
 
         # The classifier is the cached one, bit-for-bit.
         for a, b in zip(
@@ -201,58 +187,16 @@ class TestStageGranularInvalidation:
                 )
 
 
-class TestClassifierProvenance:
-    def test_mislabelled_classifier_bundle_is_retrained(self, tmp_path):
-        """A result-tier classifier bundle whose recorded pooled fingerprint
-        does not match the current config (e.g. written under a different
-        kernel backend) must be rejected and retrained, not reused."""
+class TestBackendIsolation:
+    def test_other_backend_misses_every_entry(self, tmp_path):
+        """Every cache key folds in the kernel backend: a re-run under the
+        other backend reads nothing the first backend wrote."""
         config = CampaignConfig(base=BASE, seed=3, cache_dir=str(tmp_path))
         first = CampaignRunner(config).run()
-        assert "classifier" in first.cache_misses
-
-        runner = CampaignRunner(config)
-        bundle = runner.cache.load("classifier")
-        bundle["fingerprint"] = "another-backend"
-        runner.cache.store("classifier", bundle)
-        # Also clear the stage tier so the classifier cannot be recovered
-        # from its content-addressed entry.
-        from repro.pipeline import StageCache
-
-        stage_cache = StageCache(config.cache_dir)
-        for key in stage_cache.store.keys():
-            if key.startswith("train-pooled-"):
-                stage_cache.store.path(key).unlink()
-
-        second = CampaignRunner(config).run()
-        assert "classifier" in second.cache_misses  # rejected, not a hit
-        # Deterministic retraining on identical curated data reproduces the
-        # classifier bit-for-bit.
-        for a, b in zip(
-            first.classifier.model.get_weights(), second.classifier.model.get_weights()
-        ):
-            np.testing.assert_array_equal(a, b)
-
-    def test_result_entry_with_stale_fingerprint_is_recomputed(self, tmp_path):
-        """Result-tier entries are fingerprint-validated, not just
-        type-checked: an artifact recorded under a different content
-        fingerprint (other kernel backend, older stage version) must read
-        as a miss even though the campaign fingerprint matches."""
-        import dataclasses
-
-        config = CampaignConfig(base=BASE, seed=4, cache_dir=str(tmp_path))
-        first = CampaignRunner(config).run()
-        gid = first.granules[0].granule_id
-
-        runner = CampaignRunner(config)
-        stale = dataclasses.replace(
-            runner.cache.load(f"{gid}.result"), fingerprint="other-backend"
-        )
-        runner.cache.store(f"{gid}.result", stale)
-
-        second = runner.run()
-        assert f"{gid}.result" in second.cache_misses
-        for beam in first.granule(gid).products.freeboard:
-            np.testing.assert_array_equal(
-                first.granule(gid).products.freeboard[beam].freeboard_m,
-                second.granule(gid).products.freeboard[beam].freeboard_m,
-            )
+        other = "reference" if kernels.get_backend() == "vectorized" else "vectorized"
+        with kernels.use_backend(other):
+            second = CampaignRunner(config).run()
+        assert second.stage_hits == ()
+        assert set(second.stage_misses).isdisjoint(first.stage_misses)
+        for prefix in ("scene-", "train-pooled-", "infer-", f"{GRANULE_RESULT_STAGE}-"):
+            assert any(key.startswith(prefix) for key in second.stage_misses), prefix

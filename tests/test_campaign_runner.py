@@ -6,15 +6,22 @@ Covers the acceptance criteria of the campaign layer:
   serial (``n_workers=1``) and process-parallel (``n_workers=2``) execution;
 * a 6-granule campaign over a 2x3 scenario grid runs end to end with two
   workers and produces aggregated metrics;
-* a second run with the same config resumes entirely from the on-disk cache,
-  and a partially deleted cache re-runs only the missing granules.
+* a second run with the same config resumes entirely from the on-disk stage
+  cache — one read per granule plus the classifier — and a partially deleted
+  cache re-runs only the missing granules.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner
+from repro.campaign.runner import GRANULE_RESULT_STAGE, POOLED_TRAIN_STAGE
 from repro.config import N_CLASSES
+from repro.obs.export import build_health_dashboard, validate_dashboard
+from repro.pipeline import ArtifactStore, GraphRunner, StageCache, default_graph
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 
@@ -34,6 +41,40 @@ BASE = ExperimentConfig(
 )
 
 PARITY_GRID = {"cloud_fraction": (0.1, 0.3, 0.5)}
+
+
+def granule_result_key(config: CampaignConfig, result, granule_id: str) -> str:
+    """Stage-cache key of one granule's finished result.
+
+    The entry is keyed by the granule's ``granule_metrics`` fingerprint with
+    the campaign's pooled classifier injected.
+    """
+    prefix = f"{POOLED_TRAIN_STAGE}-"
+    pooled_key = next(
+        key for key in (*result.stage_hits, *result.stage_misses) if key.startswith(prefix)
+    )
+    spec = next(s for s in config.expand() if s.granule_id == granule_id)
+    fps = GraphRunner(default_graph()).fingerprints(
+        spec.config,
+        granule_id=granule_id,
+        scenario=spec.scenario,
+        precomputed={"classifier": pooled_key[len(prefix):]},
+    )
+    return f"{GRANULE_RESULT_STAGE}-{fps['granule_metrics']}"
+
+
+def assert_same_granule(a, b) -> None:
+    """Products and metrics of two granule results are bit-identical."""
+    assert a.granule_id == b.granule_id
+    for beam in a.products.classified:
+        np.testing.assert_array_equal(
+            a.products.classified[beam].labels, b.products.classified[beam].labels
+        )
+        np.testing.assert_array_equal(
+            a.products.freeboard[beam].freeboard_m, b.products.freeboard[beam].freeboard_m
+        )
+    np.testing.assert_array_equal(a.metrics.confusion, b.metrics.confusion)
+    assert replace(a.metrics, confusion=None) == replace(b.metrics, confusion=None)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +132,8 @@ class TestSerialParallelParity:
 
     def test_no_cache_means_no_cache_bookkeeping(self, serial_result, parallel_result):
         for result in (serial_result, parallel_result):
-            assert result.cache_hits == ()
-            assert result.cache_misses == ()
+            assert result.stage_hits == ()
+            assert result.stage_misses == ()
 
 
 # -- 6-granule acceptance campaign (2x3 grid, 2 workers, cached) --------------
@@ -158,24 +199,27 @@ class TestSixGranuleCampaign:
         assert best.total_s < rows[0].total_s
 
     def test_first_run_populates_cache(self, acceptance_config, first_run):
-        assert first_run.cache_hits == ()
-        assert len(first_run.cache_misses) == 13  # 6 curated + classifier + 6 results
-        runner = CampaignRunner(acceptance_config)
-        assert runner.cache is not None
-        assert len(runner.cache.keys()) == 13
+        assert first_run.stage_hits == ()
+        kinds = [key.rsplit("-", 1)[0] for key in first_run.stage_misses]
+        assert kinds.count(GRANULE_RESULT_STAGE) == 6
+        assert kinds.count(POOLED_TRAIN_STAGE) == 1
+        # The stage tier is the only cache: every computed entry is in it,
+        # and nothing else is written under the cache directory.
+        assert os.listdir(acceptance_config.cache_dir) == ["stages"]
+        store = StageCache(acceptance_config.cache_dir).store
+        assert set(store.keys()) == set(first_run.stage_misses)
 
     def test_second_run_resumes_entirely_from_cache(self, acceptance_config, first_run):
         second = CampaignRunner(acceptance_config).run()
-        assert second.cache_misses == ()
-        assert sorted(second.cache_hits) == sorted(first_run.cache_misses)
+        assert second.stage_misses == ()
+        assert sorted(second.stage_hits) == sorted(
+            key
+            for key in first_run.stage_misses
+            if key.startswith((GRANULE_RESULT_STAGE, POOLED_TRAIN_STAGE))
+        )
         # Resumed results are the cached artifacts: identical outputs.
         for a, b in zip(first_run.granules, second.granules):
-            assert a.granule_id == b.granule_id
-            for beam in a.products.freeboard:
-                np.testing.assert_array_equal(
-                    a.products.freeboard[beam].freeboard_m,
-                    b.products.freeboard[beam].freeboard_m,
-                )
+            assert_same_granule(a, b)
         for fw, sw in zip(
             first_run.classifier.model.get_weights(), second.classifier.model.get_weights()
         ):
@@ -185,25 +229,61 @@ class TestSixGranuleCampaign:
         # resumed run regenerates the original table exactly.
         assert second.scaling == first_run.scaling
 
+    def test_full_resume_reads_one_entry_per_granule_plus_classifier(
+        self, acceptance_config, first_run, monkeypatch
+    ):
+        loads: list[str] = []
+        graph_runs: list[str] = []
+        original_load = ArtifactStore.load
+        original_run = GraphRunner.run
+
+        def counting_load(store, key, default=None):
+            loads.append(key)
+            return original_load(store, key, default)
+
+        def counting_run(runner, config, *args, **kwargs):
+            graph_runs.append(kwargs.get("granule_id", ""))
+            return original_run(runner, config, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "load", counting_load)
+        monkeypatch.setattr(GraphRunner, "run", counting_run)
+        # Serial, so every load happens in this process; the fingerprints
+        # ignore the worker count, so the cache is the same.
+        serial = replace(acceptance_config, n_workers=1)
+        with CampaignRunner(serial) as runner:
+            resumed = runner.run()
+        assert len(loads) == 1 + first_run.n_granules
+        assert graph_runs == []  # no stage executed, not even as a cache read
+        assert resumed.stage_misses == ()
+        for a, b in zip(first_run.granules, resumed.granules):
+            assert_same_granule(a, b)
+        for fw, rw in zip(
+            first_run.classifier.model.get_weights(), resumed.classifier.model.get_weights()
+        ):
+            np.testing.assert_array_equal(fw, rw)
+        assert resumed.scaling == first_run.scaling
+
+    def test_dashboard_counts_the_stage_tier(self, acceptance_config, first_run):
+        doc = build_health_dashboard(campaign=first_run)
+        validate_dashboard(doc)
+        assert doc["campaign"]["cache"] == {
+            "hits": len(first_run.stage_hits),
+            "misses": len(first_run.stage_misses),
+        }
+
     def test_partial_cache_reruns_only_missing_granules(self, acceptance_config, first_run):
         runner = CampaignRunner(acceptance_config)
         target = first_run.granules[2].granule_id
-        runner.cache.path(f"{target}.curated").unlink()
-        runner.cache.path(f"{target}.result").unlink()
+        key = granule_result_key(acceptance_config, first_run, target)
+        StageCache(acceptance_config.cache_dir).store.path(key).unlink()
 
         third = runner.run()
-        assert sorted(third.cache_misses) == sorted(
-            [f"{target}.curated", f"{target}.result"]
-        )
+        # Curation, classification and retrieval of the missing granule are
+        # all served by the stage tier; only its finished result is rebuilt.
+        assert third.stage_misses == (key,)
         # The re-curated granule reproduces the original products exactly
         # (same derived seed, same cached shared classifier).
-        original = first_run.granule(target)
-        recomputed = third.granule(target)
-        for beam in original.products.freeboard:
-            np.testing.assert_array_equal(
-                original.products.freeboard[beam].freeboard_m,
-                recomputed.products.freeboard[beam].freeboard_m,
-            )
+        assert_same_granule(first_run.granule(target), third.granule(target))
 
 
 class TestEngineLifecycle:

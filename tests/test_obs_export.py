@@ -279,39 +279,6 @@ class TestDashboardV2:
         assert obs.registry.total("trace_spans_dropped_total") == 3
 
 
-class TestMigration:
-    def v1_doc(self):
-        doc = build_health_dashboard(generated_at=1.0)
-        doc["schema_version"] = 1
-        for key in ("slo", "events", "trace"):
-            del doc[key]
-        return doc
-
-    def test_v1_upgrades_and_validates(self):
-        from repro.obs.export import migrate_dashboard
-
-        migrated = migrate_dashboard(self.v1_doc())
-        validate_dashboard(migrated)
-        assert migrated["schema_version"] == 2
-        assert migrated["slo"] is None
-        assert migrated["events"] == []
-        assert migrated["trace"] is None
-
-    def test_current_document_round_trips_unchanged(self):
-        from repro.obs.export import migrate_dashboard
-
-        doc = build_health_dashboard(generated_at=1.0)
-        assert migrate_dashboard(doc) == doc
-
-    def test_unknown_version_refused(self):
-        from repro.obs.export import migrate_dashboard
-
-        doc = build_health_dashboard(generated_at=1.0)
-        doc["schema_version"] = 3
-        with pytest.raises(ValueError, match="cannot migrate"):
-            migrate_dashboard(doc)
-
-
 class TestHealthMonitor:
     def make_monitor(self, tmp_path, with_slo=True):
         from repro.obs.export import HealthMonitor

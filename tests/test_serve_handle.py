@@ -197,11 +197,3 @@ class TestCampaignServeRedesign:
             TileRequest(bbox=handle.catalog.extent(), variable="freeboard_mean")
         )
         assert response.n_tiles > 0
-
-    def test_router_bool_shim_warns_and_returns_the_old_types(self, runner, tmp_path):
-        with pytest.warns(DeprecationWarning, match="with_router"):
-            router = runner.serve(str(tmp_path / "p1"), router=True)
-        assert isinstance(router, RequestRouter)
-        with pytest.warns(DeprecationWarning, match="ServeHandle"):
-            engine = runner.serve(str(tmp_path / "p2"), router=False)
-        assert isinstance(engine, QueryEngine)
