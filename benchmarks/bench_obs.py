@@ -41,6 +41,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.campaign import CampaignConfig, CampaignRunner
+from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.geodesy.grid import GridDefinition
@@ -48,7 +49,6 @@ from repro.l3.product import Level3Grid
 from repro.l3.writer import write_level3
 from repro.obs.core import Obs
 from repro.serve.catalog import ProductCatalog
-from repro.serve.clock import VirtualClock
 from repro.serve.query import TileRequest
 from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog

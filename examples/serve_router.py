@@ -32,15 +32,10 @@ from pathlib import Path
 
 from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
+from repro.clock import VirtualClock
 from repro.config import L3GridConfig, RouterConfig, ServeConfig
 from repro.evaluation import format_table, router_latency_table, router_scaling_table
-from repro.serve import (
-    RequestRouter,
-    TileRequest,
-    TrafficConfig,
-    TrafficSimulator,
-    VirtualClock,
-)
+from repro.serve import RequestRouter, TileRequest, TrafficConfig, TrafficSimulator
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 

@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from repro import kernels
+from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig, SloConfig
 from repro.obs import (
     DASHBOARD_SCHEMA_VERSION,
@@ -43,7 +44,6 @@ from repro.obs import (
 )
 from repro.serve import TileRequest
 from repro.serve.catalog import CatalogEntry
-from repro.serve.clock import VirtualClock
 from repro.serve.query import TileResponse
 from repro.serve.router import RequestRouter, RouterOverloadedError
 from repro.serve.shard import ShardedCatalog

@@ -35,6 +35,7 @@ cluster scaling report.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -66,7 +67,6 @@ from repro.pipeline.fingerprint import config_slice, digest
 from repro.pipeline.runner import GraphRunner
 from repro.pipeline.stages import TRAIN_CONFIG_PATHS, default_graph
 from repro.resampling.window import SegmentArray, concatenate_segments
-from repro.utils.timing import Stopwatch, TimingRecord
 from repro.workflow.end_to_end import ExperimentData, InferenceProducts
 
 if TYPE_CHECKING:
@@ -140,7 +140,8 @@ class CampaignResult:
     granules: list[GranuleResult]
     classifier: TrainedClassifier
     metrics: CampaignMetrics
-    timing: TimingRecord
+    #: Wall seconds per stage: curation, training, inference, aggregation.
+    timing: dict[str, float]
     scaling: list[CampaignScalingRow]
     #: Stage-cache keys read (hits) and computed and stored (misses) this
     #: run; both empty when caching is disabled.  A fully resumed campaign
@@ -312,10 +313,10 @@ class _RetrieveTask:
         pool_seconds = 0.0
         classified_pool: dict[str, Any] = {}
         if pooled:
-            sw_pool = Stopwatch().start()
+            start = time.perf_counter()
             pipeline = InferencePipeline(self.classifier)
             classified_pool = pipeline.classify_segments_batched(pooled)
-            pool_seconds = sw_pool.stop()
+            pool_seconds = time.perf_counter() - start
         total_segments = max(sum(t.n_segments for t in classified_pool.values()), 1)
 
         out: list[tuple[GranuleResult, tuple[str, ...], tuple[str, ...]]] = []
@@ -572,10 +573,11 @@ class CampaignRunner:
     def run(self) -> CampaignResult:
         """Run (or resume) the whole campaign and return aggregated results.
 
-        Telemetry: the whole run executes inside a ``campaign.run`` span —
-        the fan-out engine's ``mapreduce.*`` spans nest under it — with one
-        ``campaign.<stage>`` child per timing stage (curation, training,
-        inference, aggregation) mirroring the :class:`TimingRecord`.
+        Telemetry: the whole run executes inside a ``campaign.run`` span
+        whose children are one ``campaign.<stage>`` span per timing stage
+        (curation, training, inference, aggregation), each enclosing its
+        work — the fan-out engine's ``mapreduce.*`` spans nest under the
+        curation and inference stages.
         """
         with self.obs.span("campaign.run", fingerprint=self.fingerprint) as span:
             result = self._run()
@@ -590,7 +592,7 @@ class CampaignRunner:
 
     def _run(self) -> CampaignResult:
         specs = self.config.expand()
-        timing = TimingRecord()
+        timing: dict[str, float] = {}
         stage_hits: list[str] = []
         stage_misses: list[str] = []
         cache = _stage_cache(self.stage_root)
@@ -634,102 +636,75 @@ class CampaignRunner:
 
         # Stage 1: curation fan-out.  Training needs every granule curated;
         # with a cached classifier, only granules without a cached result do.
-        sw = Stopwatch().start()
         pending = specs if classifier is None else to_retrieve_specs
         curated: dict[str, CuratedGranule] = {}
-        for item, item_hits, item_misses in self._fan_out(
-            pending, _CurateTask(self.stage_root)
-        ):
-            curated[item.granule_id] = item
-            stage_hits.extend(item_hits)
-            stage_misses.extend(item_misses)
-        curation_s = sw.stop()
-        timing.add("curation", curation_s)
-        self.obs.record("campaign.curation", curation_s, n_pending=len(pending))
+        with self.obs.span("campaign.curation", n_pending=len(pending)):
+            start = time.perf_counter()
+            for item, item_hits, item_misses in self._fan_out(
+                pending, _CurateTask(self.stage_root)
+            ):
+                curated[item.granule_id] = item
+                stage_hits.extend(item_hits)
+                stage_misses.extend(item_misses)
+            timing["curation"] = time.perf_counter() - start
 
         # Stage 2: one classifier on the pooled labelled segments
         # (driver-side).  Granules are pooled in canonical expansion order;
         # LSTM sequence windows are grouped per granule so no training
-        # sequence spans two unrelated scenes.
-        sw = Stopwatch().start()
-        if classifier is None:
-            base = self.config.base
-            pooled = [curated[spec.granule_id] for spec in specs]
-            pooled_segments = concatenate_segments(
-                [item.segments for item in pooled], beam_name="campaign"
-            )
-            pooled_labels = np.concatenate([item.labels for item in pooled])
-            # Compose per-beam group ids across granules: offset each
-            # granule's ids so every (granule, beam) track is distinct.
-            group_parts: list[np.ndarray] = []
-            offset = 0
-            for item in pooled:
-                group_parts.append(item.groups + offset)
-                offset += int(item.groups.max()) + 1 if item.groups.size else 0
-            groups = np.concatenate(group_parts)
-            classifier = train_classifier(
-                pooled_segments,
-                pooled_labels,
-                kind=base.model_kind,
-                lstm_config=base.lstm,
-                mlp_config=base.mlp,
-                training=base.training,
-                epochs=base.epochs,
-                rng=self.config.seed,
-                groups=groups,
-            )
-            training_seconds = sw.stop()
-            timing.add("training", training_seconds)
-            self.obs.record("campaign.training", training_seconds, cached=False)
-            if cache is not None and pooled_fp is not None:
-                cache.store_stage(
-                    POOLED_TRAIN_STAGE,
-                    pooled_fp,
-                    {"classifier": classifier},
-                    training_seconds,
+        # sequence spans two unrelated scenes.  On a cache hit the measured
+        # fit time comes from the bundle so the scaling report is identical
+        # to the original run's.
+        with self.obs.span("campaign.training", cached=classifier is not None):
+            start = time.perf_counter()
+            if classifier is None:
+                classifier = self._train_pooled(
+                    [curated[spec.granule_id] for spec in specs]
                 )
-                stage_misses.append(cache.key(POOLED_TRAIN_STAGE, pooled_fp))
-        else:
-            # Cache hit: the measured fit time comes from the bundle so the
-            # scaling report is identical to the original run's.
-            cached_s = sw.stop()
-            timing.add("training", cached_s)
-            self.obs.record("campaign.training", cached_s, cached=True)
+                training_seconds = time.perf_counter() - start
+                if cache is not None and pooled_fp is not None:
+                    cache.store_stage(
+                        POOLED_TRAIN_STAGE,
+                        pooled_fp,
+                        {"classifier": classifier},
+                        training_seconds,
+                    )
+                    stage_misses.append(cache.key(POOLED_TRAIN_STAGE, pooled_fp))
+            timing["training"] = time.perf_counter() - start
 
         # Stage 3: inference / freeboard / baseline fan-out.
-        sw = Stopwatch().start()
         to_retrieve = [
             (spec, curated[spec.granule_id]) for spec in to_retrieve_specs
         ]
         classifier_fp = pooled_fp if pooled_fp is not None else "external:classifier"
-        for item, item_hits, item_misses in self._fan_out(
-            to_retrieve, _RetrieveTask(classifier, classifier_fp, self.stage_root)
-        ):
-            results[item.granule_id] = item
-            stage_hits.extend(item_hits)
-            stage_misses.extend(item_misses)
-            fp = result_fps[item.granule_id]
-            if cache is not None and fp is not None:
-                cache.store_stage(GRANULE_RESULT_STAGE, fp, {"result": item}, item.seconds)
-                stage_misses.append(cache.key(GRANULE_RESULT_STAGE, fp))
-        inference_s = sw.stop()
-        timing.add("inference", inference_s)
-        self.obs.record("campaign.inference", inference_s, n_retrieved=len(to_retrieve))
+        with self.obs.span("campaign.inference", n_retrieved=len(to_retrieve)):
+            start = time.perf_counter()
+            for item, item_hits, item_misses in self._fan_out(
+                to_retrieve, _RetrieveTask(classifier, classifier_fp, self.stage_root)
+            ):
+                results[item.granule_id] = item
+                stage_hits.extend(item_hits)
+                stage_misses.extend(item_misses)
+                fp = result_fps[item.granule_id]
+                if cache is not None and fp is not None:
+                    cache.store_stage(
+                        GRANULE_RESULT_STAGE, fp, {"result": item}, item.seconds
+                    )
+                    stage_misses.append(cache.key(GRANULE_RESULT_STAGE, fp))
+            timing["inference"] = time.perf_counter() - start
 
         # Aggregate + simulated cluster scaling from serial-equivalent times.
-        sw = Stopwatch().start()
-        ordered = [results[spec.granule_id] for spec in specs]
-        metrics = aggregate_metrics([result.metrics for result in ordered])
-        scaling = campaign_scaling_table(
-            curation_serial_s=sum(result.curation_seconds for result in ordered),
-            training_s=training_seconds,
-            inference_serial_s=sum(result.seconds for result in ordered),
-            cost_model=self.cost_model,
-            cluster=self.cluster,
-        )
-        aggregation_s = sw.stop()
-        timing.add("aggregation", aggregation_s)
-        self.obs.record("campaign.aggregation", aggregation_s)
+        with self.obs.span("campaign.aggregation"):
+            start = time.perf_counter()
+            ordered = [results[spec.granule_id] for spec in specs]
+            metrics = aggregate_metrics([result.metrics for result in ordered])
+            scaling = campaign_scaling_table(
+                curation_serial_s=sum(result.curation_seconds for result in ordered),
+                training_s=training_seconds,
+                inference_serial_s=sum(result.seconds for result in ordered),
+                cost_model=self.cost_model,
+                cluster=self.cluster,
+            )
+            timing["aggregation"] = time.perf_counter() - start
 
         self.obs.log.info(
             "campaign.stage_cache", hits=len(stage_hits), misses=len(stage_misses)
@@ -743,6 +718,32 @@ class CampaignRunner:
             scaling=scaling,
             stage_hits=tuple(stage_hits),
             stage_misses=tuple(stage_misses),
+        )
+
+    def _train_pooled(self, pooled: list[CuratedGranule]) -> TrainedClassifier:
+        """Fit the campaign classifier on every curated granule's segments."""
+        base = self.config.base
+        pooled_segments = concatenate_segments(
+            [item.segments for item in pooled], beam_name="campaign"
+        )
+        pooled_labels = np.concatenate([item.labels for item in pooled])
+        # Compose per-beam group ids across granules: offset each
+        # granule's ids so every (granule, beam) track is distinct.
+        group_parts: list[np.ndarray] = []
+        offset = 0
+        for item in pooled:
+            group_parts.append(item.groups + offset)
+            offset += int(item.groups.max()) + 1 if item.groups.size else 0
+        return train_classifier(
+            pooled_segments,
+            pooled_labels,
+            kind=base.model_kind,
+            lstm_config=base.lstm,
+            mlp_config=base.mlp,
+            training=base.training,
+            epochs=base.epochs,
+            rng=self.config.seed,
+            groups=np.concatenate(group_parts),
         )
 
     # -- Level-3 products ------------------------------------------------------
@@ -762,7 +763,7 @@ class CampaignRunner:
 
         if result is None:
             result = self.run()
-        sw = Stopwatch().start()
+        start = time.perf_counter()
         specs = self.config.expand()
         _, _, retrieval_fps = self._fingerprint_maps(specs)
         cache = _stage_cache(self.stage_root)
@@ -823,9 +824,9 @@ class CampaignRunner:
             processor = Level3Processor.from_config(
                 self.config.base.l3, scene=self.config.base.scene
             )
-            sw_mosaic = Stopwatch().start()
+            mosaic_start = time.perf_counter()
             mosaic = processor.mosaic([grids[spec.granule_id] for spec in specs])
-            mosaic_seconds = sw_mosaic.stop()
+            mosaic_seconds = time.perf_counter() - mosaic_start
             mosaic.metadata["fingerprint"] = mosaic_fp or ""
             if mosaic_fp is not None and cache is not None:
                 cache.store_stage(
@@ -839,7 +840,7 @@ class CampaignRunner:
             fingerprint=mosaic_fp or "",
             stage_hits=tuple(hits),
             stage_misses=tuple(misses),
-            seconds=sw.stop(),
+            seconds=time.perf_counter() - start,
         )
 
     def grid_new_granule(

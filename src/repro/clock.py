@@ -1,20 +1,32 @@
-"""Clocks for the async service tier: wall time and a deterministic virtual clock.
+"""The program's one time source: real monotonic, virtual, and wall clocks.
 
-Everything time-dependent in :mod:`repro.serve.router` — latency
-measurement, prefetch pacing, open-loop arrival generation — goes through a
-tiny clock interface (``now()`` / ``sleep()`` / ``advance()``) instead of
-``time`` and ``asyncio.sleep`` directly.  Production code uses
-:class:`MonotonicClock`; tests and large simulated traffic runs use
-:class:`VirtualClock`, which never touches real time: sleepers park on
-futures and :meth:`VirtualClock.advance` wakes them **in deadline order**,
-draining the event loop between wake-ups so a woken task runs to its next
-await before a later deadline fires.  That is what makes the router's
-concurrency tests reproducible (no real sleeps, no scheduler races) and
-lets the open-loop simulator push millions of Poisson arrivals through the
-router in seconds of real time.
+Everything that reads "now" — span start/end in :mod:`repro.obs.trace`,
+SLO ticks, log timestamps, the router's latency measurement, prefetch
+pacing and open-loop arrival generation — goes through a tiny clock
+interface (``now()`` / ``sleep()`` / ``advance()``) instead of ``time``
+and ``asyncio.sleep`` directly:
 
-:func:`run_sync` is the tier's ``asyncio.run`` for the synchronous entry
-points (``RequestRouter.serve``, ``TrafficSimulator.run_open_loop``).
+* :class:`MonotonicClock` — the default everywhere: ``time.perf_counter``
+  plus ``asyncio.sleep``.
+* :class:`VirtualClock` — tests and large simulated traffic runs.  It
+  never touches real time: sleepers park on futures and
+  :meth:`VirtualClock.advance` wakes them **in deadline order**, draining
+  the event loop between wake-ups so a woken task runs to its next await
+  before a later deadline fires.  That is what makes the router's
+  concurrency tests reproducible (no real sleeps, no scheduler races),
+  span durations exact, and lets the open-loop simulator push millions of
+  Poisson arrivals through the router in seconds of real time.
+* :class:`WallClock` — ``time.time``, the default of a bare
+  :class:`~repro.obs.log.EventLog` only, so standalone log timestamps are
+  wall-clock epochs.
+
+Durations of real work (map-reduce phases, pipeline stage ``seconds``,
+campaign stage timings) are *not* read from these clocks: they are inline
+``time.perf_counter()`` deltas, so they stay real under an injected
+``VirtualClock`` or a disabled ``Obs``.
+
+:func:`run_sync` is the serve tier's ``asyncio.run`` for the synchronous
+entry points (``RequestRouter.serve``, ``TrafficSimulator.run_open_loop``).
 """
 
 from __future__ import annotations
@@ -48,10 +60,10 @@ def run_sync(awaitable: Awaitable[T]) -> T:
 
 
 class MonotonicClock:
-    """The real clock: ``time.monotonic`` plus ``asyncio.sleep``."""
+    """The real clock: ``time.perf_counter`` plus ``asyncio.sleep``."""
 
     def now(self) -> float:
-        return time.monotonic()
+        return time.perf_counter()
 
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(max(seconds, 0.0))
@@ -59,6 +71,13 @@ class MonotonicClock:
     async def advance(self, seconds: float) -> None:
         """Pacing hook: on the real clock, advancing *is* sleeping."""
         await asyncio.sleep(max(seconds, 0.0))
+
+
+class WallClock:
+    """Wall time (``time.time``): seconds since the epoch, for log records."""
+
+    def now(self) -> float:
+        return time.time()
 
 
 class VirtualClock:

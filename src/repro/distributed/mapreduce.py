@@ -11,7 +11,8 @@ model in-process:
 * three executors: ``serial`` (reference), ``thread`` (shares memory — fine
   for NumPy-bound maps that release the GIL) and ``process``
   (``multiprocessing`` pool, requires picklable map functions),
-* separate *load*, *map* and *reduce* timing, matching the columns of the
+* separate *load*, *map* and *reduce* wall times (``time.perf_counter``
+  deltas, real whatever the telemetry clock), matching the columns of the
   paper's Tables II and V.
 
 Two zero-copy properties of the process executor:
@@ -40,10 +41,11 @@ from __future__ import annotations
 import contextvars
 import pickle
 import threading
+import time
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -51,7 +53,6 @@ import numpy as np
 from repro.distributed.shm import ArrayDescriptor, SharedArrayStore, attach_view, dumps_shared
 from repro.obs.core import Obs, default_obs
 from repro.obs.propagate import TracedTask, WorkerTelemetry, current_context, merge_worker_telemetry
-from repro.utils.timing import Stopwatch, TimingRecord
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -80,23 +81,13 @@ class MapReduceResult:
     value: object
     n_partitions: int
     executor: str
-    timing: TimingRecord = field(default_factory=TimingRecord)
-
-    @property
-    def load_seconds(self) -> float:
-        return self.timing.get("load")
-
-    @property
-    def map_seconds(self) -> float:
-        return self.timing.get("map")
-
-    @property
-    def reduce_seconds(self) -> float:
-        return self.timing.get("reduce")
+    load_seconds: float = 0.0
+    map_seconds: float = 0.0
+    reduce_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
-        return self.timing.total()
+        return self.load_seconds + self.map_seconds + self.reduce_seconds
 
 
 def _shutdown_pool(pool_box: list) -> None:
@@ -305,14 +296,6 @@ class MapReduceEngine:
             published * n_attachers
         )
 
-    def _map_stage(self, tasks: list[Callable[[], R]], timing: TimingRecord) -> list[R]:
-        sw = Stopwatch().start()
-        try:
-            mapped = self._run_tasks(tasks)
-        finally:
-            timing.add("map", sw.stop())
-        return mapped
-
     def run(
         self,
         load: Callable[[], Sequence[T]],
@@ -330,14 +313,13 @@ class MapReduceEngine:
         engine can serve fan-outs of different widths.
         """
         width = self.n_partitions if n_partitions is None else n_partitions
-        timing = TimingRecord()
         obs = self.obs
         obs.counter("mapreduce_jobs_total", executor=self.executor).inc()
 
         with obs.span("mapreduce.load"):
-            sw = Stopwatch().start()
+            start = time.perf_counter()
             items = list(load())
-            timing.add("load", sw.stop())
+            load_s = time.perf_counter() - start
 
         parts = partition_indices(len(items), width)
         partitions = [[items[i] for i in part] for part in parts]
@@ -347,18 +329,22 @@ class MapReduceEngine:
         else:
             tasks = [(lambda p=partition: map_fn(p)) for partition in partitions]
         with obs.span("mapreduce.map", n_partitions=width, executor=self.executor):
-            mapped = self._map_stage(tasks, timing)
+            start = time.perf_counter()
+            mapped = self._run_tasks(tasks)
+            map_s = time.perf_counter() - start
 
         with obs.span("mapreduce.reduce"):
-            sw = Stopwatch().start()
+            start = time.perf_counter()
             value = reduce_fn(list(mapped))
-            timing.add("reduce", sw.stop())
+            reduce_s = time.perf_counter() - start
 
         return MapReduceResult(
             value=value,
             n_partitions=width,
             executor=self.executor,
-            timing=timing,
+            load_seconds=load_s,
+            map_seconds=map_s,
+            reduce_seconds=reduce_s,
         )
 
     def map_arrays(
@@ -386,10 +372,9 @@ class MapReduceEngine:
 
         obs = self.obs
         obs.counter("mapreduce_jobs_total", executor=self.executor).inc()
-        timing = TimingRecord()
-        sw = Stopwatch().start()
+        start = time.perf_counter()
         parts = partition_indices(n_items, width)
-        timing.add("load", sw.stop())
+        load_s = time.perf_counter() - start
 
         shared = (
             self.executor == "process"
@@ -402,7 +387,9 @@ class MapReduceEngine:
             with obs.span(
                 "mapreduce.map", n_partitions=width, executor=self.executor, shm=True
             ):
-                mapped = self._map_arrays_shared(arrays, map_fn, parts, timing)
+                start = time.perf_counter()
+                mapped = self._map_arrays_shared(arrays, map_fn, parts)
+                map_s = time.perf_counter() - start
         else:
             slices = []
             for part in parts:
@@ -418,18 +405,22 @@ class MapReduceEngine:
             with obs.span(
                 "mapreduce.map", n_partitions=width, executor=self.executor
             ):
-                mapped = self._map_stage(tasks, timing)
+                start = time.perf_counter()
+                mapped = self._run_tasks(tasks)
+                map_s = time.perf_counter() - start
 
         with obs.span("mapreduce.reduce"):
-            sw = Stopwatch().start()
+            start = time.perf_counter()
             value = reduce_fn(list(mapped))
-            timing.add("reduce", sw.stop())
+            reduce_s = time.perf_counter() - start
 
         return MapReduceResult(
             value=value,
             n_partitions=width,
             executor=self.executor,
-            timing=timing,
+            load_seconds=load_s,
+            map_seconds=map_s,
+            reduce_seconds=reduce_s,
         )
 
     def _map_arrays_shared(
@@ -437,36 +428,31 @@ class MapReduceEngine:
         arrays: dict[str, np.ndarray],
         map_fn: Callable[[dict[str, np.ndarray]], R],
         parts: list[np.ndarray],
-        timing: TimingRecord,
     ) -> list[R]:
         """Publish-once shared-memory path for :meth:`map_arrays`."""
         contiguous = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
         timed = self.obs.tracer.enabled
-        sw = Stopwatch().start()
-        try:
-            with SharedArrayStore() as store:
-                descriptors = store.publish(contiguous)
-                tasks: list[Callable] = []
-                for part in parts:
-                    lo = int(part[0]) if part.size else 0
-                    hi = int(part[-1]) + 1 if part.size else 0
-                    tasks.append(_ShmSliceTask(map_fn, descriptors, lo, hi))
-                if timed:
-                    tasks = list(self._traced_tasks(tasks))
-                self._count_shm(store, len(tasks))
-                pool = self._pool(min(self.max_workers, len(tasks)))
-                try:
-                    futures = [
-                        pool.submit(_call_pickled, pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
-                        for t in tasks
-                    ]
-                    results = [f.result() for f in futures]
-                    return self._merge_worker_results(results) if timed else results
-                except BrokenProcessPool:
-                    self._shutdown()
-                    raise
-        finally:
-            timing.add("map", sw.stop())
+        with SharedArrayStore() as store:
+            descriptors = store.publish(contiguous)
+            tasks: list[Callable] = []
+            for part in parts:
+                lo = int(part[0]) if part.size else 0
+                hi = int(part[-1]) + 1 if part.size else 0
+                tasks.append(_ShmSliceTask(map_fn, descriptors, lo, hi))
+            if timed:
+                tasks = list(self._traced_tasks(tasks))
+            self._count_shm(store, len(tasks))
+            pool = self._pool(min(self.max_workers, len(tasks)))
+            try:
+                futures = [
+                    pool.submit(_call_pickled, pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
+                    for t in tasks
+                ]
+                results = [f.result() for f in futures]
+                return self._merge_worker_results(results) if timed else results
+            except BrokenProcessPool:
+                self._shutdown()
+                raise
 
 
 def _call_pickled(payload: bytes):

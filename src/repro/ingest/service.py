@@ -30,6 +30,7 @@ of :class:`~repro.serve.live.LivePyramidLoader`, not by key churn.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -44,7 +45,6 @@ from repro.l3.writer import write_level3
 from repro.serve.live import IncrementalPyramidBuilder, LivePyramidLoader, TileAddress
 from repro.serve.pyramid import build_pyramid
 from repro.serve.query import TileKey
-from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # circular at runtime: the handle constructs this service
     from repro.serve.handle import ServeHandle
@@ -210,12 +210,11 @@ class IngestService:
         self.obs.counter("ingest_rebuilt_tiles_total").inc(len(report.rebuilt_tiles))
         self.obs.counter("ingest_invalidated_tiles_total").inc(report.n_invalidated)
         self.obs.gauge("ingest_fleet_size").set(report.n_granules)
-        if self.obs.clock is not None:
-            self.obs.gauge("ingest_last_ingest_ts").set(self.obs.clock.now())
+        self.obs.gauge("ingest_last_ingest_ts").set(self.obs.clock.now())
         return report
 
     def _ingest(self, granule: Any, span: Any) -> IngestReport:
-        sw = Stopwatch().start()
+        start = time.perf_counter()
         if not isinstance(granule, Level3Grid):
             if self._gridder is None:
                 raise RuntimeError(
@@ -281,7 +280,7 @@ class IngestService:
             n_invalidated=n_invalidated,
             n_granules=self.accumulator.n_granules,
             products=tuple(written),
-            seconds=sw.stop(),
+            seconds=time.perf_counter() - start,
         )
 
     # -- verification ---------------------------------------------------------

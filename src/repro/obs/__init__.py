@@ -6,7 +6,7 @@ The one instrumentation layer across campaign → serve → ingest:
   gauges and fixed-bucket histograms keyed by (name, labels), so metrics
   outlive the components that feed them.
 * :class:`~repro.obs.trace.Tracer` — nested spans (trace/parent ids,
-  pluggable clock) in a bounded ring buffer, with worker-side subtrees
+  a :mod:`repro.clock` clock) in a bounded ring buffer, with worker-side subtrees
   merged across process boundaries by :mod:`~repro.obs.propagate`.
 * :class:`~repro.obs.log.EventLog` — structured JSON-lines events that
   automatically carry the current trace/span ids.

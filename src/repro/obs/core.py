@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
+from repro.clock import MonotonicClock
 from repro.config import DEFAULT_OBS, ObsConfig
 from repro.obs.log import EventLog, NullEventLog
 from repro.obs.metrics import MetricsRegistry, NullRegistry
@@ -33,33 +34,33 @@ class Obs:
         The :class:`~repro.config.ObsConfig` slice; ``enabled=False``
         swaps in the no-op null implementations.
     clock:
-        Optional time source for the tracer (anything with ``now()``,
-        e.g. the serve tier's ``VirtualClock``); ``None`` uses
-        ``time.perf_counter``.
+        Time source of the tracer and the event log (anything with
+        ``now()``, e.g. a :class:`~repro.clock.VirtualClock`); ``None``
+        uses a :class:`~repro.clock.MonotonicClock`.  :attr:`clock` is set
+        whether or not telemetry is enabled.
     """
 
     def __init__(self, config: ObsConfig = DEFAULT_OBS, clock: Any = None) -> None:
         self.config = config
+        self.clock = clock if clock is not None else MonotonicClock()
         if config.enabled:
             self.registry: MetricsRegistry | NullRegistry = MetricsRegistry(
                 default_buckets=config.latency_buckets_s
             )
             self.tracer: Tracer | NullTracer = Tracer(
-                clock=clock, buffer_size=config.trace_buffer_size
+                clock=self.clock, buffer_size=config.trace_buffer_size
             )
             # Ring-buffer drops surface as a counter so truncated traces
             # are visible in exports, not only on tracer internals.
             self.tracer.drop_counter = self.registry.counter(
                 "trace_spans_dropped_total"
             )
-            self.clock = self.tracer.clock
             self.log: EventLog | NullEventLog = EventLog(
                 config.log, clock=self.clock, tracer=self.tracer
             )
         else:
             self.registry = NullRegistry()
             self.tracer = NullTracer()
-            self.clock = clock
             self.log = NullEventLog()
 
     @classmethod
@@ -83,9 +84,6 @@ class Obs:
 
     def span(self, name: str, **attributes: Any):
         return self.tracer.span(name, **attributes)
-
-    def record(self, name: str, seconds: float, **attributes: Any):
-        return self.tracer.record(name, seconds, **attributes)
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

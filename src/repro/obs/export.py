@@ -134,12 +134,12 @@ def validate_dashboard(doc: Mapping[str, Any]) -> None:
 
 def _campaign_summary(result: Any) -> dict[str, Any]:
     """Flatten a ``CampaignResult`` into the dashboard's campaign block."""
-    timing = result.timing.as_dict()
+    timing = dict(result.timing)
     return {
         "fingerprint": str(result.fingerprint),
         "n_granules": int(result.n_granules),
         "timing_s": {stage: float(seconds) for stage, seconds in timing.items()},
-        "total_s": float(result.timing.total()),
+        "total_s": float(sum(timing.values())),
         "cache": {
             "hits": len(result.stage_hits),
             "misses": len(result.stage_misses),
@@ -366,7 +366,7 @@ class HealthMonitor:
 
     The glue between the interpretation layer and the exporters: every
     :meth:`tick` runs one :class:`~repro.obs.slo.SloEvaluator` evaluation,
-    rebuilds the v2 dashboard document (alerts, error budgets, recent
+    rebuilds the v3 dashboard document (alerts, error budgets, recent
     events, trace drops, plus whatever tiers were attached) and rewrites
     ``path`` atomically — a poller always reads a complete, current
     document.  :meth:`run` is the async loop form, paced by the same
@@ -416,8 +416,7 @@ class HealthMonitor:
         """One evaluation + publish; returns the written document."""
         if self.slo is not None:
             self.slo.evaluate(now)
-        clock = getattr(self.obs, "clock", None)
-        generated = now if now is not None else (clock.now() if clock is not None else None)
+        generated = now if now is not None else self.obs.clock.now()
         doc = build_health_dashboard(
             campaign=self.campaign,
             router=self.router,
@@ -435,15 +434,9 @@ class HealthMonitor:
 
     async def run(self, n_ticks: int | None = None) -> None:
         """Tick forever (or ``n_ticks`` times), sleeping on the obs clock."""
-        clock = getattr(self.obs, "clock", None)
         remaining = n_ticks
         while remaining is None or remaining > 0:
-            if clock is not None and hasattr(clock, "sleep"):
-                await clock.sleep(self.interval_s)
-            else:  # no async clock attached: fall back to the event loop's
-                import asyncio
-
-                await asyncio.sleep(self.interval_s)
+            await self.obs.clock.sleep(self.interval_s)
             self.tick()
             if remaining is not None:
                 remaining -= 1

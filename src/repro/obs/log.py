@@ -23,19 +23,21 @@ An error loop therefore costs one ring slot per window, not one per
 iteration.
 
 Time comes from the same pluggable clock as the tracer, so `VirtualClock`
-tests assert exact record timestamps and exact dedup-window arithmetic.
+tests assert exact record timestamps and exact dedup-window arithmetic.  A
+bare ``EventLog()`` with no clock stamps records with wall time
+(:class:`~repro.clock.WallClock`).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO
 
+from repro.clock import WallClock
 from repro.config import DEFAULT_LOG, LogConfig
 
 __all__ = ["EventLog", "LEVELS", "LogRecord", "NullEventLog"]
@@ -43,13 +45,6 @@ __all__ = ["EventLog", "LEVELS", "LogRecord", "NullEventLog"]
 #: Severity levels, least to most severe.
 LEVELS = ("debug", "info", "warning", "error")
 _LEVEL_RANK = {level: rank for rank, level in enumerate(LEVELS)}
-
-
-class _WallClock:
-    """Default time source when no serve-tier clock is injected."""
-
-    def now(self) -> float:
-        return time.time()
 
 
 @dataclass
@@ -87,7 +82,8 @@ class EventLog:
         The :class:`~repro.config.LogConfig` slice: ring capacity, dedup
         window, minimum severity.
     clock:
-        Anything with ``now() -> float``; ``None`` uses wall time.  Hand it
+        Anything with ``now() -> float``; ``None`` uses a
+        :class:`~repro.clock.WallClock`.  Hand it
         the tracer's clock so log timestamps and span times share one axis.
     tracer:
         The tracer whose current span stamps each record's
@@ -103,7 +99,7 @@ class EventLog:
         tracer: Any = None,
     ) -> None:
         self.config = config
-        self.clock = clock if clock is not None else _WallClock()
+        self.clock = clock if clock is not None else WallClock()
         self.tracer = tracer
         self._ring: deque[LogRecord] = deque(maxlen=config.ring_size)
         self._lock = threading.Lock()

@@ -2,9 +2,8 @@
 
 The tracer's ``contextvars`` parentage follows ``await`` but stops at pool
 boundaries: threads do not inherit the driver's context and processes
-cannot pickle it.  PR 9 papered over that with ``(value, seconds)`` pairs
-merged as retroactive ``record()`` spans — a duration, not a trace.  This
-module carries the real thing across:
+cannot pickle it.  A bare ``(value, seconds)`` pair would carry a
+duration, not a trace.  This module carries the real thing across:
 
 * :class:`TraceContext` — the two ids (trace, parent span) that define
   where remote work belongs in the driver's tree; picklable, tiny.

@@ -47,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.clock import MonotonicClock
 from repro.config import DEFAULT_SLO, SloConfig
 from repro.obs.metrics import Histogram
 
@@ -234,13 +235,6 @@ class ErrorBudget:
 # ---------------------------------------------------------------------------
 
 
-class _DefaultClock:
-    def now(self) -> float:
-        import time
-
-        return time.monotonic()
-
-
 class SloEvaluator:
     """Sample specs on a clock, maintain alerts and budget ledgers.
 
@@ -250,7 +244,8 @@ class SloEvaluator:
         The metrics registry the spec queries read.
     clock:
         Anything with ``now() -> float`` (share the tracer's clock so SLO
-        ticks and span times live on one axis).
+        ticks and span times live on one axis); ``None`` uses a
+        :class:`~repro.clock.MonotonicClock`.
     config:
         Window geometry and thresholds (:class:`~repro.config.SloConfig`);
         per-spec ``windows`` override it.
@@ -268,7 +263,7 @@ class SloEvaluator:
         log: Any = None,
     ) -> None:
         self.registry = registry
-        self.clock = clock if clock is not None else _DefaultClock()
+        self.clock = clock if clock is not None else MonotonicClock()
         self.config = config
         self.log = log
         self.specs: list[SloSpec] = []

@@ -4,16 +4,17 @@ A :class:`Span` is one timed operation — a routed request, a pipeline
 stage, one map task.  Spans nest through a :class:`contextvars.ContextVar`,
 so the current span follows the code across ``await`` boundaries (asyncio
 copies the context into every task) and a span opened by the router is the
-parent of the span the shard engine opens while serving it.  Thread pools
-do *not* propagate context — spans recorded on pool workers come back as
-compact ``(name, seconds)`` tuples instead and are merged driver-side via
-:meth:`Tracer.record`, parented under whatever span the driver holds.
+parent of the span the shard engine opens while serving it.  Thread-pool
+tasks of the map-reduce engine run in a copy of the driver's context, so
+their spans are true children too; process-pool workers ship their spans
+back as a :class:`~repro.obs.propagate.WorkerTelemetry` subtree, grafted
+under the driver's open span through :meth:`Tracer.emit`.
 
 Time comes from a pluggable clock (anything with ``now()``), defaulting to
-``time.perf_counter``.  Handing the tracer the serve tier's
-:class:`~repro.serve.clock.VirtualClock` makes span durations *exact* in
-tests: no real time passes, so an operation that ticks the clock by 4 ms
-produces a span whose duration equals 0.004 to the last bit.
+:class:`~repro.clock.MonotonicClock`.  Handing the tracer a
+:class:`~repro.clock.VirtualClock` makes span durations *exact* in tests:
+no real time passes, so an operation that ticks the clock by 4 ms produces
+a span whose duration equals 0.004 to the last bit.
 
 Finished spans land in a ``deque(maxlen=...)`` ring buffer; once it wraps,
 the oldest spans drop and :attr:`Tracer.n_dropped` counts them.  Span and
@@ -25,20 +26,14 @@ from __future__ import annotations
 
 import contextvars
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.clock import MonotonicClock
+
 __all__ = ["NullSpan", "NullTracer", "Span", "Tracer"]
-
-
-class _PerfCounterClock:
-    """Default time source when no serve-tier clock is injected."""
-
-    def now(self) -> float:
-        return time.perf_counter()
 
 
 @dataclass
@@ -79,9 +74,9 @@ class Tracer:
     Parameters
     ----------
     clock:
-        Any object with ``now() -> float`` (e.g. the serve tier's
-        ``MonotonicClock``/``VirtualClock``); ``None`` uses
-        ``time.perf_counter``.
+        Any object with ``now() -> float`` (e.g. a
+        :class:`~repro.clock.VirtualClock`); ``None`` uses a
+        :class:`~repro.clock.MonotonicClock`.
     buffer_size:
         Ring-buffer capacity for finished spans; the oldest drop (and are
         counted in :attr:`n_dropped`) once it fills.
@@ -92,7 +87,7 @@ class Tracer:
     def __init__(self, clock: Any = None, buffer_size: int = 4096) -> None:
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        self.clock = clock if clock is not None else _PerfCounterClock()
+        self.clock = clock if clock is not None else MonotonicClock()
         self.buffer_size = buffer_size
         self._spans: deque[Span] = deque(maxlen=buffer_size)
         self.n_dropped = 0
@@ -164,33 +159,6 @@ class Tracer:
         finally:
             self._current.reset(token)
             self._finish(span, self.clock.now())
-
-    def record(
-        self, name: str, seconds: float, start: float | None = None, **attributes: Any
-    ) -> Span:
-        """Merge one already-measured operation as a finished child span.
-
-        The driver-side half of worker telemetry: pool workers cannot share
-        the driver's context (threads) or process (pickling), so they
-        measure locally and return compact ``(value, seconds)`` tuples; the
-        driver records them here, parented under its current span.  With no
-        explicit ``start`` the span is anchored ending now.
-        """
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        parent = self._current.get()
-        end = self.clock.now()
-        begin = float(start) if start is not None else end - seconds
-        span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent is not None else self._trace_id(),
-            span_id=self._span_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start=begin,
-            attributes=dict(attributes),
-        )
-        self._finish(span, begin + seconds)
-        return span
 
     def emit(
         self,
@@ -292,11 +260,6 @@ class NullTracer:
 
     def span(self, name: str, **attributes: Any) -> _NullSpanContext:
         return self._CONTEXT
-
-    def record(
-        self, name: str, seconds: float, start: float | None = None, **attributes: Any
-    ) -> NullSpan:
-        return self._SPAN
 
     def emit(
         self,

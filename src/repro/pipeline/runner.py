@@ -15,6 +15,7 @@ decide which pooled-training and retrieval artifacts are already cached.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterable, Mapping
 
 from repro.obs.core import Obs, default_obs
@@ -22,7 +23,6 @@ from repro.pipeline.artifact import Artifact
 from repro.pipeline.cache import MISS, StageCache
 from repro.pipeline.graph import StageGraph
 from repro.pipeline.stage import StageContext, StageExecution
-from repro.utils.timing import Stopwatch
 
 
 class GraphRunResult:
@@ -221,12 +221,12 @@ class GraphRunner:
                 with self.obs.span(
                     "pipeline.stage", stage=stage.name, fingerprint=fp, cached=False
                 ):
-                    sw = Stopwatch().start()
+                    start = time.perf_counter()
                     outputs = stage.fn(
                         context,
                         **{name: artifacts[name].value for name in stage.inputs},
                     )
-                    seconds = sw.stop()
+                    seconds = time.perf_counter() - start
                 self._validate_outputs(stage.name, stage.outputs, outputs)
                 if stage.cacheable and self.cache is not None:
                     self.cache.store_stage(stage.name, fp, outputs, seconds)

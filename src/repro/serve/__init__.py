@@ -42,14 +42,16 @@ ROADMAP's "heavy traffic" regime:
   to a full rebuild), and :class:`LivePyramidLoader` serves installed
   in-memory pyramids with per-tile-region revision fingerprints and the
   stale-while-revalidate flag;
-* :mod:`repro.serve.clock` — the pluggable time source
-  (:class:`MonotonicClock` for production, :class:`VirtualClock` for
-  deterministic concurrency tests and simulated open-loop runs);
 * :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives the engine
   closed-loop with Zipf-distributed region traffic, or a router open-loop
   on a Poisson arrival process, and emits throughput/latency reports in
   the :class:`~repro.distributed.cluster.ClusterCostModel` scaling-table
   style.
+
+The router and the open-loop simulator read time through :mod:`repro.clock`
+(:class:`~repro.clock.MonotonicClock` by default,
+:class:`~repro.clock.VirtualClock` for deterministic concurrency tests and
+simulated open-loop runs).
 
 Quick start (serving a campaign)::
 
@@ -67,7 +69,6 @@ Quick start (serving a campaign)::
 """
 
 from repro.serve.catalog import CatalogEntry, ProductCatalog
-from repro.serve.clock import MonotonicClock, VirtualClock
 from repro.serve.handle import ServeHandle
 from repro.serve.live import IncrementalPyramidBuilder, LivePyramidLoader
 from repro.serve.pyramid import (
@@ -109,7 +110,6 @@ __all__ = [
     "CatalogEntry",
     "IncrementalPyramidBuilder",
     "LivePyramidLoader",
-    "MonotonicClock",
     "OpenLoopResult",
     "ProductCatalog",
     "ProductLoader",
@@ -129,7 +129,6 @@ __all__ = [
     "TrafficConfig",
     "TrafficResult",
     "TrafficSimulator",
-    "VirtualClock",
     "build_pyramid",
     "default_pyramid_variables",
     "n_levels_for",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping, Sequence
@@ -42,7 +43,6 @@ from repro.serve.pyramid import (
     n_levels_for,
     tiles_for_bbox,
 )
-from repro.utils.timing import Stopwatch
 
 #: Cache key of one tile: (product key, variable, zoom, row, col).
 TileKey = tuple[str, str, int, int, int]
@@ -555,7 +555,7 @@ class QueryEngine:
     def _query_batch(
         self, requests: Sequence[TileRequest], span: Any
     ) -> list[TileResponse]:
-        sw = Stopwatch().start()
+        start = time.perf_counter()
         plans = [self._plan(request) for request in requests]
 
         # 1. Probe the tile cache; collect the missing tiles per product.
@@ -602,7 +602,7 @@ class QueryEngine:
         #    identical requests in one batch share the decode — that is the
         #    batching, not the cache); only tiles already resident count as
         #    cached.
-        seconds = sw.stop()
+        seconds = time.perf_counter() - start
         responses: list[TileResponse] = []
         computed_keys = {key for keys in needed.values() for key in keys}
         for plan in plans:

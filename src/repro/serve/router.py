@@ -31,7 +31,7 @@ the hottest flight keys, keeping their tiles warm in the shard caches;
 client requests arriving mid-refresh coalesce onto the refresh.
 
 Everything time-dependent goes through the pluggable clock
-(:mod:`repro.serve.clock`), and the underlying execution is an injectable
+(:mod:`repro.clock`), and the underlying execution is an injectable
 async hook — which is how the deterministic concurrency tests drive
 thousands of concurrent requests through a real event loop with zero real
 sleeps.
@@ -45,11 +45,11 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Awaitable, Callable, Hashable, Sequence
 
+from repro.clock import MonotonicClock, VirtualClock, run_sync
 from repro.config import DEFAULT_SERVE, RouterConfig, ServeConfig
 from repro.l3.writer import Level3ProductError
 from repro.obs.core import Obs, default_obs
 from repro.serve.catalog import CatalogEntry, ProductCatalog
-from repro.serve.clock import MonotonicClock, VirtualClock, run_sync
 from repro.serve.query import (
     ProductLoader,
     QueryEngine,

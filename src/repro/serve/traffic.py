@@ -21,7 +21,7 @@ Two load-generation modes:
   a :class:`~repro.serve.router.RequestRouter` on a Poisson arrival
   process at a configured offered rate, independent of completions — the
   regime where admission control matters.  On a
-  :class:`~repro.serve.clock.VirtualClock` the arrivals are simulated
+  :class:`~repro.clock.VirtualClock` the arrivals are simulated
   (deterministically) up to millions of requests in seconds of real time;
   the report carries p50/p95/p99 latency, shed rate and coalescing ratio.
 
@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from repro.clock import run_sync
 from repro.distributed.cluster import ClusterCostModel
-from repro.serve.clock import run_sync
 from repro.serve.query import QueryEngine, QueryStats, TileRequest, TileResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -487,7 +487,7 @@ class TrafficSimulator:
         regardless of how many are still in flight, which is the regime
         where admission control and coalescing earn their keep.  The driver
         paces through the router's clock — on a
-        :class:`~repro.serve.clock.VirtualClock` the whole run is simulated
+        :class:`~repro.clock.VirtualClock` the whole run is simulated
         (millions of arrivals finish in seconds of real time, with
         deterministic arrival gaps from the traffic seed).
 

@@ -1,7 +1,6 @@
-"""Shared utilities: random-number handling, timing, validation and logging."""
+"""Shared utilities: random-number handling and validation."""
 
 from repro.utils.random import default_rng, derive_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, TimingRecord, timed
 from repro.utils.validation import (
     ensure_1d,
     ensure_2d,
@@ -16,9 +15,6 @@ __all__ = [
     "default_rng",
     "derive_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "TimingRecord",
-    "timed",
     "ensure_1d",
     "ensure_2d",
     "ensure_finite",

@@ -20,6 +20,7 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.campaign.runner import GRANULE_RESULT_STAGE, POOLED_TRAIN_STAGE
 from repro.config import N_CLASSES
+from repro.obs.core import Obs
 from repro.obs.export import build_health_dashboard, validate_dashboard
 from repro.pipeline import ArtifactStore, GraphRunner, StageCache, default_graph
 from repro.surface.scene import SceneConfig
@@ -286,6 +287,39 @@ class TestSixGranuleCampaign:
         assert_same_granule(first_run.granule(target), third.granule(target))
 
 
+class TestStageSpans:
+    def test_stage_spans_enclose_their_work(self):
+        obs = Obs()
+        config = CampaignConfig(
+            base=BASE,
+            grid={"cloud_fraction": (0.1, 0.3)},
+            seed=11,
+            n_workers=2,
+            executor="thread",
+        )
+        with CampaignRunner(config, obs=obs) as runner:
+            runner.run()
+        tracer = obs.tracer
+        assert tracer.n_dropped == 0
+        (run,) = tracer.spans("campaign.run")
+        children = {span.name: span for span in tracer.children(run)}
+        assert len(tracer.children(run)) == 4
+        assert set(children) == {
+            "campaign.curation",
+            "campaign.training",
+            "campaign.inference",
+            "campaign.aggregation",
+        }
+        curation = children["campaign.curation"]
+        fan_out = [
+            span
+            for span in tracer.spans("mapreduce.map")
+            if curation.start <= span.start and span.end <= curation.end
+        ]
+        assert fan_out
+        assert all(span.parent_id == curation.span_id for span in fan_out)
+
+
 class TestEngineLifecycle:
     """The runner owns one persistent map-reduce engine across fan-outs."""
 
@@ -293,10 +327,14 @@ class TestEngineLifecycle:
         config = CampaignConfig(
             base=BASE, grid=PARITY_GRID, seed=11, n_workers=2, executor="process"
         )
-        with CampaignRunner(config) as runner:
+        with CampaignRunner(config, obs=Obs.disabled()) as runner:
             assert runner.engine is runner.engine  # cached_property, one engine
             result = runner.run()
             assert len(result.granules) == 3
+            # Stage timings are measured work, not telemetry: they survive
+            # a disabled Obs.
+            assert list(result.timing) == ["curation", "training", "inference", "aggregation"]
+            assert result.timing["curation"] > 0.0
             # The fan-outs left a live worker pool behind for reuse.
             assert runner.engine._pool_box
         # The context manager released it.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.mapreduce import MapReduceEngine, partition_indices
+from repro.obs.core import Obs
 
 
 def _sum_of_squares_job(n_items=1000):
@@ -84,12 +85,16 @@ class TestMapReduceEngine:
         result = engine.map_arrays({"values": values}, _square_chunk, _concat_squared)
         np.testing.assert_allclose(result.value, values**2)
 
-    def test_timing_stages_present(self):
+    @pytest.mark.parametrize("obs", [Obs(), Obs.disabled()], ids=["enabled", "disabled"])
+    def test_timing_stages_present(self, obs):
         load, map_fn, reduce_fn, _ = _sum_of_squares_job(100)
-        result = MapReduceEngine(2, "serial").run(load, map_fn, reduce_fn)
-        for stage in ("load", "map", "reduce"):
-            assert result.timing.get(stage) >= 0.0
-        assert result.total_seconds >= result.map_seconds
+        result = MapReduceEngine(2, "serial", obs=obs).run(load, map_fn, reduce_fn)
+        assert result.load_seconds >= 0.0
+        assert result.map_seconds > 0.0
+        assert result.reduce_seconds >= 0.0
+        assert result.total_seconds == (
+            result.load_seconds + result.map_seconds + result.reduce_seconds
+        )
 
     def test_map_arrays_matches_direct_computation(self, rng):
         x = rng.normal(size=2000)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig
 from repro.obs.core import Obs
 from repro.obs.export import (
@@ -22,7 +23,6 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve.catalog import CatalogEntry
-from repro.serve.clock import VirtualClock
 from repro.serve.router import RequestRouter
 from repro.serve.query import TileRequest, TileResponse
 from repro.serve.shard import ShardedCatalog

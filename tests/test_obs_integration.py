@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.geodesy.grid import GridDefinition
@@ -20,11 +21,9 @@ from repro.obs.export import chrome_trace
 from repro.pipeline.cache import StageCache
 from repro.pipeline.runner import GraphRunner
 from repro.serve.catalog import ProductCatalog
-from repro.serve.clock import VirtualClock
 from repro.serve.query import ProductLoader, QueryEngine, TileRequest
 from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog
-from repro.utils.timing import TimingRecord, timed
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=64)
 
@@ -427,21 +426,3 @@ class TestSloLifecycleAcceptance:
         )
         assert alert_row["state"] == "resolved"
         assert any(e["event"] == "slo.alert_resolved" for e in doc["events"])
-
-
-class TestTimingShim:
-    def test_timing_record_rides_the_registry(self):
-        record = TimingRecord()
-        record.add("map", 0.5)
-        record.add("map", 0.25)
-        with timed(record, "reduce"):
-            pass
-        assert record.get("map") == pytest.approx(0.75)
-        assert record.counts["map"] == 2
-        assert record.registry.value("timing_seconds_total", stage="map") == pytest.approx(0.75)
-        assert set(record.registry.as_dict()) == {
-            'timing_seconds_total{stage="map"}',
-            'timing_calls_total{stage="map"}',
-            'timing_seconds_total{stage="reduce"}',
-            'timing_calls_total{stage="reduce"}',
-        }

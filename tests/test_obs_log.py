@@ -6,11 +6,11 @@ import json
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.config import LogConfig, ObsConfig
 from repro.obs.core import Obs
 from repro.obs.log import EventLog, NullEventLog
 from repro.obs.trace import Tracer
-from repro.serve.clock import VirtualClock
 
 
 def make_log(config=None, tracer=None):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.obs.core import Obs, default_obs
 from repro.obs.export import chrome_trace
@@ -15,7 +16,6 @@ from repro.obs.propagate import (
     current_context,
     merge_worker_telemetry,
 )
-from repro.serve.clock import VirtualClock
 
 
 def _instrumented_sum(partition):

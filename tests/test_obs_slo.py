@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.config import SloConfig
 from repro.obs.log import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -22,7 +23,6 @@ from repro.obs.slo import (
     freshness_slo,
     latency_slo,
 )
-from repro.serve.clock import VirtualClock
 
 # Compact window geometry so tests script minutes, not hours: the fast
 # window reacts within 60 s, the slow one needs 600 s of history.

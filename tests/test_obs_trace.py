@@ -1,4 +1,4 @@
-"""Tracer: nesting, deterministic ids, virtual-clock durations, ring buffer."""
+"""Tracer: nesting, deterministic ids, virtual-clock durations, ring buffer, clocks."""
 
 from __future__ import annotations
 
@@ -6,10 +6,20 @@ import asyncio
 
 import pytest
 
+import ast
+from pathlib import Path
+
+from repro.clock import MonotonicClock, VirtualClock, WallClock
 from repro.config import ObsConfig
 from repro.obs.core import Obs, default_obs, set_default_obs
+from repro.obs.log import EventLog
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import SloEvaluator
 from repro.obs.trace import NullTracer, Tracer
-from repro.serve.clock import VirtualClock
+from repro.serve.catalog import ProductCatalog
+from repro.serve.router import RequestRouter
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSpanNesting:
@@ -105,34 +115,6 @@ class TestVirtualClockDurations:
         assert outer.duration == 0.014
         assert inner.start == 0.010
 
-    def test_record_anchors_before_now(self):
-        clock = VirtualClock(start=5.0)
-        tracer = Tracer(clock=clock)
-        span = tracer.record("task", 0.25, index=3)
-        assert span.finished
-        assert span.end == 5.0
-        assert span.start == 4.75
-        assert span.attributes == {"index": 3}
-
-    def test_record_parents_under_current_span(self):
-        tracer = Tracer(clock=VirtualClock())
-        with tracer.span("driver") as driver:
-            child = tracer.record("task", 0.1)
-        assert child.parent_id == driver.span_id
-        assert child.trace_id == driver.trace_id
-
-    def test_record_rejects_negative(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError):
-            tracer.record("task", -0.1)
-
-    def test_explicit_start_wins(self):
-        clock = VirtualClock(start=2.0)
-        tracer = Tracer(clock=clock)
-        span = tracer.record("task", 0.5, start=1.0)
-        assert span.start == 1.0
-        assert span.end == 1.5
-
 
 class TestRingBuffer:
     def test_oldest_spans_drop_and_are_counted(self):
@@ -199,3 +181,31 @@ class TestObsFacade:
             ObsConfig(trace_buffer_size=0)
         with pytest.raises(ValueError):
             ObsConfig(latency_buckets_s=(0.1, 0.1))
+
+
+class TestClockDefaults:
+    def test_one_clock_module_supplies_every_default(self):
+        assert isinstance(Tracer().clock, MonotonicClock)
+        assert isinstance(SloEvaluator(MetricsRegistry()).clock, MonotonicClock)
+        router = RequestRouter(ProductCatalog(), obs=Obs.disabled())
+        assert isinstance(router.clock, MonotonicClock)
+        enabled, disabled = Obs(), Obs.disabled()
+        assert isinstance(enabled.clock, MonotonicClock)
+        assert enabled.tracer.clock is enabled.clock
+        assert enabled.log.clock is enabled.clock
+        assert isinstance(disabled.clock, MonotonicClock)
+        # Standalone log records keep wall-clock timestamps.
+        assert isinstance(EventLog().clock, WallClock)
+
+        clock_classes: dict[str, set[str]] = {}
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "now"
+                    for item in node.body
+                ):
+                    module = path.relative_to(SRC).as_posix()
+                    clock_classes.setdefault(module, set()).add(node.name)
+        assert clock_classes == {
+            "repro/clock.py": {"MonotonicClock", "VirtualClock", "WallClock"}
+        }

@@ -1,7 +1,7 @@
 """Deterministic concurrency tests for the async service tier.
 
 No real sleeps anywhere: every test drives a real asyncio event loop
-through a :class:`~repro.serve.clock.VirtualClock` and an injected execute
+through a :class:`~repro.clock.VirtualClock` and an injected execute
 hook with *virtual* service times, so thousands of concurrent requests are
 reproducible bit-for-bit — single-flight coalescing, load shedding at the
 admission watermark, prefetch/refresh ordering and quarantine all assert
@@ -13,12 +13,12 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.clock import MonotonicClock, VirtualClock
 from repro.config import RouterConfig, ServeConfig
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
 from repro.l3.writer import Level3ProductError, write_level3
 from repro.serve.catalog import CatalogEntry, ProductCatalog
-from repro.serve.clock import MonotonicClock, VirtualClock
 from repro.serve.query import ProductLoader, QueryEngine, TileRequest, TileResponse
 from repro.serve.router import RequestRouter, RouterOverloadedError
 from repro.serve.shard import ShardedCatalog, shard_index
