@@ -1,6 +1,6 @@
 """Reference-vs-vectorized timings for the ``repro.kernels`` hot paths.
 
-Five kernel pairs are timed on deterministic, ATL03-representative inputs:
+Six kernel pairs are timed on deterministic, ATL03-representative inputs:
 
 * **windowed sea-surface estimation** — a 400 km track whose open-water
   candidates cluster into discrete leads (contiguous 2 m segments), the way
@@ -12,12 +12,15 @@ Five kernel pairs are timed on deterministic, ATL03-representative inputs:
 * **drift search** — the coarse 33 x 33 candidate grid (+-800 m, 50 m steps)
   of one granule: a 3,200-segment track over an 800 x 800-pixel class map;
 * **2 m resampling** — ``resample_fixed_window`` over a 6.4 km beam of
-  ~36 k photons, under each kernel backend.
+  ~36 k photons, under each kernel backend;
+* **random fields** — the spectral filtering of one granule's four
+  800 x 800-pixel fields (concentration, texture, ridge and cloud:
+  correlation lengths 250, 62.5, 25 and 120 px).
 
-Each pair is asserted equivalent (1e-10; the drift and resampling pairs
-exactly) before it is timed, so a benchmark run doubles as an integration
-check.  ``benchmarks/check_regression.py``
-turns the emitted ``--benchmark-json`` file into per-kernel speedups and
+Each pair is asserted equivalent (1e-10; the drift, resampling and
+random-field pairs exactly) before it is timed, so a benchmark run doubles
+as an integration check.  ``benchmarks/check_regression.py`` turns the
+emitted ``--benchmark-json`` file into per-kernel speedups and
 compares them against the committed baselines in
 ``benchmarks/results/kernel_baselines.json`` (machine-independent: ratios,
 not absolute times).
@@ -44,6 +47,7 @@ from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
 from repro.kernels import confidence as kconf
 from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
+from repro.kernels import random_field as krandom_field
 from repro.kernels import sea_surface as ksea
 from repro.resampling.window import resample_fixed_window
 from repro.sentinel2.scene import S2Image
@@ -262,3 +266,38 @@ def test_resample_reference(benchmark, beam):
 
 def test_resample_vectorized(benchmark, beam):
     benchmark.pedantic(_resample, args=("vectorized", beam), **ROUNDS)
+
+
+# ---------------------------------------------------------------------------
+# Spectral filtering of one granule's four random fields
+# ---------------------------------------------------------------------------
+
+#: Correlation lengths (px) of an 8 km scene's concentration, texture,
+#: ridge and cloud fields at 10 m pixels.
+RANDOM_FIELD_LENGTHS_PX = (250.0, 62.5, 25.0, 120.0)
+
+
+def _filter_fields(filtered_noise, white):
+    return [filtered_noise(white, length) for length in RANDOM_FIELD_LENGTHS_PX]
+
+
+@pytest.fixture(scope="module")
+def white_noise():
+    white = np.random.default_rng(17).standard_normal((800, 800))
+    ref = _filter_fields(krandom_field.filtered_noise_reference, white)
+    vec = _filter_fields(krandom_field.filtered_noise_vectorized, white)
+    for r, v in zip(ref, vec):
+        assert r.tobytes() == v.tobytes()
+    return white
+
+
+def test_random_field_reference(benchmark, white_noise):
+    benchmark.pedantic(
+        _filter_fields, args=(krandom_field.filtered_noise_reference, white_noise), **ROUNDS
+    )
+
+
+def test_random_field_vectorized(benchmark, white_noise):
+    benchmark.pedantic(
+        _filter_fields, args=(krandom_field.filtered_noise_vectorized, white_noise), **ROUNDS
+    )

@@ -23,13 +23,17 @@ implementations in this package:
   near-best candidates);
 * :mod:`repro.kernels.resampling` — the 2 m resampling median and majority
   class (one ``np.lexsort`` by (window, height) and one composite-key
-  ``np.bincount`` over all windows).
+  ``np.bincount`` over all windows);
+* :mod:`repro.kernels.random_field` — the Gaussian spectral filtering behind
+  every scene random field (the same 1-D FFTs as ``fft2``/``ifft2``,
+  skipping the rows and columns the filter underflows to zero).
 
 The *reference* implementations are the original per-window / per-bin /
 per-step / per-candidate loops, kept as the ground truth the vectorized
 kernels are equivalence-tested against (``tests/test_kernels_equivalence.py``
-asserts agreement to 1e-10, and exact agreement for the drift and resampling
-kernels) and benchmarked against (``benchmarks/bench_kernels.py``).
+asserts agreement to 1e-10, and exact agreement for the drift, resampling
+and random-field kernels) and benchmarked against
+(``benchmarks/bench_kernels.py``).
 
 Backend selection
 -----------------
@@ -102,6 +106,7 @@ from repro.kernels import (  # noqa: E402
     gridding,
     lstm,
     pyramid,
+    random_field,
     resampling,
     sea_surface,
 )
@@ -114,6 +119,7 @@ __all__ = [
     "gridding",
     "lstm",
     "pyramid",
+    "random_field",
     "resampling",
     "resolve_backend",
     "sea_surface",

@@ -27,6 +27,7 @@ one tile's pages — not the whole archive.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -222,9 +223,22 @@ def write_level3(
     encoded = json.dumps(payload, indent=2, sort_keys=True)
 
     if format == "npz":
-        np.savez(array_path, **product.variables)
+        _write_npz(array_path, product.variables)
     json_path.write_text(encoded + "\n")
     return array_path, json_path
+
+
+def _write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an uncompressed ``.npz`` archive, one ``<name>.npy`` each.
+
+    The same layout as ``np.savez(path, **arrays)``, which cannot take a
+    variable named ``file`` or ``allow_pickle`` (they collide with its own
+    parameters).
+    """
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, value in arrays.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
 
 
 def _read_raw(

@@ -20,8 +20,9 @@ import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
-#: Pickle protocol used for cached artifacts (NumPy-heavy, so protocol 4+).
-_PICKLE_PROTOCOL = 4
+#: Pickle protocol used for cached artifacts.  Protocol 5 pickles NumPy
+#: arrays from their own buffers, without an intermediate ``tobytes`` copy.
+_PICKLE_PROTOCOL = 5
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None``.
 #: ``load(key, MISS) is MISS`` is the canonical miss test.

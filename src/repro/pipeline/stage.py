@@ -50,9 +50,10 @@ class Stage:
         :meth:`StageContext.map_items`.
     cacheable:
         Whether the stage's outputs go to the stage cache.  Pure-assembly
-        stages that merely repackage upstream artifacts (``curate``,
-        ``training_set``) set this to ``False``: re-running them from cached
-        inputs is cheaper than pickling their (duplicated) outputs to disk.
+        stages that merely repackage upstream artifacts (``align``,
+        ``curate``, ``training_set``) set this to ``False``: re-running them
+        from cached inputs is cheaper than pickling their (duplicated)
+        outputs to disk.
     version:
         Bump to invalidate cached outputs after a code change to ``fn``.
     """

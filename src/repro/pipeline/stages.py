@@ -1,13 +1,21 @@
 """The Fig. 1 workflow registered as composable, cacheable stages.
 
 Each step of the paper's workflow — scene -> atl03 -> s2 -> segmentation ->
-resample -> drift -> autolabel -> train -> infer -> sea-surface -> freeboard
--> atl07/atl10 -> metrics, plus the Level-3/serving extension grid_granule ->
-mosaic_campaign -> build_pyramid — is a :class:`~repro.pipeline.stage.Stage` with
-declared typed inputs/outputs and the config slice it reads.
-:func:`default_graph` wires them into the canonical
-:class:`~repro.pipeline.graph.StageGraph`; :mod:`repro.workflow.end_to_end`
-and :mod:`repro.campaign.runner` are both executions of this graph.
+resample -> drift -> align -> autolabel -> train -> infer -> sea-surface ->
+freeboard -> atl07/atl10 -> metrics, plus the Level-3/serving extension
+grid_granule -> mosaic_campaign -> build_pyramid — is a
+:class:`~repro.pipeline.stage.Stage` with declared typed inputs/outputs and
+the config slice it reads.  :func:`default_graph` wires them into the
+canonical :class:`~repro.pipeline.graph.StageGraph`;
+:mod:`repro.workflow.end_to_end` and :mod:`repro.campaign.runner` are both
+executions of this graph.
+
+The stage cache holds each stage's outputs once.  The drift stage caches
+only the :class:`~repro.labeling.alignment.DriftEstimate`; the uncached
+``align`` stage re-derives the aligned image from the cached S2 image and
+that estimate (a change of georeferencing, not of pixels), so the S2 image
+(~27 MB for an 8 km scene) is written once per granule, not twice.
+``curate`` and ``training_set`` are uncached for the same reason.
 
 Determinism contract: a graph run is bit-for-bit identical to the historical
 monolithic ``prepare_experiment_data``/``run_end_to_end`` sequence.  The
@@ -137,18 +145,27 @@ def stage_drift(
     segmentation: SegmentationResult,
     segments: dict[str, SegmentArray],
 ) -> dict[str, Any]:
-    """Estimate S2 drift from the first beam and align the image.
+    """Estimate S2 drift from the first beam.
 
     Matches the monolith: drift is estimated once, from the granule's first
-    beam, and the aligned image feeds every beam's auto-labeling.
+    beam, and the image it aligns feeds every beam's auto-labeling.
     """
     if not ctx.config.estimate_drift or not segments:
-        return {"drift": None, "aligned_image": image}
+        return {"drift": None}
     first = next(iter(segments.values()))
     drift = estimate_drift(
         image, segmentation.class_map, first.x_m, first.y_m, first.height_mean_m
     )
-    return {"drift": drift, "aligned_image": apply_shift(image, drift)}
+    return {"drift": drift}
+
+
+def stage_align(
+    ctx: StageContext, image: S2Image, drift: DriftEstimate | None
+) -> dict[str, Any]:
+    """Shift the S2 image by the estimated drift (no drift: the image as is)."""
+    if drift is None:
+        return {"aligned_image": image}
+    return {"aligned_image": apply_shift(image, drift)}
 
 
 def _autolabel_one(
@@ -384,8 +401,18 @@ def build_default_graph() -> StageGraph:
             "drift",
             stage_drift,
             ("image", "segmentation", "segments"),
-            ("drift", "aligned_image"),
+            ("drift",),
             ("estimate_drift",),
+        ),
+        Stage(
+            "align",
+            stage_align,
+            ("image", "drift"),
+            ("aligned_image",),
+            (),
+            # Pure assembly: the aligned image shares the S2 image's pixels,
+            # so caching it would write the whole image a second time.
+            cacheable=False,
         ),
         Stage(
             "autolabel",

@@ -96,7 +96,8 @@ def apply_clouds_and_shadows(
     ``reflectance`` has shape ``(n_bands, ny, nx)``.  A thin cloud of
     transmittance ``t = exp(-tau)`` mixes the surface signal with the cloud's
     own reflectance: ``r' = t * r + (1 - t) * r_cloud``.  Shadowed pixels are
-    multiplied by ``1 - shadow_darkening``.
+    multiplied by ``1 - shadow_darkening``.  Returns a new array; the
+    input stack is left unchanged.
     """
     cfg = config if config is not None else CloudConfig()
     reflect = np.asarray(reflectance, dtype=float)
@@ -107,7 +108,8 @@ def apply_clouds_and_shadows(
     if tau.shape != reflect.shape[1:] or shadow.shape != reflect.shape[1:]:
         raise ValueError("cloud fields must match the image grid shape")
 
-    transmittance = np.exp(-tau)[None, :, :]
-    out = transmittance * reflect + (1.0 - transmittance) * cfg.cloud_reflectance
-    out = np.where(shadow[None, :, :], out * (1.0 - cfg.shadow_darkening), out)
+    transmittance = np.exp(-tau)
+    out = transmittance * reflect
+    out += (1.0 - transmittance) * cfg.cloud_reflectance
+    out[:, shadow] *= 1.0 - cfg.shadow_darkening
     return out

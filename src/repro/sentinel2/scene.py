@@ -181,9 +181,9 @@ def render_scene(
     class_map = scene.class_map
     ny, nx = class_map.shape
 
-    # Base reflectance per band from the class lookup table (vectorised gather).
-    reflect = CLASS_REFLECTANCE[class_map]            # (ny, nx, 4)
-    reflect = np.moveaxis(reflect, -1, 0).copy()      # (4, ny, nx)
+    # Base reflectance per band from the class lookup table: one gather
+    # straight into a C-ordered (4, ny, nx) stack.
+    reflect = np.take(CLASS_REFLECTANCE.T, class_map, axis=1)
 
     # Texture noise and ridge brightening.
     reflect += cfg.texture_noise * rng.standard_normal((1, ny, nx))

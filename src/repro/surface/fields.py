@@ -3,13 +3,15 @@
 The scene generator needs spatially correlated random fields (ice
 concentration, freeboard texture, cloud optical depth).  A Gaussian random
 field with a tunable correlation length is produced by filtering white noise
-in the Fourier domain, which is fast (O(n log n)) and fully vectorised.
+in the Fourier domain (:mod:`repro.kernels.random_field`), which is fast
+(O(n log n)) and fully vectorised.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import random_field
 from repro.utils.random import default_rng
 
 
@@ -41,22 +43,20 @@ def gaussian_random_field(
     ny, nx = shape
     if ny <= 0 or nx <= 0:
         raise ValueError("shape entries must be positive")
-    if correlation_length_px <= 0:
-        raise ValueError("correlation_length_px must be positive")
+    if not np.isfinite(correlation_length_px) or correlation_length_px <= 0:
+        raise ValueError("correlation_length_px must be positive and finite")
     rng = default_rng(rng)
 
     white = rng.standard_normal((ny, nx))
-    ky = np.fft.fftfreq(ny)[:, None]
-    kx = np.fft.fftfreq(nx)[None, :]
-    k2 = kx**2 + ky**2
-    # Gaussian spectral filter: exp(-(k * L)^2 / 2) with L in pixels.
-    filt = np.exp(-0.5 * k2 * (correlation_length_px * 2.0 * np.pi) ** 2)
-    spec = np.fft.fft2(white) * np.sqrt(filt)
-    field = np.real(np.fft.ifft2(spec))
+    field = random_field.filtered_noise(white, correlation_length_px)
     std = field.std()
     if std < 1e-12:
         return np.zeros(shape)
-    return (field - field.mean()) / std
+    # The kernel's output is the strided real part of a complex array: the
+    # subtraction writes a fresh contiguous field and frees that buffer.
+    field = field - field.mean()
+    field /= std
+    return field
 
 
 def smooth_threshold_classes(

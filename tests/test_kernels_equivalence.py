@@ -4,8 +4,9 @@ Every kernel in :mod:`repro.kernels` ships two backends — the original
 per-window / per-bin / per-step / per-candidate ``reference`` loops and the
 ``vectorized`` rewrites.  These tests assert that on random scenes (and the
 degenerate corners: empty windows, all-open-water tracks, single-photon
-bins, NaN photons) the two backends agree to 1e-10; the drift-search and
-resampling kernels, and the bounding-box lead stamping, must agree exactly.
+bins, NaN photons) the two backends agree to 1e-10; the drift-search,
+resampling and random-field kernels, and the bounding-box lead stamping,
+must agree exactly.
 """
 
 from datetime import datetime
@@ -23,12 +24,13 @@ from repro.freeboard.sea_surface import SEA_SURFACE_METHODS, estimate_sea_surfac
 from repro.kernels import confidence as kconf
 from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
+from repro.kernels import random_field as krandom_field
 from repro.kernels import resampling as kresampling
 from repro.kernels import sea_surface as ksea
 from repro.labeling.alignment import estimate_drift
 from repro.resampling.window import resample_fixed_window
 from repro.sentinel2.scene import S2Image
-from repro.surface.fields import add_linear_leads
+from repro.surface.fields import add_linear_leads, gaussian_random_field
 
 HYPOTHESIS_SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -666,3 +668,54 @@ class TestLeadStamping:
         assert_identical(out, _add_linear_leads_full_grid(base, 12, 2, 3, 9), "edge leads")
         border = np.concatenate([out[0], out[-1], out[:, 0], out[:, -1]])
         assert (border == 2).any()
+
+
+# ---------------------------------------------------------------------------
+# Gaussian random fields (pruned spectrum vs full fft2/ifft2)
+# ---------------------------------------------------------------------------
+
+
+def _compare_random_field(ny, nx, correlation_length_px, seed):
+    white = np.random.default_rng(seed).standard_normal((ny, nx))
+    ref = krandom_field.filtered_noise_reference(white, correlation_length_px)
+    vec = krandom_field.filtered_noise_vectorized(white, correlation_length_px)
+    assert ref.tobytes() == vec.tobytes(), "filtered noise differs"
+    with kernels.use_backend("reference"):
+        ref = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
+    with kernels.use_backend("vectorized"):
+        vec = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
+    assert ref.dtype == vec.dtype and ref.shape == vec.shape == (ny, nx)
+    assert ref.tobytes() == vec.tobytes(), "random field differs"
+    return vec
+
+
+class TestRandomFieldKernel:
+    @settings(**HYPOTHESIS_SETTINGS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ny=st.integers(1, 96),
+        nx=st.integers(1, 96),
+        correlation_length_px=st.floats(0.3, 500.0),
+    )
+    def test_random_shapes_and_lengths(self, seed, ny, nx, correlation_length_px):
+        _compare_random_field(ny, nx, correlation_length_px, seed)
+
+    @pytest.mark.parametrize("shape", [(97, 89), (61, 64), (1, 50), (50, 1), (2, 3)])
+    def test_odd_prime_and_thin_shapes(self, shape):
+        for correlation_length_px in (0.3, 2.5, 12.0, 120.0):
+            _compare_random_field(*shape, correlation_length_px, 3)
+
+    def test_no_pruning(self):
+        # At L = 0.3 px no row or column of the spectrum underflows.
+        ky = np.fft.fftfreq(64)
+        assert np.all(np.exp(-0.5 * ky**2 * (0.3 * 2.0 * np.pi) ** 2) > 0.0)
+        _compare_random_field(64, 64, 0.3, 5)
+
+    def test_dc_only_spectrum_is_the_zero_field(self):
+        # At L = 500 px only the DC term survives: the field is constant,
+        # its spread is below 1e-12, and both backends return zeros.
+        field = _compare_random_field(48, 40, 500.0, 6)
+        assert not field.any()
+
+    def test_single_pixel_is_the_zero_field(self):
+        assert not _compare_random_field(1, 1, 4.0, 7).any()

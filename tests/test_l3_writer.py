@@ -197,6 +197,16 @@ def products(draw):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("format", PRODUCT_FORMATS)
+    def test_variables_named_like_savez_parameters(self, tmp_path, format):
+        product = make_product(
+            variables={"file": np.arange(24.0).reshape(4, 6), "allow_pickle": np.ones((4, 6))}
+        )
+        write_level3(product, tmp_path / "product", format=format)
+        reloaded = read_level3(tmp_path / "product")
+        for name, original in product.variables.items():
+            np.testing.assert_array_equal(reloaded.variables[name], original)
+
     @given(product=products(), format=st.sampled_from(PRODUCT_FORMATS))
     @settings(**HYPOTHESIS_SETTINGS)
     def test_round_trip_is_byte_identical(self, product, format, tmp_path_factory):

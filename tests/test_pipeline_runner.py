@@ -55,7 +55,7 @@ def first_run(cache_root):
 
 
 #: Stages that execute every run by design: pure assembly of cached inputs.
-ASSEMBLY_STAGES = {"curate", "training_set"}
+ASSEMBLY_STAGES = {"align", "curate", "training_set"}
 
 
 class TestCachedExecution:
@@ -124,6 +124,25 @@ class TestCachedExecution:
                 first_run.value("freeboard")[name].freeboard_m,
                 result.value("freeboard")[name].freeboard_m,
             )
+
+    def test_drift_entry_holds_only_the_estimate(self, cache_root, first_run):
+        # The S2 image is cached once, by the s2 stage; the drift bundle
+        # holds just the DriftEstimate.
+        cache = StageCache(cache_root)
+        execution = next(e for e in first_run.executions if e.stage == "drift")
+        assert cache.store.path(execution.cache_key).stat().st_size < 64_000
+        bundle = cache.load_stage("drift", execution.fingerprint)
+        assert set(bundle["outputs"]) == {"drift"}
+
+    def test_warm_run_rebuilds_the_aligned_image(self, cache_root, first_run):
+        runner = GraphRunner(default_graph(), cache=StageCache(cache_root))
+        result = runner.run(CONFIG, targets=("image", "drift", "aligned_image"))
+        assert result.cache_misses == ()
+        assert set(result.executed_stages) == {"align"}
+        image, drift, aligned = result.values("image", "drift", "aligned_image")
+        assert aligned.origin_x_m == image.origin_x_m + drift.dx_m
+        assert aligned.origin_y_m == image.origin_y_m + drift.dy_m
+        np.testing.assert_array_equal(aligned.bands, image.bands)
 
     def test_uncached_runner_reports_no_cache_keys(self):
         result = GraphRunner(default_graph()).run(CONFIG, targets=("segments",))

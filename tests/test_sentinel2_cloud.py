@@ -76,6 +76,15 @@ class TestApplyCloudsAndShadows:
         )
         np.testing.assert_allclose(out, reflect)
 
+    def test_input_stack_is_left_unchanged(self):
+        rng = np.random.default_rng(1)
+        reflect = rng.uniform(0, 1, (4, 8, 8))
+        before = reflect.copy()
+        shadow = rng.random((8, 8)) < 0.3
+        out = apply_clouds_and_shadows(reflect, rng.uniform(0, 0.8, (8, 8)), shadow)
+        np.testing.assert_array_equal(reflect, before)
+        assert not np.array_equal(out, reflect)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_clouds_and_shadows(np.zeros((4, 8, 8)), np.zeros((6, 6)), np.zeros((8, 8), dtype=bool))

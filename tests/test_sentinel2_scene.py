@@ -16,6 +16,10 @@ class TestRenderScene:
         assert s2_image.bands.min() >= 0.0
         assert s2_image.bands.max() <= 1.0
 
+    def test_band_stack_is_c_ordered_float64(self, s2_image):
+        assert s2_image.bands.dtype == np.float64
+        assert s2_image.bands.flags.c_contiguous
+
     def test_thick_ice_brighter_than_water(self, s2_image, scene):
         brightness = s2_image.bands[:3].mean(axis=0)
         thick = scene.class_map == CLASS_THICK_ICE

@@ -36,6 +36,11 @@ class TestGaussianRandomField:
         with pytest.raises(ValueError):
             gaussian_random_field((8, 8), 0.0)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_nonfinite_correlation_rejected(self, length):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_random_field((8, 8), length)
+
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ValueError):
             gaussian_random_field((8, 8, 8), 2.0)  # type: ignore[arg-type]
