@@ -4,10 +4,10 @@ Four enabled/disabled pairs, mirroring the hot paths the instrumentation
 rides on:
 
 * **query**: a pre-warmed router serving a request batch from the shard LRU
-  caches — the serving steady state, where every request crosses the
-  ``router.request`` -> ``engine.query_batch`` span pair and a dozen
-  counters.  This is the path with the least real work per span, so it is
-  the most overhead-sensitive.
+  caches — the serving steady state, where every request opens exactly one
+  span (``router.request``, onto which the shard engine records its cache
+  accounting) and makes about a dozen metric updates.  This is the path
+  with the least real work per span, so it is the most overhead-sensitive.
 * **campaign**: one small end-to-end campaign run — curation, pooled
   training, retrieval, aggregation — where spans and stage counters wrap
   seconds of numeric work and the overhead must disappear in the noise.

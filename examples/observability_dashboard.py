@@ -10,12 +10,15 @@ Demonstrates the `repro.obs` tier end to end:
    .with_ingest()`): the same handle flows into the router, the shard
    engines and the ingest service, so one registry sees every tier;
 3. serve queries (cold then cache-hot) and ingest a new granule — each
-   request produces a `router.request -> engine.query_batch ->
-   loader.fetch` span chain, each ingest a `ingest.ingest` chain;
+   request is one `router.request` span, with a cold decode's
+   `mapreduce.run -> loader.fetch` below it, and each ingest a
+   `ingest.ingest` chain;
 4. export all three surfaces: the versioned-schema JSON health dashboard
    (validated against the committed schema, atomic write), the Prometheus
    text exposition, and a Chrome `trace_event` file loadable in Perfetto /
-   `chrome://tracing`.
+   `chrome://tracing`;
+5. print the self-time rollup (`profile_table`): where the traced time
+   went, by span name, with nested spans counted once.
 
 Run:  python examples/observability_dashboard.py
 
@@ -37,6 +40,7 @@ from repro.obs import (
     availability_slo,
     build_health_dashboard,
     freshness_slo,
+    profile_table,
     prometheus_text,
     set_default_obs,
     validate_dashboard,
@@ -166,6 +170,16 @@ def main() -> None:
             f"prometheus exposition: {len(text.splitlines())} lines; "
             f"chrome trace: {n_events} span events (open in chrome://tracing)"
         )
+
+        # 5. Where did the time go?  Self time per span name, computed from
+        #    the finished spans now; the traced code paid nothing for it.
+        rows = profile_table(obs.tracer)
+        assert rows and rows[0].self_s >= rows[-1].self_s
+        print(f"\n{'span':<24} {'calls':>6} {'self s':>9} {'total s':>9}")
+        for row in rows[:10]:
+            print(
+                f"{row.name:<24} {row.calls:>6} {row.self_s:>9.3f} {row.total_s:>9.3f}"
+            )
     finally:
         if runner is not None:
             runner.close()

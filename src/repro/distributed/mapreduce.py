@@ -53,12 +53,17 @@ import numpy as np
 from repro.distributed.shm import ArrayDescriptor, SharedArrayStore, attach_view, dumps_shared
 from repro.obs.core import Obs, default_obs
 from repro.obs.propagate import TracedTask, WorkerTelemetry, current_context, merge_worker_telemetry
+from repro.obs.trace import NullTracer, Tracer
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Executor kinds supported by the engine (shared with the campaign layer).
 EXECUTORS = ("serial", "thread", "process")
+
+#: The phase tracer of inline jobs, whose one ``mapreduce.run`` span carries
+#: the phase timings as attributes instead of child spans.
+_NO_PHASE_SPANS = NullTracer()
 
 
 def partition_indices(n_items: int, n_partitions: int) -> list[np.ndarray]:
@@ -119,14 +124,16 @@ class MapReduceEngine:
         Arrays smaller than this are pickled by value even with ``use_shm``
         (descriptor overhead beats copying only past a threshold).
     obs:
-        Telemetry handle; ``None`` resolves the process default.  Jobs emit
-        ``mapreduce.load``/``map``/``reduce`` spans plus one
-        ``mapreduce.task`` span per partition — thread tasks open real
-        child spans inside a copied driver context, process tasks run a
-        worker-side tracer whose finished subtree (and metric deltas) ship
-        back with the result and graft under ``mapreduce.map`` — and feed
-        the ``mapreduce_*`` counters: jobs, pool spawns, shm publish/attach
-        bytes.
+        Telemetry handle; ``None`` resolves the process default.  A job on
+        the inline path (serial executor, or a single partition) records
+        one ``mapreduce.run`` span with ``load_s``/``map_s``/``reduce_s``
+        attributes.  A pool job emits ``mapreduce.load``/``map``/``reduce``
+        spans plus one ``mapreduce.task`` span per partition — thread tasks
+        open real child spans inside a copied driver context, process tasks
+        run a worker-side tracer whose finished subtree (and metric deltas)
+        ship back with the result and graft under ``mapreduce.map``.  Jobs
+        feed the ``mapreduce_*`` counters: jobs, pool spawns, shm
+        publish/attach bytes.
 
     The engine keeps its worker pool alive between jobs; call :meth:`close`
     (or use the engine as a context manager) to release the workers.  A
@@ -154,6 +161,7 @@ class MapReduceEngine:
         self.use_shm = bool(use_shm)
         self.shm_min_bytes = shm_min_bytes
         self.obs = obs if obs is not None else default_obs()
+        self._c_jobs = self.obs.counter("mapreduce_jobs_total", executor=executor)
         self._pool_box: list[Executor] = []
         self._pool_workers = 0
         self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool_box)
@@ -232,24 +240,20 @@ class MapReduceEngine:
         campaign/serve layers rely on this to keep single-item fan-outs
         serial.
 
-        Inline tasks get real nested spans (they share the driver's trace
-        context).  Thread-pool tasks run inside a *copy* of the driver's
-        context (:class:`_ContextTask`), so their spans are true children
-        of the driver's open ``mapreduce.map`` span on the shared tracer.
+        Inline tasks open no spans of their own: the job's one
+        ``mapreduce.run`` span covers them (:meth:`_job`), and any span a
+        task opens nests under it.  Thread-pool tasks run inside a *copy*
+        of the driver's context (:class:`_ContextTask`), so their spans are
+        true children of the driver's open ``mapreduce.map`` span on the
+        shared tracer.
         Process-pool tasks run under a worker-local tracer rooted at the
         shipped :class:`~repro.obs.propagate.TraceContext` and come back as
         ``(value, WorkerTelemetry)`` pairs the driver grafts into its own
         tree (real subtrees, not retroactive duration blobs).
         """
         obs = self.obs
-        if self.executor == "serial" or len(tasks) <= 1:
-            if not obs.tracer.enabled:
-                return [task() for task in tasks]
-            out = []
-            for index, task in enumerate(tasks):
-                with obs.span("mapreduce.task", index=index, executor="inline"):
-                    out.append(task())
-            return out
+        if self._inline(len(tasks)):
+            return [task() for task in tasks]
         n_workers = min(self.max_workers, len(tasks))
         timed = obs.tracer.enabled
         if self.executor == "thread":
@@ -296,6 +300,35 @@ class MapReduceEngine:
             published * n_attachers
         )
 
+    def _inline(self, width: int) -> bool:
+        """Whether a job of ``width`` partitions runs in the calling thread."""
+        return self.executor == "serial" or width <= 1
+
+    def _job(
+        self, width: int, body: Callable[[Tracer | NullTracer], MapReduceResult]
+    ) -> MapReduceResult:
+        """Count one job and run ``body(phase_tracer)`` under its spans.
+
+        A pool job hands ``body`` the real tracer, so each phase is a span
+        and worker tasks graft under ``mapreduce.map``.  An inline job is
+        one ``mapreduce.run`` span whose ``load_s``/``map_s``/``reduce_s``
+        attributes hold the phase timings: the serve path runs a job on
+        every cache miss, and one span costs less than four.
+        """
+        self._c_jobs.inc()
+        if not self._inline(width):
+            return body(self.obs.tracer)
+        with self.obs.span(
+            "mapreduce.run", n_partitions=width, executor=self.executor
+        ) as span:
+            result = body(_NO_PHASE_SPANS)
+            span.set(
+                load_s=result.load_seconds,
+                map_s=result.map_seconds,
+                reduce_s=result.reduce_seconds,
+            )
+        return result
+
     def run(
         self,
         load: Callable[[], Sequence[T]],
@@ -313,10 +346,19 @@ class MapReduceEngine:
         engine can serve fan-outs of different widths.
         """
         width = self.n_partitions if n_partitions is None else n_partitions
-        obs = self.obs
-        obs.counter("mapreduce_jobs_total", executor=self.executor).inc()
+        return self._job(
+            width, lambda tracer: self._run(load, map_fn, reduce_fn, width, tracer)
+        )
 
-        with obs.span("mapreduce.load"):
+    def _run(
+        self,
+        load: Callable[[], Sequence[T]],
+        map_fn: Callable[[Sequence[T]], R],
+        reduce_fn: Callable[[list[R]], object],
+        width: int,
+        tracer: Tracer | NullTracer,
+    ) -> MapReduceResult:
+        with tracer.span("mapreduce.load"):
             start = time.perf_counter()
             items = list(load())
             load_s = time.perf_counter() - start
@@ -328,12 +370,12 @@ class MapReduceEngine:
             tasks = [_PartitionTask(map_fn, partition) for partition in partitions]
         else:
             tasks = [(lambda p=partition: map_fn(p)) for partition in partitions]
-        with obs.span("mapreduce.map", n_partitions=width, executor=self.executor):
+        with tracer.span("mapreduce.map", n_partitions=width, executor=self.executor):
             start = time.perf_counter()
             mapped = self._run_tasks(tasks)
             map_s = time.perf_counter() - start
 
-        with obs.span("mapreduce.reduce"):
+        with tracer.span("mapreduce.reduce"):
             start = time.perf_counter()
             value = reduce_fn(list(mapped))
             reduce_s = time.perf_counter() - start
@@ -367,11 +409,21 @@ class MapReduceEngine:
         lengths = {name: a.shape[0] for name, a in arrays.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"arrays must share their first dimension, got {lengths}")
-        n_items = next(iter(lengths.values())) if lengths else 0
         width = self.n_partitions if n_partitions is None else n_partitions
+        return self._job(
+            width,
+            lambda tracer: self._map_arrays(arrays, map_fn, reduce_fn, width, tracer),
+        )
 
-        obs = self.obs
-        obs.counter("mapreduce_jobs_total", executor=self.executor).inc()
+    def _map_arrays(
+        self,
+        arrays: dict[str, np.ndarray],
+        map_fn: Callable[[dict[str, np.ndarray]], R],
+        reduce_fn: Callable[[list[R]], object],
+        width: int,
+        tracer: Tracer | NullTracer,
+    ) -> MapReduceResult:
+        n_items = next(iter(arrays.values())).shape[0] if arrays else 0
         start = time.perf_counter()
         parts = partition_indices(n_items, width)
         load_s = time.perf_counter() - start
@@ -384,7 +436,7 @@ class MapReduceEngine:
             and any(np.asarray(a).nbytes for a in arrays.values())
         )
         if shared:
-            with obs.span(
+            with tracer.span(
                 "mapreduce.map", n_partitions=width, executor=self.executor, shm=True
             ):
                 start = time.perf_counter()
@@ -402,14 +454,14 @@ class MapReduceEngine:
                 tasks = [_PartitionTask(map_fn, chunk) for chunk in slices]
             else:
                 tasks = [(lambda c=chunk: map_fn(c)) for chunk in slices]
-            with obs.span(
+            with tracer.span(
                 "mapreduce.map", n_partitions=width, executor=self.executor
             ):
                 start = time.perf_counter()
                 mapped = self._run_tasks(tasks)
                 map_s = time.perf_counter() - start
 
-        with obs.span("mapreduce.reduce"):
+        with tracer.span("mapreduce.reduce"):
             start = time.perf_counter()
             value = reduce_fn(list(mapped))
             reduce_s = time.perf_counter() - start

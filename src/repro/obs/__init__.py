@@ -7,7 +7,9 @@ The one instrumentation layer across campaign → serve → ingest:
   outlive the components that feed them.
 * :class:`~repro.obs.trace.Tracer` — nested spans (trace/parent ids,
   a :mod:`repro.clock` clock) in a bounded ring buffer, with worker-side subtrees
-  merged across process boundaries by :mod:`~repro.obs.propagate`.
+  merged across process boundaries by :mod:`~repro.obs.propagate`;
+  :func:`~repro.obs.trace.profile_table` rolls them up into self time per
+  span name.
 * :class:`~repro.obs.log.EventLog` — structured JSON-lines events that
   automatically carry the current trace/span ids.
 * :class:`~repro.obs.slo.SloEvaluator` — declarative SLOs over existing
@@ -67,7 +69,7 @@ from repro.obs.slo import (
     freshness_slo,
     latency_slo,
 )
-from repro.obs.trace import NullSpan, NullTracer, Span, Tracer
+from repro.obs.trace import NullSpan, NullTracer, ProfileRow, Span, Tracer, profile_table
 
 __all__ = [
     "DASHBOARD_SCHEMA_VERSION",
@@ -96,6 +98,7 @@ __all__ = [
     "NullTracer",
     "Obs",
     "ObsConfig",
+    "ProfileRow",
     "SloConfig",
     "SloEvaluator",
     "SloSpec",
@@ -114,6 +117,7 @@ __all__ = [
     "harvest_worker_telemetry",
     "latency_slo",
     "merge_worker_telemetry",
+    "profile_table",
     "prometheus_text",
     "set_default_obs",
     "validate_dashboard",

@@ -9,13 +9,14 @@ router shards, the ingest service.  Three properties drive the design:
   rebuilt query engine (quarantine re-route, loader swap) re-acquires the
   counters its predecessor was feeding and the series continues — the
   pre-obs ``QueryStats`` reset silently on every rebuild.
-* **No allocation on the hot path.**  Histograms pre-allocate their NumPy
-  bucket-count array at registration; ``observe`` is one ``searchsorted``
-  plus two scalar adds under the metric's lock.
-* **Real thread safety.**  The router's asyncio tasks, the engine's thread
-  executor and the map-reduce driver all hammer one registry; every mutate
-  takes a per-metric ``threading.Lock`` (an unsynchronized ``+=`` is *not*
-  atomic under the GIL).
+* **Cheap updates, real thread safety.**  The router's asyncio tasks, the
+  engine's thread executor and the map-reduce driver all hammer one
+  registry, and an unsynchronized ``+=`` is *not* atomic under the GIL.
+  So an update only appends to the metric's pending list (one atomic C
+  call), and reads fold the queued updates in under a per-metric
+  ``threading.Lock``: the lock is paid per read, not per event.  Histogram
+  buckets are a pre-allocated list; folding an observation is one
+  ``bisect`` over the edge tuple plus scalar adds.
 
 The null twins (:class:`NullCounter` & co., behind
 ``ObsConfig(enabled=False)``) share the same surface and do nothing, so
@@ -25,6 +26,7 @@ instrumented code never branches on whether telemetry is on.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -66,84 +68,148 @@ def _label_key(labels: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
+#: Pending updates a metric holds before an update folds them in itself,
+#: which bounds its memory however rarely it is read.
+_FOLD_AT = 32
+
+
+class _Metric:
+    """Shared plumbing of the three metric kinds: buffered, lock-free updates.
+
+    An update appends to a pending list — ``list.append`` is one atomic C
+    call — instead of taking a ``threading.Lock``, whose round trip costs
+    several times the update it guards.  Reads fold the pending updates
+    into the running state under the metric's lock, oldest first, so every
+    read sees exactly the value the same updates would have produced one
+    at a time.  An update that finds :data:`_FOLD_AT` updates pending
+    folds them itself.  (A list, not a ``deque``: an idle metric's empty
+    list costs a few bytes, an empty deque a whole block.)
+    """
+
+    kind = ""
+
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
+        self.name = name
+        self.labels = labels
+        self._pending: list = []
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict[str, Any]:
+        self._fold()
+        state = self.__dict__.copy()
+        del state["_lock"], state["_pending"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._pending = []
+        self._lock = threading.Lock()
+
+    def _fold(self) -> None:
+        """Apply every update pending now (later appends wait their turn)."""
+        if self._pending:
+            with self._lock:
+                self._apply(self._take())
+
+    def _take(self) -> list:
+        """Remove and return the pending updates; the caller holds the lock.
+
+        Only lock holders remove, and appends only extend the tail, so the
+        slice taken is exactly the slice deleted.
+        """
+        pending = self._pending
+        n = len(pending)
+        updates = pending[:n]
+        del pending[:n]
+        return updates
+
+    def _apply(self, updates: list) -> None:
+        """Fold ``updates`` in, oldest first; the caller holds the lock."""
+        raise NotImplementedError
+
+
+class Counter(_Metric):
     """A monotonically increasing count (events, bytes, seconds-of-work)."""
 
     kind = "counter"
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self._value = 0.0
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def inc(self, value: float = 1.0) -> None:
         if value < 0:
             raise ValueError("counters only go up; use a gauge for ups and downs")
-        with self._lock:
-            self._value += value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _apply(self, updates: list) -> None:
+        value = self._value
+        for update in updates:
+            value += update
+        self._value = value
 
     @property
     def value(self) -> float:
+        self._fold()
         return self._value
 
     def __repr__(self) -> str:
-        return f"Counter({self.name}{dict(self.labels)}={self._value})"
+        return f"Counter({self.name}{dict(self.labels)}={self.value})"
 
 
-class Gauge:
-    """A value that goes both ways (queue depth, fleet size, freshness)."""
+class Gauge(_Metric):
+    """A value that goes both ways (queue depth, fleet size, freshness).
+
+    Pending updates are ``(is_set, value)`` pairs: a ``set`` replaces the
+    running value and an ``add`` moves it, in the order they were made.
+    """
 
     kind = "gauge"
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self._value = 0.0
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        pending = self._pending
+        pending.append((True, value))
+        if len(pending) >= _FOLD_AT:
+            self._fold()
 
     def add(self, value: float) -> None:
-        with self._lock:
-            self._value += value
+        pending = self._pending
+        pending.append((False, value))
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _apply(self, updates: list) -> None:
+        value = self._value
+        for is_set, update in updates:
+            value = float(update) if is_set else value + update
+        self._value = value
 
     @property
     def value(self) -> float:
+        self._fold()
         return self._value
 
     def __repr__(self) -> str:
-        return f"Gauge({self.name}{dict(self.labels)}={self._value})"
+        return f"Gauge({self.name}{dict(self.labels)}={self.value})"
 
 
-class Histogram:
+class Histogram(_Metric):
     """Fixed-bucket distribution with Prometheus ``le`` semantics.
 
     ``edges`` are the finite bucket upper bounds; an implicit ``+Inf``
-    bucket catches the overflow.  Bucket counts are a pre-allocated int64
-    array — ``observe`` allocates nothing: one ``searchsorted`` locates the
-    bucket (``side="left"`` puts a value equal to an edge *in* that edge's
-    ``le`` bucket) and two scalar adds maintain ``count``/``sum``.
+    bucket catches the overflow.  Bucket counts are a pre-allocated list of
+    ints, and ``observe`` only queues the value.  Folding it in is one
+    ``bisect_left`` over the ``edges`` tuple (a value equal to an edge lands
+    *in* that edge's ``le`` bucket, as ``searchsorted(side="left")`` would)
+    and scalar adds to the bucket, ``count`` and ``sum``.  A scalar
+    ``bisect`` over a short tuple costs a fraction of a NumPy call.
     """
 
     kind = "histogram"
@@ -159,42 +225,44 @@ class Histogram:
             raise ValueError("a histogram needs at least one bucket edge")
         if any(b <= a for a, b in zip(finite, finite[1:])):
             raise ValueError("bucket edges must be strictly increasing")
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self.edges = finite
-        self._edges_array = np.asarray(finite, dtype=float)
-        self._counts = np.zeros(len(finite) + 1, dtype=np.int64)
+        self._counts = [0] * (len(finite) + 1)
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        idx = int(np.searchsorted(self._edges_array, value, side="left"))
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _apply(self, updates: list) -> None:
+        edges, counts = self.edges, self._counts
+        overflow = len(edges)
+        total = self._sum
+        for value in updates:
+            # NaN compares false against every edge; searchsorted sorts it
+            # last, into the +Inf bucket, and so does this.
+            counts[bisect_left(edges, value) if value == value else overflow] += 1
+            total += value
+        self._sum = total
+        self._count += len(updates)
 
     @property
     def count(self) -> int:
+        self._fold()
         return self._count
 
     @property
     def sum(self) -> float:
+        self._fold()
         return self._sum
 
     @property
     def value(self) -> float:
         """The running mean — the scalar summary exports fall back to."""
+        self._fold()
         return self._sum / self._count if self._count else 0.0
 
     def merge_counts(
@@ -207,28 +275,31 @@ class Histogram:
         driver adds them here.  Bucket layouts must match — the worker
         built its histogram from the same registration site.
         """
-        incoming = np.asarray(counts, dtype=np.int64)
-        if incoming.shape != self._counts.shape:
+        incoming = [int(c) for c in counts]
+        if len(incoming) != len(self._counts):
             raise ValueError(
                 f"bucket count mismatch merging {self.name!r}: "
-                f"{incoming.shape} into {self._counts.shape}"
+                f"({len(incoming)},) into ({len(self._counts)},)"
             )
         with self._lock:
-            self._counts += incoming
+            self._apply(self._take())
+            for idx, count in enumerate(incoming):
+                self._counts[idx] += count
             self._sum += float(total_sum)
             self._count += int(total_count)
 
     def bucket_counts(self) -> np.ndarray:
         """Per-bucket (non-cumulative) counts; last entry is the +Inf bucket."""
         with self._lock:
-            return self._counts.copy()
+            self._apply(self._take())
+            return np.array(self._counts, dtype=np.int64)
 
     def cumulative_counts(self) -> np.ndarray:
         """Cumulative ``le`` counts, the Prometheus exposition shape."""
-        with self._lock:
-            return np.cumsum(self._counts)
+        return np.cumsum(self.bucket_counts())
 
     def __repr__(self) -> str:
+        self._fold()
         return (
             f"Histogram({self.name}{dict(self.labels)} "
             f"count={self._count} sum={self._sum})"

@@ -4,7 +4,8 @@ A :class:`Span` is one timed operation — a routed request, a pipeline
 stage, one map task.  Spans nest through a :class:`contextvars.ContextVar`,
 so the current span follows the code across ``await`` boundaries (asyncio
 copies the context into every task) and a span opened by the router is the
-parent of the span the shard engine opens while serving it.  Thread-pool
+parent of every span opened while serving it, such as a decode's
+map-reduce job.  Thread-pool
 tasks of the map-reduce engine run in a copy of the driver's context, so
 their spans are true children too; process-pool workers ship their spans
 back as a :class:`~repro.obs.propagate.WorkerTelemetry` subtree, grafted
@@ -19,24 +20,27 @@ a span whose duration equals 0.004 to the last bit.
 Finished spans land in a ``deque(maxlen=...)`` ring buffer; once it wraps,
 the oldest spans drop and :attr:`Tracer.n_dropped` counts them.  Span and
 trace ids are small deterministic strings (``s0007`` / ``t0003``), not
-random UUIDs, so traces are reproducible run to run.
+random UUIDs, so traces are reproducible run to run.  Opening and closing
+a span takes no lock.  :func:`profile_table` rolls the finished spans up
+into self time per span name when it is called, so the traced code pays
+nothing for the rollup.
 """
 
 from __future__ import annotations
 
 import contextvars
-import threading
-from collections import deque
-from contextlib import contextmanager
+import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.clock import MonotonicClock
+from repro.obs.metrics import Counter
 
-__all__ = ["NullSpan", "NullTracer", "Span", "Tracer"]
+__all__ = ["NullSpan", "NullTracer", "ProfileRow", "Span", "Tracer", "profile_table"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation; ``end`` stays ``None`` until the span closes."""
 
@@ -90,15 +94,18 @@ class Tracer:
         self.clock = clock if clock is not None else MonotonicClock()
         self.buffer_size = buffer_size
         self._spans: deque[Span] = deque(maxlen=buffer_size)
-        self.n_dropped = 0
         #: Optional anything-with-``inc()`` (a registry counter) mirroring
         #: every ring-buffer drop, so truncated traces are visible in
-        #: exports instead of only on this private attribute.  ``Obs``
-        #: wires ``trace_spans_dropped_total`` here.
+        #: exports instead of only on :attr:`n_dropped`.  ``Obs`` wires
+        #: ``trace_spans_dropped_total`` here.
         self.drop_counter: Any = None
-        self._lock = threading.Lock()
-        self._next_span = 1
-        self._next_trace = 1
+        # No lock on the hot path: ``next()`` on an ``itertools.count`` and
+        # ``deque.append`` are single thread-safe C calls.  A span's finish
+        # ordinal says whether its append pushed the oldest span out.
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
+        self._finished = itertools.count(1)
+        self._drops = Counter("trace_spans_dropped")
         self._current: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
             "repro_obs_current_span", default=None
         )
@@ -106,59 +113,39 @@ class Tracer:
     # -- ids / context -------------------------------------------------------
 
     def _span_id(self) -> str:
-        with self._lock:
-            sid, self._next_span = self._next_span, self._next_span + 1
-        return f"s{sid:04d}"
+        return "s%04d" % next(self._span_ids)
 
     def _trace_id(self) -> str:
-        with self._lock:
-            tid, self._next_trace = self._next_trace, self._next_trace + 1
-        return f"t{tid:04d}"
+        return "t%04d" % next(self._trace_ids)
 
     @property
     def current_span(self) -> Span | None:
         """The innermost open span of the calling context, if any."""
         return self._current.get()
 
+    @property
+    def n_dropped(self) -> int:
+        """Spans the full ring buffer pushed out since the last :meth:`clear`."""
+        return int(self._drops.value)
+
     def _finish(self, span: Span, end: float) -> None:
         span.end = end
-        dropped = False
-        with self._lock:
-            if len(self._spans) == self._spans.maxlen:
-                self.n_dropped += 1
-                dropped = True
-            self._spans.append(span)
-        if dropped and self.drop_counter is not None:
-            self.drop_counter.inc()
+        self._spans.append(span)
+        if next(self._finished) > self.buffer_size:
+            self._drops.inc()
+            if self.drop_counter is not None:
+                self.drop_counter.inc()
 
     # -- emission ------------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> "_SpanScope":
         """Open a span as a child of the context's current span.
 
         The span closes (and lands in the buffer) when the block exits;
         an escaping exception is recorded as an ``error`` attribute and
         re-raised.
         """
-        parent = self._current.get()
-        span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent is not None else self._trace_id(),
-            span_id=self._span_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start=self.clock.now(),
-            attributes=dict(attributes),
-        )
-        token = self._current.set(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.attributes.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            self._current.reset(token)
-            self._finish(span, self.clock.now())
+        return _SpanScope(self, name, attributes)
 
     def emit(
         self,
@@ -196,25 +183,69 @@ class Tracer:
 
     def spans(self, name: str | None = None) -> tuple[Span, ...]:
         """Finished spans, oldest first (optionally filtered by name)."""
-        with self._lock:
-            snapshot = tuple(self._spans)
+        # ``deque.copy`` is one C call, so a concurrent finish cannot
+        # interleave with the snapshot.
+        snapshot = tuple(self._spans.copy())
         if name is None:
             return snapshot
         return tuple(span for span in snapshot if span.name == name)
 
     def trace(self, trace_id: str) -> tuple[Span, ...]:
         """Every finished span of one trace, oldest first."""
-        with self._lock:
-            return tuple(span for span in self._spans if span.trace_id == trace_id)
+        return tuple(span for span in self.spans() if span.trace_id == trace_id)
 
     def children(self, span: Span) -> tuple[Span, ...]:
-        with self._lock:
-            return tuple(s for s in self._spans if s.parent_id == span.span_id)
+        return tuple(s for s in self.spans() if s.parent_id == span.span_id)
 
     def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self.n_dropped = 0
+        self._spans.clear()
+        self._finished = itertools.count(1)
+        self._drops = Counter("trace_spans_dropped")
+
+
+class _SpanScope:
+    """The context manager behind :meth:`Tracer.span`.
+
+    A slotted class rather than a ``@contextmanager`` generator: entering
+    and leaving a span is the per-request cost of every traced hot path,
+    and a plain ``__enter__``/``__exit__`` pair skips the generator frame
+    and its wrapper.  ``attributes`` is the fresh ``**kwargs`` dict of the
+    ``span()`` call, so the span owns it without a copy.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_token")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        parent = tracer._current.get()
+        if parent is None:
+            trace_id, parent_id = tracer._trace_id(), None
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        span = self._span = Span(
+            self._name,
+            trace_id,
+            tracer._span_id(),
+            parent_id,
+            tracer.clock.now(),
+            None,
+            self._attributes,
+        )
+        self._token = tracer._current.set(span)
+        return span
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        tracer = self._tracer
+        span = self._span
+        if exc_type is not None:
+            span.attributes.setdefault("error", exc_type.__name__)
+        tracer._current.reset(self._token)
+        tracer._finish(span, tracer.clock.now())
 
 
 class NullSpan:
@@ -284,3 +315,69 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Self-time rollup: "where did the time go?", computed when read.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProfileRow:
+    """One span name's share of the trace.
+
+    ``self_s`` is time inside spans of this name but outside their direct
+    children, so the self times of a tree add up to its root's duration
+    and no nesting is counted twice.  ``total_s`` is inclusive time counted
+    only for the outermost span of the name (a ``mapreduce.map`` nested in
+    another ``mapreduce.map`` adds calls, not time).
+    """
+
+    name: str
+    calls: int
+    self_s: float
+    total_s: float
+
+
+def _covered(span: Span, children: list[Span]) -> float:
+    """Length of the union of the children's intervals inside ``span``.
+
+    A union, not a sum: pool tasks run concurrently, so their intervals
+    overlap, and the parent's self time must not go negative.
+    """
+    covered = 0.0
+    reach = span.start
+    for start, end in sorted((c.start, c.end) for c in children):
+        start, end = max(start, reach), min(end, span.end)
+        if end > start:
+            covered += end - start
+            reach = end
+    return covered
+
+
+def profile_table(tracer: Tracer | NullTracer) -> list[ProfileRow]:
+    """Self and inclusive time per span name, largest self time first.
+
+    Built from the tracer's finished spans when called, so the traced code
+    pays nothing for it.  A span whose parent has left the ring buffer
+    counts as a root.
+    """
+    spans = tracer.spans()
+    by_id = {span.span_id: span for span in spans}
+    children: dict[str, list[Span]] = defaultdict(list)
+    for span in spans:
+        if span.parent_id in by_id:
+            children[span.parent_id].append(span)
+    calls: dict[str, int] = defaultdict(int)
+    self_s: dict[str, float] = defaultdict(float)
+    total_s: dict[str, float] = defaultdict(float)
+    for span in spans:
+        calls[span.name] += 1
+        self_s[span.name] += span.duration - _covered(span, children[span.span_id])
+        ancestor = by_id.get(span.parent_id)
+        while ancestor is not None and ancestor.name != span.name:
+            ancestor = by_id.get(ancestor.parent_id)
+        if ancestor is None:
+            total_s[span.name] += span.duration
+    rows = [ProfileRow(name, calls[name], self_s[name], total_s[name]) for name in calls]
+    return sorted(rows, key=lambda row: (-row.self_s, row.name))

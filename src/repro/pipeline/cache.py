@@ -2,7 +2,8 @@
 
 :class:`ArtifactStore` is the generic namespaced pickle store: one directory
 per namespace, one atomically-written file per key, corrupt entries treated
-as misses.  :class:`StageCache` wraps it with content-addressed per-stage
+as misses (and moved aside, counted and logged, never silently dropped).
+:class:`StageCache` wraps it with content-addressed per-stage
 keys (``<stage>-<fingerprint>``) under ``<root>/stages/``, shared by every
 campaign and workflow run under the same cache root.  It is the only cache
 tier: because every key is a content fingerprint, an entry can never be
@@ -19,6 +20,8 @@ import pickle
 import tempfile
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.obs.core import Obs, default_obs
 
 #: Pickle protocol used for cached artifacts.  Protocol 5 pickles NumPy
 #: arrays from their own buffers, without an intermediate ``tobytes`` copy.
@@ -37,15 +40,18 @@ class ArtifactStore:
 
     Writes are atomic (temp file + ``os.replace``) so an interrupted run
     never leaves a truncated artifact behind; unreadable entries are treated
-    as misses and recomputed.
+    as misses and recomputed, after being moved aside to ``<key>.corrupt``,
+    counted in ``cache_corrupt_total{namespace}`` and logged as a
+    ``cache.corrupt`` warning on ``obs`` (``None``: the process default).
     """
 
-    def __init__(self, root: str | Path, namespace: str) -> None:
+    def __init__(self, root: str | Path, namespace: str, obs: Obs | None = None) -> None:
         if not namespace:
             raise ValueError("namespace must be a non-empty string")
         self.root = Path(root)
         self.namespace = namespace
         self.dir = self.root / namespace
+        self.obs = obs if obs is not None else default_obs()
 
     def path(self, key: str) -> Path:
         """Filesystem path of one artifact."""
@@ -60,9 +66,10 @@ class ArtifactStore:
         """Return the cached artifact, or ``default`` on a miss.
 
         A corrupt or unreadable entry (interrupted write under a pre-atomic
-        layout, disk error, unpicklable future version) counts as a miss.
-        Pass :data:`MISS` as the default to distinguish a cached ``None``
-        from an absent entry.
+        layout, disk error, unpicklable future version) counts as a miss,
+        and is set aside (:meth:`_set_aside`) so the recomputed artifact
+        replaces it.  Pass :data:`MISS` as the default to distinguish a
+        cached ``None`` from an absent entry.
         """
         path = self.path(key)
         if not path.is_file():
@@ -70,8 +77,28 @@ class ArtifactStore:
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except Exception:
+        except FileNotFoundError:
+            return default  # removed since the is_file() check: a plain miss
+        except Exception as exc:
+            self._set_aside(key, path, exc)
             return default
+
+    def _set_aside(self, key: str, path: Path, exc: Exception) -> None:
+        """Move a corrupt entry to ``<key>.corrupt``, count it and log it."""
+        aside = path.with_suffix(".corrupt")
+        try:
+            os.replace(path, aside)
+        except OSError:
+            aside = None  # another reader moved it first, or the disk refused
+        obs = self.obs
+        obs.counter("cache_corrupt_total", namespace=self.namespace).inc()
+        obs.log.warning(
+            "cache.corrupt",
+            namespace=self.namespace,
+            key=key,
+            error=type(exc).__name__,
+            moved_to=str(aside) if aside is not None else None,
+        )
 
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist one artifact and return its path."""
@@ -125,8 +152,8 @@ class StageCache:
     only in their sea-surface config hit the same curated-stage entries.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.store = ArtifactStore(root, STAGE_NAMESPACE)
+    def __init__(self, root: str | Path, obs: Obs | None = None) -> None:
+        self.store = ArtifactStore(root, STAGE_NAMESPACE, obs=obs)
 
     def key(self, stage: str, fingerprint: str) -> str:
         return f"{stage}-{fingerprint}"

@@ -135,10 +135,17 @@ def compensate(
     transmittance estimated from how far the pixel's whiteness-weighted
     brightness sits between the surface and cloud reflectance.  For shadowed
     pixels the darkening is undone multiplicatively.
+
+    Works on one float64 copy of ``bands``, touching only the masked pixels:
+    the inversion runs on ``bands[:, cloud_mask]``, the shadow factor
+    multiplies ``out[:, shadow_mask]`` in place, and the clip writes back
+    into ``out``.  An unmasked pixel would have gone through
+    ``(x - 0.0) / 1.0``, which is exact, so its bytes are those of the input.
     """
-    out = np.array(bands, copy=True)
+    out = np.array(bands, dtype=float)
     if cloud_mask.any():
-        brightness = _brightness(bands)
+        cloudy = out[:, cloud_mask]
+        brightness = _brightness(cloudy)
         # Transmittance estimate: cloudier pixels sit closer to r_cloud.
         t = np.clip(
             (config.cloud_reflectance - brightness)
@@ -146,12 +153,10 @@ def compensate(
             0.2,
             1.0,
         )
-        t = np.where(cloud_mask, t, 1.0)
-        out = (out - (1.0 - t)[None] * config.cloud_reflectance) / t[None]
+        out[:, cloud_mask] = (cloudy - (1.0 - t) * config.cloud_reflectance) / t
     if shadow_mask.any():
-        factor = 1.0 / (1.0 - config.shadow_recovery)
-        out = np.where(shadow_mask[None], out * factor, out)
-    return np.clip(out, 0.0, 1.0)
+        out[:, shadow_mask] *= 1.0 / (1.0 - config.shadow_recovery)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def segment_image(

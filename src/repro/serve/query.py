@@ -423,12 +423,15 @@ def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) 
 class QueryEngine:
     """Serve tile requests over a :class:`~repro.serve.catalog.ProductCatalog`.
 
-    Telemetry: every batch runs inside an ``engine.query_batch`` span and
-    feeds the registry-backed ``serve_*`` counters (labelled with
-    ``obs_labels``, e.g. the owning router shard).  Because the counters
-    live in the obs registry rather than on the engine, :attr:`stats`
-    survives engine reconstruction — a quarantine re-route that rebuilds a
-    shard's engine keeps accumulating into the same counters.
+    Telemetry: a direct :meth:`query_batch` call runs inside an
+    ``engine.query_batch`` span, while :meth:`query_batch_in` records onto
+    a span the caller already holds (the router's ``router.request``).
+    Either way the batch feeds the registry-backed ``serve_*`` counters
+    (labelled with ``obs_labels``, e.g. the owning router shard).  Because
+    the counters live in the obs registry rather than on the engine,
+    :attr:`stats` survives engine reconstruction — a quarantine re-route
+    that rebuilds a shard's engine keeps accumulating into the same
+    counters.
     """
 
     def __init__(
@@ -550,11 +553,18 @@ class QueryEngine:
         with self.obs.span(
             "engine.query_batch", n_requests=len(requests)
         ) as span:
-            return self._query_batch(requests, span)
+            return self.query_batch_in(requests, span)
 
-    def _query_batch(
+    def query_batch_in(
         self, requests: Sequence[TileRequest], span: Any
     ) -> list[TileResponse]:
+        """Serve a batch exactly as :meth:`query_batch` does, recording onto
+        the caller's open ``span`` instead of opening one.
+
+        The router serves each routed request through here, so a request
+        costs one span (``router.request``) rather than a nested pair; the
+        batch's ``n_cached``/``n_computed`` land on the caller's span.
+        """
         start = time.perf_counter()
         plans = [self._plan(request) for request in requests]
 
@@ -605,6 +615,7 @@ class QueryEngine:
         seconds = time.perf_counter() - start
         responses: list[TileResponse] = []
         computed_keys = {key for keys in needed.values() for key in keys}
+        n_cached = n_computed_total = 0
         for plan in plans:
             n_computed = sum(1 for key in plan.tile_keys if key in computed_keys)
             responses.append(
@@ -628,14 +639,15 @@ class QueryEngine:
                     stale=self.loader.is_stale(plan.entry.key),
                 )
             )
-            self._c_tile_hits.inc(len(plan.tile_keys) - n_computed)
-            self._c_tile_misses.inc(n_computed)
+            n_cached += len(plan.tile_keys) - n_computed
+            n_computed_total += n_computed
+        if n_cached:
+            self._c_tile_hits.inc(n_cached)
+        if n_computed_total:
+            self._c_tile_misses.inc(n_computed_total)
         self._c_requests.inc(len(requests))
         self._c_batches.inc()
         self._c_seconds.inc(seconds)
         self._h_batch.observe(seconds)
-        span.set(
-            n_cached=sum(r.n_cached for r in responses),
-            n_computed=sum(r.n_computed for r in responses),
-        )
+        span.set(n_cached=n_cached, n_computed=n_computed_total)
         return responses

@@ -43,7 +43,7 @@ import asyncio
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Awaitable, Callable, Hashable, Sequence
+from typing import Any, Awaitable, Callable, Hashable, Sequence
 
 from repro.clock import MonotonicClock, VirtualClock, run_sync
 from repro.config import DEFAULT_SERVE, RouterConfig, ServeConfig
@@ -70,9 +70,10 @@ __all__ = [
     "Shard",
 ]
 
-#: Async execution hook: ``(shard, request) -> TileResponse``.  The default
-#: calls the shard engine synchronously on the event loop; tests inject
-#: virtual-clock implementations to model service time deterministically.
+#: Async execution hook: ``(shard, request) -> TileResponse``.  Without one
+#: the router calls the shard engine synchronously on the event loop; tests
+#: inject virtual-clock implementations to model service time
+#: deterministically.
 ExecuteHook = Callable[["Shard", TileRequest], Awaitable[TileResponse]]
 
 #: Auto-assigned ``router=rN`` metric labels keeping independent routers'
@@ -204,7 +205,7 @@ class RequestRouter:
         self.catalog = catalog
         self.serve_config = serve
         self.clock = clock if clock is not None else MonotonicClock()
-        self._execute: ExecuteHook = execute if execute is not None else self._engine_execute
+        self._execute: ExecuteHook | None = execute
         self.obs = obs if obs is not None else default_obs()
         self._labels = {"router": f"r{next(_ROUTER_IDS)}"}
         self._loader_factory = loader_factory
@@ -230,6 +231,7 @@ class RequestRouter:
             "router_queue_wait_seconds", **self._labels
         )
         self._g_depth = registry.gauge("router_depth", **self._labels)
+        self._tracer = self.obs.tracer
         self._flights: dict[Hashable, _Flight] = {}
         self._depth = 0
         self._prefetch = _PrefetchState()
@@ -331,9 +333,6 @@ class RequestRouter:
 
     # -- serving -----------------------------------------------------------
 
-    async def _engine_execute(self, shard: Shard, request: TileRequest) -> TileResponse:
-        return shard.engine.query(request)
-
     async def query(self, request: TileRequest) -> TileResponse:
         """Serve one request through the service tier.
 
@@ -343,12 +342,15 @@ class RequestRouter:
         when no healthy product matches, and propagates the underlying
         engine error (to every coalesced waiter) when execution fails.
 
-        Every request runs inside a ``router.request`` span (attributes:
-        shard, coalesced, outcome ``served``/``shed``/``unroutable``) whose
-        children are the shard engine's ``engine.query_batch`` span and,
-        below it, the loader's ``loader.fetch`` — the end-to-end trace.
+        Every request opens exactly one span, ``router.request`` (attributes:
+        variable, zoom, shard, coalesced, outcome
+        ``served``/``shed``/``unroutable``).  The shard engine serves an
+        executing request onto that same span
+        (:meth:`~repro.serve.query.QueryEngine.query_batch_in`), adding its
+        ``n_cached``/``n_computed``; only real work opens children — a
+        decode's ``mapreduce.run`` and ``loader.fetch`` below it.
         """
-        with self.obs.span(
+        with self._tracer.span(
             "router.request", variable=request.variable, zoom=request.zoom
         ) as span:
             return await self._query(request, span)
@@ -389,13 +391,23 @@ class RequestRouter:
             )
 
         span.set(shard=shard_id, coalesced=False, outcome="served")
-        response = await self._fly(key, shard_id, request, prefetch=False)
+        response = await self._fly(key, shard_id, request, prefetch=False, span=span)
         return self._routed(request, response, shard_id, arrived, coalesced=False)
 
     async def _fly(
-        self, key: Hashable, shard_id: int, request: TileRequest, prefetch: bool
+        self,
+        key: Hashable,
+        shard_id: int,
+        request: TileRequest,
+        prefetch: bool,
+        span: Any = None,
     ) -> TileResponse:
-        """Run one underlying execution with the flight registered under ``key``."""
+        """Run one underlying execution with the flight registered under ``key``.
+
+        Without an execute hook the shard engine serves the request inline,
+        onto the request's ``span``; a prefetch refresh has no request span,
+        so the engine opens its own ``engine.query_batch``.
+        """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         # Retrieve the exception even when nobody coalesced onto the flight,
@@ -410,7 +422,12 @@ class RequestRouter:
         self._depth += 1
         self._g_depth.set(self._depth)
         try:
-            response = await self._execute(shard, request)
+            if self._execute is not None:
+                response = await self._execute(shard, request)
+            elif span is not None:
+                response = shard.engine.query_batch_in([request], span)[0]
+            else:
+                response = shard.engine.query(request)
         except BaseException as exc:
             self._note_failure(shard, exc)
             if not future.done():

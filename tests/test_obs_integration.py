@@ -18,6 +18,7 @@ from repro.l3.product import Level3Grid
 from repro.l3.writer import write_level3
 from repro.obs.core import Obs
 from repro.obs.export import chrome_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import StageCache
 from repro.pipeline.runner import GraphRunner
 from repro.serve.catalog import ProductCatalog
@@ -97,26 +98,37 @@ class TestEndToEndTrace:
         spans = obs.tracer.spans()
         by_id = {s.span_id: s for s in spans}
         (root,) = obs.tracer.spans("router.request")
-        (batch,) = obs.tracer.spans("engine.query_batch")
+        (job,) = obs.tracer.spans("mapreduce.run")
         (fetch,) = obs.tracer.spans("loader.fetch")
 
-        # One trace, rooted at the router.
+        # One trace, rooted at the router: the engine serves onto the
+        # request's span, so the decode's map-reduce job is its only child
+        # and the loader's fetch sits below that.  Nothing else is opened.
+        assert len(spans) == 3
+        assert obs.tracer.spans("engine.query_batch") == ()
         assert root.parent_id is None
-        assert {s.trace_id for s in (root, batch, fetch)} == {root.trace_id}
-        assert batch.parent_id == root.span_id
-        assert root in ancestors(fetch, by_id)
-        assert batch in ancestors(fetch, by_id)
+        assert {s.trace_id for s in (root, job, fetch)} == {root.trace_id}
+        assert job.parent_id == root.span_id
+        assert fetch.parent_id == job.span_id
+        assert ancestors(fetch, by_id) == [job, root]
 
         # Exact virtual-clock durations: the only time that passes is the
         # loader's 4 ms decode tick.
         assert fetch.duration == 0.004
-        assert batch.duration == 0.004
+        assert job.duration == 0.004
         assert root.duration == 0.004
 
-        # Span attributes carry the routing outcome.
+        # The request span carries the routing outcome and the engine's
+        # cache accounting.
         assert root.attributes["outcome"] == "served"
         assert root.attributes["coalesced"] is False
-        assert batch.attributes["n_computed"] == response.n_computed
+        assert root.attributes["shard"] == response.shard
+        assert root.attributes["n_computed"] == response.n_computed
+        assert root.attributes["n_cached"] == response.n_cached == 0
+        # The inline job's phases are attributes, not child spans.
+        assert job.attributes["executor"] == "serial"
+        assert job.attributes["n_partitions"] == 1
+        assert {"load_s", "map_s", "reduce_s"} <= set(job.attributes)
         assert fetch.attributes["windowed"] is False
 
     def test_cached_repeat_skips_the_loader_span(self, stack):
@@ -126,22 +138,121 @@ class TestEndToEndTrace:
         response = router.serve([REQUEST])[0]
         assert response.from_cache
         assert obs.tracer.spans("loader.fetch") == ()
-        (root,) = obs.tracer.spans("router.request")
+        (root,) = obs.tracer.spans()  # the request span is the only one
+        assert root.name == "router.request"
         assert root.duration == 0.0  # no decode, no virtual time
+        assert root.attributes["n_computed"] == 0
+        assert root.attributes["n_cached"] == response.n_tiles > 0
 
     def test_trace_exports_to_chrome_format(self, stack):
         clock, obs, router = stack
         router.serve([REQUEST])
         (root,) = obs.tracer.spans("router.request")
+        (job,) = obs.tracer.spans("mapreduce.run")
         doc = chrome_trace(obs.tracer.spans())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
-        assert {"router.request", "engine.query_batch", "loader.fetch"} <= names
+        assert names == {"router.request", "mapreduce.run", "loader.fetch"}
         by_name = {e["name"]: e for e in events}
         assert by_name["router.request"]["dur"] == pytest.approx(4000.0)
         # All three render on the same trace track.
         assert len({by_name[n]["tid"] for n in names}) == 1
-        assert by_name["engine.query_batch"]["args"]["parent_id"] == root.span_id
+        assert by_name["mapreduce.run"]["args"]["parent_id"] == root.span_id
+        assert by_name["loader.fetch"]["args"]["parent_id"] == job.span_id
+
+    def test_direct_engine_batch_keeps_its_own_span(self, tmp_path):
+        write_product(tmp_path / "mosaic")
+        catalog = ProductCatalog()
+        catalog.scan(tmp_path)
+        obs = Obs(clock=VirtualClock())
+        engine = QueryEngine(catalog, serve=SERVE, obs=obs)
+        responses = engine.query_batch([REQUEST, REQUEST])
+        (batch,) = obs.tracer.spans("engine.query_batch")
+        (job,) = obs.tracer.spans("mapreduce.run")
+        (fetch,) = obs.tracer.spans("loader.fetch")
+        assert batch.parent_id is None
+        assert job.parent_id == batch.span_id
+        assert fetch.parent_id == job.span_id
+        assert batch.attributes["n_requests"] == 2
+        assert batch.attributes["n_computed"] == sum(r.n_computed for r in responses)
+        assert batch.attributes["n_cached"] == 0
+
+
+class TestServePathBudget:
+    """The per-request telemetry budget, checked without timing anything."""
+
+    REQUESTS = [
+        REQUEST,
+        TileRequest(bbox=(800.0, 0.0, 3200.0, 1600.0), variable="freeboard_mean"),
+        TileRequest(bbox=(0.0, 0.0, 4000.0, 2400.0), variable="freeboard_mean", zoom=1),
+    ]
+
+    @staticmethod
+    def router(tmp_path, obs):
+        write_product(tmp_path / "mosaic")
+        catalog = ProductCatalog()
+        catalog.scan(tmp_path)
+        return RequestRouter(
+            ShardedCatalog.from_catalog(catalog, 2),
+            serve=SERVE,
+            config=RouterConfig(n_shards=2),
+            clock=obs.clock,
+            obs=obs,
+        )
+
+    def test_warm_request_opens_exactly_one_span(self, tmp_path):
+        obs = Obs(clock=VirtualClock())
+        router = self.router(tmp_path, obs)
+        router.serve(self.REQUESTS)
+        for request in self.REQUESTS:
+            obs.tracer.clear()
+            (response,) = router.serve([request])
+            assert response.from_cache
+            (span,) = obs.tracer.spans()
+            assert span.name == "router.request"
+
+    def test_no_metric_lookup_after_warm_up(self, tmp_path, monkeypatch):
+        obs = Obs(clock=VirtualClock())
+        router = self.router(tmp_path, obs)
+        router.serve(self.REQUESTS)
+        lookups = []
+        original = MetricsRegistry._get_or_create
+
+        def counting(registry, cls, name, labels, **kwargs):
+            lookups.append(name)
+            return original(registry, cls, name, labels, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_get_or_create", counting)
+        router.serve(self.REQUESTS)
+        # A decode after warm-up (its map-reduce job included) binds nothing
+        # new either: every series handle was bound at construction.
+        router.invalidate_tiles(
+            [key for shard in router.shards for key in list(shard.engine.tile_cache._data)]
+        )
+        cold = router.serve(self.REQUESTS)
+        assert sum(r.n_computed for r in cold) > 0
+        assert lookups == []
+
+    def test_tiles_are_identical_with_telemetry_on_and_off(self, tmp_path):
+        served = []
+        for index, obs in enumerate((Obs(clock=VirtualClock()), Obs.disabled())):
+            router = self.router(tmp_path / str(index), obs)
+            cold = router.serve(self.REQUESTS)
+            warm = router.serve(self.REQUESTS)
+            served.append(
+                [
+                    (
+                        r.product,
+                        r.zoom,
+                        r.n_cached,
+                        r.n_computed,
+                        r.fingerprints,
+                        {key: tile.tobytes() for key, tile in r.tiles.items()},
+                    )
+                    for r in cold + warm
+                ]
+            )
+        assert served[0] == served[1]
 
 
 class TestStatsSurvival:
@@ -242,6 +353,49 @@ class TestPipelineAndMapReduceSpans:
         assert all(s.trace_id == driver.trace_id for s in tasks)
         assert obs.registry.value("mapreduce_jobs_total", executor="thread") == 1
         assert obs.registry.value("mapreduce_pool_spawns_total", executor="thread") == 1
+
+    @pytest.mark.parametrize(
+        ("executor", "n_partitions"), [("serial", 3), ("thread", 1), ("process", 1)]
+    )
+    def test_inline_job_records_one_span_with_phase_timings(
+        self, executor, n_partitions
+    ):
+        obs = Obs(clock=VirtualClock())
+        engine = MapReduceEngine(
+            n_partitions=n_partitions, executor=executor, max_workers=2, obs=obs
+        )
+        try:
+            with obs.span("driver") as driver:
+                result = engine.run(
+                    lambda: list(range(30)),
+                    lambda part: [v * 2 for v in part],
+                    lambda parts: sorted(v for part in parts for v in part),
+                )
+                arrays = engine.map_arrays(
+                    {"x": np.arange(12.0)},
+                    lambda chunk: float(chunk["x"].sum()),
+                    sum,
+                )
+        finally:
+            engine.close()
+        assert result.value == [v * 2 for v in range(30)]
+        assert arrays.value == 66.0
+        # Each inline job is exactly one span under the caller's: no phase
+        # or task spans, and no worker pool.
+        jobs = obs.tracer.spans("mapreduce.run")
+        assert len(jobs) == 2
+        assert {s.name for s in obs.tracer.spans()} == {"driver", "mapreduce.run"}
+        for job, timed in zip(jobs, (result, arrays)):
+            assert job.parent_id == driver.span_id
+            assert job.attributes == {
+                "n_partitions": n_partitions,
+                "executor": executor,
+                "load_s": timed.load_seconds,
+                "map_s": timed.map_seconds,
+                "reduce_s": timed.reduce_seconds,
+            }
+        assert obs.registry.value("mapreduce_jobs_total", executor=executor) == 2
+        assert obs.registry.value("mapreduce_pool_spawns_total", executor=executor) == 0
 
     def test_disabled_obs_keeps_results_identical(self):
         enabled = MapReduceEngine(n_partitions=2, executor="serial", obs=Obs())

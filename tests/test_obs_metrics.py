@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -47,6 +50,98 @@ class TestGauge:
         g.set(4)
         g.add(-1.5)
         assert g.value == 2.5
+
+    def test_updates_apply_in_call_order(self):
+        g = Gauge("depth")
+        g.add(5)
+        g.set(1)  # replaces everything before it
+        g.add(2)
+        assert g.value == 3.0
+        for _ in range(100):  # past the fold threshold, same order
+            g.add(1)
+            g.set(0)
+        g.add(0.5)
+        assert g.value == 0.5
+
+
+UPDATES = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.sampled_from([0.01, 0.1, 1.0, float("nan"), float("inf"), float("-inf")]),
+    ),
+    max_size=150,
+)
+
+
+class TestBufferedUpdates:
+    """Queued updates fold into exactly what one-at-a-time updates give."""
+
+    @given(UPDATES)
+    @settings(max_examples=100, deadline=None)
+    def test_histogram_matches_searchsorted_and_a_sequential_sum(self, values):
+        edges = (0.01, 0.1, 1.0)
+        h = Histogram("lat", edges=edges)
+        for v in values:
+            h.observe(v)
+        expected = np.bincount(
+            np.searchsorted(np.asarray(edges), np.asarray(values, dtype=float), side="left"),
+            minlength=len(edges) + 1,
+        )
+        assert h.bucket_counts().tolist() == expected.tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        assert np.float64(h.sum).tobytes() == np.float64(total).tobytes()
+        assert h.count == len(values)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=150))
+    @settings(max_examples=100, deadline=None)
+    def test_counter_sum_is_the_sequential_sum(self, increments):
+        c = Counter("work_seconds_total")
+        total = 0.0
+        for v in increments:
+            c.inc(v)
+            total += v
+        assert c.value == total
+
+    def test_no_update_is_lost_under_thread_switching(self):
+        """More threads than cores, switching every microsecond, each both
+        updating and reading (so folds race appends): a lost or doubled
+        update would break one of the exact totals."""
+        counter = Counter("hits_total")
+        gauge = Gauge("depth")
+        hist = Histogram("lat", edges=(0.5,))
+        n_threads, per_thread = 8, 2_000
+        seen = []
+
+        def worker(index):
+            for i in range(per_thread):
+                counter.inc()
+                gauge.add(1)
+                hist.observe(0.1 if index % 2 else 0.9)
+                if i % 97 == 0:
+                    seen.append(counter.value)
+                    hist.bucket_counts()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        total = n_threads * per_thread
+        assert counter.value == total
+        assert gauge.value == total
+        assert hist.count == total
+        assert hist.bucket_counts().tolist() == [total // 2, total // 2]
+        assert all(0 < v <= total for v in seen)
 
 
 class TestHistogramBuckets:

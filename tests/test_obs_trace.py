@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -13,9 +15,9 @@ from repro.clock import MonotonicClock, VirtualClock, WallClock
 from repro.config import ObsConfig
 from repro.obs.core import Obs, default_obs, set_default_obs
 from repro.obs.log import EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slo import SloEvaluator
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import NullTracer, ProfileRow, Tracer, profile_table
 from repro.serve.catalog import ProductCatalog
 from repro.serve.router import RequestRouter
 
@@ -135,6 +137,37 @@ class TestRingBuffer:
         assert tracer.spans() == ()
         assert tracer.n_dropped == 0
 
+    def test_concurrent_finishes_are_all_accounted(self):
+        """Lock-free finishes from more threads than cores: every span gets
+        a unique id, and kept plus dropped equals finished."""
+        tracer = Tracer(buffer_size=500)
+        drops = Counter("drops")
+        tracer.drop_counter = drops
+        n_threads, per_thread = 8, 300
+
+        def worker():
+            for _ in range(per_thread):
+                with tracer.span("op"):
+                    pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        kept = tracer.spans()
+        total = n_threads * per_thread
+        assert len(kept) == 500
+        assert tracer.n_dropped == drops.value == total - 500
+        assert len({s.span_id for s in kept}) == 500
+        assert len({s.trace_id for s in kept}) == 500
+
     def test_buffer_size_validated(self):
         with pytest.raises(ValueError):
             Tracer(buffer_size=0)
@@ -149,6 +182,79 @@ class TestRingBuffer:
         spans = tracer.trace(root.trace_id)
         assert [s.name for s in spans] == ["left", "right", "root"]
         assert {s.name for s in tracer.children(root)} == {"left", "right"}
+
+
+class TestProfileTable:
+    """Self time per span name, from a nested map -> task -> stage tree
+    timed on a virtual clock (dyadic ticks, so every sum is exact)."""
+
+    @staticmethod
+    def nested_tree():
+        clock = VirtualClock()
+        tracer = Tracer(clock=clock)
+        with tracer.span("mapreduce.map") as outer:
+            clock.tick(0.125)
+            with tracer.span("mapreduce.task", index=0):
+                clock.tick(0.25)
+                with tracer.span("pipeline.stage"):
+                    clock.tick(0.5)
+            with tracer.span("mapreduce.task", index=1):
+                with tracer.span("mapreduce.map"):
+                    with tracer.span("mapreduce.task", index=2):
+                        with tracer.span("pipeline.stage"):
+                            clock.tick(0.25)
+                    clock.tick(0.125)
+            clock.tick(0.0625)
+        return tracer, outer
+
+    def test_self_time_by_name(self):
+        tracer, outer = self.nested_tree()
+        rows = {row.name: row for row in profile_table(tracer)}
+        assert rows == {
+            "pipeline.stage": ProfileRow("pipeline.stage", 2, 0.75, 0.75),
+            # The nested map adds its own 0.125 s of self time and a call,
+            # but no inclusive time: the outer map already covers it.
+            "mapreduce.map": ProfileRow("mapreduce.map", 2, 0.3125, 1.3125),
+            # Only task 0 has self time; task 2 sits inside task 1.
+            "mapreduce.task": ProfileRow("mapreduce.task", 3, 0.25, 1.125),
+        }
+
+    def test_nothing_is_double_counted(self):
+        tracer, outer = self.nested_tree()
+        rows = profile_table(tracer)
+        assert outer.duration == 1.3125
+        assert sum(row.self_s for row in rows) == outer.duration
+        # Largest self time first.
+        assert [row.name for row in rows] == [
+            "pipeline.stage",
+            "mapreduce.map",
+            "mapreduce.task",
+        ]
+
+    def test_concurrent_children_subtract_their_union(self):
+        tracer = Tracer(clock=VirtualClock())
+        parent = tracer.emit("mapreduce.map", 0.0, 1.0)
+        for start, end in ((0.0, 0.5), (0.25, 0.75)):
+            tracer.emit(
+                "mapreduce.task",
+                start,
+                end,
+                trace_id=parent.trace_id,
+                parent_id=parent.span_id,
+            )
+        rows = {row.name: row for row in profile_table(tracer)}
+        # Two overlapping pool tasks cover [0, 0.75] of the map, once.
+        assert rows["mapreduce.map"].self_s == 0.25
+        assert rows["mapreduce.task"].self_s == 1.0
+
+    def test_orphans_count_as_roots_and_disabled_is_empty(self):
+        tracer = Tracer(clock=VirtualClock(), buffer_size=1)
+        with tracer.span("parent"):
+            with tracer.span("child"):
+                tracer.clock.tick(0.5)
+        # The parent pushed the child out of the one-slot buffer.
+        assert profile_table(tracer) == [ProfileRow("parent", 1, 0.5, 0.5)]
+        assert profile_table(NullTracer()) == []
 
 
 class TestObsFacade:

@@ -1,9 +1,15 @@
 """Unit tests for the on-disk artifact store under the stage cache."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.pipeline.cache import MISS, ArtifactStore
+from repro.clock import VirtualClock
+from repro.obs.core import Obs
+from repro.pipeline import ArtifactSpec, Stage, StageGraph
+from repro.pipeline.cache import MISS, ArtifactStore, StageCache
+from repro.pipeline.runner import GraphRunner
 
 
 @pytest.fixture
@@ -72,3 +78,57 @@ class TestMissSentinel:
         assert store.load("absent", MISS) is MISS
         store.store("absent", None)
         assert store.load("absent", MISS) is None
+
+
+class TestCorruptEntries:
+    """Fault injection: a corrupt entry is a miss, and never a silent one."""
+
+    def test_corrupt_entry_is_moved_aside_counted_and_logged(self, tmp_path):
+        obs = Obs(clock=VirtualClock())
+        store = ArtifactStore(tmp_path, "abc123", obs=obs)
+        store.store("bad", [1, 2, 3])
+        store.path("bad").write_bytes(b"not a pickle")
+        assert store.load("bad", MISS) is MISS
+        assert not store.has("bad")
+        aside = store.dir / "bad.corrupt"
+        assert aside.read_bytes() == b"not a pickle"
+        assert obs.registry.value("cache_corrupt_total", namespace="abc123") == 1
+        (record,) = obs.log.events("cache.corrupt")
+        assert record.level == "warning"
+        assert record.fields["key"] == "bad"
+        assert record.fields["error"] == "UnpicklingError"
+        assert record.fields["moved_to"] == str(aside)
+
+    def test_truncated_stage_entry_is_recomputed(self, tmp_path):
+        calls = []
+
+        def make_x(ctx, **inputs):
+            calls.append(1)
+            return {"x": list(range(1000))}
+
+        graph = StageGraph(
+            [Stage("make_x", make_x, (), ("x",))], [ArtifactSpec("x", list)]
+        )
+        obs = Obs(clock=VirtualClock())
+
+        def run():
+            runner = GraphRunner(graph, cache=StageCache(tmp_path, obs=obs), obs=obs)
+            return runner.run(None, targets=("x",)).artifacts["x"].value
+
+        assert run() == list(range(1000))
+        (entry,) = (tmp_path / "stages").glob("make_x-*.pkl")
+        data = entry.read_bytes()
+        entry.write_bytes(data[: len(data) // 2])
+
+        assert run() == list(range(1000))
+        assert len(calls) == 2  # the truncated entry was a miss, recomputed
+        assert obs.registry.total("cache_corrupt_total") == 1
+        assert entry.with_suffix(".corrupt").read_bytes() == data[: len(data) // 2]
+        # The recomputed artifact replaced it.
+        assert pickle.loads(entry.read_bytes())["outputs"]["x"] == list(range(1000))
+        (record,) = obs.log.events("cache.corrupt")
+        assert record.fields["key"] == entry.stem
+
+        assert run() == list(range(1000))  # and now it is a plain hit
+        assert len(calls) == 2
+        assert obs.registry.total("cache_corrupt_total") == 1

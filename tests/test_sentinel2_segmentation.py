@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE
 from repro.sentinel2.cloud import CloudConfig
 from repro.sentinel2.scene import S2SceneConfig, render_scene
 from repro.sentinel2.segmentation import (
     SegmentationConfig,
+    compensate,
     detect_shadows,
     detect_thin_clouds,
     segment_image,
@@ -102,3 +105,81 @@ class TestCloudShadowDetection:
         clouds = detect_thin_clouds(bands, cfg)
         assert bool(clouds[0, 0])
         assert not bool(clouds[1, 1])
+
+
+def compensate_by_full_arrays(bands, cloud_mask, shadow_mask, config):
+    """The whole-image formulation of ``compensate``: a transmittance for
+    every pixel (1 outside clouds), the inversion applied to the full
+    ``(4, ny, nx)`` stack, shadows selected with ``np.where``."""
+    out = np.array(bands, copy=True)
+    if cloud_mask.any():
+        brightness = bands[:3].mean(axis=0)
+        t = np.clip(
+            (config.cloud_reflectance - brightness)
+            / max(config.cloud_reflectance - config.thin_ice_brightness, 1e-6),
+            0.2,
+            1.0,
+        )
+        t = np.where(cloud_mask, t, 1.0)
+        out = (out - (1.0 - t)[None] * config.cloud_reflectance) / t[None]
+    if shadow_mask.any():
+        factor = 1.0 / (1.0 - config.shadow_recovery)
+        out = np.where(shadow_mask[None], out * factor, out)
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def compensation_inputs(draw):
+    ny = draw(st.integers(1, 6))
+    nx = draw(st.integers(1, 6))
+    reflectance = st.one_of(
+        st.floats(-0.2, 1.3, allow_nan=False, allow_infinity=False),
+        st.just(float("nan")),
+    )
+    bands = np.array(
+        draw(st.lists(reflectance, min_size=4 * ny * nx, max_size=4 * ny * nx)),
+        dtype=float,
+    ).reshape(4, ny, nx)
+
+    def mask():
+        kind = draw(st.sampled_from(["empty", "full", "random"]))
+        if kind == "empty":
+            return np.zeros((ny, nx), dtype=bool)
+        if kind == "full":
+            return np.ones((ny, nx), dtype=bool)
+        flags = draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
+        return np.array(flags, dtype=bool).reshape(ny, nx)
+
+    # The two masks are drawn independently, so they overlap freely.
+    return bands, mask(), mask()
+
+
+class TestCompensate:
+    @given(compensation_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_the_whole_image_formulation(self, inputs):
+        bands, cloud_mask, shadow_mask = inputs
+        cfg = SegmentationConfig()
+        before = bands.tobytes()
+        expected = compensate_by_full_arrays(bands, cloud_mask, shadow_mask, cfg)
+        got = compensate(bands, cloud_mask, shadow_mask, cfg)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert bands.tobytes() == before  # the caller's bands are untouched
+
+    def test_bytes_match_on_a_rendered_cloudy_scene(self, scene):
+        image = render_scene(
+            scene,
+            config=S2SceneConfig(
+                cloud=CloudConfig(thin_cloud_fraction=0.4, shadow_fraction=0.2)
+            ),
+            rng=9,
+        )
+        cfg = SegmentationConfig()
+        bands = np.asarray(image.bands, dtype=float)
+        cloud_mask = detect_thin_clouds(bands, cfg)
+        shadow_mask = detect_shadows(bands, cfg) & ~cloud_mask
+        assert cloud_mask.any() and shadow_mask.any()
+        expected = compensate_by_full_arrays(bands, cloud_mask, shadow_mask, cfg)
+        got = compensate(bands, cloud_mask, shadow_mask, cfg)
+        assert got.tobytes() == expected.tobytes()
