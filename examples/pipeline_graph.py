@@ -4,7 +4,8 @@
 Demonstrates the `repro.pipeline` engine that powers both `run_end_to_end`
 and the campaign runner:
 
-1. print the Fig. 1 stage graph (stages, inputs, config slices);
+1. print the Fig. 1 stage graph (stages, inputs, config slices, and the
+   pooled stages a campaign runs once over its whole fleet);
 2. run the full graph cold with a content-addressed stage cache;
 3. re-run warm — every stage is a cache hit, nothing executes;
 4. change *only* the sea-surface method and re-run — curation, training and
@@ -49,8 +50,8 @@ def main() -> None:
     for row in graph.describe():
         inputs = ", ".join(row["inputs"]) or "(source)"
         config = ", ".join(row["config"]) or "-"
-        fan = "  [fan-out]" if row["fan_out"] else ""
-        print(f"  {row['stage']:<12} <- {inputs:<44} config: {config}{fan}")
+        pooled = "  [pooled]" if row["pooled"] else ""
+        print(f"  {row['stage']:<12} <- {inputs:<44} config: {config}{pooled}")
 
     config = ExperimentConfig(
         scene=SceneConfig(

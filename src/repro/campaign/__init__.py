@@ -10,10 +10,11 @@ target:
   config path) into per-granule experiment configs with derived seeds;
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner` curates all granules
   in parallel over a process pool, trains **one** classifier on the pooled
-  labelled segments, then fans inference/freeboard/ATL07/ATL10 back out,
-  caching every stage output and each finished granule in the
-  content-addressed :class:`~repro.pipeline.cache.StageCache`, so re-runs
-  skip completed granules;
+  labelled segments (the graph's pooled ``train`` stage), then fans
+  inference/freeboard/ATL07/ATL10 back out, caching every stage output and
+  each finished granule in the content-addressed
+  :class:`~repro.pipeline.cache.StageCache`, so re-runs skip completed
+  granules;
 * :mod:`repro.campaign.metrics` — per-granule and pooled campaign metrics
   plus the cost-model-based simulated cluster scaling report.
 
@@ -49,7 +50,6 @@ from repro.campaign.runner import (
     CampaignL3Result,
     CampaignResult,
     CampaignRunner,
-    CuratedGranule,
     GranuleResult,
     run_campaign,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignScalingRow",
-    "CuratedGranule",
     "GranuleMetrics",
     "GranuleResult",
     "GranuleSpec",

@@ -25,10 +25,11 @@ with, mirroring operational Level-3 processors such as pysiral:
   :func:`~repro.l3.processor.mean_and_std_across` as the single source of
   the merge math.
 
-Gridding runs as the registered ``grid_granule`` / ``mosaic_campaign``
-pipeline stages (content-fingerprinted, so warm-cache campaigns re-grid
-only changed granules); :meth:`repro.campaign.CampaignRunner.to_l3` is the
-fleet-level entry point.
+Gridding runs as the registered per-granule ``grid_granule`` stage and the
+pooled ``mosaic_campaign`` stage, which takes every granule grid of a
+fleet (content-fingerprinted, so warm-cache campaigns re-grid only changed
+granules); :meth:`repro.campaign.CampaignRunner.to_l3` is the fleet-level
+entry point.
 
 Quick start::
 

@@ -22,7 +22,10 @@ Quick start::
 
 :func:`repro.workflow.end_to_end.run_end_to_end` is a one-granule graph run;
 :class:`repro.campaign.runner.CampaignRunner` fans the same graph out over a
-granule fleet with the train stage as a pooled barrier.
+granule fleet.  Its barriers are *pooled* stages (``train``,
+``mosaic_campaign``): each takes one artifact from every granule subgraph
+and runs once per fleet through :meth:`GraphRunner.run_pooled`, fingerprinted
+over the members' fingerprints by :meth:`GraphRunner.fleet_fingerprints`.
 """
 
 from repro.pipeline.artifact import Artifact, ArtifactSpec, external_artifact
@@ -37,7 +40,6 @@ from repro.pipeline.graph import StageGraph
 from repro.pipeline.runner import GraphRunner, GraphRunResult
 from repro.pipeline.stage import Stage, StageContext, StageExecution
 from repro.pipeline.stages import (
-    TRAIN_CONFIG_PATHS,
     TrainingSet,
     artifact_specs,
     build_default_graph,
@@ -56,7 +58,6 @@ __all__ = [
     "StageContext",
     "StageExecution",
     "StageGraph",
-    "TRAIN_CONFIG_PATHS",
     "TrainingSet",
     "artifact_specs",
     "build_default_graph",

@@ -74,9 +74,13 @@ def stage_fingerprint(
     version: str,
     config_payload: Mapping[str, Any],
     context_payload: Mapping[str, Any],
-    input_fingerprints: Mapping[str, str],
+    input_fingerprints: Mapping[str, str | list[str]],
 ) -> str:
-    """Fingerprint of one stage execution (and of every artifact it outputs)."""
+    """Fingerprint of one stage execution (and of every artifact it outputs).
+
+    A pooled stage's inputs are lists of its members' fingerprints, in
+    canonical granule order, so any member or any reordering changes it.
+    """
     return digest(
         {
             "stage": name,

@@ -163,7 +163,7 @@ class StageGraph:
                 "inputs": stage.inputs,
                 "outputs": stage.outputs,
                 "config": stage.config_paths,
-                "fan_out": stage.fan_out,
+                "pooled": stage.pooled,
             }
             for stage in self._order
         ]

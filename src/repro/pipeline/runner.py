@@ -9,20 +9,23 @@ upstream is a cache hit.  This is what makes partial recomputation (the
 dominant cost of parameter sweeps) free.
 
 :meth:`GraphRunner.fingerprints` derives the full artifact-fingerprint map
-from a config *without executing anything* — the campaign runner uses it to
-decide which pooled-training and retrieval artifacts are already cached.
+from a config *without executing anything*.  For a fleet of granules,
+:meth:`GraphRunner.fleet_fingerprints` does the same for every granule in
+one walk, fingerprinting the pooled stages once over the members'
+fingerprints, and :meth:`GraphRunner.run_pooled` executes one pooled stage
+through the same probe/compute/store path as :meth:`GraphRunner.run`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.core import Obs, default_obs
 from repro.pipeline.artifact import Artifact
 from repro.pipeline.cache import MISS, StageCache
 from repro.pipeline.graph import StageGraph
-from repro.pipeline.stage import StageContext, StageExecution
+from repro.pipeline.stage import Stage, StageContext, StageExecution
 
 
 class GraphRunResult:
@@ -141,11 +144,51 @@ class GraphRunner:
         for stage in self.graph.topological_order():
             if all(name in fps for name in stage.inputs):
                 fp = stage.fingerprint(
-                    config, payload, {name: fps[name] for name in stage.inputs}
+                    config,
+                    payload,
+                    stage.single_granule({name: fps[name] for name in stage.inputs}),
                 )
                 for output in stage.outputs:
                     fps.setdefault(output, fp)
         return fps
+
+    def fleet_fingerprints(
+        self, members: Sequence[Any], pooled_config: Any
+    ) -> list[dict[str, str]]:
+        """Artifact fingerprints of every granule of a fleet, in one walk.
+
+        ``members`` are the fleet's granules in canonical order, each with
+        ``config``, ``granule_id`` and ``scenario`` (e.g. a campaign
+        ``GranuleSpec``).  Per-granule stages are fingerprinted per member;
+        pooled stages (over the list of the members' input fingerprints) and
+        stages fed only by pooled outputs are fingerprinted once, under
+        ``pooled_config``.  Member ``i``'s map therefore equals
+        ``fingerprints(members[i].config, ..., precomputed=<the pooled
+        outputs' fingerprints>)``.
+        """
+        payloads = [
+            StageContext(m.config, m.granule_id, tuple(m.scenario)).payload() for m in members
+        ]
+        pooled_payload = StageContext(pooled_config).payload()
+        maps: list[dict[str, str]] = [{} for _ in members]
+        shared: set[str] = set()
+        for stage in self.graph.topological_order():
+            if stage.pooled or (stage.inputs and shared.issuperset(stage.inputs)):
+                inputs = {
+                    name: [fps[name] for fps in maps] if stage.pooled else maps[0][name]
+                    for name in stage.inputs
+                }
+                fp = stage.fingerprint(pooled_config, pooled_payload, inputs)
+                for fps in maps:
+                    fps.update(dict.fromkeys(stage.outputs, fp))
+                shared.update(stage.outputs)
+                continue
+            for member, payload, fps in zip(members, payloads, maps):
+                fp = stage.fingerprint(
+                    member.config, payload, {name: fps[name] for name in stage.inputs}
+                )
+                fps.update(dict.fromkeys(stage.outputs, fp))
+        return maps
 
     # -- execution -------------------------------------------------------------
 
@@ -189,7 +232,9 @@ class GraphRunner:
         stage_fps: dict[str, str] = {}
         for stage in plan:
             fp = stage.fingerprint(
-                config, payload, {name: artifact_fps[name] for name in stage.inputs}
+                config,
+                payload,
+                stage.single_granule({name: artifact_fps[name] for name in stage.inputs}),
             )
             stage_fps[stage.name] = fp
             for name in stage.outputs:
@@ -202,67 +247,118 @@ class GraphRunner:
             if name not in artifacts:
                 run_stage(self.graph.producer[name])
 
-        def run_stage(stage) -> None:
+        def run_stage(stage: Stage) -> None:
             if stage.name in done:
                 return
-            fp = stage_fps[stage.name]
-            outputs: Mapping[str, Any] | None = None
-            cached = False
-            seconds = 0.0
-            if stage.cacheable and self.cache is not None:
-                bundle = self.cache.load_stage(stage.name, fp)
-                if bundle is not MISS:
-                    outputs = bundle["outputs"]
-                    seconds = bundle["seconds"]
-                    cached = True
-            if outputs is None:
+
+            def inputs() -> dict[str, Any]:
                 for name in stage.inputs:
                     materialize(name)
-                with self.obs.span(
-                    "pipeline.stage", stage=stage.name, fingerprint=fp, cached=False
-                ):
-                    start = time.perf_counter()
-                    outputs = stage.fn(
-                        context,
-                        **{name: artifacts[name].value for name in stage.inputs},
-                    )
-                    seconds = time.perf_counter() - start
-                self._validate_outputs(stage.name, stage.outputs, outputs)
-                if stage.cacheable and self.cache is not None:
-                    self.cache.store_stage(stage.name, fp, outputs, seconds)
-            outcome = "hit" if cached else "miss"
-            self.obs.counter(
-                "pipeline_stage_runs_total", stage=stage.name, cache=outcome
-            ).inc()
-            if not cached:
-                self.obs.histogram("pipeline_stage_seconds", stage=stage.name).observe(
-                    seconds
+                return stage.single_granule(
+                    {name: artifacts[name].value for name in stage.inputs}
                 )
 
-            for name in stage.outputs:
-                artifacts[name] = Artifact(
-                    name=name,
-                    value=outputs[name],
-                    fingerprint=fp,
-                    stage=stage.name,
-                    seconds=seconds,
-                    from_cache=cached,
-                )
-            executions.append(
-                StageExecution(
-                    stage=stage.name,
-                    fingerprint=fp,
-                    seconds=seconds,
-                    cached=cached,
-                    outputs=stage.outputs,
-                    cacheable=stage.cacheable,
-                )
-            )
+            outputs, record = self._execute(stage, stage_fps[stage.name], context, inputs)
+            artifacts.update(outputs)
+            executions.append(record)
             done.add(stage.name)
 
         for name in targets:
             materialize(name)
         return GraphRunResult(artifacts, executions, self.cache is not None)
+
+    def run_pooled(
+        self,
+        stage_name: str,
+        config: Any,
+        member_fingerprints: Sequence[Mapping[str, str]],
+        supplier: Callable[[], Sequence[Mapping[str, Any]]],
+    ) -> GraphRunResult:
+        """Execute one pooled stage over a fleet of granule subgraphs.
+
+        ``member_fingerprints`` holds each member's artifact fingerprints
+        (a :meth:`fleet_fingerprints` map, or a granule run's
+        :attr:`GraphRunResult.fingerprints`) in canonical order; ``supplier``
+        returns the members' artifact values in the same order and shape.
+        The stage cache is probed first and ``supplier`` is called only on a
+        miss, so a hit loads no member bundle.
+        """
+        stage = self.graph.stages[stage_name]
+        if not stage.pooled:
+            raise ValueError(f"stage {stage_name!r} is not a pooled stage")
+        context = StageContext(
+            config=config, executor=self.executor, n_workers=self.n_workers
+        )
+        fp = stage.fingerprint(
+            config,
+            context.payload(),
+            {name: [fps[name] for fps in member_fingerprints] for name in stage.inputs},
+        )
+
+        def inputs() -> dict[str, Any]:
+            members = supplier()
+            return {name: [values[name] for values in members] for name in stage.inputs}
+
+        artifacts, record = self._execute(stage, fp, context, inputs)
+        return GraphRunResult(artifacts, [record], self.cache is not None)
+
+    def _execute(
+        self,
+        stage: Stage,
+        fp: str,
+        context: StageContext,
+        inputs: Callable[[], Mapping[str, Any]],
+    ) -> tuple[dict[str, Artifact], StageExecution]:
+        """Serve ``stage`` at ``fp`` from the cache, or compute and store it.
+
+        ``inputs`` is called only on a miss (or a corrupt cached bundle).
+        Emits the ``pipeline.stage`` span on a miss and feeds the
+        ``pipeline_stage_*`` counters either way.  Returns the stage's output
+        artifacts and its execution record.
+        """
+        outputs: Mapping[str, Any] | None = None
+        cached = False
+        seconds = 0.0
+        if stage.cacheable and self.cache is not None:
+            bundle = self.cache.load_stage(stage.name, fp)
+            if bundle is not MISS:
+                outputs = bundle["outputs"]
+                seconds = bundle["seconds"]
+                cached = True
+        if outputs is None:
+            values = inputs()
+            with self.obs.span("pipeline.stage", stage=stage.name, fingerprint=fp, cached=False):
+                start = time.perf_counter()
+                outputs = stage.fn(context, **values)
+                seconds = time.perf_counter() - start
+            self._validate_outputs(stage.name, stage.outputs, outputs)
+            if stage.cacheable and self.cache is not None:
+                self.cache.store_stage(stage.name, fp, outputs, seconds)
+        outcome = "hit" if cached else "miss"
+        self.obs.counter("pipeline_stage_runs_total", stage=stage.name, cache=outcome).inc()
+        if not cached:
+            self.obs.histogram("pipeline_stage_seconds", stage=stage.name).observe(seconds)
+
+        artifacts = {
+            name: Artifact(
+                name=name,
+                value=outputs[name],
+                fingerprint=fp,
+                stage=stage.name,
+                seconds=seconds,
+                from_cache=cached,
+            )
+            for name in stage.outputs
+        }
+        record = StageExecution(
+            stage=stage.name,
+            fingerprint=fp,
+            seconds=seconds,
+            cached=cached,
+            outputs=stage.outputs,
+            cacheable=stage.cacheable,
+        )
+        return artifacts, record
 
     def _validate_outputs(
         self, stage_name: str, declared: tuple[str, ...], outputs: Mapping[str, Any]

@@ -3,11 +3,13 @@
 A :class:`Stage` is a pure function over artifacts plus the metadata the
 engine needs: which artifacts it consumes and produces, which slice of the
 :class:`~repro.workflow.experiment.ExperimentConfig` it reads (the basis of
-its content fingerprint), and whether it fans out over beams.
+its content fingerprint), and whether it is *pooled* across granules.
 
 Stage functions have the uniform signature ``fn(ctx, **inputs) -> outputs``
-where ``inputs``/``outputs`` are keyed by artifact name.  Fan-out stages
-route their per-beam work through :meth:`StageContext.map_items`, which
+where ``inputs``/``outputs`` are keyed by artifact name.  A pooled stage
+receives each input as a list, one item per granule of a fleet in canonical
+order (a list of one inside a single-granule run).  Per-beam stages
+route their work through :meth:`StageContext.map_items`, which
 chunks the items over the shared :class:`~repro.distributed.mapreduce.MapReduceEngine`
 with the runner's pluggable serial/thread/process executor — results are
 order-preserving and bit-for-bit independent of the executor.
@@ -45,9 +47,12 @@ class Stage:
     context_paths:
         :class:`StageContext` attributes folded into the fingerprint
         (e.g. the metrics stage depends on the granule identity).
-    fan_out:
-        Documentation flag: the stage maps over beams via
-        :meth:`StageContext.map_items`.
+    pooled:
+        The stage pools one input artifact from each of N granule
+        subgraphs (the campaign's barriers: ``train``, ``mosaic_campaign``).
+        Its function receives every input as a list in canonical granule
+        order, and its fingerprint covers the list of the members'
+        fingerprints.  A single-granule run passes lists of one.
     cacheable:
         Whether the stage's outputs go to the stage cache.  Pure-assembly
         stages that merely repackage upstream artifacts (``align``,
@@ -64,12 +69,19 @@ class Stage:
     outputs: tuple[str, ...] = ()
     config_paths: tuple[str, ...] = ()
     context_paths: tuple[str, ...] = ()
-    fan_out: bool = False
+    pooled: bool = False
     cacheable: bool = True
     version: str = "1"
 
+    def single_granule(self, inputs: Mapping[str, T]) -> dict[str, T | list[T]]:
+        """``inputs`` as a single-granule run passes them: lists of one if pooled."""
+        return {name: [value] if self.pooled else value for name, value in inputs.items()}
+
     def fingerprint(
-        self, config: Any, context_payload: Mapping[str, Any], input_fingerprints: Mapping[str, str]
+        self,
+        config: Any,
+        context_payload: Mapping[str, Any],
+        input_fingerprints: Mapping[str, str | list[str]],
     ) -> str:
         """Content fingerprint of executing this stage under ``config``.
 

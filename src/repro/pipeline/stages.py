@@ -8,7 +8,10 @@ grid_granule -> mosaic_campaign -> build_pyramid — is a
 the config slice it reads.  :func:`default_graph` wires them into the
 canonical :class:`~repro.pipeline.graph.StageGraph`;
 :mod:`repro.workflow.end_to_end` and :mod:`repro.campaign.runner` are both
-executions of this graph.
+executions of this graph.  ``train`` and ``mosaic_campaign`` are *pooled*
+stages: a campaign runs each once over the list of every granule's
+``training_set`` / ``l3_granule`` (the paper's one classifier for all
+tracks, and the fleet mosaic); a single-granule run passes a list of one.
 
 The stage cache holds each stage's outputs once.  The drift stage caches
 only the :class:`~repro.labeling.alignment.DriftEstimate`; the uncached
@@ -57,7 +60,7 @@ from repro.pipeline.graph import StageGraph
 from repro.pipeline.stage import Stage, StageContext
 from repro.products.atl07 import ATL07Product, generate_atl07
 from repro.products.atl10 import ATL10Product, generate_atl10
-from repro.resampling.window import SegmentArray, resample_fixed_window
+from repro.resampling.window import SegmentArray, concatenate_segments, resample_fixed_window
 from repro.sentinel2.scene import S2Image, render_scene
 from repro.serve.pyramid import TilePyramid, build_pyramid
 from repro.sentinel2.segmentation import SegmentationResult, segment_image
@@ -77,12 +80,6 @@ class TrainingSet:
     @property
     def n_segments(self) -> int:
         return int(self.labels.shape[0])
-
-
-#: Config paths the train stage reads; the campaign's pooled-training
-#: fingerprint uses the same slice (minus ``seed``, which the campaign
-#: replaces with its own seed).
-TRAIN_CONFIG_PATHS = ("model_kind", "lstm", "mlp", "training", "epochs", "seed")
 
 
 def _derived_stream(seed: int, key: int) -> np.random.Generator:
@@ -223,18 +220,31 @@ def stage_training_set(ctx: StageContext, experiment_data: ExperimentData) -> di
     return {"training_set": TrainingSet(segments=segments, labels=labels, groups=groups)}
 
 
-def stage_train(ctx: StageContext, training_set: TrainingSet) -> dict[str, Any]:
+def stage_train(ctx: StageContext, training_set: list[TrainingSet]) -> dict[str, Any]:
+    """Fit one classifier on the pooled training sets, in member order.
+
+    Each member's group ids are offset past the previous member's, so every
+    (granule, beam) track stays a distinct group: no feature window or LSTM
+    sequence spans two unrelated scenes.  For one member the arrays are the
+    member's own (``concatenate_segments`` shares them, the offset is 0).
+    """
     cfg = ctx.config
+    segments = concatenate_segments([t.segments for t in training_set], beam_name="campaign")
+    groups: list[np.ndarray] = []
+    offset = 0
+    for member in training_set:
+        groups.append(member.groups + offset)
+        offset += int(member.groups.max()) + 1 if member.groups.size else 0
     classifier = train_classifier(
-        training_set.segments,
-        training_set.labels,
+        segments,
+        np.concatenate([t.labels for t in training_set]),
         kind=cfg.model_kind,
         lstm_config=cfg.lstm,
         mlp_config=cfg.mlp,
         training=cfg.training,
         epochs=cfg.epochs,
         rng=cfg.seed,
-        groups=training_set.groups,
+        groups=np.concatenate(groups),
     )
     return {"classifier": classifier}
 
@@ -305,15 +315,10 @@ def stage_grid_granule(
     return {"l3_granule": product}
 
 
-def stage_mosaic_campaign(ctx: StageContext, l3_granule: Level3Grid) -> dict[str, Any]:
-    """Mosaic of a one-granule fleet (the graph's single-granule view).
-
-    Campaign runs pool *many* granule grids into this stage's namesake cache
-    entry via :meth:`repro.campaign.CampaignRunner.to_l3`; within a single
-    graph execution the fleet is just this granule.
-    """
+def stage_mosaic_campaign(ctx: StageContext, l3_granule: list[Level3Grid]) -> dict[str, Any]:
+    """Mosaic the fleet's granule grids, in member order."""
     processor = Level3Processor.from_config(ctx.config.l3, scene=ctx.config.scene)
-    return {"l3_mosaic": processor.mosaic([l3_granule])}
+    return {"l3_mosaic": processor.mosaic(l3_granule)}
 
 
 def stage_build_pyramid(ctx: StageContext, l3_mosaic: Level3Grid) -> dict[str, Any]:
@@ -395,7 +400,6 @@ def build_default_graph() -> StageGraph:
             ("granule",),
             ("segments",),
             ("window_length_m",),
-            fan_out=True,
         ),
         Stage(
             "drift",
@@ -420,7 +424,6 @@ def build_default_graph() -> StageGraph:
             ("segments", "aligned_image", "segmentation"),
             ("auto_labels", "labels", "correction_reports"),
             (),
-            fan_out=True,
         ),
         Stage(
             "curate",
@@ -450,7 +453,14 @@ def build_default_graph() -> StageGraph:
             (),
             cacheable=False,
         ),
-        Stage("train", stage_train, ("training_set",), ("classifier",), TRAIN_CONFIG_PATHS),
+        Stage(
+            "train",
+            stage_train,
+            ("training_set",),
+            ("classifier",),
+            ("model_kind", "lstm", "mlp", "training", "epochs", "seed"),
+            pooled=True,
+        ),
         Stage(
             "infer",
             stage_infer,
@@ -464,7 +474,6 @@ def build_default_graph() -> StageGraph:
             ("classified",),
             ("sea_surface",),
             ("sea_surface",),
-            fan_out=True,
         ),
         Stage("freeboard", stage_freeboard, ("classified", "sea_surface"), ("freeboard",), ()),
         Stage(
@@ -473,9 +482,8 @@ def build_default_graph() -> StageGraph:
             ("granule",),
             ("atl07",),
             ("sea_surface",),
-            fan_out=True,
         ),
-        Stage("atl10", stage_atl10, ("atl07",), ("atl10",), (), fan_out=True),
+        Stage("atl10", stage_atl10, ("atl07",), ("atl10",), ()),
         Stage(
             "grid_granule",
             stage_grid_granule,
@@ -493,6 +501,7 @@ def build_default_graph() -> StageGraph:
             ("l3_granule",),
             ("l3_mosaic",),
             ("l3", "scene"),
+            pooled=True,
         ),
         Stage(
             "build_pyramid",

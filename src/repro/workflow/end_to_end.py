@@ -25,7 +25,7 @@ partial recomputation or parallel per-beam fan-out use
 
 from __future__ import annotations
 
-from repro.classification.pipeline import ClassifiedTrack, TrainedClassifier
+from repro.classification.pipeline import TrainedClassifier
 from repro.workflow.experiment import (
     ExperimentConfig,
     ExperimentData,
@@ -72,7 +72,6 @@ def run_inference_stage(
     data: ExperimentData,
     classifier: TrainedClassifier,
     config: ExperimentConfig,
-    classified: dict[str, ClassifiedTrack] | None = None,
 ) -> InferenceProducts:
     """Classify a curated granule and retrieve freeboard + ATL07/ATL10 baselines.
 
@@ -81,10 +80,6 @@ def run_inference_stage(
     :mod:`repro.campaign`), it runs the retrieval subgraph (inference,
     sea-surface detection, freeboard and the emulated operational baselines)
     with the curated data injected as precomputed artifacts.
-
-    ``classified`` lets a caller that already classified the granule's beams
-    (e.g. the campaign runner, which pools many granules into one
-    ``predict_batched`` pass) skip the per-granule classification.
     """
     from repro.pipeline.artifact import external_artifact
 
@@ -93,8 +88,6 @@ def run_inference_stage(
         "segments": external_artifact("segments", data.segments),
         "classifier": external_artifact("classifier", classifier),
     }
-    if classified is not None:
-        precomputed["classified"] = external_artifact("classified", classified)
     result = _graph_runner().run(
         config,
         targets=("classified", "freeboard", "atl07", "atl10"),

@@ -54,7 +54,7 @@ UPSTREAM_STAGES = (
     "autolabel-",
     "curate-",
     "training_set-",
-    "train-pooled-",
+    "train-",
     "infer-",
 )
 
@@ -112,11 +112,11 @@ class TestInterruptedResume:
         """Curation cached, classifier/results wiped: resume trains + retrieves."""
         stage_cache = StageCache(config.cache_dir)
         for key in stage_cache.store.keys():
-            if key.startswith(("train-pooled-", "infer-", f"{GRANULE_RESULT_STAGE}-")):
+            if key.startswith(("train-", "infer-", f"{GRANULE_RESULT_STAGE}-")):
                 stage_cache.store.path(key).unlink()
 
         resumed = CampaignRunner(config).run()
-        assert any(key.startswith("train-pooled-") for key in resumed.stage_misses)
+        assert any(key.startswith("train-") for key in resumed.stage_misses)
         assert not any(key.startswith(CURATION_STAGES) for key in resumed.stage_misses)
         # Retraining on identical curated data reproduces the classifier and
         # products bit-for-bit.
@@ -148,7 +148,7 @@ class TestStageGranularInvalidation:
             key.startswith(UPSTREAM_STAGES) for key in result.stage_misses
         ), result.stage_misses
         # ...curation, pooled training and classification all hit...
-        for prefix in ("resample-", "autolabel-", "train-pooled-", "infer-"):
+        for prefix in ("resample-", "autolabel-", "train-", "infer-"):
             assert any(key.startswith(prefix) for key in result.stage_hits), prefix
         # ...and exactly the sea-surface-downstream stages missed.
         missed_kinds = {key.rsplit("-", 1)[0] for key in result.stage_misses}
@@ -198,5 +198,5 @@ class TestBackendIsolation:
             second = CampaignRunner(config).run()
         assert second.stage_hits == ()
         assert set(second.stage_misses).isdisjoint(first.stage_misses)
-        for prefix in ("scene-", "train-pooled-", "infer-", f"{GRANULE_RESULT_STAGE}-"):
+        for prefix in ("scene-", "train-", "infer-", f"{GRANULE_RESULT_STAGE}-"):
             assert any(key.startswith(prefix) for key in second.stage_misses), prefix

@@ -8,7 +8,10 @@ Covers the acceptance criteria of the campaign layer:
   workers and produces aggregated metrics;
 * a second run with the same config resumes entirely from the on-disk stage
   cache — one read per granule plus the classifier — and a partially deleted
-  cache re-runs only the missing granules.
+  cache re-runs only the missing granules;
+* every granule's classification is the graph's own ``infer`` output, and
+  the pooled ``train``/``mosaic_campaign`` stages report telemetry like
+  every other stage.
 """
 
 import os
@@ -18,11 +21,17 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner
-from repro.campaign.runner import GRANULE_RESULT_STAGE, POOLED_TRAIN_STAGE
-from repro.config import N_CLASSES
+from repro.campaign.runner import GRANULE_RESULT_STAGE
+from repro.config import N_CLASSES, LogConfig, ObsConfig
 from repro.obs.core import Obs
 from repro.obs.export import build_health_dashboard, validate_dashboard
-from repro.pipeline import ArtifactStore, GraphRunner, StageCache, default_graph
+from repro.pipeline import (
+    ArtifactStore,
+    GraphRunner,
+    StageCache,
+    default_graph,
+    external_artifact,
+)
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 
@@ -50,16 +59,12 @@ def granule_result_key(config: CampaignConfig, result, granule_id: str) -> str:
     The entry is keyed by the granule's ``granule_metrics`` fingerprint with
     the campaign's pooled classifier injected.
     """
-    prefix = f"{POOLED_TRAIN_STAGE}-"
-    pooled_key = next(
-        key for key in (*result.stage_hits, *result.stage_misses) if key.startswith(prefix)
-    )
     spec = next(s for s in config.expand() if s.granule_id == granule_id)
     fps = GraphRunner(default_graph()).fingerprints(
         spec.config,
         granule_id=granule_id,
         scenario=spec.scenario,
-        precomputed={"classifier": pooled_key[len(prefix):]},
+        precomputed={"classifier": result.classifier_fingerprint},
     )
     return f"{GRANULE_RESULT_STAGE}-{fps['granule_metrics']}"
 
@@ -137,6 +142,40 @@ class TestSerialParallelParity:
             assert result.stage_misses == ()
 
 
+class TestGraphParity:
+    """A campaign writes the same ``classified`` bytes as a one-granule graph run.
+
+    The ``infer-*`` key names the graph's ``infer`` stage, so whatever path
+    produced an entry, its bytes must be that stage's output for the
+    granule alone — labels *and* probabilities.
+    """
+
+    @pytest.mark.parametrize("fixture", ["serial_result", "parallel_result"])
+    def test_classified_bytes_match_single_granule_run(self, fixture, request):
+        result = request.getfixturevalue(fixture)
+        config = CampaignConfig(base=BASE, grid=PARITY_GRID, seed=11)
+        classifier = external_artifact(
+            "classifier", result.classifier, result.classifier_fingerprint
+        )
+        runner = GraphRunner(default_graph())
+        for spec in config.expand():
+            run = runner.run(
+                spec.config,
+                targets=("classified",),
+                precomputed={"classifier": classifier},
+                granule_id=spec.granule_id,
+                scenario=spec.scenario,
+            )
+            campaign = result.granule(spec.granule_id).products.classified
+            assert list(campaign) == list(run.value("classified"))
+            for beam, track in run.value("classified").items():
+                assert campaign[beam].labels.tobytes() == track.labels.tobytes()
+                assert campaign[beam].probabilities.tobytes() == track.probabilities.tobytes()
+            assert result.granule(spec.granule_id).fingerprints["classified"] == (
+                run.artifacts["classified"].fingerprint
+            )
+
+
 # -- 6-granule acceptance campaign (2x3 grid, 2 workers, cached) --------------
 
 ACCEPTANCE_GRID = {
@@ -203,7 +242,8 @@ class TestSixGranuleCampaign:
         assert first_run.stage_hits == ()
         kinds = [key.rsplit("-", 1)[0] for key in first_run.stage_misses]
         assert kinds.count(GRANULE_RESULT_STAGE) == 6
-        assert kinds.count(POOLED_TRAIN_STAGE) == 1
+        assert kinds.count("train") == 1
+        assert f"train-{first_run.classifier_fingerprint}" in first_run.stage_misses
         # The stage tier is the only cache: every computed entry is in it,
         # and nothing else is written under the cache directory.
         assert os.listdir(acceptance_config.cache_dir) == ["stages"]
@@ -216,7 +256,7 @@ class TestSixGranuleCampaign:
         assert sorted(second.stage_hits) == sorted(
             key
             for key in first_run.stage_misses
-            if key.startswith((GRANULE_RESULT_STAGE, POOLED_TRAIN_STAGE))
+            if key.startswith((f"{GRANULE_RESULT_STAGE}-", "train-"))
         )
         # Resumed results are the cached artifacts: identical outputs.
         for a, b in zip(first_run.granules, second.granules):
@@ -318,6 +358,52 @@ class TestStageSpans:
         ]
         assert fan_out
         assert all(span.parent_id == curation.span_id for span in fan_out)
+
+
+class TestBarrierTelemetry:
+    """The pooled stages report spans and counters like every other stage."""
+
+    def test_pooled_stages_on_cold_then_hot_campaign(self, tmp_path):
+        obs = Obs(ObsConfig(log=LogConfig(dedup_window_s=0)))
+        config = CampaignConfig(
+            base=BASE, grid={"cloud_fraction": (0.1, 0.3)}, seed=11, cache_dir=str(tmp_path)
+        )
+        n = config.n_granules
+
+        def records(event):
+            return obs.log.events(event)
+
+        def runs(stage, cache):
+            return obs.registry.value("pipeline_stage_runs_total", stage=stage, cache=cache)
+
+        with CampaignRunner(config, obs=obs) as runner:
+            runner.to_l3(runner.run())
+        # Cold: each pooled stage computed once, inside its campaign span.
+        for stage, parent in (("train", "campaign.training"), ("mosaic_campaign", None)):
+            (span,) = [
+                s for s in obs.tracer.spans("pipeline.stage") if s.attributes["stage"] == stage
+            ]
+            if parent is not None:
+                (enclosing,) = obs.tracer.spans(parent)
+                assert span.parent_id == enclosing.span_id
+            assert runs(stage, "miss") == 1 and runs(stage, "hit") == 0
+            assert obs.histogram("pipeline_stage_seconds", stage=stage).count == 1
+        # The campaign logs its own reads: the granule results, the
+        # classifier and the mosaic.
+        assert len(records("campaign.cache_miss")) == n + 2
+        assert records("campaign.cache_hit") == ()
+
+        obs.log.clear()
+        with CampaignRunner(config, obs=obs) as runner:
+            result = runner.run()
+            assert len(records("campaign.cache_hit")) == 1 + n
+            runner.to_l3(result)
+        assert len(records("campaign.cache_hit")) == 2 + n
+        assert records("campaign.cache_miss") == ()
+        # Hot: hits are counted, but nothing is computed or timed again.
+        for stage in ("train", "mosaic_campaign"):
+            assert runs(stage, "miss") == 1 and runs(stage, "hit") == 1
+            assert obs.histogram("pipeline_stage_seconds", stage=stage).count == 1
 
 
 class TestEngineLifecycle:

@@ -1,16 +1,21 @@
 """Execution tests for the graph runner: caching, partial recompute, executors."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignConfig
+from repro.classification.pipeline import train_classifier
 from repro.config import SeaSurfaceConfig
 from repro.pipeline import (
     MISS,
+    ArtifactSpec,
     ArtifactStore,
     GraphRunner,
+    Stage,
     StageCache,
+    StageGraph,
     default_graph,
     external_artifact,
 )
@@ -184,6 +189,120 @@ class TestExecutorParity:
                 serial.value("freeboard")[name].freeboard_m,
                 process.value("freeboard")[name].freeboard_m,
             )
+
+
+@dataclass(frozen=True)
+class ToyConfig:
+    x: int = 1
+
+
+def _make_x(ctx):
+    return {"x": ctx.config.x}
+
+
+def _total(ctx, x):
+    return {"total": sum(x)}
+
+
+#: A granule stage feeding one pooled stage.
+TOY = StageGraph(
+    [
+        Stage("make_x", _make_x, (), ("x",), ("x",)),
+        Stage("total", _total, ("x",), ("total",), pooled=True),
+    ],
+    [ArtifactSpec("x", int), ArtifactSpec("total", int)],
+)
+
+
+class TestPooledStage:
+    def test_fingerprint_covers_every_member_and_their_order(self, tmp_path):
+        runner = GraphRunner(TOY, cache=StageCache(tmp_path))
+
+        def fingerprint(*members):
+            run = runner.run_pooled(
+                "total",
+                ToyConfig(),
+                [{"x": fp} for fp in members],
+                lambda: [{"x": 1}] * len(members),
+            )
+            return run.artifacts["total"].fingerprint
+
+        base = fingerprint("a", "b")
+        assert fingerprint("a", "b") == base
+        assert fingerprint("a", "c") != base
+        assert fingerprint("c", "b") != base
+        assert fingerprint("b", "a") != base
+        assert fingerprint("a") != base
+
+    def test_cache_hit_never_calls_the_supplier(self, tmp_path, monkeypatch):
+        runner = GraphRunner(TOY, cache=StageCache(tmp_path))
+        members = [{"x": "fa"}, {"x": "fb"}]
+        cold = runner.run_pooled("total", ToyConfig(), members, lambda: [{"x": 2}, {"x": 3}])
+        assert cold.value("total") == 5
+        assert cold.cache_misses and not cold.cache_hits
+
+        loads: list[str] = []
+        original_load = ArtifactStore.load
+
+        def counting_load(store, key, default=None):
+            loads.append(key)
+            return original_load(store, key, default)
+
+        def supplier():
+            raise AssertionError("a cache hit must not demand its members")
+
+        monkeypatch.setattr(ArtifactStore, "load", counting_load)
+        warm = runner.run_pooled("total", ToyConfig(), members, supplier)
+        assert warm.value("total") == 5
+        assert warm.cache_hits == cold.cache_misses
+        assert loads == list(cold.cache_misses)  # the pooled entry, no member
+
+    def test_single_granule_run_pools_a_list_of_one(self):
+        result = GraphRunner(TOY).run(ToyConfig(x=7), targets=("total",))
+        assert result.value("total") == 7
+
+    def test_only_pooled_stages_run_pooled(self):
+        with pytest.raises(ValueError, match="not a pooled stage"):
+            GraphRunner(TOY).run_pooled("make_x", ToyConfig(), [], list)
+
+    def test_train_of_one_equals_direct_training(self, first_run):
+        training_set = first_run.value("training_set")
+        direct = train_classifier(
+            training_set.segments,
+            training_set.labels,
+            kind=CONFIG.model_kind,
+            lstm_config=CONFIG.lstm,
+            mlp_config=CONFIG.mlp,
+            training=CONFIG.training,
+            epochs=CONFIG.epochs,
+            rng=CONFIG.seed,
+            groups=training_set.groups,
+        )
+        pooled = first_run.value("classifier")
+        for a, b in zip(direct.model.get_weights(), pooled.model.get_weights(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fleet_walk_equals_per_granule_fingerprints(self):
+        config = CampaignConfig(base=CONFIG, grid={"cloud_fraction": (0.1, 0.3)}, seed=4)
+        specs = config.expand()
+        runner = GraphRunner(default_graph())
+        maps = runner.fleet_fingerprints(specs, replace(CONFIG, seed=config.seed))
+        pooled = ("classifier", "l3_mosaic")
+        for name in (*pooled, "l3_pyramid"):
+            assert maps[0][name] == maps[1][name]
+        for spec, fps in zip(specs, maps):
+            assert fps == runner.fingerprints(
+                spec.config,
+                granule_id=spec.granule_id,
+                scenario=spec.scenario,
+                precomputed={name: fps[name] for name in pooled},
+            )
+            # The fleet classifier is not the granule's own pooled-of-one.
+            alone = runner.fingerprints(
+                spec.config, granule_id=spec.granule_id, scenario=spec.scenario
+            )
+            assert alone["classifier"] != fps["classifier"]
+            assert alone["training_set"] == fps["training_set"]
 
 
 class TestArtifactStoreSentinel:
