@@ -19,9 +19,12 @@ Six kernel pairs are timed on deterministic, ATL03-representative inputs:
 
 Each pair is asserted equivalent (1e-10; the drift, resampling and
 random-field pairs exactly) before it is timed, so a benchmark run doubles
-as an integration check.  ``benchmarks/check_regression.py`` turns the
-emitted ``--benchmark-json`` file into per-kernel speedups and
-compares them against the committed baselines in
+as an integration check.  Each pair is one ``GATES`` row of
+``benchmarks/check_regression.py``, named after the kernel
+(``sea_surface_nasa``, ``confidence_binning``, ``lstm_forward``,
+``lstm_backward``, ``drift``, ``resample``, ``random_field``); the gate
+turns the emitted ``--benchmark-json`` file into per-kernel speedups and
+compares them against the committed ratios in
 ``benchmarks/results/kernel_baselines.json`` (machine-independent: ratios,
 not absolute times).
 

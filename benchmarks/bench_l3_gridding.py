@@ -11,8 +11,10 @@ granule.
 The reference backend is the pure per-cell loop; the vectorized backend
 does composite-key ``np.bincount`` sums and segmented ``np.lexsort``
 medians.  The pair is asserted equivalent (1e-10) before timing, and
-``benchmarks/check_regression.py`` holds the measured speedup against the
-committed baseline (with a hard >= 3x acceptance floor for this kernel).
+the ``l3_gridding`` row of ``GATES`` in ``benchmarks/check_regression.py``
+holds the measured speedup against its committed ratio in
+``benchmarks/results/kernel_baselines.json`` (with a hard >= 3x acceptance
+floor for this kernel).
 
 Run:  python -m pytest benchmarks/bench_l3_gridding.py --benchmark-json=l3-bench.json
 """

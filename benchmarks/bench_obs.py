@@ -20,10 +20,11 @@ rides on:
   tracer, ships spans + metric deltas back and grafts them into the
   driver's tree; the disabled run submits the bare tasks.
 
-``benchmarks/check_regression.py`` pairs each ``obs_enabled_*`` benchmark
-with its ``obs_disabled_*`` twin and holds the enabled/disabled time ratio
-under ``OBS_OVERHEAD_CEILING`` (1.05: telemetry may cost at most 5 % of
-any hot path).
+Each ``obs_enabled_<path>`` / ``obs_disabled_<path>`` pair is one
+``obs_overhead_<path>`` row of ``GATES`` in ``benchmarks/check_regression.py``,
+which holds the enabled/disabled time ratio under its 1.05 ceiling
+(telemetry may cost at most 5 % of any hot path); the committed ratios are
+in ``benchmarks/results/kernel_baselines.json``.
 
 Run:  python -m pytest benchmarks/bench_obs.py --benchmark-json=obs-bench.json
 """

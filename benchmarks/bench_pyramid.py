@@ -10,8 +10,10 @@ variable when the query engine decodes a product.
 The reference backend loops over output cells; the vectorized backend
 reduces the four strided child planes at once.  The pair is asserted
 equivalent (bit-identical) before timing, and
-``benchmarks/check_regression.py`` holds the measured speedup against the
-committed baseline (with a hard >= 3x acceptance floor for this kernel).
+the ``pyramid_reduce`` row of ``GATES`` in ``benchmarks/check_regression.py``
+holds the measured speedup against its committed ratio in
+``benchmarks/results/kernel_baselines.json`` (with a hard >= 3x acceptance
+floor for this kernel).
 
 Run:  python -m pytest benchmarks/bench_pyramid.py --benchmark-json=pyr-bench.json
 """

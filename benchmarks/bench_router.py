@@ -8,16 +8,19 @@ shard-engine execution — over a real on-disk mosaic, in two regimes:
 * **hot**: a pre-warmed router serving the same requests from the shard
   LRU caches (the steady state the prefetcher maintains for the Zipf head).
 
-Each regime runs under both kernel backends, producing two derived gates
-in ``benchmarks/check_regression.py``:
+Each regime runs under both kernel backends, feeding three kinds of
+``GATES`` rows in ``benchmarks/check_regression.py`` (committed ratios in
+``benchmarks/results/kernel_baselines.json``):
 
-* the usual ``*_reference`` / ``*_vectorized`` pairing turns the cold runs
-  into a serving-path speedup (decode + pyramid build dominate, so the
-  vectorized backend must keep paying off end to end);
-* the cold/hot *latency ratio* per backend is held against a committed
-  floor — the router's cache path must stay an order of magnitude off the
-  decode path, else the LRU or the single-flight accounting has regressed
-  into the request path.
+* ``router_cold`` turns the reference/vectorized cold runs into a
+  serving-path speedup (decode + pyramid build dominate, so the vectorized
+  backend must keep paying off end to end);
+* ``router_latency_<backend>`` holds the cold/hot *latency ratio* above a
+  3x floor — the router's cache path must stay an order of magnitude off
+  the decode path, else the LRU or the single-flight accounting has
+  regressed into the request path;
+* ``router_hot_<backend>`` holds the hot run's absolute time under a
+  generous 0.25 s ceiling.
 
 Run:  python -m pytest benchmarks/bench_router.py --benchmark-json=router-bench.json
 """

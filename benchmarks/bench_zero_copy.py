@@ -1,19 +1,24 @@
 """Zero-copy hot-path benchmarks: shm fan-out and memory-mapped decode.
 
-Two regimes, feeding two gates in ``benchmarks/check_regression.py``:
+Two regimes, feeding the ``zero_copy_*`` rows of ``GATES`` in
+``benchmarks/check_regression.py`` (committed ratios in
+``benchmarks/results/kernel_baselines.json``):
 
 * **fan-out**: one multi-granule struct-of-arrays payload (~48 MB) is
   map-reduced across a warmed persistent process pool, once with the
   shared-memory transport (arrays published once, workers slice attached
   views) and once with the legacy pickled path (every partition's arrays
-  serialised through a pipe).  The pickled/shm time ratio is held above a
-  committed >= 2x floor — the tentpole claim of the zero-copy executor.
+  serialised through a pipe).  The pickled/shm time ratio
+  (``zero_copy_fanout``) is held above a >= 2x floor — the central claim
+  of the zero-copy executor.
 * **decode**: one serving-scale product is written twice (npz archive and
   raw flat blob) and a single cold zoom-0 tile is served from each through
   a fresh :class:`~repro.serve.query.QueryEngine`.  The npz path inflates
   the whole archive and builds the full pyramid; the raw path memory-maps
   the blob and touches one tile's worth of pages.  Per kernel backend, the
-  npz/raw ratio is held above a >= 3x floor.
+  npz/raw ratio (``zero_copy_decode_<backend>``) is held above a >= 3x
+  floor, and the reference/vectorized npz runs form the
+  ``zero_copy_decode_npz`` kernel speedup.
 
 Run:  python -m pytest benchmarks/bench_zero_copy.py --benchmark-json=zero-copy-bench.json
 """
