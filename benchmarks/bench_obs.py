@@ -112,7 +112,7 @@ def _bench_query(benchmark, archive, obs: Obs) -> None:
     )
     requests = make_requests()
     warmed = router.serve(requests)
-    assert all(r.response.n_tiles > 0 for r in warmed)
+    assert all(r.n_tiles > 0 for r in warmed)
 
     def serve_many() -> None:
         # 10 warm batches per round: enough spans/counter increments that

@@ -118,11 +118,11 @@ def _bench_hot(benchmark, archive, backend: str) -> None:
         router = fresh_router(archive)
         requests = make_requests()
         warmed = router.serve(requests)
-        assert all(r.response.n_tiles > 0 for r in warmed)
+        assert all(r.n_tiles > 0 for r in warmed)
         # Steady state: every tile in the LRU, requests still walk the full
         # router path (resolve -> flight -> shard engine -> cache hit).
         benchmark.pedantic(router.serve, args=(requests,), **ROUNDS)
-        assert all(r.response.from_cache for r in router.serve(requests))
+        assert all(r.from_cache for r in router.serve(requests))
 
 
 def test_router_cold_reference(benchmark, archive):

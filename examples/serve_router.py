@@ -97,10 +97,10 @@ def main() -> None:
         shards_used = sorted({routed.shard for routed in served})
         print(
             f"served {len(served)} queries via shards {shards_used}, "
-            f"{sum(r.response.n_tiles for r in served)} tiles total"
+            f"{sum(r.n_tiles for r in served)} tiles total"
         )
         repeat = router.serve(requests)
-        assert all(r.response.from_cache for r in repeat), "repeat must hit the LRUs"
+        assert all(r.from_cache for r in repeat), "repeat must hit the LRUs"
         print("repeat batch: all tiles from the per-shard LRU caches")
 
         # 3. Open loop on a virtual clock: Poisson arrivals at 2x capacity.

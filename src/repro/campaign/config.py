@@ -252,8 +252,11 @@ class CampaignConfig:
 
         The expansion order (scenario-major, replicate-minor) defines the
         canonical granule order used for pooled training, so results are
-        bit-for-bit identical however the fleet is scheduled.
+        bit-for-bit identical however the fleet is scheduled.  The index in
+        each granule id is zero-padded to one width across the fleet (at
+        least three digits), so sorted ids keep that canonical order.
         """
+        width = max(3, len(str(self.n_granules - 1)))
         specs: list[GranuleSpec] = []
         index = 0
         for scenario in self.scenarios():
@@ -266,7 +269,7 @@ class CampaignConfig:
                 suffix = ("-" + "-".join(parts)) if parts else ""
                 specs.append(
                     GranuleSpec(
-                        granule_id=f"g{index:03d}{suffix}",
+                        granule_id=f"g{index:0{width}d}{suffix}",
                         index=index,
                         replicate=replicate,
                         scenario=scenario,

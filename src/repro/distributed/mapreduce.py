@@ -21,7 +21,9 @@ Two zero-copy properties of the process executor:
   and reuses it across jobs — a campaign fleet or query batch no longer
   pays pool spawn per fan-out.  ``close()`` (or the context manager, or a
   GC finalizer) shuts it down; a closed engine transparently respawns on
-  next use.
+  next use.  Every task carries the driver's kernel backend
+  (:func:`repro.kernels.get_backend`), so the pool follows a backend switch
+  between jobs.
 * **Shared-memory task payloads.**  With ``use_shm`` (the default), task
   inputs for the process executor travel through
   :mod:`repro.distributed.shm`: large arrays are copied once into
@@ -51,6 +53,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.distributed.shm import ArrayDescriptor, SharedArrayStore, attach_view, dumps_shared
+from repro.kernels import get_backend, set_backend
 from repro.obs.core import Obs, default_obs
 from repro.obs.propagate import TracedTask, WorkerTelemetry, current_context, merge_worker_telemetry
 from repro.obs.trace import NullTracer, Tracer
@@ -274,7 +277,8 @@ class MapReduceEngine:
                 kwargs = {} if self.shm_min_bytes is None else {"min_bytes": self.shm_min_bytes}
                 payloads = [dumps_shared(t, store, **kwargs) for t in jobs]
                 self._count_shm(store, len(jobs))
-            futures = [pool.submit(_call_pickled, payload) for payload in payloads]
+            backend = get_backend()
+            futures = [pool.submit(_call_pickled, payload, backend) for payload in payloads]
             results = [f.result() for f in futures]
             return self._merge_worker_results(results) if timed else results
         except BrokenProcessPool:
@@ -495,9 +499,12 @@ class MapReduceEngine:
                 tasks = list(self._traced_tasks(tasks))
             self._count_shm(store, len(tasks))
             pool = self._pool(min(self.max_workers, len(tasks)))
+            backend = get_backend()
             try:
                 futures = [
-                    pool.submit(_call_pickled, pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
+                    pool.submit(
+                        _call_pickled, pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL), backend
+                    )
                     for t in tasks
                 ]
                 results = [f.result() for f in futures]
@@ -507,14 +514,17 @@ class MapReduceEngine:
                 raise
 
 
-def _call_pickled(payload: bytes):
-    """Worker entry point: decode a pickled thunk and run it.
+def _call_pickled(payload: bytes, backend: str):
+    """Worker entry point: decode a pickled thunk and run it under ``backend``.
 
     Decoding in the worker (rather than letting the pool's own pickler do
     it) is what lets the driver pre-encode tasks with the shared-memory
     pickler — array leaves arrive as descriptors and materialise as
-    read-only views here.
+    read-only views here.  ``backend`` is the driver's kernel backend at
+    submission: a persistent pool outlives any backend switch in the
+    driver, so every task carries the backend its job was submitted under.
     """
+    set_backend(backend)
     return pickle.loads(payload)()
 
 

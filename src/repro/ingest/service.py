@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import DEFAULT_INGEST, IngestConfig
-from repro.kernels import resolve_backend
 from repro.obs.core import Obs, default_obs
 from repro.l3.merge import MosaicAccumulator
 from repro.l3.processor import Level3Processor
@@ -109,7 +108,6 @@ class IngestService:
         config: IngestConfig = DEFAULT_INGEST,
         gridder: Callable[[Any], Level3Grid] | None = None,
         on_rebuild: Callable[["IngestService"], None] | None = None,
-        backend: str | None = None,
         obs: Obs | None = None,
     ) -> None:
         if handle.products_dir is None:
@@ -118,14 +116,13 @@ class IngestService:
         self.config = config
         self.on_rebuild = on_rebuild
         self._gridder = gridder
-        self.backend = resolve_backend(backend if backend is not None else handle.backend)
         self.obs = obs if obs is not None else getattr(handle, "obs", None) or default_obs()
 
         #: Stable catalog key of the live mosaic (constant across ingests, so
         #: untouched cached tiles stay addressable).
         self.key = f"live:{seed_l3.fingerprint or 'mosaic'}"
 
-        self.accumulator = MosaicAccumulator(seed_l3.mosaic.grid, backend=self.backend)
+        self.accumulator = MosaicAccumulator(seed_l3.mosaic.grid)
         self._verify_grids: dict[str, Level3Grid] | None = (
             {} if config.verify_merge else None
         )
@@ -140,10 +137,8 @@ class IngestService:
         snapshot.metadata["fingerprint"] = self.key
         self._publish_mosaic(snapshot, replace_batch_entry=True)
 
-        pyramid = build_pyramid(snapshot, serve=handle.serve, backend=self.backend)
-        self.builder = IncrementalPyramidBuilder(
-            pyramid, serve=handle.serve, backend=self.backend
-        )
+        pyramid = build_pyramid(snapshot, serve=handle.serve)
+        self.builder = IncrementalPyramidBuilder(pyramid, serve=handle.serve)
         self._live_loader().install(self.key, pyramid, self.builder.revisions)
         self.n_ingested = 0
         #: The most recent :class:`IngestReport` (``None`` before any ingest);
@@ -289,7 +284,7 @@ class IngestService:
         """Assert the online mosaic is byte-identical to the batch mosaic."""
         if against is None:
             assert self._verify_grids is not None
-            processor = Level3Processor(self.accumulator.grid, backend=self.backend)
+            processor = Level3Processor(self.accumulator.grid)
             against = processor.mosaic(
                 [self._verify_grids[gid] for gid in self.accumulator.granule_ids]
             )

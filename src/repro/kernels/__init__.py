@@ -38,8 +38,10 @@ and random-field kernels) and benchmarked against
 Backend selection
 -----------------
 
-The active backend is process-global and defaults to ``"vectorized"``; the
-``REPRO_KERNEL_BACKEND`` environment variable overrides the initial value::
+The active backend is one process-global switch, the only backend decision
+in the code: every kernel entry point reads :func:`get_backend` when it is
+called.  It defaults to ``"vectorized"``; the ``REPRO_KERNEL_BACKEND``
+environment variable overrides the initial value::
 
     from repro import kernels
 
@@ -47,8 +49,11 @@ The active backend is process-global and defaults to ``"vectorized"``; the
     with kernels.use_backend("vectorized"):   # scoped switch
         ...
 
-Every kernel entry point also accepts an explicit ``backend=...`` argument
-that bypasses the global switch for that one call.
+Process-pool workers follow the driver: ``MapReduceEngine`` sends the
+driver's backend with every task, so a persistent pool runs each job under
+the backend active at submission, not the one it was started with.
+Products and pyramids stamp the backend that was active when they were
+computed as ``kernel_backend`` metadata.
 """
 
 from __future__ import annotations
@@ -91,15 +96,6 @@ def use_backend(name: str) -> Iterator[None]:
         set_backend(previous)
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Validate an explicit ``backend=`` argument, defaulting to the global switch."""
-    if backend is None:
-        return _active_backend
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; choose from {KERNEL_BACKENDS}")
-    return backend
-
-
 from repro.kernels import (  # noqa: E402
     confidence,
     drift,
@@ -121,7 +117,6 @@ __all__ = [
     "pyramid",
     "random_field",
     "resampling",
-    "resolve_backend",
     "sea_surface",
     "set_backend",
     "use_backend",

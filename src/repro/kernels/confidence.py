@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels._segments import cumsum0 as _cumsum0
 
 
@@ -237,12 +237,11 @@ def modal_height_per_bin(
     height_m: np.ndarray,
     bin_edges: np.ndarray,
     height_resolution_m: float,
-    backend: str | None = None,
 ) -> np.ndarray:
-    """Dispatch to the active (or explicitly requested) backend."""
+    """Dispatch to the active kernel backend."""
     impl = (
         modal_height_per_bin_vectorized
-        if resolve_backend(backend) == "vectorized"
+        if get_backend() == "vectorized"
         else modal_height_per_bin_reference
     )
     return impl(along_track_m, height_m, bin_edges, height_resolution_m)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 
 if TYPE_CHECKING:
     from repro.sentinel2.scene import S2Image
@@ -157,9 +157,8 @@ def drift_search(
     seg_height: np.ndarray,
     dxs: np.ndarray,
     dys: np.ndarray,
-    backend: str | None = None,
 ) -> tuple[float, float, float, int]:
-    """Dispatch to the active (or explicitly requested) backend.
+    """Dispatch to the active kernel backend.
 
     Parameters
     ----------
@@ -171,8 +170,6 @@ def drift_search(
         Projected coordinates and finite heights of the track segments.
     dxs, dys:
         Candidate shifts per axis; every pair is scored.
-    backend:
-        ``"vectorized"``, ``"reference"`` or ``None`` (the global switch).
 
     Returns
     -------
@@ -183,7 +180,7 @@ def drift_search(
     """
     impl = (
         drift_search_vectorized
-        if resolve_backend(backend) == "vectorized"
+        if get_backend() == "vectorized"
         else drift_search_reference
     )
     return impl(class_map, image, seg_x, seg_y, seg_height, dxs, dys)

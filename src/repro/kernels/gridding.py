@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels._segments import segmented_median
 
 
@@ -189,10 +189,9 @@ def cell_statistics(
     cell_index: np.ndarray,
     values: np.ndarray,
     n_cells: int,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell (count, mean, median, std, MAD) via the active kernel backend."""
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return cell_statistics_vectorized(cell_index, values, n_cells)
     return cell_statistics_reference(cell_index, values, n_cells)
 
@@ -202,9 +201,8 @@ def cell_class_counts(
     labels: np.ndarray,
     n_cells: int,
     n_classes: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Per-(class, cell) counts via the active kernel backend."""
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return cell_class_counts_vectorized(cell_index, labels, n_cells, n_classes)
     return cell_class_counts_reference(cell_index, labels, n_cells, n_classes)

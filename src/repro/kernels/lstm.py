@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 
 #: Supported cell output activations.
 LSTM_ACTIVATIONS = ("elu", "tanh")
@@ -295,14 +295,9 @@ def lstm_forward(
     U: np.ndarray,
     b: np.ndarray,
     activation: str,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch the forward pass to the active (or requested) backend."""
-    impl = (
-        lstm_forward_vectorized
-        if resolve_backend(backend) == "vectorized"
-        else lstm_forward_reference
-    )
+    """Dispatch the forward pass to the active kernel backend."""
+    impl = lstm_forward_vectorized if get_backend() == "vectorized" else lstm_forward_reference
     return impl(x, W, U, b, activation)
 
 
@@ -315,12 +310,7 @@ def lstm_backward(
     W: np.ndarray,
     U: np.ndarray,
     activation: str,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch the backward pass to the active (or requested) backend."""
-    impl = (
-        lstm_backward_vectorized
-        if resolve_backend(backend) == "vectorized"
-        else lstm_backward_reference
-    )
+    """Dispatch the backward pass to the active kernel backend."""
+    impl = lstm_backward_vectorized if get_backend() == "vectorized" else lstm_backward_reference
     return impl(dh_seq, x, hs, cs, gates, W, U, activation)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 
 
 def _prepare(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,17 +180,15 @@ def reduce_coverage_vectorized(coverage: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def reduce_mean(
-    values: np.ndarray, weights: np.ndarray, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def reduce_mean(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One count-weighted overview step via the active kernel backend."""
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return reduce_mean_vectorized(values, weights)
     return reduce_mean_reference(values, weights)
 
 
-def reduce_coverage(coverage: np.ndarray, backend: str | None = None) -> np.ndarray:
+def reduce_coverage(coverage: np.ndarray) -> np.ndarray:
     """One coverage-fraction overview step via the active kernel backend."""
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return reduce_coverage_vectorized(coverage)
     return reduce_coverage_reference(coverage)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 
 
 def _filter(kx: np.ndarray, ky: np.ndarray, correlation_length_px: float) -> np.ndarray:
@@ -72,14 +72,12 @@ def filtered_noise_vectorized(white: np.ndarray, correlation_length_px: float) -
     return np.real(np.fft.ifft(full, axis=0))
 
 
-def filtered_noise(
-    white: np.ndarray, correlation_length_px: float, backend: str | None = None
-) -> np.ndarray:
+def filtered_noise(white: np.ndarray, correlation_length_px: float) -> np.ndarray:
     """Real part of ``white`` filtered by the Gaussian spectral filter of length ``L``.
 
     ``white`` is a ``(ny, nx)`` float array and ``correlation_length_px`` a
     positive, finite length in pixels; both backends return the same bytes.
     """
-    if resolve_backend(backend) == "reference":
+    if get_backend() == "reference":
         return filtered_noise_reference(white, correlation_length_px)
     return filtered_noise_vectorized(white, correlation_length_px)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import CLASS_UNLABELED
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels._segments import segmented_median
 
 
@@ -92,28 +92,22 @@ def grouped_majority_vectorized(values: np.ndarray, boundaries: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
-def grouped_median(
-    values: np.ndarray, boundaries: np.ndarray, backend: str | None = None
-) -> np.ndarray:
+def grouped_median(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Median of ``values[boundaries[i]:boundaries[i + 1]]`` per window.
 
-    Empty windows get NaN.  ``backend`` is ``"vectorized"``, ``"reference"``
-    or ``None`` (the global switch).
+    Empty windows get NaN.
     """
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return grouped_median_vectorized(values, boundaries)
     return grouped_median_reference(values, boundaries)
 
 
-def grouped_majority(
-    values: np.ndarray, boundaries: np.ndarray, backend: str | None = None
-) -> np.ndarray:
+def grouped_majority(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Most frequent class code per window (smallest on ties), in ``values.dtype``.
 
     ``values`` are small-range integer codes (the histogram spans their
-    range); empty windows get ``CLASS_UNLABELED``.  ``backend`` is
-    ``"vectorized"``, ``"reference"`` or ``None`` (the global switch).
+    range); empty windows get ``CLASS_UNLABELED``.
     """
-    if resolve_backend(backend) == "vectorized":
+    if get_backend() == "vectorized":
         return grouped_majority_vectorized(values, boundaries)
     return grouped_majority_reference(values, boundaries)

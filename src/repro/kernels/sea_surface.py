@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels._segments import cumsum0 as _cumsum0
 from repro.kernels._segments import group_median_sorted as _group_median_sorted
 
@@ -386,9 +386,8 @@ def window_estimates(
     centers_m: np.ndarray,
     method: str,
     min_segments: int,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch to the active (or explicitly requested) backend.
+    """Dispatch to the active kernel backend.
 
     Parameters
     ----------
@@ -400,8 +399,6 @@ def window_estimates(
         One of the four sea-surface methods.
     min_segments:
         Minimum surviving open-water segments for a window estimate.
-    backend:
-        ``"vectorized"``, ``"reference"`` or ``None`` (the global switch).
 
     Returns
     -------
@@ -411,7 +408,7 @@ def window_estimates(
     """
     impl = (
         window_estimates_vectorized
-        if resolve_backend(backend) == "vectorized"
+        if get_backend() == "vectorized"
         else window_estimates_reference
     )
     return impl(

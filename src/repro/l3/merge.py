@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.config import CLASS_NAMES
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.l3.processor import mean_and_std_across
 from repro.l3.product import Level3Grid
 
@@ -76,14 +76,10 @@ class MosaicAccumulator:
     grid:
         The shared :class:`~repro.geodesy.grid.GridDefinition` every added
         granule must match.
-    backend:
-        Kernel backend recorded in snapshot metadata (``None`` follows the
-        process-global switch), matching the batch mosaic's metadata.
     """
 
-    def __init__(self, grid: GridDefinition, backend: str | None = None) -> None:
+    def __init__(self, grid: GridDefinition) -> None:
         self.grid = grid
-        self.backend = resolve_backend(backend)
         self._contributions: dict[str, _Contribution] = {}
         shape = grid.shape
         self._counts: dict[str, np.ndarray] = {}
@@ -224,6 +220,6 @@ class MosaicAccumulator:
                 "granule_ids": list(self.granule_ids),
                 "n_granules": n_fleet,
                 "n_segments_total": int(variables["n_segments"].sum()),
-                "kernel_backend": self.backend,
+                "kernel_backend": get_backend(),
             },
         )

@@ -38,7 +38,7 @@ from repro.config import (
 )
 from repro.freeboard.thickness import thickness_from_freeboard
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels.gridding import cell_class_counts, cell_statistics
 from repro.l3.product import Level3Grid
 
@@ -58,29 +58,20 @@ class Level3Processor:
     min_segments:
         Cells with fewer contributing freeboard segments report NaN
         freeboard/thickness statistics (counts are always reported).
-    backend:
-        Kernel backend override (``None`` follows the process-global
-        :func:`repro.kernels.get_backend` switch).
+
+    Products stamp the kernel backend active when they are computed
+    (:func:`repro.kernels.get_backend`) as ``kernel_backend`` metadata.
     """
 
-    def __init__(
-        self,
-        grid: GridDefinition,
-        min_segments: int = 1,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, grid: GridDefinition, min_segments: int = 1) -> None:
         if min_segments < 1:
             raise ValueError("min_segments must be >= 1")
         self.grid = grid
         self.min_segments = min_segments
-        self.backend = resolve_backend(backend)
 
     @classmethod
     def from_config(
-        cls,
-        config: L3GridConfig,
-        scene: "SceneConfig | None" = None,
-        backend: str | None = None,
+        cls, config: L3GridConfig, scene: "SceneConfig | None" = None
     ) -> "Level3Processor":
         """Build the processor from the experiment's ``l3`` config slice.
 
@@ -110,7 +101,7 @@ class Level3Processor:
             y_max_m=float(y_min) + float(height),
             cell_size_m=config.cell_size_m,
         )
-        return cls(grid, min_segments=config.min_segments, backend=backend)
+        return cls(grid, min_segments=config.min_segments)
 
     # -- Level-2 -> per-granule grid ----------------------------------------
 
@@ -139,21 +130,15 @@ class Level3Processor:
         inside = flat >= 0
         n_cells = self.grid.n_cells
 
-        counts = cell_class_counts(
-            flat[inside], labels[inside], n_cells, N_CLASSES, backend=self.backend
-        )
+        counts = cell_class_counts(flat[inside], labels[inside], n_cells, N_CLASSES)
         n_segments = counts.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             fractions = np.where(n_segments > 0, counts / n_segments, np.nan)
 
         ice = inside & (labels != CLASS_OPEN_WATER) & np.isfinite(fb)
-        fb_count, fb_mean, fb_median, fb_std, fb_mad = cell_statistics(
-            flat[ice], fb[ice], n_cells, backend=self.backend
-        )
+        fb_count, fb_mean, fb_median, fb_std, fb_mad = cell_statistics(flat[ice], fb[ice], n_cells)
         thickness = thickness_from_freeboard(fb[ice]).thickness_m
-        _, th_mean, _, th_std, _ = cell_statistics(
-            flat[ice], thickness, n_cells, backend=self.backend
-        )
+        _, th_mean, _, th_std, _ = cell_statistics(flat[ice], thickness, n_cells)
 
         # Cells below the contributor floor report NaN statistics by
         # convention; the counts still say how thin the cell was.
@@ -183,7 +168,7 @@ class Level3Processor:
                 "granule_id": granule_id,
                 "beams": sorted(classified),
                 "n_segments_total": int(n_segments.sum()),
-                "kernel_backend": self.backend,
+                "kernel_backend": get_backend(),
                 "min_segments": int(self.min_segments),
             },
         )
@@ -243,7 +228,7 @@ class Level3Processor:
                 "granule_ids": [str(g.metadata.get("granule_id", "")) for g in grids],
                 "n_granules": n_fleet,
                 "n_segments_total": int(n_segments.sum()),
-                "kernel_backend": self.backend,
+                "kernel_backend": get_backend(),
             },
         )
 
@@ -303,7 +288,3 @@ def mean_and_std_across(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         squared = np.where(finite, (stacked - mean) ** 2, 0.0).sum(axis=0)
         std = np.where(n > 1, np.sqrt(squared / np.maximum(n - 1, 1)), np.nan)
     return mean, std
-
-
-#: Backwards-compatible private alias (pre-ingest callers).
-_mean_and_std_across = mean_and_std_across

@@ -91,7 +91,6 @@ from repro.serve.query import (
 )
 from repro.serve.router import (
     RequestRouter,
-    RoutedResponse,
     RouterOverloadedError,
     RouterStats,
     Shard,
@@ -117,7 +116,6 @@ __all__ = [
     "QueryEngine",
     "QueryStats",
     "RequestRouter",
-    "RoutedResponse",
     "RouterOverloadedError",
     "RouterStats",
     "ServeHandle",

@@ -71,14 +71,12 @@ class ServeHandle:
         executor: str = "thread",
         gridder: Callable[[Any], Any] | None = None,
         seed_l3: Any | None = None,
-        backend: str | None = None,
         obs: Obs | None = None,
     ) -> None:
         self.serve = serve
         self.products_dir = Path(products_dir) if products_dir is not None else None
         self.n_workers = n_workers
         self.executor = executor
-        self.backend = backend
         #: One telemetry handle for the whole stack the builder constructs —
         #: engine, router shards, and ingest all share it.
         self.obs = obs if obs is not None else default_obs()
@@ -117,7 +115,7 @@ class ServeHandle:
             ShardedCatalog.from_catalog(self._catalog, router_cfg.n_shards),
             serve=serve,
             config=config,
-            loader_factory=lambda index: LivePyramidLoader(serve, backend=self.backend),
+            loader_factory=lambda index: LivePyramidLoader(serve),
             n_workers=self.n_workers,
             executor=self.executor,
             **{"obs": self.obs, **router_kwargs},
@@ -165,7 +163,7 @@ class ServeHandle:
         if self._engine is None:
             self._engine = QueryEngine(
                 self._catalog,
-                loader=LivePyramidLoader(self.serve, backend=self.backend),
+                loader=LivePyramidLoader(self.serve),
                 serve=self.serve,
                 n_workers=self.n_workers,
                 executor=self.executor,

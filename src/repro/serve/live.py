@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DEFAULT_SERVE, ServeConfig
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels.pyramid import reduce_coverage, reduce_mean
 from repro.l3.product import Level3Grid
 from repro.serve.catalog import CatalogEntry
@@ -53,12 +53,7 @@ class IncrementalPyramidBuilder:
     touched.
     """
 
-    def __init__(
-        self,
-        pyramid: TilePyramid,
-        serve: ServeConfig = DEFAULT_SERVE,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, pyramid: TilePyramid, serve: ServeConfig = DEFAULT_SERVE) -> None:
         if pyramid.tile_size != serve.tile_size:
             raise ValueError(
                 f"pyramid tile_size {pyramid.tile_size} does not match the "
@@ -66,7 +61,6 @@ class IncrementalPyramidBuilder:
             )
         self.pyramid = pyramid
         self.serve = serve
-        self.backend = resolve_backend(backend)
         self.revisions: dict[TileAddress, int] = {}
         self.last_rebuilt: tuple[TileAddress, ...] = ()
         self.n_updates = 0
@@ -129,7 +123,6 @@ class IncrementalPyramidBuilder:
                     values, weights = reduce_mean(
                         prev.variables[name][r0:r1, c0:c1],
                         prev.weights[name][r0:r1, c0:c1],
-                        backend=self.backend,
                     )
                     out_rows, out_cols = values.shape
                     level.variables[name][
@@ -138,7 +131,7 @@ class IncrementalPyramidBuilder:
                     level.weights[name][
                         ts * row : ts * row + out_rows, ts * col : ts * col + out_cols
                     ] = weights
-                coverage = reduce_coverage(prev.coverage[r0:r1, c0:c1], backend=self.backend)
+                coverage = reduce_coverage(prev.coverage[r0:r1, c0:c1])
                 level.coverage[
                     ts * row : ts * row + coverage.shape[0],
                     ts * col : ts * col + coverage.shape[1],
@@ -161,7 +154,7 @@ class IncrementalPyramidBuilder:
                 "weight_variable": self.serve.weight_variable,
                 "pyramid_variables": list(self.pyramid.levels[0].variables),
                 "n_levels": self.pyramid.n_levels,
-                "kernel_backend": self.backend,
+                "kernel_backend": get_backend(),
             }
         )
         self.pyramid.metadata = metadata
@@ -177,8 +170,8 @@ class LivePyramidLoader(ProductLoader):
     stale-while-revalidate flag while the ingest tier is mid-rebuild.
     """
 
-    def __init__(self, serve: ServeConfig = DEFAULT_SERVE, backend: str | None = None) -> None:
-        super().__init__(serve, backend)
+    def __init__(self, serve: ServeConfig = DEFAULT_SERVE) -> None:
+        super().__init__(serve)
         self._live: dict[str, TilePyramid] = {}
         self._revisions: dict[str, dict[TileAddress, int]] = {}
         self._stale: set[str] = set()

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.config import DEFAULT_SERVE, ServeConfig
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import resolve_backend
+from repro.kernels import get_backend
 from repro.kernels.pyramid import reduce_coverage, reduce_mean
 from repro.l3.product import Level3Grid
 
@@ -353,7 +353,6 @@ def build_pyramid(
     product: Level3Grid,
     variables: Iterable[str] | None = None,
     serve: ServeConfig = DEFAULT_SERVE,
-    backend: str | None = None,
 ) -> TilePyramid:
     """Build the tile pyramid of one Level-3 product.
 
@@ -362,7 +361,6 @@ def build_pyramid(
     that reports NaN at full resolution (empty or below the ``min_segments``
     floor) never contributes to any overview.
     """
-    backend = resolve_backend(backend)
     names = tuple(variables) if variables is not None else default_pyramid_variables(product)
     if not names:
         raise ValueError("cannot build a pyramid with no variables")
@@ -399,9 +397,7 @@ def build_pyramid(
         reduced_values: dict[str, np.ndarray] = {}
         reduced_weights: dict[str, np.ndarray] = {}
         for name in names:
-            out_values, out_weights = reduce_mean(
-                prev.variables[name], prev.weights[name], backend=backend
-            )
+            out_values, out_weights = reduce_mean(prev.variables[name], prev.weights[name])
             reduced_values[name] = out_values
             reduced_weights[name] = out_weights
         levels.append(
@@ -410,7 +406,7 @@ def build_pyramid(
                 grid=_level_grid(base, zoom),
                 variables=reduced_values,
                 weights=reduced_weights,
-                coverage=reduce_coverage(prev.coverage, backend=backend),
+                coverage=reduce_coverage(prev.coverage),
             )
         )
 
@@ -421,7 +417,7 @@ def build_pyramid(
             "weight_variable": serve.weight_variable,
             "pyramid_variables": list(names),
             "n_levels": total_levels,
-            "kernel_backend": backend,
+            "kernel_backend": get_backend(),
         }
     )
     return TilePyramid(tile_size=serve.tile_size, levels=tuple(levels), metadata=metadata)

@@ -81,7 +81,9 @@ class TileResponse:
     (``n_cached``/``n_computed``), and the service-tier flags the router
     fills in (``coalesced``, ``queue_wait_s``, ``shard``).  ``stale`` marks
     a response served from the previous product revision while a live
-    ingest rebuild is in flight (stale-while-revalidate).
+    ingest rebuild is in flight (stale-while-revalidate).  A coalesced
+    joiner gets its own response object but *shares* the executing
+    request's ``tiles`` dict, so treat ``tiles`` as read-only.
     """
 
     request: TileRequest
@@ -120,13 +122,6 @@ class TileResponse:
     def latency_s(self) -> float:
         """End-to-end request latency: queue wait plus service time."""
         return self.queue_wait_s + self.seconds
-
-    @property
-    def response(self) -> "TileResponse":
-        """Self — compatibility with the pre-unification ``RoutedResponse``
-        wrapper, whose consumers reached the engine payload via
-        ``routed.response``.  New code should use the fields directly."""
-        return self
 
     def mosaic_array(self) -> np.ndarray:
         """The response's tiles stitched into one array (row-major window)."""
@@ -176,14 +171,8 @@ class ProductLoader:
     Subclass and override :meth:`decode` to serve from other storage.
     """
 
-    def __init__(
-        self,
-        serve: ServeConfig = DEFAULT_SERVE,
-        backend: str | None = None,
-        obs: Obs | None = None,
-    ) -> None:
+    def __init__(self, serve: ServeConfig = DEFAULT_SERVE, obs: Obs | None = None) -> None:
         self.serve = serve
-        self.backend = backend
         self.n_loads = 0
         self.loaded: list[str] = []
         self._lock = threading.Lock()
@@ -210,7 +199,7 @@ class ProductLoader:
 
     def decode(self, entry: CatalogEntry) -> TilePyramid:
         product = read_level3(entry.base_path)
-        return build_pyramid(product, serve=self.serve, backend=self.backend)
+        return build_pyramid(product, serve=self.serve)
 
     def load(self, entry: CatalogEntry) -> TilePyramid:
         with self._lock:

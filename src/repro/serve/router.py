@@ -64,7 +64,6 @@ from repro.serve.shard import ShardedCatalog
 __all__ = [
     "ExecuteHook",
     "RequestRouter",
-    "RoutedResponse",
     "RouterOverloadedError",
     "RouterStats",
     "Shard",
@@ -149,17 +148,6 @@ class RouterStats:
 
     def snapshot(self) -> "RouterStats":
         return replace(self)
-
-
-#: The router returns the same unified :class:`TileResponse` the engine
-#: does, with the service-tier fields (``shard``, ``coalesced``,
-#: ``queue_wait_s``) filled in.  ``RoutedResponse`` survives as an alias of
-#: the pre-unification wrapper name; its old attribute surface
-#: (``.response``, ``.service_s``, ``.latency_s``) lives on as properties
-#: of :class:`TileResponse`.  Coalesced joiners get their own response
-#: object but *share* the executing request's tiles dict — treat it
-#: read-only.
-RoutedResponse = TileResponse
 
 
 @dataclass

@@ -109,6 +109,14 @@ class TestExpansion:
         assert ids[0] == "g000-cloud_fraction=0.1"
         assert ids[1] == "g001-cloud_fraction=0.25"
 
+    def test_granule_ids_sort_in_expansion_order_past_999(self):
+        """The mosaic stacks in sorted-id order, so ids must sort like the fleet."""
+        ids = [s.granule_id for s in CampaignConfig(replicates=1001).expand()]
+        assert ids == sorted(ids)
+        assert ids[0] == "g0000-r0"
+        assert ids[-1] == "g1000-r1000"
+        assert CampaignConfig(replicates=1000).expand()[-1].granule_id == "g999-r999"
+
     def test_scenario_applied_to_config(self):
         specs = CampaignConfig(grid={"cloud_fraction": (0.1, 0.25)}).expand()
         assert specs[0].config.s2.cloud.thin_cloud_fraction == 0.1

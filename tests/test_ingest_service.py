@@ -109,6 +109,27 @@ class TestDirtyTileRebuild:
                 assert level_live.weights[name].tobytes() == level_full.weights[name].tobytes()
             assert level_live.coverage.tobytes() == level_full.coverage.tobytes()
 
+    def test_update_stamps_the_backend_active_at_the_update(self):
+        from repro import kernels
+        from repro.l3.merge import MosaicAccumulator
+        from repro.serve.live import IncrementalPyramidBuilder
+
+        built_under = kernels.get_backend()
+        other = next(name for name in kernels.KERNEL_BACKENDS if name != built_under)
+        accumulator = MosaicAccumulator(GRID)
+        accumulator.add(localized_granule("g000", slice(0, 16), slice(0, 16), seed=1))
+        pyramid = build_pyramid(accumulator.snapshot(), serve=SERVE)
+        builder = IncrementalPyramidBuilder(pyramid, serve=SERVE)
+        assert pyramid.metadata["kernel_backend"] == built_under
+        with kernels.use_backend(other):
+            dirty = accumulator.add(localized_granule("g001", slice(0, 2), slice(0, 2), seed=2))
+            snapshot = accumulator.snapshot()
+            builder.update(snapshot, dirty)
+            full = build_pyramid(snapshot, serve=SERVE)
+        assert snapshot.metadata["kernel_backend"] == other
+        assert builder.pyramid.metadata == full.metadata
+        assert builder.pyramid.metadata["kernel_backend"] == other
+
     def test_verify_merge_crosschecks_against_batch(self, tmp_path):
         """verify_merge recomputes the batch mosaic each ingest — and passes."""
         handle = seeded_handle(tmp_path)

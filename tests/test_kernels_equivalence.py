@@ -76,21 +76,13 @@ class TestBackendSwitch:
         assert kernels.get_backend() == original
 
     def test_unknown_backend_rejected(self):
+        original = kernels.get_backend()
         with pytest.raises(ValueError):
             kernels.set_backend("cuda")
         with pytest.raises(ValueError):
-            kernels.resolve_backend("jax")
-
-    def test_explicit_backend_argument(self):
-        along = np.arange(10.0)
-        h = np.zeros(10)
-        out_ref = kconf.modal_height_per_bin(
-            along, h, np.array([0.0, 20.0]), 0.25, backend="reference"
-        )
-        out_vec = kconf.modal_height_per_bin(
-            along, h, np.array([0.0, 20.0]), 0.25, backend="vectorized"
-        )
-        assert_equiv(out_ref, out_vec, "explicit backend")
+            with kernels.use_backend("jax"):
+                pass
+        assert kernels.get_backend() == original
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,8 @@ class TestConfidenceKernel:
         height = np.full(10, np.nan)
         bin_edges = np.array([0.0, 20.0])
         for backend in kernels.KERNEL_BACKENDS:
-            out = kconf.modal_height_per_bin(along, height, bin_edges, 0.25, backend=backend)
+            with kernels.use_backend(backend):
+                out = kconf.modal_height_per_bin(along, height, bin_edges, 0.25)
             assert np.isnan(out).all()
         assert np.all(classify_confidence(along, height) == 0)
 
@@ -333,7 +326,8 @@ class TestLSTMKernel:
         x, W, U, b = _random_lstm(np.random.default_rng(0), 1, 3, 6, 8)
         x = x[:0]
         for backend in kernels.KERNEL_BACKENDS:
-            hs, cs, gates = klstm.lstm_forward(x, W, U, b, "elu", backend=backend)
+            with kernels.use_backend(backend):
+                hs, cs, gates = klstm.lstm_forward(x, W, U, b, "elu")
             assert hs.shape == (0, 4, 8)
             assert gates.shape == (0, 3, 32)
 

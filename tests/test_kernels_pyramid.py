@@ -172,8 +172,9 @@ class TestValidationAndDispatch:
             ref = kpyr.reduce_mean(values, weights)
         with use_backend("vectorized"):
             vec = kpyr.reduce_mean(values, weights)
-        explicit = kpyr.reduce_mean(values, weights, backend="reference")
+        with use_backend("vectorized"), use_backend("reference"):
+            nested = kpyr.reduce_mean(values, weights)
         for a, b in zip(ref, vec):
             assert np.array_equal(a, b, equal_nan=True)
-        for a, b in zip(ref, explicit):
+        for a, b in zip(ref, nested):
             assert np.array_equal(a, b, equal_nan=True)

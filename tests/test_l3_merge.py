@@ -194,10 +194,10 @@ class TestSharedMergeMath:
         assert any(name.startswith("class_fraction_") for name in MERGED_MEAN_LAYERS)
 
     def test_mean_and_std_across_is_the_batch_helper(self):
-        """The public helper is the same object the batch mosaic path uses."""
-        from repro.l3 import processor
+        """The online merge runs the same helper object the batch mosaic path uses."""
+        from repro.l3 import merge, processor
 
-        assert processor._mean_and_std_across is mean_and_std_across
+        assert merge.mean_and_std_across is processor.mean_and_std_across is mean_and_std_across
         stacked = np.array([[1.0, np.nan], [3.0, np.nan]])
         mean, std = mean_and_std_across(stacked)
         assert mean[0] == pytest.approx(2.0)

@@ -16,7 +16,6 @@ from repro.serve import (
     ProductCatalog,
     QueryEngine,
     RequestRouter,
-    RoutedResponse,
     ServeHandle,
     ShardedCatalog,
     TileRequest,
@@ -118,7 +117,6 @@ class TestUnifiedTileResponse:
         router_response = routed.query(REQUEST)
         assert type(engine_response) is TileResponse
         assert type(router_response) is TileResponse
-        assert RoutedResponse is TileResponse  # the legacy name is an alias
         # Same tiles, same provenance fingerprints, whichever front served.
         assert engine_response.tiles.keys() == router_response.tiles.keys()
         assert engine_response.fingerprints == router_response.fingerprints
@@ -128,7 +126,6 @@ class TestUnifiedTileResponse:
         response = handle.query(REQUEST)
         assert response.fingerprints.keys() == response.tiles.keys()
         assert all(response.fingerprints.values())
-        assert response.response is response  # RoutedResponse-era accessor
         assert response.service_s == response.seconds
         assert response.latency_s == response.queue_wait_s + response.seconds
         assert not response.stale

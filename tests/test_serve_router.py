@@ -476,8 +476,8 @@ class TestQuarantine:
         shard_id, entry = router.resolve(request)
         assert entry.key == entry_a.key and shard_id != bad_shard
         routed = router.serve([request])[0]
-        assert routed.response.product == entry_a.key
-        assert routed.response.n_tiles > 0
+        assert routed.product == entry_a.key
+        assert routed.n_tiles > 0
 
         health = router.health()
         assert health["quarantined"] == [bad_shard]
@@ -724,5 +724,5 @@ class TestCampaignIntegration:
             bbox=(x0, y0, x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2), zoom=0
         )
         routed = handle.query_batch([request, request])
-        assert routed[0].response.n_tiles > 0
+        assert routed[0].n_tiles > 0
         assert handle.health()["healthy_shards"] == router.catalog.n_shards

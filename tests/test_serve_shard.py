@@ -237,9 +237,9 @@ class TestEngineFanOutEquivalence:
         )
         expected = engine.query(request)
         routed = router.serve([request])[0]
-        assert routed.response.product == expected.product
-        assert routed.response.zoom == expected.zoom
+        assert routed.product == expected.product
+        assert routed.zoom == expected.zoom
         assert routed.shard == router.catalog.shard_of(expected.product)
-        assert set(routed.response.tiles) == set(expected.tiles)
+        assert set(routed.tiles) == set(expected.tiles)
         for address, tile in expected.tiles.items():
-            np.testing.assert_array_equal(routed.response.tiles[address], tile)
+            np.testing.assert_array_equal(routed.tiles[address], tile)
