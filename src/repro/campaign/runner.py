@@ -11,7 +11,8 @@ around the graph's *pooled* stages, in three steps:
    ``process`` executor (a ``ProcessPoolExecutor`` under the hood) — the
    same chunk/map/concatenate idiom as :mod:`repro.labeling.parallel` and
    :mod:`repro.freeboard.parallel`, lifted from segment level to granule
-   level.
+   level.  These are the repo's two fan-out levels: inside one granule's
+   graph run the per-beam stages loop serially.
 2. **Pooled training** — the graph's pooled ``train`` stage is the
    campaign's barrier: one classifier is trained on the training sets of
    *all* granules, in canonical expansion order, through

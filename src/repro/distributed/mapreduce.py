@@ -82,6 +82,12 @@ def partition_indices(n_items: int, n_partitions: int) -> list[np.ndarray]:
     return [np.array(part, dtype=np.intp) for part in np.array_split(np.arange(n_items), n_partitions)]
 
 
+def concat_partitions(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Reduce step of a struct-of-arrays job: each key's partitions concatenated in order."""
+    keys = parts[0].keys() if parts else ()
+    return {k: np.concatenate([p[k] for p in parts]) for k in keys}
+
+
 @dataclass
 class MapReduceResult:
     """Output of one map-reduce job."""

@@ -75,21 +75,20 @@ class TrackSeaSurface:
     reference_m: np.ndarray
 
 
-def estimate_track_sea_surface(
+def estimate_track_windows(
     segments: SegmentArray,
     labels: np.ndarray,
     method: str = "nasa",
     config: SeaSurfaceConfig = DEFAULT_SEA_SURFACE,
-) -> TrackSeaSurface:
-    """Estimate the local sea surface along one classified track.
+) -> SeaSurfaceEstimate:
+    """Window-level sea surface of one classified track, gaps interpolated.
 
     Estimates the surface from the open-water segments in 10 km sliding
-    windows, interpolates windows without open water, and evaluates the
-    resulting surface at every segment centre.
+    windows and interpolates windows without open water.  It needs the
+    whole track, so the Table V map-reduce job runs it on the driver.
     """
     labels = np.asarray(labels)
     ensure_same_length(segments.center_along_track_m, labels, names=("segments", "labels"))
-
     estimate = estimate_sea_surface(
         segments.center_along_track_m,
         segments.height_mean_m,
@@ -98,9 +97,34 @@ def estimate_track_sea_surface(
         method=method,
         config=config,
     )
-    estimate = interpolate_missing_windows(estimate)
+    return interpolate_missing_windows(estimate)
+
+
+def estimate_track_sea_surface(
+    segments: SegmentArray,
+    labels: np.ndarray,
+    method: str = "nasa",
+    config: SeaSurfaceConfig = DEFAULT_SEA_SURFACE,
+) -> TrackSeaSurface:
+    """Estimate the local sea surface along one classified track.
+
+    :func:`estimate_track_windows`, evaluated at every segment centre.
+    """
+    estimate = estimate_track_windows(segments, labels, method=method, config=config)
     reference = sea_surface_at(estimate, segments.center_along_track_m)
     return TrackSeaSurface(estimate=estimate, reference_m=reference)
+
+
+def subtract_sea_surface(
+    height_m: np.ndarray, reference_m: np.ndarray, labels: np.ndarray, clip_negative: bool
+) -> np.ndarray:
+    """``hf = hs - href``, zero on open water, optionally clipped at zero."""
+    freeboard = height_m - reference_m
+    # Open water is the reference surface itself.
+    freeboard = np.where(labels == CLASS_OPEN_WATER, 0.0, freeboard)
+    if clip_negative:
+        freeboard = np.clip(freeboard, 0.0, None)
+    return freeboard
 
 
 def freeboard_from_sea_surface(
@@ -112,13 +136,9 @@ def freeboard_from_sea_surface(
     """Subtract an already-estimated sea surface: ``hf = hs - href``."""
     labels = np.asarray(labels)
     ensure_same_length(segments.center_along_track_m, labels, names=("segments", "labels"))
-
-    freeboard = segments.height_mean_m - surface.reference_m
-    # Open water is the reference surface itself.
-    freeboard = np.where(labels == CLASS_OPEN_WATER, 0.0, freeboard)
-    if clip_negative:
-        freeboard = np.clip(freeboard, 0.0, None)
-
+    freeboard = subtract_sea_surface(
+        segments.height_mean_m, surface.reference_m, labels, clip_negative
+    )
     return FreeboardResult(
         along_track_m=segments.center_along_track_m,
         freeboard_m=freeboard,

@@ -3,53 +3,50 @@
 The freeboard stage is data-parallel across along-track chunks: the sea
 surface is estimated once per track (it needs the whole track's open-water
 segments), then subtracting it from segment heights partitions trivially.
-The job below mirrors the paper's PySpark formulation: the *map* evaluates
-the reference surface and freeboard for a partition of segments, and the
-*reduce* concatenates partitions back in order.
+The job below mirrors the paper's PySpark formulation: the driver estimates
+the window-level surface (:func:`~repro.freeboard.freeboard.estimate_track_windows`),
+the *map* runs the serial evaluation and subtraction
+(:func:`~repro.freeboard.interpolation.sea_surface_at`,
+:func:`~repro.freeboard.freeboard.subtract_sea_surface`) on a partition of
+segments, and the *reduce* concatenates partitions back in order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.config import CLASS_OPEN_WATER, DEFAULT_SEA_SURFACE, SeaSurfaceConfig
-from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult
-from repro.freeboard.freeboard import FreeboardResult
-from repro.freeboard.interpolation import interpolate_missing_windows
-from repro.freeboard.sea_surface import estimate_sea_surface
+from repro.config import DEFAULT_SEA_SURFACE, SeaSurfaceConfig
+from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult, concat_partitions
+from repro.freeboard.freeboard import FreeboardResult, estimate_track_windows, subtract_sea_surface
+from repro.freeboard.interpolation import sea_surface_at
+from repro.freeboard.sea_surface import SeaSurfaceEstimate
 from repro.resampling.window import SegmentArray
 
 
+@dataclass
 class _FreeboardMap:
-    """Picklable per-partition freeboard map function.
+    """Picklable per-partition map function: the serial subtraction on one chunk.
 
-    Holds the (small) window-level sea-surface solution; each partition
-    interpolates its own segments against it and subtracts.
+    Holds the (small) window-level sea-surface estimate; each partition
+    evaluates it at its own segments (:func:`sea_surface_at`) and subtracts
+    (:func:`subtract_sea_surface`).
     """
 
-    def __init__(self, centers_m: np.ndarray, heights_m: np.ndarray, clip_negative: bool) -> None:
-        self.centers_m = centers_m
-        self.heights_m = heights_m
-        self.clip_negative = clip_negative
+    estimate: SeaSurfaceEstimate
+    clip_negative: bool
 
     def __call__(self, chunk: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        reference = np.interp(chunk["along_track_m"], self.centers_m, self.heights_m)
-        freeboard = chunk["height_m"] - reference
-        freeboard = np.where(chunk["labels"] == CLASS_OPEN_WATER, 0.0, freeboard)
-        if self.clip_negative:
-            freeboard = np.clip(freeboard, 0.0, None)
+        reference = sea_surface_at(self.estimate, chunk["along_track_m"])
         return {
             "along_track_m": chunk["along_track_m"],
-            "freeboard_m": freeboard,
+            "freeboard_m": subtract_sea_surface(
+                chunk["height_m"], reference, chunk["labels"], self.clip_negative
+            ),
             "sea_surface_m": reference,
             "labels": chunk["labels"],
         }
-
-
-def _concat_partitions(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Reduce step: concatenate the per-partition outputs in order."""
-    keys = parts[0].keys() if parts else ()
-    return {k: np.concatenate([p[k] for p in parts]) if parts else np.empty(0) for k in keys}
 
 
 def parallel_freeboard(
@@ -67,40 +64,12 @@ def parallel_freeboard(
     the :class:`MapReduceResult` with the per-stage timings used by the
     Table V scaling benchmark.
     """
-    labels = np.asarray(labels)
-    if labels.shape[0] != segments.n_segments:
-        raise ValueError("labels must have one entry per segment")
-
-    # Driver-side: the window-level sea surface needs the whole track.
-    estimate = estimate_sea_surface(
-        segments.center_along_track_m,
-        segments.height_mean_m,
-        segments.height_error_m(),
-        labels,
-        method=method,
-        config=config,
-    )
-    estimate = interpolate_missing_windows(estimate)
-    centers = estimate.centers_m
-    heights = estimate.heights_m
-    valid = np.isfinite(heights)
-    centers, heights = centers[valid], heights[valid]
-
+    estimate = estimate_track_windows(segments, labels, method=method, config=config)
     arrays = {
         "along_track_m": segments.center_along_track_m,
         "height_m": segments.height_mean_m,
-        "labels": labels.astype(np.int8),
+        "labels": np.asarray(labels, dtype=np.int8),
     }
-    map_fn = _FreeboardMap(centers, heights, clip_negative)
-    mr_result = engine.map_arrays(arrays, map_fn, _concat_partitions)
-    combined = mr_result.value
-
-    result = FreeboardResult(
-        along_track_m=combined["along_track_m"],
-        freeboard_m=combined["freeboard_m"],
-        sea_surface_m=combined["sea_surface_m"],
-        labels=combined["labels"],
-        sea_surface=estimate,
-        clip_negative=clip_negative,
-    )
+    mr_result = engine.map_arrays(arrays, _FreeboardMap(estimate, clip_negative), concat_partitions)
+    result = FreeboardResult(**mr_result.value, sea_surface=estimate, clip_negative=clip_negative)
     return result, mr_result

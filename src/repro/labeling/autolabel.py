@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import CLASS_UNLABELED
+from repro.geodesy.grid import GridDefinition
 from repro.resampling.window import SegmentArray
 from repro.sentinel2.scene import S2Image
 from repro.sentinel2.segmentation import SegmentationResult
@@ -63,17 +64,34 @@ def overlay_labels(
         raise ValueError("x_m and y_m must have the same shape")
     if segmentation.class_map.shape != image.shape:
         raise ValueError("segmentation class_map does not match the image grid")
+    seg = segmentation
+    return lookup_labels(image.grid, seg.class_map, seg.cloud_mask, seg.shadow_mask, x, y)
 
-    inside = image.contains(x, y) & np.isfinite(x) & np.isfinite(y)
-    labels = np.full(x.shape, CLASS_UNLABELED, dtype=np.int8)
-    cloudy = np.zeros(x.shape, dtype=bool)
-    shadowed = np.zeros(x.shape, dtype=bool)
+
+def lookup_labels(
+    grid: GridDefinition,
+    class_map: np.ndarray,
+    cloud_mask: np.ndarray,
+    shadow_mask: np.ndarray,
+    x_m: np.ndarray,
+    y_m: np.ndarray,
+) -> AutoLabelResult:
+    """The unchecked core of :func:`overlay_labels`, over the arrays it reads.
+
+    The Table II map-reduce job calls it per partition; taking arrays rather
+    than the whole segmentation keeps ``compensated_brightness`` out of its
+    tasks.
+    """
+    inside = grid.contains(x_m, y_m) & np.isfinite(x_m) & np.isfinite(y_m)
+    labels = np.full(x_m.shape, CLASS_UNLABELED, dtype=np.int8)
+    cloudy = np.zeros(x_m.shape, dtype=bool)
+    shadowed = np.zeros(x_m.shape, dtype=bool)
 
     if inside.any():
-        row, col = image.pixel_index(x[inside], y[inside])
-        labels[inside] = segmentation.class_map[row, col]
-        cloudy[inside] = segmentation.cloud_mask[row, col]
-        shadowed[inside] = segmentation.shadow_mask[row, col]
+        row, col = grid.cell_index(x_m[inside], y_m[inside], clip=True)
+        labels[inside] = class_map[row, col]
+        cloudy[inside] = cloud_mask[row, col]
+        shadowed[inside] = shadow_mask[row, col]
 
     return AutoLabelResult(labels=labels, in_image=inside, cloudy=cloudy, shadowed=shadowed)
 

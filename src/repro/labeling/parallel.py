@@ -2,63 +2,40 @@
 
 Auto-labeling is "highly data-parallel, albeit fine-grained" (paper
 Section IV.B): every 2 m segment's label is an independent pixel lookup in
-the segmented S2 image.  The job below partitions the segment arrays, maps
-each partition through the overlay + cloud/shadow flagging, and reduces by
-concatenation — the same structure as the paper's PySpark job.
+the segmented S2 image.  The job below checks the segmentation against the
+image on the driver, partitions the segment arrays, maps each partition
+through the serial :func:`~repro.labeling.autolabel.lookup_labels`, and
+reduces by concatenation — the same structure as the paper's PySpark job.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.config import CLASS_UNLABELED
-from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult
+from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult, concat_partitions
 from repro.geodesy.grid import GridDefinition
-from repro.labeling.autolabel import AutoLabelResult
+from repro.labeling.autolabel import AutoLabelResult, lookup_labels
 from repro.resampling.window import SegmentArray
 from repro.sentinel2.scene import S2Image
 from repro.sentinel2.segmentation import SegmentationResult
 
 
+@dataclass
 class _AutoLabelMap:
-    """Picklable per-partition label-transfer map function.
+    """Picklable per-partition map function: :func:`lookup_labels` on one chunk."""
 
-    The point -> pixel arithmetic goes through the shared
-    :class:`~repro.geodesy.grid.GridDefinition` indexing helper (the same
-    one backing ``S2Image.pixel_index`` and the Level-3 binning), so the
-    parallel job cannot drift from the serial overlay's semantics.
-    """
-
-    def __init__(
-        self,
-        class_map: np.ndarray,
-        cloud_mask: np.ndarray,
-        shadow_mask: np.ndarray,
-        grid: GridDefinition,
-    ) -> None:
-        self.class_map = class_map
-        self.cloud_mask = cloud_mask
-        self.shadow_mask = shadow_mask
-        self.grid = grid
+    grid: GridDefinition
+    class_map: np.ndarray
+    cloud_mask: np.ndarray
+    shadow_mask: np.ndarray
 
     def __call__(self, chunk: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        x = chunk["x_m"]
-        y = chunk["y_m"]
-        inside = self.grid.contains(x, y) & np.isfinite(x) & np.isfinite(y)
-        labels = np.full(x.shape, CLASS_UNLABELED, dtype=np.int8)
-        cloudy = np.zeros(x.shape, dtype=bool)
-        shadowed = np.zeros(x.shape, dtype=bool)
-        if inside.any():
-            row, col = self.grid.cell_index(x[inside], y[inside], clip=True)
-            labels[inside] = self.class_map[row, col]
-            cloudy[inside] = self.cloud_mask[row, col]
-            shadowed[inside] = self.shadow_mask[row, col]
-        return {"labels": labels, "in_image": inside, "cloudy": cloudy, "shadowed": shadowed}
-
-
-def _concat(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    keys = parts[0].keys() if parts else ()
-    return {k: np.concatenate([p[k] for p in parts]) if parts else np.empty(0) for k in keys}
+        result = lookup_labels(
+            self.grid, self.class_map, self.cloud_mask, self.shadow_mask, chunk["x_m"], chunk["y_m"]
+        )
+        return vars(result)
 
 
 def parallel_autolabel(
@@ -69,23 +46,17 @@ def parallel_autolabel(
 ) -> tuple[AutoLabelResult, MapReduceResult]:
     """Auto-label 2 m segments with the map-reduce engine.
 
-    Produces exactly the same :class:`AutoLabelResult` as the serial
-    :func:`repro.labeling.auto_label_segments` (verified in tests), plus the
-    per-stage map-reduce timings used by the Table II benchmark.
+    Returns exactly the same :class:`AutoLabelResult` as the serial
+    :func:`repro.labeling.auto_label_segments` (verified in tests) plus the
+    per-stage map-reduce timings used by the Table II benchmark.  Like the
+    serial overlay, it rejects a segmentation that does not match the image
+    grid with ``ValueError``.
     """
+    if segmentation.class_map.shape != image.shape:
+        raise ValueError("segmentation class_map does not match the image grid")
     arrays = {"x_m": segments.x_m, "y_m": segments.y_m}
     map_fn = _AutoLabelMap(
-        class_map=segmentation.class_map,
-        cloud_mask=segmentation.cloud_mask,
-        shadow_mask=segmentation.shadow_mask,
-        grid=image.grid,
+        image.grid, segmentation.class_map, segmentation.cloud_mask, segmentation.shadow_mask
     )
-    mr_result = engine.map_arrays(arrays, map_fn, _concat)
-    combined = mr_result.value
-    result = AutoLabelResult(
-        labels=combined["labels"],
-        in_image=combined["in_image"],
-        cloudy=combined["cloudy"],
-        shadowed=combined["shadowed"],
-    )
-    return result, mr_result
+    mr_result = engine.map_arrays(arrays, map_fn, concat_partitions)
+    return AutoLabelResult(**mr_result.value), mr_result

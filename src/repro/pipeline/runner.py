@@ -92,11 +92,6 @@ class GraphRunner:
     cache:
         Optional content-addressed stage cache shared across runs and
         configs; ``None`` disables stage-granular caching.
-    executor / n_workers:
-        Executor kind and width handed to fan-out stages through the
-        :class:`~repro.pipeline.stage.StageContext` (``serial`` reproduces
-        the reference behaviour; ``thread``/``process`` only change time,
-        never values).
     obs:
         Telemetry handle; ``None`` resolves the process default.  Every
         executed stage emits a ``pipeline.stage`` span (fingerprint, cache
@@ -107,8 +102,6 @@ class GraphRunner:
         self,
         graph: StageGraph | None = None,
         cache: StageCache | None = None,
-        executor: str = "serial",
-        n_workers: int = 1,
         obs: Obs | None = None,
     ) -> None:
         if graph is None:
@@ -117,8 +110,6 @@ class GraphRunner:
             graph = default_graph()
         self.graph = graph
         self.cache = cache
-        self.executor = executor
-        self.n_workers = n_workers
         self.obs = obs if obs is not None else default_obs()
 
     # -- fingerprints without execution ---------------------------------------
@@ -213,13 +204,7 @@ class GraphRunner:
         the targets themselves.  A corrupt cached bundle reads as a miss,
         at which point the stage's inputs are demanded and it recomputes.
         """
-        context = StageContext(
-            config=config,
-            granule_id=granule_id,
-            scenario=tuple(scenario),
-            executor=self.executor,
-            n_workers=self.n_workers,
-        )
+        context = StageContext(config=config, granule_id=granule_id, scenario=tuple(scenario))
         payload = context.payload()
         artifacts: dict[str, Artifact] = dict(precomputed or {})
         if targets is None:
@@ -241,31 +226,36 @@ class GraphRunner:
                 artifact_fps.setdefault(name, fp)
 
         executions: list[StageExecution] = []
-        done: set[str] = set()
-
-        def materialize(name: str) -> None:
-            if name not in artifacts:
-                run_stage(self.graph.producer[name])
-
-        def run_stage(stage: Stage) -> None:
-            if stage.name in done:
-                return
-
-            def inputs() -> dict[str, Any]:
-                for name in stage.inputs:
-                    materialize(name)
-                return stage.single_granule(
-                    {name: artifacts[name].value for name in stage.inputs}
-                )
-
-            outputs, record = self._execute(stage, stage_fps[stage.name], context, inputs)
-            artifacts.update(outputs)
-            executions.append(record)
-            done.add(stage.name)
-
         for name in targets:
-            materialize(name)
+            self._materialize(name, artifacts, executions, stage_fps, context)
         return GraphRunResult(artifacts, executions, self.cache is not None)
+
+    def _materialize(
+        self,
+        name: str,
+        artifacts: dict[str, Artifact],
+        executions: list[StageExecution],
+        stage_fps: Mapping[str, str],
+        context: StageContext,
+    ) -> None:
+        """Produce artifact ``name`` into ``artifacts``, demanding inputs only on a miss.
+
+        A method rather than a nested recursive closure: such a closure is a
+        reference cycle that would keep every artifact of the run alive until
+        the next garbage collection.
+        """
+        if name in artifacts:
+            return
+        stage = self.graph.producer[name]
+
+        def inputs() -> dict[str, Any]:
+            for input_name in stage.inputs:
+                self._materialize(input_name, artifacts, executions, stage_fps, context)
+            return stage.single_granule({n: artifacts[n].value for n in stage.inputs})
+
+        outputs, record = self._execute(stage, stage_fps[stage.name], context, inputs)
+        artifacts.update(outputs)
+        executions.append(record)
 
     def run_pooled(
         self,
@@ -286,9 +276,7 @@ class GraphRunner:
         stage = self.graph.stages[stage_name]
         if not stage.pooled:
             raise ValueError(f"stage {stage_name!r} is not a pooled stage")
-        context = StageContext(
-            config=config, executor=self.executor, n_workers=self.n_workers
-        )
+        context = StageContext(config=config)
         fp = stage.fingerprint(
             config,
             context.payload(),

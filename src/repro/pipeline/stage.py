@@ -8,23 +8,21 @@ its content fingerprint), and whether it is *pooled* across granules.
 Stage functions have the uniform signature ``fn(ctx, **inputs) -> outputs``
 where ``inputs``/``outputs`` are keyed by artifact name.  A pooled stage
 receives each input as a list, one item per granule of a fleet in canonical
-order (a list of one inside a single-granule run).  Per-beam stages
-route their work through :meth:`StageContext.map_items`, which
-chunks the items over the shared :class:`~repro.distributed.mapreduce.MapReduceEngine`
-with the runner's pluggable serial/thread/process executor — results are
-order-preserving and bit-for-bit independent of the executor.
+order (a list of one inside a single-granule run).  Per-beam stages loop
+over their beams in the calling process: the paper parallelises the 2 m
+segment jobs of Tables II and V (:mod:`repro.labeling.parallel`,
+:mod:`repro.freeboard.parallel`) and the granules of a fleet
+(:mod:`repro.campaign`), never the beams of one granule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
-from repro.distributed.mapreduce import EXECUTORS, MapReduceEngine
 from repro.pipeline.fingerprint import config_slice, stage_fingerprint
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,14 @@ class Stage:
 class StageContext:
     """Per-run state available to every stage function.
 
-    Carries the experiment config, the granule identity (campaign runs), and
-    the executor plumbing for fan-out stages.  Contexts are picklable so
-    graphs can execute inside campaign worker processes.
+    Carries the experiment config and the granule identity (campaign runs).
+    Contexts are picklable so graphs can execute inside campaign worker
+    processes.
     """
 
     config: Any
     granule_id: str = "granule"
     scenario: tuple[tuple[str, Any], ...] = ()
-    executor: str = "serial"
-    n_workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        if self.n_workers <= 0:
-            raise ValueError("n_workers must be positive")
 
     def payload(self) -> dict[str, Any]:
         """Fingerprint-relevant context attributes (see ``context_paths``).
@@ -136,30 +126,6 @@ class StageContext:
             "scenario": list(self.scenario),
             "kernel_backend": kernels.get_backend(),
         }
-
-    def _engine(self, n_items: int) -> MapReduceEngine:
-        executor = self.executor if self.n_workers > 1 and n_items > 1 else "serial"
-        n_partitions = max(min(self.n_workers, n_items), 1)
-        return MapReduceEngine(
-            n_partitions=n_partitions, executor=executor, max_workers=self.n_workers
-        )
-
-    def map_items(
-        self, items: Mapping[str, T], fn: Callable[[str, T], R]
-    ) -> dict[str, R]:
-        """Apply ``fn(key, item)`` to every item, preserving mapping order.
-
-        Items are chunked over the map-reduce engine with this context's
-        executor; with the process executor ``fn`` must be picklable (a
-        module-level function or a ``functools.partial`` of one).
-        """
-        pairs = list(items.items())
-        if not pairs:
-            return {}
-        result = self._engine(len(pairs)).run(
-            lambda: pairs, _ItemChunkTask(fn), _merge_pair_chunks
-        )
-        return dict(result.value)
 
 
 @dataclass
@@ -176,17 +142,3 @@ class StageExecution:
     @property
     def cache_key(self) -> str:
         return f"{self.stage}-{self.fingerprint}"
-
-
-class _ItemChunkTask:
-    """Picklable map function: apply the item function to one chunk of pairs."""
-
-    def __init__(self, fn: Callable[[str, Any], Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, pairs: Sequence[tuple[str, Any]]) -> list[tuple[str, Any]]:
-        return [(key, self.fn(key, item)) for key, item in pairs]
-
-
-def _merge_pair_chunks(chunks: list[list[tuple[str, Any]]]) -> list[tuple[str, Any]]:
-    return [pair for chunk in chunks for pair in chunk]

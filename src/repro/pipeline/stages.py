@@ -31,12 +31,11 @@ though the stages now execute independently and may be served from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 import numpy as np
 
-from repro.atl03.granule import BeamData, Granule
+from repro.atl03.granule import Granule
 from repro.atl03.simulator import simulate_granule
 from repro.classification.pipeline import (
     ClassifiedTrack,
@@ -125,15 +124,13 @@ def stage_segmentation(ctx: StageContext, image: S2Image) -> dict[str, Any]:
     return {"segmentation": segment_image(image, ctx.config.segmentation)}
 
 
-def _resample_one(window_length_m: float, name: str, beam: BeamData) -> SegmentArray:
-    return resample_fixed_window(beam, window_length_m=window_length_m)
-
-
 def stage_resample(ctx: StageContext, granule: Granule) -> dict[str, Any]:
-    mapped = ctx.map_items(
-        granule.beams, partial(_resample_one, ctx.config.window_length_m)
-    )
-    return {"segments": mapped}
+    window_length_m = ctx.config.window_length_m
+    segments = {
+        name: resample_fixed_window(beam, window_length_m=window_length_m)
+        for name, beam in granule.beams.items()
+    }
+    return {"segments": segments}
 
 
 def stage_drift(
@@ -165,28 +162,19 @@ def stage_align(
     return {"aligned_image": apply_shift(image, drift)}
 
 
-def _autolabel_one(
-    image: S2Image, segmentation: SegmentationResult, name: str, seg: SegmentArray
-) -> tuple[AutoLabelResult, np.ndarray, CorrectionReport]:
-    auto = auto_label_segments(seg, image, segmentation)
-    corrected, report = correct_labels(seg, auto)
-    return auto, corrected, report
-
-
 def stage_autolabel(
     ctx: StageContext,
     segments: dict[str, SegmentArray],
     aligned_image: S2Image,
     segmentation: SegmentationResult,
 ) -> dict[str, Any]:
-    mapped = ctx.map_items(
-        segments, partial(_autolabel_one, aligned_image, segmentation)
-    )
-    return {
-        "auto_labels": {name: item[0] for name, item in mapped.items()},
-        "labels": {name: item[1] for name, item in mapped.items()},
-        "correction_reports": {name: item[2] for name, item in mapped.items()},
-    }
+    auto_labels: dict[str, AutoLabelResult] = {}
+    labels: dict[str, np.ndarray] = {}
+    reports: dict[str, CorrectionReport] = {}
+    for name, seg in segments.items():
+        auto_labels[name] = auto_label_segments(seg, aligned_image, segmentation)
+        labels[name], reports[name] = correct_labels(seg, auto_labels[name])
+    return {"auto_labels": auto_labels, "labels": labels, "correction_reports": reports}
 
 
 def stage_curate(
@@ -260,19 +248,17 @@ def stage_infer(
     return {"classified": pipeline.classify_segments_batched(segments)}
 
 
-def _sea_surface_one(config, name: str, track: ClassifiedTrack) -> TrackSeaSurface:
-    return estimate_track_sea_surface(
-        track.segments, track.labels, method=config.method, config=config
-    )
-
-
 def stage_sea_surface(
     ctx: StageContext, classified: dict[str, ClassifiedTrack]
 ) -> dict[str, Any]:
-    mapped = ctx.map_items(
-        classified, partial(_sea_surface_one, ctx.config.sea_surface)
-    )
-    return {"sea_surface": mapped}
+    config = ctx.config.sea_surface
+    sea_surface = {
+        name: estimate_track_sea_surface(
+            track.segments, track.labels, method=config.method, config=config
+        )
+        for name, track in classified.items()
+    }
+    return {"sea_surface": sea_surface}
 
 
 def stage_freeboard(
@@ -287,21 +273,17 @@ def stage_freeboard(
     return {"freeboard": freeboard}
 
 
-def _atl07_one(config, name: str, beam: BeamData) -> ATL07Product:
-    return generate_atl07(beam, sea_surface_config=config)
-
-
 def stage_atl07(ctx: StageContext, granule: Granule) -> dict[str, Any]:
-    mapped = ctx.map_items(granule.beams, partial(_atl07_one, ctx.config.sea_surface))
-    return {"atl07": mapped}
-
-
-def _atl10_one(name: str, product: ATL07Product) -> ATL10Product:
-    return generate_atl10(product)
+    config = ctx.config.sea_surface
+    atl07 = {
+        name: generate_atl07(beam, sea_surface_config=config)
+        for name, beam in granule.beams.items()
+    }
+    return {"atl07": atl07}
 
 
 def stage_atl10(ctx: StageContext, atl07: dict[str, ATL07Product]) -> dict[str, Any]:
-    return {"atl10": ctx.map_items(atl07, _atl10_one)}
+    return {"atl10": {name: generate_atl10(product) for name, product in atl07.items()}}
 
 
 def stage_grid_granule(

@@ -13,7 +13,8 @@ Registration is strict: a sidecar that does not announce itself (missing or
 unknown ``format`` tag, unparsable JSON) raises
 :class:`~repro.l3.writer.Level3ProductError` instead of silently indexing
 garbage; :meth:`ProductCatalog.scan` collects such files into
-``skipped`` so one corrupt product cannot hide a whole directory.
+``skipped`` (and counts and logs each one) so one corrupt product cannot
+hide a whole directory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.l3.writer import (
     parse_sidecar_description,
     parse_sidecar_storage,
 )
+from repro.obs.core import default_obs
 from repro.serve.pyramid import is_pyramid_variable
 
 #: Projected-metre bounding box: (x_min, y_min, x_max, y_max).
@@ -229,15 +231,20 @@ class ProductCatalog:
 
         Returns ``(registered, skipped)``: files that are not valid Level-3
         sidecars are skipped (collected, not raised) so one foreign or
-        corrupt JSON cannot take the whole catalog down.
+        corrupt JSON cannot take the whole catalog down.  Each skip counts
+        ``catalog_skipped_total`` and logs a ``catalog.skipped`` warning
+        (path, exception type) on the process-default ``Obs``.
         """
         registered: list[CatalogEntry] = []
         skipped: list[Path] = []
         for sidecar in sorted(Path(directory).rglob("*.json")):
             try:
                 registered.append(self.register(sidecar))
-            except (Level3ProductError, FileNotFoundError):
+            except (Level3ProductError, FileNotFoundError) as exc:
                 skipped.append(sidecar)
+                obs = default_obs()
+                obs.counter("catalog_skipped_total").inc()
+                obs.log.warning("catalog.skipped", path=str(sidecar), error=type(exc).__name__)
         return registered, skipped
 
     def remove(self, key: str) -> CatalogEntry:

@@ -18,9 +18,9 @@ paper's Fig. 1:
 Every step is a registered :class:`~repro.pipeline.stage.Stage`;
 :func:`run_end_to_end` is a one-granule graph run that materialises every
 intermediate product, and :func:`prepare_experiment_data` targets just the
-curated stage-1 artifacts.  Callers that want stage-granular caching,
-partial recomputation or parallel per-beam fan-out use
-:class:`~repro.pipeline.runner.GraphRunner` directly with the same graph.
+curated stage-1 artifacts.  Callers that want stage-granular caching or
+partial recomputation use :class:`~repro.pipeline.runner.GraphRunner`
+directly with the same graph.
 """
 
 from __future__ import annotations

@@ -23,9 +23,15 @@ class TestParallelFreeboard:
     def test_thread_executor_matches(self, segments):
         labels = segments.truth_class
         serial = compute_freeboard(segments, labels)
-        engine = MapReduceEngine(n_partitions=4, executor="thread")
-        parallel, _ = parallel_freeboard(segments, labels, engine)
-        np.testing.assert_allclose(parallel.freeboard_m, serial.freeboard_m, atol=1e-12)
+        for executor in ("thread", "process"):
+            with MapReduceEngine(n_partitions=4, executor=executor, max_workers=2) as engine:
+                parallel, _ = parallel_freeboard(segments, labels, engine)
+            np.testing.assert_array_equal(
+                parallel.freeboard_m, serial.freeboard_m, err_msg=executor
+            )
+            np.testing.assert_array_equal(
+                parallel.sea_surface_m, serial.sea_surface_m, err_msg=executor
+            )
 
     def test_timings_recorded(self, segments):
         engine = MapReduceEngine(n_partitions=2, executor="serial")

@@ -1,4 +1,4 @@
-"""Execution tests for the graph runner: caching, partial recompute, executors."""
+"""Execution tests for the graph runner: caching, partial recompute, per-beam stages."""
 
 from dataclasses import dataclass, replace
 
@@ -7,7 +7,10 @@ import pytest
 
 from repro.campaign import CampaignConfig
 from repro.classification.pipeline import train_classifier
+from repro.clock import VirtualClock
 from repro.config import SeaSurfaceConfig
+from repro.freeboard.freeboard import compute_freeboard
+from repro.obs.core import Obs, set_default_obs
 from repro.pipeline import (
     MISS,
     ArtifactSpec,
@@ -176,19 +179,34 @@ class TestPrecomputedArtifacts:
             )
 
 
-class TestExecutorParity:
-    def test_process_fan_out_matches_serial(self, first_run):
+class TestPerBeamStages:
+    """Per-beam stages loop over the beams in the calling process."""
+
+    def test_two_beam_run_matches_compute_freeboard(self):
         config = replace(CONFIG, n_beams=2)
-        serial = GraphRunner(default_graph()).run(config, targets=("freeboard",))
-        process = GraphRunner(default_graph(), executor="process", n_workers=2).run(
-            config, targets=("freeboard",)
+        run = GraphRunner(default_graph()).run(
+            config, targets=("segments", "classified", "freeboard")
         )
-        assert sorted(serial.value("freeboard")) == sorted(process.value("freeboard"))
-        for name in serial.value("freeboard"):
-            np.testing.assert_array_equal(
-                serial.value("freeboard")[name].freeboard_m,
-                process.value("freeboard")[name].freeboard_m,
+        segments, classified, freeboard = run.values("segments", "classified", "freeboard")
+        assert len(freeboard) == 2
+        assert list(freeboard) == list(classified) == list(segments)
+        surface = config.sea_surface
+        for name, result in freeboard.items():
+            expected = compute_freeboard(
+                segments[name], classified[name].labels, method=surface.method, config=surface
             )
+            assert result.freeboard_m.tobytes() == expected.freeboard_m.tobytes()
+
+    def test_single_granule_run_opens_no_map_reduce_job(self):
+        obs = Obs(clock=VirtualClock())
+        previous = set_default_obs(obs)
+        try:
+            GraphRunner(default_graph(), obs=obs).run(CONFIG, targets=("freeboard",))
+        finally:
+            set_default_obs(previous)
+        assert obs.tracer.spans("pipeline.stage")
+        assert [s.name for s in obs.tracer.spans() if s.name.startswith("mapreduce.")] == []
+        assert obs.registry.total("mapreduce_jobs_total") == 0
 
 
 @dataclass(frozen=True)

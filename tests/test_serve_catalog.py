@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.clock import VirtualClock
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
 from repro.l3.writer import Level3ProductError, write_level3
+from repro.obs.core import Obs, set_default_obs
 from repro.serve.catalog import CatalogEntry, ProductCatalog
 
 
@@ -75,6 +77,21 @@ class TestRegistration:
         assert [entry.fingerprint for entry in registered] == ["fp-good"]
         assert sorted(path.name for path in skipped) == ["corrupt.json", "foreign.json"]
         assert len(catalog) == 1
+
+    def test_scan_counts_and_logs_each_skip(self, tmp_path):
+        write_product(tmp_path / "good", fingerprint="fp-good")
+        (tmp_path / "corrupt.json").write_text("{ not json")
+        obs = Obs(clock=VirtualClock())
+        previous = set_default_obs(obs)
+        try:
+            ProductCatalog().scan(tmp_path)
+        finally:
+            set_default_obs(previous)
+        assert obs.registry.total("catalog_skipped_total") == 1
+        (record,) = obs.log.events("catalog.skipped")
+        assert record.level == "warning"
+        assert record.fields["path"] == str(tmp_path / "corrupt.json")
+        assert record.fields["error"] == "Level3ProductError"
 
     def test_missing_fingerprint_keys_by_path(self, tmp_path):
         _, json_path = write_product(tmp_path / "p0", fingerprint="")
