@@ -58,12 +58,7 @@ class TestEndToEndOutputs:
         # enough to reach this bar together with macro-averaged recall.
         assert outputs.classifier.accuracy > 0.80
 
-    def test_classification_matches_simulator_truth(self, outputs):
-        name = sorted(outputs.classified)[0]
-        track = outputs.classified[name]
-        truth = track.segments.truth_class
-        valid = truth >= 0
-        assert (track.labels[valid] == truth[valid]).mean() > 0.85
+    # Agreement with the simulator truth is checked over seeds in test_science_gate.py.
 
     def test_freeboard_products_present_for_every_beam(self, outputs):
         assert set(outputs.freeboard) == set(outputs.classified)
