@@ -218,6 +218,11 @@ def resample_fixed_window(
     start = float(np.floor(along[0] / window_length_m) * window_length_m)
     stop = float(along[-1])
     n_segments = max(int(np.ceil((stop - start) / window_length_m)), 1)
+    # Windows are half-open, [edge, next edge): a last photon on the final
+    # edge (an exact multiple of the window length, or rounding) needs one
+    # more window.
+    if start + n_segments * window_length_m <= stop:
+        n_segments += 1
     edges = start + np.arange(n_segments + 1) * window_length_m
     centers = 0.5 * (edges[:-1] + edges[1:])
 

@@ -1,10 +1,13 @@
 """Tests for the 2 m fixed-window resampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.resampling.window import resample_fixed_window
 
 
@@ -96,3 +99,21 @@ class TestResampleFixedWindow:
     def test_property_photon_conservation(self, beam, window):
         segments = resample_fixed_window(beam, window_length_m=window)
         assert int(segments.n_photons.sum()) == int((beam.signal_conf >= 3).sum())
+
+    @pytest.mark.parametrize("backend", kernels.KERNEL_BACKENDS)
+    @pytest.mark.parametrize("window", [0.7, 1.05, 2.0, 3.3, 10.0])
+    def test_last_photon_on_a_window_edge_is_kept(self, beam, backend, window):
+        # Move the last signal photon onto the edge ``start + k * window``
+        # (computed as the resampler does), where half-open windows used to
+        # drop it.
+        signal = beam.select(beam.signal_conf >= 3)
+        along = signal.along_track_m.copy()
+        start = np.floor(along[0] / window) * window
+        k = int(np.ceil((along[-2] - start) / window))
+        along[-1] = start + k * window
+        signal = dataclasses.replace(signal, along_track_m=along)
+        with kernels.use_backend(backend):
+            segments = resample_fixed_window(signal, window_length_m=window)
+        assert int(segments.n_photons.sum()) == signal.n_photons
+        assert segments.n_photons[-1] >= 1
+        assert segments.start_along_track_m[-1] <= along[-1]
