@@ -13,9 +13,11 @@ Six kernel pairs are timed on deterministic, ATL03-representative inputs:
   of one granule: a 3,200-segment track over an 800 x 800-pixel class map;
 * **2 m resampling** — ``resample_fixed_window`` over a 6.4 km beam of
   ~36 k photons, under each kernel backend;
-* **random fields** — the spectral filtering of one granule's four
+* **random fields** — the spectral synthesis of one granule's four
   800 x 800-pixel fields (concentration, texture, ridge and cloud:
-  correlation lengths 250, 62.5, 25 and 120 px).
+  correlation lengths 250, 62.5, 25 and 120 px): the full-spectrum
+  ``irfft2`` against the inverse that transforms only the surviving
+  columns along ``y``.
 
 Each pair is asserted equivalent (1e-10; the drift, resampling and
 random-field pairs exactly) before it is timed, so a benchmark run doubles
@@ -272,7 +274,7 @@ def test_resample_vectorized(benchmark, beam):
 
 
 # ---------------------------------------------------------------------------
-# Spectral filtering of one granule's four random fields
+# Spectral synthesis of one granule's four random fields
 # ---------------------------------------------------------------------------
 
 #: Correlation lengths (px) of an 8 km scene's concentration, texture,
@@ -280,27 +282,26 @@ def test_resample_vectorized(benchmark, beam):
 RANDOM_FIELD_LENGTHS_PX = (250.0, 62.5, 25.0, 120.0)
 
 
-def _filter_fields(filtered_noise, white):
-    return [filtered_noise(white, length) for length in RANDOM_FIELD_LENGTHS_PX]
+def _synthesize_fields(spectral_field):
+    rng = np.random.default_rng(17)
+    return [spectral_field((800, 800), length, rng) for length in RANDOM_FIELD_LENGTHS_PX]
 
 
 @pytest.fixture(scope="module")
-def white_noise():
-    white = np.random.default_rng(17).standard_normal((800, 800))
-    ref = _filter_fields(krandom_field.filtered_noise_reference, white)
-    vec = _filter_fields(krandom_field.filtered_noise_vectorized, white)
+def random_fields_equal():
+    ref = _synthesize_fields(krandom_field.spectral_field_reference)
+    vec = _synthesize_fields(krandom_field.spectral_field_vectorized)
     for r, v in zip(ref, vec):
         assert r.tobytes() == v.tobytes()
-    return white
 
 
-def test_random_field_reference(benchmark, white_noise):
+def test_random_field_reference(benchmark, random_fields_equal):
     benchmark.pedantic(
-        _filter_fields, args=(krandom_field.filtered_noise_reference, white_noise), **ROUNDS
+        _synthesize_fields, args=(krandom_field.spectral_field_reference,), **ROUNDS
     )
 
 
-def test_random_field_vectorized(benchmark, white_noise):
+def test_random_field_vectorized(benchmark, random_fields_equal):
     benchmark.pedantic(
-        _filter_fields, args=(krandom_field.filtered_noise_vectorized, white_noise), **ROUNDS
+        _synthesize_fields, args=(krandom_field.spectral_field_vectorized,), **ROUNDS
     )

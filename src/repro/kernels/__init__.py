@@ -24,9 +24,10 @@ implementations in this package:
 * :mod:`repro.kernels.resampling` — the 2 m resampling median and majority
   class (one ``np.lexsort`` by (window, height) and one composite-key
   ``np.bincount`` over all windows);
-* :mod:`repro.kernels.random_field` — the Gaussian spectral filtering behind
-  every scene random field (the same 1-D FFTs as ``fft2``/``ifft2``,
-  skipping the rows and columns the filter underflows to zero).
+* :mod:`repro.kernels.random_field` — the spectral synthesis behind every
+  scene random field (coefficients drawn only where the Gaussian filter does
+  not underflow, then the 1-D inverse FFTs of ``irfft2``, skipping the
+  all-zero columns).
 
 The *reference* implementations are the original per-window / per-bin /
 per-step / per-candidate loops, kept as the ground truth the vectorized

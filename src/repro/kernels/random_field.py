@@ -1,30 +1,35 @@
-"""Gaussian spectral filtering of white noise: the scene random fields (reference + vectorized).
+"""Spectral synthesis of the scene random fields (reference + vectorized).
 
-:func:`repro.surface.fields.gaussian_random_field` correlates white noise by
-multiplying its 2-D spectrum with ``sqrt(exp(-0.5 k² (2πL)²))`` and
-transforming back.  Both backends return the real part of that filtered
-field, ``(ny, nx)``, with the same bytes.
+:func:`repro.surface.fields.gaussian_random_field` needs a real Gaussian
+field whose power spectrum is the filter ``exp(-0.5 k² (2πL)²)`` (``k`` in
+cycles per pixel, ``L`` the correlation length in pixels), so that its
+autocorrelation is ``exp(-r² / 2L²)``.  Filtering white noise in the Fourier
+domain gives that field, but most of the work is wasted: the filter
+underflows to exactly ``0.0`` wherever ``|k| > 6.14 / L`` (``exp`` of less
+than about -745), so at L = 250 px only 39 of 800 rows survive.
 
-The reference backend is ``fft2`` -> ``* sqrt(filter)`` -> ``ifft2`` ->
-``.real``.  The vectorized backend exploits that the filter underflows to
-exactly ``0.0`` wherever ``|k| > 6.14 / L`` (``exp`` of less than about
--745): for correlation lengths above ~12 px that is most rows and columns
-of the spectrum (only 39 of 800 survive at L = 250 px).  It runs the same 1-D transforms in the same axis
-order (the last axis first), and skips every transform whose input is all
-zero or whose output the filter zeroes:
+The kernel draws the spectrum directly instead.  The underflow rule defines
+the drawn support: the ``fftfreq(ny)`` rows times the ``rfftfreq(nx)``
+columns of the half-spectrum where the filter is non-zero (a row's largest
+value is at ``kx = 0``, a column's at ``ky = 0``).  Every coefficient of
+that block is a complex Gaussian with ``E|c|² = filter``.  The ``kx = 0``
+column, and the Nyquist column ``kx = nx / 2`` of an even ``nx`` when it
+survives, are their own mirror images, so they are made Hermitian:
+``c(-ky) = conj(c(ky))``, with ``(c + conj(c(-ky))) / √2``, which keeps
+``E|c|²`` and makes the self-mirrored ``ky = 0`` and ``ky = ny / 2``
+entries real.  Those are the statistics of the orthonormal FFT of unit
+white noise, so the field is distributed as the filtered white noise was,
+with the same variance.
 
-* forward: every row along axis 1, then only the surviving columns along
-  axis 0;
-* inverse: only the surviving rows along axis 1, then every column along
-  axis 0.
+Both backends draw the same coefficients into one ``(ny, nx // 2 + 1)``
+complex array and return the same bytes of the real ``(ny, nx)`` field:
 
-The filter is evaluated only on the surviving rows x columns, with the same
-elementwise expression.  A row survives when its ``kx = 0`` entry is
-non-zero and a column when its ``ky = 0`` entry is, because those entries
-hold each row's and column's largest filter value.  Every transform the
-vectorized backend runs sees the reference's input line up to the sign of
-its zeros, and adding a signed zero leaves a non-zero value unchanged, so
-the outputs agree bit for bit (the equivalence tests compare bytes).
+* reference: the full-spectrum ``irfft2``;
+* vectorized: the same 1-D transforms in the same order (``ifft`` along
+  ``y``, then ``irfft`` along ``x``), but the ``y`` pass runs, in place,
+  only on the surviving columns.  Every other column is all zero, and so
+  is its transform, up to the sign of its zeros, which no non-zero sum in
+  the ``x`` pass can see (the equivalence tests compare bytes).
 """
 
 from __future__ import annotations
@@ -40,44 +45,62 @@ def _filter(kx: np.ndarray, ky: np.ndarray, correlation_length_px: float) -> np.
     return np.exp(-0.5 * k2 * (correlation_length_px * 2.0 * np.pi) ** 2)
 
 
-def filtered_noise_reference(white: np.ndarray, correlation_length_px: float) -> np.ndarray:
-    """Full 2-D transforms over the whole spectrum."""
-    ny, nx = white.shape
-    ky = np.fft.fftfreq(ny)[:, None]
-    kx = np.fft.fftfreq(nx)[None, :]
-    filt = _filter(kx, ky, correlation_length_px)
-    spec = np.fft.fft2(white) * np.sqrt(filt)
-    return np.real(np.fft.ifft2(spec))
+def _half_spectrum(
+    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """The drawn half-spectrum, ``(ny, nx // 2 + 1)``, and its surviving column count.
+
+    Only the block where the filter is non-zero is drawn: rows where it is
+    non-zero at ``kx = 0`` (``0 .. r`` and their mirrors at the end) times
+    the leading columns where it is non-zero at ``ky = 0``.
+    """
+    ny, nx = shape
+    filter_y = _filter(0.0, np.fft.fftfreq(ny), correlation_length_px)
+    filter_x = _filter(np.fft.rfftfreq(nx), 0.0, correlation_length_px)
+    rows = np.flatnonzero(filter_y)
+    n_cols = np.count_nonzero(filter_x)
+    coeffs = rng.standard_normal((rows.size, 2 * n_cols)).view(complex)
+    mirror = np.searchsorted(rows, -rows % ny)
+    hermitian = [0] if nx % 2 or n_cols <= nx // 2 else [0, n_cols - 1]
+    for col in hermitian:
+        column = coeffs[:, col]
+        coeffs[:, col] = (column + column[mirror].conj()) / np.sqrt(2.0)
+    # The filter is separable, exp(-a (kx² + ky²)) = exp(-a ky²) exp(-a kx²),
+    # so its square root on the block is an outer product of 1-D roots.
+    coeffs *= np.sqrt(0.5 * filter_y[rows])[:, None] * np.sqrt(filter_x[:n_cols])
+    spectrum = np.zeros((ny, nx // 2 + 1), dtype=complex)
+    spectrum[rows, :n_cols] = coeffs
+    return spectrum, n_cols
 
 
-def filtered_noise_vectorized(white: np.ndarray, correlation_length_px: float) -> np.ndarray:
-    """The same transforms, restricted to the rows and columns the filter keeps."""
-    ny, nx = white.shape
-    ky = np.fft.fftfreq(ny)[:, None]
-    kx = np.fft.fftfreq(nx)[None, :]
-    rows = np.flatnonzero(_filter(kx[:, :1], ky, correlation_length_px)[:, 0])
-    cols = np.flatnonzero(_filter(kx, ky[:1], correlation_length_px)[0])
-    filt = _filter(kx[:, cols], ky[rows], correlation_length_px)
-
-    # Forward: all rows, then the surviving columns; keep the surviving rows.
-    spec = np.fft.fft(np.fft.fft(white, axis=1)[:, cols], axis=0)[rows]
-    spec *= np.sqrt(filt)
-
-    # Inverse: the surviving rows (every other row is all zero), then all
-    # columns of the full spectrum.
-    band = np.zeros((rows.size, nx), dtype=complex)
-    band[:, cols] = spec
-    full = np.zeros((ny, nx), dtype=complex)
-    full[rows] = np.fft.ifft(band, axis=1)
-    return np.real(np.fft.ifft(full, axis=0))
+def spectral_field_reference(
+    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The full-spectrum inverse transform."""
+    spectrum, _ = _half_spectrum(shape, correlation_length_px, rng)
+    return np.fft.irfft2(spectrum, s=shape, norm="ortho")
 
 
-def filtered_noise(white: np.ndarray, correlation_length_px: float) -> np.ndarray:
-    """Real part of ``white`` filtered by the Gaussian spectral filter of length ``L``.
+def spectral_field_vectorized(
+    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The same transforms, with the ``y`` pass restricted to the surviving columns."""
+    spectrum, n_cols = _half_spectrum(shape, correlation_length_px, rng)
+    block = spectrum[:, :n_cols]
+    np.fft.ifft(block, axis=0, norm="ortho", out=block)
+    return np.fft.irfft(spectrum, n=shape[1], axis=1, norm="ortho")
 
-    ``white`` is a ``(ny, nx)`` float array and ``correlation_length_px`` a
-    positive, finite length in pixels; both backends return the same bytes.
+
+def spectral_field(
+    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A real ``shape`` Gaussian field with the filter of length ``L`` as its spectrum.
+
+    ``shape`` is ``(ny, nx)`` with positive entries and
+    ``correlation_length_px`` a positive, finite length in pixels.  The
+    field is contiguous and neither centred nor normalised; both backends
+    draw the same values from ``rng`` and return the same bytes.
     """
     if get_backend() == "reference":
-        return filtered_noise_reference(white, correlation_length_px)
-    return filtered_noise_vectorized(white, correlation_length_px)
+        return spectral_field_reference(shape, correlation_length_px, rng)
+    return spectral_field_vectorized(shape, correlation_length_px, rng)

@@ -366,9 +366,10 @@ def artifact_specs() -> list[ArtifactSpec]:
 def build_default_graph() -> StageGraph:
     """Construct the canonical Fig. 1 stage graph (a fresh instance)."""
     stages = [
-        Stage("scene", stage_scene, (), ("scene",), ("scene", "seed")),
+        # Version 2 of scene and s2: random fields by spectral synthesis.
+        Stage("scene", stage_scene, (), ("scene",), ("scene", "seed"), version="2"),
         Stage("atl03", stage_atl03, ("scene",), ("granule",), ("atl03", "n_beams", "seed")),
-        Stage("s2", stage_s2, ("scene",), ("image",), ("s2", "drift_m", "seed")),
+        Stage("s2", stage_s2, ("scene",), ("image",), ("s2", "drift_m", "seed"), version="2"),
         Stage(
             "segmentation",
             stage_segmentation,
@@ -382,6 +383,8 @@ def build_default_graph() -> StageGraph:
             ("granule",),
             ("segments",),
             ("window_length_m",),
+            # Version 2: the last photon on a window edge is kept.
+            version="2",
         ),
         Stage(
             "drift",

@@ -1,10 +1,13 @@
 """Random-field helpers used to synthesise sea-ice scenes.
 
 The scene generator needs spatially correlated random fields (ice
-concentration, freeboard texture, cloud optical depth).  A Gaussian random
-field with a tunable correlation length is produced by filtering white noise
-in the Fourier domain (:mod:`repro.kernels.random_field`), which is fast
-(O(n log n)) and fully vectorised.
+concentration, freeboard texture, ridges, cloud optical depth).
+:func:`gaussian_random_field` draws one with a tunable correlation length
+``L`` straight in the Fourier domain (:mod:`repro.kernels.random_field`):
+complex Gaussian coefficients on the half-spectrum block where the Gaussian
+filter ``exp(-0.5 k² (2πL)²)`` does not underflow to zero, and one inverse
+real FFT.  The larger ``L``, the smaller that block, so smooth fields cost
+little more than the inverse transform along ``x``.
 """
 
 from __future__ import annotations
@@ -47,14 +50,11 @@ def gaussian_random_field(
         raise ValueError("correlation_length_px must be positive and finite")
     rng = default_rng(rng)
 
-    white = rng.standard_normal((ny, nx))
-    field = random_field.filtered_noise(white, correlation_length_px)
+    field = random_field.spectral_field((ny, nx), correlation_length_px, rng)
     std = field.std()
     if std < 1e-12:
         return np.zeros(shape)
-    # The kernel's output is the strided real part of a complex array: the
-    # subtraction writes a fresh contiguous field and frees that buffer.
-    field = field - field.mean()
+    field -= field.mean()
     field /= std
     return field
 

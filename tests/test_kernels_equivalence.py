@@ -670,10 +670,14 @@ class TestLeadStamping:
 
 
 def _compare_random_field(ny, nx, correlation_length_px, seed):
-    white = np.random.default_rng(seed).standard_normal((ny, nx))
-    ref = krandom_field.filtered_noise_reference(white, correlation_length_px)
-    vec = krandom_field.filtered_noise_vectorized(white, correlation_length_px)
-    assert ref.tobytes() == vec.tobytes(), "filtered noise differs"
+    shape = (ny, nx)
+    ref = krandom_field.spectral_field_reference(
+        shape, correlation_length_px, np.random.default_rng(seed)
+    )
+    vec = krandom_field.spectral_field_vectorized(
+        shape, correlation_length_px, np.random.default_rng(seed)
+    )
+    assert ref.tobytes() == vec.tobytes(), "spectral field differs"
     with kernels.use_backend("reference"):
         ref = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
     with kernels.use_backend("vectorized"):

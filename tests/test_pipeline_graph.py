@@ -205,13 +205,32 @@ class TestFingerprints:
         for name in vec:
             assert vec[name] != ref[name], name
 
+    def test_changed_science_invalidates_scene_s2_and_resample(self):
+        """Spectral synthesis (scene, s2) and the track-end window fix
+        (resample) changed these stages' outputs: their cache entries from
+        before the change must miss."""
+        from repro import kernels
+
+        graph = default_graph()
+        bumped = {"scene", "s2", "resample"}
+        assert {s.name for s in graph.stages.values() if s.version != "1"} == bumped
+        with kernels.use_backend("vectorized"):
+            fps = GraphRunner(graph).fingerprints(ExperimentConfig())
+        before = {
+            "scene": "e5c41f7a091115c7",
+            "image": "6614a8808708aeca",
+            "segments": "4bf5325627b0b373",
+        }
+        for name, old in before.items():
+            assert fps[name] != old, name
+
     def test_version_bump_invalidates_stage(self):
         graph = default_graph()
         scene = graph.stages["scene"]
         bumped = graph.replace(
             Stage(
                 "scene", scene.fn, scene.inputs, scene.outputs, scene.config_paths,
-                version="2",
+                version=scene.version + "-next",
             )
         )
         cfg = ExperimentConfig(seed=1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import random_field
 from repro.surface.fields import add_linear_leads, gaussian_random_field, smooth_threshold_classes
 
 
@@ -44,6 +45,44 @@ class TestGaussianRandomField:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ValueError):
             gaussian_random_field((8, 8, 8), 2.0)  # type: ignore[arg-type]
+
+
+class TestSpectralEdgeCases:
+    """Shapes and lengths where the drawn half-spectrum has self-mirrored columns or rows."""
+
+    CASES = [
+        ((48, 41), 2.0),  # odd nx: no Nyquist column
+        ((48, 40), 2.0),  # even nx, small L: the Nyquist column survives
+        ((47, 40), 0.3),  # odd ny, nothing underflows
+        ((1, 40), 2.0),  # ny = 1: every column is its own mirror in y
+        ((40, 1), 2.0),  # nx = 1: only the kx = 0 column
+    ]
+
+    @pytest.mark.parametrize("shape, length", CASES)
+    def test_field_is_real_finite_and_normalised(self, shape, length):
+        field = gaussian_random_field(shape, length, rng=11)
+        assert field.shape == shape and field.dtype == np.float64
+        assert np.all(np.isfinite(field))
+        assert abs(field.mean()) < 1e-12
+        assert field.std() == pytest.approx(1.0, abs=1e-12)
+
+    def test_nyquist_column_survives_in_the_even_case(self):
+        kx = np.fft.rfftfreq(40)
+        assert random_field._filter(kx[-1], 0.0, 2.0) > 0.0
+
+    @pytest.mark.parametrize("shape, length", CASES)
+    def test_drawn_spectrum_is_hermitian(self, shape, length):
+        # irfft2 drops the imaginary part of a non-Hermitian kx = 0 or
+        # Nyquist column; transforming back then gives other coefficients.
+        spectrum, _ = random_field._half_spectrum(shape, length, np.random.default_rng(5))
+        field = random_field.spectral_field(shape, length, np.random.default_rng(5))
+        np.testing.assert_allclose(np.fft.rfft2(field, norm="ortho"), spectrum, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, length", [((1, 1), 2.0), ((48, 40), 500.0)])
+    def test_constant_field_is_exact_zeros(self, shape, length):
+        # One pixel, or only the DC term survives: the spread is below 1e-12.
+        field = gaussian_random_field(shape, length, rng=11)
+        assert field.shape == shape and not field.any()
 
 
 class TestSmoothThresholdClasses:
