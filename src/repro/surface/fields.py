@@ -51,10 +51,11 @@ def gaussian_random_field(
     rng = default_rng(rng)
 
     field = random_field.spectral_field((ny, nx), correlation_length_px, rng)
-    std = field.std()
+    field -= field.mean()
+    # The centred field's standard deviation in one pass, with no temporary.
+    std = np.sqrt(np.einsum("ij,ij->", field, field) / field.size)
     if std < 1e-12:
         return np.zeros(shape)
-    field -= field.mean()
     field /= std
     return field
 
