@@ -13,8 +13,8 @@ Six kernel pairs are timed on deterministic, ATL03-representative inputs:
   of one granule: a 3,200-segment track over an 800 x 800-pixel class map;
 * **2 m resampling** — ``resample_fixed_window`` over a 6.4 km beam of
   ~36 k photons, under each kernel backend;
-* **random fields** — the spectral synthesis of one granule's four
-  800 x 800-pixel fields (concentration, texture, ridge and cloud:
+* **random fields** — the inverse transforms of one granule's four
+  800 x 800-pixel drawn spectra (concentration, texture, ridge and cloud:
   correlation lengths 250, 62.5, 25 and 120 px): the full-spectrum
   ``irfft2`` against the inverse that transforms only the surviving
   columns along ``y``.
@@ -282,26 +282,32 @@ def test_resample_vectorized(benchmark, beam):
 RANDOM_FIELD_LENGTHS_PX = (250.0, 62.5, 25.0, 120.0)
 
 
-def _synthesize_fields(spectral_field):
+def _spectra():
     rng = np.random.default_rng(17)
-    return [spectral_field((800, 800), length, rng) for length in RANDOM_FIELD_LENGTHS_PX]
+    return [krandom_field.half_spectrum((800, 800), L, rng) for L in RANDOM_FIELD_LENGTHS_PX]
+
+
+def _invert(inverse, spectra):
+    return [inverse(spectrum, n_cols, 800) for spectrum, n_cols in spectra]
 
 
 @pytest.fixture(scope="module")
 def random_fields_equal():
-    ref = _synthesize_fields(krandom_field.spectral_field_reference)
-    vec = _synthesize_fields(krandom_field.spectral_field_vectorized)
+    ref = _invert(krandom_field.inverse_reference, _spectra())
+    vec = _invert(krandom_field.inverse_vectorized, _spectra())
     for r, v in zip(ref, vec):
         assert r.tobytes() == v.tobytes()
 
 
+def _fresh_spectra(inverse):
+    """pedantic ``setup``: the vectorized inverse overwrites its input, so
+    every round inverts freshly drawn spectra, drawn outside the timing."""
+    return lambda: ((inverse, _spectra()), {})
+
+
 def test_random_field_reference(benchmark, random_fields_equal):
-    benchmark.pedantic(
-        _synthesize_fields, args=(krandom_field.spectral_field_reference,), **ROUNDS
-    )
+    benchmark.pedantic(_invert, setup=_fresh_spectra(krandom_field.inverse_reference), **ROUNDS)
 
 
 def test_random_field_vectorized(benchmark, random_fields_equal):
-    benchmark.pedantic(
-        _synthesize_fields, args=(krandom_field.spectral_field_vectorized,), **ROUNDS
-    )
+    benchmark.pedantic(_invert, setup=_fresh_spectra(krandom_field.inverse_vectorized), **ROUNDS)

@@ -21,8 +21,9 @@ entries real.  Those are the statistics of the orthonormal FFT of unit
 white noise, so the field is distributed as the filtered white noise was,
 with the same variance.
 
-Both backends draw the same coefficients into one ``(ny, nx // 2 + 1)``
-complex array and return the same bytes of the real ``(ny, nx)`` field:
+:func:`half_spectrum` draws the coefficients into one ``(ny, nx // 2 + 1)``
+complex array, and both backends invert it to the same bytes of the real
+``(ny, nx)`` field:
 
 * reference: the full-spectrum ``irfft2``;
 * vectorized: the same 1-D transforms in the same order (``ifft`` along
@@ -45,7 +46,7 @@ def _filter(kx: np.ndarray, ky: np.ndarray, correlation_length_px: float) -> np.
     return np.exp(-0.5 * k2 * (correlation_length_px * 2.0 * np.pi) ** 2)
 
 
-def _half_spectrum(
+def half_spectrum(
     shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
     """The drawn half-spectrum, ``(ny, nx // 2 + 1)``, and its surviving column count.
@@ -73,22 +74,19 @@ def _half_spectrum(
     return spectrum, n_cols
 
 
-def spectral_field_reference(
-    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The full-spectrum inverse transform."""
-    spectrum, _ = _half_spectrum(shape, correlation_length_px, rng)
-    return np.fft.irfft2(spectrum, s=shape, norm="ortho")
+def inverse_reference(spectrum: np.ndarray, n_cols: int, nx: int) -> np.ndarray:
+    """The full-spectrum inverse transform of a drawn half-spectrum."""
+    return np.fft.irfft2(spectrum, s=(spectrum.shape[0], nx), norm="ortho")
 
 
-def spectral_field_vectorized(
-    shape: tuple[int, int], correlation_length_px: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The same transforms, with the ``y`` pass restricted to the surviving columns."""
-    spectrum, n_cols = _half_spectrum(shape, correlation_length_px, rng)
+def inverse_vectorized(spectrum: np.ndarray, n_cols: int, nx: int) -> np.ndarray:
+    """The same transforms, with the ``y`` pass restricted to the first ``n_cols`` columns.
+
+    The ``y`` pass runs in place: it overwrites those columns of ``spectrum``.
+    """
     block = spectrum[:, :n_cols]
     np.fft.ifft(block, axis=0, norm="ortho", out=block)
-    return np.fft.irfft(spectrum, n=shape[1], axis=1, norm="ortho")
+    return np.fft.irfft(spectrum, n=nx, axis=1, norm="ortho")
 
 
 def spectral_field(
@@ -101,6 +99,6 @@ def spectral_field(
     field is contiguous and neither centred nor normalised; both backends
     draw the same values from ``rng`` and return the same bytes.
     """
-    if get_backend() == "reference":
-        return spectral_field_reference(shape, correlation_length_px, rng)
-    return spectral_field_vectorized(shape, correlation_length_px, rng)
+    spectrum, n_cols = half_spectrum(shape, correlation_length_px, rng)
+    inverse = inverse_reference if get_backend() == "reference" else inverse_vectorized
+    return inverse(spectrum, n_cols, shape[1])

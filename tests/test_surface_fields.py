@@ -74,7 +74,7 @@ class TestSpectralEdgeCases:
     def test_drawn_spectrum_is_hermitian(self, shape, length):
         # irfft2 drops the imaginary part of a non-Hermitian kx = 0 or
         # Nyquist column; transforming back then gives other coefficients.
-        spectrum, _ = random_field._half_spectrum(shape, length, np.random.default_rng(5))
+        spectrum, _ = random_field.half_spectrum(shape, length, np.random.default_rng(5))
         field = random_field.spectral_field(shape, length, np.random.default_rng(5))
         np.testing.assert_allclose(np.fft.rfft2(field, norm="ortho"), spectrum, atol=1e-12)
 
