@@ -77,6 +77,14 @@ def labeled_segments(segments):
     return segments, segments.truth_class.copy()
 
 
+@pytest.fixture(scope="session")
+def science_gate_measurement():
+    """The science gate's statistics on its seeds, measured once for every test that checks them."""
+    from tests.test_science_gate import measure
+
+    return measure()
+
+
 @pytest.fixture()
 def rng():
     """A fresh deterministic generator per test."""

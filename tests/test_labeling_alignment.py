@@ -6,6 +6,7 @@ import pytest
 from repro.labeling.alignment import DriftEstimate, apply_shift, estimate_drift
 from repro.sentinel2.scene import render_scene
 from repro.sentinel2.segmentation import segment_image
+from tests.test_science_gate import assert_seed_means_inside_parent_bands
 
 
 class TestDriftEstimate:
@@ -28,7 +29,12 @@ class TestDriftEstimate:
 
 
 class TestEstimateDrift:
-    # Recovering an injected drift is checked over seeds in test_science_gate.py.
+    def test_recovers_injected_drift(self, science_gate_measurement):
+        # One scene can defeat the estimator, so the error of the recovered
+        # drift is checked as its mean over the science gate's seeds.
+        assert_seed_means_inside_parent_bands(
+            science_gate_measurement, ["drift-recovery error (m)"]
+        )
 
     def test_no_drift_gives_small_shift(self, s2_image, s2_segmentation, segments):
         est = estimate_drift(

@@ -9,6 +9,7 @@ from repro.workflow.end_to_end import (
     prepare_experiment_data,
     run_end_to_end,
 )
+from tests.test_science_gate import assert_seed_means_inside_parent_bands
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,13 @@ class TestEndToEndOutputs:
         # enough to reach this bar together with macro-averaged recall.
         assert outputs.classifier.accuracy > 0.80
 
-    # Agreement with the simulator truth is checked over seeds in test_science_gate.py.
+    def test_classification_matches_simulator_truth(self, science_gate_measurement):
+        # One seed's scene can leave training short, so the first track's
+        # agreement with the truth is checked as its mean over the science
+        # gate's seeds.
+        assert_seed_means_inside_parent_bands(
+            science_gate_measurement, ["truth agreement, first track"]
+        )
 
     def test_freeboard_products_present_for_every_beam(self, outputs):
         assert set(outputs.freeboard) == set(outputs.classified)
