@@ -1,0 +1,210 @@
+"""Pinned output of every cost-model scaling table.
+
+Tables II and V, the campaign scaling report and both serving scaling tables
+push a baseline through :class:`~repro.distributed.cluster.ClusterCostModel`.
+This file pins what each one prints for fixed inputs, so a change to how the
+tables are computed shows up here as a text difference.  The inputs are
+built directly (no timed runs): the paper's Table II/V baselines, fixed
+campaign stage times, and serving results made from fixed arrays and stats.
+Small inputs, below the model's ``min_time_s``, pin the clamping edge.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.campaign.metrics import CampaignMetrics, campaign_scaling_table
+from repro.campaign.runner import CampaignResult
+from repro.distributed.cluster import ClusterCostModel
+from repro.evaluation import (
+    format_table,
+    regenerate_table2,
+    regenerate_table5,
+    router_scaling_table,
+    serve_scaling_table,
+)
+from repro.serve.query import QueryStats
+from repro.serve.router import RouterStats
+from repro.serve.traffic import OpenLoopResult, TrafficResult
+
+LATENCIES_S = np.array([0.004, 0.006, 0.011, 0.012, 0.018, 0.025, 0.031, 0.052])
+
+
+def campaign_summary(curation_s: float, training_s: float, inference_s: float) -> str:
+    metrics = CampaignMetrics(
+        n_granules=4,
+        n_segments=12800,
+        confusion=np.array([[40, 3, 1], [2, 30, 5], [1, 4, 14]]),
+        accuracy=0.84,
+        macro_f1=0.79,
+        n_ice_segments=9000,
+        mean_freeboard_m=0.24,
+        freeboard_std_m=0.15,
+    )
+    result = CampaignResult(
+        fingerprint="pinned",
+        granules=[],
+        classifier=None,
+        classifier_fingerprint="",
+        metrics=metrics,
+        timing={},
+        scaling=campaign_scaling_table(curation_s, training_s, inference_s),
+    )
+    return result.summary()
+
+
+def traffic_result(scale: float = 1.0) -> TrafficResult:
+    return TrafficResult(
+        n_requests=8,
+        seconds=0.2 * scale,
+        latencies_s=LATENCIES_S * scale,
+        stats=QueryStats(requests=8, batches=2, tile_hits=5, tile_misses=3, loads=2),
+    )
+
+
+def open_loop_result(scale: float = 1.0) -> OpenLoopResult:
+    return OpenLoopResult(
+        n_offered=10,
+        arrival_rate_rps=50.0,
+        seconds=0.4,
+        latencies_s=LATENCIES_S * scale,
+        queue_wait_s=LATENCIES_S * scale / 2,
+        service_s=LATENCIES_S * scale / 2,
+        stats=RouterStats(requests=10, shed=2, coalesced=3, executions=5),
+    )
+
+
+TABLE2 = """\
+Executors | Cores | Load Time (s) | Map Time (s) | Reduce Time (s) | Speedup Load | Speedup Reduce
+----------+-------+---------------+--------------+-----------------+--------------+---------------
+        1 |     1 |        108.00 |         0.30 |          390.00 |         1.00 |           1.00
+        1 |     2 |         56.80 |         0.30 |          195.00 |         1.90 |           2.00
+        1 |     4 |         31.20 |         0.30 |           97.50 |         3.46 |           4.00
+        2 |     1 |         56.80 |         0.30 |          191.20 |         1.90 |           2.04
+        2 |     2 |         31.20 |         0.30 |           95.60 |         3.46 |           4.08
+        2 |     4 |         18.40 |         0.30 |           47.80 |         5.87 |           8.16
+        4 |     1 |         31.20 |         0.30 |           92.00 |         3.46 |           4.24
+        4 |     2 |         18.40 |         0.30 |           46.00 |         5.87 |           8.48
+        4 |     4 |         12.00 |         0.30 |           23.00 |         8.99 |          16.96"""
+
+TABLE5 = """\
+Executors | Cores | Load Time (s) | Map Time (s) | Reduce Time (s) | Speedup Load | Speedup Reduce
+----------+-------+---------------+--------------+-----------------+--------------+---------------
+        1 |     1 |        111.00 |         0.30 |          392.00 |         1.00 |           1.00
+        1 |     2 |         58.40 |         0.30 |          196.00 |         1.90 |           2.00
+        1 |     4 |         32.10 |         0.30 |           98.00 |         3.46 |           4.00
+        2 |     1 |         58.40 |         0.30 |          192.20 |         1.90 |           2.04
+        2 |     2 |         32.10 |         0.30 |           96.10 |         3.46 |           4.08
+        2 |     4 |         18.90 |         0.30 |           48.00 |         5.87 |           8.16
+        4 |     1 |         32.10 |         0.30 |           92.50 |         3.46 |           4.24
+        4 |     2 |         18.90 |         0.30 |           46.20 |         5.87 |           8.48
+        4 |     4 |         12.30 |         0.30 |           23.10 |         8.99 |          16.96"""
+
+CAMPAIGN_HEAD = """\
+Campaign pinned: 0 granules
+(no rows)
+
+Campaign aggregate
+Granules | Segments | Accuracy | Macro F1 | Acc thick_ice | Acc thin_ice | Acc open_water | Freeboard (m) | Freeboard std (m)
+---------+----------+----------+----------+---------------+--------------+----------------+---------------+------------------
+       4 |    12800 |     0.84 |     0.79 |          0.91 |         0.81 |           0.74 |          0.24 |              0.15
+
+Simulated cluster scaling (calibrated cost model)
+Executors | Cores | Curation (s) | Training (s) | Inference (s) | Total (s) | Speedup
+----------+-------+--------------+--------------+---------------+-----------+--------
+"""
+
+CAMPAIGN_ROWS = """\
+        1 |     1 |         2.72 |         0.11 |          0.02 |      3.45 |    1.00
+        1 |     2 |         1.36 |         0.11 |          0.01 |      2.08 |    1.66
+        1 |     4 |         0.68 |         0.11 |          0.01 |      1.40 |    2.47
+        2 |     1 |         1.33 |         0.11 |          0.01 |      2.05 |    1.68
+        2 |     2 |         0.67 |         0.11 |          0.00 |      1.38 |    2.50
+        2 |     4 |         0.33 |         0.11 |          0.00 |      1.05 |    3.30
+        4 |     1 |         0.64 |         0.11 |          0.00 |      1.36 |    2.54
+        4 |     2 |         0.32 |         0.11 |          0.00 |      1.03 |    3.34
+        4 |     4 |         0.16 |         0.11 |          0.00 |      0.87 |    3.96"""
+
+CAMPAIGN_TINY_ROWS = """\
+        1 |     1 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        1 |     2 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        1 |     4 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        2 |     1 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        2 |     2 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        2 |     4 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        4 |     1 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        4 |     2 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
+        4 |     4 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00"""
+
+SERVE = """\
+serve
+Executors | Serve Time (s) | Throughput (req/s) | Mean Latency (ms) | P95 Latency (ms) | Speedup
+----------+----------------+--------------------+-------------------+------------------+--------
+        1 |           0.20 |              39.00 |             20.37 |            45.77 |    1.00
+        2 |           0.10 |              77.60 |             10.24 |            23.00 |    1.99
+        4 |           0.05 |             153.30 |              5.18 |            11.65 |    3.93"""
+
+ROUTER = """\
+router
+Shards | Serve Time (s) | Saturation Throughput (req/s) | P50 Latency (ms) | P99 Latency (ms) | Shed Rate | Coalescing Ratio | Speedup
+-------+----------------+-------------------------------+------------------+------------------+-----------+------------------+--------
+     1 |           0.09 |                         94.70 |            15.94 |            53.71 |      0.20 |             0.38 |    1.00
+     2 |           0.04 |                        181.90 |             8.30 |            27.95 |      0.20 |             0.38 |    1.92
+     4 |           0.02 |                        336.80 |             4.48 |            15.10 |      0.20 |             0.38 |    3.56"""
+
+
+def test_table2_text_is_pinned():
+    assert format_table(regenerate_table2()) == TABLE2
+
+
+def test_table5_text_is_pinned():
+    assert format_table(regenerate_table5()) == TABLE5
+
+
+def test_campaign_table_text_is_pinned():
+    assert campaign_summary(2.72, 0.11, 0.02) == CAMPAIGN_HEAD + CAMPAIGN_ROWS
+
+
+def test_campaign_table_below_min_time_is_pinned():
+    assert campaign_summary(0.0005, 0.0, 0.0) == CAMPAIGN_HEAD + CAMPAIGN_TINY_ROWS
+
+
+def test_serve_table_text_is_pinned():
+    assert format_table(serve_scaling_table(traffic_result()), "serve") == SERVE
+
+
+def test_router_table_text_is_pinned():
+    assert format_table(router_scaling_table(open_loop_result()), "router") == ROUTER
+
+
+def test_serve_table_rows_are_pinned():
+    """Rows at full precision: the text rounds serve times to 2 decimals."""
+    model = ClusterCostModel(map_overhead_s=0.0)
+    rows = serve_scaling_table(traffic_result(), cost_model=model, executor_counts=(1, 3, 8))
+    assert [tuple(row.values()) for row in rows] == [
+        (1, 0.2, 40.0, 19.88, 44.65, 1.0),
+        (3, 0.064, 124.8, 6.37, 14.31, 3.12),
+        (8, 0.022, 364.8, 2.18, 4.9, 9.12),
+    ]
+    tiny = serve_scaling_table(traffic_result(scale=1e-3))
+    assert [tuple(row.values()) for row in tiny] == [
+        (1, 0.006, 1333.3, 0.12, 0.27, 1.0),
+        (2, 0.006, 1333.3, 0.12, 0.27, 1.0),
+        (4, 0.006, 1333.3, 0.12, 0.27, 1.0),
+    ]
+
+
+def test_router_table_rows_are_pinned():
+    """Rows at full precision, on a shard grid that does not start at 1."""
+    rows = router_scaling_table(open_loop_result(), shard_counts=(2, 4, 16))
+    assert [tuple(row.values()) for row in rows] == [
+        (2, 0.044, 181.9, 8.3, 27.95, 0.2, 0.375, 1.0),
+        (4, 0.024, 336.8, 4.48, 15.1, 0.2, 0.375, 1.85),
+        (16, 0.009, 906.8, 1.66, 5.61, 0.2, 0.375, 4.98),
+    ]
+    tiny = router_scaling_table(open_loop_result(scale=1e-4))
+    assert [tuple(row.values()) for row in tiny] == [
+        (1, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
+        (2, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
+        (4, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
+    ]
