@@ -40,7 +40,6 @@ from repro.campaign.config import (
 )
 from repro.campaign.metrics import (
     CampaignMetrics,
-    CampaignScalingRow,
     GranuleMetrics,
     aggregate_metrics,
     campaign_scaling_table,
@@ -61,7 +60,6 @@ __all__ = [
     "CampaignMetrics",
     "CampaignResult",
     "CampaignRunner",
-    "CampaignScalingRow",
     "GranuleMetrics",
     "GranuleResult",
     "GranuleSpec",

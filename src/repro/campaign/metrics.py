@@ -8,23 +8,23 @@ from the pooled matrix (not averaged), and freeboard moments combine via
 count-weighted sums so the campaign numbers equal what a single concatenated
 track would yield.
 
-:func:`campaign_scaling_table` routes the measured per-stage serial times
-through the calibrated :class:`~repro.distributed.cluster.ClusterCostModel`:
-curation and inference are granule-parallel (the model's almost-perfectly
-parallel "reduce" profile), pooled training is the serial fraction, so the
-campaign as a whole follows Amdahl's law over the executor/core grid.
+:func:`campaign_scaling_table` declares the campaign's phases for
+:func:`~repro.distributed.cluster.scaling_table`: curation and inference are
+granule-parallel (the cost model's almost-perfectly parallel "reduce"
+profile), pooled training is the serial fraction, so the campaign as a whole
+follows Amdahl's law over the executor/core grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.classification.pipeline import ClassifiedTrack
-from repro.config import CLASS_NAMES, ClusterConfig, DEFAULT_CLUSTER, N_CLASSES
-from repro.distributed.cluster import ClusterCostModel
+from repro.config import CLASS_NAMES, DEFAULT_CLUSTER, N_CLASSES
+from repro.distributed.cluster import ClusterCostModel, Phase, ScalingRow, scaling_table
 from repro.freeboard.freeboard import FreeboardResult
 from repro.ml.metrics import confusion_matrix
 
@@ -196,69 +196,28 @@ def aggregate_metrics(granules: Sequence[GranuleMetrics]) -> CampaignMetrics:
     )
 
 
-@dataclass(frozen=True)
-class CampaignScalingRow:
-    """Predicted campaign wall time for one simulated cluster configuration."""
-
-    executors: int
-    cores: int
-    curation_s: float
-    training_s: float
-    inference_s: float
-    total_s: float
-    speedup: float
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "Executors": self.executors,
-            "Cores": self.cores,
-            "Curation (s)": round(self.curation_s, 2),
-            "Training (s)": round(self.training_s, 2),
-            "Inference (s)": round(self.inference_s, 2),
-            "Total (s)": round(self.total_s, 2),
-            "Speedup": round(self.speedup, 2),
-        }
-
-
 def campaign_scaling_table(
     curation_serial_s: float,
     training_s: float,
     inference_serial_s: float,
     cost_model: ClusterCostModel | None = None,
-    cluster: ClusterConfig = DEFAULT_CLUSTER,
-) -> list[CampaignScalingRow]:
+) -> list[ScalingRow]:
     """Predict campaign scaling on the simulated Dataproc-style cluster.
 
     ``curation_serial_s`` and ``inference_serial_s`` are serial-equivalent
     baselines (sum of per-granule stage times); ``training_s`` is the pooled
     classifier fit, which stays on the driver.  The parallel stages follow the
     cost model's reduce profile plus one scheduling overhead each; speedups
-    are referenced to the first grid point.
+    are referenced to the first grid point of the paper's cluster.
     """
     model = cost_model if cost_model is not None else ClusterCostModel()
-
-    def total(executors: int, cores: int) -> tuple[float, float, float]:
-        curation = model.reduce_time(max(curation_serial_s, model.min_time_s), executors, cores)
-        inference = model.reduce_time(max(inference_serial_s, model.min_time_s), executors, cores)
-        overhead = 2.0 * model.map_time(executors, cores)
-        return curation, inference, curation + inference + training_s + overhead
-
-    ref_executors, ref_cores = cluster.executor_grid[0], cluster.cores_grid[0]
-    _, _, ref_total = total(ref_executors, ref_cores)
-
-    rows: list[CampaignScalingRow] = []
-    for executors in cluster.executor_grid:
-        for cores in cluster.cores_grid:
-            curation, inference, total_s = total(executors, cores)
-            rows.append(
-                CampaignScalingRow(
-                    executors=executors,
-                    cores=cores,
-                    curation_s=curation,
-                    training_s=training_s,
-                    inference_s=inference,
-                    total_s=total_s,
-                    speedup=ref_total / total_s,
-                )
-            )
-    return rows
+    phases = (
+        Phase("curation", curation_serial_s, "reduce"),
+        Phase("inference", inference_serial_s, "reduce"),
+        Phase("training", training_s, "fixed"),
+        Phase("dispatch", 0.0, "map"),
+    )
+    # One map phase at twice the model's overhead: curation and inference
+    # each pay one dispatch.
+    model = replace(model, map_overhead_s=2.0 * model.map_overhead_s)
+    return scaling_table(model, phases, DEFAULT_CLUSTER.grid)

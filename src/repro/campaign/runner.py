@@ -38,7 +38,7 @@ entry of its own per granule, the finished :class:`GranuleResult`, so a
 fully cached resume reads one entry per granule plus the classifier and no
 raw granule data.  Measured per-stage serial times are routed through the
 :class:`~repro.distributed.cluster.ClusterCostModel` into a simulated
-cluster scaling report.
+cluster scaling report (:func:`~repro.campaign.metrics.campaign_scaling_table`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.campaign.config import CampaignConfig, GranuleSpec
 from repro.campaign.metrics import (
     CampaignMetrics,
-    CampaignScalingRow,
     GranuleMetrics,
     aggregate_metrics,
     campaign_scaling_table,
@@ -61,8 +60,7 @@ from repro.campaign.metrics import (
 # ``train_classifier`` stays importable here: e2ebench's layer tracer wraps
 # ``repro.campaign.runner.train_classifier`` by name.
 from repro.classification.pipeline import TrainedClassifier, train_classifier  # noqa: F401
-from repro.config import ClusterConfig, DEFAULT_CLUSTER
-from repro.distributed.cluster import ClusterCostModel
+from repro.distributed.cluster import ScalingRow
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.evaluation.report import format_table
 from repro.obs.core import Obs, default_obs
@@ -123,7 +121,7 @@ class CampaignResult:
     metrics: CampaignMetrics
     #: Wall seconds per stage: curation, training, inference, aggregation.
     timing: dict[str, float]
-    scaling: list[CampaignScalingRow]
+    scaling: list[ScalingRow]
     #: Stage-cache keys read (hits) and computed and stored (misses) this
     #: run; both empty when caching is disabled.  A fully resumed campaign
     #: hits one ``granule_result`` key per granule plus ``train``.
@@ -152,7 +150,18 @@ class CampaignResult:
         )
         campaign = format_table([self.metrics.as_row()], title="Campaign aggregate")
         scaling = format_table(
-            [row.as_dict() for row in self.scaling],
+            [
+                {
+                    "Executors": row.executors,
+                    "Cores": row.cores,
+                    "Curation (s)": round(row.times_s["curation"], 2),
+                    "Training (s)": round(row.times_s["training"], 2),
+                    "Inference (s)": round(row.times_s["inference"], 2),
+                    "Total (s)": round(row.total_s, 2),
+                    "Speedup": round(row.speedup, 2),
+                }
+                for row in self.scaling
+            ],
             title="Simulated cluster scaling (calibrated cost model)",
         )
         return "\n\n".join([per_granule, campaign, scaling])
@@ -244,16 +253,8 @@ def _fingerprinted(artifact: Artifact) -> "Level3Grid":
 class CampaignRunner:
     """Execute a :class:`~repro.campaign.config.CampaignConfig` end to end."""
 
-    def __init__(
-        self,
-        config: CampaignConfig,
-        cost_model: ClusterCostModel | None = None,
-        cluster: ClusterConfig = DEFAULT_CLUSTER,
-        obs: Obs | None = None,
-    ) -> None:
+    def __init__(self, config: CampaignConfig, obs: Obs | None = None) -> None:
         self.config = config
-        self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
-        self.cluster = cluster
         self.obs = obs if obs is not None else default_obs()
         self.fingerprint = config.fingerprint()
         #: Config of the fleet's pooled stages: the base experiment under the
@@ -461,8 +462,6 @@ class CampaignRunner:
                 curation_serial_s=sum(result.curation_seconds for result in ordered),
                 training_s=classifier.seconds,
                 inference_serial_s=sum(result.seconds for result in ordered),
-                cost_model=self.cost_model,
-                cluster=self.cluster,
             )
             timing["aggregation"] = time.perf_counter() - start
 

@@ -163,24 +163,26 @@ class MLPConfig:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Description of the simulated Google Cloud Dataproc cluster.
+    """The scaling grid of the simulated Google Cloud Dataproc cluster.
 
-    The paper uses one master plus three worker Intel N2 Cascade Lake nodes,
-    each with four cores, and reports scalability over ``executors`` in
-    {1, 2, 4} and ``cores`` per executor in {1, 2, 4}.
+    The paper's cluster is one master plus three Intel N2 Cascade Lake worker
+    nodes with four cores each.  It reports scalability over ``executors``
+    in {1, 2, 4} and ``cores`` per executor in {1, 2, 4}.
     """
 
-    n_workers: int = 3
-    cores_per_worker: int = 4
     executor_grid: tuple[int, ...] = (1, 2, 4)
     cores_grid: tuple[int, ...] = (1, 2, 4)
+
+    @property
+    def grid(self) -> tuple[tuple[int, int], ...]:
+        """Every ``(executors, cores)`` point, executors varying slowest."""
+        return tuple((e, c) for e in self.executor_grid for c in self.cores_grid)
 
 
 @dataclass(frozen=True)
 class GPUClusterConfig:
-    """Description of the simulated DGX A100 node used for Table IV."""
+    """The simulated DGX A100 node used for Table IV (up to eight GPUs)."""
 
-    max_gpus: int = 8
     gpu_counts: tuple[int, ...] = (1, 2, 4, 6, 8)
 
 

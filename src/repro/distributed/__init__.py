@@ -9,8 +9,9 @@ Replaces the paper's two scaling technologies with purpose-built equivalents:
   process executor: publish-once :class:`SharedArrayStore` segments,
   lightweight descriptors, and read-only worker-side views.
 * :mod:`repro.distributed.cluster` — a simulated Google-Cloud-Dataproc-style
-  cluster with a calibrated cost model that regenerates the shape of the
-  paper's Tables II and V on a single machine.
+  cluster with a calibrated cost model, and :func:`scaling_table`, the one
+  function that scales named phases over an executor/core grid (Tables II
+  and V, the campaign report and the serving tables).
 * :mod:`repro.distributed.allreduce` — the ring all-reduce algorithm Horovod
   uses for gradient averaging, implemented over in-process "ranks".
 * :mod:`repro.distributed.ddp` — synchronous data-parallel training
@@ -23,7 +24,13 @@ Replaces the paper's two scaling technologies with purpose-built equivalents:
 
 from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult, partition_indices
 from repro.distributed.shm import ArrayDescriptor, SharedArrayStore, attach_view, dumps_shared
-from repro.distributed.cluster import ClusterCostModel, ClusterSimulation, ScalingRow
+from repro.distributed.cluster import (
+    ClusterCostModel,
+    ClusterSimulation,
+    Phase,
+    ScalingRow,
+    scaling_table,
+)
 from repro.distributed.allreduce import ring_allreduce, ring_allreduce_average, tree_allreduce
 from repro.distributed.ddp import DistributedTrainer, DDPTimingModel, GpuScalingRow
 from repro.distributed.speedup import SpeedupTable, amdahl_speedup, gustafson_speedup, parallel_efficiency
@@ -38,7 +45,9 @@ __all__ = [
     "dumps_shared",
     "ClusterCostModel",
     "ClusterSimulation",
+    "Phase",
     "ScalingRow",
+    "scaling_table",
     "ring_allreduce",
     "ring_allreduce_average",
     "tree_allreduce",

@@ -23,9 +23,16 @@ The cost model is the standard shared-nothing map-reduce model:
   additional per-executor benefit (separate nodes bring their own memory
   bandwidth) captured by ``executor_bandwidth_benefit``.
 
-The defaults are calibrated to the paper's Table II: they reproduce the 9.0x
-load and 16.25x reduce speedups at 4 executors x 4 cores, and the
-corresponding 8.54x / 15.68x of Table V when the Table V baselines are used.
+The defaults were calibrated to the paper's Table II.  At 4 executors x 4
+cores they give 8.99x load and 16.96x reduce speedups; the paper reports
+9.0x and 16.25x (Table II) and 8.54x and 15.68x (Table V).  The model's
+speedups do not depend on the baseline, so one set of defaults gives the
+same 8.99x / 16.96x for both tables and cannot match both.
+
+:func:`scaling_table` is the one way from the model to a scaling table:
+every table (Tables II/V, the campaign report, the serving tables) is a list
+of named :class:`Phase` objects, each scaled by its profile over a grid of
+``(executors, cores)`` points.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER
+from repro.config import DEFAULT_CLUSTER
 from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult
 
 
@@ -85,40 +92,98 @@ class ClusterCostModel:
             raise ValueError("executors and cores must be positive")
 
 
+#: How a phase's time scales with the configuration: the model's ``load``
+#: (Amdahl), ``reduce`` (near-linear) or ``map`` (constant scheduling
+#: overhead; the baseline is unused) profile, or ``fixed`` (the baseline
+#: itself, e.g. work that stays on the driver).
+PROFILES = ("load", "map", "reduce", "fixed")
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One named phase of a scaled job: its single-slot baseline and profile."""
+
+    name: str
+    baseline_s: float
+    profile: str
+
+    def __post_init__(self) -> None:
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+
+
 @dataclass(frozen=True)
 class ScalingRow:
-    """One row of a Table II / Table V style scalability table."""
+    """One grid point of a scaling table.
+
+    ``times_s`` holds each phase's time and ``total_s`` their sum.  The
+    speedups, per phase in ``speedups`` and for the total in ``speedup``,
+    are against the first grid point.
+    """
 
     executors: int
     cores: int
-    load_time_s: float
-    map_time_s: float
-    reduce_time_s: float
-    speedup_load: float
-    speedup_reduce: float
+    times_s: dict[str, float]
+    total_s: float
+    speedups: dict[str, float]
+    speedup: float
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "Executors": self.executors,
-            "Cores": self.cores,
-            "Load Time (s)": round(self.load_time_s, 1),
-            "Map Time (s)": round(self.map_time_s, 1),
-            "Reduce Time (s)": round(self.reduce_time_s, 1),
-            "Speedup Load": round(self.speedup_load, 2),
-            "Speedup Reduce": round(self.speedup_reduce, 2),
-        }
+
+def _ratio(reference: float, value: float) -> float:
+    # A phase that takes no time at any point (a zero map overhead, an empty
+    # fixed phase) takes none at the reference either: it does not scale.
+    return reference / value if value else 1.0
+
+
+def scaling_table(
+    cost_model: ClusterCostModel,
+    phases: Sequence[Phase],
+    grid: Sequence[tuple[int, int]],
+) -> list[ScalingRow]:
+    """Scale ``phases`` over ``grid`` with ``cost_model``, one row per point.
+
+    Each phase's time is its profile's prediction at the point; ``load`` and
+    ``reduce`` baselines below the model's ``min_time_s`` are raised to it.
+    The total sums the phases in their given order.
+    """
+    if not grid:
+        raise ValueError("grid must hold at least one (executors, cores) point")
+    points = []
+    for executors, cores in grid:
+        times: dict[str, float] = {}
+        total = 0.0
+        for phase in phases:
+            baseline = max(phase.baseline_s, cost_model.min_time_s)
+            if phase.profile == "load":
+                t = cost_model.load_time(baseline, executors, cores)
+            elif phase.profile == "reduce":
+                t = cost_model.reduce_time(baseline, executors, cores)
+            elif phase.profile == "map":
+                t = cost_model.map_time(executors, cores)
+            else:
+                t = phase.baseline_s
+            times[phase.name] = t
+            total += t
+        points.append((executors, cores, times, total))
+    _, _, ref_times, ref_total = points[0]
+    return [
+        ScalingRow(
+            executors=executors,
+            cores=cores,
+            times_s=times,
+            total_s=total,
+            speedups={name: _ratio(ref_times[name], t) for name, t in times.items()},
+            speedup=_ratio(ref_total, total),
+        )
+        for executors, cores, times, total in points
+    ]
 
 
 class ClusterSimulation:
-    """Run a job once for correctness, then predict the scaling table."""
+    """Run a job once for correctness, then predict the Table II/V scaling."""
 
-    def __init__(
-        self,
-        cost_model: ClusterCostModel | None = None,
-        cluster: ClusterConfig = DEFAULT_CLUSTER,
-    ) -> None:
+    def __init__(self, cost_model: ClusterCostModel | None = None) -> None:
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
-        self.cluster = cluster
 
     def run_baseline(
         self,
@@ -130,14 +195,8 @@ class ClusterSimulation:
         engine = MapReduceEngine(n_partitions=1, executor="serial")
         return engine.run(load, map_fn, reduce_fn)
 
-    def scaling_table(
-        self,
-        baseline_load_s: float,
-        baseline_reduce_s: float,
-        executor_grid: Sequence[int] | None = None,
-        cores_grid: Sequence[int] | None = None,
-    ) -> list[ScalingRow]:
-        """Predicted scaling table over the executor/core grid.
+    def scaling_table(self, baseline_load_s: float, baseline_reduce_s: float) -> list[ScalingRow]:
+        """Predicted load, map and reduce times over the paper's cluster grid.
 
         ``baseline_load_s`` and ``baseline_reduce_s`` are the single-slot
         times — either measured by :meth:`run_baseline` on the synthetic
@@ -146,31 +205,12 @@ class ClusterSimulation:
         """
         if baseline_load_s <= 0 or baseline_reduce_s <= 0:
             raise ValueError("baseline times must be positive")
-        executors = tuple(executor_grid) if executor_grid is not None else self.cluster.executor_grid
-        cores = tuple(cores_grid) if cores_grid is not None else self.cluster.cores_grid
-
-        ref_load = self.cost_model.load_time(baseline_load_s, executors[0], cores[0])
-        ref_reduce = self.cost_model.reduce_time(baseline_reduce_s, executors[0], cores[0])
-
-        rows: list[ScalingRow] = []
-        for e in executors:
-            for c in cores:
-                load_t = self.cost_model.load_time(baseline_load_s, e, c)
-                map_t = self.cost_model.map_time(e, c)
-                reduce_t = self.cost_model.reduce_time(baseline_reduce_s, e, c)
-                rows.append(
-                    ScalingRow(
-                        executors=e,
-                        cores=c,
-                        load_time_s=load_t,
-                        map_time_s=map_t,
-                        reduce_time_s=reduce_t,
-                        speedup_load=ref_load / load_t,
-                        speedup_reduce=ref_reduce / reduce_t,
-                    )
-                )
-        return rows
-
+        phases = (
+            Phase("load", baseline_load_s, "load"),
+            Phase("map", 0.0, "map"),
+            Phase("reduce", baseline_reduce_s, "reduce"),
+        )
+        return scaling_table(self.cost_model, phases, DEFAULT_CLUSTER.grid)
     def run_and_scale(
         self,
         load: Callable[[], Sequence],

@@ -263,7 +263,6 @@ class MapReduceEngine:
         obs = self.obs
         if self._inline(len(tasks)):
             return [task() for task in tasks]
-        n_workers = min(self.max_workers, len(tasks))
         timed = obs.tracer.enabled
         if self.executor == "thread":
             jobs: list[Callable] = (
@@ -271,10 +270,9 @@ class MapReduceEngine:
                 if timed
                 else list(tasks)
             )
-            pool = self._pool(n_workers)
+            pool = self._pool(min(self.max_workers, len(jobs)))
             return list(pool.map(lambda f: f(), jobs))
         jobs = self._traced_tasks(tasks) if timed else list(tasks)
-        pool = self._pool(n_workers)
         store = SharedArrayStore() if self.use_shm else None
         try:
             if store is None:
@@ -283,20 +281,31 @@ class MapReduceEngine:
                 kwargs = {} if self.shm_min_bytes is None else {"min_bytes": self.shm_min_bytes}
                 payloads = [dumps_shared(t, store, **kwargs) for t in jobs]
                 self._count_shm(store, len(jobs))
-            backend = get_backend()
-            futures = [pool.submit(_call_pickled, payload, backend) for payload in payloads]
-            results = [f.result() for f in futures]
-            return self._merge_worker_results(results) if timed else results
-        except BrokenProcessPool:
-            # A worker died (OOM, signal): the pool is unusable.  Drop it so
-            # the next job gets a fresh one, and let the caller see the error.
-            self._shutdown()
-            raise
+            return self._submit(payloads, timed)
         finally:
             # Segments outlive every worker attach (results are in, or the
             # exception already fired) — unlink them now, crash or not.
             if store is not None:
                 store.close()
+
+    def _submit(self, payloads: list[bytes], timed: bool) -> list:
+        """Run pre-encoded task payloads on the process pool, in order.
+
+        The one submission path of the process executor: each payload runs
+        under the driver's current kernel backend, and with ``timed`` the
+        ``(value, telemetry)`` results are grafted into the driver's trace.
+        """
+        pool = self._pool(min(self.max_workers, len(payloads)))
+        backend = get_backend()
+        try:
+            futures = [pool.submit(_call_pickled, payload, backend) for payload in payloads]
+            results = [f.result() for f in futures]
+        except BrokenProcessPool:
+            # A worker died (OOM, signal): the pool is unusable.  Drop it so
+            # the next job gets a fresh one, and let the caller see the error.
+            self._shutdown()
+            raise
+        return self._merge_worker_results(results) if timed else results
 
     def _count_shm(self, store: SharedArrayStore, n_attachers: int) -> None:
         """Account one job's shared-memory traffic: published once, attached
@@ -504,20 +513,8 @@ class MapReduceEngine:
             if timed:
                 tasks = list(self._traced_tasks(tasks))
             self._count_shm(store, len(tasks))
-            pool = self._pool(min(self.max_workers, len(tasks)))
-            backend = get_backend()
-            try:
-                futures = [
-                    pool.submit(
-                        _call_pickled, pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL), backend
-                    )
-                    for t in tasks
-                ]
-                results = [f.result() for f in futures]
-                return self._merge_worker_results(results) if timed else results
-            except BrokenProcessPool:
-                self._shutdown()
-                raise
+            payloads = [pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL) for t in tasks]
+            return self._submit(payloads, timed)
 
 
 def _call_pickled(payload: bytes, backend: str):

@@ -5,14 +5,25 @@ Each function returns the table as a list of dict rows (printable with
 own pipeline on simulated data.  For the timing tables (II, IV, V) the rows
 are produced by the calibrated cost models, anchored either to the paper's
 single-slot baselines (default — regenerates the paper's numbers) or to
-locally measured baselines.
+locally measured baselines.  The serving scaling tables route a measured
+traffic run through the same cluster cost model; Tables II/V and both
+serving tables are phase declarations for
+:func:`~repro.distributed.cluster.scaling_table`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.classification.pipeline import TrainedClassifier, train_classifier
-from repro.config import DEFAULT_CLUSTER, DEFAULT_GPU_CLUSTER
-from repro.distributed.cluster import ClusterCostModel, ClusterSimulation
+from repro.config import DEFAULT_GPU_CLUSTER
+from repro.distributed.cluster import (
+    ClusterCostModel,
+    ClusterSimulation,
+    Phase,
+    ScalingRow,
+    scaling_table,
+)
 from repro.distributed.ddp import DDPTimingModel, DistributedTrainer
 from repro.evaluation.report import format_table
 from repro.labeling.pairs import table_i_rows
@@ -38,9 +49,7 @@ def regenerate_table2(
     baseline: tuple[float, float] = PAPER_TABLE2_BASELINE,
 ) -> list[dict[str, object]]:
     """Table II: PySpark-style auto-labeling scalability over the cluster grid."""
-    sim = ClusterSimulation(cost_model=cost_model, cluster=DEFAULT_CLUSTER)
-    rows = sim.scaling_table(baseline[0], baseline[1])
-    return [row.as_dict() for row in rows]
+    return _mapreduce_table(cost_model, baseline)
 
 
 def regenerate_table3(
@@ -97,9 +106,25 @@ def regenerate_table5(
     baseline: tuple[float, float] = PAPER_TABLE5_BASELINE,
 ) -> list[dict[str, object]]:
     """Table V: PySpark-style freeboard-computation scalability."""
-    sim = ClusterSimulation(cost_model=cost_model, cluster=DEFAULT_CLUSTER)
-    rows = sim.scaling_table(baseline[0], baseline[1])
-    return [row.as_dict() for row in rows]
+    return _mapreduce_table(cost_model, baseline)
+
+
+def _mapreduce_table(
+    cost_model: ClusterCostModel | None, baseline: tuple[float, float]
+) -> list[dict[str, object]]:
+    rows = ClusterSimulation(cost_model=cost_model).scaling_table(*baseline)
+    return [
+        {
+            "Executors": row.executors,
+            "Cores": row.cores,
+            "Load Time (s)": round(row.times_s["load"], 1),
+            "Map Time (s)": round(row.times_s["map"], 1),
+            "Reduce Time (s)": round(row.times_s["reduce"], 1),
+            "Speedup Load": round(row.speedups["load"], 2),
+            "Speedup Reduce": round(row.speedups["reduce"], 2),
+        }
+        for row in rows
+    ]
 
 
 def print_all_tables(epochs: int = 3, seed: int = 0) -> str:  # pragma: no cover - convenience CLI
@@ -134,6 +159,29 @@ def serve_latency_table(result) -> list[dict[str, object]]:
     return [result.summary_row()]
 
 
+def _serving_scaling(
+    work_s: float, cost_model: ClusterCostModel | None, counts: Sequence[int]
+) -> tuple[float, list[ScalingRow]]:
+    """Scale measured serving work over executor (or shard) counts.
+
+    Independent requests share nothing but the catalog, so the work follows
+    the cost model's reduce profile, and each configuration pays one
+    dispatch overhead (:data:`~repro.serve.traffic.SERVE_DISPATCH_OVERHEAD_S`
+    by default, not the Spark job-submission constant).  Returns the
+    baseline (``work_s``, at least the model's ``min_time_s``) and the rows.
+    """
+    from repro.serve.traffic import SERVE_DISPATCH_OVERHEAD_S
+
+    model = (
+        cost_model
+        if cost_model is not None
+        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
+    )
+    baseline_s = max(work_s, model.min_time_s)
+    phases = (Phase("serve", baseline_s, "reduce"), Phase("dispatch", 0.0, "map"))
+    return baseline_s, scaling_table(model, phases, [(n, 1) for n in counts])
+
+
 def serve_scaling_table(
     result,
     cost_model: ClusterCostModel | None = None,
@@ -144,11 +192,26 @@ def serve_scaling_table(
     The measured single-executor serving time of ``result`` (a
     :class:`~repro.serve.traffic.TrafficResult`) is routed through the
     calibrated :class:`~repro.distributed.cluster.ClusterCostModel`, the
-    same convention as the Table II/V regenerations.
+    same convention as the Table II/V regenerations: latencies scale with
+    the serve time, and speedups are referenced to the first count.
     """
-    from repro.serve.traffic import scaling_rows
-
-    return scaling_rows(result, cost_model=cost_model, executor_counts=executor_counts)
+    if not executor_counts:
+        raise ValueError("executor_counts must be non-empty")
+    baseline_s, rows = _serving_scaling(result.seconds, cost_model, executor_counts)
+    out: list[dict[str, object]] = []
+    for row in rows:
+        scale = row.total_s / baseline_s
+        out.append(
+            {
+                "Executors": row.executors,
+                "Serve Time (s)": round(row.total_s, 3),
+                "Throughput (req/s)": round(result.n_requests / row.total_s, 1),
+                "Mean Latency (ms)": round(result.latency_ms() * scale, 2),
+                "P95 Latency (ms)": round(result.latency_ms(95.0) * scale, 2),
+                "Speedup": round(row.speedup, 2),
+            }
+        )
+    return out
 
 
 def router_latency_table(result) -> list[dict[str, object]]:
@@ -170,11 +233,28 @@ def router_scaling_table(
     """Saturation throughput of an open-loop run across shard counts.
 
     The measured service work of ``result`` (an
-    :class:`~repro.serve.traffic.OpenLoopResult`) is routed through the
-    calibrated :class:`~repro.distributed.cluster.ClusterCostModel` with
-    the shard count in the executor column's role — the Table II/V
-    convention applied to the serving tier.
+    :class:`~repro.serve.traffic.OpenLoopResult`), the sum of per-request
+    service times, is routed through the calibrated
+    :class:`~repro.distributed.cluster.ClusterCostModel` with the shard
+    count in the executor column's role — the Table II/V convention applied
+    to the serving tier.  Latency percentiles scale with the serve time.
     """
-    from repro.serve.traffic import router_scaling_rows
-
-    return router_scaling_rows(result, cost_model=cost_model, shard_counts=shard_counts)
+    if not shard_counts:
+        raise ValueError("shard_counts must be non-empty")
+    baseline_s, rows = _serving_scaling(float(result.service_s.sum()), cost_model, shard_counts)
+    out: list[dict[str, object]] = []
+    for row in rows:
+        scale = row.total_s / baseline_s
+        out.append(
+            {
+                "Shards": row.executors,
+                "Serve Time (s)": round(row.total_s, 3),
+                "Saturation Throughput (req/s)": round(result.n_completed / row.total_s, 1),
+                "P50 Latency (ms)": round(result.latency_ms(50.0) * scale, 2),
+                "P99 Latency (ms)": round(result.latency_ms(99.0) * scale, 2),
+                "Shed Rate": round(result.shed_rate, 4),
+                "Coalescing Ratio": round(result.coalescing_ratio, 4),
+                "Speedup": round(row.speedup, 2),
+            }
+        )
+    return out

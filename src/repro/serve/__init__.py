@@ -44,9 +44,10 @@ ROADMAP's "heavy traffic" regime:
   stale-while-revalidate flag;
 * :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives the engine
   closed-loop with Zipf-distributed region traffic, or a router open-loop
-  on a Poisson arrival process, and emits throughput/latency reports in
-  the :class:`~repro.distributed.cluster.ClusterCostModel` scaling-table
-  style.
+  on a Poisson arrival process.  Its measured runs feed the cost-model
+  scaling tables :func:`repro.evaluation.serve_scaling_table` (which
+  :meth:`TrafficSimulator.scaling_report` returns) and
+  :func:`repro.evaluation.router_scaling_table`.
 
 The router and the open-loop simulator read time through :mod:`repro.clock`
 (:class:`~repro.clock.MonotonicClock` by default,
@@ -61,7 +62,7 @@ Quick start (serving a campaign)::
     runner = CampaignRunner(CampaignConfig(grid={"cloud_fraction": (0.1, 0.4)}))
     handle = runner.serve("products/")          # write products + catalog them
     response = handle.query(TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1))
-    report = TrafficSimulator(handle.engine).scaling_report()
+    report = TrafficSimulator(handle.engine).scaling_report()  # serve_scaling_table rows
 
     live = runner.serve("products/").with_router().with_ingest()
     live.ingest(new_granule_spec)               # merged + served, no restart
@@ -101,8 +102,6 @@ from repro.serve.traffic import (
     TrafficConfig,
     TrafficResult,
     TrafficSimulator,
-    router_scaling_rows,
-    scaling_rows,
 )
 
 __all__ = [
@@ -131,8 +130,6 @@ __all__ = [
     "default_pyramid_variables",
     "n_levels_for",
     "plan_request",
-    "router_scaling_rows",
-    "scaling_rows",
     "select_entry",
     "shard_index",
     "tiles_for_bbox",

@@ -25,11 +25,13 @@ Two load-generation modes:
   (deterministically) up to millions of requests in seconds of real time;
   the report carries p50/p95/p99 latency, shed rate and coalescing ratio.
 
-The emitted reports follow the repo's simulated-cluster convention (the
-:class:`~repro.distributed.cluster.ClusterCostModel` scaling-table style of
-Tables II/V): the *measured* serving behaviour is routed through the
-calibrated cost model to predict throughput and latency across executor or
-shard counts, with speedups referenced to the first grid point.
+The scaling reports (:func:`repro.evaluation.serve_scaling_table` and
+:func:`repro.evaluation.router_scaling_table`) follow the repo's
+simulated-cluster convention of Tables II/V: the *measured* serving
+behaviour is routed through the calibrated
+:class:`~repro.distributed.cluster.ClusterCostModel` to predict throughput
+and latency across executor or shard counts, with speedups referenced to
+the first grid point.
 """
 
 from __future__ import annotations
@@ -163,50 +165,6 @@ class TrafficResult:
         }
 
 
-def scaling_rows(
-    result: TrafficResult,
-    cost_model: ClusterCostModel | None = None,
-    executor_counts: Sequence[int] = (1, 2, 4),
-) -> list[dict[str, object]]:
-    """Throughput/latency table across executor counts, cost-model style.
-
-    Independent requests parallelise like the cost model's reduce profile
-    (they share nothing but the catalog); each configuration pays one
-    dispatch overhead (:data:`SERVE_DISPATCH_OVERHEAD_S` by default — not
-    the Spark job-submission constant).  Speedups are referenced to the
-    first grid point, exactly like the Table II/V scaling tables.
-    """
-    model = (
-        cost_model
-        if cost_model is not None
-        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
-    )
-    baseline_s = max(result.seconds, model.min_time_s)
-
-    def served(executors: int) -> float:
-        return model.reduce_time(baseline_s, executors, 1) + model.map_time(executors, 1)
-
-    counts = tuple(executor_counts)
-    if not counts:
-        raise ValueError("executor_counts must be non-empty")
-    ref = served(counts[0])
-    rows: list[dict[str, object]] = []
-    for executors in counts:
-        total = served(executors)
-        scale = total / baseline_s
-        rows.append(
-            {
-                "Executors": executors,
-                "Serve Time (s)": round(total, 3),
-                "Throughput (req/s)": round(result.n_requests / total, 1),
-                "Mean Latency (ms)": round(result.latency_ms() * scale, 2),
-                "P95 Latency (ms)": round(result.latency_ms(95.0) * scale, 2),
-                "Speedup": round(ref / total, 2),
-            }
-        )
-    return rows
-
-
 @dataclass
 class OpenLoopResult:
     """Measured outcome of one open-loop (Poisson-arrival) run.
@@ -272,55 +230,6 @@ class OpenLoopResult:
             "P99 Latency (ms)": round(self.latency_ms(99.0), 2),
             "Errors": self.n_errors,
         }
-
-
-def router_scaling_rows(
-    result: OpenLoopResult,
-    cost_model: ClusterCostModel | None = None,
-    shard_counts: Sequence[int] = (1, 2, 4),
-) -> list[dict[str, object]]:
-    """Saturation throughput / latency across shard counts, cost-model style.
-
-    The measured run's total service work (the sum of per-request service
-    times — what the shard executors were actually busy doing) is routed
-    through the calibrated cost model's reduce profile: shards share
-    nothing, so they parallelise like independent reduce partitions, each
-    configuration paying one dispatch overhead.  Latency percentiles are
-    scaled by the same serve-time ratio, and speedups are referenced to the
-    first grid point — exactly the Table II/V convention, with shard count
-    in the executor column's role.
-    """
-    model = (
-        cost_model
-        if cost_model is not None
-        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
-    )
-    work_s = max(float(result.service_s.sum()), model.min_time_s)
-
-    def served(shards: int) -> float:
-        return model.reduce_time(work_s, shards, 1) + model.map_time(shards, 1)
-
-    counts = tuple(shard_counts)
-    if not counts:
-        raise ValueError("shard_counts must be non-empty")
-    ref = served(counts[0])
-    rows: list[dict[str, object]] = []
-    for shards in counts:
-        total = served(shards)
-        scale = total / work_s
-        rows.append(
-            {
-                "Shards": shards,
-                "Serve Time (s)": round(total, 3),
-                "Saturation Throughput (req/s)": round(result.n_completed / total, 1),
-                "P50 Latency (ms)": round(result.latency_ms(50.0) * scale, 2),
-                "P99 Latency (ms)": round(result.latency_ms(99.0) * scale, 2),
-                "Shed Rate": round(result.shed_rate, 4),
-                "Coalescing Ratio": round(result.coalescing_ratio, 4),
-                "Speedup": round(ref / total, 2),
-            }
-        )
-    return rows
 
 
 class TrafficSimulator:
@@ -467,9 +376,11 @@ class TrafficSimulator:
         executor_counts: Sequence[int] = (1, 2, 4),
     ) -> list[dict[str, object]]:
         """Run (if needed) and extrapolate across executor counts."""
+        from repro.evaluation.tables import serve_scaling_table
+
         if result is None:
             result = self.run()
-        return scaling_rows(result, cost_model=cost_model, executor_counts=executor_counts)
+        return serve_scaling_table(result, cost_model=cost_model, executor_counts=executor_counts)
 
     # -- open loop ---------------------------------------------------------
 

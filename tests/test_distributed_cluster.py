@@ -3,6 +3,7 @@
 import pytest
 
 from repro.distributed.cluster import ClusterCostModel, ClusterSimulation
+from repro.evaluation.tables import regenerate_table2
 
 
 class TestClusterCostModel:
@@ -52,23 +53,23 @@ class TestScalingTable:
     def test_baseline_row_has_unit_speedup(self, rows):
         first = rows[0]
         assert first.executors == 1 and first.cores == 1
-        assert first.speedup_load == pytest.approx(1.0)
-        assert first.speedup_reduce == pytest.approx(1.0)
+        assert first.speedups["load"] == pytest.approx(1.0)
+        assert first.speedups["reduce"] == pytest.approx(1.0)
 
     def test_paper_shape_reproduced(self, rows):
         """The 4x4 configuration reaches ~9x load and ~16x reduce speedup."""
         best = rows[-1]
         assert best.executors == 4 and best.cores == 4
-        assert 8.0 <= best.speedup_load <= 10.5
-        assert 14.0 <= best.speedup_reduce <= 18.5
+        assert 8.0 <= best.speedups["load"] <= 10.5
+        assert 14.0 <= best.speedups["reduce"] <= 18.5
 
     def test_speedups_monotone_in_total_slots(self, rows):
         by_slots = sorted(rows, key=lambda r: r.executors * r.cores)
-        speedups = [r.speedup_reduce for r in by_slots]
+        speedups = [r.speedups["reduce"] for r in by_slots]
         assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
 
     def test_row_as_dict_columns(self, rows):
-        d = rows[0].as_dict()
+        d = regenerate_table2()[0]
         assert set(d) == {
             "Executors", "Cores", "Load Time (s)", "Map Time (s)",
             "Reduce Time (s)", "Speedup Load", "Speedup Reduce",
@@ -92,11 +93,11 @@ class TestRunAndScale:
         )
         assert result.value == sum(range(500))
         assert len(rows) == 9
-        assert rows[0].load_time_s > rows[-1].load_time_s
+        assert rows[0].times_s["load"] > rows[-1].times_s["load"]
 
     def test_measured_baseline_used_when_no_paper_values(self):
         sim = ClusterSimulation()
         result, rows = sim.run_and_scale(
             lambda: list(range(100)), lambda p: sum(p), lambda parts: sum(parts)
         )
-        assert rows[0].speedup_reduce == pytest.approx(1.0)
+        assert rows[0].speedups["reduce"] == pytest.approx(1.0)

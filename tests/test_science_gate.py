@@ -27,8 +27,9 @@ run whose training collapses scores an accuracy near 0.3), so ten seeds do
 not estimate their spread: hence the larger calibration set.
 
 A change that moves scene bits must pass this file unedited.  Re-calibrate
-(``python tests/test_science_gate.py`` rewrites the JSON) only in its own
-commit, on the code before the change, never to let a change pass.
+(``python tests/test_science_gate.py "<what the synthesis is>"`` rewrites the
+JSON) only in its own commit, on the code before the change, never to let a
+change pass.
 """
 
 from __future__ import annotations
@@ -179,6 +180,8 @@ if __name__ == "__main__":
     # python tests/test_science_gate.py "<what the synthesis is>"
     from repro.kernels import get_backend
 
+    if len(sys.argv) != 2:
+        sys.exit('usage: python tests/test_science_gate.py "<what the synthesis is>"')
     seeds = list(range(80))
     header = {"calibrated_on": sys.argv[1], "kernel_backend": get_backend(), "seeds": seeds}
     lines = [f"    {json.dumps(name)}: {json.dumps(v)}" for name, v in measure(seeds).items()]

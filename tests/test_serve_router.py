@@ -15,6 +15,7 @@ import pytest
 
 from repro.clock import MonotonicClock, VirtualClock
 from repro.config import RouterConfig, ServeConfig
+from repro.evaluation import router_scaling_table
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
 from repro.l3.writer import Level3ProductError, write_level3
@@ -26,7 +27,6 @@ from repro.serve.traffic import (
     OpenLoopResult,
     TrafficConfig,
     TrafficSimulator,
-    router_scaling_rows,
 )
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=128)
@@ -607,7 +607,7 @@ class TestOpenLoop:
         result = self.simulator(harness.router, 600).run_open_loop(
             harness.router, arrival_rate_rps=200.0
         )
-        rows = router_scaling_rows(result, shard_counts=(1, 2, 4))
+        rows = router_scaling_table(result, shard_counts=(1, 2, 4))
         assert [row["Shards"] for row in rows] == [1, 2, 4]
         assert rows[0]["Speedup"] == 1.0
         speedups = [row["Speedup"] for row in rows]
@@ -616,7 +616,7 @@ class TestOpenLoop:
             "Saturation Throughput (req/s)"
         ]
         with pytest.raises(ValueError, match="shard_counts"):
-            router_scaling_rows(result, shard_counts=())
+            router_scaling_table(result, shard_counts=())
 
     def test_evaluation_tables_wrap_open_loop_results(self):
         from repro.evaluation import (

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ServeConfig
 from repro.distributed.cluster import ClusterCostModel
+from repro.evaluation import serve_scaling_table
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
 from repro.l3.writer import write_level3
@@ -13,7 +14,6 @@ from repro.serve.query import ProductLoader, QueryEngine
 from repro.serve.traffic import (
     TrafficConfig,
     TrafficSimulator,
-    scaling_rows,
 )
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=128)
@@ -241,7 +241,7 @@ class TestRunAndReport:
         config = TrafficConfig(n_requests=30, batch_size=6, n_regions=3, seed=7)
         result = TrafficSimulator(engine, config).run()
         model = ClusterCostModel(map_overhead_s=0.0)
-        rows = scaling_rows(result, cost_model=model, executor_counts=(1, 2, 4))
+        rows = serve_scaling_table(result, cost_model=model, executor_counts=(1, 2, 4))
         assert [row["Executors"] for row in rows] == [1, 2, 4]
         assert rows[0]["Speedup"] == 1.0
         # With zero overhead and no serial fraction the speedup is superlinear
@@ -263,7 +263,7 @@ class TestRunAndReport:
         )
         result = simulator.run()
         with pytest.raises(ValueError, match="executor_counts"):
-            scaling_rows(result, executor_counts=())
+            serve_scaling_table(result, executor_counts=())
 
     def test_evaluation_tables_wrap_results(self, engine):
         from repro.evaluation import format_table, serve_latency_table, serve_scaling_table
