@@ -211,13 +211,13 @@ def campaign_scaling_table(
     are referenced to the first grid point of the paper's cluster.
     """
     model = cost_model if cost_model is not None else ClusterCostModel()
+    # Curation and inference each pay one dispatch: one map phase at twice
+    # the model's overhead.
+    model = replace(model, map_overhead_s=2.0 * model.map_overhead_s)
     phases = (
         Phase("curation", curation_serial_s, "reduce"),
         Phase("inference", inference_serial_s, "reduce"),
         Phase("training", training_s, "fixed"),
         Phase("dispatch", 0.0, "map"),
     )
-    # One map phase at twice the model's overhead: curation and inference
-    # each pay one dispatch.
-    model = replace(model, map_overhead_s=2.0 * model.map_overhead_s)
     return scaling_table(model, phases, DEFAULT_CLUSTER.grid)

@@ -5,10 +5,8 @@ Each function returns the table as a list of dict rows (printable with
 own pipeline on simulated data.  For the timing tables (II, IV, V) the rows
 are produced by the calibrated cost models, anchored either to the paper's
 single-slot baselines (default — regenerates the paper's numbers) or to
-locally measured baselines.  The serving scaling tables route a measured
-traffic run through the same cluster cost model; Tables II/V and both
-serving tables are phase declarations for
-:func:`~repro.distributed.cluster.scaling_table`.
+locally measured baselines.  Tables II/V and the two serving scaling tables
+are phase declarations for :func:`~repro.distributed.cluster.scaling_table`.
 """
 
 from __future__ import annotations
@@ -162,13 +160,11 @@ def serve_latency_table(result) -> list[dict[str, object]]:
 def _serving_scaling(
     work_s: float, cost_model: ClusterCostModel | None, counts: Sequence[int]
 ) -> tuple[float, list[ScalingRow]]:
-    """Scale measured serving work over executor (or shard) counts.
+    """The measured work (raised to ``min_time_s``) and its scaling rows.
 
-    Independent requests share nothing but the catalog, so the work follows
-    the cost model's reduce profile, and each configuration pays one
-    dispatch overhead (:data:`~repro.serve.traffic.SERVE_DISPATCH_OVERHEAD_S`
-    by default, not the Spark job-submission constant).  Returns the
-    baseline (``work_s``, at least the model's ``min_time_s``) and the rows.
+    Requests share nothing but the catalog, so the work follows the reduce
+    profile, plus one dispatch overhead per configuration
+    (:data:`~repro.serve.traffic.SERVE_DISPATCH_OVERHEAD_S` by default).
     """
     from repro.serve.traffic import SERVE_DISPATCH_OVERHEAD_S
 

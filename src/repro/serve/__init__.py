@@ -62,7 +62,7 @@ Quick start (serving a campaign)::
     runner = CampaignRunner(CampaignConfig(grid={"cloud_fraction": (0.1, 0.4)}))
     handle = runner.serve("products/")          # write products + catalog them
     response = handle.query(TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1))
-    report = TrafficSimulator(handle.engine).scaling_report()  # serve_scaling_table rows
+    report = TrafficSimulator(handle.engine).scaling_report()
 
     live = runner.serve("products/").with_router().with_ingest()
     live.ingest(new_granule_spec)               # merged + served, no restart
