@@ -200,7 +200,6 @@ def campaign_scaling_table(
     curation_serial_s: float,
     training_s: float,
     inference_serial_s: float,
-    cost_model: ClusterCostModel | None = None,
 ) -> list[ScalingRow]:
     """Predict campaign scaling on the simulated Dataproc-style cluster.
 
@@ -210,10 +209,10 @@ def campaign_scaling_table(
     cost model's reduce profile plus one scheduling overhead each; speedups
     are referenced to the first grid point of the paper's cluster.
     """
-    model = cost_model if cost_model is not None else ClusterCostModel()
     # Curation and inference each pay one dispatch: one map phase at twice
-    # the model's overhead.
-    model = replace(model, map_overhead_s=2.0 * model.map_overhead_s)
+    # the default model's overhead.
+    default = ClusterCostModel()
+    model = replace(default, map_overhead_s=2.0 * default.map_overhead_s)
     phases = (
         Phase("curation", curation_serial_s, "reduce"),
         Phase("inference", inference_serial_s, "reduce"),

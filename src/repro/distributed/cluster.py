@@ -211,6 +211,7 @@ class ClusterSimulation:
             Phase("reduce", baseline_reduce_s, "reduce"),
         )
         return scaling_table(self.cost_model, phases, DEFAULT_CLUSTER.grid)
+
     def run_and_scale(
         self,
         load: Callable[[], Sequence],

@@ -157,6 +157,13 @@ def serve_latency_table(result) -> list[dict[str, object]]:
     return [result.summary_row()]
 
 
+#: Per-configuration dispatch overhead of the serving scaling tables.  The
+#: Table II/V default (0.3 s) models Spark *job submission*; tile serving
+#: dispatches in-process tasks, so its scheduling cost is milliseconds —
+#: with the Spark constant a sub-second traffic run would flatten to ~1x.
+SERVE_DISPATCH_OVERHEAD_S = 0.005
+
+
 def _serving_scaling(
     work_s: float, cost_model: ClusterCostModel | None, counts: Sequence[int]
 ) -> tuple[float, list[ScalingRow]]:
@@ -164,15 +171,15 @@ def _serving_scaling(
 
     Requests share nothing but the catalog, so the work follows the reduce
     profile, plus one dispatch overhead per configuration
-    (:data:`~repro.serve.traffic.SERVE_DISPATCH_OVERHEAD_S` by default).
+    (:data:`SERVE_DISPATCH_OVERHEAD_S` by default).
     """
-    from repro.serve.traffic import SERVE_DISPATCH_OVERHEAD_S
-
     model = (
         cost_model
         if cost_model is not None
         else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
     )
+    # The callers scale latencies by ``total / baseline``, so the baseline is
+    # clamped here; ``scaling_table``'s own clamp then leaves it unchanged.
     baseline_s = max(work_s, model.min_time_s)
     phases = (Phase("serve", baseline_s, "reduce"), Phase("dispatch", 0.0, "map"))
     return baseline_s, scaling_table(model, phases, [(n, 1) for n in counts])

@@ -45,8 +45,7 @@ ROADMAP's "heavy traffic" regime:
 * :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives the engine
   closed-loop with Zipf-distributed region traffic, or a router open-loop
   on a Poisson arrival process.  Its measured runs feed the cost-model
-  scaling tables :func:`repro.evaluation.serve_scaling_table` (which
-  :meth:`TrafficSimulator.scaling_report` returns) and
+  scaling tables :func:`repro.evaluation.serve_scaling_table` and
   :func:`repro.evaluation.router_scaling_table`.
 
 The router and the open-loop simulator read time through :mod:`repro.clock`
@@ -57,12 +56,13 @@ simulated open-loop runs).
 Quick start (serving a campaign)::
 
     from repro.campaign import CampaignConfig, CampaignRunner
+    from repro.evaluation import serve_scaling_table
     from repro.serve import TileRequest, TrafficSimulator
 
     runner = CampaignRunner(CampaignConfig(grid={"cloud_fraction": (0.1, 0.4)}))
     handle = runner.serve("products/")          # write products + catalog them
     response = handle.query(TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1))
-    report = TrafficSimulator(handle.engine).scaling_report()
+    report = serve_scaling_table(TrafficSimulator(handle.engine).run())
 
     live = runner.serve("products/").with_router().with_ingest()
     live.ingest(new_granule_spec)               # merged + served, no restart

@@ -38,23 +38,15 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.clock import run_sync
-from repro.distributed.cluster import ClusterCostModel
 from repro.serve.query import QueryEngine, QueryStats, TileRequest, TileResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serve.router import RequestRouter, RouterStats
-
-#: Per-configuration dispatch overhead of the serving scaling table.  The
-#: Table II/V default (0.3 s) models Spark *job submission*; tile serving
-#: dispatches in-process tasks, so its scheduling cost is milliseconds —
-#: with the Spark constant a sub-second traffic run would flatten to ~1x.
-SERVE_DISPATCH_OVERHEAD_S = 0.005
-
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -368,19 +360,6 @@ class TrafficSimulator:
             queue_wait_s=np.asarray(queue_waits),
             service_s=np.asarray(services),
         )
-
-    def scaling_report(
-        self,
-        result: TrafficResult | None = None,
-        cost_model: ClusterCostModel | None = None,
-        executor_counts: Sequence[int] = (1, 2, 4),
-    ) -> list[dict[str, object]]:
-        """Run (if needed) and extrapolate across executor counts."""
-        from repro.evaluation.tables import serve_scaling_table
-
-        if result is None:
-            result = self.run()
-        return serve_scaling_table(result, cost_model=cost_model, executor_counts=executor_counts)
 
     # -- open loop ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
 from repro.l3.writer import Level3ProductError, write_level3
 from repro.serve.catalog import CatalogEntry, ProductCatalog
-from repro.serve.query import ProductLoader, QueryEngine, TileRequest, TileResponse
+from repro.serve.query import ProductLoader, TileRequest, TileResponse
 from repro.serve.router import RequestRouter, RouterOverloadedError
 from repro.serve.shard import ShardedCatalog, shard_index
 from repro.serve.traffic import (

@@ -254,7 +254,7 @@ class TestRunAndReport:
         simulator = TrafficSimulator(
             engine, TrafficConfig(n_requests=10, batch_size=5, n_regions=2, seed=8)
         )
-        rows = simulator.scaling_report(executor_counts=(1, 2))
+        rows = serve_scaling_table(simulator.run(), executor_counts=(1, 2))
         assert len(rows) == 2
 
     def test_empty_executor_counts_rejected(self, engine):
