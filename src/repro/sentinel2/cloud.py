@@ -68,7 +68,10 @@ def synthesize_cloud_fields(
 
     corr = min(cfg.cloud_correlation_px, max(ny, nx) / 2.0)
     field = gaussian_random_field(shape, max(corr, 1.0), rng)
-    threshold = np.quantile(field, 1.0 - cfg.thin_cloud_fraction)
+    # One partition of the field serves both thresholds.
+    threshold, core_threshold = np.quantile(
+        field, [1.0 - cfg.thin_cloud_fraction, 1.0 - cfg.shadow_fraction]
+    )
     excess = np.clip(field - threshold, 0.0, None)
     if excess.max() > 0:
         optical_depth = cfg.max_optical_depth * excess / excess.max()
@@ -78,7 +81,6 @@ def synthesize_cloud_fields(
     # Shadows: densest cloud cores displaced by the sun-geometry offset.
     shadow_mask = np.zeros(shape, dtype=bool)
     if cfg.shadow_fraction > 0:
-        core_threshold = np.quantile(field, 1.0 - cfg.shadow_fraction)
         cores = field > core_threshold
         dy, dx = cfg.shadow_offset_px
         shadow_mask = np.roll(np.roll(cores, dy, axis=0), dx, axis=1)
@@ -96,8 +98,10 @@ def apply_clouds_and_shadows(
     ``reflectance`` has shape ``(n_bands, ny, nx)``.  A thin cloud of
     transmittance ``t = exp(-tau)`` mixes the surface signal with the cloud's
     own reflectance: ``r' = t * r + (1 - t) * r_cloud``.  Shadowed pixels are
-    multiplied by ``1 - shadow_darkening``.  Returns a new array; the
-    input stack is left unchanged.
+    multiplied by ``1 - shadow_darkening``.  Every pixel is computed from
+    its own values only, so the stack may be the whole image or any block of
+    its rows (with the matching rows of the cloud fields).  Returns a new
+    array; the input stack is left unchanged.
     """
     cfg = config if config is not None else CloudConfig()
     reflect = np.asarray(reflectance, dtype=float)
@@ -111,5 +115,5 @@ def apply_clouds_and_shadows(
     transmittance = np.exp(-tau)
     out = transmittance * reflect
     out += (1.0 - transmittance) * cfg.cloud_reflectance
-    out[:, shadow] *= 1.0 - cfg.shadow_darkening
+    np.multiply(out, 1.0 - cfg.shadow_darkening, out=out, where=shadow)
     return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE
-from repro.sentinel2.scene import S2Image
+from repro.sentinel2.scene import _BLOCK_ROWS, S2Image
 
 
 @dataclass(frozen=True)
@@ -136,26 +136,29 @@ def compensate(
     brightness sits between the surface and cloud reflectance.  For shadowed
     pixels the darkening is undone multiplicatively.
 
-    Works on one float64 copy of ``bands``, touching only the masked pixels:
-    the inversion runs on ``bands[:, cloud_mask]``, the shadow factor
-    multiplies ``out[:, shadow_mask]`` in place, and the clip writes back
-    into ``out``.  An unmasked pixel would have gone through
-    ``(x - 0.0) / 1.0``, which is exact, so its bytes are those of the input.
+    Both corrections run densely over the stack, with no boolean gather:
+    ``np.where`` sets the transmittance to 1 outside ``cloud_mask`` and the
+    shadow factor to 1 outside ``shadow_mask``.  ``(x - 0.0) / 1.0`` and
+    ``x * 1.0`` are exact, so unmasked pixels keep their input bytes.  Each
+    pixel depends only on its own values, so ``bands`` may be any block of
+    an image's rows.  Returns a new array; ``bands`` is left unchanged.
     """
-    out = np.array(bands, dtype=float)
+    bands = np.asarray(bands, dtype=float)
     if cloud_mask.any():
-        cloudy = out[:, cloud_mask]
-        brightness = _brightness(cloudy)
         # Transmittance estimate: cloudier pixels sit closer to r_cloud.
         t = np.clip(
-            (config.cloud_reflectance - brightness)
+            (config.cloud_reflectance - _brightness(bands))
             / max(config.cloud_reflectance - config.thin_ice_brightness, 1e-6),
             0.2,
             1.0,
         )
-        out[:, cloud_mask] = (cloudy - (1.0 - t) * config.cloud_reflectance) / t
+        t = np.where(cloud_mask, t, 1.0)
+        out = bands - (1.0 - t) * config.cloud_reflectance
+        out /= t
+    else:
+        out = bands.copy()
     if shadow_mask.any():
-        out[:, shadow_mask] *= 1.0 / (1.0 - config.shadow_recovery)
+        out *= np.where(shadow_mask, 1.0 / (1.0 - config.shadow_recovery), 1.0)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -173,22 +176,35 @@ def segment_image(
     if bands.ndim != 3 or bands.shape[0] != 4:
         raise ValueError("image.bands must have shape (4, ny, nx)")
 
-    cloud_mask = detect_thin_clouds(bands, cfg)
-    shadow_mask = detect_shadows(bands, cfg) & ~cloud_mask
-    compensated = compensate(bands, cloud_mask, shadow_mask, cfg)
+    # Every step is per pixel, so the image is segmented one cache-sized
+    # row block at a time, straight into the full-size outputs.
+    shape = bands.shape[1:]
+    class_map = np.empty(shape, dtype=np.int8)
+    cloud_mask = np.empty(shape, dtype=bool)
+    shadow_mask = np.empty(shape, dtype=bool)
+    brightness = np.empty(shape)
+    for start in range(0, shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = bands[:, rows]
+        cloud = detect_thin_clouds(block, cfg)
+        shadow = detect_shadows(block, cfg) & ~cloud
+        compensated = compensate(block, cloud, shadow, cfg)
+        cloud_mask[rows] = cloud
+        shadow_mask[rows] = shadow
+        bright = _brightness(compensated)
+        brightness[rows] = bright
+        green = compensated[1]
+        nir = compensated[3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ndwi = np.where(green + nir > 1e-6, (green - nir) / np.maximum(green + nir, 1e-6), 0.0)
 
-    brightness = _brightness(compensated)
-    green = compensated[1]
-    nir = compensated[3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ndwi = np.where(green + nir > 1e-6, (green - nir) / np.maximum(green + nir, 1e-6), 0.0)
-
-    class_map = np.full(brightness.shape, CLASS_THIN_ICE, dtype=np.int8)
-    class_map[brightness >= cfg.thick_ice_brightness] = CLASS_THICK_ICE
-    water = (brightness < cfg.thin_ice_brightness) | (
-        (brightness < cfg.thick_ice_brightness * 0.6) & (ndwi > cfg.water_ndwi)
-    )
-    class_map[water] = CLASS_OPEN_WATER
+        classes = class_map[rows]
+        classes.fill(CLASS_THIN_ICE)
+        classes[bright >= cfg.thick_ice_brightness] = CLASS_THICK_ICE
+        water = (bright < cfg.thin_ice_brightness) | (
+            (bright < cfg.thick_ice_brightness * 0.6) & (ndwi > cfg.water_ndwi)
+        )
+        classes[water] = CLASS_OPEN_WATER
 
     return SegmentationResult(
         class_map=class_map,

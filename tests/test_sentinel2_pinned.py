@@ -6,7 +6,7 @@ Two kinds of check keep ``render_scene`` and ``segment_image`` byte-stable:
   thin-cloud fractions {0, 0.15, 0.4} x shadow fractions {0, 0.04};
 * byte-equality against whole-image references kept here (one pass over
   the full ``(4, ny, nx)`` stack per step), on image heights around the
-  row block that the implementation may process the image in.
+  row block that both functions process the image in.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE
 from repro.sentinel2.cloud import CloudConfig, synthesize_cloud_fields
-from repro.sentinel2.scene import CLASS_REFLECTANCE, S2Image, S2SceneConfig, render_scene
+from repro.sentinel2.scene import (
+    _BLOCK_ROWS,
+    CLASS_REFLECTANCE,
+    S2Image,
+    S2SceneConfig,
+    render_scene,
+)
 from repro.sentinel2.segmentation import (
     SegmentationConfig,
     compensate,
@@ -31,9 +37,8 @@ from repro.sentinel2.segmentation import (
 )
 from repro.surface.scene import IceScene, SceneConfig
 
-#: Rows per block of a blocked implementation; the heights below bracket it.
-BLOCK_ROWS = 32
-HEIGHTS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
+#: Image heights around the row block that both functions work in.
+HEIGHTS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
 
 
 def digest(array: np.ndarray) -> str:
