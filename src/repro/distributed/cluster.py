@@ -3,13 +3,11 @@
 The paper measures its PySpark stages on a four-node Google Cloud Dataproc
 cluster, sweeping 1-4 executors with 1-4 cores each (Tables II and V).  This
 container has a single CPU, so those wall-clock numbers cannot be measured
-directly; instead the cluster is *simulated*:
-
-1. the real map-reduce job is executed once with the serial executor of
-   :class:`~repro.distributed.mapreduce.MapReduceEngine` — this yields a
-   correct result and measured single-slot load/map/reduce baselines;
-2. a :class:`ClusterCostModel` extrapolates each ``(executors, cores)``
-   configuration from those baselines.
+directly; instead the cluster is *simulated*: a :class:`ClusterCostModel`
+extrapolates each ``(executors, cores)`` configuration from single-slot
+load and reduce baselines (the paper's own 1x1 times, or times measured
+with the serial executor of
+:class:`~repro.distributed.mapreduce.MapReduceEngine`).
 
 The cost model is the standard shared-nothing map-reduce model:
 
@@ -38,10 +36,9 @@ of named :class:`Phase` objects, each scaled by its profile over a grid of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.config import DEFAULT_CLUSTER
-from repro.distributed.mapreduce import MapReduceEngine, MapReduceResult
 
 
 @dataclass(frozen=True)
@@ -180,27 +177,16 @@ def scaling_table(
 
 
 class ClusterSimulation:
-    """Run a job once for correctness, then predict the Table II/V scaling."""
+    """Predict the Table II/V scaling from single-slot baselines."""
 
     def __init__(self, cost_model: ClusterCostModel | None = None) -> None:
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
-
-    def run_baseline(
-        self,
-        load: Callable[[], Sequence],
-        map_fn: Callable,
-        reduce_fn: Callable,
-    ) -> MapReduceResult:
-        """Execute the job serially (single slot) and return the real result."""
-        engine = MapReduceEngine(n_partitions=1, executor="serial")
-        return engine.run(load, map_fn, reduce_fn)
 
     def scaling_table(self, baseline_load_s: float, baseline_reduce_s: float) -> list[ScalingRow]:
         """Predicted load, map and reduce times over the paper's cluster grid.
 
         ``baseline_load_s`` and ``baseline_reduce_s`` are the single-slot
-        times — either measured by :meth:`run_baseline` on the synthetic
-        workload, or the paper's own 1x1 values when regenerating the exact
+        times, e.g. the paper's own 1x1 values when regenerating the exact
         tables.
         """
         if baseline_load_s <= 0 or baseline_reduce_s <= 0:
@@ -211,27 +197,3 @@ class ClusterSimulation:
             Phase("reduce", baseline_reduce_s, "reduce"),
         )
         return scaling_table(self.cost_model, phases, DEFAULT_CLUSTER.grid)
-
-    def run_and_scale(
-        self,
-        load: Callable[[], Sequence],
-        map_fn: Callable,
-        reduce_fn: Callable,
-        paper_baseline: tuple[float, float] | None = None,
-    ) -> tuple[MapReduceResult, list[ScalingRow]]:
-        """Convenience: run the job serially, then build the scaling table.
-
-        When ``paper_baseline`` (load_s, reduce_s) is given, the table is
-        scaled to the paper's single-slot baselines instead of the measured
-        ones, so the regenerated table is directly comparable to Table II/V.
-        """
-        result = self.run_baseline(load, map_fn, reduce_fn)
-        if paper_baseline is not None:
-            baseline_load, baseline_reduce = paper_baseline
-        else:
-            baseline_load = max(result.load_seconds, self.cost_model.min_time_s)
-            baseline_reduce = max(
-                result.map_seconds + result.reduce_seconds, self.cost_model.min_time_s
-            )
-        rows = self.scaling_table(baseline_load, baseline_reduce)
-        return result, rows

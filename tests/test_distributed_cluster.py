@@ -80,24 +80,3 @@ class TestScalingTable:
         with pytest.raises(ValueError):
             sim.scaling_table(0.0, 100.0)
 
-
-class TestRunAndScale:
-    def test_runs_job_and_builds_table(self):
-        sim = ClusterSimulation()
-
-        def load():
-            return list(range(500))
-
-        result, rows = sim.run_and_scale(
-            load, lambda p: sum(p), lambda parts: sum(parts), paper_baseline=(108.0, 390.0)
-        )
-        assert result.value == sum(range(500))
-        assert len(rows) == 9
-        assert rows[0].times_s["load"] > rows[-1].times_s["load"]
-
-    def test_measured_baseline_used_when_no_paper_values(self):
-        sim = ClusterSimulation()
-        result, rows = sim.run_and_scale(
-            lambda: list(range(100)), lambda p: sum(p), lambda parts: sum(parts)
-        )
-        assert rows[0].speedups["reduce"] == pytest.approx(1.0)
