@@ -2,7 +2,7 @@
 
 Two kinds of check keep ``render_scene`` and ``segment_image`` byte-stable:
 
-* sha256 pins of every output array on the session's 8 km scene, over
+* sha256 pins of every output array on the shared 8 km test scene, over
   thin-cloud fractions {0, 0.15, 0.4} x shadow fractions {0, 0.04};
 * byte-equality against whole-image references kept here (one pass over
   the full ``(4, ny, nx)`` stack per step), on image heights around the
