@@ -56,7 +56,9 @@ class Stage:
         stages that merely repackage upstream artifacts (``align``,
         ``curate``, ``training_set``) set this to ``False``: re-running them
         from cached inputs is cheaper than pickling their (duplicated)
-        outputs to disk.
+        outputs to disk.  So does ``s2``: its image is the largest artifact
+        of a granule and every stage that reads its pixels is cached, so it
+        is rendered only when one of them misses.
     version:
         Bump to invalidate cached outputs after a code change to ``fn``.
     """

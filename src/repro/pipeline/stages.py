@@ -13,12 +13,18 @@ stages: a campaign runs each once over the list of every granule's
 ``training_set`` / ``l3_granule`` (the paper's one classifier for all
 tracks, and the fleet mosaic); a single-granule run passes a list of one.
 
-The stage cache holds each stage's outputs once.  The drift stage caches
-only the :class:`~repro.labeling.alignment.DriftEstimate`; the uncached
-``align`` stage re-derives the aligned image from the cached S2 image and
-that estimate (a change of georeferencing, not of pixels), so the S2 image
-(~27 MB for an 8 km scene) is written once per granule, not twice.
-``curate`` and ``training_set`` are uncached for the same reason.
+The stage cache holds each stage's outputs once, and only outputs that are
+dearer to recompute than to store.  The S2 image is ~27 MB for an 8 km scene
+(~30 ms to pickle), while ``segmentation``, ``drift`` and ``autolabel`` are
+the only stages that read its pixels and they are all cached, so ``s2`` is
+uncached: the image is rendered in memory by the run that needs it (a
+cold run, or a miss of one of those three stages) and never written.  The
+drift stage caches only the :class:`~repro.labeling.alignment.DriftEstimate`,
+and the uncached ``align`` stage re-derives the aligned image from the image
+and that estimate (a change of georeferencing, not of pixels).  ``curate``
+and ``training_set`` are uncached assembly; ``training_set`` reads just the
+cached ``segments`` and ``labels``, so a warm campaign re-run reads no
+scene, image, segmentation or drift bundle.
 
 Determinism contract: a graph run is bit-for-bit identical to the historical
 monolithic ``prepare_experiment_data``/``run_end_to_end`` sequence.  The
@@ -65,7 +71,7 @@ from repro.serve.pyramid import TilePyramid, build_pyramid
 from repro.sentinel2.segmentation import SegmentationResult, segment_image
 from repro.surface.scene import IceScene, generate_scene
 from repro.utils.random import default_rng, derive_rng
-from repro.workflow.experiment import ExperimentData
+from repro.workflow.experiment import ExperimentData, training_arrays
 
 
 @dataclass
@@ -203,8 +209,10 @@ def stage_curate(
     return {"experiment_data": data}
 
 
-def stage_training_set(ctx: StageContext, experiment_data: ExperimentData) -> dict[str, Any]:
-    segments, labels, groups = experiment_data.combined_training_arrays()
+def stage_training_set(
+    ctx: StageContext, segments: dict[str, SegmentArray], labels: dict[str, np.ndarray]
+) -> dict[str, Any]:
+    segments, labels, groups = training_arrays(segments, labels)
     return {"training_set": TrainingSet(segments=segments, labels=labels, groups=groups)}
 
 
@@ -369,7 +377,17 @@ def build_default_graph() -> StageGraph:
         # Version 2 of scene and s2: random fields by spectral synthesis.
         Stage("scene", stage_scene, (), ("scene",), ("scene", "seed"), version="2"),
         Stage("atl03", stage_atl03, ("scene",), ("granule",), ("atl03", "n_beams", "seed")),
-        Stage("s2", stage_s2, ("scene",), ("image",), ("s2", "drift_m", "seed"), version="2"),
+        Stage(
+            "s2",
+            stage_s2,
+            ("scene",),
+            ("image",),
+            ("s2", "drift_m", "seed"),
+            version="2",
+            # The image is the largest artifact of a granule and every stage
+            # that reads its pixels is cached: render it where it is read.
+            cacheable=False,
+        ),
         Stage(
             "segmentation",
             stage_segmentation,
@@ -399,8 +417,9 @@ def build_default_graph() -> StageGraph:
             ("image", "drift"),
             ("aligned_image",),
             (),
-            # Pure assembly: the aligned image shares the S2 image's pixels,
-            # so caching it would write the whole image a second time.
+            # Pure assembly: the aligned image shares the S2 image's pixels
+            # and differs only in its origin, so caching it would write the
+            # pixels that s2 itself does not store.
             cacheable=False,
         ),
         Stage(
@@ -433,7 +452,7 @@ def build_default_graph() -> StageGraph:
         Stage(
             "training_set",
             stage_training_set,
-            ("experiment_data",),
+            ("segments", "labels"),
             ("training_set",),
             (),
             cacheable=False,

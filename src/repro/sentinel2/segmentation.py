@@ -83,14 +83,30 @@ class SegmentationResult:
 
 
 def _brightness(bands: np.ndarray) -> np.ndarray:
-    """Mean visible reflectance (B2, B3, B4)."""
-    return bands[:3].mean(axis=0)
+    """Mean visible reflectance (B2, B3, B4) of float bands.
+
+    ``(B2 + B3 + B4) / 3`` in this order is the sum and divide that
+    ``bands[:3].mean(axis=0)`` runs, so the bytes are the same, without the
+    reduction's set-up cost on every row block.
+    """
+    total = bands[0] + bands[1]
+    total += bands[2]
+    total /= 3.0
+    return total
 
 
 def _whiteness(bands: np.ndarray) -> np.ndarray:
-    """Band-to-band spread of the visible channels (low = spectrally flat)."""
-    vis = bands[:3]
-    return vis.max(axis=0) - vis.min(axis=0)
+    """Band-to-band spread of the visible channels (low = spectrally flat).
+
+    Pairwise maxima and minima in band order, as ``max(axis=0)`` and
+    ``min(axis=0)`` reduce them.
+    """
+    high = np.maximum(bands[0], bands[1])
+    np.maximum(high, bands[2], out=high)
+    low = np.minimum(bands[0], bands[1])
+    np.minimum(low, bands[2], out=low)
+    high -= low
+    return high
 
 
 def detect_thin_clouds(bands: np.ndarray, config: SegmentationConfig) -> np.ndarray:

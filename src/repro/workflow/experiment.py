@@ -3,7 +3,9 @@
 These dataclasses are the *nouns* of the workflow: the sizing/seeding of one
 end-to-end experiment (:class:`ExperimentConfig`), the curated stage-1 data
 (:class:`ExperimentData`), the retrieval products (:class:`InferenceProducts`)
-and the full bundle (:class:`PipelineOutputs`).  They live apart from the
+and the full bundle (:class:`PipelineOutputs`); :func:`training_arrays`
+pools one granule's beams into training arrays, for :class:`ExperimentData`
+and the pipeline's ``training_set`` stage alike.  They live apart from the
 orchestration in :mod:`repro.workflow.end_to_end` so the stage-graph engine
 (:mod:`repro.pipeline`) can depend on them without an import cycle.
 """
@@ -11,6 +13,7 @@ orchestration in :mod:`repro.workflow.end_to_end` so the stage-graph engine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -88,37 +91,44 @@ class ExperimentData:
     def combined_segments_and_labels(self) -> tuple[SegmentArray, np.ndarray]:
         """Concatenate all beams' segments and labels for training.
 
-        Beams are concatenated in sorted name order; along-track positions are
-        kept per-beam (training only uses features, not positions).  All beams
-        must have been resampled with the same ``window_length_m`` — a
-        mismatch raises ``ValueError`` instead of silently mixing resolutions.
+        See :func:`training_arrays` for the beam order and the checks.
         """
-        if set(self.labels) != set(self.segments):
-            raise ValueError(
-                "segments and labels must cover the same beams, got "
-                f"segments={sorted(self.segments)} labels={sorted(self.labels)}"
-            )
-        names = sorted(self.segments)
-        if len(names) == 1:
-            return self.segments[names[0]], self.labels[names[0]]
-        combined = concatenate_segments([self.segments[n] for n in names])
-        labels = np.concatenate([self.labels[n] for n in names])
-        return combined, labels
+        segments, labels, _ = training_arrays(self.segments, self.labels)
+        return segments, labels
 
     def combined_training_arrays(self) -> tuple[SegmentArray, np.ndarray, np.ndarray]:
-        """Combined segments and labels plus per-beam group ids.
+        """Combined segments and labels plus per-beam group ids (:func:`training_arrays`)."""
+        return training_arrays(self.segments, self.labels)
 
-        The group ids mark each beam as an independent contiguous track so
-        training can keep along-track change features and LSTM sequences from
-        crossing beam boundaries (see ``groups`` in
-        :func:`repro.classification.train_classifier`).
-        """
-        segments, labels = self.combined_segments_and_labels()
-        names = sorted(self.segments)
-        groups = np.repeat(
-            np.arange(len(names)), [self.segments[n].n_segments for n in names]
+
+def training_arrays(
+    segments: Mapping[str, SegmentArray], labels: Mapping[str, np.ndarray]
+) -> tuple[SegmentArray, np.ndarray, np.ndarray]:
+    """One granule's training arrays: its beams' segments, labels and group ids.
+
+    Beams are concatenated in sorted name order; along-track positions are
+    kept per-beam (training only uses features, not positions).  A single
+    beam's own arrays are returned as they are.  ``segments`` and ``labels``
+    must cover the same beams, and all beams must have been resampled with
+    the same ``window_length_m`` — a mismatch raises ``ValueError`` instead
+    of silently mixing beams or resolutions.
+
+    The group ids mark each beam as an independent contiguous track so
+    training can keep along-track change features and LSTM sequences from
+    crossing beam boundaries (see ``groups`` in
+    :func:`repro.classification.train_classifier`).
+    """
+    if set(labels) != set(segments):
+        raise ValueError(
+            "segments and labels must cover the same beams, got "
+            f"segments={sorted(segments)} labels={sorted(labels)}"
         )
-        return segments, labels, groups
+    names = sorted(segments)
+    groups = np.repeat(np.arange(len(names)), [segments[n].n_segments for n in names])
+    if len(names) == 1:
+        return segments[names[0]], labels[names[0]], groups
+    combined = concatenate_segments([segments[n] for n in names])
+    return combined, np.concatenate([labels[n] for n in names]), groups
 
 
 @dataclass

@@ -59,7 +59,11 @@ UPSTREAM_STAGES = (
 )
 
 #: Curation stages a warm re-curation reads from the stage tier.
-CURATION_STAGES = ("scene-", "atl03-", "segmentation-", "resample-", "drift-", "autolabel-")
+CURATION_STAGES = ("atl03-", "resample-", "autolabel-")
+
+#: Curation stages a warm re-curation never reads: the cached segments and
+#: labels stand in for everything upstream of them.
+UNREAD_STAGES = ("scene-", "s2-", "segmentation-", "drift-")
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,8 @@ class TestCorruptEntryMidCampaign:
         # The re-curation itself was served from the intact stage tier.
         for prefix in CURATION_STAGES:
             assert any(hit.startswith(prefix) for hit in second.stage_hits), prefix
+        read = second.stage_hits + second.stage_misses
+        assert not any(key.startswith(UNREAD_STAGES) for key in read), read
         assert_same_granule(first_run.granule(target), second.granule(target))
 
     def test_corrupt_stage_tier_entry_is_recomputed(self, config, first_run):
@@ -118,6 +124,8 @@ class TestInterruptedResume:
         resumed = CampaignRunner(config).run()
         assert any(key.startswith("train-") for key in resumed.stage_misses)
         assert not any(key.startswith(CURATION_STAGES) for key in resumed.stage_misses)
+        read = resumed.stage_hits + resumed.stage_misses
+        assert not any(key.startswith(UNREAD_STAGES) for key in read), read
         # Retraining on identical curated data reproduces the classifier and
         # products bit-for-bit.
         for a, b in zip(

@@ -62,12 +62,13 @@ def first_run(cache_root):
     return runner.run(CONFIG, targets=TARGETS)
 
 
-#: Stages that execute every run by design: pure assembly of cached inputs.
-ASSEMBLY_STAGES = {"align", "curate", "training_set"}
+#: Stages that execute every run by design: the uncached stages, which
+#: assemble or render their outputs from cached inputs.
+ASSEMBLY_STAGES = {s.name for s in default_graph().stages.values() if not s.cacheable}
 
 
 class TestCachedExecution:
-    def test_cold_run_executes_every_required_stage(self, first_run):
+    def test_cold_run_executes_every_required_stage(self, cache_root, first_run):
         assert set(first_run.executed_stages) == {
             s.name for s in default_graph().required_stages(TARGETS)
         }
@@ -77,6 +78,9 @@ class TestCachedExecution:
         cacheable = [e for e in first_run.executions if e.cacheable]
         assert len(first_run.cache_misses) == len(cacheable)
         assert {e.stage for e in first_run.executions if not e.cacheable} == ASSEMBLY_STAGES
+        # ...and none of them left a bundle in the stage cache.
+        keys = StageCache(cache_root).store.keys()
+        assert not any(key.rsplit("-", 1)[0] in ASSEMBLY_STAGES for key in keys), keys
 
     def test_warm_rerun_is_pure_cache(self, cache_root, first_run):
         runner = GraphRunner(default_graph(), cache=StageCache(cache_root))
@@ -134,8 +138,8 @@ class TestCachedExecution:
             )
 
     def test_drift_entry_holds_only_the_estimate(self, cache_root, first_run):
-        # The S2 image is cached once, by the s2 stage; the drift bundle
-        # holds just the DriftEstimate.
+        # The S2 image is never cached (s2 renders it where it is read);
+        # the drift bundle holds just the DriftEstimate.
         cache = StageCache(cache_root)
         execution = next(e for e in first_run.executions if e.stage == "drift")
         assert cache.store.path(execution.cache_key).stat().st_size < 64_000
@@ -146,11 +150,15 @@ class TestCachedExecution:
         runner = GraphRunner(default_graph(), cache=StageCache(cache_root))
         result = runner.run(CONFIG, targets=("image", "drift", "aligned_image"))
         assert result.cache_misses == ()
-        assert set(result.executed_stages) == {"align"}
+        assert set(result.executed_stages) == {"s2", "align"}
         image, drift, aligned = result.values("image", "drift", "aligned_image")
         assert aligned.origin_x_m == image.origin_x_m + drift.dx_m
         assert aligned.origin_y_m == image.origin_y_m + drift.dy_m
         np.testing.assert_array_equal(aligned.bands, image.bands)
+        # The re-rendered bands are the cold run's, byte for byte.
+        cold = first_run.value("image").bands
+        assert image.bands.dtype == cold.dtype and image.bands.shape == cold.shape
+        assert image.bands.tobytes() == cold.tobytes()
 
     def test_uncached_runner_reports_no_cache_keys(self):
         result = GraphRunner(default_graph()).run(CONFIG, targets=("segments",))
