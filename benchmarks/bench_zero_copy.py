@@ -6,9 +6,9 @@ Two regimes, feeding the ``zero_copy_*`` rows of ``GATES`` in
 
 * **fan-out**: one multi-granule struct-of-arrays payload (~48 MB) is
   map-reduced across a warmed persistent process pool, once with the
-  shared-memory transport (arrays published once, workers slice attached
-  views) and once with the legacy pickled path (every partition's arrays
-  serialised through a pipe).  The pickled/shm time ratio
+  shared-memory transport (each partition's row slices copied once into
+  their own segments, workers attach read-only views) and once with the
+  pickled path (every partition's arrays serialised through a pipe).  The pickled/shm time ratio
   (``zero_copy_fanout``) is held above a >= 2x floor — the central claim
   of the zero-copy executor.
 * **decode**: one serving-scale product is written twice (npz archive and

@@ -6,8 +6,8 @@ Replaces the paper's two scaling technologies with purpose-built equivalents:
   replacement): deterministic partitioning, serial/threaded/process
   executors, and per-stage load/map/reduce timing.
 * :mod:`repro.distributed.shm` — shared-memory array transport for the
-  process executor: publish-once :class:`SharedArrayStore` segments,
-  lightweight descriptors, and read-only worker-side views.
+  process executor: one :class:`SharedArrayStore` segment per large task
+  array, lightweight descriptors, and read-only worker-side views.
 * :mod:`repro.distributed.cluster` — a simulated Google-Cloud-Dataproc-style
   cluster with a calibrated cost model, and :func:`scaling_table`, the one
   function that scales named phases over an executor/core grid (Tables II

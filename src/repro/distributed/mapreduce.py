@@ -24,15 +24,16 @@ Two zero-copy properties of the process executor:
   next use.  Every task carries the driver's kernel backend
   (:func:`repro.kernels.get_backend`), so the pool follows a backend switch
   between jobs.
-* **Shared-memory task payloads.**  With ``use_shm`` (the default), task
-  inputs for the process executor travel through
-  :mod:`repro.distributed.shm`: large arrays are copied once into
-  shared-memory segments and workers reattach them as read-only views,
-  instead of pickling every partition's arrays through a pipe.
-  ``map_arrays`` publishes each input array exactly once and workers
-  slice their partitions out of the shared views.  Results still return
-  by value.  All segments are unlinked when the job finishes, even when
-  a worker raises.
+* **Shared-memory task payloads.**  With ``use_shm`` (the default), every
+  process-executor task is pickled by
+  :func:`~repro.distributed.shm.dumps_shared`: each array in it of at
+  least :data:`~repro.distributed.shm.DEFAULT_MIN_SHARED_BYTES` — a
+  ``map_arrays`` row slice, a ``run`` partition's items, an array the map
+  function holds — is copied once into its own shared-memory segment and
+  the worker reattaches it as a read-only view, instead of unpickling a
+  private copy from the pipe.  ``run`` and ``map_arrays`` submit the same
+  task type through this one path.  Results still return by value.  All
+  segments are unlinked when the job finishes, even when a worker raises.
 
 Results from every executor are checked against the serial reference in the
 test suite — parallel execution never changes the answer, only the time.
@@ -52,7 +53,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.distributed.shm import ArrayDescriptor, SharedArrayStore, attach_view, dumps_shared
+from repro.distributed.shm import SharedArrayStore, dumps_shared
 from repro.kernels import get_backend, set_backend
 from repro.obs.core import Obs, default_obs
 from repro.obs.propagate import TracedTask, WorkerTelemetry, current_context, merge_worker_telemetry
@@ -128,10 +129,9 @@ class MapReduceEngine:
         Route process-executor task payloads through shared memory
         (:mod:`repro.distributed.shm`) instead of pickling array contents.
         Ignored by the serial and thread executors, which already share
-        the driver's memory.
-    shm_min_bytes:
-        Arrays smaller than this are pickled by value even with ``use_shm``
-        (descriptor overhead beats copying only past a threshold).
+        the driver's memory.  Arrays below
+        :data:`~repro.distributed.shm.DEFAULT_MIN_SHARED_BYTES` are pickled
+        by value either way.
     obs:
         Telemetry handle; ``None`` resolves the process default.  A job on
         the inline path (serial executor, or a single partition) records
@@ -141,8 +141,8 @@ class MapReduceEngine:
         open real child spans inside a copied driver context, process tasks
         run a worker-side tracer whose finished subtree (and metric deltas)
         ship back with the result and graft under ``mapreduce.map``.  Jobs
-        feed the ``mapreduce_*`` counters: jobs, pool spawns, shm
-        publish/attach bytes.
+        feed the ``mapreduce_*`` counters: jobs, pool spawns and bytes
+        published to shared memory.
 
     The engine keeps its worker pool alive between jobs; call :meth:`close`
     (or use the engine as a context manager) to release the workers.  A
@@ -155,7 +155,6 @@ class MapReduceEngine:
         executor: str = "serial",
         max_workers: int | None = None,
         use_shm: bool = True,
-        shm_min_bytes: int | None = None,
         obs: Obs | None = None,
     ) -> None:
         if n_partitions <= 0:
@@ -168,7 +167,6 @@ class MapReduceEngine:
         self.executor = executor
         self.max_workers = max_workers if max_workers is not None else n_partitions
         self.use_shm = bool(use_shm)
-        self.shm_min_bytes = shm_min_bytes
         self.obs = obs if obs is not None else default_obs()
         self._c_jobs = self.obs.counter("mapreduce_jobs_total", executor=executor)
         self._pool_box: list[Executor] = []
@@ -273,80 +271,98 @@ class MapReduceEngine:
             pool = self._pool(min(self.max_workers, len(jobs)))
             return list(pool.map(lambda f: f(), jobs))
         jobs = self._traced_tasks(tasks) if timed else list(tasks)
-        store = SharedArrayStore() if self.use_shm else None
-        try:
-            if store is None:
-                payloads = [pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL) for t in jobs]
+        # The store unlinks its segments when the block exits: every worker
+        # attach is over by then (results are in, or the exception already
+        # fired), crash or not.
+        with SharedArrayStore() as store:
+            if self.use_shm:
+                payloads = [dumps_shared(t, store) for t in jobs]
+                # Each segment holds one task's array and is attached by
+                # that task alone, so published bytes are the whole traffic.
+                if store.nbytes:
+                    self.obs.counter("mapreduce_shm_published_bytes_total").inc(
+                        store.nbytes
+                    )
             else:
-                kwargs = {} if self.shm_min_bytes is None else {"min_bytes": self.shm_min_bytes}
-                payloads = [dumps_shared(t, store, **kwargs) for t in jobs]
-                self._count_shm(store, len(jobs))
-            return self._submit(payloads, timed)
-        finally:
-            # Segments outlive every worker attach (results are in, or the
-            # exception already fired) — unlink them now, crash or not.
-            if store is not None:
-                store.close()
-
-    def _submit(self, payloads: list[bytes], timed: bool) -> list:
-        """Run pre-encoded task payloads on the process pool, in order.
-
-        The one submission path of the process executor: each payload runs
-        under the driver's current kernel backend, and with ``timed`` the
-        ``(value, telemetry)`` results are grafted into the driver's trace.
-        """
-        pool = self._pool(min(self.max_workers, len(payloads)))
-        backend = get_backend()
-        try:
-            futures = [pool.submit(_call_pickled, payload, backend) for payload in payloads]
-            results = [f.result() for f in futures]
-        except BrokenProcessPool:
-            # A worker died (OOM, signal): the pool is unusable.  Drop it so
-            # the next job gets a fresh one, and let the caller see the error.
-            self._shutdown()
-            raise
+                payloads = [pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL) for t in jobs]
+            pool = self._pool(min(self.max_workers, len(payloads)))
+            backend = get_backend()
+            try:
+                futures = [pool.submit(_call_pickled, p, backend) for p in payloads]
+                results = [f.result() for f in futures]
+            except BrokenProcessPool:
+                # A worker died (OOM, signal): the pool is unusable.  Drop it
+                # so the next job gets a fresh one, and let the caller see it.
+                self._shutdown()
+                raise
         return self._merge_worker_results(results) if timed else results
-
-    def _count_shm(self, store: SharedArrayStore, n_attachers: int) -> None:
-        """Account one job's shared-memory traffic: published once, attached
-        (as views — no copies; the driver-side estimate assumes every task
-        touches every segment) by each worker task."""
-        published = store.nbytes
-        if not published:
-            return
-        self.obs.counter("mapreduce_shm_published_bytes_total").inc(published)
-        self.obs.counter("mapreduce_shm_attach_bytes_total").inc(
-            published * n_attachers
-        )
 
     def _inline(self, width: int) -> bool:
         """Whether a job of ``width`` partitions runs in the calling thread."""
         return self.executor == "serial" or width <= 1
 
     def _job(
-        self, width: int, body: Callable[[Tracer | NullTracer], MapReduceResult]
+        self,
+        width: int,
+        partitions: Callable[[], list],
+        map_fn: Callable,
+        reduce_fn: Callable[[list], object],
     ) -> MapReduceResult:
-        """Count one job and run ``body(phase_tracer)`` under its spans.
+        """Count one job and run its load → map → reduce phases.
 
-        A pool job hands ``body`` the real tracer, so each phase is a span
-        and worker tasks graft under ``mapreduce.map``.  An inline job is
-        one ``mapreduce.run`` span whose ``load_s``/``map_s``/``reduce_s``
-        attributes hold the phase timings: the serve path runs a job on
-        every cache miss, and one span costs less than four.
+        ``partitions()`` is the load phase: it returns the ``width``
+        partitions that ``map_fn`` runs on, one task each.  A pool job opens
+        one span per phase, and worker tasks graft under ``mapreduce.map``.
+        An inline job is one ``mapreduce.run`` span whose
+        ``load_s``/``map_s``/``reduce_s`` attributes hold the phase timings:
+        the serve path runs a job on every cache miss, and one span costs
+        less than four.
         """
         self._c_jobs.inc()
         if not self._inline(width):
-            return body(self.obs.tracer)
+            return self._phases(width, partitions, map_fn, reduce_fn, self.obs.tracer)
         with self.obs.span(
             "mapreduce.run", n_partitions=width, executor=self.executor
         ) as span:
-            result = body(_NO_PHASE_SPANS)
+            result = self._phases(width, partitions, map_fn, reduce_fn, _NO_PHASE_SPANS)
             span.set(
                 load_s=result.load_seconds,
                 map_s=result.map_seconds,
                 reduce_s=result.reduce_seconds,
             )
         return result
+
+    def _phases(
+        self,
+        width: int,
+        partitions: Callable[[], list],
+        map_fn: Callable,
+        reduce_fn: Callable[[list], object],
+        tracer: Tracer | NullTracer,
+    ) -> MapReduceResult:
+        with tracer.span("mapreduce.load"):
+            start = time.perf_counter()
+            tasks = [_PartitionTask(map_fn, partition) for partition in partitions()]
+            load_s = time.perf_counter() - start
+
+        with tracer.span("mapreduce.map", n_partitions=width, executor=self.executor):
+            start = time.perf_counter()
+            mapped = self._run_tasks(tasks)
+            map_s = time.perf_counter() - start
+
+        with tracer.span("mapreduce.reduce"):
+            start = time.perf_counter()
+            value = reduce_fn(mapped)
+            reduce_s = time.perf_counter() - start
+
+        return MapReduceResult(
+            value=value,
+            n_partitions=width,
+            executor=self.executor,
+            load_seconds=load_s,
+            map_seconds=map_s,
+            reduce_seconds=reduce_s,
+        )
 
     def run(
         self,
@@ -365,48 +381,12 @@ class MapReduceEngine:
         engine can serve fan-outs of different widths.
         """
         width = self.n_partitions if n_partitions is None else n_partitions
-        return self._job(
-            width, lambda tracer: self._run(load, map_fn, reduce_fn, width, tracer)
-        )
 
-    def _run(
-        self,
-        load: Callable[[], Sequence[T]],
-        map_fn: Callable[[Sequence[T]], R],
-        reduce_fn: Callable[[list[R]], object],
-        width: int,
-        tracer: Tracer | NullTracer,
-    ) -> MapReduceResult:
-        with tracer.span("mapreduce.load"):
-            start = time.perf_counter()
+        def partitions() -> list[list[T]]:
             items = list(load())
-            load_s = time.perf_counter() - start
+            return [[items[i] for i in part] for part in partition_indices(len(items), width)]
 
-        parts = partition_indices(len(items), width)
-        partitions = [[items[i] for i in part] for part in parts]
-
-        if self.executor == "process":
-            tasks = [_PartitionTask(map_fn, partition) for partition in partitions]
-        else:
-            tasks = [(lambda p=partition: map_fn(p)) for partition in partitions]
-        with tracer.span("mapreduce.map", n_partitions=width, executor=self.executor):
-            start = time.perf_counter()
-            mapped = self._run_tasks(tasks)
-            map_s = time.perf_counter() - start
-
-        with tracer.span("mapreduce.reduce"):
-            start = time.perf_counter()
-            value = reduce_fn(list(mapped))
-            reduce_s = time.perf_counter() - start
-
-        return MapReduceResult(
-            value=value,
-            n_partitions=width,
-            executor=self.executor,
-            load_seconds=load_s,
-            map_seconds=map_s,
-            reduce_seconds=reduce_s,
-        )
+        return self._job(width, partitions, map_fn, reduce_fn)
 
     def map_arrays(
         self,
@@ -417,104 +397,30 @@ class MapReduceEngine:
     ) -> MapReduceResult:
         """Map-reduce over a struct-of-arrays input.
 
-        The arrays (all the same length) are partitioned along axis 0; each
-        partition is passed to ``map_fn`` as a dictionary of array slices.
-        The serial and thread executors pass views of the caller's arrays.
-        The process executor with ``use_shm`` publishes every array **once**
-        into shared memory and ships workers ``(lo, hi)`` row ranges — each
-        worker slices its partition out of the attached views, so the input
-        crosses the process boundary zero times per partition.
+        The arrays (all the same length) are split along axis 0 into
+        contiguous row slices; each partition is passed to ``map_fn`` as a
+        dictionary of those slices.  The serial and thread executors pass
+        views of the caller's arrays.  The process executor sends each
+        partition as one task through the same path as :meth:`run`: with
+        ``use_shm``, every slice (and every array ``map_fn`` holds) of at
+        least :data:`~repro.distributed.shm.DEFAULT_MIN_SHARED_BYTES`
+        arrives in the worker as a read-only shared-memory view, smaller
+        ones as pickled copies.
         """
         lengths = {name: a.shape[0] for name, a in arrays.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"arrays must share their first dimension, got {lengths}")
         width = self.n_partitions if n_partitions is None else n_partitions
-        return self._job(
-            width,
-            lambda tracer: self._map_arrays(arrays, map_fn, reduce_fn, width, tracer),
-        )
 
-    def _map_arrays(
-        self,
-        arrays: dict[str, np.ndarray],
-        map_fn: Callable[[dict[str, np.ndarray]], R],
-        reduce_fn: Callable[[list[R]], object],
-        width: int,
-        tracer: Tracer | NullTracer,
-    ) -> MapReduceResult:
-        n_items = next(iter(arrays.values())).shape[0] if arrays else 0
-        start = time.perf_counter()
-        parts = partition_indices(n_items, width)
-        load_s = time.perf_counter() - start
+        def partitions() -> list[dict[str, np.ndarray]]:
+            n_items = max(lengths.values(), default=0)
+            bounds = np.cumsum([0] + [part.size for part in partition_indices(n_items, width)])
+            return [
+                {name: a[lo:hi] for name, a in arrays.items()}
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
 
-        shared = (
-            self.executor == "process"
-            and self.use_shm
-            and len(parts) > 1
-            and arrays
-            and any(np.asarray(a).nbytes for a in arrays.values())
-        )
-        if shared:
-            with tracer.span(
-                "mapreduce.map", n_partitions=width, executor=self.executor, shm=True
-            ):
-                start = time.perf_counter()
-                mapped = self._map_arrays_shared(arrays, map_fn, parts)
-                map_s = time.perf_counter() - start
-        else:
-            slices = []
-            for part in parts:
-                if part.size and np.all(np.diff(part) == 1):
-                    sl = slice(int(part[0]), int(part[-1]) + 1)
-                    slices.append({name: a[sl] for name, a in arrays.items()})
-                else:
-                    slices.append({name: a[part] for name, a in arrays.items()})
-            if self.executor == "process":
-                tasks = [_PartitionTask(map_fn, chunk) for chunk in slices]
-            else:
-                tasks = [(lambda c=chunk: map_fn(c)) for chunk in slices]
-            with tracer.span(
-                "mapreduce.map", n_partitions=width, executor=self.executor
-            ):
-                start = time.perf_counter()
-                mapped = self._run_tasks(tasks)
-                map_s = time.perf_counter() - start
-
-        with tracer.span("mapreduce.reduce"):
-            start = time.perf_counter()
-            value = reduce_fn(list(mapped))
-            reduce_s = time.perf_counter() - start
-
-        return MapReduceResult(
-            value=value,
-            n_partitions=width,
-            executor=self.executor,
-            load_seconds=load_s,
-            map_seconds=map_s,
-            reduce_seconds=reduce_s,
-        )
-
-    def _map_arrays_shared(
-        self,
-        arrays: dict[str, np.ndarray],
-        map_fn: Callable[[dict[str, np.ndarray]], R],
-        parts: list[np.ndarray],
-    ) -> list[R]:
-        """Publish-once shared-memory path for :meth:`map_arrays`."""
-        contiguous = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-        timed = self.obs.tracer.enabled
-        with SharedArrayStore() as store:
-            descriptors = store.publish(contiguous)
-            tasks: list[Callable] = []
-            for part in parts:
-                lo = int(part[0]) if part.size else 0
-                hi = int(part[-1]) + 1 if part.size else 0
-                tasks.append(_ShmSliceTask(map_fn, descriptors, lo, hi))
-            if timed:
-                tasks = list(self._traced_tasks(tasks))
-            self._count_shm(store, len(tasks))
-            payloads = [pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL) for t in tasks]
-            return self._submit(payloads, timed)
+        return self._job(width, partitions, map_fn, reduce_fn)
 
 
 def _call_pickled(payload: bytes, backend: str):
@@ -564,7 +470,8 @@ class _ContextTask:
 class _PartitionTask:
     """Picklable callable binding a map function to one partition.
 
-    Needed by the process executor: lambdas cannot cross process boundaries.
+    The one task type of every executor: lambdas cannot cross process
+    boundaries, and one type keeps the three executors on one code path.
     """
 
     def __init__(self, map_fn: Callable, partition) -> None:
@@ -573,35 +480,3 @@ class _PartitionTask:
 
     def __call__(self):
         return self.map_fn(self.partition)
-
-
-class _ShmSliceTask:
-    """Picklable task slicing one row range out of published shared arrays.
-
-    Pickles as descriptors + two ints regardless of input size; the worker
-    attaches the shared views and hands ``map_fn`` read-only slices of the
-    exact rows the driver would have copied.
-    """
-
-    def __init__(
-        self,
-        map_fn: Callable,
-        descriptors: dict[str, ArrayDescriptor],
-        lo: int,
-        hi: int,
-    ) -> None:
-        self.map_fn = map_fn
-        self.descriptors = descriptors
-        self.lo = lo
-        self.hi = hi
-
-    def __call__(self):
-        chunk = {}
-        for name, desc in self.descriptors.items():
-            if desc.nbytes == 0:
-                arr = np.empty(desc.shape, dtype=np.dtype(desc.dtype))
-                arr.flags.writeable = False
-                chunk[name] = arr[self.lo : self.hi]
-            else:
-                chunk[name] = attach_view(desc)[self.lo : self.hi]
-        return self.map_fn(chunk)

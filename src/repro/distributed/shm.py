@@ -5,16 +5,18 @@ photon/segment arrays per task: the driver serialises the arrays into a
 pipe, the worker deserialises a private copy.  This module replaces that
 payload with POSIX shared memory (``multiprocessing.shared_memory``):
 
-* :class:`SharedArrayStore` (driver side) copies arrays **once** into
-  named shared-memory segments and hands out :class:`ArrayDescriptor`
-  records — ``(segment, dtype, shape, offset)``, a few dozen bytes each;
+* :class:`SharedArrayStore` (driver side) copies each array **once** into
+  its own named shared-memory segment and hands out
+  :class:`ArrayDescriptor` records — ``(segment, dtype, shape)``, a few
+  dozen bytes each;
 * :func:`attach_view` (worker side) reattaches a descriptor as a
   **read-only** NumPy view onto the same physical pages — no copy, no
   deserialisation, amortised over a small per-process attachment cache;
 * :func:`dumps_shared` pickles an arbitrary task payload while routing
   every large ``np.ndarray`` it contains through the store, so nested
-  dataclasses (curated granules, classifiers) get the zero-copy path
-  without the engine knowing their shape.
+  dataclasses (curated granules, classifiers, the row slices of a
+  ``map_arrays`` partition) get the zero-copy path without the engine
+  knowing their shape.  It is the process executor's one task encoder.
 
 Lifetime contract: the driver owns every segment it creates.  The store
 unlinks all of them on :meth:`~SharedArrayStore.close` (idempotent, also
@@ -34,7 +36,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -54,9 +56,6 @@ SHM_PREFIX = "repro_shm_"
 #: a segment per tiny array costs more than copying the bytes.
 DEFAULT_MIN_SHARED_BYTES = 1 << 16
 
-#: Per-variable alignment inside a multi-array segment (cache-line friendly).
-_ALIGN = 64
-
 #: Worker-side attachment cache capacity, in segments.  Small on purpose: an
 #: attachment pins the segment's pages mapped in the worker, and fan-out jobs
 #: reuse at most a handful of segments at a time.
@@ -65,12 +64,11 @@ _ATTACH_CAPACITY = 8
 
 @dataclass(frozen=True)
 class ArrayDescriptor:
-    """A picklable address of one array inside a shared-memory segment."""
+    """A picklable address of the one array held by a shared-memory segment."""
 
     segment: str
     dtype: str
     shape: tuple[int, ...]
-    offset: int
 
     @property
     def nbytes(self) -> int:
@@ -104,7 +102,7 @@ def _release_segments(segments: list[shared_memory.SharedMemory]) -> None:
 class SharedArrayStore:
     """Driver-side owner of shared-memory segments for one fan-out job.
 
-    Use as a context manager around the job: publish/put while submitting,
+    Use as a context manager around the job: put while submitting,
     and the segments are guaranteed unlinked when the block exits — even
     when a worker raised and the exception is propagating.  ``close`` is
     idempotent; a forgotten store is cleaned up by its finalizer.
@@ -132,46 +130,7 @@ class SharedArrayStore:
             )
         segment = self._allocate(arr.nbytes)
         np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)[...] = arr
-        return ArrayDescriptor(
-            segment=segment.name, dtype=arr.dtype.str, shape=arr.shape, offset=0
-        )
-
-    def publish(self, arrays: Mapping[str, np.ndarray]) -> dict[str, ArrayDescriptor]:
-        """Copy a struct-of-arrays payload into **one** segment.
-
-        Every array is copied exactly once, whatever the partition count:
-        workers slice their partitions out of the attached views.  Arrays
-        are laid out back to back at :data:`_ALIGN`-byte offsets; empty
-        arrays get descriptors at offset 0 (they address no bytes).
-        """
-        items = [(name, np.ascontiguousarray(a)) for name, a in arrays.items()]
-        offsets: dict[str, int] = {}
-        cursor = 0
-        for name, arr in items:
-            if arr.nbytes == 0:
-                offsets[name] = 0
-                continue
-            if not _shareable(np.asarray(arr)):
-                raise ValueError(
-                    f"array {name!r} cannot be shared (dtype {arr.dtype!r})"
-                )
-            cursor = -(-cursor // _ALIGN) * _ALIGN
-            offsets[name] = cursor
-            cursor += arr.nbytes
-        if cursor == 0:
-            raise ValueError("cannot publish an all-empty payload to shared memory")
-        segment = self._allocate(cursor)
-        descriptors: dict[str, ArrayDescriptor] = {}
-        for name, arr in items:
-            offset = offsets[name]
-            if arr.nbytes:
-                np.ndarray(
-                    arr.shape, dtype=arr.dtype, buffer=segment.buf, offset=offset
-                )[...] = arr
-            descriptors[name] = ArrayDescriptor(
-                segment=segment.name, dtype=arr.dtype.str, shape=arr.shape, offset=offset
-            )
-        return descriptors
+        return ArrayDescriptor(segment=segment.name, dtype=arr.dtype.str, shape=arr.shape)
 
     # -- lifetime ----------------------------------------------------------
 
@@ -271,7 +230,6 @@ def attach_view(descriptor: ArrayDescriptor) -> np.ndarray:
         tuple(descriptor.shape),
         dtype=np.dtype(descriptor.dtype),
         buffer=segment.buf,
-        offset=descriptor.offset,
     )
     view.flags.writeable = False
     refs[:] = [ref for ref in refs if ref() is not None]

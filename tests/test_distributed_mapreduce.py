@@ -99,7 +99,7 @@ class TestMapReduceEngine:
             assert engine.run(lambda: [0, 1], _worker_backend, list).value == [driver] * 2
             with kernels.use_backend(other):
                 ran = engine.run(lambda: [0, 1], _worker_backend, list)
-                # The shared-memory path of map_arrays submits its own tasks.
+                # map_arrays builds its own partition tasks; they carry the backend too.
                 shared = engine.map_arrays({"x": np.arange(4.0)}, _worker_backend, list)
             assert ran.value == [other] * 2
             assert shared.value == [other] * 2

@@ -24,18 +24,30 @@ from hypothesis import strategies as st
 from repro.distributed import shm
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.distributed.shm import (
+    DEFAULT_MIN_SHARED_BYTES,
     SHM_PREFIX,
     ArrayDescriptor,
     SharedArrayStore,
     attach_view,
     dumps_shared,
 )
+from repro.obs.core import Obs
 
 _DEV_SHM = Path("/dev/shm")
 
 needs_dev_shm = pytest.mark.skipif(
     not _DEV_SHM.is_dir(), reason="requires a /dev/shm filesystem to audit"
 )
+
+
+#: float64 rows whose slice reaches the engine's shared-memory threshold: a
+#: partition of at least this many rows per float64 array crosses /dev/shm.
+_SHM_ROWS = DEFAULT_MIN_SHARED_BYTES // 8
+
+
+def _published(obs: Obs) -> float:
+    """Bytes an engine reporting to ``obs`` has put into shared memory."""
+    return obs.registry.value("mapreduce_shm_published_bytes_total")
 
 
 def _live_segments() -> set[str]:
@@ -118,31 +130,6 @@ class TestSharedArrayStore:
             with pytest.raises(ValueError):
                 store.put(np.empty((0, 3)))
 
-    def test_publish_single_segment_with_aligned_offsets(self):
-        rng = np.random.default_rng(11)
-        arrays = {
-            "a": rng.standard_normal(1000),
-            "b": rng.integers(0, 2**31, size=777, dtype=np.int64),
-            "c": rng.standard_normal((13, 17)).astype(np.float32),
-            "empty": np.empty(0, dtype=np.float64),
-        }
-        with SharedArrayStore() as store:
-            descriptors = store.publish(arrays)
-            segments = {d.segment for d in descriptors.values()}
-            assert len(segments) == 1  # one arena, however many arrays
-            assert len(store.segment_names) == 1
-            for name, desc in descriptors.items():
-                assert desc.offset % 64 == 0
-                if desc.nbytes:
-                    view = attach_view(desc)
-                    assert view.tobytes() == arrays[name].tobytes()
-                    del view
-
-    def test_publish_all_empty_raises(self):
-        with SharedArrayStore() as store:
-            with pytest.raises(ValueError):
-                store.publish({"a": np.empty(0), "b": np.empty((0, 4))})
-
     @needs_dev_shm
     def test_close_unlinks_and_is_idempotent(self):
         store = SharedArrayStore()
@@ -213,9 +200,9 @@ class TestAttachView:
             del v1, v2
 
     def test_descriptor_nbytes(self):
-        desc = ArrayDescriptor(segment="x", dtype="<f8", shape=(10, 3), offset=0)
+        desc = ArrayDescriptor(segment="x", dtype="<f8", shape=(10, 3))
         assert desc.nbytes == 240
-        empty = ArrayDescriptor(segment="x", dtype="<f8", shape=(0, 3), offset=0)
+        empty = ArrayDescriptor(segment="x", dtype="<f8", shape=(0, 3))
         assert empty.nbytes == 0
 
 
@@ -254,33 +241,39 @@ class TestDumpsShared:
 class TestNoLeaks:
     def test_map_arrays_process_leaves_no_segments(self):
         before = _live_segments()
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=3, executor="process", max_workers=2, obs=obs
         ) as engine:
             rng = np.random.default_rng(5)
-            arrays = {"x": rng.standard_normal(10_000), "y": rng.standard_normal(10_000)}
+            n = 3 * _SHM_ROWS
+            arrays = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
             result = engine.map_arrays(arrays, _sum_chunk, _merge_sums)
             assert result.value["x"] == pytest.approx(float(arrays["x"].sum()))
+        assert _published(obs) > 0
         assert _live_segments() <= before
 
     def test_worker_exception_leaves_no_segments(self):
         before = _live_segments()
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=3, executor="process", max_workers=2, obs=obs
         ) as engine:
-            arrays = {"x": np.ones(10_000)}
+            arrays = {"x": np.ones(3 * _SHM_ROWS)}
             with pytest.raises(ValueError, match="intentional worker failure"):
                 engine.map_arrays(arrays, _raise_chunk, _merge_sums)
+            assert _published(obs) > 0
             # The engine survives the failure and still computes correctly.
             result = engine.map_arrays(arrays, _sum_chunk, _merge_sums)
-            assert result.value["x"] == pytest.approx(10_000.0)
+            assert result.value["x"] == pytest.approx(3.0 * _SHM_ROWS)
         assert _live_segments() <= before
 
     def test_run_with_array_items_leaves_no_segments(self):
         before = _live_segments()
-        items = [np.full(5_000, float(i)) for i in range(6)]
+        items = [np.full(_SHM_ROWS, float(i)) for i in range(6)]
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=3, executor="process", max_workers=2, obs=obs
         ) as engine:
             result = engine.run(
                 lambda: items,
@@ -288,21 +281,24 @@ class TestNoLeaks:
                 sum,
             )
             assert result.value == pytest.approx(sum(float(a.sum()) for a in items))
+        assert _published(obs) > 0
         assert _live_segments() <= before
 
     def test_broken_pool_recovers_and_leaves_no_segments(self):
         before = _live_segments()
         from concurrent.futures.process import BrokenProcessPool
 
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=2, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=2, executor="process", max_workers=2, obs=obs
         ) as engine:
-            arrays = {"x": np.ones(10_000)}
+            arrays = {"x": np.ones(2 * _SHM_ROWS)}
             with pytest.raises(BrokenProcessPool):
                 engine.map_arrays(arrays, _die_abruptly, _merge_sums)
+            assert _published(obs) > 0
             # The broken pool was discarded; the next job respawns and works.
             result = engine.map_arrays(arrays, _sum_chunk, _merge_sums)
-            assert result.value["x"] == pytest.approx(10_000.0)
+            assert result.value["x"] == pytest.approx(2.0 * _SHM_ROWS)
         assert _live_segments() <= before
 
 
@@ -312,31 +308,46 @@ def _sum_items(partition):
 
 class TestEngineIntegration:
     def test_workers_see_read_only_views(self):
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=2, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=2, executor="process", max_workers=2, obs=obs
         ) as engine:
-            arrays = {"x": np.ones(10_000)}
+            arrays = {"x": np.ones(2 * _SHM_ROWS)}
             result = engine.map_arrays(arrays, _attempt_write, _keep_parts)
             assert all(not flags["x"] for flags in result.value)
+            assert _published(obs) > 0
             # The driver's copy was never corrupted through the view.
-            np.testing.assert_array_equal(arrays["x"], np.ones(10_000))
+            np.testing.assert_array_equal(arrays["x"], np.ones(2 * _SHM_ROWS))
+
+    def test_map_function_arrays_arrive_as_read_only_views(self):
+        """An array the map function holds travels through shared memory too,
+        once per task, like the partition's own slices."""
+        table = np.arange(float(_SHM_ROWS))
+        obs = Obs()
+        with MapReduceEngine(
+            n_partitions=2, executor="process", max_workers=2, obs=obs
+        ) as engine:
+            result = engine.map_arrays({"x": np.ones(4)}, _TableProbe(table), _keep_parts)
+        assert result.value == [(False, float(table.sum()))] * 2
+        assert _published(obs) == 2 * table.nbytes
 
     def test_pool_reused_across_jobs(self):
+        obs = Obs()
         with MapReduceEngine(
-            n_partitions=2, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=2, executor="process", max_workers=2, obs=obs
         ) as engine:
-            arrays = {"x": np.ones(10_000)}
+            arrays = {"x": np.ones(2 * _SHM_ROWS)}
             engine.map_arrays(arrays, _sum_chunk, _merge_sums)
             pool_first = engine._pool_box[0]
             engine.map_arrays(arrays, _sum_chunk, _merge_sums)
             assert engine._pool_box[0] is pool_first
+        assert _published(obs) > 0
 
     def test_closed_engine_respawns(self):
-        engine = MapReduceEngine(
-            n_partitions=2, executor="process", max_workers=2, shm_min_bytes=1
-        )
+        obs = Obs()
+        engine = MapReduceEngine(n_partitions=2, executor="process", max_workers=2, obs=obs)
         try:
-            arrays = {"x": np.ones(10_000)}
+            arrays = {"x": np.ones(2 * _SHM_ROWS)}
             first = engine.map_arrays(arrays, _sum_chunk, _merge_sums)
             engine.close()
             assert engine._pool_box == []
@@ -344,26 +355,54 @@ class TestEngineIntegration:
             assert second.value == first.value
         finally:
             engine.close()
+        assert _published(obs) > 0
 
-    def test_shm_off_matches_shm_on(self):
+    @pytest.mark.parametrize(
+        ("n_rows", "n_partitions", "published"),
+        [
+            (3 * (_SHM_ROWS - 1), 3, 0),
+            (3 * _SHM_ROWS, 3, 3 * 2 * DEFAULT_MIN_SHARED_BYTES),
+            (2, 5, 0),
+        ],
+        ids=["below-threshold", "at-threshold", "more-partitions-than-rows"],
+    )
+    def test_shm_off_matches_shm_on(self, n_rows, n_partitions, published):
+        """Every executor and transport gives the serial bytes; only partitions
+        of at least the threshold per array cross shared memory."""
         rng = np.random.default_rng(23)
         arrays = {
-            "x": rng.standard_normal(9_999),
-            "y": rng.integers(0, 100, size=9_999).astype(np.float32),
+            "x": rng.standard_normal(n_rows),
+            "y": rng.integers(0, 100, size=n_rows, dtype=np.int64),
         }
-        with MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, shm_min_bytes=1
+        obs = Obs()
+        with MapReduceEngine(n_partitions, "serial") as serial, MapReduceEngine(
+            n_partitions, "thread", max_workers=2
+        ) as thread, MapReduceEngine(
+            n_partitions, "process", max_workers=2, obs=obs
         ) as shm_engine, MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, use_shm=False
+            n_partitions, "process", max_workers=2, use_shm=False
         ) as plain_engine:
-            a = shm_engine.map_arrays(arrays, _identity_chunk, _concat_chunks)
-            b = plain_engine.map_arrays(arrays, _identity_chunk, _concat_chunks)
-            for name in arrays:
-                assert a.value[name].tobytes() == b.value[name].tobytes()
+            reference = serial.map_arrays(arrays, _identity_chunk, _concat_chunks).value
+            for engine in (thread, shm_engine, plain_engine):
+                out = engine.map_arrays(arrays, _identity_chunk, _concat_chunks).value
+                for name in arrays:
+                    assert out[name].dtype == reference[name].dtype
+                    assert out[name].tobytes() == reference[name].tobytes()
+        assert _published(obs) == published
 
 
 def _keep_parts(parts):
     return list(parts)
+
+
+class _TableProbe:
+    """Picklable map function holding an array; reports how the worker got it."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+    def __call__(self, chunk):
+        return bool(self.table.flags.writeable), float(self.table.sum())
 
 
 # -- Hypothesis: executor equivalence through the shm path -------------------
@@ -378,7 +417,7 @@ def engines():
         _ENGINES["serial"] = MapReduceEngine(n_partitions=3, executor="serial")
         _ENGINES["thread"] = MapReduceEngine(n_partitions=3, executor="thread", max_workers=2)
         _ENGINES["process"] = MapReduceEngine(
-            n_partitions=3, executor="process", max_workers=2, shm_min_bytes=1
+            n_partitions=3, executor="process", max_workers=2, obs=Obs()
         )
     yield _ENGINES
     for engine in _ENGINES.values():
@@ -397,20 +436,32 @@ def engines():
 )
 @settings(max_examples=25, deadline=None)
 def test_property_executors_byte_identical(engines, values, dtype, n_partitions):
-    """serial == thread == process(+shm) on the exact output bytes."""
-    data = np.asarray(values, dtype=np.float64).astype(dtype)
-    arrays = {"v": data, "w": np.arange(data.shape[0], dtype=np.float64)}
-    outputs = {}
-    for name, engine in engines.items():
-        result = engine.map_arrays(
-            arrays, _identity_chunk, _concat_chunks, n_partitions=n_partitions
-        )
-        outputs[name] = result.value
-    reference = outputs["serial"]
-    for name in ("thread", "process"):
-        for key in arrays:
-            assert outputs[name][key].dtype == reference[key].dtype
-            assert outputs[name][key].tobytes() == reference[key].tobytes()
+    """serial == thread == process(+shm) on the exact output bytes.
+
+    The drawn values run as drawn (small partitions pickle by value) and
+    tiled to at least 64 KiB per partition and array, which must cross
+    shared memory whenever the job fans out.
+    """
+    small = np.asarray(values, dtype=np.float64).astype(dtype)
+    n_large = 2 * _SHM_ROWS * n_partitions + small.shape[0]
+    large = np.resize(small, n_large) if small.size else np.zeros(n_large, dtype)
+    process_obs = engines["process"].obs
+    for data in (small, large):
+        arrays = {"v": data, "w": np.arange(data.shape[0], dtype=np.float64)}
+        published = _published(process_obs)
+        outputs = {}
+        for name, engine in engines.items():
+            result = engine.map_arrays(
+                arrays, _identity_chunk, _concat_chunks, n_partitions=n_partitions
+            )
+            outputs[name] = result.value
+        reference = outputs["serial"]
+        for name in ("thread", "process"):
+            for key in arrays:
+                assert outputs[name][key].dtype == reference[key].dtype
+                assert outputs[name][key].tobytes() == reference[key].tobytes()
+        crossed = _published(process_obs) > published
+        assert crossed == (data is large and n_partitions > 1)
 
 
 @needs_dev_shm
