@@ -84,6 +84,11 @@ CLASS_THIN_ICE = 1
 CLASS_OPEN_WATER = 2
 #: Sentinel value for unlabeled / invalid segments.
 CLASS_UNLABELED = -1
+#: Sentinel class of a Sentinel-2 pixel that a corridor segmentation did not
+#: compute.  Every class lookup raises when it reads one.  It is the int8
+#: minimum, apart from ``CLASS_UNLABELED``, which the drift kernels rank as
+#: a class of its own.
+CLASS_UNSEGMENTED = -128
 
 #: Human readable names indexed by class id.
 CLASS_NAMES = ("thick_ice", "thin_ice", "open_water")

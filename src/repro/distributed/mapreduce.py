@@ -29,10 +29,11 @@ Two zero-copy properties of the process executor:
   :func:`~repro.distributed.shm.dumps_shared`: each array in it of at
   least :data:`~repro.distributed.shm.DEFAULT_MIN_SHARED_BYTES` — a
   ``map_arrays`` row slice, a ``run`` partition's items, an array the map
-  function holds — is copied once into its own shared-memory segment and
-  the worker reattaches it as a read-only view, instead of unpickling a
-  private copy from the pipe.  ``run`` and ``map_arrays`` submit the same
-  task type through this one path.  Results still return by value.  All
+  function holds — is copied into its own shared-memory segment once per
+  job, however many tasks hold it, and the worker reattaches it as a
+  read-only view, instead of unpickling a private copy from the pipe.
+  ``run`` and ``map_arrays`` submit the same task type through this one
+  path.  Results still return by value.  All
   segments are unlinked when the job finishes, even when a worker raises.
 
 Results from every executor are checked against the serial reference in the
@@ -277,8 +278,9 @@ class MapReduceEngine:
         with SharedArrayStore() as store:
             if self.use_shm:
                 payloads = [dumps_shared(t, store) for t in jobs]
-                # Each segment holds one task's array and is attached by
-                # that task alone, so published bytes are the whole traffic.
+                # Each array object is published once per job: a partition's
+                # slices by its own task, an array the map function holds
+                # by every task that shares it.
                 if store.nbytes:
                     self.obs.counter("mapreduce_shm_published_bytes_total").inc(
                         store.nbytes

@@ -8,7 +8,9 @@ payload with POSIX shared memory (``multiprocessing.shared_memory``):
 * :class:`SharedArrayStore` (driver side) copies each array **once** into
   its own named shared-memory segment and hands out
   :class:`ArrayDescriptor` records — ``(segment, dtype, shape)``, a few
-  dozen bytes each;
+  dozen bytes each.  An array object put again (say, one that every task
+  of a job holds) gets its first descriptor back, so a job publishes it
+  once;
 * :func:`attach_view` (worker side) reattaches a descriptor as a
   **read-only** NumPy view onto the same physical pages — no copy, no
   deserialisation, amortised over a small per-process attachment cache;
@@ -110,6 +112,9 @@ class SharedArrayStore:
 
     def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
+        # id(array) -> (array, descriptor).  Holding the array keeps its id
+        # from being reused by another object while the store lives.
+        self._published: dict[int, tuple[np.ndarray, ArrayDescriptor]] = {}
         self._finalizer = weakref.finalize(self, _release_segments, self._segments)
 
     # -- publishing --------------------------------------------------------
@@ -121,7 +126,15 @@ class SharedArrayStore:
         return segment
 
     def put(self, array: np.ndarray) -> ArrayDescriptor:
-        """Copy one array into its own segment; return its descriptor."""
+        """Copy one array into its own segment; return its descriptor.
+
+        The same array object put again returns the descriptor of its first
+        put without a copy: a store serves one job, whose tasks are all
+        encoded before any of them runs.
+        """
+        published = self._published.get(id(array))
+        if published is not None:
+            return published[1]
         arr = np.ascontiguousarray(array)
         if not _shareable(np.asarray(arr)):
             raise ValueError(
@@ -130,7 +143,9 @@ class SharedArrayStore:
             )
         segment = self._allocate(arr.nbytes)
         np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)[...] = arr
-        return ArrayDescriptor(segment=segment.name, dtype=arr.dtype.str, shape=arr.shape)
+        descriptor = ArrayDescriptor(segment=segment.name, dtype=arr.dtype.str, shape=arr.shape)
+        self._published[id(array)] = (array, descriptor)
+        return descriptor
 
     # -- lifetime ----------------------------------------------------------
 
@@ -145,6 +160,7 @@ class SharedArrayStore:
 
     def close(self) -> None:
         """Unlink every segment (idempotent; also runs via the finalizer)."""
+        self._published.clear()
         self._finalizer()  # weakref.finalize is call-once: close + detach
 
     def __enter__(self) -> "SharedArrayStore":
@@ -247,9 +263,10 @@ class _SharedArrayPickler(pickle.Pickler):
 
     ``reducer_override`` is consulted for every non-atomic object in the
     graph, so arrays nested arbitrarily deep (inside dataclasses, dicts,
-    tuples) are intercepted without the caller declaring them.  Each is
-    copied once into ``store`` and pickled as ``attach_view(descriptor)``;
-    everything else pickles normally.
+    tuples) are intercepted without the caller declaring them.  Each array
+    object is copied once into ``store`` (however many payloads hold it) and
+    pickled as ``attach_view(descriptor)``; everything else pickles
+    normally.
     """
 
     def __init__(self, file: io.BytesIO, store: SharedArrayStore, min_bytes: int) -> None:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
+from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_UNSEGMENTED
 from repro.kernels import get_backend
 
 if TYPE_CHECKING:
@@ -39,13 +39,22 @@ RESCORE_TOLERANCE = 1e-9
 MIN_SPREAD = 1e-9
 
 
+#: Raised when a shift reads a pixel that a corridor segmentation did not
+#: compute: the search reaches farther than the segmented corridor.
+_UNSEGMENTED_READ = "the drift search read a Sentinel-2 pixel outside the segmented corridor"
+
+
+#: Ordinal rank of every int8 class id, indexed by the id's byte: open water
+#: 0, thick ice 2, an unsegmented pixel NaN and any other id (thin ice) 1.
+_RANK_OF_BYTE = np.ones(256)
+_RANK_OF_BYTE[np.int8(CLASS_OPEN_WATER).view(np.uint8)] = 0.0
+_RANK_OF_BYTE[np.int8(CLASS_THICK_ICE).view(np.uint8)] = 2.0
+_RANK_OF_BYTE[np.int8(CLASS_UNSEGMENTED).view(np.uint8)] = np.nan
+
+
 def _rank(labels: np.ndarray) -> np.ndarray:
-    """Ordinal label rank: open water 0, thin ice 1, thick ice 2."""
-    rank = np.empty(labels.shape, dtype=float)
-    rank[labels == CLASS_OPEN_WATER] = 0.0
-    rank[(labels != CLASS_OPEN_WATER) & (labels != CLASS_THICK_ICE)] = 1.0
-    rank[labels == CLASS_THICK_ICE] = 2.0
-    return rank
+    """Ordinal label rank of int8 class ids, as one table gather."""
+    return _RANK_OF_BYTE[np.asarray(labels).astype(np.int8, copy=False).view(np.uint8)]
 
 
 def alignment_score(
@@ -69,6 +78,8 @@ def alignment_score(
     """
     row, col = image.pixel_index(seg_x - dx, seg_y - dy)
     rank = _rank(class_map[row, col])
+    if np.isnan(rank).any():
+        raise ValueError(_UNSEGMENTED_READ)
     # The correlation is undefined when either side is constant.
     if rank.std() < MIN_SPREAD or seg_height.std() < MIN_SPREAD:
         return -np.inf
@@ -130,6 +141,9 @@ def drift_search_vectorized(
     for i in range(dxs.size):
         rank = rank_flat[row_offsets + cols[i]]
         s_rh, s1 = (rank @ rhs).T
+        # An unsegmented pixel's NaN rank reaches its candidate's rank sum.
+        if np.isnan(s1).any():
+            raise ValueError(_UNSEGMENTED_READ)
         s2 = np.einsum("ij,ij->i", rank, rank)
         ss_rank = s2 - s1 * s1 / n
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -22,6 +22,12 @@ from repro.kernels import drift as kdrift
 from repro.sentinel2.scene import S2Image
 from repro.utils.validation import ensure_1d, ensure_same_length
 
+#: Half-width of the drift search window in metres: the default
+#: ``max_shift_m`` of :func:`estimate_drift`, and the reach of the corridor
+#: that the ``segmentation`` stage segments around the tracks.  The paper's
+#: shifts are at most 550 m.
+MAX_SHIFT_M = 800.0
+
 
 @dataclass(frozen=True)
 class DriftEstimate:
@@ -52,7 +58,7 @@ def estimate_drift(
     seg_x_m: np.ndarray,
     seg_y_m: np.ndarray,
     seg_height_m: np.ndarray,
-    max_shift_m: float = 800.0,
+    max_shift_m: float = MAX_SHIFT_M,
     coarse_step_m: float = 50.0,
     fine_step_m: float = 25.0,
     min_improvement: float = 0.01,
@@ -70,6 +76,8 @@ def estimate_drift(
         Projected coordinates and mean heights of the IS2 2 m segments.
     max_shift_m:
         Half-width of the search window (the paper's shifts are <= 550 m).
+        A corridor segmentation covers shifts up to :data:`MAX_SHIFT_M`; a
+        wider search reads unsegmented pixels and raises ``ValueError``.
     coarse_step_m, fine_step_m:
         Grid spacings of the two-stage search.
     min_improvement:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CLASS_UNLABELED
+from repro.config import CLASS_UNLABELED, CLASS_UNSEGMENTED
 from repro.geodesy.grid import GridDefinition
 from repro.resampling.window import SegmentArray
 from repro.sentinel2.scene import S2Image
@@ -76,11 +76,12 @@ def lookup_labels(
     x_m: np.ndarray,
     y_m: np.ndarray,
 ) -> AutoLabelResult:
-    """The unchecked core of :func:`overlay_labels`, over the arrays it reads.
+    """The core of :func:`overlay_labels`, over the arrays it reads.
 
-    The Table II map-reduce job calls it per partition; taking arrays rather
-    than the whole segmentation keeps ``compensated_brightness`` out of its
-    tasks.
+    The Table II map-reduce job calls it per partition with the three planes
+    it reads; it skips :func:`overlay_labels`' grid-shape check, which that
+    job makes once on the driver.  A point on a pixel that a corridor
+    segmentation did not compute raises ``ValueError``.
     """
     inside = grid.contains(x_m, y_m) & np.isfinite(x_m) & np.isfinite(y_m)
     labels = np.full(x_m.shape, CLASS_UNLABELED, dtype=np.int8)
@@ -89,7 +90,12 @@ def lookup_labels(
 
     if inside.any():
         row, col = grid.cell_index(x_m[inside], y_m[inside], clip=True)
-        labels[inside] = class_map[row, col]
+        found = class_map[row, col]
+        if (found == CLASS_UNSEGMENTED).any():
+            raise ValueError(
+                "auto-labeling read a Sentinel-2 pixel outside the segmented corridor"
+            )
+        labels[inside] = found
         cloudy[inside] = cloud_mask[row, col]
         shadowed[inside] = shadow_mask[row, col]
 

@@ -18,7 +18,10 @@ dearer to recompute than to store.  The S2 image is ~27 MB for an 8 km scene
 (~30 ms to pickle), while ``segmentation``, ``drift`` and ``autolabel`` are
 the only stages that read its pixels and they are all cached, so ``s2`` is
 uncached: the image is rendered in memory by the run that needs it (a
-cold run, or a miss of one of those three stages) and never written.  The
+cold run, or a miss of one of those three stages) and never written.  Its
+bands are rendered where they are read: ``segmentation`` also takes the
+``segments`` and renders and segments only the corridor of tiles that drift
+and auto-labeling can read.  The
 drift stage caches only the :class:`~repro.labeling.alignment.DriftEstimate`,
 and the uncached ``align`` stage re-derives the aligned image from the image
 and that estimate (a change of georeferencing, not of pixels).  ``curate``
@@ -57,7 +60,7 @@ from repro.freeboard.freeboard import (
 )
 from repro.l3.processor import Level3Processor
 from repro.l3.product import Level3Grid
-from repro.labeling.alignment import DriftEstimate, apply_shift, estimate_drift
+from repro.labeling.alignment import MAX_SHIFT_M, DriftEstimate, apply_shift, estimate_drift
 from repro.labeling.autolabel import AutoLabelResult, auto_label_segments
 from repro.labeling.manual import CorrectionReport, correct_labels
 from repro.pipeline.artifact import ArtifactSpec
@@ -68,7 +71,7 @@ from repro.products.atl10 import ATL10Product, generate_atl10
 from repro.resampling.window import SegmentArray, concatenate_segments, resample_fixed_window
 from repro.sentinel2.scene import S2Image, render_scene
 from repro.serve.pyramid import TilePyramid, build_pyramid
-from repro.sentinel2.segmentation import SegmentationResult, segment_image
+from repro.sentinel2.segmentation import SegmentationResult, corridor_tiles, segment_image
 from repro.surface.scene import IceScene, generate_scene
 from repro.utils.random import default_rng, derive_rng
 from repro.workflow.experiment import ExperimentData, training_arrays
@@ -126,8 +129,19 @@ def stage_s2(ctx: StageContext, scene: IceScene) -> dict[str, Any]:
     return {"image": image}
 
 
-def stage_segmentation(ctx: StageContext, image: S2Image) -> dict[str, Any]:
-    return {"segmentation": segment_image(image, ctx.config.segmentation)}
+def stage_segmentation(
+    ctx: StageContext, image: S2Image, segments: dict[str, SegmentArray]
+) -> dict[str, Any]:
+    """Segment the corridor of tiles that drift and auto-labeling can read.
+
+    Both read class pixels at track segment positions shifted by at most
+    ``MAX_SHIFT_M``, the drift search's default reach, so only the tiles
+    within that reach of any beam's segments are rendered and segmented.
+    """
+    x_m = np.concatenate([seg.x_m for seg in segments.values()] or [np.empty(0)])
+    y_m = np.concatenate([seg.y_m for seg in segments.values()] or [np.empty(0)])
+    tiles = corridor_tiles(image.grid, x_m, y_m, MAX_SHIFT_M)
+    return {"segmentation": segment_image(image, ctx.config.segmentation, tiles=tiles)}
 
 
 def stage_resample(ctx: StageContext, granule: Granule) -> dict[str, Any]:
@@ -391,7 +405,7 @@ def build_default_graph() -> StageGraph:
         Stage(
             "segmentation",
             stage_segmentation,
-            ("image",),
+            ("image", "segments"),
             ("segmentation",),
             ("segmentation",),
         ),

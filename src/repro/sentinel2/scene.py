@@ -16,6 +16,12 @@ ice / nilas) is intermediate with a falling NIR, and open water is dark in
 all bands.  Per-pixel texture noise and a freeboard-dependent brightening of
 ridges are added, then thin clouds and shadows from
 :mod:`repro.sentinel2.cloud` modulate the image.
+
+:func:`render_scene` draws those per-pixel terms over the whole image and
+returns an image that renders its bands where they are read: the whole
+stack on first read of :attr:`S2Image.bands`, or one block of pixels at a
+time through :meth:`S2Image.block_bands`, which the corridor segmentation
+uses to render only the tiles the tracks can read.
 """
 
 from __future__ import annotations
@@ -47,6 +53,21 @@ CLASS_REFLECTANCE = np.array(
 #: 800-pixel, 4-band float64 stack are 800 KB, which stays in L2 cache.
 _BLOCK_ROWS = 32
 
+#: Side of the square tiles that a corridor segmentation
+#: (:func:`~repro.sentinel2.segmentation.segment_image` with ``tiles=``)
+#: renders and segments.  A row of tiles is one row block.
+TILE_PX = _BLOCK_ROWS
+
+
+def tile_grid_shape(shape: tuple[int, int]) -> tuple[int, int]:
+    """(rows, columns) of the :data:`TILE_PX` tiles covering an image grid.
+
+    Tiles start at pixel (0, 0); the last row and column of tiles are cut
+    short when the image size is not a multiple of the tile size.
+    """
+    ny, nx = shape
+    return -(-ny // TILE_PX), -(-nx // TILE_PX)
+
 
 @dataclass(frozen=True)
 class S2SceneConfig:
@@ -65,6 +86,23 @@ class S2SceneConfig:
             raise ValueError("noise terms must be non-negative")
 
 
+@dataclass(frozen=True)
+class RenderLayers:
+    """The per-pixel terms :func:`render_scene` adds to the class reflectance.
+
+    Together with an image's class map and cloud fields they fix every
+    pixel's bands, so a rendered image keeps them instead of its bands until
+    the bands are read (:attr:`S2Image.bands`) or a block of them is
+    (:meth:`S2Image.block_bands`).
+    """
+
+    #: Texture noise, already scaled by ``texture_noise``.
+    noise: np.ndarray
+    #: Ridge brightening, already scaled, or ``None`` when it is off.
+    ridge: np.ndarray | None
+    cloud: CloudConfig
+
+
 @dataclass
 class S2Image:
     """A simulated Sentinel-2 acquisition over an ice scene.
@@ -73,6 +111,9 @@ class S2Image:
     ----------
     bands:
         Array of shape ``(4, ny, nx)`` holding B2, B3, B4, B8 reflectance.
+        An image from :func:`render_scene` passes ``bands=None`` with its
+        ``layers`` and fills the stack on first read, one row block at a
+        time, with the bytes a whole-image render gives.
     origin_x_m, origin_y_m, pixel_size_m:
         Georeferencing in Antarctic polar stereographic metres.  The origin
         is the *lower-left* corner of the image.
@@ -83,7 +124,10 @@ class S2Image:
         ground truth that the segmentation's cloud/shadow filter is judged
         against.
     truth_class_map:
-        The underlying surface class of every pixel (for evaluation only).
+        The underlying surface class of every pixel: ground truth for
+        evaluation, and the class term of bands rendered from ``layers``.
+    layers:
+        The render terms that fill ``bands`` when it is ``None``.
     """
 
     bands: np.ndarray
@@ -94,19 +138,63 @@ class S2Image:
     cloud_optical_depth: np.ndarray
     shadow_mask: np.ndarray
     truth_class_map: np.ndarray
+    layers: RenderLayers | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bands = np.asarray(self.bands, dtype=float)
-        if bands.ndim != 3 or bands.shape[0] != len(BAND_NAMES):
-            raise ValueError(f"bands must have shape (4, ny, nx), got {bands.shape}")
-        self.bands = bands
+        if self._bands is None:
+            if self.layers is None:
+                raise ValueError("an S2Image needs its bands or the layers that render them")
+        else:
+            bands = np.asarray(self._bands, dtype=float)
+            if bands.ndim != 3 or bands.shape[0] != len(BAND_NAMES):
+                raise ValueError(f"bands must have shape (4, ny, nx), got {bands.shape}")
+            self._bands = bands
         if self.acquisition_time.tzinfo is None:
             self.acquisition_time = self.acquisition_time.replace(tzinfo=timezone.utc)
 
     @property
     def shape(self) -> tuple[int, int]:
         """(ny, nx) of the image grid."""
-        return self.bands.shape[1], self.bands.shape[2]
+        if self._bands is None:
+            return self.truth_class_map.shape
+        return self._bands.shape[1], self._bands.shape[2]
+
+    def block_bands(self, rows: slice, cols: np.ndarray | None = None) -> np.ndarray:
+        """Bands of one block of pixels: ``rows`` x all columns, or x ``cols``.
+
+        Returns a float array of shape ``(4, n_rows, n_cols)``, to be read
+        only: it may be a view of the stored bands.  The stored bands are
+        read when the image has them; otherwise the block is rendered from
+        :attr:`layers` with the bytes the same pixels have in a whole-image
+        read, because every pixel depends only on its own layer values.
+        """
+        if self._bands is None:
+            return self._render_block(rows, cols)
+        block = self._bands[:, rows]
+        if cols is not None:
+            block = np.take(block, cols, axis=2)
+        return np.asarray(block, dtype=float)
+
+    def _render_block(
+        self, rows: slice, cols: np.ndarray | None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Render one block from the layers: class lookup, noise, ridges,
+        clouds and shadows, clip.  Column gathers copy, so every term is a
+        contiguous array, as in a whole-row block."""
+
+        def take(plane: np.ndarray) -> np.ndarray:
+            block = plane[rows]
+            return block if cols is None else np.take(block, cols, axis=1)
+
+        layers = self.layers
+        block = np.take(CLASS_REFLECTANCE.T, take(self.truth_class_map), axis=1)
+        block += take(layers.noise)
+        if layers.ridge is not None:
+            block += take(layers.ridge)
+        block = apply_clouds_and_shadows(
+            block, take(self.cloud_optical_depth), take(self.shadow_mask), layers.cloud
+        )
+        return np.clip(block, 0.0, 1.0, out=block if out is None else out)
 
     def band(self, name: str) -> np.ndarray:
         """Reflectance of a single band by name (e.g. ``"B4"``)."""
@@ -149,7 +237,7 @@ class S2Image:
         origin, not the pixel data.
         """
         return S2Image(
-            bands=self.bands,
+            bands=self._bands,
             origin_x_m=self.origin_x_m + dx_m,
             origin_y_m=self.origin_y_m + dy_m,
             pixel_size_m=self.pixel_size_m,
@@ -157,7 +245,28 @@ class S2Image:
             cloud_optical_depth=self.cloud_optical_depth,
             shadow_mask=self.shadow_mask,
             truth_class_map=self.truth_class_map,
+            layers=self.layers,
         )
+
+
+def _read_bands(image: S2Image) -> np.ndarray:
+    if image._bands is None:
+        ny, nx = image.shape
+        bands = np.empty((len(BAND_NAMES), ny, nx))
+        for start in range(0, ny, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            image._render_block(rows, None, out=bands[:, rows])
+        image._bands = bands
+    return image._bands
+
+
+def _write_bands(image: S2Image, bands: np.ndarray | None) -> None:
+    image._bands = bands
+
+
+# A property set after the dataclass is built keeps ``bands`` a required
+# field of ``__init__`` (and of ``dataclasses.replace``).
+S2Image.bands = property(_read_bands, _write_bands, doc="The ``(4, ny, nx)`` reflectance stack.")
 
 
 def render_scene(
@@ -197,22 +306,13 @@ def render_scene(
         ridge *= cfg.ridge_brightening
     optical_depth, shadow_mask = synthesize_cloud_fields((ny, nx), cfg.cloud, rng)
 
-    # Every pixel's bands depend only on that pixel, so the stack is filled
-    # one cache-sized row block at a time: class lookup, noise, ridges,
-    # clouds and shadows, clip.
-    bands = np.empty((len(BAND_NAMES), ny, nx))
-    for start in range(0, ny, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = np.take(CLASS_REFLECTANCE.T, class_map[rows], axis=1)
-        block += noise[rows]
-        if ridge is not None:
-            block += ridge[rows]
-        block = apply_clouds_and_shadows(block, optical_depth[rows], shadow_mask[rows], cfg.cloud)
-        np.clip(block, 0.0, 1.0, out=bands[:, rows])
-
+    # Every pixel's bands depend only on that pixel and these layers, so the
+    # image keeps the layers and renders bands where they are read: the
+    # whole stack in row blocks on first read of ``bands``, or the tiles a
+    # corridor segmentation asks for.
     scene_cfg = scene.config
     return S2Image(
-        bands=bands,
+        bands=None,
         origin_x_m=scene_cfg.origin_x_m + drift_offset_m[0],
         origin_y_m=scene_cfg.origin_y_m + drift_offset_m[1],
         pixel_size_m=scene_cfg.pixel_size_m,
@@ -220,4 +320,5 @@ def render_scene(
         cloud_optical_depth=optical_depth,
         shadow_mask=shadow_mask,
         truth_class_map=class_map.copy(),
+        layers=RenderLayers(noise=noise, ridge=ridge, cloud=cfg.cloud),
     )

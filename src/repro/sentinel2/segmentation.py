@@ -28,12 +28,14 @@ Algorithm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE
-from repro.sentinel2.scene import _BLOCK_ROWS, S2Image
+from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE, CLASS_UNSEGMENTED
+from repro.geodesy.grid import GridDefinition
+from repro.sentinel2.scene import _BLOCK_ROWS, TILE_PX, S2Image, tile_grid_shape
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,39 @@ class SegmentationConfig:
 
 @dataclass
 class SegmentationResult:
-    """Output of :func:`segment_image`."""
+    """Output of :func:`segment_image`.
+
+    A corridor segmentation sets ``tiles``, the boolean
+    :func:`~repro.sentinel2.scene.tile_grid_shape` mask of the tiles it
+    computed.  The planes keep the image's full size; outside those tiles
+    ``class_map`` holds :data:`~repro.config.CLASS_UNSEGMENTED` and both
+    masks are ``False``, so the whole-image summaries refuse it.
+    """
 
     class_map: np.ndarray
     cloud_mask: np.ndarray
     shadow_mask: np.ndarray
-    compensated_brightness: np.ndarray
+    tiles: np.ndarray | None = None
+
+    def _require_whole_image(self, summary: str) -> None:
+        if self.tiles is not None:
+            raise ValueError(
+                f"{summary} summarises the whole image, but this segmentation "
+                "computed only the tiles of its corridor"
+            )
 
     @property
     def cloud_fraction(self) -> float:
+        self._require_whole_image("cloud_fraction")
         return float(self.cloud_mask.mean())
 
     @property
     def shadow_fraction(self) -> float:
+        self._require_whole_image("shadow_fraction")
         return float(self.shadow_mask.mean())
 
     def class_fractions(self) -> dict[int, float]:
+        self._require_whole_image("class_fractions")
         values, counts = np.unique(self.class_map, return_counts=True)
         total = float(self.class_map.size)
         return {int(v): float(c) / total for v, c in zip(values, counts)}
@@ -178,16 +197,50 @@ def compensate(
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+def _segment_block(
+    bands: np.ndarray, cfg: SegmentationConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes, cloud mask and shadow mask of one ``(4, rows, cols)`` block."""
+    cloud = detect_thin_clouds(bands, cfg)
+    shadow = detect_shadows(bands, cfg) & ~cloud
+    compensated = compensate(bands, cloud, shadow, cfg)
+    bright = _brightness(compensated)
+    green = compensated[1]
+    nir = compensated[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ndwi = np.where(green + nir > 1e-6, (green - nir) / np.maximum(green + nir, 1e-6), 0.0)
+
+    classes = np.full(bright.shape, CLASS_THIN_ICE, dtype=np.int8)
+    classes[bright >= cfg.thick_ice_brightness] = CLASS_THICK_ICE
+    water = (bright < cfg.thin_ice_brightness) | (
+        (bright < cfg.thick_ice_brightness * 0.6) & (ndwi > cfg.water_ndwi)
+    )
+    classes[water] = CLASS_OPEN_WATER
+    return classes, cloud, shadow
+
+
 def segment_image(
-    image: S2Image, config: SegmentationConfig | None = None
+    image: S2Image,
+    config: SegmentationConfig | None = None,
+    tiles: np.ndarray | None = None,
 ) -> SegmentationResult:
     """Segment a simulated Sentinel-2 image into surface classes.
 
     Returns per-pixel classes plus the detected cloud/shadow masks so the
     auto-labeling stage can flag photons that fall under clouds (those labels
     are less trustworthy and are routed to the manual-correction step).
+
+    ``tiles`` (a boolean :func:`~repro.sentinel2.scene.tile_grid_shape`
+    mask, e.g. from :func:`corridor_tiles`) limits the work to the marked
+    :data:`~repro.sentinel2.scene.TILE_PX` tiles: their bands are rendered
+    (:meth:`~repro.sentinel2.scene.S2Image.block_bands`) and segmented, and
+    every other pixel is left :data:`~repro.config.CLASS_UNSEGMENTED`.
+    Each step is per pixel, so a computed tile holds the bytes the
+    whole-image segmentation gives it.
     """
     cfg = config if config is not None else SegmentationConfig()
+    if tiles is not None:
+        return _segment_tiles(image, cfg, tiles)
     bands = np.asarray(image.bands, dtype=float)
     if bands.ndim != 3 or bands.shape[0] != 4:
         raise ValueError("image.bands must have shape (4, ny, nx)")
@@ -198,33 +251,74 @@ def segment_image(
     class_map = np.empty(shape, dtype=np.int8)
     cloud_mask = np.empty(shape, dtype=bool)
     shadow_mask = np.empty(shape, dtype=bool)
-    brightness = np.empty(shape)
     for start in range(0, shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block = bands[:, rows]
-        cloud = detect_thin_clouds(block, cfg)
-        shadow = detect_shadows(block, cfg) & ~cloud
-        compensated = compensate(block, cloud, shadow, cfg)
-        cloud_mask[rows] = cloud
-        shadow_mask[rows] = shadow
-        bright = _brightness(compensated)
-        brightness[rows] = bright
-        green = compensated[1]
-        nir = compensated[3]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ndwi = np.where(green + nir > 1e-6, (green - nir) / np.maximum(green + nir, 1e-6), 0.0)
-
-        classes = class_map[rows]
-        classes.fill(CLASS_THIN_ICE)
-        classes[bright >= cfg.thick_ice_brightness] = CLASS_THICK_ICE
-        water = (bright < cfg.thin_ice_brightness) | (
-            (bright < cfg.thick_ice_brightness * 0.6) & (ndwi > cfg.water_ndwi)
+        class_map[rows], cloud_mask[rows], shadow_mask[rows] = _segment_block(
+            bands[:, rows], cfg
         )
-        classes[water] = CLASS_OPEN_WATER
+    return SegmentationResult(class_map=class_map, cloud_mask=cloud_mask, shadow_mask=shadow_mask)
 
+
+def _segment_tiles(
+    image: S2Image, cfg: SegmentationConfig, tiles: np.ndarray
+) -> SegmentationResult:
+    """The corridor path of :func:`segment_image`: one packed block per tile row.
+
+    The marked tiles of a tile row sit side by side in one ``(4, rows,
+    cols)`` block (their pixel columns gathered in order), which is
+    rendered, segmented and scattered back into the full-size planes.
+    """
+    shape = image.shape
+    tiles = np.array(tiles, dtype=bool)
+    if tiles.shape != tile_grid_shape(shape):
+        raise ValueError(
+            f"tiles must have shape {tile_grid_shape(shape)} for a {shape} image, "
+            f"got {tiles.shape}"
+        )
+    class_map = np.full(shape, CLASS_UNSEGMENTED, dtype=np.int8)
+    cloud_mask = np.zeros(shape, dtype=bool)
+    shadow_mask = np.zeros(shape, dtype=bool)
+    for i in np.flatnonzero(tiles.any(axis=1)):
+        rows = slice(i * TILE_PX, (i + 1) * TILE_PX)
+        cols = np.flatnonzero(np.repeat(tiles[i], TILE_PX)[: shape[1]])
+        classes, cloud, shadow = _segment_block(image.block_bands(rows, cols), cfg)
+        class_map[rows, cols] = classes
+        cloud_mask[rows, cols] = cloud
+        shadow_mask[rows, cols] = shadow
     return SegmentationResult(
-        class_map=class_map,
-        cloud_mask=cloud_mask,
-        shadow_mask=shadow_mask,
-        compensated_brightness=brightness,
+        class_map=class_map, cloud_mask=cloud_mask, shadow_mask=shadow_mask, tiles=tiles
     )
+
+
+def corridor_tiles(
+    grid: GridDefinition, x_m: np.ndarray, y_m: np.ndarray, reach_m: float
+) -> np.ndarray:
+    """Tiles that a lookup of any point shifted by at most ``reach_m`` reads.
+
+    A lookup at ``(x - dx, y - dy)`` with ``|dx|, |dy| <= reach_m`` lands
+    within ``ceil(reach_m / cell)`` pixels of the point's own pixel, plus
+    one for the floor rounding of
+    :meth:`~repro.geodesy.grid.GridDefinition.cell_index`; a clipped lookup
+    lands on an edge pixel no farther away.  So the corridor is every
+    point's tile grown by that reach rounded up to whole tiles.  Points with
+    a non-finite coordinate are never looked up and add no tile.  Returns a
+    boolean :func:`~repro.sentinel2.scene.tile_grid_shape` mask.
+    """
+    if not reach_m >= 0:
+        raise ValueError(f"reach_m must be non-negative, got {reach_m!r}")
+    x = np.asarray(x_m, dtype=float).ravel()
+    y = np.asarray(y_m, dtype=float).ravel()
+    finite = np.isfinite(x) & np.isfinite(y)
+    seeds = np.zeros(tile_grid_shape(grid.shape), dtype=bool)
+    row, col = grid.cell_index(x[finite], y[finite], clip=True)
+    seeds[row // TILE_PX, col // TILE_PX] = True
+    margin = -(-(math.ceil(reach_m / grid.cell_size_m) + 1) // TILE_PX)
+    grown = seeds.copy()
+    for d in range(1, margin + 1):
+        grown[d:] |= seeds[:-d]
+        grown[:-d] |= seeds[d:]
+    corridor = grown.copy()
+    for d in range(1, margin + 1):
+        corridor[:, d:] |= grown[:, :-d]
+        corridor[:, :-d] |= grown[:, d:]
+    return corridor

@@ -123,6 +123,16 @@ class TestSharedArrayStore:
             np.testing.assert_array_equal(view, np.arange(100.0))
             del view
 
+    def test_put_publishes_an_array_object_once(self):
+        arr = np.arange(100.0)
+        equal_copy = arr.copy()
+        with SharedArrayStore() as store:
+            first = store.put(arr)
+            assert store.put(arr) == first
+            assert store.put(equal_copy) != first
+            assert len(store.segment_names) == 2
+            assert store.nbytes == 2 * arr.nbytes
+
     def test_put_rejects_object_and_empty_arrays(self):
         with SharedArrayStore() as store:
             with pytest.raises(ValueError):
@@ -319,17 +329,24 @@ class TestEngineIntegration:
             # The driver's copy was never corrupted through the view.
             np.testing.assert_array_equal(arrays["x"], np.ones(2 * _SHM_ROWS))
 
-    def test_map_function_arrays_arrive_as_read_only_views(self):
-        """An array the map function holds travels through shared memory too,
-        once per task, like the partition's own slices."""
+    @staticmethod
+    def _check_held_table(n_partitions):
         table = np.arange(float(_SHM_ROWS))
         obs = Obs()
         with MapReduceEngine(
-            n_partitions=2, executor="process", max_workers=2, obs=obs
+            n_partitions=n_partitions, executor="process", max_workers=2, obs=obs
         ) as engine:
             result = engine.map_arrays({"x": np.ones(4)}, _TableProbe(table), _keep_parts)
-        assert result.value == [(False, float(table.sum()))] * 2
-        assert _published(obs) == 2 * table.nbytes
+        assert result.value == [(False, float(table.sum()))] * n_partitions
+        assert _published(obs) == 1 * table.nbytes
+
+    def test_map_function_arrays_arrive_as_read_only_views(self):
+        """An array the map function holds travels through shared memory too,
+        published once per job however many tasks hold it."""
+        self._check_held_table(n_partitions=2)
+
+    def test_map_function_arrays_are_published_once_for_four_partitions(self):
+        self._check_held_table(n_partitions=4)
 
     def test_pool_reused_across_jobs(self):
         obs = Obs()

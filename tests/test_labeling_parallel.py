@@ -36,7 +36,7 @@ class TestParallelAutolabel:
         padded = SegmentationResult(
             **{
                 name: np.pad(getattr(s2_segmentation, name), ((0, 3), (0, 3)))
-                for name in ("class_map", "cloud_mask", "shadow_mask", "compensated_brightness")
+                for name in ("class_map", "cloud_mask", "shadow_mask")
             }
         )
         with pytest.raises(ValueError, match="image grid"):

@@ -59,7 +59,6 @@ PINS = {
         "class_map": "0454b0f1f67a",
         "cloud_mask": "5b590ce4abee",
         "shadow_mask": "5bf2792f1015",
-        "compensated_brightness": "9bd8e6b03295",
     },
     (0.0, 0.04): {
         "bands": "6db1b2d83c00",
@@ -68,7 +67,6 @@ PINS = {
         "class_map": "0454b0f1f67a",
         "cloud_mask": "5b590ce4abee",
         "shadow_mask": "5bf2792f1015",
-        "compensated_brightness": "9bd8e6b03295",
     },
     (0.15, 0.0): {
         "bands": "08f9b8cc7ad7",
@@ -77,7 +75,6 @@ PINS = {
         "class_map": "f5e0f6e8ea0b",
         "cloud_mask": "d7836ae84f31",
         "shadow_mask": "1355ab3030bc",
-        "compensated_brightness": "cdda56c69a64",
     },
     (0.15, 0.04): {
         "bands": "415d9db3f4cf",
@@ -86,7 +83,6 @@ PINS = {
         "class_map": "c05c629c8d96",
         "cloud_mask": "06878cc5ff2a",
         "shadow_mask": "ea7677926dc1",
-        "compensated_brightness": "c230197598b8",
     },
     (0.4, 0.0): {
         "bands": "0d305a9f7523",
@@ -95,7 +91,6 @@ PINS = {
         "class_map": "12fc30d0f468",
         "cloud_mask": "20168c3174b6",
         "shadow_mask": "305b72b685d4",
-        "compensated_brightness": "c97bf8c90ea2",
     },
     (0.4, 0.04): {
         "bands": "bdf9fa715a33",
@@ -104,7 +99,6 @@ PINS = {
         "class_map": "9d22c7f1df9b",
         "cloud_mask": "3675cf3995c5",
         "shadow_mask": "305b72b685d4",
-        "compensated_brightness": "936d72ba4dc0",
     },
 }
 
@@ -122,7 +116,6 @@ def test_outputs_match_their_pins(scene, fractions):
         "class_map": result.class_map,
         "cloud_mask": result.cloud_mask,
         "shadow_mask": result.shadow_mask,
-        "compensated_brightness": result.compensated_brightness,
     }
     assert {name: digest(a) for name, a in arrays.items()} == PINS[fractions]
 
@@ -230,7 +223,7 @@ def test_segmentation_matches_the_whole_image_reference(bands):
     before = bands.tobytes()
     result = segment_image(s2_image(bands), config)
     expected = segment_whole_image(bands, config)
-    got = (result.class_map, result.cloud_mask, result.shadow_mask, result.compensated_brightness)
+    got = (result.class_map, result.cloud_mask, result.shadow_mask)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape
         assert g.tobytes() == e.tobytes()
