@@ -1,7 +1,8 @@
 """Live-ingest benchmarks: incremental merge + dirty-tile rebuild vs full rebuild.
 
-Times what one newly arrived granule costs a serving campaign, per kernel
-backend, in the two regimes the ingest tier exists to separate:
+Times what one newly arrived granule costs a serving campaign, on the
+kernels (``*_vectorized``) and under :func:`repro.kernels.reference.oracles`
+(``*_reference``), in the two regimes the ingest tier exists to separate:
 
 * **incremental**: fold the granule into the online
   :class:`~repro.l3.merge.MosaicAccumulator`, snapshot, and rebuild only
@@ -28,6 +29,7 @@ Run:  python -m pytest benchmarks/bench_ingest.py --benchmark-json=ingest-bench.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,9 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import kernels
 from repro.config import ServeConfig
 from repro.geodesy.grid import GridDefinition
+from repro.kernels.reference import oracles
 from repro.l3.merge import MosaicAccumulator
 from repro.l3.processor import Level3Processor
 from repro.l3.product import Level3Grid
@@ -47,6 +49,10 @@ from repro.serve.live import IncrementalPyramidBuilder
 from repro.serve.pyramid import build_pyramid
 
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
+
+#: Where a ``*_reference`` / ``*_vectorized`` benchmark runs: on the kernels'
+#: reference loops, installed by ``oracles()``, or on the kernels.
+RUN_ON = {"reference": oracles, "vectorized": nullcontext}
 
 SERVE = ServeConfig(tile_size=64)
 GRID = GridDefinition(x_min_m=0.0, y_min_m=0.0, cell_size_m=100.0, nx=768, ny=512)
@@ -100,9 +106,9 @@ def fleet():
     return granules, arrivals
 
 
-def _bench_incremental(benchmark, fleet, backend: str) -> None:
+def _bench_incremental(benchmark, fleet, side: str) -> None:
     granules, arrivals = fleet
-    with kernels.use_backend(backend):
+    with RUN_ON[side]():
         accumulator = MosaicAccumulator(GRID)
         for granule in granules:
             accumulator.add(granule)
@@ -120,9 +126,9 @@ def _bench_incremental(benchmark, fleet, backend: str) -> None:
         benchmark.pedantic(ingest_one, **ROUNDS)
 
 
-def _bench_full(benchmark, fleet, backend: str) -> None:
+def _bench_full(benchmark, fleet, side: str) -> None:
     granules, arrivals = fleet
-    with kernels.use_backend(backend):
+    with RUN_ON[side]():
         processor = Level3Processor(GRID)
         fleet_plus_one = granules + [arrivals[0]]
 

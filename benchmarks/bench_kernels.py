@@ -1,4 +1,7 @@
-"""Reference-vs-vectorized timings for the ``repro.kernels`` hot paths.
+"""Oracle-vs-kernel timings for the ``repro.kernels`` hot paths.
+
+Each kernel is timed against its reference loop, the test oracle in
+:mod:`repro.kernels.reference`.
 
 Six kernel pairs are timed on deterministic, ATL03-representative inputs:
 
@@ -12,7 +15,7 @@ Six kernel pairs are timed on deterministic, ATL03-representative inputs:
 * **drift search** — the coarse 33 x 33 candidate grid (+-800 m, 50 m steps)
   of one granule: a 3,200-segment track over an 800 x 800-pixel class map;
 * **2 m resampling** — ``resample_fixed_window`` over a 6.4 km beam of
-  ~36 k photons, under each kernel backend;
+  ~36 k photons, on the kernels and under ``oracles()``;
 * **random fields** — the inverse transforms of one granule's four
   800 x 800-pixel drawn spectra (concentration, texture, ridge and cloud:
   correlation lengths 250, 62.5, 25 and 120 px): the full-spectrum
@@ -36,6 +39,7 @@ Run:  python -m pytest benchmarks/bench_kernels.py --benchmark-json=bench.json
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from datetime import datetime
 from pathlib import Path
 
@@ -46,13 +50,13 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import kernels
 from repro.atl03.granule import BeamData
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
 from repro.kernels import confidence as kconf
 from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
 from repro.kernels import random_field as krandom_field
+from repro.kernels import reference as kref
 from repro.kernels import sea_surface as ksea
 from repro.resampling.window import resample_fixed_window
 from repro.sentinel2.scene import S2Image
@@ -96,18 +100,16 @@ def sea_surface_scene():
     stops = starts + length
     centers = 0.5 * (starts + stops)
     args = (along, height, error, starts, stops, centers, "nasa", 3)
-    assert_equivalent(
-        ksea.window_estimates_reference(*args), ksea.window_estimates_vectorized(*args)
-    )
+    assert_equivalent(kref.window_estimates_reference(*args), ksea.window_estimates(*args))
     return args
 
 
 def test_sea_surface_nasa_reference(benchmark, sea_surface_scene):
-    benchmark.pedantic(ksea.window_estimates_reference, args=sea_surface_scene, **ROUNDS)
+    benchmark.pedantic(kref.window_estimates_reference, args=sea_surface_scene, **ROUNDS)
 
 
 def test_sea_surface_nasa_vectorized(benchmark, sea_surface_scene):
-    benchmark.pedantic(ksea.window_estimates_vectorized, args=sea_surface_scene, **ROUNDS)
+    benchmark.pedantic(ksea.window_estimates, args=sea_surface_scene, **ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +130,18 @@ def photon_cloud():
     n_bins = int(np.ceil((float(along.max()) - float(along.min())) / 20.0))
     bin_edges = float(along.min()) + np.arange(n_bins + 1) * 20.0
     args = (along, height, bin_edges, 0.25)
-    ref = kconf.modal_height_per_bin_reference(*args)
-    vec = kconf.modal_height_per_bin_vectorized(*args)
+    ref = kref.modal_height_per_bin_reference(*args)
+    vec = kconf.modal_height_per_bin(*args)
     assert_equivalent((ref,), (vec,))
     return args
 
 
 def test_confidence_binning_reference(benchmark, photon_cloud):
-    benchmark.pedantic(kconf.modal_height_per_bin_reference, args=photon_cloud, **ROUNDS)
+    benchmark.pedantic(kref.modal_height_per_bin_reference, args=photon_cloud, **ROUNDS)
 
 
 def test_confidence_binning_vectorized(benchmark, photon_cloud):
-    benchmark.pedantic(kconf.modal_height_per_bin_vectorized, args=photon_cloud, **ROUNDS)
+    benchmark.pedantic(kconf.modal_height_per_bin, args=photon_cloud, **ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +159,31 @@ def lstm_batch():
     b = rng.normal(size=4 * units) * 0.1
     dh_seq = rng.normal(size=(batch, T, units))
     fwd_args = (x, W, U, b, "elu")
-    ref = klstm.lstm_forward_reference(*fwd_args)
-    vec = klstm.lstm_forward_vectorized(*fwd_args)
+    ref = kref.lstm_forward_reference(*fwd_args)
+    vec = klstm.lstm_forward(*fwd_args)
     assert_equivalent(ref, vec)
     bwd_args = (dh_seq, x, *ref, W, U, "elu")
     assert_equivalent(
-        klstm.lstm_backward_reference(*bwd_args),
-        klstm.lstm_backward_vectorized(*bwd_args),
+        kref.lstm_backward_reference(*bwd_args),
+        klstm.lstm_backward(*bwd_args),
     )
     return fwd_args, bwd_args
 
 
 def test_lstm_forward_reference(benchmark, lstm_batch):
-    benchmark.pedantic(klstm.lstm_forward_reference, args=lstm_batch[0], **ROUNDS)
+    benchmark.pedantic(kref.lstm_forward_reference, args=lstm_batch[0], **ROUNDS)
 
 
 def test_lstm_forward_vectorized(benchmark, lstm_batch):
-    benchmark.pedantic(klstm.lstm_forward_vectorized, args=lstm_batch[0], **ROUNDS)
+    benchmark.pedantic(klstm.lstm_forward, args=lstm_batch[0], **ROUNDS)
 
 
 def test_lstm_backward_reference(benchmark, lstm_batch):
-    benchmark.pedantic(klstm.lstm_backward_reference, args=lstm_batch[1], **ROUNDS)
+    benchmark.pedantic(kref.lstm_backward_reference, args=lstm_batch[1], **ROUNDS)
 
 
 def test_lstm_backward_vectorized(benchmark, lstm_batch):
-    benchmark.pedantic(klstm.lstm_backward_vectorized, args=lstm_batch[1], **ROUNDS)
+    benchmark.pedantic(klstm.lstm_backward, args=lstm_batch[1], **ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +219,16 @@ def drift_search_args():
     height = 0.15 * rank + rng.normal(0.0, 0.08, along.size)
     offsets = np.arange(-800.0, 825.0, 50.0)
     args = (class_map, image, x, y, height, offsets, offsets)
-    assert kdrift.drift_search_reference(*args) == kdrift.drift_search_vectorized(*args)
+    assert kref.drift_search_reference(*args) == kdrift.drift_search(*args)
     return args
 
 
 def test_drift_reference(benchmark, drift_search_args):
-    benchmark.pedantic(kdrift.drift_search_reference, args=drift_search_args, **ROUNDS)
+    benchmark.pedantic(kref.drift_search_reference, args=drift_search_args, **ROUNDS)
 
 
 def test_drift_vectorized(benchmark, drift_search_args):
-    benchmark.pedantic(kdrift.drift_search_vectorized, args=drift_search_args, **ROUNDS)
+    benchmark.pedantic(kdrift.drift_search, args=drift_search_args, **ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,12 @@ def test_drift_vectorized(benchmark, drift_search_args):
 # ---------------------------------------------------------------------------
 
 
-def _resample(backend, beam):
-    with kernels.use_backend(backend):
+#: The resampling kernels, and their reference loops installed by ``oracles()``.
+RUN_ON = {"vectorized": nullcontext, "reference": kref.oracles}
+
+
+def _resample(side, beam):
+    with RUN_ON[side]():
         return resample_fixed_window(beam)
 
 
@@ -293,8 +299,8 @@ def _invert(inverse, spectra):
 
 @pytest.fixture(scope="module")
 def random_fields_equal():
-    ref = _invert(krandom_field.inverse_reference, _spectra())
-    vec = _invert(krandom_field.inverse_vectorized, _spectra())
+    ref = _invert(kref.inverse_reference, _spectra())
+    vec = _invert(krandom_field.inverse, _spectra())
     for r, v in zip(ref, vec):
         assert r.tobytes() == v.tobytes()
 
@@ -306,8 +312,8 @@ def _fresh_spectra(inverse):
 
 
 def test_random_field_reference(benchmark, random_fields_equal):
-    benchmark.pedantic(_invert, setup=_fresh_spectra(krandom_field.inverse_reference), **ROUNDS)
+    benchmark.pedantic(_invert, setup=_fresh_spectra(kref.inverse_reference), **ROUNDS)
 
 
 def test_random_field_vectorized(benchmark, random_fields_equal):
-    benchmark.pedantic(_invert, setup=_fresh_spectra(krandom_field.inverse_vectorized), **ROUNDS)
+    benchmark.pedantic(_invert, setup=_fresh_spectra(krandom_field.inverse), **ROUNDS)

@@ -1,4 +1,4 @@
-"""Reference-vs-vectorized timings for the Level-3 gridding kernels.
+"""Oracle-vs-kernel timings for the Level-3 gridding kernels.
 
 One campaign-scale binning job is timed end to end: a fleet's worth of
 along-track segments (600 k points, clustered along simulated ground
@@ -8,13 +8,13 @@ count/mean/median/std/MAD of freeboard plus the per-class segment counts,
 i.e. exactly what :meth:`repro.l3.Level3Processor.grid_granule` runs per
 granule.
 
-The reference backend is the pure per-cell loop; the vectorized backend
-does composite-key ``np.bincount`` sums and segmented ``np.lexsort``
-medians.  The pair is asserted equivalent (1e-10) before timing, and
-the ``l3_gridding`` row of ``GATES`` in ``benchmarks/check_regression.py``
-holds the measured speedup against its committed ratio in
-``benchmarks/results/kernel_baselines.json`` (with a hard >= 3x acceptance
-floor for this kernel).
+The reference side is the pure per-cell loop, the kernels' oracle in
+:mod:`repro.kernels.reference`; the kernels do composite-key
+``np.bincount`` sums and segmented ``np.lexsort`` medians.  The pair is
+asserted equivalent (1e-10) before timing, and the ``l3_gridding`` row of
+``GATES`` in ``benchmarks/check_regression.py`` holds the measured speedup
+against its committed ratio in ``benchmarks/results/kernel_baselines.json``
+(with a hard >= 3x acceptance floor for this kernel).
 
 Run:  python -m pytest benchmarks/bench_l3_gridding.py --benchmark-json=l3-bench.json
 """
@@ -32,6 +32,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.kernels import gridding as kgrid
+from repro.kernels import reference as kref
 
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
 
@@ -48,11 +49,11 @@ def _run(stats_fn, counts_fn, args):
 
 
 def run_reference(args):
-    _run(kgrid.cell_statistics_reference, kgrid.cell_class_counts_reference, args)
+    _run(kref.cell_statistics_reference, kref.cell_class_counts_reference, args)
 
 
 def run_vectorized(args):
-    _run(kgrid.cell_statistics_vectorized, kgrid.cell_class_counts_vectorized, args)
+    _run(kgrid.cell_statistics, kgrid.cell_class_counts, args)
 
 
 @pytest.fixture(scope="module")
@@ -80,13 +81,13 @@ def campaign_segments():
     labels = rng.integers(0, N_CLASSES, idx.size)
     args = (idx, values, labels, n_cells)
 
-    ref_stats = kgrid.cell_statistics_reference(idx, values, n_cells)
-    vec_stats = kgrid.cell_statistics_vectorized(idx, values, n_cells)
+    ref_stats = kref.cell_statistics_reference(idx, values, n_cells)
+    vec_stats = kgrid.cell_statistics(idx, values, n_cells)
     for r, v in zip(ref_stats, vec_stats):
         assert np.allclose(r, v, atol=1e-10, rtol=0.0, equal_nan=True)
     np.testing.assert_array_equal(
-        kgrid.cell_class_counts_reference(idx, labels, n_cells, N_CLASSES),
-        kgrid.cell_class_counts_vectorized(idx, labels, n_cells, N_CLASSES),
+        kref.cell_class_counts_reference(idx, labels, n_cells, N_CLASSES),
+        kgrid.cell_class_counts(idx, labels, n_cells, N_CLASSES),
     )
     return args
 

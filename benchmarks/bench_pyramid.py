@@ -1,4 +1,4 @@
-"""Reference-vs-vectorized timings for the tile-pyramid reduction kernels.
+"""Oracle-vs-kernel timings for the tile-pyramid reduction kernels.
 
 One serving-scale pyramid build is timed end to end: a 512 x 512 mosaic
 layer (freeboard values with realistic NaN holes, segment-count weights)
@@ -7,13 +7,13 @@ count-weighted mean/weight reduction plus the coverage reduction at every
 level, i.e. exactly what :func:`repro.serve.pyramid.build_pyramid` runs per
 variable when the query engine decodes a product.
 
-The reference backend loops over output cells; the vectorized backend
-reduces the four strided child planes at once.  The pair is asserted
-equivalent (bit-identical) before timing, and
-the ``pyramid_reduce`` row of ``GATES`` in ``benchmarks/check_regression.py``
-holds the measured speedup against its committed ratio in
-``benchmarks/results/kernel_baselines.json`` (with a hard >= 3x acceptance
-floor for this kernel).
+The reference side loops over output cells, the kernels' oracle in
+:mod:`repro.kernels.reference`; the kernels reduce the four strided child
+planes at once.  The pair is asserted equivalent (bit-identical) before
+timing, and the ``pyramid_reduce`` row of ``GATES`` in
+``benchmarks/check_regression.py`` holds the measured speedup against its
+committed ratio in ``benchmarks/results/kernel_baselines.json`` (with a
+hard >= 3x acceptance floor for this kernel).
 
 Run:  python -m pytest benchmarks/bench_pyramid.py --benchmark-json=pyr-bench.json
 """
@@ -31,6 +31,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.kernels import pyramid as kpyr
+from repro.kernels import reference as kref
 
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
 
@@ -45,11 +46,11 @@ def _build(reduce_mean, reduce_coverage, layers):
 
 
 def run_reference(layers):
-    _build(kpyr.reduce_mean_reference, kpyr.reduce_coverage_reference, layers)
+    _build(kref.reduce_mean_reference, kref.reduce_coverage_reference, layers)
 
 
 def run_vectorized(layers):
-    _build(kpyr.reduce_mean_vectorized, kpyr.reduce_coverage_vectorized, layers)
+    _build(kpyr.reduce_mean, kpyr.reduce_coverage, layers)
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +67,13 @@ def mosaic_layers():
     values[sparse] = np.nan
     coverage = occupancy.astype(float)
 
-    ref_v, ref_w = kpyr.reduce_mean_reference(values, weights)
-    vec_v, vec_w = kpyr.reduce_mean_vectorized(values, weights)
+    ref_v, ref_w = kref.reduce_mean_reference(values, weights)
+    vec_v, vec_w = kpyr.reduce_mean(values, weights)
     assert np.array_equal(ref_v, vec_v, equal_nan=True)
     assert np.array_equal(ref_w, vec_w)
     np.testing.assert_array_equal(
-        kpyr.reduce_coverage_reference(coverage),
-        kpyr.reduce_coverage_vectorized(coverage),
+        kref.reduce_coverage_reference(coverage),
+        kpyr.reduce_coverage(coverage),
     )
     return values, weights, coverage
 

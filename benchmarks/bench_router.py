@@ -1,4 +1,4 @@
-"""Serving-tier latency benchmarks: cold decode vs hot cache, per backend.
+"""Serving-tier latency benchmarks: cold decode vs hot cache, kernels vs oracles.
 
 Times the full router request path — resolution, single-flight accounting,
 shard-engine execution — over a real on-disk mosaic, in two regimes:
@@ -8,13 +8,14 @@ shard-engine execution — over a real on-disk mosaic, in two regimes:
 * **hot**: a pre-warmed router serving the same requests from the shard
   LRU caches (the steady state the prefetcher maintains for the Zipf head).
 
-Each regime runs under both kernel backends, feeding three kinds of
+Each regime runs on the kernels (``*_vectorized``) and under
+:func:`repro.kernels.reference.oracles` (``*_reference``), feeding three kinds of
 ``GATES`` rows in ``benchmarks/check_regression.py`` (committed ratios in
 ``benchmarks/results/kernel_baselines.json``):
 
 * ``router_cold`` turns the reference/vectorized cold runs into a
   serving-path speedup (decode + pyramid build dominate, so the vectorized
-  backend must keep paying off end to end);
+  kernels must keep paying off end to end);
 * ``router_latency_<backend>`` holds the cold/hot *latency ratio* above a
   3x floor — the router's cache path must stay an order of magnitude off
   the decode path, else the LRU or the single-flight accounting has
@@ -28,6 +29,7 @@ Run:  python -m pytest benchmarks/bench_router.py --benchmark-json=router-bench.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,9 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import kernels
 from repro.config import RouterConfig, ServeConfig
 from repro.geodesy.grid import GridDefinition
+from repro.kernels.reference import oracles
 from repro.l3.product import Level3Grid
 from repro.l3.writer import write_level3
 from repro.serve.catalog import ProductCatalog
@@ -48,6 +50,10 @@ from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog
 
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
+
+#: Where a ``*_reference`` / ``*_vectorized`` benchmark runs: on the kernels'
+#: reference loops, installed by ``oracles()``, or on the kernels.
+RUN_ON = {"reference": oracles, "vectorized": nullcontext}
 
 SERVE = ServeConfig(tile_size=64, tile_cache_size=512)
 CONFIG = RouterConfig(n_shards=2, max_queue_depth=64)
@@ -108,13 +114,13 @@ def serve_cold(catalog: ProductCatalog, requests: list[TileRequest]) -> None:
     fresh_router(catalog).serve(requests)
 
 
-def _bench_cold(benchmark, archive, backend: str) -> None:
-    with kernels.use_backend(backend):
+def _bench_cold(benchmark, archive, side: str) -> None:
+    with RUN_ON[side]():
         benchmark.pedantic(serve_cold, args=(archive, make_requests()), **ROUNDS)
 
 
-def _bench_hot(benchmark, archive, backend: str) -> None:
-    with kernels.use_backend(backend):
+def _bench_hot(benchmark, archive, side: str) -> None:
+    with RUN_ON[side]():
         router = fresh_router(archive)
         requests = make_requests()
         warmed = router.serve(requests)

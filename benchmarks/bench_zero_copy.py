@@ -15,9 +15,11 @@ Two regimes, feeding the ``zero_copy_*`` rows of ``GATES`` in
   raw flat blob) and a single cold zoom-0 tile is served from each through
   a fresh :class:`~repro.serve.query.QueryEngine`.  The npz path inflates
   the whole archive and builds the full pyramid; the raw path memory-maps
-  the blob and touches one tile's worth of pages.  Per kernel backend, the
-  npz/raw ratio (``zero_copy_decode_<backend>``) is held above a >= 3x
-  floor, and the reference/vectorized npz runs form the
+  the blob and touches one tile's worth of pages.  On the kernels
+  (``*_vectorized``) and under :func:`repro.kernels.reference.oracles`
+  (``*_reference``) alike, the npz/raw ratio
+  (``zero_copy_decode_<backend>``) is held above a >= 3x floor, and the
+  reference/vectorized npz runs form the
   ``zero_copy_decode_npz`` kernel speedup.
 
 Run:  python -m pytest benchmarks/bench_zero_copy.py --benchmark-json=zero-copy-bench.json
@@ -26,6 +28,7 @@ Run:  python -m pytest benchmarks/bench_zero_copy.py --benchmark-json=zero-copy-
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +38,20 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import kernels
 from repro.config import ServeConfig
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.geodesy.grid import GridDefinition
+from repro.kernels.reference import oracles
 from repro.l3.product import Level3Grid
 from repro.l3.writer import write_level3
 from repro.serve.catalog import ProductCatalog
 from repro.serve.query import ProductLoader, QueryEngine, TileRequest
 
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
+
+#: Where a ``*_reference`` / ``*_vectorized`` benchmark runs: on the kernels'
+#: reference loops, installed by ``oracles()``, or on the kernels.
+RUN_ON = {"reference": oracles, "vectorized": nullcontext}
 
 # -- fan-out: shared-memory vs pickled task payloads -------------------------
 
@@ -163,8 +170,8 @@ def _serve_cold(catalog: ProductCatalog) -> None:
     assert response.n_tiles > 0
 
 
-def _bench_decode(benchmark, archives, format: str, backend: str) -> None:
-    with kernels.use_backend(backend):
+def _bench_decode(benchmark, archives, format: str, side: str) -> None:
+    with RUN_ON[side]():
         benchmark.pedantic(_serve_cold, args=(archives[format],), **ROUNDS)
 
 

@@ -8,16 +8,16 @@ Demonstrates the `repro.l3` subsystem end to end:
    per-cell freeboard/thickness statistics, class fractions, granule counts
    and coverage on the shared polar stereographic metre grid;
 3. write the mosaic as a self-describing product (npz arrays + JSON
-   metadata with the grid definition, content fingerprint and kernel
-   backend), reload it, and verify the round trip is **byte-identical**;
+   metadata with the grid definition and content fingerprint), reload it,
+   and verify the round trip is **byte-identical**;
 4. regenerate the grid-map figure data from the *reloaded* product;
 5. change only the grid resolution and re-run warm — the campaign itself is
    pure cache; only the `grid_granule`/`mosaic_campaign` stages re-execute.
 
 Run:  python examples/l3_mosaic.py
 
-This example is also the CI smoke test for the Level-3 layer (both kernel
-backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the Level-3 layer, so it uses
+a small scene and the fast MLP classifier.
 """
 
 import shutil
@@ -25,7 +25,6 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import L3GridConfig
 from repro.evaluation import figure_l3_grid_map, format_table, l3_coverage_table
@@ -50,7 +49,6 @@ BASE = ExperimentConfig(
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-l3-"))
     try:
         config = CampaignConfig(
@@ -73,7 +71,6 @@ def main() -> None:
         assert reloaded.grid == l3.mosaic.grid
         print(f"\nwrote {npz_path.name} + {json_path.name}; reload is byte-identical")
         print(f"  fingerprint    : {reloaded.metadata['fingerprint']}")
-        print(f"  kernel backend : {reloaded.metadata['kernel_backend']}")
 
         # 4. Grid-map figure data from the reloaded product.
         series = figure_l3_grid_map(reloaded)

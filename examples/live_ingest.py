@@ -20,8 +20,8 @@ Demonstrates the `repro.ingest` tier on top of the serve builder API:
 
 Run:  python examples/live_ingest.py
 
-This example is also the CI smoke test for the live-ingest tier (both
-kernel backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the live-ingest tier, so it
+uses a small scene and the fast MLP classifier.
 """
 
 import shutil
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import IngestConfig, L3GridConfig, RouterConfig, ServeConfig
 from repro.serve import TileRequest
@@ -55,7 +54,6 @@ BASE = ExperimentConfig(
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-ingest-"))
     try:
         cache_dir = str(workdir / "cache")

@@ -22,8 +22,8 @@ Demonstrates the `repro.obs` tier end to end:
 
 Run:  python examples/observability_dashboard.py
 
-This example is also the CI smoke test for the telemetry tier (both
-kernel backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the telemetry tier, so it
+uses a small scene and the fast MLP classifier.
 """
 
 import json
@@ -31,7 +31,6 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import IngestConfig, L3GridConfig, RouterConfig, ServeConfig
 from repro.obs import (
@@ -68,7 +67,6 @@ BASE = ExperimentConfig(
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-obs-"))
     runner = None
     try:

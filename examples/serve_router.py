@@ -21,8 +21,8 @@ Demonstrates the `repro.serve` router on top of the query engine:
 
 Run:  python examples/serve_router.py
 
-This example is also the CI smoke test for the service tier (both kernel
-backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the service tier, so it uses a
+small scene and the fast MLP classifier.
 """
 
 import shutil
@@ -30,7 +30,6 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.clock import VirtualClock
 from repro.config import L3GridConfig, RouterConfig, ServeConfig
@@ -63,7 +62,6 @@ BASE = ExperimentConfig(
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-router-"))
     try:
         config = CampaignConfig(

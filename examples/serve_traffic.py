@@ -20,15 +20,14 @@ Demonstrates the `repro.serve` subsystem end to end:
 
 Run:  python examples/serve_traffic.py
 
-This example is also the CI smoke test for the serving layer (both kernel
-backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the serving layer, so it uses
+a small scene and the fast MLP classifier.
 """
 
 import shutil
 import tempfile
 from pathlib import Path
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import L3GridConfig, ServeConfig
 from repro.evaluation import format_table, serve_latency_table, serve_scaling_table
@@ -54,7 +53,6 @@ BASE = ExperimentConfig(
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
     try:
         config = CampaignConfig(

@@ -22,8 +22,7 @@ resolution, runs in milliseconds of wall clock.
 
 Run:  python examples/slo_alerts.py
 
-This example is also the CI smoke test for the SLO engine (both kernel
-backends).
+This example is also the CI smoke test for the SLO engine.
 """
 
 import asyncio
@@ -32,7 +31,6 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro import kernels
 from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig, SloConfig
 from repro.obs import (
@@ -110,7 +108,6 @@ async def drive(clock: VirtualClock, tasks: list) -> list:
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     workdir = Path(tempfile.mkdtemp(prefix="repro-slo-"))
     try:
         clock = VirtualClock()

@@ -19,8 +19,8 @@ Demonstrates the two zero-copy tiers of this PR end to end:
 
 Run:  python examples/zero_copy_campaign.py
 
-This example is also the CI smoke test for the zero-copy tier (both
-kernel backends), so it uses a small scene and the fast MLP classifier.
+This example is also the CI smoke test for the zero-copy tier, so it
+uses a small scene and the fast MLP classifier.
 """
 
 import shutil
@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import L3GridConfig, ServeConfig
 from repro.distributed.shm import SHM_PREFIX
@@ -77,7 +76,6 @@ def _campaign(use_shm: bool) -> CampaignConfig:
 
 
 def main() -> None:
-    print(f"kernel backend: {kernels.get_backend()}")
     segments_before = _shm_segments()
     workdir = Path(tempfile.mkdtemp(prefix="repro-zero-copy-"))
     try:

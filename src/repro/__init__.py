@@ -26,9 +26,9 @@ provides:
   stage graph with one shared classifier and a resumable content-addressed
   on-disk cache (:mod:`repro.campaign`);
 * vectorized hot-path kernels — windowed sea-surface estimation, ATL03
-  confidence binning, LSTM time-stepping, Level-3 polar-grid binning — with
-  a reference/vectorized dispatch switch and equivalence-tested backends
-  (:mod:`repro.kernels`);
+  confidence binning, LSTM time-stepping, Level-3 polar-grid binning — each
+  equivalence-tested against its reference loop, kept as a test oracle in
+  :mod:`repro.kernels.reference` (:mod:`repro.kernels`);
 * Level-3 gridded products: campaign output binned onto the shared polar
   stereographic metre grid, multi-granule mosaics with propagated
   uncertainty, and self-describing on-disk product files (:mod:`repro.l3`);

@@ -46,9 +46,9 @@ def _modal_height_per_bin(
       a mode.
 
     The heavy lifting is delegated to :mod:`repro.kernels.confidence`: one
-    ``np.bincount`` over composite ``(bin, height-cell)`` keys under the
-    default vectorized backend, or the original per-bin ``np.histogram``
-    loop under the reference backend.
+    ``np.bincount`` over composite ``(bin, height-cell)`` keys, tested
+    against the original per-bin ``np.histogram`` loop
+    (:mod:`repro.kernels.reference`).
     """
     return _kernels.modal_height_per_bin(
         along_track_m, height_m, bin_edges, height_resolution_m

@@ -75,7 +75,7 @@ if TYPE_CHECKING:
 
 #: Stage-cache name of one granule's finished :class:`GranuleResult`, keyed
 #: by that granule's ``granule_metrics`` fingerprint (which chains the
-#: curation config, the pooled classifier and the kernel backend).  It keeps
+#: curation config and the pooled classifier).  It keeps
 #: the stage times the scaling report needs, so a resumed campaign never
 #: loads the curation bundles just to rebuild that report.
 GRANULE_RESULT_STAGE = "granule_result"
@@ -360,9 +360,9 @@ class CampaignRunner:
         runner = self._graph_runner()
         cache = runner.cache
 
-        # Every cache key is a content fingerprint derived purely from config
-        # and the kernel backend, so an entry produced under another config,
-        # backend or stage version is simply a different key.
+        # Every cache key is a content fingerprint derived purely from config,
+        # so an entry produced under another config or stage version is
+        # simply a different key.
         fleet_fps = runner.fleet_fingerprints(specs, self._pooled_config)
         result_fps = {
             spec.granule_id: fps["granule_metrics"] for spec, fps in zip(specs, fleet_fps)

@@ -21,9 +21,7 @@ Two zero-copy properties of the process executor:
   and reuses it across jobs — a campaign fleet or query batch no longer
   pays pool spawn per fan-out.  ``close()`` (or the context manager, or a
   GC finalizer) shuts it down; a closed engine transparently respawns on
-  next use.  Every task carries the driver's kernel backend
-  (:func:`repro.kernels.get_backend`), so the pool follows a backend switch
-  between jobs.
+  next use.
 * **Shared-memory task payloads.**  With ``use_shm`` (the default), every
   process-executor task is pickled by
   :func:`~repro.distributed.shm.dumps_shared`: each array in it of at
@@ -55,7 +53,6 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.distributed.shm import SharedArrayStore, dumps_shared
-from repro.kernels import get_backend, set_backend
 from repro.obs.core import Obs, default_obs
 from repro.obs.propagate import TracedTask, WorkerTelemetry, current_context, merge_worker_telemetry
 from repro.obs.trace import NullTracer, Tracer
@@ -288,9 +285,8 @@ class MapReduceEngine:
             else:
                 payloads = [pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL) for t in jobs]
             pool = self._pool(min(self.max_workers, len(payloads)))
-            backend = get_backend()
             try:
-                futures = [pool.submit(_call_pickled, p, backend) for p in payloads]
+                futures = [pool.submit(_call_pickled, p) for p in payloads]
                 results = [f.result() for f in futures]
             except BrokenProcessPool:
                 # A worker died (OOM, signal): the pool is unusable.  Drop it
@@ -425,17 +421,14 @@ class MapReduceEngine:
         return self._job(width, partitions, map_fn, reduce_fn)
 
 
-def _call_pickled(payload: bytes, backend: str):
-    """Worker entry point: decode a pickled thunk and run it under ``backend``.
+def _call_pickled(payload: bytes):
+    """Worker entry point: decode a pickled thunk and run it.
 
     Decoding in the worker (rather than letting the pool's own pickler do
     it) is what lets the driver pre-encode tasks with the shared-memory
     pickler — array leaves arrive as descriptors and materialise as
-    read-only views here.  ``backend`` is the driver's kernel backend at
-    submission: a persistent pool outlives any backend switch in the
-    driver, so every task carries the backend its job was submitted under.
+    read-only views here.
     """
-    set_backend(backend)
     return pickle.loads(payload)()
 
 

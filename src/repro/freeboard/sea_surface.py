@@ -202,9 +202,8 @@ def estimate_sea_surface(
 
         # The window grid; the per-window work (searchsorted bounds, MAD
         # outlier rejection against the window's median water height, and the
-        # method estimate itself) runs in the kernel layer — vectorized
-        # across all windows at once by default, or one window at a time
-        # under the "reference" backend (see repro.kernels).
+        # method estimate itself) runs in the kernel layer, vectorized
+        # across all windows at once (see repro.kernels.sea_surface).
         starts = start + np.arange(n_windows) * step
         stops = starts + config.window_length_m
         centers = 0.5 * (starts + stops)

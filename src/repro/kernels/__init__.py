@@ -1,7 +1,7 @@
-"""Vectorized hot-path kernels with a reference/vectorized dispatch switch.
+"""Vectorized hot-path kernels, each with a reference loop as its test oracle.
 
-The hottest inner loops of the pipeline each have two interchangeable
-implementations in this package:
+The hottest inner loops of the pipeline each have one implementation in
+this package, under the public name that every caller uses:
 
 * :mod:`repro.kernels.sea_surface` — windowed sea-surface estimation
   (searchsorted-bounded window membership, segmented medians/MAD outlier
@@ -30,74 +30,29 @@ implementations in this package:
   all-zero columns).
 
 The *reference* implementations are the original per-window / per-bin /
-per-step / per-candidate loops, kept as the ground truth the vectorized
-kernels are equivalence-tested against (``tests/test_kernels_equivalence.py``
-asserts agreement to 1e-10, and exact agreement for the drift, resampling
-and random-field kernels) and benchmarked against
-(``benchmarks/bench_kernels.py``).
+per-step / per-candidate loops.  They live in :mod:`repro.kernels.reference`,
+which no library module imports, as the ground truth the kernels are
+equivalence-tested against (``tests/test_kernels_equivalence.py`` asserts
+agreement to 1e-10, and exact agreement for the drift, resampling and
+random-field kernels) and benchmarked against
+(``benchmarks/bench_kernels.py``).  Its :func:`~repro.kernels.reference.oracles`
+context manager sets every oracle onto its kernel's entry-point name for
+the duration of a block, so tests and benchmarks can run a whole path on
+the reference loops::
 
-Backend selection
------------------
+    from repro.kernels.reference import oracles
 
-The active backend is one process-global switch, the only backend decision
-in the code: every kernel entry point reads :func:`get_backend` when it is
-called.  It defaults to ``"vectorized"``; the ``REPRO_KERNEL_BACKEND``
-environment variable overrides the initial value::
-
-    from repro import kernels
-
-    kernels.set_backend("reference")          # sticky switch
-    with kernels.use_backend("vectorized"):   # scoped switch
+    with oracles():
         ...
 
-Process-pool workers follow the driver: ``MapReduceEngine`` sends the
-driver's backend with every task, so a persistent pool runs each job under
-the backend active at submission, not the one it was started with.
-Products and pyramids stamp the backend that was active when they were
-computed as ``kernel_backend`` metadata.
+Library code calls each kernel through its module attribute
+(``kpyramid.reduce_mean(...)``, never a name bound at import), which is
+what lets that one swap reach every caller.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-#: Names of the available kernel backends.
-KERNEL_BACKENDS = ("vectorized", "reference")
-
-_active_backend = os.environ.get("REPRO_KERNEL_BACKEND", "vectorized")
-if _active_backend not in KERNEL_BACKENDS:
-    raise ValueError(
-        f"REPRO_KERNEL_BACKEND={_active_backend!r} is not one of {KERNEL_BACKENDS}"
-    )
-
-
-def get_backend() -> str:
-    """Name of the currently active kernel backend."""
-    return _active_backend
-
-
-def set_backend(name: str) -> None:
-    """Select the process-global kernel backend (``vectorized`` or ``reference``)."""
-    global _active_backend
-    if name not in KERNEL_BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; choose from {KERNEL_BACKENDS}")
-    _active_backend = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Context manager that temporarily switches the kernel backend."""
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-from repro.kernels import (  # noqa: E402
+from repro.kernels import (
     confidence,
     drift,
     gridding,
@@ -109,16 +64,12 @@ from repro.kernels import (  # noqa: E402
 )
 
 __all__ = [
-    "KERNEL_BACKENDS",
     "confidence",
     "drift",
-    "get_backend",
     "gridding",
     "lstm",
     "pyramid",
     "random_field",
     "resampling",
     "sea_surface",
-    "set_backend",
-    "use_backend",
 ]

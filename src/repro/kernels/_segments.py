@@ -1,4 +1,4 @@
-"""Shared segmented-array helpers for the kernel backends."""
+"""Shared segmented-array helpers for the kernels."""
 
 from __future__ import annotations
 

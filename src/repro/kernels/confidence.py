@@ -1,6 +1,7 @@
-"""ATL03 per-bin modal surface-height kernels (reference loop + vectorized).
+"""ATL03 per-bin modal surface-height kernel.
 
-Both backends share the same per-bin semantics (the satellite-fix contract of
+:func:`modal_height_per_bin` and its oracle share the same per-bin semantics
+(the satellite-fix contract of
 :func:`repro.atl03.confidence._modal_height_per_bin`):
 
 * photons with non-finite heights never enter surface finding;
@@ -12,19 +13,19 @@ Both backends share the same per-bin semantics (the satellite-fix contract of
 * otherwise the bin is histogrammed at ``height_resolution_m`` and the centre
   of the most populated height cell (first cell on ties) is returned.
 
-The reference backend histograms one bin at a time with ``np.histogram``.
-The vectorized backend assigns every photon a composite ``(bin, height-cell)``
-key and builds *all* per-bin histograms with a single ``np.bincount``; the
-cell assignment reproduces numpy's uniform-bin algorithm (truncated scaled
-index plus the ±1 ULP edge corrections against ``linspace`` edges) so the two
-backends agree bit-for-bit even for photons exactly on a cell edge.
+The oracle (:func:`repro.kernels.reference.modal_height_per_bin_reference`)
+histograms one bin at a time with ``np.histogram``.  The kernel assigns every
+photon a composite ``(bin, height-cell)`` key and builds *all* per-bin
+histograms with a single ``np.bincount``; the cell assignment reproduces
+numpy's uniform-bin algorithm (truncated scaled index plus the ±1 ULP edge
+corrections against ``linspace`` edges) so the two agree bit-for-bit even
+for photons exactly on a cell edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_backend
 from repro.kernels._segments import cumsum0 as _cumsum0
 
 
@@ -79,46 +80,7 @@ def _valid_photons(
     return bin_idx[idx], height_m[idx]
 
 
-def modal_height_per_bin_reference(
-    along_track_m: np.ndarray,
-    height_m: np.ndarray,
-    bin_edges: np.ndarray,
-    height_resolution_m: float,
-) -> np.ndarray:
-    """Modal photon height per along-track bin, one ``np.histogram`` per bin."""
-    n_bins = bin_edges.shape[0] - 1
-    modal = np.full(n_bins, np.nan)
-    bin_idx, heights = _valid_photons(along_track_m, height_m, bin_edges, n_bins)
-    if bin_idx.size == 0:
-        return modal
-    order = np.argsort(bin_idx, kind="stable")
-    bin_idx = bin_idx[order]
-    heights = heights[order]
-    boundaries = np.searchsorted(bin_idx, np.arange(n_bins + 1))
-    for b in range(n_bins):
-        lo, hi = boundaries[b], boundaries[b + 1]
-        if hi <= lo:
-            continue
-        h = heights[lo:hi]
-        if h.size == 1:
-            # A single photon *is* the surface estimate; returning early keeps
-            # degenerate zero-width ranges away from np.histogram.
-            modal[b] = float(h[0])
-            continue
-        h_min, h_max = h.min(), h.max()
-        if h_max - h_min < height_resolution_m:
-            # The whole bin fits inside one height cell: the median is the
-            # best available mode estimate.
-            modal[b] = float(np.median(h))
-            continue
-        n_cells = max(int(np.ceil((h_max - h_min) / height_resolution_m)), 1)
-        counts, edges = np.histogram(h, bins=n_cells)
-        peak = int(np.argmax(counts))
-        modal[b] = 0.5 * (edges[peak] + edges[peak + 1])
-    return modal
-
-
-def modal_height_per_bin_vectorized(
+def modal_height_per_bin(
     along_track_m: np.ndarray,
     height_m: np.ndarray,
     bin_edges: np.ndarray,
@@ -230,18 +192,3 @@ def modal_height_per_bin_vectorized(
     )
     modal[hist_bins] = 0.5 * (edge_lo + edge_hi)
     return modal
-
-
-def modal_height_per_bin(
-    along_track_m: np.ndarray,
-    height_m: np.ndarray,
-    bin_edges: np.ndarray,
-    height_resolution_m: float,
-) -> np.ndarray:
-    """Dispatch to the active kernel backend."""
-    impl = (
-        modal_height_per_bin_vectorized
-        if get_backend() == "vectorized"
-        else modal_height_per_bin_reference
-    )
-    return impl(along_track_m, height_m, bin_edges, height_resolution_m)

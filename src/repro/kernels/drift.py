@@ -1,20 +1,21 @@
-"""S2 drift-search kernels (reference loop + vectorized).
+"""S2 drift-search kernel.
 
-Both backends scan the same grid of candidate image shifts — every ``dx`` in
-``dxs`` crossed with every ``dy`` in ``dys`` — score each candidate with
-:func:`alignment_score` and return the first highest-scoring candidate in
+:func:`drift_search` scans a grid of candidate image shifts — every ``dx``
+in ``dxs`` crossed with every ``dy`` in ``dys`` — scores each candidate with
+:func:`alignment_score` and returns the first highest-scoring candidate in
 dx-major, dy-minor order, as ``(dx, dy, score, n_candidates)``.  When no
 candidate has a finite score the result is ``(0.0, 0.0, -inf, n)``.
 
-The reference backend calls :func:`alignment_score` once per candidate.  The
-vectorized backend exploits that the search is separable: a segment's pixel
-column depends only on ``dx`` and its row only on ``dy``.  It precomputes the
-ordinal rank image and the per-``dx`` column / per-``dy`` row index slabs
-once, then scores each ``dx`` row of candidates with one gather and one
-matrix-vector product against the centred heights.  Those scores rank the
-candidates; every candidate within :data:`RESCORE_TOLERANCE` of the best is
-re-scored with :func:`alignment_score` itself, so the winner, its tie-break
-and its score are exactly the reference's.
+Its oracle (:func:`repro.kernels.reference.drift_search_reference`) calls
+:func:`alignment_score` once per candidate.  The kernel exploits that the
+search is separable: a segment's pixel column depends only on ``dx`` and
+its row only on ``dy``.  It precomputes the ordinal rank image and the
+per-``dx`` column / per-``dy`` row index slabs once, then scores each ``dx``
+row of candidates with one gather and one matrix-vector product against the
+centred heights.  Those scores rank the candidates; every candidate within
+:data:`RESCORE_TOLERANCE` of the best is re-scored with
+:func:`alignment_score` itself, so the winner, its tie-break and its score
+are exactly the oracle's.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_UNSEGMENTED
-from repro.kernels import get_backend
 
 if TYPE_CHECKING:
     from repro.sentinel2.scene import S2Image
 
-#: Candidates whose vectorized score is within this distance of the best one
-#: are re-scored exactly.  The vectorized and ``np.corrcoef`` correlations
+#: Candidates whose gathered score is within this distance of the best one
+#: are re-scored exactly.  The gathered and ``np.corrcoef`` correlations
 #: differ by a few ULPs, far below this, so the exact winner is always among
 #: the re-scored candidates.
 RESCORE_TOLERANCE = 1e-9
@@ -86,7 +86,7 @@ def alignment_score(
     return float(np.corrcoef(rank, seg_height)[0, 1])
 
 
-def drift_search_reference(
+def drift_search(
     class_map: np.ndarray,
     image: S2Image,
     seg_x: np.ndarray,
@@ -95,34 +95,32 @@ def drift_search_reference(
     dxs: np.ndarray,
     dys: np.ndarray,
 ) -> tuple[float, float, float, int]:
-    """Best candidate shift via one :func:`alignment_score` call per candidate."""
-    best = (-np.inf, 0.0, 0.0)
-    count = 0
-    for dx in dxs:
-        for dy in dys:
-            count += 1
-            score = alignment_score(class_map, image, seg_x, seg_y, seg_height, dx, dy)
-            if score > best[0]:
-                best = (score, float(dx), float(dy))
-    return best[1], best[2], best[0], count
+    """Best candidate shift, scoring one dx row of candidates per gather.
 
+    Parameters
+    ----------
+    class_map:
+        Per-pixel classes of ``image`` (same shape as its pixel grid).
+    image:
+        The S2 acquisition whose grid maps positions to pixels.
+    seg_x, seg_y, seg_height:
+        Projected coordinates and finite heights of the track segments.
+    dxs, dys:
+        Candidate shifts per axis; every pair is scored.
 
-def drift_search_vectorized(
-    class_map: np.ndarray,
-    image: S2Image,
-    seg_x: np.ndarray,
-    seg_y: np.ndarray,
-    seg_height: np.ndarray,
-    dxs: np.ndarray,
-    dys: np.ndarray,
-) -> tuple[float, float, float, int]:
-    """Best candidate shift, scoring one dx row of candidates per gather."""
+    Returns
+    -------
+    tuple
+        ``(dx, dy, score, n_candidates)`` of the first best candidate in
+        dx-major order, or ``(0.0, 0.0, -inf, n_candidates)`` when no
+        candidate has a finite score.
+    """
     count = dxs.size * dys.size
     if count == 0 or seg_height.std() < MIN_SPREAD:
         return 0.0, 0.0, -np.inf, count
 
-    # Rank image and index slabs: the same pixel_index arithmetic as the
-    # reference, broadcast over the candidate axis.
+    # Rank image and index slabs: the same pixel_index arithmetic as
+    # alignment_score, broadcast over the candidate axis.
     rank_flat = _rank(class_map).ravel()
     _, cols = image.pixel_index(seg_x - dxs[:, None], seg_y)
     rows, _ = image.pixel_index(seg_x, seg_y - dys[:, None])
@@ -131,7 +129,7 @@ def drift_search_vectorized(
     # Pearson correlation per candidate from rank sums: n * cov is
     # sum(r * hc) - mean(r) * sum(hc), and the rank sums of squares are
     # exact integers, so a constant rank (n * s2 == s1**2) is detected
-    # exactly — the reference's ``rank.std() < MIN_SPREAD`` test.
+    # exactly — alignment_score's ``rank.std() < MIN_SPREAD`` test.
     n = seg_height.size
     centred = seg_height - seg_height.mean()
     sum_centred = centred.sum()
@@ -162,39 +160,3 @@ def drift_search_vectorized(
             best = (score, float(dx), float(dy))
     return best[1], best[2], best[0], count
 
-
-def drift_search(
-    class_map: np.ndarray,
-    image: S2Image,
-    seg_x: np.ndarray,
-    seg_y: np.ndarray,
-    seg_height: np.ndarray,
-    dxs: np.ndarray,
-    dys: np.ndarray,
-) -> tuple[float, float, float, int]:
-    """Dispatch to the active kernel backend.
-
-    Parameters
-    ----------
-    class_map:
-        Per-pixel classes of ``image`` (same shape as its pixel grid).
-    image:
-        The S2 acquisition whose grid maps positions to pixels.
-    seg_x, seg_y, seg_height:
-        Projected coordinates and finite heights of the track segments.
-    dxs, dys:
-        Candidate shifts per axis; every pair is scored.
-
-    Returns
-    -------
-    tuple
-        ``(dx, dy, score, n_candidates)`` of the first best candidate in
-        dx-major order, or ``(0.0, 0.0, -inf, n_candidates)`` when no
-        candidate has a finite score.
-    """
-    impl = (
-        drift_search_vectorized
-        if get_backend() == "vectorized"
-        else drift_search_reference
-    )
-    return impl(class_map, image, seg_x, seg_y, seg_height, dxs, dys)

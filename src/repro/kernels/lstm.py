@@ -1,8 +1,9 @@
-"""LSTM forward/backward kernels (reference per-step GEMMs + batched GEMMs).
+"""LSTM forward/backward kernels (batched GEMMs around the recurrence).
 
-Both backends implement the standard fused-gate LSTM (gate order f, i, g, o;
-see :mod:`repro.ml.lstm` for the equations) over inputs of shape
-``(batch, time, features)`` and return identical caches:
+The kernels and their per-step oracles implement the standard fused-gate
+LSTM (gate order f, i, g, o; see :mod:`repro.ml.lstm` for the equations)
+over inputs of shape ``(batch, time, features)`` and return identical
+caches:
 
 ``forward``  -> ``(hs, cs, gates)`` with ``hs``/``cs`` of shape
 ``(batch, T + 1, units)`` (step 0 is the zero initial state) and ``gates`` of
@@ -14,38 +15,27 @@ shape ``(batch, T, units)``.
 The recurrence itself is inherently sequential, but only the *recurrent*
 product ``h @ U`` has to live inside the time loop:
 
-* the vectorized forward computes the input projection ``x @ W`` for all
+* the forward pass computes the input projection ``x @ W`` for all
   timesteps in one ``(batch * T, features)`` GEMM;
-* the vectorized backward stores the per-step gate gradients and computes
+* the backward pass stores the per-step gate gradients and computes
   ``dW``, ``dU``, ``db`` and ``dx`` as single whole-sequence GEMMs /
   reductions after the loop, leaving just ``dz @ U.T`` per step.
 
-That turns five small GEMMs per timestep into two, which is where most of
-the Python-loop and BLAS-dispatch overhead of minibatch inference goes.
+That turns the oracles' five small GEMMs per timestep
+(:mod:`repro.kernels.reference`) into two, which is where most of the
+Python-loop and BLAS-dispatch overhead of minibatch inference goes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_backend
-
 #: Supported cell output activations.
 LSTM_ACTIVATIONS = ("elu", "tanh")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid (boolean-indexed formulation)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid_fast(x: np.ndarray) -> np.ndarray:
-    """Branch-free sigmoid, bit-identical to :func:`sigmoid`.
+    """Branch-free sigmoid, bit-identical to :func:`repro.kernels.reference.sigmoid`.
 
     ``exp(-|x|)`` equals ``exp(-x)`` on the positive branch and ``exp(x)`` on
     the negative branch, so both branches share one exponential; selecting
@@ -63,20 +53,10 @@ def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
 
-def elu_grad(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
-
-
 def cell_activation(c: np.ndarray, activation: str) -> np.ndarray:
     if activation == "elu":
         return elu(c)
     return np.tanh(c)
-
-
-def cell_activation_grad(c: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "elu":
-        return elu_grad(c)
-    return 1.0 - np.tanh(c) ** 2
 
 
 def _check_activation(activation: str) -> None:
@@ -84,99 +64,7 @@ def _check_activation(activation: str) -> None:
         raise ValueError(f"activation must be one of {LSTM_ACTIVATIONS}")
 
 
-# ---------------------------------------------------------------------------
-# Reference backend: every projection inside the time loop
-# ---------------------------------------------------------------------------
-
-
-def lstm_forward_reference(
-    x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray, activation: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward pass with one input GEMM and one recurrent GEMM per timestep."""
-    _check_activation(activation)
-    batch, T, _ = x.shape
-    H = U.shape[0]
-    h = np.zeros((batch, H))
-    c = np.zeros((batch, H))
-    hs = np.zeros((batch, T + 1, H))
-    cs = np.zeros((batch, T + 1, H))
-    gates = np.zeros((batch, T, 4 * H))
-    for t in range(T):
-        z = x[:, t, :] @ W + h @ U + b
-        f = sigmoid(z[:, :H])
-        i = sigmoid(z[:, H:2 * H])
-        g = np.tanh(z[:, 2 * H:3 * H])
-        o = sigmoid(z[:, 3 * H:])
-        c = f * c + i * g
-        h = o * cell_activation(c, activation)
-        gates[:, t, :H] = f
-        gates[:, t, H:2 * H] = i
-        gates[:, t, 2 * H:3 * H] = g
-        gates[:, t, 3 * H:] = o
-        hs[:, t + 1, :] = h
-        cs[:, t + 1, :] = c
-    return hs, cs, gates
-
-
-def lstm_backward_reference(
-    dh_seq: np.ndarray,
-    x: np.ndarray,
-    hs: np.ndarray,
-    cs: np.ndarray,
-    gates: np.ndarray,
-    W: np.ndarray,
-    U: np.ndarray,
-    activation: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass accumulating the weight gradients one timestep at a time."""
-    _check_activation(activation)
-    batch, T, _ = x.shape
-    H = U.shape[0]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dx = np.zeros_like(x)
-    dh_next = np.zeros((batch, H))
-    dc_next = np.zeros((batch, H))
-    for t in range(T - 1, -1, -1):
-        f = gates[:, t, :H]
-        i = gates[:, t, H:2 * H]
-        g = gates[:, t, 2 * H:3 * H]
-        o = gates[:, t, 3 * H:]
-        c = cs[:, t + 1, :]
-        c_prev = cs[:, t, :]
-        h_prev = hs[:, t, :]
-
-        dh = dh_seq[:, t, :] + dh_next
-        phi_c = cell_activation(c, activation)
-        dc = dh * o * cell_activation_grad(c, activation) + dc_next
-
-        do = dh * phi_c
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-
-        dzf = df * f * (1.0 - f)
-        dzi = di * i * (1.0 - i)
-        dzg = dg * (1.0 - g**2)
-        dzo = do * o * (1.0 - o)
-        dz = np.concatenate([dzf, dzi, dzg, dzo], axis=1)
-
-        dW += x[:, t, :].T @ dz
-        dU += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dx[:, t, :] = dz @ W.T
-        dh_next = dz @ U.T
-        dc_next = dc * f
-    return dx, dW, dU, db
-
-
-# ---------------------------------------------------------------------------
-# Vectorized backend: whole-sequence GEMMs outside the time loop
-# ---------------------------------------------------------------------------
-
-
-def lstm_forward_vectorized(
+def lstm_forward(
     x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray, activation: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass with the input projection batched over every timestep."""
@@ -196,7 +84,7 @@ def lstm_forward_vectorized(
     z = np.empty((batch, 4 * H))
     for t in range(T):
         # z = x_t @ W + h @ U + b, accumulated in place (addition order is
-        # commutative bit-for-bit, so this matches the reference exactly).
+        # commutative bit-for-bit, so this matches the oracle exactly).
         np.dot(h, U, out=z)
         z += zx[:, t, :]
         z += b
@@ -213,7 +101,7 @@ def lstm_forward_vectorized(
     return hs, cs, gates
 
 
-def lstm_backward_vectorized(
+def lstm_backward(
     dh_seq: np.ndarray,
     x: np.ndarray,
     hs: np.ndarray,
@@ -253,7 +141,7 @@ def lstm_backward_vectorized(
         dc += dc_next
 
         # Gate pre-activation gradients, written in place into the fused
-        # buffer with the reference's association order preserved.
+        # buffer with the oracle's association order preserved.
         dz = dz_all[t]
         dzf = dz[:, :H]
         np.multiply(dc, cs[:, t, :], out=dzf)
@@ -287,30 +175,3 @@ def lstm_backward_vectorized(
     np.dot(dz_flat, W.T, out=dx_flat)
     dx = np.ascontiguousarray(dx_flat.reshape(T, batch, n_in).transpose(1, 0, 2))
     return dx, dW, dU, db
-
-
-def lstm_forward(
-    x: np.ndarray,
-    W: np.ndarray,
-    U: np.ndarray,
-    b: np.ndarray,
-    activation: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch the forward pass to the active kernel backend."""
-    impl = lstm_forward_vectorized if get_backend() == "vectorized" else lstm_forward_reference
-    return impl(x, W, U, b, activation)
-
-
-def lstm_backward(
-    dh_seq: np.ndarray,
-    x: np.ndarray,
-    hs: np.ndarray,
-    cs: np.ndarray,
-    gates: np.ndarray,
-    W: np.ndarray,
-    U: np.ndarray,
-    activation: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch the backward pass to the active kernel backend."""
-    impl = lstm_backward_vectorized if get_backend() == "vectorized" else lstm_backward_reference
-    return impl(dh_seq, x, hs, cs, gates, W, U, activation)

@@ -1,4 +1,4 @@
-"""Spectral synthesis of the scene random fields (reference + vectorized).
+"""Spectral synthesis of the scene random fields.
 
 :func:`repro.surface.fields.gaussian_random_field` needs a real Gaussian
 field whose power spectrum is the filter ``exp(-0.5 k² (2πL)²)`` (``k`` in
@@ -22,11 +22,12 @@ white noise, so the field is distributed as the filtered white noise was,
 with the same variance.
 
 :func:`half_spectrum` draws the coefficients into one ``(ny, nx // 2 + 1)``
-complex array, and both backends invert it to the same bytes of the real
-``(ny, nx)`` field:
+complex array, and :func:`inverse` and its oracle invert it to the same
+bytes of the real ``(ny, nx)`` field:
 
-* reference: the full-spectrum ``irfft2``;
-* vectorized: the same 1-D transforms in the same order (``ifft`` along
+* the oracle (:func:`repro.kernels.reference.inverse_reference`): the
+  full-spectrum ``irfft2``;
+* :func:`inverse`: the same 1-D transforms in the same order (``ifft`` along
   ``y``, then ``irfft`` along ``x``), but the ``y`` pass runs, in place,
   only on the surviving columns.  Every other column is all zero, and so
   is its transform, up to the sign of its zeros, which no non-zero sum in
@@ -36,8 +37,6 @@ complex array, and both backends invert it to the same bytes of the real
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels import get_backend
 
 
 def _filter(kx: np.ndarray, ky: np.ndarray, correlation_length_px: float) -> np.ndarray:
@@ -74,13 +73,8 @@ def half_spectrum(
     return spectrum, n_cols
 
 
-def inverse_reference(spectrum: np.ndarray, n_cols: int, nx: int) -> np.ndarray:
-    """The full-spectrum inverse transform of a drawn half-spectrum."""
-    return np.fft.irfft2(spectrum, s=(spectrum.shape[0], nx), norm="ortho")
-
-
-def inverse_vectorized(spectrum: np.ndarray, n_cols: int, nx: int) -> np.ndarray:
-    """The same transforms, with the ``y`` pass restricted to the first ``n_cols`` columns.
+def inverse(spectrum: np.ndarray, n_cols: int, nx: int) -> np.ndarray:
+    """The inverse transforms, with the ``y`` pass restricted to the first ``n_cols`` columns.
 
     The ``y`` pass runs in place: it overwrites those columns of ``spectrum``.
     """
@@ -96,9 +90,9 @@ def spectral_field(
 
     ``shape`` is ``(ny, nx)`` with positive entries and
     ``correlation_length_px`` a positive, finite length in pixels.  The
-    field is contiguous and neither centred nor normalised; both backends
-    draw the same values from ``rng`` and return the same bytes.
+    field is contiguous and neither centred nor normalised; under
+    :func:`repro.kernels.reference.oracles` it draws the same values from
+    ``rng`` and returns the same bytes.
     """
     spectrum, n_cols = half_spectrum(shape, correlation_length_px, rng)
-    inverse = inverse_reference if get_backend() == "reference" else inverse_vectorized
     return inverse(spectrum, n_cols, shape[1])

@@ -1,4 +1,4 @@
-"""Fixed-window resampling reductions (reference loops + vectorized).
+"""Fixed-window resampling reductions.
 
 :func:`repro.resampling.window.resample_fixed_window` summarises the signal
 photons of every 2 m window.  Sums, means, minima and maxima are single
@@ -12,11 +12,12 @@ photons of every 2 m window.  Sums, means, minima and maxima are single
   ``CLASS_UNLABELED`` for an empty window.
 
 Both take the photons sorted by window and ``boundaries`` of length
-``n_windows + 1`` giving each window's slice.  The reference backend loops
-over the non-empty windows.  The vectorized backend sorts every window's
-values at once with one ``np.lexsort`` by (window, value) for the median,
-and builds every window's class histogram with one composite-key
-``np.bincount`` for the majority.  The outputs are bit-identical.
+``n_windows + 1`` giving each window's slice.  Their oracles
+(:mod:`repro.kernels.reference`) loop over the non-empty windows.  The
+kernels sort every window's values at once with one ``np.lexsort`` by
+(window, value) for the median, and build every window's class histogram
+with one composite-key ``np.bincount`` for the majority.  The outputs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import CLASS_UNLABELED
-from repro.kernels import get_backend
 from repro.kernels._segments import segmented_median
 
 
@@ -34,35 +34,11 @@ def _window_ids(boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.repeat(np.arange(counts.size), counts)
 
 
-# ---------------------------------------------------------------------------
-# Reference backend: one window at a time
-# ---------------------------------------------------------------------------
+def grouped_median(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Median of ``values[boundaries[i]:boundaries[i + 1]]`` per window.
 
-
-def grouped_median_reference(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Per-window ``np.median`` over the non-empty windows."""
-    out = np.full(boundaries.shape[0] - 1, np.nan)
-    for i in np.flatnonzero(np.diff(boundaries) > 0):
-        out[i] = np.median(values[boundaries[i] : boundaries[i + 1]])
-    return out
-
-
-def grouped_majority_reference(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Per-window most frequent code via ``np.unique`` counts."""
-    out = np.full(boundaries.shape[0] - 1, CLASS_UNLABELED, dtype=values.dtype)
-    for i in np.flatnonzero(np.diff(boundaries) > 0):
-        vals, cnts = np.unique(values[boundaries[i] : boundaries[i + 1]], return_counts=True)
-        out[i] = vals[np.argmax(cnts)]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized backend: all windows at once
-# ---------------------------------------------------------------------------
-
-
-def grouped_median_vectorized(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Per-window median from one lexsort by (window, value)."""
+    One lexsort by (window, value); empty windows get NaN.
+    """
     counts, window = _window_ids(boundaries)
     window_values = values[boundaries[0] : boundaries[-1]]
     median = segmented_median(window, window_values, counts)
@@ -71,8 +47,12 @@ def grouped_median_vectorized(values: np.ndarray, boundaries: np.ndarray) -> np.
     return median
 
 
-def grouped_majority_vectorized(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Per-window most frequent code from one composite-key bincount."""
+def grouped_majority(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Most frequent class code per window (smallest on ties), in ``values.dtype``.
+
+    ``values`` are small-range integer codes (one composite-key bincount
+    spans their range); empty windows get ``CLASS_UNLABELED``.
+    """
     counts, window = _window_ids(boundaries)
     out = np.full(counts.size, CLASS_UNLABELED, dtype=values.dtype)
     non_empty = counts > 0
@@ -85,29 +65,3 @@ def grouped_majority_vectorized(values: np.ndarray, boundaries: np.ndarray) -> n
     # argmax returns the first maximum, i.e. the smallest code on ties.
     out[non_empty] = histogram.reshape(counts.size, span)[non_empty].argmax(axis=1) + lowest
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
-def grouped_median(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Median of ``values[boundaries[i]:boundaries[i + 1]]`` per window.
-
-    Empty windows get NaN.
-    """
-    if get_backend() == "vectorized":
-        return grouped_median_vectorized(values, boundaries)
-    return grouped_median_reference(values, boundaries)
-
-
-def grouped_majority(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Most frequent class code per window (smallest on ties), in ``values.dtype``.
-
-    ``values`` are small-range integer codes (the histogram spans their
-    range); empty windows get ``CLASS_UNLABELED``.
-    """
-    if get_backend() == "vectorized":
-        return grouped_majority_vectorized(values, boundaries)
-    return grouped_majority_reference(values, boundaries)

@@ -1,12 +1,12 @@
-"""Windowed sea-surface estimation kernels (reference loop + vectorized).
+"""Windowed sea-surface estimation kernel.
 
-Both backends implement the same contract: given the open-water candidate
+:func:`window_estimates` and its oracle implement the same contract: given the open-water candidate
 segments of a track (sorted by along-track position) and the window grid,
 produce per-window sea-surface heights, errors and surviving segment counts
 for one of the four estimation methods
 (:data:`repro.freeboard.sea_surface.SEA_SURFACE_METHODS`).
 
-The per-window recipe (shared by both backends, and by the operational ATBD):
+The per-window recipe (shared with the oracle, and by the operational ATBD):
 
 1. select the window's segments with two ``searchsorted`` bounds;
 2. reject outliers farther than ``max(3 * 1.4826 * MAD, 0.25 m)`` from the
@@ -14,18 +14,18 @@ The per-window recipe (shared by both backends, and by the operational ATBD):
 3. if at least ``min_segments`` survive, estimate the window height/error
    with the requested method, otherwise emit NaN.
 
-The reference backend runs that recipe one window at a time; the vectorized
-backend expands the (window, segment) membership once — segments appear in
-``ceil(window / step)`` windows at most, so the expansion is bounded — and
-then computes every step for *all* windows simultaneously with segmented
-sorts, ``np.bincount`` weighted reductions and ``reduceat``.
+The oracle (:func:`repro.kernels.reference.window_estimates_reference`)
+runs that recipe one window at a time; the kernel expands the (window,
+segment) membership once — segments appear in ``ceil(window / step)``
+windows at most, so the expansion is bounded — and then computes every step
+for *all* windows simultaneously with segmented sorts, ``np.bincount``
+weighted reductions and ``reduceat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_backend
 from repro.kernels._segments import cumsum0 as _cumsum0
 from repro.kernels._segments import group_median_sorted as _group_median_sorted
 
@@ -37,7 +37,7 @@ MIN_SIGMA = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Scalar building blocks (shared by the reference loop and the public API in
+# Scalar building blocks (shared by the oracle and the public API in
 # repro.freeboard.sea_surface)
 # ---------------------------------------------------------------------------
 
@@ -70,91 +70,6 @@ def nasa_reference_height_arrays(
     ref_height = float(np.sum(a * lead_heights_m))
     ref_error = float(np.sqrt(np.sum(a**2 * sigma**2)))
     return ref_height, ref_error
-
-
-def group_leads(along_m: np.ndarray, max_gap_m: float = LEAD_MAX_GAP_M) -> list[np.ndarray]:
-    """Group open-water segment indices into leads by along-track proximity."""
-    if along_m.size == 0:
-        return []
-    order = np.argsort(along_m)
-    sorted_along = along_m[order]
-    breaks = np.flatnonzero(np.diff(sorted_along) > max_gap_m) + 1
-    return [np.asarray(g) for g in np.split(order, breaks)]
-
-
-def window_estimate_scalar(
-    method: str,
-    along_m: np.ndarray,
-    heights_m: np.ndarray,
-    errors_m: np.ndarray,
-    center_m: float,
-) -> tuple[float, float]:
-    """Sea-surface height and error of one window from its open-water segments."""
-    if method == "minimum":
-        idx = int(np.argmin(heights_m))
-        return float(heights_m[idx]), float(errors_m[idx])
-    if method == "average":
-        return float(heights_m.mean()), float(heights_m.std() / np.sqrt(heights_m.size))
-    if method == "nearest_minimum":
-        threshold = np.quantile(heights_m, 0.25)
-        candidates = np.flatnonzero(heights_m <= threshold)
-        nearest = candidates[np.argmin(np.abs(along_m[candidates] - center_m))]
-        return float(heights_m[nearest]), float(errors_m[nearest])
-    if method == "nasa":
-        leads = group_leads(along_m)
-        lead_heights = np.empty(len(leads))
-        lead_errors = np.empty(len(leads))
-        for k, lead_idx in enumerate(leads):
-            lead_heights[k], lead_errors[k] = nasa_lead_height_arrays(
-                heights_m[lead_idx], errors_m[lead_idx]
-            )
-        return nasa_reference_height_arrays(lead_heights, lead_errors)
-    raise ValueError(f"unknown sea-surface method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# Reference backend: one window at a time
-# ---------------------------------------------------------------------------
-
-
-def window_estimates_reference(
-    along_m: np.ndarray,
-    height_m: np.ndarray,
-    error_m: np.ndarray,
-    starts_m: np.ndarray,
-    stops_m: np.ndarray,
-    centers_m: np.ndarray,
-    method: str,
-    min_segments: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-window estimates via the original Python loop (ground truth)."""
-    n_windows = starts_m.size
-    out_h = np.full(n_windows, np.nan)
-    out_e = np.full(n_windows, np.nan)
-    counts = np.zeros(n_windows, dtype=np.int64)
-    for i in range(n_windows):
-        lo = int(np.searchsorted(along_m, starts_m[i], side="left"))
-        hi = int(np.searchsorted(along_m, stops_m[i], side="right"))
-        w_along = along_m[lo:hi]
-        w_height = height_m[lo:hi]
-        w_error = error_m[lo:hi]
-        if w_height.size:
-            median = np.median(w_height)
-            mad = np.median(np.abs(w_height - median))
-            tolerance = max(3.0 * 1.4826 * mad, 0.25)
-            keep = np.abs(w_height - median) <= tolerance
-            w_along, w_height, w_error = w_along[keep], w_height[keep], w_error[keep]
-        counts[i] = w_height.size
-        if counts[i] >= min_segments:
-            out_h[i], out_e[i] = window_estimate_scalar(
-                method, w_along, w_height, w_error, centers_m[i]
-            )
-    return out_h, out_e, counts
-
-
-# ---------------------------------------------------------------------------
-# Vectorized backend: all windows at once
-# ---------------------------------------------------------------------------
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -220,7 +135,7 @@ def _group_min_first(
     return np.minimum.reduceat(candidates, seg_starts)
 
 
-def window_estimates_vectorized(
+def window_estimates(
     along_m: np.ndarray,
     height_m: np.ndarray,
     error_m: np.ndarray,
@@ -230,7 +145,25 @@ def window_estimates_vectorized(
     method: str,
     min_segments: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-window estimates with every step computed across all windows at once."""
+    """Per-window estimates with every step computed across all windows at once.
+
+    Parameters
+    ----------
+    along_m, height_m, error_m:
+        Open-water candidate segments, sorted by ``along_m``.
+    starts_m, stops_m, centers_m:
+        The window grid.
+    method:
+        One of the four sea-surface methods.
+    min_segments:
+        Minimum surviving open-water segments for a window estimate.
+
+    Returns
+    -------
+    tuple
+        ``(heights_m, errors_m, counts)`` arrays, one entry per window;
+        windows below ``min_segments`` are NaN.
+    """
     if method not in ("minimum", "average", "nearest_minimum", "nasa"):
         raise ValueError(f"unknown sea-surface method {method!r}")
     n_windows = starts_m.size
@@ -375,42 +308,3 @@ def window_estimates_vectorized(
     out_h[valid] = ref_h[valid]
     out_e[valid] = ref_e[valid]
     return out_h, out_e, counts
-
-
-def window_estimates(
-    along_m: np.ndarray,
-    height_m: np.ndarray,
-    error_m: np.ndarray,
-    starts_m: np.ndarray,
-    stops_m: np.ndarray,
-    centers_m: np.ndarray,
-    method: str,
-    min_segments: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch to the active kernel backend.
-
-    Parameters
-    ----------
-    along_m, height_m, error_m:
-        Open-water candidate segments, sorted by ``along_m``.
-    starts_m, stops_m, centers_m:
-        The window grid.
-    method:
-        One of the four sea-surface methods.
-    min_segments:
-        Minimum surviving open-water segments for a window estimate.
-
-    Returns
-    -------
-    tuple
-        ``(heights_m, errors_m, counts)`` arrays, one entry per window;
-        windows below ``min_segments`` are NaN.
-    """
-    impl = (
-        window_estimates_vectorized
-        if get_backend() == "vectorized"
-        else window_estimates_reference
-    )
-    return impl(
-        along_m, height_m, error_m, starts_m, stops_m, centers_m, method, min_segments
-    )

@@ -15,8 +15,8 @@ with, mirroring operational Level-3 processors such as pysiral:
   granule grids into fleet composites with propagated uncertainty (std of
   contributing granule means, granule counts, coverage);
 * :mod:`repro.l3.writer` — self-describing on-disk products (npz arrays +
-  JSON metadata incl. grid definition, config fingerprint and kernel
-  backend) that reload **bit-identically**;
+  JSON metadata incl. grid definition and config fingerprint) that reload
+  **bit-identically**;
 * :mod:`repro.l3.merge` — :class:`~repro.l3.merge.MosaicAccumulator`, the
   online counterpart of :meth:`Level3Processor.mosaic
   <repro.l3.processor.Level3Processor.mosaic>`: granules join the fleet

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.config import CLASS_NAMES
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import get_backend
 from repro.l3.processor import mean_and_std_across
 from repro.l3.product import Level3Grid
 
@@ -220,6 +219,5 @@ class MosaicAccumulator:
                 "granule_ids": list(self.granule_ids),
                 "n_granules": n_fleet,
                 "n_segments_total": int(variables["n_segments"].sum()),
-                "kernel_backend": get_backend(),
             },
         )

@@ -38,8 +38,7 @@ from repro.config import (
 )
 from repro.freeboard.thickness import thickness_from_freeboard
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import get_backend
-from repro.kernels.gridding import cell_class_counts, cell_statistics
+from repro.kernels import gridding as kgridding
 from repro.l3.product import Level3Grid
 
 if TYPE_CHECKING:  # runtime imports stay light; these are duck-typed inputs
@@ -58,9 +57,6 @@ class Level3Processor:
     min_segments:
         Cells with fewer contributing freeboard segments report NaN
         freeboard/thickness statistics (counts are always reported).
-
-    Products stamp the kernel backend active when they are computed
-    (:func:`repro.kernels.get_backend`) as ``kernel_backend`` metadata.
     """
 
     def __init__(self, grid: GridDefinition, min_segments: int = 1) -> None:
@@ -130,15 +126,17 @@ class Level3Processor:
         inside = flat >= 0
         n_cells = self.grid.n_cells
 
-        counts = cell_class_counts(flat[inside], labels[inside], n_cells, N_CLASSES)
+        counts = kgridding.cell_class_counts(flat[inside], labels[inside], n_cells, N_CLASSES)
         n_segments = counts.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             fractions = np.where(n_segments > 0, counts / n_segments, np.nan)
 
         ice = inside & (labels != CLASS_OPEN_WATER) & np.isfinite(fb)
-        fb_count, fb_mean, fb_median, fb_std, fb_mad = cell_statistics(flat[ice], fb[ice], n_cells)
+        fb_count, fb_mean, fb_median, fb_std, fb_mad = kgridding.cell_statistics(
+            flat[ice], fb[ice], n_cells
+        )
         thickness = thickness_from_freeboard(fb[ice]).thickness_m
-        _, th_mean, _, th_std, _ = cell_statistics(flat[ice], thickness, n_cells)
+        _, th_mean, _, th_std, _ = kgridding.cell_statistics(flat[ice], thickness, n_cells)
 
         # Cells below the contributor floor report NaN statistics by
         # convention; the counts still say how thin the cell was.
@@ -168,7 +166,6 @@ class Level3Processor:
                 "granule_id": granule_id,
                 "beams": sorted(classified),
                 "n_segments_total": int(n_segments.sum()),
-                "kernel_backend": get_backend(),
                 "min_segments": int(self.min_segments),
             },
         )
@@ -228,7 +225,6 @@ class Level3Processor:
                 "granule_ids": [str(g.metadata.get("granule_id", "")) for g in grids],
                 "n_granules": n_fleet,
                 "n_segments_total": int(n_segments.sum()),
-                "kernel_backend": get_backend(),
             },
         )
 

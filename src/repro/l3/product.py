@@ -3,7 +3,7 @@
 A :class:`Level3Grid` is one gridded composite: a
 :class:`~repro.geodesy.grid.GridDefinition` plus named 2-D variables of the
 grid's shape, per-variable attributes (units, long names) and free-form
-provenance metadata (granule ids, content fingerprint, kernel backend).
+provenance metadata (granule ids, content fingerprint).
 Both per-granule grids (``kind="granule"``) and multi-granule mosaics
 (``kind="mosaic"``) use this container; they differ only in their variable
 sets and metadata.  The on-disk form is written/read by :mod:`repro.l3.writer`.
@@ -50,7 +50,7 @@ class Level3Grid:
     ``variables`` maps variable name to a ``(ny, nx)`` array; ``attrs``
     carries per-variable attributes (defaults from :data:`VARIABLE_ATTRS`);
     ``metadata`` is free-form JSON-serialisable provenance (``kind``,
-    ``granule_id``/``granule_ids``, ``kernel_backend``, ``fingerprint``).
+    ``granule_id``/``granule_ids``, ``fingerprint``).
     """
 
     grid: GridDefinition

@@ -11,9 +11,9 @@ A written product is a pair of sibling files sharing one base path:
 * ``<base>.json`` — everything needed to interpret the arrays without the
   library that wrote them: the format version, the full grid definition
   (extent, cell size, projection incl. ellipsoid), per-variable attributes
-  (units, long name, dtype, shape), the provenance metadata (granule
-  ids, config fingerprint, kernel backend), and — for raw products — a
-  ``storage`` section with per-variable byte offsets into the blob.
+  (units, long name, dtype, shape), the provenance metadata (granule ids,
+  config fingerprint), and — for raw products — a ``storage`` section with
+  per-variable byte offsets into the blob.
 
 This turns L3 products into shareable, versioned artifacts: two products
 with the same fingerprint are interchangeable, and a product written by an

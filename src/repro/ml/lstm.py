@@ -74,10 +74,9 @@ class LSTM(Layer):
             raise ValueError(
                 f"LSTM expected input of shape (batch, time, {self.n_inputs}), got {x.shape}"
             )
-        # The time recurrence runs in the kernel layer: the vectorized
-        # backend batches the input projection (and, in backward, the weight
-        # gradients) into whole-sequence GEMMs; the reference backend is the
-        # original per-step loop (see repro.kernels.lstm).
+        # The time recurrence runs in the kernel layer, which batches the
+        # input projection (and, in backward, the weight gradients) into
+        # whole-sequence GEMMs (see repro.kernels.lstm).
         hs, cs, gates = _kernels.lstm_forward(x, self.W, self.U, self.b, self.activation)
 
         self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}

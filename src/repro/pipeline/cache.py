@@ -7,7 +7,7 @@ as misses (and moved aside, counted and logged, never silently dropped).
 keys (``<stage>-<fingerprint>``) under ``<root>/stages/``, shared by every
 campaign and workflow run under the same cache root.  It is the only cache
 tier: because every key is a content fingerprint, an entry can never be
-served for a config, kernel backend or stage version it was not made under.
+served for a config or stage version it was not made under.
 
 Misses are reported with the :data:`MISS` sentinel (when asked for), so a
 legitimately cached ``None`` is distinguishable from an absent entry.

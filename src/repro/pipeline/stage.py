@@ -83,21 +83,12 @@ class Stage:
         context_payload: Mapping[str, Any],
         input_fingerprints: Mapping[str, str | list[str]],
     ) -> str:
-        """Content fingerprint of executing this stage under ``config``.
-
-        The active kernel backend is always part of the payload: the
-        reference and vectorized backends agree only to ~1e-10, so a cache
-        shared across ``REPRO_KERNEL_BACKEND`` values must never serve one
-        backend's artifacts to the other.
-        """
-        context = {"kernel_backend": context_payload["kernel_backend"]}
-        for path in self.context_paths:
-            context[path] = context_payload[path]
+        """Content fingerprint of executing this stage under ``config``."""
         return stage_fingerprint(
             self.name,
             self.version,
             config_slice(config, self.config_paths),
-            context,
+            {path: context_payload[path] for path in self.context_paths},
             input_fingerprints,
         )
 
@@ -116,18 +107,8 @@ class StageContext:
     scenario: tuple[tuple[str, Any], ...] = ()
 
     def payload(self) -> dict[str, Any]:
-        """Fingerprint-relevant context attributes (see ``context_paths``).
-
-        ``kernel_backend`` is included unconditionally — stage fingerprints
-        must distinguish reference- from vectorized-backend outputs.
-        """
-        from repro import kernels
-
-        return {
-            "granule_id": self.granule_id,
-            "scenario": list(self.scenario),
-            "kernel_backend": kernels.get_backend(),
-        }
+        """Fingerprint-relevant context attributes (see ``context_paths``)."""
+        return {"granule_id": self.granule_id, "scenario": list(self.scenario)}
 
 
 @dataclass

@@ -329,8 +329,8 @@ def stage_build_pyramid(ctx: StageContext, l3_mosaic: Level3Grid) -> dict[str, A
     """Build the serving-side tile pyramid over the campaign mosaic.
 
     Content-addressed like every other stage: the fingerprint chains the
-    mosaic's fingerprint with the ``serve`` config slice and the kernel
-    backend, so a tile-geometry-only change rebuilds exactly this stage.
+    mosaic's fingerprint with the ``serve`` config slice, so a
+    tile-geometry-only change rebuilds exactly this stage.
     """
     return {"l3_pyramid": build_pyramid(l3_mosaic, serve=ctx.config.serve)}
 

@@ -2,12 +2,11 @@
 
 Every product written by :func:`repro.l3.write_level3` is a pair of files;
 the JSON sidecar alone carries everything a serving layer needs to *find*
-the product — grid extent and resolution, variable names, kind, granule
-ids, content fingerprint, kernel backend.  :class:`ProductCatalog` scans
-directories of sidecars into indexed :class:`CatalogEntry` records and
-answers region + variable queries **without opening a single npz**: arrays
-are only decoded later, by the query engine, and only for products a
-request actually resolves to.
+the product — grid extent and resolution, variable names, kind, granule ids,
+content fingerprint.  :class:`ProductCatalog` scans directories of sidecars
+into indexed :class:`CatalogEntry` records and answers region + variable
+queries **without opening a single npz**: arrays are only decoded later, by
+the query engine, and only for products a request actually resolves to.
 
 Registration is strict: a sidecar that does not announce itself (missing or
 unknown ``format`` tag, unparsable JSON) raises
@@ -61,7 +60,6 @@ class CatalogEntry:
     y_max_m: float
     cell_size_m: float
     shape: tuple[int, int]
-    kernel_backend: str = ""
     #: Array-container layout, from the sidecar's ``storage`` section:
     #: ``"npz"`` (zip archive) or ``"raw"`` (flat memmap-able blob).
     storage: str = "npz"
@@ -132,7 +130,6 @@ class CatalogEntry:
             y_max_m=grid.y_max_m,
             cell_size_m=grid.cell_size_m,
             shape=grid.shape,
-            kernel_backend=str(metadata.get("kernel_backend", "")),
             storage="raw" if storage is not None else "npz",
             metadata=dict(metadata),
         )

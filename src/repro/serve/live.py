@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DEFAULT_SERVE, ServeConfig
-from repro.kernels import get_backend
-from repro.kernels.pyramid import reduce_coverage, reduce_mean
+from repro.kernels import pyramid as kpyramid
 from repro.l3.product import Level3Grid
 from repro.serve.catalog import CatalogEntry
 from repro.serve.pyramid import TilePyramid, _weight_layer, tiles_for_cells
@@ -120,7 +119,7 @@ class IncrementalPyramidBuilder:
                 r0, r1 = 2 * ts * row, 2 * ts * (row + 1)
                 c0, c1 = 2 * ts * col, 2 * ts * (col + 1)
                 for name in names:
-                    values, weights = reduce_mean(
+                    values, weights = kpyramid.reduce_mean(
                         prev.variables[name][r0:r1, c0:c1],
                         prev.weights[name][r0:r1, c0:c1],
                     )
@@ -131,7 +130,7 @@ class IncrementalPyramidBuilder:
                     level.weights[name][
                         ts * row : ts * row + out_rows, ts * col : ts * col + out_cols
                     ] = weights
-                coverage = reduce_coverage(prev.coverage[r0:r1, c0:c1])
+                coverage = kpyramid.reduce_coverage(prev.coverage[r0:r1, c0:c1])
                 level.coverage[
                     ts * row : ts * row + coverage.shape[0],
                     ts * col : ts * col + coverage.shape[1],
@@ -154,7 +153,6 @@ class IncrementalPyramidBuilder:
                 "weight_variable": self.serve.weight_variable,
                 "pyramid_variables": list(self.pyramid.levels[0].variables),
                 "n_levels": self.pyramid.n_levels,
-                "kernel_backend": get_backend(),
             }
         )
         self.pyramid.metadata = metadata

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.config import DEFAULT_SERVE, ServeConfig
 from repro.geodesy.grid import GridDefinition
-from repro.kernels import get_backend
-from repro.kernels.pyramid import reduce_coverage, reduce_mean
+from repro.kernels import pyramid as kpyramid
 from repro.l3.product import Level3Grid
 
 #: Value layers whose natural reduction weight is the freeboard-segment
@@ -197,8 +196,8 @@ class TilePyramid:
 
     ``levels[0]`` is the base resolution; ``levels[k]`` halves (ceil) the
     rows and columns of ``levels[k-1]``.  ``metadata`` carries the source
-    product's provenance (granule ids, fingerprint, kernel backend) plus the
-    pyramid build parameters.
+    product's provenance (granule ids, fingerprint) plus the pyramid build
+    parameters.
     """
 
     tile_size: int
@@ -397,7 +396,7 @@ def build_pyramid(
         reduced_values: dict[str, np.ndarray] = {}
         reduced_weights: dict[str, np.ndarray] = {}
         for name in names:
-            out_values, out_weights = reduce_mean(prev.variables[name], prev.weights[name])
+            out_values, out_weights = kpyramid.reduce_mean(prev.variables[name], prev.weights[name])
             reduced_values[name] = out_values
             reduced_weights[name] = out_weights
         levels.append(
@@ -406,7 +405,7 @@ def build_pyramid(
                 grid=_level_grid(base, zoom),
                 variables=reduced_values,
                 weights=reduced_weights,
-                coverage=reduce_coverage(prev.coverage),
+                coverage=kpyramid.reduce_coverage(prev.coverage),
             )
         )
 
@@ -417,7 +416,6 @@ def build_pyramid(
             "weight_variable": serve.weight_variable,
             "pyramid_variables": list(names),
             "n_levels": total_levels,
-            "kernel_backend": get_backend(),
         }
     )
     return TilePyramid(tile_size=serve.tile_size, levels=tuple(levels), metadata=metadata)

@@ -8,9 +8,7 @@ Covers the failure modes a long campaign actually meets:
   not) resumes from the cached curation stages;
 * stage-granular invalidation: changing only ``sea_surface.method`` must
   not invalidate curated or classifier artifacts — only the stages
-  downstream of sea surface re-run;
-* a re-run under the other kernel backend shares no cache entry with the
-  first backend's run.
+  downstream of sea surface re-run.
 """
 
 import numpy as np
@@ -18,7 +16,6 @@ import pytest
 
 from dataclasses import replace
 
-from repro import kernels
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.campaign.runner import GRANULE_RESULT_STAGE
 from repro.config import SeaSurfaceConfig
@@ -193,18 +190,3 @@ class TestStageGranularInvalidation:
                     warm_granule.products.freeboard[beam].freeboard_m,
                     cold_granule.products.freeboard[beam].freeboard_m,
                 )
-
-
-class TestBackendIsolation:
-    def test_other_backend_misses_every_entry(self, tmp_path):
-        """Every cache key folds in the kernel backend: a re-run under the
-        other backend reads nothing the first backend wrote."""
-        config = CampaignConfig(base=BASE, seed=3, cache_dir=str(tmp_path))
-        first = CampaignRunner(config).run()
-        other = "reference" if kernels.get_backend() == "vectorized" else "vectorized"
-        with kernels.use_backend(other):
-            second = CampaignRunner(config).run()
-        assert second.stage_hits == ()
-        assert set(second.stage_misses).isdisjoint(first.stage_misses)
-        for prefix in ("scene-", "train-", "infer-", f"{GRANULE_RESULT_STAGE}-"):
-            assert any(key.startswith(prefix) for key in second.stage_misses), prefix

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.distributed.mapreduce import MapReduceEngine, partition_indices
 from repro.obs.core import Obs
 
@@ -33,11 +32,6 @@ def _square_chunk(chunk):
 
 def _concat_squared(parts):
     return np.concatenate([p["squared"] for p in parts])
-
-
-def _worker_backend(_partition):
-    """Module-level map function reporting the kernel backend it ran under."""
-    return kernels.get_backend()
 
 
 class TestPartitionIndices:
@@ -90,20 +84,6 @@ class TestMapReduceEngine:
         engine = MapReduceEngine(n_partitions=2, executor="process", max_workers=2)
         result = engine.map_arrays({"values": values}, _square_chunk, _concat_squared)
         np.testing.assert_allclose(result.value, values**2)
-
-    def test_process_workers_follow_the_driver_backend(self):
-        """A persistent pool runs every job under the driver's current backend."""
-        driver = kernels.get_backend()
-        other = next(name for name in kernels.KERNEL_BACKENDS if name != driver)
-        with MapReduceEngine(n_partitions=2, executor="process", max_workers=2) as engine:
-            assert engine.run(lambda: [0, 1], _worker_backend, list).value == [driver] * 2
-            with kernels.use_backend(other):
-                ran = engine.run(lambda: [0, 1], _worker_backend, list)
-                # map_arrays builds its own partition tasks; they carry the backend too.
-                shared = engine.map_arrays({"x": np.arange(4.0)}, _worker_backend, list)
-            assert ran.value == [other] * 2
-            assert shared.value == [other] * 2
-            assert engine.run(lambda: [0, 1], _worker_backend, list).value == [driver] * 2
 
     @pytest.mark.parametrize("obs", [Obs(), Obs.disabled()], ids=["enabled", "disabled"])
     def test_timing_stages_present(self, obs):

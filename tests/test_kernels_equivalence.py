@@ -1,14 +1,16 @@
 """Property-based equivalence tests for the vectorized kernel layer.
 
-Every kernel in :mod:`repro.kernels` ships two backends — the original
-per-window / per-bin / per-step / per-candidate ``reference`` loops and the
-``vectorized`` rewrites.  These tests assert that on random scenes (and the
-degenerate corners: empty windows, all-open-water tracks, single-photon
-bins, NaN photons) the two backends agree to 1e-10; the drift-search,
-resampling and random-field kernels, and the bounding-box lead stamping,
-must agree exactly.
+Every kernel in :mod:`repro.kernels` is tested against its oracle in
+:mod:`repro.kernels.reference` — the original per-window / per-bin /
+per-step / per-candidate loop.  These tests assert that on random scenes
+(and the degenerate corners: empty windows, all-open-water tracks,
+single-photon bins, NaN photons) kernel and oracle agree to 1e-10, directly
+and through whole library paths run under :func:`oracles`; the
+drift-search, resampling and random-field kernels, and the bounding-box
+lead stamping, must agree exactly.
 """
 
+from contextlib import nullcontext
 from datetime import datetime
 
 import numpy as np
@@ -16,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.atl03.confidence import classify_confidence
 from repro.atl03.granule import BeamData
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE
@@ -25,8 +26,10 @@ from repro.kernels import confidence as kconf
 from repro.kernels import drift as kdrift
 from repro.kernels import lstm as klstm
 from repro.kernels import random_field as krandom_field
+from repro.kernels import reference as kref
 from repro.kernels import resampling as kresampling
 from repro.kernels import sea_surface as ksea
+from repro.kernels.reference import oracles
 from repro.labeling.alignment import estimate_drift
 from repro.resampling.window import resample_fixed_window
 from repro.sentinel2.scene import S2Image
@@ -46,46 +49,6 @@ def assert_equiv(a, b, label, atol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# Backend switch
-# ---------------------------------------------------------------------------
-
-
-class TestBackendSwitch:
-    def test_default_is_vectorized(self):
-        assert kernels.get_backend() in kernels.KERNEL_BACKENDS
-
-    def test_set_and_restore(self):
-        original = kernels.get_backend()
-        try:
-            kernels.set_backend("reference")
-            assert kernels.get_backend() == "reference"
-        finally:
-            kernels.set_backend(original)
-
-    def test_use_backend_scopes_the_switch(self):
-        original = kernels.get_backend()
-        with kernels.use_backend("reference"):
-            assert kernels.get_backend() == "reference"
-        assert kernels.get_backend() == original
-
-    def test_use_backend_restores_on_error(self):
-        original = kernels.get_backend()
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("reference"):
-                raise RuntimeError("boom")
-        assert kernels.get_backend() == original
-
-    def test_unknown_backend_rejected(self):
-        original = kernels.get_backend()
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-        with pytest.raises(ValueError):
-            with kernels.use_backend("jax"):
-                pass
-        assert kernels.get_backend() == original
-
-
-# ---------------------------------------------------------------------------
 # Windowed sea-surface estimation
 # ---------------------------------------------------------------------------
 
@@ -102,10 +65,10 @@ def _window_grid(along, window_m=2_000.0, step_m=1_000.0):
 
 def _compare_sea_surface(along, height, error, method, min_segments=3):
     starts, stops, centers = _window_grid(along)
-    ref = ksea.window_estimates_reference(
+    ref = kref.window_estimates_reference(
         along, height, error, starts, stops, centers, method, min_segments
     )
-    vec = ksea.window_estimates_vectorized(
+    vec = ksea.window_estimates(
         along, height, error, starts, stops, centers, method, min_segments
     )
     assert_equiv(ref[0], vec[0], f"{method} heights")
@@ -127,7 +90,7 @@ class TestSeaSurfaceKernel:
     @pytest.mark.parametrize("method", SEA_SURFACE_METHODS)
     def test_sparse_track_with_empty_windows(self, method):
         # Two dense clusters separated by a long gap: the windows in the gap
-        # are empty and must be NaN with zero counts under both backends.
+        # are empty and must be NaN with zero counts in kernel and oracle.
         rng = np.random.default_rng(7)
         along = np.sort(
             np.concatenate(
@@ -168,33 +131,31 @@ class TestSeaSurfaceKernel:
     @pytest.mark.parametrize("method", SEA_SURFACE_METHODS)
     def test_all_open_water_end_to_end(self, method):
         # estimate_sea_surface on a fully open-water track must be identical
-        # under both backends.
+        # on the kernel and under the oracles.
         rng = np.random.default_rng(3)
         n = 3_000
         along = np.arange(n) * 2.0
         height = rng.normal(0.05, 0.03, n)
         error = np.full(n, 0.05)
         labels = np.full(n, CLASS_OPEN_WATER, dtype=np.int8)
-        with kernels.use_backend("reference"):
+        with oracles():
             ref = estimate_sea_surface(along, height, error, labels, method=method)
-        with kernels.use_backend("vectorized"):
-            vec = estimate_sea_surface(along, height, error, labels, method=method)
+        vec = estimate_sea_surface(along, height, error, labels, method=method)
         assert_equiv(ref.heights_m, vec.heights_m, f"{method} end-to-end heights")
         assert_equiv(ref.errors_m, vec.errors_m, f"{method} end-to-end errors")
 
     def test_no_open_water_fallback_path(self):
         # With zero classified open water the lowest-quantile fallback kicks
-        # in; both backends must agree through it.
+        # in; kernel and oracle must agree through it.
         rng = np.random.default_rng(11)
         n = 2_000
         along = np.arange(n) * 2.0
         height = rng.normal(0.45, 0.05, n)
         labels = np.full(n, CLASS_THICK_ICE, dtype=np.int8)
         error = np.full(n, 0.05)
-        with kernels.use_backend("reference"):
+        with oracles():
             ref = estimate_sea_surface(along, height, error, labels, method="nasa")
-        with kernels.use_backend("vectorized"):
-            vec = estimate_sea_surface(along, height, error, labels, method="nasa")
+        vec = estimate_sea_surface(along, height, error, labels, method="nasa")
         assert_equiv(ref.heights_m, vec.heights_m, "fallback heights")
 
 
@@ -208,8 +169,8 @@ def _compare_confidence(along, height, bin_length_m=20.0, resolution=0.25):
     stop = float(np.nanmax(along))
     n_bins = max(int(np.ceil((stop - start) / bin_length_m)), 1)
     bin_edges = start + np.arange(n_bins + 1) * bin_length_m
-    ref = kconf.modal_height_per_bin_reference(along, height, bin_edges, resolution)
-    vec = kconf.modal_height_per_bin_vectorized(along, height, bin_edges, resolution)
+    ref = kref.modal_height_per_bin_reference(along, height, bin_edges, resolution)
+    vec = kconf.modal_height_per_bin(along, height, bin_edges, resolution)
     assert_equiv(ref, vec, "modal heights")
 
 
@@ -231,7 +192,7 @@ class TestConfidenceKernel:
         along = np.arange(5) * 100.0 + 10.0
         height = np.array([0.1, -3.0, 7.5, 0.0, 2.25])
         _compare_confidence(along, height, bin_length_m=20.0)
-        ref = kconf.modal_height_per_bin_reference(
+        ref = kref.modal_height_per_bin_reference(
             along, height, np.arange(0.0, 440.0, 20.0), 0.25
         )
         occupied = ~np.isnan(ref)
@@ -251,14 +212,14 @@ class TestConfidenceKernel:
         along = np.arange(10.0)
         height = np.full(10, np.nan)
         bin_edges = np.array([0.0, 20.0])
-        for backend in kernels.KERNEL_BACKENDS:
-            with kernels.use_backend(backend):
+        for run_on in (nullcontext, oracles):
+            with run_on():
                 out = kconf.modal_height_per_bin(along, height, bin_edges, 0.25)
             assert np.isnan(out).all()
         assert np.all(classify_confidence(along, height) == 0)
 
     def test_constant_heights(self):
-        # Zero span in every bin: median path, bit-equal backends.
+        # Zero span in every bin: median path, bit-equal kernel and oracle.
         along = np.linspace(0.0, 500.0, 300)
         height = np.full(300, 1.5)
         _compare_confidence(along, height)
@@ -281,10 +242,9 @@ class TestConfidenceKernel:
         height = np.where(
             rng.random(n) < 0.8, rng.normal(0.0, 0.15, n), rng.uniform(-40.0, 40.0, n)
         )
-        with kernels.use_backend("reference"):
+        with oracles():
             ref = classify_confidence(along, height)
-        with kernels.use_backend("vectorized"):
-            vec = classify_confidence(along, height)
+        vec = classify_confidence(along, height)
         assert np.array_equal(ref, vec)
 
 
@@ -312,21 +272,21 @@ class TestLSTMKernel:
     def test_forward_backward_equivalence(self, activation, seed, batch, T):
         rng = np.random.default_rng(seed)
         x, W, U, b = _random_lstm(rng, batch, T, 6, 16)
-        ref_f = klstm.lstm_forward_reference(x, W, U, b, activation)
-        vec_f = klstm.lstm_forward_vectorized(x, W, U, b, activation)
+        ref_f = kref.lstm_forward_reference(x, W, U, b, activation)
+        vec_f = klstm.lstm_forward(x, W, U, b, activation)
         for name, r, v in zip(("hs", "cs", "gates"), ref_f, vec_f):
             assert_equiv(r, v, f"forward {name}")
         dh_seq = rng.normal(size=(batch, T, 16))
-        ref_b = klstm.lstm_backward_reference(dh_seq, x, *ref_f, W, U, activation)
-        vec_b = klstm.lstm_backward_vectorized(dh_seq, x, *vec_f, W, U, activation)
+        ref_b = kref.lstm_backward_reference(dh_seq, x, *ref_f, W, U, activation)
+        vec_b = klstm.lstm_backward(dh_seq, x, *vec_f, W, U, activation)
         for name, r, v in zip(("dx", "dW", "dU", "db"), ref_b, vec_b):
             assert_equiv(r, v, f"backward {name}")
 
     def test_empty_batch(self):
         x, W, U, b = _random_lstm(np.random.default_rng(0), 1, 3, 6, 8)
         x = x[:0]
-        for backend in kernels.KERNEL_BACKENDS:
-            with kernels.use_backend(backend):
+        for run_on in (nullcontext, oracles):
+            with run_on():
                 hs, cs, gates = klstm.lstm_forward(x, W, U, b, "elu")
             assert hs.shape == (0, 4, 8)
             assert gates.shape == (0, 3, 32)
@@ -334,27 +294,26 @@ class TestLSTMKernel:
     def test_invalid_activation(self):
         x, W, U, b = _random_lstm(np.random.default_rng(0), 2, 3, 6, 8)
         with pytest.raises(ValueError):
-            klstm.lstm_forward_vectorized(x, W, U, b, "relu")
+            klstm.lstm_forward(x, W, U, b, "relu")
         with pytest.raises(ValueError):
-            klstm.lstm_forward_reference(x, W, U, b, "relu")
+            kref.lstm_forward_reference(x, W, U, b, "relu")
 
     def test_layer_training_matches_across_backends(self):
-        # One full forward/backward through the LSTM layer class under each
-        # backend yields the same gradients.
+        # One full forward/backward through the LSTM layer class on the
+        # kernels and under the oracles yields the same gradients.
         from repro.ml.lstm import LSTM
 
         rng = np.random.default_rng(9)
         x = rng.normal(size=(12, 5, 6))
         grad = rng.normal(size=(12, 16))
-        results = {}
-        for backend in kernels.KERNEL_BACKENDS:
-            with kernels.use_backend(backend):
+        results = []
+        for run_on in (oracles, nullcontext):
+            with run_on():
                 layer = LSTM(6, 16, activation="elu", rng=123)
                 out = layer.forward(x, training=True)
                 dx = layer.backward(grad)
-                results[backend] = (out, dx, [g.copy() for g in layer.grads])
-        ref_out, ref_dx, ref_grads = results["reference"]
-        vec_out, vec_dx, vec_grads = results["vectorized"]
+                results.append((out, dx, [g.copy() for g in layer.grads]))
+        (ref_out, ref_dx, ref_grads), (vec_out, vec_dx, vec_grads) = results
         assert_equiv(ref_out, vec_out, "layer output")
         assert_equiv(ref_dx, vec_dx, "layer dx")
         for i, (rg, vg) in enumerate(zip(ref_grads, vec_grads)):
@@ -416,10 +375,9 @@ def _drift_fields(estimate):
 
 
 def _compare_drift(image, class_map, x, y, h, **search):
-    with kernels.use_backend("reference"):
+    with oracles():
         ref = estimate_drift(image, class_map, x, y, h, **search)
-    with kernels.use_backend("vectorized"):
-        vec = estimate_drift(image, class_map, x, y, h, **search)
+    vec = estimate_drift(image, class_map, x, y, h, **search)
     # Exact equality of every field; -inf scores compare equal.
     assert _drift_fields(ref) == _drift_fields(vec), (ref, vec)
     return ref
@@ -481,7 +439,7 @@ class TestDriftKernel:
         dys = np.clip(offsets - center, -800.0, 800.0)
         assert np.unique(dxs).size < dxs.size
         args = (class_map, image, x, y, h, dxs, dys)
-        assert kdrift.drift_search_reference(*args) == kdrift.drift_search_vectorized(*args)
+        assert kref.drift_search_reference(*args) == kdrift.drift_search(*args)
         _compare_drift(
             image, class_map, x, y, h, max_shift_m=800.0, coarse_step_m=50.0, fine_step_m=25.0
         )
@@ -493,8 +451,8 @@ class TestDriftKernel:
         x, y = _random_track(rng, 300.0, 80)
         h = rng.normal(0.0, 0.1, 80)
         args = (class_map, image, x, y, h, np.array([-25.0, 0.0]), np.array([0.0, 25.0]))
-        assert kdrift.drift_search_vectorized(*args) == (0.0, 0.0, -np.inf, 4)
-        assert kdrift.drift_search_reference(*args) == (0.0, 0.0, -np.inf, 4)
+        assert kdrift.drift_search(*args) == (0.0, 0.0, -np.inf, 4)
+        assert kref.drift_search_reference(*args) == (0.0, 0.0, -np.inf, 4)
         est = _compare_drift(image, class_map, x, y, h, max_shift_m=100.0)
         assert est.score == -np.inf and est.distance_m == 0.0
 
@@ -532,16 +490,16 @@ def _boundaries(rng, n_windows, max_count, offset=0):
 
 def _compare_grouped(values, boundaries):
     assert_identical(
-        kresampling.grouped_median_reference(values, boundaries),
-        kresampling.grouped_median_vectorized(values, boundaries),
+        kref.grouped_median_reference(values, boundaries),
+        kresampling.grouped_median(values, boundaries),
         "median",
     )
 
 
 def _compare_majority(codes, boundaries):
     assert_identical(
-        kresampling.grouped_majority_reference(codes, boundaries),
-        kresampling.grouped_majority_vectorized(codes, boundaries),
+        kref.grouped_majority_reference(codes, boundaries),
+        kresampling.grouped_majority(codes, boundaries),
         "majority",
     )
 
@@ -574,21 +532,21 @@ class TestResamplingKernels:
         values = np.array([0.3, 1.0, 2.0, -1.0, 5.0, 4.0, 0.5])
         boundaries = np.array([0, 1, 1, 3, 7])  # 1, 0, 2 and 4 photons
         _compare_grouped(values, boundaries)
-        med = kresampling.grouped_median_vectorized(values, boundaries)
+        med = kresampling.grouped_median(values, boundaries)
         assert med[0] == 0.3 and np.isnan(med[1]) and med[2] == 1.5 and med[3] == 2.25
 
     def test_nan_photon_poisons_only_its_window(self):
         values = np.array([1.0, np.nan, 3.0, 2.0, 4.0])
         boundaries = np.array([0, 3, 5])
         _compare_grouped(values, boundaries)
-        med = kresampling.grouped_median_vectorized(values, boundaries)
+        med = kresampling.grouped_median(values, boundaries)
         assert np.isnan(med[0]) and med[1] == 3.0
 
     def test_class_count_tie_takes_the_smallest_class(self):
         codes = np.array([2, 1, 2, 1, 0, -1, -1, 0], dtype=np.int8)
         boundaries = np.array([0, 4, 8])
         _compare_majority(codes, boundaries)
-        assert list(kresampling.grouped_majority_vectorized(codes, boundaries)) == [1, -1]
+        assert list(kresampling.grouped_majority(codes, boundaries)) == [1, -1]
 
     @settings(**HYPOTHESIS_SETTINGS)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3_000))
@@ -609,10 +567,9 @@ class TestResamplingKernels:
             background_rate_hz=rng.uniform(1e5, 1e6, n),
             truth_class=rng.integers(-1, 3, n),
         )
-        with kernels.use_backend("reference"):
+        with oracles():
             ref = resample_fixed_window(beam)
-        with kernels.use_backend("vectorized"):
-            vec = resample_fixed_window(beam)
+        vec = resample_fixed_window(beam)
         for name, value in ref.as_dict().items():
             assert_identical(value, vec.as_dict()[name], name)
 
@@ -673,13 +630,12 @@ def _compare_random_field(ny, nx, correlation_length_px, seed):
     spectrum, n_cols = krandom_field.half_spectrum(
         (ny, nx), correlation_length_px, np.random.default_rng(seed)
     )
-    ref = krandom_field.inverse_reference(spectrum.copy(), n_cols, nx)
-    vec = krandom_field.inverse_vectorized(spectrum.copy(), n_cols, nx)
+    ref = kref.inverse_reference(spectrum.copy(), n_cols, nx)
+    vec = krandom_field.inverse(spectrum.copy(), n_cols, nx)
     assert ref.tobytes() == vec.tobytes(), "spectral field differs"
-    with kernels.use_backend("reference"):
+    with oracles():
         ref = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
-    with kernels.use_backend("vectorized"):
-        vec = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
+    vec = gaussian_random_field((ny, nx), correlation_length_px, rng=seed)
     assert ref.dtype == vec.dtype and ref.shape == vec.shape == (ny, nx)
     assert ref.tobytes() == vec.tobytes(), "random field differs"
     return vec
@@ -709,7 +665,7 @@ class TestRandomFieldKernel:
 
     def test_dc_only_spectrum_is_the_zero_field(self):
         # At L = 500 px only the DC term survives: the field is constant,
-        # its spread is below 1e-12, and both backends return zeros.
+        # its spread is below 1e-12, and kernel and oracle return zeros.
         field = _compare_random_field(48, 40, 500.0, 6)
         assert not field.any()
 

@@ -1,10 +1,11 @@
 """Property-based equivalence tests for the Level-3 gridding kernels.
 
 The vectorized binning engine (composite-key ``bincount`` sums, segmented
-``lexsort`` medians/MADs) must agree with the pure-loop reference backend to
-1e-10 on randomized inputs, including the degenerate corners: empty cells,
-single-segment cells (std/MAD must be 0.0 by convention, not garbage),
-duplicate values and completely empty inputs.
+``lexsort`` medians/MADs) must agree with its pure-loop oracle
+(:mod:`repro.kernels.reference`) to 1e-10 on randomized inputs, including
+the degenerate corners: empty cells, single-segment cells (std/MAD must be
+0.0 by convention, not garbage), duplicate values and completely empty
+inputs.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.kernels import gridding as kgrid
+from repro.kernels import reference as kref
+from repro.kernels.reference import oracles
 
 HYPOTHESIS_SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -29,8 +31,8 @@ def assert_equiv(a, b, label, atol=1e-10):
 
 
 def both_statistics(idx, values, n_cells):
-    ref = kgrid.cell_statistics_reference(idx, values, n_cells)
-    vec = kgrid.cell_statistics_vectorized(idx, values, n_cells)
+    ref = kref.cell_statistics_reference(idx, values, n_cells)
+    vec = kgrid.cell_statistics(idx, values, n_cells)
     for r, v, label in zip(ref, vec, ("count", "mean", "median", "std", "mad")):
         assert_equiv(r, v, label)
     return ref
@@ -101,16 +103,17 @@ class TestCellStatisticsEquivalence:
         assert median[0] == 2.0  # even count -> mean of the two middles
 
     def test_out_of_range_index_rejected(self):
-        for fn in (kgrid.cell_statistics_reference, kgrid.cell_statistics_vectorized):
+        for fn in (kref.cell_statistics_reference, kgrid.cell_statistics):
             with pytest.raises(ValueError, match="out of range"):
                 fn(np.array([-1]), np.array([1.0]), 4)
             with pytest.raises(ValueError, match="out of range"):
                 fn(np.array([4]), np.array([1.0]), 4)
 
     def test_non_finite_values_rejected_by_both_backends(self):
-        """NaN sorts differently than it reduces, so rather than letting the
-        backends silently disagree, both enforce the finite-values contract."""
-        for fn in (kgrid.cell_statistics_reference, kgrid.cell_statistics_vectorized):
+        """NaN sorts differently than it reduces, so rather than letting
+        kernel and oracle silently disagree, both enforce the finite-values
+        contract."""
+        for fn in (kref.cell_statistics_reference, kgrid.cell_statistics):
             with pytest.raises(ValueError, match="finite"):
                 fn(np.array([0, 0, 0]), np.array([1.0, 2.0, np.nan]), 1)
             with pytest.raises(ValueError, match="finite"):
@@ -128,16 +131,16 @@ class TestClassCountsEquivalence:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n_cells, n_points)
         labels = rng.integers(0, 3, n_points)
-        ref = kgrid.cell_class_counts_reference(idx, labels, n_cells, 3)
-        vec = kgrid.cell_class_counts_vectorized(idx, labels, n_cells, 3)
+        ref = kref.cell_class_counts_reference(idx, labels, n_cells, 3)
+        vec = kgrid.cell_class_counts(idx, labels, n_cells, 3)
         np.testing.assert_array_equal(ref, vec)
         assert ref.shape == (3, n_cells)
         assert int(ref.sum()) == n_points
 
     def test_label_out_of_range_rejected(self):
         for fn in (
-            kgrid.cell_class_counts_reference,
-            kgrid.cell_class_counts_vectorized,
+            kref.cell_class_counts_reference,
+            kgrid.cell_class_counts,
         ):
             with pytest.raises(ValueError, match="labels"):
                 fn(np.array([0]), np.array([3]), 4, 3)
@@ -149,18 +152,13 @@ class TestDispatch:
         idx = rng.integers(0, 9, 120)
         values = rng.normal(0.0, 1.0, 120)
         labels = rng.integers(0, 3, 120)
-        with kernels.use_backend("reference"):
+        with oracles():
+            assert kgrid.cell_statistics is kref.cell_statistics_reference
+            assert kgrid.cell_class_counts is kref.cell_class_counts_reference
             stats_ref = kgrid.cell_statistics(idx, values, 9)
             counts_ref = kgrid.cell_class_counts(idx, labels, 9, 3)
-        with kernels.use_backend("vectorized"):
-            stats_vec = kgrid.cell_statistics(idx, values, 9)
-            counts_vec = kgrid.cell_class_counts(idx, labels, 9, 3)
+        stats_vec = kgrid.cell_statistics(idx, values, 9)
+        counts_vec = kgrid.cell_class_counts(idx, labels, 9, 3)
         for r, v, label in zip(stats_ref, stats_vec, ("count", "mean", "median", "std", "mad")):
             assert_equiv(r, v, label)
         np.testing.assert_array_equal(counts_ref, counts_vec)
-
-    def test_unknown_backend_rejected(self):
-        original = kernels.get_backend()
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-        assert kernels.get_backend() == original

@@ -1,9 +1,9 @@
 """Property-based equivalence tests for the tile-pyramid reduction kernels.
 
 The vectorized overview reductions (four strided child planes at once) must
-agree with the per-output-cell reference loops to 1e-10 on randomized
-inputs — in fact bit for bit, since both backends accumulate the four
-children in the same order with exact-zero non-contributors.  The corners
+agree with their per-output-cell oracles (:mod:`repro.kernels.reference`)
+to 1e-10 on randomized inputs — in fact bit for bit, since kernel and
+oracle accumulate the four children in the same order with exact-zero non-contributors.  The corners
 the acceptance criteria call out are covered explicitly: all-NaN layers and
 single-cell tiles, plus odd shapes (phantom children), zero-weight cells
 and NaN-with-positive-weight cells (sparse cells below the ``min_segments``
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import pyramid as kpyr
-from repro.kernels import use_backend
+from repro.kernels import reference as kref
 
 HYPOTHESIS_SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -32,8 +32,8 @@ def assert_equiv(a, b, label, atol=1e-10):
 
 
 def both_reduce_mean(values, weights):
-    ref_v, ref_w = kpyr.reduce_mean_reference(values, weights)
-    vec_v, vec_w = kpyr.reduce_mean_vectorized(values, weights)
+    ref_v, ref_w = kref.reduce_mean_reference(values, weights)
+    vec_v, vec_w = kpyr.reduce_mean(values, weights)
     assert_equiv(ref_v, vec_v, "values")
     assert_equiv(ref_w, vec_w, "weights")
     return ref_v, ref_w
@@ -113,8 +113,8 @@ class TestReduceMeanEquivalence:
     def test_backends_bit_identical(self):
         rng = np.random.default_rng(7)
         values, weights = random_layers(rng, 31, 17)
-        ref_v, ref_w = kpyr.reduce_mean_reference(values, weights)
-        vec_v, vec_w = kpyr.reduce_mean_vectorized(values, weights)
+        ref_v, ref_w = kref.reduce_mean_reference(values, weights)
+        vec_v, vec_w = kpyr.reduce_mean(values, weights)
         assert np.array_equal(ref_v, vec_v, equal_nan=True)
         assert np.array_equal(ref_w, vec_w)
 
@@ -130,51 +130,37 @@ class TestReduceCoverageEquivalence:
         rng = np.random.default_rng(seed)
         coverage = rng.random((ny, nx))
         assert_equiv(
-            kpyr.reduce_coverage_reference(coverage),
-            kpyr.reduce_coverage_vectorized(coverage),
+            kref.reduce_coverage_reference(coverage),
+            kpyr.reduce_coverage(coverage),
             "coverage",
         )
 
     def test_phantom_children_count_as_uncovered(self):
-        out = kpyr.reduce_coverage_vectorized(np.array([[1.0]]))
+        out = kpyr.reduce_coverage(np.array([[1.0]]))
         assert out[0, 0] == 0.25  # 1 covered child of 4
 
     def test_full_coverage_even_shape(self):
-        out = kpyr.reduce_coverage_reference(np.ones((4, 4)))
+        out = kref.reduce_coverage_reference(np.ones((4, 4)))
         assert np.array_equal(out, np.ones((2, 2)))
 
 
 class TestValidationAndDispatch:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same shape"):
-            kpyr.reduce_mean_vectorized(np.zeros((2, 2)), np.zeros((2, 3)))
+            kpyr.reduce_mean(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            kpyr.reduce_mean_reference(np.zeros((2, 2)), np.full((2, 2), -1.0))
+            kref.reduce_mean_reference(np.zeros((2, 2)), np.full((2, 2), -1.0))
 
     def test_nan_weights_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            kpyr.reduce_mean_vectorized(np.zeros((2, 2)), np.full((2, 2), np.nan))
+            kpyr.reduce_mean(np.zeros((2, 2)), np.full((2, 2), np.nan))
 
     def test_coverage_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            kpyr.reduce_coverage_vectorized(np.full((2, 2), 1.5))
+            kpyr.reduce_coverage(np.full((2, 2), 1.5))
 
     def test_reduced_shape_rejects_empty(self):
         with pytest.raises(ValueError, match="empty layer"):
             kpyr.reduced_shape((0, 4))
-
-    def test_dispatch_follows_backend_switch(self):
-        values = np.array([[1.0, np.nan], [2.0, 4.0]])
-        weights = np.array([[1.0, 1.0], [3.0, 0.0]])
-        with use_backend("reference"):
-            ref = kpyr.reduce_mean(values, weights)
-        with use_backend("vectorized"):
-            vec = kpyr.reduce_mean(values, weights)
-        with use_backend("vectorized"), use_backend("reference"):
-            nested = kpyr.reduce_mean(values, weights)
-        for a, b in zip(ref, vec):
-            assert np.array_equal(a, b, equal_nan=True)
-        for a, b in zip(ref, nested):
-            assert np.array_equal(a, b, equal_nan=True)

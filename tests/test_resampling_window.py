@@ -1,14 +1,18 @@
 """Tests for the 2 m fixed-window resampling."""
 
 import dataclasses
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro.kernels.reference import oracles
 from repro.resampling.window import resample_fixed_window
+
+#: The vectorized kernels, and their reference loops installed by ``oracles()``.
+RUN_ON = {"vectorized": nullcontext, "reference": oracles}
 
 
 class TestResampleFixedWindow:
@@ -100,9 +104,9 @@ class TestResampleFixedWindow:
         segments = resample_fixed_window(beam, window_length_m=window)
         assert int(segments.n_photons.sum()) == int((beam.signal_conf >= 3).sum())
 
-    @pytest.mark.parametrize("backend", kernels.KERNEL_BACKENDS)
+    @pytest.mark.parametrize("side", RUN_ON)
     @pytest.mark.parametrize("window", [0.7, 1.05, 2.0, 3.3, 10.0])
-    def test_last_photon_on_a_window_edge_is_kept(self, beam, backend, window):
+    def test_last_photon_on_a_window_edge_is_kept(self, beam, side, window):
         # Move the last signal photon onto the edge ``start + k * window``
         # (computed as the resampler does), where half-open windows used to
         # drop it.
@@ -112,7 +116,7 @@ class TestResampleFixedWindow:
         k = int(np.ceil((along[-2] - start) / window))
         along[-1] = start + k * window
         signal = dataclasses.replace(signal, along_track_m=along)
-        with kernels.use_backend(backend):
+        with RUN_ON[side]():
             segments = resample_fixed_window(signal, window_length_m=window)
         assert int(segments.n_photons.sum()) == signal.n_photons
         assert segments.n_photons[-1] >= 1

@@ -178,12 +178,10 @@ def test_seed_means_inside_parent_bands(science_gate_measurement):
 if __name__ == "__main__":
     # Re-measure the calibration on the code as it is (80 seeds, ~2 min):
     # python tests/test_science_gate.py "<what the synthesis is>"
-    from repro.kernels import get_backend
-
     if len(sys.argv) != 2:
         sys.exit('usage: python tests/test_science_gate.py "<what the synthesis is>"')
     seeds = list(range(80))
-    header = {"calibrated_on": sys.argv[1], "kernel_backend": get_backend(), "seeds": seeds}
+    header = {"calibrated_on": sys.argv[1], "seeds": seeds}
     lines = [f"    {json.dumps(name)}: {json.dumps(v)}" for name, v in measure(seeds).items()]
     head = ",\n".join(f"  {json.dumps(key)}: {json.dumps(v)}" for key, v in header.items())
     CALIBRATION.write_text(f'{{\n{head},\n  "values": {{\n' + ",\n".join(lines) + "\n  }\n}\n")

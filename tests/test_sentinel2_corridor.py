@@ -9,14 +9,16 @@ outside it raises instead of returning a class.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.config import CLASS_UNLABELED, CLASS_UNSEGMENTED
 from repro.labeling.alignment import MAX_SHIFT_M, apply_shift, estimate_drift
+from repro.kernels.reference import oracles
 from repro.labeling.autolabel import auto_label_segments, lookup_labels, overlay_labels
 from repro.pipeline import GraphRunner, default_graph
 from repro.sentinel2.cloud import CloudConfig
@@ -26,7 +28,8 @@ from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 from tests.test_sentinel2_pinned import random_scene, render_whole_image, s2_image
 
-BACKENDS = ("reference", "vectorized")
+#: The drift-search kernel, and its reference loop installed by ``oracles()``.
+RUN_ON = {"reference": oracles, "vectorized": nullcontext}
 
 
 def tile_pixels(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -212,10 +215,10 @@ def drift_of(image, segmentation, segments, **search):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_drift_and_labels_equal_the_whole_image_ones(drifted, segments, backend):
+@pytest.mark.parametrize("side", RUN_ON)
+def test_drift_and_labels_equal_the_whole_image_ones(drifted, segments, side):
     image, whole, tiled = drifted
-    with kernels.use_backend(backend):
+    with RUN_ON[side]():
         expected = drift_of(image, whole, segments)
         got = drift_of(image, tiled, segments)
     assert got == expected
@@ -226,10 +229,10 @@ def test_drift_and_labels_equal_the_whole_image_ones(drifted, segments, backend)
         assert have[name].tobytes() == value.tobytes(), name
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_search_wider_than_the_corridor_raises(drifted, segments, backend):
+@pytest.mark.parametrize("side", RUN_ON)
+def test_a_search_wider_than_the_corridor_raises(drifted, segments, side):
     image, whole, tiled = drifted
-    with kernels.use_backend(backend):
+    with RUN_ON[side]():
         drift_of(image, whole, segments, max_shift_m=2 * MAX_SHIFT_M)
         with pytest.raises(ValueError, match="outside the segmented corridor"):
             drift_of(image, tiled, segments, max_shift_m=2 * MAX_SHIFT_M)

@@ -19,7 +19,7 @@ def write_product(path, kind="granule", granule_ids=("g000",), fingerprint="fp0"
     rng = np.random.default_rng(seed)
     grid = GridDefinition(x_min_m=x_min, y_min_m=y_min, cell_size_m=cell, nx=nx, ny=ny)
     n_seg = rng.integers(0, 4, grid.shape).astype(np.int64)
-    metadata = {"kind": kind, "fingerprint": fingerprint, "kernel_backend": "vectorized"}
+    metadata = {"kind": kind, "fingerprint": fingerprint}
     if kind == "mosaic":
         metadata["granule_ids"] = list(granule_ids)
     else:
@@ -46,7 +46,6 @@ class TestRegistration:
         assert "freeboard_mean" in entry.variables
         assert entry.bbox == (0.0, 0.0, 2000.0, 1000.0)
         assert entry.shape == (10, 20)
-        assert entry.kernel_backend == "vectorized"
 
     def test_register_accepts_base_or_either_sibling(self, tmp_path):
         write_product(tmp_path / "p0")
