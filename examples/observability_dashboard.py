@@ -11,7 +11,7 @@ Demonstrates the `repro.obs` tier end to end:
    engines and the ingest service, so one registry sees every tier;
 3. serve queries (cold then cache-hot) and ingest a new granule — each
    request is one `router.request` span, with a cold decode's
-   `mapreduce.run -> loader.fetch` below it, and each ingest a
+   `loader.fetch` below it, and each ingest a
    `ingest.ingest` chain;
 4. export all three surfaces: the versioned-schema JSON health dashboard
    (validated against the committed schema, atomic write), the Prometheus

@@ -574,8 +574,6 @@ class CampaignRunner:
         products_dir: str,
         result: CampaignResult | None = None,
         l3: CampaignL3Result | None = None,
-        n_workers: int | None = None,
-        executor: str = "thread",
     ):
         """Write the campaign's Level-3 products and return a serving handle.
 
@@ -594,9 +592,9 @@ class CampaignRunner:
             handle = runner.serve(products_dir).with_router()       # + router
             handle = runner.serve(products_dir).with_router().with_ingest()
 
-        The handle queries through the thread executor by default — serving
-        is decode-bound NumPy work that releases the GIL, and the tile
-        caches live on the driver.  Its ``gridder`` hook is wired to
+        The handle decodes products on the calling thread, next to its tile
+        caches; the campaign's ``n_workers``/``executor`` fan out granules
+        only, not serving.  Its ``gridder`` hook is wired to
         :meth:`grid_new_granule`, so an attached ingest service can grid
         newly arrived granule specs through the cached pipeline stages.
         """
@@ -617,8 +615,6 @@ class CampaignRunner:
         for granule_id, product in l3.granules.items():
             _, json_path = write_level3(product, out_dir / granule_id, format=fmt)
             catalog.register(json_path)
-        workers = n_workers if n_workers is not None else self.config.n_workers
-
         campaign_result = result
 
         def gridder(spec: GranuleSpec) -> "Level3Grid":
@@ -634,8 +630,6 @@ class CampaignRunner:
             catalog,
             serve=self.config.base.serve,
             products_dir=out_dir,
-            n_workers=workers,
-            executor=executor,
             gridder=gridder,
             seed_l3=l3,
             obs=self.obs,

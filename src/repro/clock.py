@@ -104,11 +104,6 @@ class VirtualClock:
     def now(self) -> float:
         return self._now
 
-    @property
-    def n_sleepers(self) -> int:
-        """Parked sleepers (cancelled ones are excluded lazily on wake)."""
-        return sum(1 for _, _, fut in self._sleepers if not fut.done())
-
     def next_delay(self) -> float | None:
         """Seconds until the earliest pending sleeper, or ``None``."""
         pending = [d for d, _, fut in self._sleepers if not fut.done()]

@@ -313,8 +313,8 @@ class MapReduceEngine:
         one span per phase, and worker tasks graft under ``mapreduce.map``.
         An inline job is one ``mapreduce.run`` span whose
         ``load_s``/``map_s``/``reduce_s`` attributes hold the phase timings:
-        the serve path runs a job on every cache miss, and one span costs
-        less than four.
+        serial fleets and single-item campaign fan-outs run every job
+        inline, and one span costs less than four.
         """
         self._c_jobs.inc()
         if not self._inline(width):

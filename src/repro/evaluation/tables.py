@@ -23,7 +23,6 @@ from repro.distributed.cluster import (
     scaling_table,
 )
 from repro.distributed.ddp import DDPTimingModel, DistributedTrainer
-from repro.evaluation.report import format_table
 from repro.labeling.pairs import table_i_rows
 from repro.ml.models import build_lstm_classifier
 from repro.workflow.end_to_end import ExperimentConfig, ExperimentData, prepare_experiment_data
@@ -123,18 +122,6 @@ def _mapreduce_table(
         }
         for row in rows
     ]
-
-
-def print_all_tables(epochs: int = 3, seed: int = 0) -> str:  # pragma: no cover - convenience CLI
-    """Render every table to a single string (used by ``examples/``)."""
-    parts = [
-        format_table(regenerate_table1(), "Table I: IS2/S2 coincident pairs"),
-        format_table(regenerate_table2(), "Table II: auto-labeling scalability"),
-        format_table(regenerate_table3(epochs=epochs, seed=seed)[0], "Table III: model accuracy"),
-        format_table(regenerate_table4(), "Table IV: distributed training"),
-        format_table(regenerate_table5(), "Table V: freeboard scalability"),
-    ]
-    return "\n\n".join(parts)
 
 
 def l3_coverage_table(products) -> list[dict[str, object]]:

@@ -38,10 +38,6 @@ class Layer:
     def n_parameters(self) -> int:
         return int(sum(p.size for p in self.params))
 
-    def zero_grads(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
-
     def get_weights(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]
 

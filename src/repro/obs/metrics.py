@@ -10,7 +10,7 @@ router shards, the ingest service.  Three properties drive the design:
   counters its predecessor was feeding and the series continues — the
   pre-obs ``QueryStats`` reset silently on every rebuild.
 * **Cheap updates, real thread safety.**  The router's asyncio tasks, the
-  engine's thread executor and the map-reduce driver all hammer one
+  map-reduce driver and its thread workers all hammer one
   registry, and an unsynchronized ``+=`` is *not* atomic under the GIL.
   So an update only appends to the metric's pending list (one atomic C
   call), and reads fold the queued updates in under a per-metric

@@ -6,9 +6,9 @@ a per-stage content fingerprint (its config slice combined with upstream
 fingerprints).  A :class:`~repro.pipeline.runner.GraphRunner` materialises
 any set of target artifacts, probing an optional content-addressed
 :class:`~repro.pipeline.cache.StageCache` first — so changing one config
-knob re-runs only the stages downstream of it.  Fan-out stages route
-per-beam work through the :class:`~repro.distributed.mapreduce.MapReduceEngine`
-with a pluggable serial/thread/process executor.
+knob re-runs only the stages downstream of it.  Per-beam stages loop over
+their beams in the calling process; work fans out only over the granules
+of a fleet (:mod:`repro.campaign`) and the 2 m segment jobs.
 
 Quick start::
 

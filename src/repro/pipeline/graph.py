@@ -2,8 +2,8 @@
 
 The graph owns the static structure — which stage produces which artifact,
 which stages a set of target artifacts requires, what is downstream of a
-given stage — while execution (fingerprints, caching, fan-out) lives in
-:class:`repro.pipeline.runner.GraphRunner`.
+given stage — while execution (fingerprints, caching, pooled barriers)
+lives in :class:`repro.pipeline.runner.GraphRunner`.
 
 Graphs are immutable; :meth:`StageGraph.replace` and :meth:`StageGraph.extend`
 return new graphs, so a scenario can swap one stage (e.g. ablate drift

@@ -17,9 +17,9 @@ ROADMAP's "heavy traffic" regime:
   content-addressed and cached like every other artifact;
 * :mod:`repro.serve.query` — :class:`QueryEngine` resolves
   ``(bbox, variable, zoom)`` requests to tiles through a fingerprint-keyed
-  LRU tile cache, decodes each product at most once per batch however many
-  requests hit it, and fans independent products across the
-  :class:`~repro.distributed.mapreduce.MapReduceEngine` executors;
+  LRU tile cache and decodes each product at most once per batch however
+  many requests hit it, on the calling thread (the serve tier has no
+  fan-out level of its own);
 * :mod:`repro.serve.shard` — :class:`ShardedCatalog` hash-partitions the
   archive by product footprint (:func:`shard_index`, bit-stable across
   rebuilds) into shards that share nothing, while queries merge back into

@@ -67,16 +67,12 @@ class ServeHandle:
         catalog: ProductCatalog,
         serve: ServeConfig = DEFAULT_SERVE,
         products_dir: str | Path | None = None,
-        n_workers: int = 1,
-        executor: str = "thread",
         gridder: Callable[[Any], Any] | None = None,
         seed_l3: Any | None = None,
         obs: Obs | None = None,
     ) -> None:
         self.serve = serve
         self.products_dir = Path(products_dir) if products_dir is not None else None
-        self.n_workers = n_workers
-        self.executor = executor
         #: One telemetry handle for the whole stack the builder constructs —
         #: engine, router shards, and ingest all share it.
         self.obs = obs if obs is not None else default_obs()
@@ -116,8 +112,6 @@ class ServeHandle:
             serve=serve,
             config=config,
             loader_factory=lambda index: LivePyramidLoader(serve),
-            n_workers=self.n_workers,
-            executor=self.executor,
             **{"obs": self.obs, **router_kwargs},
         )
         return self
@@ -165,8 +159,6 @@ class ServeHandle:
                 self._catalog,
                 loader=LivePyramidLoader(self.serve),
                 serve=self.serve,
-                n_workers=self.n_workers,
-                executor=self.executor,
                 obs=self.obs,
             )
         return self._engine
@@ -237,18 +229,12 @@ class ServeHandle:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release every worker pool this handle's engines own.
+        """Release nothing: the serve stack holds no worker pool.
 
-        Idempotent, and safe whatever was built: the bare engine, a
-        router's per-shard engines, or nothing yet.  Engines remain usable
-        afterwards (their pools respawn on the next query) — close is about
-        not leaking worker processes, not about tearing down the handle.
+        Every engine decodes on the calling thread.  ``close()`` and the
+        context-manager form let callers scope a handle
+        (``with runner.serve(dir) as handle:``); it stays usable after.
         """
-        if self._router is not None:
-            for shard in self._router.shards:
-                shard.engine.close()
-        if self._engine is not None:
-            self._engine.close()
 
     def __enter__(self) -> "ServeHandle":
         return self

@@ -10,10 +10,9 @@ Serving path, in order of decreasing cheapness:
    cached arrays out.
 2. **Batched decode** — cache-missing tiles are grouped *per product*, so
    however many concurrent requests hit one mosaic, its npz is decoded and
-   its pyramid built exactly once per batch.
-3. **Fan-out** — independent products of one batch fan across the existing
-   :class:`~repro.distributed.mapreduce.MapReduceEngine` executors
-   (serial/thread/process), the same substrate the campaign fleet uses.
+   its pyramid built exactly once per batch.  The products of a batch are
+   decoded one after another, in product-key order, on the calling thread;
+   the serve tier has no fan-out level of its own.
 
 The loader is pluggable and instrumented (``n_loads``, ``loaded``): tests
 and the traffic simulator can assert exactly which requests caused a
@@ -32,7 +31,6 @@ from typing import Any, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.config import DEFAULT_SERVE, ServeConfig
-from repro.distributed.mapreduce import EXECUTORS, MapReduceEngine
 from repro.l3.writer import read_level3
 from repro.obs.core import Obs, default_obs
 from repro.serve.catalog import CatalogEntry, ProductCatalog
@@ -166,8 +164,8 @@ class ProductLoader:
 
     ``n_loads`` / ``loaded`` record every decode, so tests can assert that
     the LRU actually prevented filesystem reads.  The counters are guarded
-    by a lock: the engine's thread executor calls :meth:`load` from
-    concurrent workers, and an unsynchronized ``+=`` would undercount.
+    by a lock: a serve handle may be driven from several threads at once,
+    and an unsynchronized ``+=`` would undercount.
     Subclass and override :meth:`decode` to serve from other storage.
     """
 
@@ -182,20 +180,6 @@ class ProductLoader:
     def obs(self) -> Obs:
         """The telemetry handle (the owning engine wires its own in)."""
         return self._obs if self._obs is not None else default_obs()
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Locks cannot cross process boundaries; worker-side copies get a
-        # fresh one (their counters live and die in the worker anyway).
-        # The obs handle stays behind too — its tracer holds a contextvar —
-        # so worker-side fetches fall back to the worker's default obs.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_obs"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def decode(self, entry: CatalogEntry) -> TilePyramid:
         product = read_level3(entry.base_path)
@@ -316,36 +300,6 @@ class _LRUCache:
         return self._data.pop(key, None) is not None
 
 
-class _ProductFetchTask:
-    """Picklable map function: decode one chunk of products, cut their tiles.
-
-    Each item is ``(entry, needed)`` with ``needed`` the sorted tile keys to
-    extract.  Returns ``(key, tiles, n_loads)`` triples so the driver can
-    fold worker-side loads into its own accounting even under the process
-    executor (where loader counters live and die in the worker).  Every
-    ``fetch()`` call is exactly one decode, so the count is the constant 1 —
-    never a delta of the shared loader's counter, which concurrent thread
-    partitions would race on.
-    """
-
-    def __init__(self, loader: ProductLoader) -> None:
-        self.loader = loader
-
-    def __call__(
-        self, items: Sequence[tuple[CatalogEntry, tuple[TileKey, ...]]]
-    ) -> list[tuple[str, dict[TileKey, np.ndarray], int]]:
-        out: list[tuple[str, dict[TileKey, np.ndarray], int]] = []
-        for entry, needed in items:
-            out.append((entry.key, self.loader.fetch(entry, needed), 1))
-        return out
-
-
-def _merge_fetches(
-    chunks: list[list[tuple[str, dict[TileKey, np.ndarray], int]]],
-) -> list[tuple[str, dict[TileKey, np.ndarray], int]]:
-    return [item for chunk in chunks for item in chunk]
-
-
 @dataclass
 class _RequestPlan:
     """One request resolved to a product and concrete tile addresses."""
@@ -428,15 +382,9 @@ class QueryEngine:
         catalog: ProductCatalog,
         loader: ProductLoader | None = None,
         serve: ServeConfig = DEFAULT_SERVE,
-        n_workers: int = 1,
-        executor: str = "serial",
         obs: Obs | None = None,
         obs_labels: Mapping[str, str] | None = None,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         self.catalog = catalog
         self.serve = serve
         self.loader = loader if loader is not None else ProductLoader(serve)
@@ -453,8 +401,6 @@ class QueryEngine:
                         f"{getattr(serve, field_name)!r} — the loader must build "
                         "pyramids with the engine's tile geometry"
                     )
-        self.n_workers = n_workers
-        self.executor = executor
         self.tile_cache = _LRUCache(serve.tile_cache_size)
         self.obs = obs if obs is not None else default_obs()
         if isinstance(self.loader, ProductLoader) and self.loader._obs is None:
@@ -476,15 +422,6 @@ class QueryEngine:
         self._c_loads = registry.counter("serve_loads_total", **labels)
         self._c_seconds = registry.counter("serve_batch_seconds_total", **labels)
         self._h_batch = registry.histogram("serve_batch_seconds", **labels)
-        # One persistent fan-out engine for the engine's lifetime: the worker
-        # pool spawns once, not once per batch.  Width adapts per batch via
-        # the n_partitions override; single-product batches run inline.
-        self._engine = MapReduceEngine(
-            n_partitions=n_workers,
-            executor=executor if n_workers > 1 else "serial",
-            max_workers=n_workers,
-            obs=self.obs,
-        )
 
     @property
     def stats(self) -> QueryStats:
@@ -497,16 +434,6 @@ class QueryEngine:
             loads=int(self._c_loads.value),
             seconds=self._c_seconds.value,
         )
-
-    def close(self) -> None:
-        """Release the fan-out worker pool (idempotent; respawns on reuse)."""
-        self._engine.close()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- resolution --------------------------------------------------------
 
@@ -536,8 +463,7 @@ class QueryEngine:
 
         Tiles already in the LRU are copied out without touching any file;
         the remaining tiles are grouped by product — one decode per product
-        per batch, however many requests need it — and independent products
-        fan across the map-reduce engine.
+        per batch, however many requests need it.
         """
         with self.obs.span(
             "engine.query_batch", n_requests=len(requests)
@@ -572,28 +498,16 @@ class QueryEngine:
                     entries[plan.entry.key] = plan.entry
                     needed.setdefault(plan.entry.key, set()).add(key)
 
-        # 2. One decode per product with cache-missing tiles; independent
-        #    products fan across the executors.
-        if needed:
-            work = [
-                (entries[product_key], tuple(sorted(keys)))
-                for product_key, keys in sorted(needed.items())
-            ]
-            fetched = self._engine.run(
-                lambda: work,
-                _ProductFetchTask(self.loader),
-                _merge_fetches,
-                n_partitions=max(min(self.n_workers, len(work)), 1),
-            )
-            for _, tiles, n_loads in fetched.value:
-                self._c_loads.inc(n_loads)
-                for key, tile in tiles.items():
-                    # Tiles that crossed a process boundary unpickled as
-                    # fresh writeable arrays; freeze so every cached/served
-                    # tile is immutable whatever the executor.
-                    tile.flags.writeable = False
-                    served[key] = tile
-                    self.tile_cache.put(key, tile)
+        # 2. One decode per product with cache-missing tiles.
+        for product_key, keys in sorted(needed.items()):
+            tiles = self.loader.fetch(entries[product_key], tuple(sorted(keys)))
+            self._c_loads.inc()
+            for key, tile in tiles.items():
+                # The LRU shares each tile with every response that reads
+                # it; freeze it so no consumer can write into the cache.
+                tile.flags.writeable = False
+                served[key] = tile
+                self.tile_cache.put(key, tile)
 
         # 3. Assemble responses.  Cache accounting is per request against the
         #    LRU state at batch start: a tile decoded in this batch counts as

@@ -177,8 +177,6 @@ class RequestRouter:
         serve: ServeConfig = DEFAULT_SERVE,
         config: RouterConfig | None = None,
         loader_factory: Callable[[int], ProductLoader] | None = None,
-        n_workers: int = 1,
-        executor: str = "serial",
         clock: MonotonicClock | VirtualClock | None = None,
         execute: ExecuteHook | None = None,
         obs: Obs | None = None,
@@ -197,8 +195,6 @@ class RequestRouter:
         self.obs = obs if obs is not None else default_obs()
         self._labels = {"router": f"r{next(_ROUTER_IDS)}"}
         self._loader_factory = loader_factory
-        self._n_workers = n_workers
-        self._executor = executor
         self.shards = tuple(
             Shard(index=index, catalog=sub, engine=self._build_engine(index, sub))
             for index, sub in enumerate(catalog.shards)
@@ -240,8 +236,6 @@ class RequestRouter:
                 else ProductLoader(self.serve_config)
             ),
             serve=self.serve_config,
-            n_workers=self._n_workers,
-            executor=self._executor,
             obs=self.obs,
             obs_labels={**self._labels, "shard": str(index)},
         )
@@ -249,15 +243,14 @@ class RequestRouter:
     def rebuild_shard(self, index: int) -> Shard:
         """Replace one shard's engine and loader in place (quarantine repair).
 
-        Closes the old engine's worker pool, builds a fresh engine (and, via
-        ``loader_factory``, a fresh loader), and clears the shard's error /
+        Builds a fresh engine (and, via ``loader_factory``, a fresh loader)
+        and clears the shard's error /
         quarantine state so resolution routes to it again.  The shard's
         ``serve_*`` metric series carries over unchanged — the counters live
         in the obs registry keyed by ``{router, shard}``, not on the engine —
         so :attr:`Shard.engine`'s ``stats`` survives the swap.
         """
         shard = self.shards[index]
-        shard.engine.close()
         shard.engine = self._build_engine(index, shard.catalog)
         shard.errors = 0
         shard.quarantined = False
@@ -335,8 +328,8 @@ class RequestRouter:
         ``served``/``shed``/``unroutable``).  The shard engine serves an
         executing request onto that same span
         (:meth:`~repro.serve.query.QueryEngine.query_batch_in`), adding its
-        ``n_cached``/``n_computed``; only real work opens children — a
-        decode's ``mapreduce.run`` and ``loader.fetch`` below it.
+        ``n_cached``/``n_computed``; only real work opens children — one
+        ``loader.fetch`` per decoded product.
         """
         with self._tracer.span(
             "router.request", variable=request.variable, zoom=request.zoom

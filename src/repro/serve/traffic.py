@@ -318,6 +318,12 @@ class TrafficSimulator:
         earlier batches, its service time the execution of its own batch,
         and its reported latency their sum.
         """
+        if self.engine is None:
+            raise ValueError(
+                "the closed loop needs an engine: build the simulator with "
+                "TrafficSimulator(engine); the open loop (run_open_loop) takes "
+                "a router instead"
+            )
         cfg = self.config
         stream = self._stream()
         before = replace(self.engine.stats)

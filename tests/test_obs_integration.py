@@ -98,24 +98,23 @@ class TestEndToEndTrace:
         spans = obs.tracer.spans()
         by_id = {s.span_id: s for s in spans}
         (root,) = obs.tracer.spans("router.request")
-        (job,) = obs.tracer.spans("mapreduce.run")
         (fetch,) = obs.tracer.spans("loader.fetch")
 
         # One trace, rooted at the router: the engine serves onto the
-        # request's span, so the decode's map-reduce job is its only child
-        # and the loader's fetch sits below that.  Nothing else is opened.
-        assert len(spans) == 3
+        # request's span and decodes inline, so the loader's fetch is its
+        # only child.  Nothing else is opened, and no map-reduce job runs.
+        assert len(spans) == 2
         assert obs.tracer.spans("engine.query_batch") == ()
+        assert obs.tracer.spans("mapreduce.run") == ()
+        assert obs.registry.total("mapreduce_jobs_total") == 0
         assert root.parent_id is None
-        assert {s.trace_id for s in (root, job, fetch)} == {root.trace_id}
-        assert job.parent_id == root.span_id
-        assert fetch.parent_id == job.span_id
-        assert ancestors(fetch, by_id) == [job, root]
+        assert {s.trace_id for s in (root, fetch)} == {root.trace_id}
+        assert fetch.parent_id == root.span_id
+        assert ancestors(fetch, by_id) == [root]
 
         # Exact virtual-clock durations: the only time that passes is the
         # loader's 4 ms decode tick.
         assert fetch.duration == 0.004
-        assert job.duration == 0.004
         assert root.duration == 0.004
 
         # The request span carries the routing outcome and the engine's
@@ -125,10 +124,8 @@ class TestEndToEndTrace:
         assert root.attributes["shard"] == response.shard
         assert root.attributes["n_computed"] == response.n_computed
         assert root.attributes["n_cached"] == response.n_cached == 0
-        # The inline job's phases are attributes, not child spans.
-        assert job.attributes["executor"] == "serial"
-        assert job.attributes["n_partitions"] == 1
-        assert {"load_s", "map_s", "reduce_s"} <= set(job.attributes)
+        assert fetch.attributes["product"] == response.product
+        assert fetch.attributes["n_tiles"] == response.n_computed
         assert fetch.attributes["windowed"] is False
 
     def test_cached_repeat_skips_the_loader_span(self, stack):
@@ -148,17 +145,16 @@ class TestEndToEndTrace:
         clock, obs, router = stack
         router.serve([REQUEST])
         (root,) = obs.tracer.spans("router.request")
-        (job,) = obs.tracer.spans("mapreduce.run")
         doc = chrome_trace(obs.tracer.spans())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
-        assert names == {"router.request", "mapreduce.run", "loader.fetch"}
+        assert names == {"router.request", "loader.fetch"}
         by_name = {e["name"]: e for e in events}
         assert by_name["router.request"]["dur"] == pytest.approx(4000.0)
-        # All three render on the same trace track.
+        assert by_name["loader.fetch"]["dur"] == pytest.approx(4000.0)
+        # Both render on the same trace track.
         assert len({by_name[n]["tid"] for n in names}) == 1
-        assert by_name["mapreduce.run"]["args"]["parent_id"] == root.span_id
-        assert by_name["loader.fetch"]["args"]["parent_id"] == job.span_id
+        assert by_name["loader.fetch"]["args"]["parent_id"] == root.span_id
 
     def test_direct_engine_batch_keeps_its_own_span(self, tmp_path):
         write_product(tmp_path / "mosaic")
@@ -168,11 +164,10 @@ class TestEndToEndTrace:
         engine = QueryEngine(catalog, serve=SERVE, obs=obs)
         responses = engine.query_batch([REQUEST, REQUEST])
         (batch,) = obs.tracer.spans("engine.query_batch")
-        (job,) = obs.tracer.spans("mapreduce.run")
         (fetch,) = obs.tracer.spans("loader.fetch")
+        assert len(obs.tracer.spans()) == 2
         assert batch.parent_id is None
-        assert job.parent_id == batch.span_id
-        assert fetch.parent_id == job.span_id
+        assert fetch.parent_id == batch.span_id
         assert batch.attributes["n_requests"] == 2
         assert batch.attributes["n_computed"] == sum(r.n_computed for r in responses)
         assert batch.attributes["n_cached"] == 0

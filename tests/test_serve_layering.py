@@ -1,0 +1,81 @@
+"""Layering guard: the serve and ingest tiers import nothing from
+``repro.distributed``.
+
+The paper fans work out at two levels only, the segment jobs and the
+granules of a fleet, and both live in ``repro.distributed``.  The serve tier
+decodes on the calling thread, so a ``repro.distributed`` import under
+``repro.serve`` or ``repro.ingest`` means a third fan-out level has crept
+back in.  The scan reads every module's AST, so imports inside functions
+and ``TYPE_CHECKING`` blocks count too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FORBIDDEN = "repro.distributed"
+GUARDED = ("repro/serve", "repro/ingest")
+
+
+def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` of every absolute import in one module.
+
+    ``from repro import distributed`` yields ``repro.distributed``, so a
+    package-level import is caught as well as a submodule one.
+    """
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.append((node.lineno, node.module))
+            found.extend((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+    return found
+
+
+def forbidden_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(SRC)}:{line} imports {name}"
+        for line, name in imported_modules(tree)
+        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+    ]
+
+
+def guarded_modules() -> list[Path]:
+    return sorted(path for tier in GUARDED for path in (SRC / tier).rglob("*.py"))
+
+
+def test_every_guarded_tier_has_modules():
+    for tier in GUARDED:
+        assert list((SRC / tier).rglob("*.py")), f"no modules under {tier}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import repro.distributed",
+        "import repro.distributed.mapreduce as mr",
+        "from repro.distributed.mapreduce import MapReduceEngine",
+        "from repro import distributed",
+        "def f():\n    from repro.distributed import cluster",
+    ],
+)
+def test_scan_catches_each_import_spelling(source):
+    names = [name for _, name in imported_modules(ast.parse(source))]
+    assert any(n == FORBIDDEN or n.startswith(FORBIDDEN + ".") for n in names)
+
+
+def test_scan_ignores_lookalike_names():
+    source = "import repro.distributed_extra\nfrom repro.serve import distributed_view"
+    names = [name for _, name in imported_modules(ast.parse(source))]
+    assert not any(n == FORBIDDEN or n.startswith(FORBIDDEN + ".") for n in names)
+
+
+def test_serve_and_ingest_import_nothing_from_distributed():
+    offenders = [hit for path in guarded_modules() for hit in forbidden_imports(path)]
+    assert offenders == []

@@ -1,4 +1,4 @@
-"""The query engine: LRU tile cache, per-product decode batching, fan-out.
+"""The query engine: LRU tile cache and per-product decode batching.
 
 The acceptance-critical property lives here: a repeated region query is
 served from the LRU tile cache **without re-reading the npz**, asserted via
@@ -124,17 +124,6 @@ class TestServing:
             engine.query(TileRequest(bbox=(0, 0, 1000, 1000), variable="n_segments"))
         assert engine.loader.n_loads == 0
 
-    def test_loader_pickles_without_its_lock(self, engine):
-        import pickle
-
-        engine.query(TileRequest(bbox=(0.0, 0.0, 700.0, 700.0)))
-        clone = pickle.loads(pickle.dumps(engine.loader))
-        assert clone.n_loads == engine.loader.n_loads
-        assert clone.serve == engine.loader.serve
-        # The worker-side copy still counts loads (fresh lock reconstructed).
-        clone.load(engine.catalog.entries[0])
-        assert clone.n_loads == engine.loader.n_loads + 1
-
     def test_loader_with_mismatched_geometry_rejected(self, engine):
         with pytest.raises(ValueError, match="ServeConfig mismatch"):
             QueryEngine(
@@ -193,34 +182,6 @@ class TestServing:
         engine.query(b)  # evicts a's tile
         engine.query(a)  # must decode again
         assert engine.loader.n_loads == 3
-
-    def test_thread_executor_fans_out(self, tmp_path):
-        write_product(tmp_path / "a", fingerprint="fp-a", x_min=0.0, seed=1)
-        write_product(tmp_path / "b", fingerprint="fp-b", x_min=50_000.0, seed=2)
-        catalog = ProductCatalog()
-        catalog.scan(tmp_path)
-        serial = QueryEngine(catalog, loader=ProductLoader(SERVE), serve=SERVE)
-        threaded = QueryEngine(
-            catalog, loader=ProductLoader(SERVE), serve=SERVE,
-            n_workers=2, executor="thread",
-        )
-        requests = [
-            TileRequest(bbox=(0.0, 0.0, 1900.0, 1900.0)),
-            TileRequest(bbox=(50_000.0, 0.0, 51_900.0, 1900.0)),
-        ]
-        expected = serial.query_batch(requests)
-        actual = threaded.query_batch(requests)
-        assert threaded.stats.loads == 2
-        for want, got in zip(expected, actual):
-            assert want.product == got.product
-            for key in want.tiles:
-                np.testing.assert_array_equal(want.tiles[key], got.tiles[key])
-
-    def test_invalid_engine_parameters(self, engine):
-        with pytest.raises(ValueError, match="executor"):
-            QueryEngine(engine.catalog, executor="bogus")
-        with pytest.raises(ValueError, match="n_workers"):
-            QueryEngine(engine.catalog, n_workers=0)
 
 
 class _DecodeCountingLoader(ProductLoader):

@@ -122,6 +122,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="engine or a catalog"):
             TrafficSimulator()
 
+    def test_closed_loop_without_an_engine_rejected(self, engine):
+        simulator = TrafficSimulator(
+            catalog=engine.catalog, config=TrafficConfig(n_requests=4)
+        )
+        with pytest.raises(ValueError, match="closed loop needs an engine") as info:
+            simulator.run()
+        assert "open loop" in str(info.value) and "router" in str(info.value)
+
     def test_catalog_only_simulator_generates_streams(self, engine):
         simulator = TrafficSimulator(
             catalog=engine.catalog, config=TrafficConfig(n_requests=10, seed=3)
