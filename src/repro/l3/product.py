@@ -17,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.geodesy.grid import GridDefinition
+from repro.utils.planes import fill_outside
 
 #: Attributes of every variable a Level-3 product may carry (CF-style
 #: units/long_name pairs; the writer embeds them in the JSON metadata).
@@ -51,6 +52,15 @@ class Level3Grid:
     carries per-variable attributes (defaults from :data:`VARIABLE_ATTRS`);
     ``metadata`` is free-form JSON-serialisable provenance (``kind``,
     ``granule_id``/``granule_ids``, ``fingerprint``).
+
+    The pickled form is compact, while the unpickled object is the same as
+    before: it stores the occupied cells as packed bits, each variable's
+    values at those cells with its empty value, and ``grid``, ``attrs`` and
+    ``metadata``.  A cell is occupied when any variable's bytes differ from
+    that variable's empty value (:func:`_empty_value`), so NaN payloads and
+    ``-0.0`` come back exactly.  A granule grid, whose tracks cross ~1 % of
+    its cells, pickles to a few KB.  Grids pickled as plain dataclasses
+    still load.
     """
 
     grid: GridDefinition
@@ -74,6 +84,22 @@ class Level3Grid:
     def kind(self) -> str:
         """``"granule"`` or ``"mosaic"``."""
         return str(self.metadata.get("kind", "granule"))
+
+    def __reduce__(self) -> tuple:
+        empties = {name: _empty_value(value) for name, value in self.variables.items()}
+        occupied = np.zeros(self.grid.shape, dtype=bool)
+        for name, value in self.variables.items():
+            occupied |= ~_bytes_equal(value, empties[name])
+        variables = {
+            name: (value[occupied], empties[name]) for name, value in self.variables.items()
+        }
+        return _rebuild_level3, (
+            self.grid,
+            np.packbits(occupied),
+            variables,
+            self.attrs,
+            self.metadata,
+        )
 
     def variable(self, name: str) -> np.ndarray:
         try:
@@ -109,6 +135,46 @@ class Level3Grid:
             "mean_freeboard_m": _finite_mean(freeboard),
             "mean_thickness_m": _finite_mean(thickness),
         }
+
+
+def _bytes_equal(values: np.ndarray, fill: object) -> np.ndarray:
+    """Cells of ``values`` whose bytes equal those of ``fill`` in its dtype."""
+    size = values.dtype.itemsize
+    raw = np.dtype(f"u{size}" if size in (1, 2, 4, 8) else f"V{size}")
+    fill_raw = np.array([fill], dtype=values.dtype).view(raw)
+    return np.ascontiguousarray(values).view(raw) == fill_raw
+
+
+def _empty_value(values: np.ndarray) -> float | int:
+    """The value a variable holds in the cells no segment reached.
+
+    0 for integers and bools; for floats NaN, or 0.0 where more cells hold
+    0.0 than NaN (a mosaic's ``coverage_fraction``).
+    """
+    if values.dtype.kind not in "fc":
+        return 0
+    n_nan, n_zero = (int(np.count_nonzero(_bytes_equal(values, v))) for v in (np.nan, 0.0))
+    return 0.0 if n_zero > n_nan else np.nan
+
+
+def _rebuild_level3(
+    grid: GridDefinition,
+    occupied_bits: np.ndarray,
+    variables: dict[str, tuple[np.ndarray, float | int]],
+    attrs: dict[str, dict[str, str]],
+    metadata: dict[str, Any],
+) -> Level3Grid:
+    """Unpickle a :class:`Level3Grid` from its occupied cells."""
+    occupied = np.unpackbits(occupied_bits, count=grid.n_cells).view(bool).reshape(grid.shape)
+    return Level3Grid(
+        grid=grid,
+        variables={
+            name: fill_outside(occupied, values, empty)
+            for name, (values, empty) in variables.items()
+        },
+        attrs=attrs,
+        metadata=metadata,
+    )
 
 
 def _finite_mean(values: np.ndarray | None) -> float:

@@ -128,12 +128,16 @@ class ArtifactStore:
         )
 
     def clear(self) -> int:
-        """Delete every artifact of this namespace; returns the number removed."""
+        """Delete every artifact of this namespace; returns the number removed.
+
+        Entries set aside as ``<key>.corrupt`` and stray temp files are
+        artifacts too: they are deleted and counted.
+        """
         removed = 0
         if not self.dir.is_dir():
             return removed
         for p in list(self.dir.iterdir()):
-            if p.suffix in (".pkl", ".tmp") or p.name.startswith("."):
+            if p.suffix in (".pkl", ".tmp", ".corrupt") or p.name.startswith("."):
                 try:
                     p.unlink()
                     removed += 1

@@ -36,6 +36,7 @@ import numpy as np
 from repro.config import CLASS_OPEN_WATER, CLASS_THICK_ICE, CLASS_THIN_ICE, CLASS_UNSEGMENTED
 from repro.geodesy.grid import GridDefinition
 from repro.sentinel2.scene import _BLOCK_ROWS, TILE_PX, S2Image, tile_grid_shape
+from repro.utils.planes import fill_outside
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,13 @@ class SegmentationResult:
     computed.  The planes keep the image's full size; outside those tiles
     ``class_map`` holds :data:`~repro.config.CLASS_UNSEGMENTED` and both
     masks are ``False``, so the whole-image summaries refuse it.
+
+    The pickled form is compact, while the unpickled object is the same as
+    before: it stores ``tiles``, the plane shape, the ``class_map`` bytes of
+    the marked tiles' pixels and the two masks over those pixels as packed
+    bits (a corridor bundle is ~12 % of the three planes' bytes).  A
+    whole-image result pickles as one with every tile marked and comes back
+    with ``tiles=None``.  Results pickled as plain dataclasses still load.
     """
 
     class_map: np.ndarray
@@ -99,6 +107,47 @@ class SegmentationResult:
         values, counts = np.unique(self.class_map, return_counts=True)
         total = float(self.class_map.size)
         return {int(v): float(c) / total for v, c in zip(values, counts)}
+
+    def __reduce__(self) -> tuple:
+        shape = self.class_map.shape
+        pixels = _tile_pixels(self.tiles, shape)
+        return _rebuild_segmentation, (
+            shape,
+            self.tiles,
+            self.class_map[pixels],
+            np.packbits(self.cloud_mask[pixels]),
+            np.packbits(self.shadow_mask[pixels]),
+        )
+
+
+def _tile_pixels(tiles: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """Boolean ``shape`` mask of the pixels of the marked tiles (all: ``None``).
+
+    Its row-major order is the order in which :func:`_segment_tiles` gathers
+    the pixels of a tile row.
+    """
+    if tiles is None:
+        tiles = np.ones(tile_grid_shape(shape), dtype=bool)
+    pixels = np.repeat(np.repeat(tiles, TILE_PX, axis=0), TILE_PX, axis=1)
+    return pixels[: shape[0], : shape[1]]
+
+
+def _rebuild_segmentation(
+    shape: tuple[int, int],
+    tiles: np.ndarray | None,
+    classes: np.ndarray,
+    cloud_bits: np.ndarray,
+    shadow_bits: np.ndarray,
+) -> SegmentationResult:
+    """Unpickle a :class:`SegmentationResult` from its marked pixels."""
+    pixels = _tile_pixels(tiles, shape)
+    n = classes.size
+    return SegmentationResult(
+        class_map=fill_outside(pixels, classes, CLASS_UNSEGMENTED),
+        cloud_mask=fill_outside(pixels, np.unpackbits(cloud_bits, count=n).view(bool), False),
+        shadow_mask=fill_outside(pixels, np.unpackbits(shadow_bits, count=n).view(bool), False),
+        tiles=tiles,
+    )
 
 
 def _brightness(bands: np.ndarray) -> np.ndarray:

@@ -56,6 +56,15 @@ class TestArtifactStore:
         assert store.keys() == []
         assert store.load("a") is None
 
+    def test_clear_removes_set_aside_corrupt_entries(self, store):
+        store.store("good", 1)
+        store.store("bad", 2)
+        store.path("bad").write_bytes(b"not a pickle")
+        assert store.load("bad", MISS) is MISS
+        assert (store.dir / "bad.corrupt").is_file()
+        assert store.clear() == 2
+        assert list(store.dir.iterdir()) == []
+
     def test_invalid_keys_rejected(self, store):
         for key in ("", "a/b", ".hidden"):
             with pytest.raises(ValueError, match="invalid cache key"):

@@ -6,7 +6,9 @@ so the ``s2`` stage is uncached: a campaign renders the image in memory and
 never writes it.  Pooled training is fed from the cached ``segments`` and
 ``labels`` alone, so a warm re-run after a sea-surface change reads no
 scene, image, segmentation or drift bundle, yet writes the same mosaic
-bytes as an uncached run.
+bytes as an uncached run.  The bundles that are written keep only what a
+reader can see: a ``segmentation`` bundle the pixels of its corridor tiles,
+a ``grid_granule`` or ``mosaic_campaign`` bundle the occupied cells.
 """
 
 from dataclasses import replace
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner
-from repro.config import SeaSurfaceConfig
+from repro.config import L3GridConfig, SeaSurfaceConfig
 from repro.pipeline import GraphRunner, StageCache, default_graph, external_artifact
+from repro.sentinel2.scene import TILE_PX
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 from repro.workflow.experiment import training_arrays
@@ -33,6 +36,8 @@ BASE = ExperimentConfig(
     epochs=2,
     model_kind="mlp",
     drift_m=(120.0, 180.0),
+    # 100 m Level-3 cells, as on the benchmark fleet: the tracks cross ~1 %.
+    l3=L3GridConfig(cell_size_m=100.0),
 )
 GRID = {"cloud_fraction": (0.1, 0.35)}
 
@@ -60,8 +65,35 @@ def mosaic_bytes(config: CampaignConfig) -> dict[str, tuple[str, tuple[int, ...]
 def cache_dir(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("image-tier"))
     with CampaignRunner(campaign(BASE, path)) as runner:
-        runner.run()
+        runner.to_l3(runner.run())
     return path
+
+
+def bundles(cache_dir, stage):
+    """(file bytes, output) of every cached bundle of a one-output stage."""
+    store = StageCache(cache_dir).store
+    found = []
+    for key in store.keys():
+        if key.rsplit("-", 1)[0] == stage:
+            (output,) = store.load(key)["outputs"].values()
+            found.append((store.path(key).stat().st_size, output))
+    assert found, stage
+    return found
+
+
+def test_segmentation_bundle_holds_only_the_corridor(cache_dir):
+    for size, segmentation in bundles(cache_dir, "segmentation"):
+        tiles = segmentation.tiles
+        assert 0 < tiles.sum() < tiles.size
+        # One class byte and two mask bits a pixel, plus a fixed overhead.
+        assert size <= tiles.sum() * TILE_PX**2 * 1.3 + 2048, (size, tiles.sum())
+
+
+@pytest.mark.parametrize("stage", ["grid_granule", "mosaic_campaign"])
+def test_level3_bundle_holds_only_the_occupied_cells(cache_dir, stage):
+    for size, grid in bundles(cache_dir, stage):
+        dense = sum(array.nbytes for array in grid.variables.values())
+        assert size < 0.05 * dense, (size, dense)
 
 
 def test_cold_campaign_stores_no_image(cache_dir):
