@@ -59,8 +59,9 @@ class Level3Grid:
     ``metadata``.  A cell is occupied when any variable's bytes differ from
     that variable's empty value (:func:`_empty_value`), so NaN payloads and
     ``-0.0`` come back exactly.  A granule grid, whose tracks cross ~1 % of
-    its cells, pickles to a few KB.  Grids pickled as plain dataclasses
-    still load.
+    its cells, pickles to a few KB (~9 KB for eleven 80 x 80 variables,
+    against 0.57 MB of planes).  Grids pickled as plain dataclasses still
+    load.
     """
 
     grid: GridDefinition
