@@ -1,12 +1,13 @@
 """Serving-tier latency benchmarks: cold decode vs hot cache, kernels vs oracles.
 
-Times the full router request path — resolution, single-flight accounting,
-shard-engine execution — over a real on-disk mosaic, in two regimes:
+Times the full router request path — resolution and planning, admission
+accounting, shard-engine execution — over a real on-disk mosaic, in two
+regimes:
 
 * **cold**: a fresh router per round, so every request pays product decode
   plus pyramid build (the kernel-bound worst case a cache miss costs);
 * **hot**: a pre-warmed router serving the same requests from the shard
-  LRU caches (the steady state the prefetcher maintains for the Zipf head).
+  LRU caches (the steady state of the popular Zipf head).
 
 Each regime runs on the kernels (``*_vectorized``) and under
 :func:`repro.kernels.reference.oracles` (``*_reference``), feeding three kinds of
@@ -18,8 +19,8 @@ Each regime runs on the kernels (``*_vectorized``) and under
   kernels must keep paying off end to end);
 * ``router_latency_<backend>`` holds the cold/hot *latency ratio* above a
   3x floor — the router's cache path must stay an order of magnitude off
-  the decode path, else the LRU or the single-flight accounting has
-  regressed into the request path;
+  the decode path, else the LRU or the routing accounting has regressed
+  into the request path;
 * ``router_hot_<backend>`` holds the hot run's absolute time under a
   generous 0.25 s ceiling.
 

@@ -588,8 +588,8 @@ class CampaignRunner:
         campaign's ``base.serve`` slice.  Chain builder steps onto the
         handle for the rest of the stack::
 
-            handle = runner.serve(products_dir)          # bare query engine
-            handle = runner.serve(products_dir).with_router()       # + router
+            handle = runner.serve(products_dir)          # routes on base.serve.router
+            handle = runner.serve(products_dir).with_router(RouterConfig(n_shards=1))
             handle = runner.serve(products_dir).with_router().with_ingest()
 
         The handle decodes products on the calling thread, next to its tile

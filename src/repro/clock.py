@@ -1,8 +1,8 @@
 """The program's one time source: real monotonic, virtual, and wall clocks.
 
 Everything that reads "now" — span start/end in :mod:`repro.obs.trace`,
-SLO ticks, log timestamps, the router's latency measurement, prefetch
-pacing and open-loop arrival generation — goes through a tiny clock
+SLO ticks, log timestamps, the router's latency measurement and open-loop
+arrival generation — goes through a tiny clock
 interface (``now()`` / ``sleep()`` / ``advance()``) instead of ``time``
 and ``asyncio.sleep`` directly:
 
@@ -26,7 +26,8 @@ campaign stage timings) are *not* read from these clocks: they are inline
 ``VirtualClock`` or a disabled ``Obs``.
 
 :func:`run_sync` is the serve tier's ``asyncio.run`` for the synchronous
-entry points (``RequestRouter.serve``, ``TrafficSimulator.run_open_loop``).
+entry points (``RequestRouter.serve`` on a router with an execute hook,
+``TrafficSimulator.run_open_loop``).
 """
 
 from __future__ import annotations

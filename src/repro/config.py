@@ -239,12 +239,12 @@ class L3GridConfig:
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Parameters of the async service tier (:mod:`repro.serve.router`).
+    """Parameters of the service tier (:mod:`repro.serve.router`).
 
     Sizes the sharded catalog, the admission-control watermark of the
-    request router, shard quarantine, and the popularity-driven hot-tile
-    prefetcher.  Nested inside :class:`ServeConfig` so the whole serving
-    stack is one campaign-level config slice.
+    request router, and shard quarantine.  Nested inside
+    :class:`ServeConfig` so the whole serving stack is one campaign-level
+    config slice.
     """
 
     #: Number of catalog shards (each with its own engine and tile LRU).
@@ -256,11 +256,6 @@ class RouterConfig:
     retry_after_s: float = 0.05
     #: Consecutive product-decode failures before a shard is quarantined.
     quarantine_errors: int = 3
-    #: Number of hottest flight keys the background prefetcher keeps warm
-    #: (0 disables prefetching).
-    prefetch_top_k: int = 8
-    #: Interval between prefetch sweeps, in (clock) seconds.
-    prefetch_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -271,10 +266,6 @@ class RouterConfig:
             raise ValueError("retry_after_s must be non-negative")
         if self.quarantine_errors < 1:
             raise ValueError("quarantine_errors must be >= 1")
-        if self.prefetch_top_k < 0:
-            raise ValueError("prefetch_top_k must be >= 0")
-        if self.prefetch_interval_s <= 0:
-            raise ValueError("prefetch_interval_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -476,8 +467,8 @@ class ServeConfig:
     #: only the bytes they serve).  Readers auto-detect from the sidecar, so
     #: mixed-format catalogs are fine.
     product_format: str = "npz"
-    #: The async service tier built around the query engine
-    #: (:class:`RouterConfig`: sharding, admission control, prefetch).
+    #: The service tier built around the query engine
+    #: (:class:`RouterConfig`: sharding, admission control, quarantine).
     router: RouterConfig = RouterConfig()
     #: The live-ingest tier that keeps served products fresh without a
     #: restart (:class:`IngestConfig`).

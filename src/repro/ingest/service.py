@@ -79,7 +79,7 @@ class IngestService:
     stack, the campaign's seed L3 result, and the gridder hook.  On
     construction the service replays the seed fleet through the online
     accumulator, republishes the mosaic under its stable live key, and
-    installs the in-memory pyramid into the owning engine's
+    installs the in-memory pyramid into the owning shard's
     :class:`~repro.serve.live.LivePyramidLoader` — from then on every
     :meth:`ingest` is incremental.
 
@@ -149,15 +149,12 @@ class IngestService:
     # -- the live serving seam ----------------------------------------------
 
     def _live_loader(self) -> LivePyramidLoader:
-        """The loader owning the live key (the shard's, behind a router)."""
-        if self.handle.has_router:
-            router = self.handle.router
-            loader = router.shards[router.catalog.shard_of(self.key)].engine.loader
-        else:
-            loader = self.handle.engine.loader
+        """The loader of the shard owning the live key."""
+        router = self.handle.router
+        loader = router.shards[router.catalog.shard_of(self.key)].engine.loader
         if not isinstance(loader, LivePyramidLoader):
             raise TypeError(
-                "the serving front was not built with a LivePyramidLoader; "
+                "the router was not built with LivePyramidLoaders; "
                 "construct the stack through ServeHandle"
             )
         return loader

@@ -51,8 +51,9 @@ __all__ = [
 #: v2 added the interpretation layer: ``slo`` (alerts + error budgets),
 #: ``events`` (recent structured log records) and ``trace`` (ring-buffer
 #: drop accounting).  v3 reduced ``campaign.cache`` to the one stage-cache
-#: tier's ``{hits, misses}``.
-DASHBOARD_SCHEMA_VERSION = 3
+#: tier's ``{hits, misses}``.  v4 dropped ``serve.health.prefetch_refreshes``
+#: with the router's background prefetcher.
+DASHBOARD_SCHEMA_VERSION = 4
 
 _SCHEMA_PATH = Path(__file__).with_name("dashboard.schema.json")
 

@@ -25,17 +25,18 @@ ROADMAP's "heavy traffic" regime:
   rebuilds) into shards that share nothing, while queries merge back into
   global registration order so resolution is identical to the unsharded
   catalog;
-* :mod:`repro.serve.router` — :class:`RequestRouter`, the async service
-  tier over the shards: single-flight coalescing of identical in-flight
-  queries, admission control with fast load-shedding
-  (:class:`RouterOverloadedError` carries the ``Retry-After`` hint),
-  popularity-driven hot-tile prefetching, and per-shard quarantine on
-  repeated product errors;
+* :mod:`repro.serve.router` — :class:`RequestRouter`, the service tier
+  over the shards: each request resolved and planned once, served on the
+  calling thread without an execute hook; on the async path single-flight
+  coalescing of identical in-flight queries and admission control with
+  fast load-shedding (:class:`RouterOverloadedError` carries the
+  ``Retry-After`` hint); per-shard quarantine on repeated product errors;
 * :mod:`repro.serve.handle` — :class:`ServeHandle`, the single
   construction surface: ``runner.serve(dir)`` returns a handle owning the
-  catalog/engine/router/ingest lifecycle, with chainable builder steps
-  (``.with_router(...)``, ``.with_ingest(...)``) and a unified
-  :class:`TileResponse` query surface whichever front serves;
+  catalog/router/ingest lifecycle — every query goes through one router,
+  ``RouterConfig(n_shards=1)`` being the unsharded case — with chainable
+  builder steps (``.with_router(...)``, ``.with_ingest(...)``) and the
+  unified :class:`TileResponse` query surface;
 * :mod:`repro.serve.live` — the live-product seam under
   :mod:`repro.ingest`: :class:`IncrementalPyramidBuilder` rebuilds only
   the pyramid tiles whose footprint a new granule touched (byte-identical
@@ -57,12 +58,13 @@ Quick start (serving a campaign)::
 
     from repro.campaign import CampaignConfig, CampaignRunner
     from repro.evaluation import serve_scaling_table
-    from repro.serve import TileRequest, TrafficSimulator
+    from repro.serve import ProductCatalog, QueryEngine, TileRequest, TrafficSimulator
 
     runner = CampaignRunner(CampaignConfig(grid={"cloud_fraction": (0.1, 0.4)}))
     handle = runner.serve("products/")          # write products + catalog them
     response = handle.query(TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1))
-    report = serve_scaling_table(TrafficSimulator(handle.engine).run())
+    engine = QueryEngine(ProductCatalog(handle.catalog.entries))
+    report = serve_scaling_table(TrafficSimulator(engine).run())
 
     live = runner.serve("products/").with_router().with_ingest()
     live.ingest(new_granule_spec)               # merged + served, no restart

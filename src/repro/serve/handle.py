@@ -1,24 +1,22 @@
 """ServeHandle: one builder owning the serving stack's lifecycle.
 
 ``CampaignRunner.serve(products_dir)`` returns a :class:`ServeHandle` — the
-single construction surface of the serve tier.  The handle owns the
-catalog and builds the rest on demand:
+single construction surface of the serve tier.  Every query goes through
+one :class:`~repro.serve.router.RequestRouter`, which the handle builds on
+first use (the first query, or ``with_ingest``) from the campaign's
+``serve.router`` config; ``RouterConfig(n_shards=1)`` is the unsharded
+case.  Builder steps:
 
-* bare: a lazily constructed :class:`~repro.serve.query.QueryEngine` over
-  the flat catalog (``handle.query(...)`` / ``handle.engine``);
-* ``.with_router(...)``: hash-partition the catalog and front it with a
-  :class:`~repro.serve.router.RequestRouter` (single-flight coalescing,
-  admission control, quarantine);
+* ``.with_router(config, **router_kwargs)``: set the config and the hook
+  arguments (``clock``, ``execute``, ...) of the router built on first use;
 * ``.with_ingest(...)``: attach a :class:`~repro.ingest.IngestService`
   that keeps the served mosaic live as new granules arrive, with
   dirty-tile pyramid rebuilds and targeted cache invalidation.
 
 Builder steps return the handle, so construction chains:
-``runner.serve(dir).with_router().with_ingest()``.  Every engine the
-handle creates uses a :class:`~repro.serve.live.LivePyramidLoader`, so
-attaching ingest later never requires rebuilding engines.  Query results
-are the unified :class:`~repro.serve.query.TileResponse` whichever front
-serves them.
+``runner.serve(dir).with_router().with_ingest()``.  Every shard engine the
+router builds uses a :class:`~repro.serve.live.LivePyramidLoader`, so
+attaching ingest never requires rebuilding engines.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from repro.config import DEFAULT_SERVE, IngestConfig, RouterConfig, ServeConfig
 from repro.obs.core import Obs, default_obs
 from repro.serve.catalog import ProductCatalog
 from repro.serve.live import LivePyramidLoader
-from repro.serve.query import QueryEngine, TileKey, TileRequest, TileResponse
-from repro.serve.router import RequestRouter
+from repro.serve.query import TileKey, TileRequest, TileResponse
+from repro.serve.router import RequestRouter, RouterStats
 from repro.serve.shard import ShardedCatalog
 
 if TYPE_CHECKING:  # circular at runtime: repro.ingest builds on this module
@@ -46,7 +44,7 @@ class ServeHandle:
     Parameters
     ----------
     catalog:
-        The flat product catalog (sharded internally by ``with_router``).
+        The flat product catalog (hash-partitioned by the router).
     serve:
         The campaign's ``base.serve`` slice — tile geometry, cache sizes,
         nested router/ingest configs.
@@ -74,12 +72,13 @@ class ServeHandle:
         self.serve = serve
         self.products_dir = Path(products_dir) if products_dir is not None else None
         #: One telemetry handle for the whole stack the builder constructs —
-        #: engine, router shards, and ingest all share it.
+        #: router, shard engines, and ingest all share it.
         self.obs = obs if obs is not None else default_obs()
         self._catalog = catalog
         self._gridder = gridder
         self._seed_l3 = seed_l3
-        self._engine: QueryEngine | None = None
+        self._router_config: RouterConfig | None = None
+        self._router_kwargs: dict[str, Any] = {}
         self._router: RequestRouter | None = None
         self._ingest: "IngestService | None" = None
 
@@ -88,32 +87,21 @@ class ServeHandle:
     def with_router(
         self, config: RouterConfig | None = None, **router_kwargs: Any
     ) -> "ServeHandle":
-        """Front the stack with a sharded single-flight router.
+        """Configure the router the handle builds on first use.
 
-        Must run before the bare engine is first used and before
-        ``with_ingest`` — the router owns its per-shard engines, and ingest
-        installs live products into whichever front exists.  Extra keyword
+        ``config`` replaces the ``serve.router`` slice; extra keyword
         arguments (``clock``, ``execute``, ...) pass through to
-        :class:`~repro.serve.router.RequestRouter`.
+        :class:`~repro.serve.router.RequestRouter`.  The router is built by
+        the first query or by ``with_ingest``, so this must come before
+        either.
         """
         if self._router is not None:
-            raise RuntimeError("a router is already attached to this handle")
-        if self._engine is not None:
             raise RuntimeError(
-                "with_router() must be called before the bare engine is used "
-                "(the router owns its own per-shard engines)"
+                "a router is already attached to this handle: with_router() must "
+                "come before the first query and before with_ingest()"
             )
-        if self._ingest is not None:
-            raise RuntimeError("with_router() must be called before with_ingest()")
-        router_cfg = config if config is not None else self.serve.router
-        serve = self.serve
-        self._router = RequestRouter(
-            ShardedCatalog.from_catalog(self._catalog, router_cfg.n_shards),
-            serve=serve,
-            config=config,
-            loader_factory=lambda index: LivePyramidLoader(serve),
-            **{"obs": self.obs, **router_kwargs},
-        )
+        self._router_config = config
+        self._router_kwargs = router_kwargs
         return self
 
     def with_ingest(
@@ -144,34 +132,21 @@ class ServeHandle:
         )
         return self
 
-    # -- the fronts ----------------------------------------------------------
-
-    @property
-    def engine(self) -> QueryEngine:
-        """The bare query engine (built lazily; unavailable behind a router)."""
-        if self._router is not None:
-            raise RuntimeError(
-                "this handle fronts a router; use handle.router (per-shard "
-                "engines live at router.shards[i].engine)"
-            )
-        if self._engine is None:
-            self._engine = QueryEngine(
-                self._catalog,
-                loader=LivePyramidLoader(self.serve),
-                serve=self.serve,
-                obs=self.obs,
-            )
-        return self._engine
+    # -- the stack -----------------------------------------------------------
 
     @property
     def router(self) -> RequestRouter:
+        """The router every query goes through (built on first use)."""
         if self._router is None:
-            raise RuntimeError("no router attached: build with handle.with_router(...)")
+            serve = self.serve
+            self._router = RequestRouter(
+                self._catalog,
+                serve=serve,
+                config=self._router_config,
+                loader_factory=lambda index: LivePyramidLoader(serve),
+                **{"obs": self.obs, **self._router_kwargs},
+            )
         return self._router
-
-    @property
-    def has_router(self) -> bool:
-        return self._router is not None
 
     @property
     def ingest_service(self) -> "IngestService":
@@ -180,42 +155,24 @@ class ServeHandle:
         return self._ingest
 
     @property
-    def front(self) -> RequestRouter | QueryEngine:
-        """Whatever serves queries: the router when attached, else the engine."""
-        return self._router if self._router is not None else self.engine
-
-    # -- unified query surface ----------------------------------------------
+    def catalog(self) -> ShardedCatalog:
+        return self.router.catalog
 
     @property
-    def catalog(self) -> ProductCatalog | ShardedCatalog:
-        return self._router.catalog if self._router is not None else self._catalog
-
-    @property
-    def loader(self) -> LivePyramidLoader:
-        """The bare engine's loader (per-shard loaders live on the router)."""
-        loader = self.engine.loader
-        assert isinstance(loader, LivePyramidLoader)
-        return loader
-
-    @property
-    def stats(self) -> Any:
-        return self.front.stats
+    def stats(self) -> RouterStats:
+        return self.router.stats
 
     def query(self, request: TileRequest) -> TileResponse:
-        """Serve one request through the current front."""
-        if self._router is not None:
-            return self._router.serve([request])[0]
-        return self.engine.query(request)
+        """Serve one request through the router."""
+        return self.router.serve([request])[0]
 
     def query_batch(self, requests: Sequence[TileRequest]) -> list[TileResponse]:
-        """Serve a batch through the current front."""
-        if self._router is not None:
-            return self._router.serve(list(requests))
-        return self.engine.query_batch(list(requests))
+        """Serve a batch through the router, responses in request order."""
+        return self.router.serve(requests)
 
     def invalidate_tiles(self, keys: Sequence[TileKey]) -> int:
-        """Targeted LRU invalidation on whichever front serves queries."""
-        return self.front.invalidate_tiles(keys)
+        """Targeted LRU invalidation on the owning shards."""
+        return self.router.invalidate_tiles(keys)
 
     def ingest(self, granule: Any) -> "IngestReport":
         """Fold one granule (a ``Level3Grid`` or a ``GranuleSpec``) into the
@@ -223,7 +180,7 @@ class ServeHandle:
         return self.ingest_service.ingest(granule)
 
     def health(self) -> dict[str, object]:
-        """The router health summary (requires a router front)."""
+        """The router health summary."""
         return self.router.health()
 
     # -- lifecycle -----------------------------------------------------------

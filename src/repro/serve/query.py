@@ -301,8 +301,13 @@ class _LRUCache:
 
 
 @dataclass
-class _RequestPlan:
-    """One request resolved to a product and concrete tile addresses."""
+class RequestPlan:
+    """One request resolved to a product and concrete tile addresses.
+
+    Made once per request (:func:`plan_request`) and handed to
+    :meth:`QueryEngine.serve_plans`; the router plans against the global
+    catalog and passes the plan on to the owning shard's engine.
+    """
 
     request: TileRequest
     entry: CatalogEntry
@@ -338,7 +343,7 @@ def select_entry(candidates: Sequence[CatalogEntry], request: TileRequest) -> Ca
     return pool[-1]
 
 
-def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) -> _RequestPlan:
+def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) -> RequestPlan:
     """Resolve one request against one product to concrete tile addresses.
 
     Pure geometry from catalog metadata — no decode.  The zoom is clamped
@@ -360,14 +365,14 @@ def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) 
     keys = tuple(
         (entry.key, request.variable, zoom, row, col) for row, col in addresses
     )
-    return _RequestPlan(request=request, entry=entry, zoom=zoom, tile_keys=keys)
+    return RequestPlan(request=request, entry=entry, zoom=zoom, tile_keys=keys)
 
 
 class QueryEngine:
     """Serve tile requests over a :class:`~repro.serve.catalog.ProductCatalog`.
 
     Telemetry: a direct :meth:`query_batch` call runs inside an
-    ``engine.query_batch`` span, while :meth:`query_batch_in` records onto
+    ``engine.query_batch`` span, while :meth:`serve_plans` records onto
     a span the caller already holds (the router's ``router.request``).
     Either way the batch feeds the registry-backed ``serve_*`` counters
     (labelled with ``obs_labels``, e.g. the owning router shard).  Because
@@ -442,7 +447,7 @@ class QueryEngine:
         candidates = self.catalog.query(bbox=request.bbox, variable=request.variable)
         return select_entry(candidates, request)
 
-    def _plan(self, request: TileRequest) -> _RequestPlan:
+    def _plan(self, request: TileRequest) -> RequestPlan:
         return plan_request(self.resolve(request), request, self.serve)
 
     # -- serving -----------------------------------------------------------
@@ -468,20 +473,18 @@ class QueryEngine:
         with self.obs.span(
             "engine.query_batch", n_requests=len(requests)
         ) as span:
-            return self.query_batch_in(requests, span)
+            return self.serve_plans([self._plan(request) for request in requests], span)
 
-    def query_batch_in(
-        self, requests: Sequence[TileRequest], span: Any
-    ) -> list[TileResponse]:
-        """Serve a batch exactly as :meth:`query_batch` does, recording onto
-        the caller's open ``span`` instead of opening one.
+    def serve_plans(self, plans: Sequence[RequestPlan], span: Any) -> list[TileResponse]:
+        """Serve already planned requests as one batch, recording onto the
+        caller's open ``span`` instead of opening one.
 
-        The router serves each routed request through here, so a request
-        costs one span (``router.request``) rather than a nested pair; the
-        batch's ``n_cached``/``n_computed`` land on the caller's span.
+        The router plans each request once against the global catalog and
+        serves it through here, so a routed request costs one span
+        (``router.request``) rather than a nested pair; the batch's
+        ``n_cached``/``n_computed`` land on the caller's span.
         """
         start = time.perf_counter()
-        plans = [self._plan(request) for request in requests]
 
         # 1. Probe the tile cache; collect the missing tiles per product.
         served: dict[TileKey, np.ndarray] = {}
@@ -548,7 +551,7 @@ class QueryEngine:
             self._c_tile_hits.inc(n_cached)
         if n_computed_total:
             self._c_tile_misses.inc(n_computed_total)
-        self._c_requests.inc(len(requests))
+        self._c_requests.inc(len(plans))
         self._c_batches.inc()
         self._c_seconds.inc(seconds)
         self._h_batch.observe(seconds)

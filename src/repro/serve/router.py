@@ -1,4 +1,4 @@
-"""The async service tier: sharding, single-flight, admission control, prefetch.
+"""The service tier: sharding, single-flight, admission control, quarantine.
 
 :class:`RequestRouter` is the layer that turns the synchronous in-process
 :class:`~repro.serve.query.QueryEngine` into a service able to face heavy
@@ -8,7 +8,9 @@ traffic.  Request path, in order:
    :class:`~repro.serve.shard.ShardedCatalog` with the *same* policy as
    the unsharded engine (:func:`~repro.serve.query.select_entry`, with
    quarantined shards excluded), so sharding never changes which product
-   serves a request; the winning product names its owning shard.
+   serves a request; the winning product names its owning shard.  The
+   request is planned to tile addresses once, here, and the plan travels
+   on to the shard engine.
 2. **Single-flight coalescing** — the request's planned tile keys (the
    tile fingerprints) are its flight identity: if an identical query is
    already executing, the new request parks on the same future and shares
@@ -25,24 +27,21 @@ traffic.  Request path, in order:
    **quarantined**: resolution routes around it (another product serves
    the region when one exists) and :meth:`RequestRouter.health` reports it.
 
-A background **prefetcher** watches the observed popularity distribution
-(the Zipf head the traffic simulator models) and periodically re-executes
-the hottest flight keys, keeping their tiles warm in the shard caches;
-client requests arriving mid-refresh coalesce onto the refresh.
-
-Everything time-dependent goes through the pluggable clock
-(:mod:`repro.clock`), and the underlying execution is an injectable
-async hook — which is how the deterministic concurrency tests drive
-thousands of concurrent requests through a real event loop with zero real
-sleeps.
+:meth:`RequestRouter.serve` on a router without an execute hook runs each
+request to completion on the calling thread, in order: nothing is ever in
+flight when the next request arrives, so nothing coalesces and no event
+loop is needed.  Coalescing and shedding come into play on the async
+entry, :meth:`RequestRouter.query`, whose execution is an injectable async
+hook: that is how the deterministic concurrency tests drive thousands of
+concurrent requests through a real event loop, timed by the pluggable
+clock (:mod:`repro.clock`), with zero real sleeps.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Awaitable, Callable, Hashable, Sequence
 
 from repro.clock import MonotonicClock, VirtualClock, run_sync
@@ -53,6 +52,7 @@ from repro.serve.catalog import CatalogEntry, ProductCatalog
 from repro.serve.query import (
     ProductLoader,
     QueryEngine,
+    RequestPlan,
     TileKey,
     TileRequest,
     TileResponse,
@@ -70,9 +70,8 @@ __all__ = [
 ]
 
 #: Async execution hook: ``(shard, request) -> TileResponse``.  Without one
-#: the router calls the shard engine synchronously on the event loop; tests
-#: inject virtual-clock implementations to model service time
-#: deterministically.
+#: the shard engine serves the request on the calling thread; tests inject
+#: virtual-clock implementations to model service time deterministically.
 ExecuteHook = Callable[["Shard", TileRequest], Awaitable[TileResponse]]
 
 #: Auto-assigned ``router=rN`` metric labels keeping independent routers'
@@ -114,7 +113,8 @@ class Shard:
             "errors": self.errors,
             "quarantined": self.quarantined,
             "cached_tiles": len(self.engine.tile_cache),
-            "loads": self.engine.loader.n_loads,
+            # Registry-backed, so the count survives ``rebuild_shard``.
+            "loads": self.engine.stats.loads,
         }
 
 
@@ -130,7 +130,6 @@ class RouterStats:
     shed: int = 0
     coalesced: int = 0
     executions: int = 0
-    prefetch_refreshes: int = 0
     errors: int = 0
 
     @property
@@ -156,16 +155,6 @@ class _Flight:
 
     future: asyncio.Future
     shard: int
-    prefetch: bool = False
-    started: float = 0.0
-
-
-@dataclass
-class _PrefetchState:
-    """Popularity accounting feeding the hot-tile prefetcher."""
-
-    popularity: Counter = field(default_factory=Counter)
-    requests: dict[Hashable, TileRequest] = field(default_factory=dict)
 
 
 class RequestRouter:
@@ -204,9 +193,6 @@ class RequestRouter:
         self._c_shed = registry.counter("router_shed_total", **self._labels)
         self._c_coalesced = registry.counter("router_coalesced_total", **self._labels)
         self._c_executions = registry.counter("router_executions_total", **self._labels)
-        self._c_prefetch = registry.counter(
-            "router_prefetch_refreshes_total", **self._labels
-        )
         self._c_errors = registry.counter("router_errors_total", **self._labels)
         self._h_latency = registry.histogram(
             "router_request_latency_seconds", **self._labels
@@ -218,8 +204,6 @@ class RequestRouter:
         self._tracer = self.obs.tracer
         self._flights: dict[Hashable, _Flight] = {}
         self._depth = 0
-        self._prefetch = _PrefetchState()
-        self._prefetch_task: asyncio.Task | None = None
 
     def _build_engine(self, index: int, sub: ProductCatalog) -> QueryEngine:
         """One shard engine, its metrics labelled ``{router, shard}``.
@@ -265,7 +249,6 @@ class RequestRouter:
             shed=int(self._c_shed.value),
             coalesced=int(self._c_coalesced.value),
             executions=int(self._c_executions.value),
-            prefetch_refreshes=int(self._c_prefetch.value),
             errors=int(self._c_errors.value),
         )
 
@@ -299,134 +282,59 @@ class RequestRouter:
             raise
         return self.catalog.shard_of(entry.key), entry
 
-    def flight_key(self, request: TileRequest) -> tuple[int, Hashable]:
-        """The (shard, single-flight identity) of one request.
-
-        The identity is the planned tile-fingerprint set — two requests
-        whose bboxes cover the same tiles of the same product at the same
-        zoom coalesce even when the bboxes differ.
-        """
-        shard, entry = self.resolve(request)
-        plan = plan_request(entry, request, self.serve_config)
-        if plan.tile_keys:
-            return shard, plan.tile_keys
-        return shard, (entry.key, request.variable, plan.zoom, request.bbox)
-
     # -- serving -----------------------------------------------------------
+    #
+    # Both entries share the per-request body: ``_route`` counts the request
+    # and resolves and plans it once, ``_admit`` sheds past the watermark,
+    # ``_started``/``_finished`` account for an execution's depth and
+    # outcome, and ``_queue_wait`` times the request.  Every
+    # request opens exactly one span, ``router.request`` (attributes:
+    # variable, zoom, shard, coalesced, outcome ``served``/``shed``/
+    # ``unroutable``).  The shard engine serves an executing request onto
+    # that same span (:meth:`~repro.serve.query.QueryEngine.serve_plans`),
+    # adding its ``n_cached``/``n_computed``; only real work opens
+    # children — one ``loader.fetch`` per decoded product.
 
-    async def query(self, request: TileRequest) -> TileResponse:
-        """Serve one request through the service tier.
-
-        Returns the unified :class:`TileResponse` with the service-tier
-        fields (``shard``, ``coalesced``, ``queue_wait_s``) filled in.
-        Raises :class:`RouterOverloadedError` when shed, ``LookupError``
-        when no healthy product matches, and propagates the underlying
-        engine error (to every coalesced waiter) when execution fails.
-
-        Every request opens exactly one span, ``router.request`` (attributes:
-        variable, zoom, shard, coalesced, outcome
-        ``served``/``shed``/``unroutable``).  The shard engine serves an
-        executing request onto that same span
-        (:meth:`~repro.serve.query.QueryEngine.query_batch_in`), adding its
-        ``n_cached``/``n_computed``; only real work opens children — one
-        ``loader.fetch`` per decoded product.
-        """
-        with self._tracer.span(
-            "router.request", variable=request.variable, zoom=request.zoom
-        ) as span:
-            return await self._query(request, span)
-
-    async def _query(self, request: TileRequest, span) -> TileResponse:
-        arrived = self.clock.now()
+    def _route(self, request: TileRequest, span: Any) -> tuple[int, RequestPlan]:
+        """Count one arriving request; resolve and plan it."""
         self._c_requests.inc()
         try:
-            shard_id, key = self.flight_key(request)
+            shard_id, entry = self.resolve(request)
         except LookupError:
             self._c_errors.inc()
             span.set(outcome="unroutable")
             raise
-        self._prefetch.popularity[key] += 1
-        self._prefetch.requests[key] = request
+        return shard_id, plan_request(entry, request, self.serve_config)
 
-        flight = self._flights.get(key)
-        if flight is not None:
-            self._c_coalesced.inc()
-            span.set(shard=flight.shard, coalesced=True, outcome="served")
-            response = await asyncio.shield(flight.future)
-            return self._routed(request, response, flight.shard, arrived, coalesced=True)
-
-        if self._depth >= self.config.max_queue_depth:
-            self._c_shed.inc()
-            span.set(outcome="shed", depth=self._depth)
-            # Dedup keeps an overload burst to one ring slot per window.
-            self.obs.log.warning(
-                "router.shed",
-                depth=self._depth,
-                max_queue_depth=self.config.max_queue_depth,
-                **self._labels,
-            )
-            raise RouterOverloadedError(
-                depth=self._depth,
-                max_queue_depth=self.config.max_queue_depth,
-                retry_after_s=self.config.retry_after_s,
-            )
-
-        span.set(shard=shard_id, coalesced=False, outcome="served")
-        response = await self._fly(key, shard_id, request, prefetch=False, span=span)
-        return self._routed(request, response, shard_id, arrived, coalesced=False)
-
-    async def _fly(
-        self,
-        key: Hashable,
-        shard_id: int,
-        request: TileRequest,
-        prefetch: bool,
-        span: Any = None,
-    ) -> TileResponse:
-        """Run one underlying execution with the flight registered under ``key``.
-
-        Without an execute hook the shard engine serves the request inline,
-        onto the request's ``span``; a prefetch refresh has no request span,
-        so the engine opens its own ``engine.query_batch``.
-        """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        # Retrieve the exception even when nobody coalesced onto the flight,
-        # so a failed execution never logs "exception was never retrieved".
-        future.add_done_callback(
-            lambda fut: fut.exception() if not fut.cancelled() else None
+    def _admit(self, span: Any) -> None:
+        """Shed the request when the executions in flight reach the watermark."""
+        if self._depth < self.config.max_queue_depth:
+            return
+        self._c_shed.inc()
+        span.set(outcome="shed", depth=self._depth)
+        # Dedup keeps an overload burst to one ring slot per window.
+        self.obs.log.warning(
+            "router.shed",
+            depth=self._depth,
+            max_queue_depth=self.config.max_queue_depth,
+            **self._labels,
         )
-        shard = self.shards[shard_id]
-        self._flights[key] = _Flight(
-            future=future, shard=shard_id, prefetch=prefetch, started=self.clock.now()
+        raise RouterOverloadedError(
+            depth=self._depth,
+            max_queue_depth=self.config.max_queue_depth,
+            retry_after_s=self.config.retry_after_s,
         )
+
+    def _started(self) -> None:
         self._depth += 1
         self._g_depth.set(self._depth)
-        try:
-            if self._execute is not None:
-                response = await self._execute(shard, request)
-            elif span is not None:
-                response = shard.engine.query_batch_in([request], span)[0]
-            else:
-                response = shard.engine.query(request)
-        except BaseException as exc:
-            self._note_failure(shard, exc)
-            if not future.done():
-                future.set_exception(exc)
-            raise
-        else:
-            self._c_executions.inc()
-            if prefetch:
-                self._c_prefetch.inc()
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            del self._flights[key]
-            self._depth -= 1
-            self._g_depth.set(self._depth)
 
-    def _note_failure(self, shard: Shard, exc: BaseException) -> None:
+    def _finished(self, shard: Shard, exc: BaseException | None) -> None:
+        self._depth -= 1
+        self._g_depth.set(self._depth)
+        if exc is None:
+            self._c_executions.inc()
+            return
         self._c_errors.inc()
         if isinstance(exc, Level3ProductError):
             shard.errors += 1
@@ -440,6 +348,97 @@ class RequestRouter:
                     **self._labels,
                 )
 
+    def _serve_now(self, request: TileRequest) -> TileResponse:
+        """Serve one request to completion on the calling thread."""
+        with self._tracer.span(
+            "router.request", variable=request.variable, zoom=request.zoom
+        ) as span:
+            arrived = self.clock.now()
+            shard_id, plan = self._route(request, span)
+            self._admit(span)
+            span.set(shard=shard_id, coalesced=False, outcome="served")
+            shard = self.shards[shard_id]
+            self._started()
+            try:
+                response = shard.engine.serve_plans([plan], span)[0]
+            except BaseException as exc:
+                self._finished(shard, exc)
+                raise
+            self._finished(shard, None)
+            # The engine built this response for this request alone.
+            response.shard = shard_id
+            response.queue_wait_s = self._queue_wait(response, arrived)
+            return response
+
+    async def query(self, request: TileRequest) -> TileResponse:
+        """Serve one request through the service tier, on the running loop.
+
+        Returns the unified :class:`TileResponse` with the service-tier
+        fields (``shard``, ``coalesced``, ``queue_wait_s``) filled in.
+        Raises :class:`RouterOverloadedError` when shed, ``LookupError``
+        when no healthy product matches, and propagates the underlying
+        engine error (to every coalesced waiter) when execution fails.
+        """
+        with self._tracer.span(
+            "router.request", variable=request.variable, zoom=request.zoom
+        ) as span:
+            arrived = self.clock.now()
+            shard_id, plan = self._route(request, span)
+            # Two requests covering the same tiles of the same product at
+            # the same zoom coalesce, even when their bboxes differ.
+            key = plan.tile_keys or (plan.entry.key, request.variable, plan.zoom, request.bbox)
+            flight = self._flights.get(key)
+            if flight is not None:
+                self._c_coalesced.inc()
+                span.set(shard=flight.shard, coalesced=True, outcome="served")
+                response = await asyncio.shield(flight.future)
+                return self._routed(
+                    request, response, flight.shard, arrived, coalesced=True
+                )
+            self._admit(span)
+            span.set(shard=shard_id, coalesced=False, outcome="served")
+            response = await self._fly(key, shard_id, plan, span)
+            return self._routed(request, response, shard_id, arrived, coalesced=False)
+
+    async def _fly(
+        self, key: Hashable, shard_id: int, plan: RequestPlan, span: Any
+    ) -> TileResponse:
+        """Run one underlying execution with the flight registered under ``key``."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        # Retrieve the exception even when nobody coalesced onto the flight,
+        # so a failed execution never logs "exception was never retrieved".
+        future.add_done_callback(
+            lambda fut: fut.exception() if not fut.cancelled() else None
+        )
+        shard = self.shards[shard_id]
+        self._flights[key] = _Flight(future=future, shard=shard_id)
+        self._started()
+        try:
+            if self._execute is not None:
+                response = await self._execute(shard, plan.request)
+            else:
+                response = shard.engine.serve_plans([plan], span)[0]
+        except BaseException as exc:
+            self._finished(shard, exc)
+            if not future.done():
+                future.set_exception(exc)
+            raise
+        else:
+            self._finished(shard, None)
+            if not future.done():
+                future.set_result(response)
+            return response
+        finally:
+            del self._flights[key]
+
+    def _queue_wait(self, response: TileResponse, arrived: float) -> float:
+        """Observe one request's latency; return its wait beyond service."""
+        elapsed = self.clock.now() - arrived
+        queue_wait = max(elapsed - response.seconds, 0.0)
+        self._h_latency.observe(elapsed)
+        self._h_queue_wait.observe(queue_wait)
+        return queue_wait
+
     def _routed(
         self,
         request: TileRequest,
@@ -448,11 +447,6 @@ class RequestRouter:
         arrived: float,
         coalesced: bool,
     ) -> TileResponse:
-        elapsed = self.clock.now() - arrived
-        service = response.seconds
-        queue_wait = max(elapsed - service, 0.0)
-        self._h_latency.observe(elapsed)
-        self._h_queue_wait.observe(queue_wait)
         # Each caller (including every coalesced joiner) gets its own
         # response object with its own timing, sharing the executing
         # request's tiles/fingerprints dicts.
@@ -461,21 +455,38 @@ class RequestRouter:
             request=request,
             shard=shard,
             coalesced=coalesced,
-            queue_wait_s=queue_wait,
+            queue_wait_s=self._queue_wait(response, arrived),
         )
 
     def serve(self, requests: Sequence[TileRequest]) -> list[TileResponse]:
-        """Synchronous convenience: serve a batch concurrently on a fresh loop.
+        """Serve a batch synchronously; responses come back in request order.
 
-        Shed requests propagate their :class:`RouterOverloadedError`; use
-        :meth:`query` directly (with ``asyncio.gather(...,
-        return_exceptions=True)``) to collect partial results under load.
+        Without an execute hook each request is served to completion on the
+        calling thread, one after another; every request is served, then
+        the first failure (say an unroutable request's ``LookupError``)
+        propagates.  With a hook the batch runs concurrently through
+        :meth:`query` on a fresh event loop, so identical requests coalesce
+        and the watermark sheds; the first failure propagates as from
+        ``asyncio.gather``.  Use :meth:`query` directly (with
+        ``asyncio.gather(..., return_exceptions=True)``) to collect partial
+        results under load.
         """
+        if self._execute is not None:
 
-        async def _run() -> list[TileResponse]:
-            return list(await asyncio.gather(*(self.query(req) for req in requests)))
+            async def _run() -> list[TileResponse]:
+                return list(await asyncio.gather(*(self.query(req) for req in requests)))
 
-        return run_sync(_run())
+            return run_sync(_run())
+        responses: list[TileResponse] = []
+        first_error: Exception | None = None
+        for request in requests:
+            try:
+                responses.append(self._serve_now(request))
+            except Exception as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+        return responses
 
     # -- live invalidation ---------------------------------------------------
 
@@ -500,76 +511,11 @@ class RequestRouter:
             dropped += self.shards[shard_id].engine.invalidate_tiles(shard_keys)
         return dropped
 
-    # -- prefetch ----------------------------------------------------------
-
-    async def prefetch_once(self) -> int:
-        """Refresh the hottest flight keys; returns how many were refreshed.
-
-        Skips keys already in flight (clients coalesce onto those anyway)
-        and keys whose resolution changed since they were recorded (the
-        popularity entry is stale).  Prefetch executions bypass admission —
-        they are background work and never steal a client's slot — and do
-        not count as requests, but clients arriving mid-refresh coalesce
-        onto the refresh future like onto any other flight.
-        """
-        if self.config.prefetch_top_k < 1:
-            return 0
-        refreshed = 0
-        for key, _ in self._prefetch.popularity.most_common(self.config.prefetch_top_k):
-            if key in self._flights:
-                continue
-            request = self._prefetch.requests.get(key)
-            if request is None:
-                continue
-            try:
-                shard_id, current_key = self.flight_key(request)
-            except LookupError:
-                continue
-            if current_key != key:
-                self._prefetch.popularity.pop(key, None)
-                self._prefetch.requests.pop(key, None)
-                continue
-            try:
-                await self._fly(key, shard_id, request, prefetch=True)
-            except Exception:
-                continue  # failure already recorded by _note_failure
-            refreshed += 1
-        return refreshed
-
-    def start_prefetcher(self) -> asyncio.Task:
-        """Start the background refresh loop (requires a running loop)."""
-        if self._prefetch_task is not None and not self._prefetch_task.done():
-            return self._prefetch_task
-
-        async def _loop() -> None:
-            while True:
-                await self.clock.sleep(self.config.prefetch_interval_s)
-                await self.prefetch_once()
-
-        self._prefetch_task = asyncio.get_running_loop().create_task(_loop())
-        return self._prefetch_task
-
-    async def stop_prefetcher(self) -> None:
-        task, self._prefetch_task = self._prefetch_task, None
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-    async def __aenter__(self) -> "RequestRouter":
-        self.start_prefetcher()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop_prefetcher()
-
     # -- health ------------------------------------------------------------
 
     @property
     def depth(self) -> int:
-        """Distinct executions currently in flight (prefetch included)."""
+        """Distinct executions currently in flight."""
         return self._depth
 
     def health(self) -> dict[str, object]:
@@ -586,6 +532,5 @@ class RequestRouter:
             "coalesced": stats.coalesced,
             "coalescing_ratio": round(stats.coalescing_ratio, 4),
             "executions": stats.executions,
-            "prefetch_refreshes": stats.prefetch_refreshes,
             "errors": stats.errors,
         }

@@ -5,8 +5,8 @@ the requests.  :class:`TrafficSimulator` reproduces that shape — it carves
 the catalog's footprint into candidate regions, ranks them with a Zipf law
 (``p(rank) ∝ rank^-s``), and mixes variables and zoom levels per the
 configured request mix.  The heavy tail is exactly what makes the LRU tile
-cache and the router's prefetcher pay: the hot regions are served from
-memory while the cold tail does the decoding.
+cache pay: the hot regions are served from memory while the cold tail does
+the decoding.
 
 Two load-generation modes:
 
@@ -452,7 +452,6 @@ class TrafficSimulator:
             shed=after.shed - before.shed,
             coalesced=after.coalesced - before.coalesced,
             executions=after.executions - before.executions,
-            prefetch_refreshes=after.prefetch_refreshes - before.prefetch_refreshes,
             errors=after.errors - before.errors,
         )
         return OpenLoopResult(

@@ -183,7 +183,8 @@ class TestServe:
         request = TileRequest(bbox=(x0, y0, x0 + 2_000.0, y0 + 2_000.0), zoom=0)
         first = engine.query(request)
         assert engine.catalog.get(first.product).kind == "mosaic"
-        loads = engine.loader.n_loads
+        shards = engine.router.shards
+        loads = sum(shard.engine.stats.loads for shard in shards)
         repeat = engine.query(request)
         assert repeat.from_cache
-        assert engine.loader.n_loads == loads
+        assert sum(shard.engine.stats.loads for shard in shards) == loads

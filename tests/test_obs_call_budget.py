@@ -9,9 +9,10 @@ request, built as in the benchmark's query pair, once under
 the difference.  A change that adds telemetry work to the request path
 fails here as a count, whatever the host does.
 
-The request path runs on the caller's thread (``run_sync`` drives a fresh
-event loop; nothing is handed to an executor).  ``threading.setprofile`` is
-set as well, so a thread that the path might start later is counted too.
+The request path runs on the caller's thread (a router without an execute
+hook starts no event loop and hands nothing to an executor).
+``threading.setprofile`` is set as well, so a thread that the path might
+start later is counted too.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""ServeHandle: the redesigned serve construction surface.
+"""ServeHandle: the serve construction surface.
 
-Covers the builder contract (chaining, ordering rules, clear failures),
-the ``CampaignRunner.serve`` integration including the deprecated
-``router=`` boolean shim, and the unified ``TileResponse`` surface — the
-same dataclass whichever front (bare engine or router) serves the query.
+Covers the builder contract (chaining, the one ordering rule, clear
+failures), the router every handle serves through (built on first use
+from the ``serve.router`` config), the ``CampaignRunner.serve``
+integration, and the unified ``TileResponse`` surface — the same dataclass
+from a bare ``QueryEngine`` and from the handle, with the same tiles.
 """
 
 import threading
@@ -52,20 +53,18 @@ REQUEST = TileRequest(bbox=(0.0, 0.0, 4_000.0, 4_000.0), variable="freeboard_mea
 
 
 class TestBuilder:
-    def test_bare_handle_serves_through_a_query_engine(self, tmp_path):
+    def test_handle_routes_on_the_serve_config_without_with_router(self, tmp_path):
         handle = handle_over_synthetic_fleet(tmp_path)
-        assert isinstance(handle.engine, QueryEngine)
-        assert not handle.has_router
-        assert handle.front is handle.engine
         response = handle.query(REQUEST)
         assert isinstance(response, TileResponse)
-        assert response.shard is None  # no router in the path
+        assert handle.router.config == SERVE.router
+        assert handle.catalog.n_shards == SERVE.router.n_shards
+        assert response.shard == handle.catalog.shard_of(response.product)
 
     def test_with_router_chains_and_owns_per_shard_engines(self, tmp_path):
         handle = handle_over_synthetic_fleet(tmp_path)
         chained = handle.with_router(RouterConfig(n_shards=2))
         assert chained is handle  # builder steps return the handle
-        assert handle.has_router
         assert isinstance(handle.router, RequestRouter)
         assert isinstance(handle.catalog, ShardedCatalog)
         assert handle.catalog.n_shards == 2
@@ -81,15 +80,14 @@ class TestBuilder:
 
     def test_router_must_come_before_the_engine_is_used(self, tmp_path):
         handle = handle_over_synthetic_fleet(tmp_path)
-        handle.query(REQUEST)  # forces the bare engine into existence
-        with pytest.raises(RuntimeError, match="before the bare engine"):
+        handle.query(REQUEST)  # builds the router and its shard engines
+        with pytest.raises(RuntimeError, match="before the first query"):
             handle.with_router()
 
     def test_double_attachment_raises(self, tmp_path):
-        handle = handle_over_synthetic_fleet(tmp_path).with_router()
+        handle = handle_over_synthetic_fleet(tmp_path).with_router().with_ingest()
         with pytest.raises(RuntimeError, match="already attached"):
             handle.with_router()
-        handle.with_ingest()
         with pytest.raises(RuntimeError, match="already attached"):
             handle.with_ingest()
 
@@ -100,21 +98,28 @@ class TestBuilder:
 
     def test_accessors_fail_clearly_when_the_tier_is_absent(self, tmp_path):
         bare = handle_over_synthetic_fleet(tmp_path)
-        with pytest.raises(RuntimeError, match="no router"):
-            bare.router
         with pytest.raises(RuntimeError, match="no ingest"):
             bare.ingest_service
-        routed = handle_over_synthetic_fleet(tmp_path / "b").with_router()
-        with pytest.raises(RuntimeError, match="fronts a router"):
-            routed.engine
+
+
+class TestShardHealth:
+    def test_loads_survive_a_shard_rebuild(self, tmp_path):
+        handle = handle_over_synthetic_fleet(tmp_path).with_router(RouterConfig(n_shards=2))
+        response = handle.query(REQUEST)
+        router = handle.router
+        index = response.shard
+        assert router.health()["shards"][index]["loads"] == 1
+        shard = router.rebuild_shard(index)
+        assert shard.engine.stats.loads == 1
+        assert router.health()["shards"][index]["loads"] == 1
 
 
 class TestUnifiedTileResponse:
     def test_engine_and_router_return_the_same_dataclass(self, tmp_path):
-        bare = handle_over_synthetic_fleet(tmp_path / "a")
-        routed = handle_over_synthetic_fleet(tmp_path / "b").with_router()
-        engine_response = bare.query(REQUEST)
-        router_response = routed.query(REQUEST)
+        handle = handle_over_synthetic_fleet(tmp_path)
+        engine = QueryEngine(ProductCatalog(handle.catalog.entries), serve=SERVE)
+        engine_response = engine.query(REQUEST)
+        router_response = handle.query(REQUEST)
         assert type(engine_response) is TileResponse
         assert type(router_response) is TileResponse
         # Same tiles, same provenance fingerprints, whichever front served.

@@ -4,8 +4,8 @@ No real sleeps anywhere: every test drives a real asyncio event loop
 through a :class:`~repro.clock.VirtualClock` and an injected execute
 hook with *virtual* service times, so thousands of concurrent requests are
 reproducible bit-for-bit — single-flight coalescing, load shedding at the
-admission watermark, prefetch/refresh ordering and quarantine all assert
-exact counts, not flaky sleeps-and-hopes.
+admission watermark and quarantine all assert exact counts, not flaky
+sleeps-and-hopes.
 """
 
 import asyncio
@@ -333,78 +333,6 @@ class TestAdmissionControl:
         assert harness.router.stats.executions == 2
 
 
-class TestPrefetcher:
-    def test_refresh_keeps_hot_key_and_clients_coalesce(self):
-        # Stale-cache-refresh ordering: the popular key is re-executed by
-        # the prefetcher, and a client arriving mid-refresh joins the
-        # refresh flight instead of spawning its own build.
-        harness = Harness(
-            [ENTRY], RouterConfig(n_shards=1, max_queue_depth=8, prefetch_top_k=1)
-        )
-
-        async def scenario():
-            warm = [
-                asyncio.ensure_future(harness.router.query(REQUEST)) for _ in range(3)
-            ]
-            await harness.settle(warm)
-            assert len(harness.calls) == 1
-
-            refresh = asyncio.ensure_future(harness.router.prefetch_once())
-            for _ in range(5):
-                await asyncio.sleep(0)
-            assert harness.router.depth == 1  # the refresh flight is airborne
-            client = asyncio.ensure_future(harness.router.query(REQUEST))
-            await harness.settle([refresh, client])
-            return refresh.result(), client.result()
-
-        refreshed, routed = run(scenario())
-        assert refreshed == 1
-        assert len(harness.calls) == 2  # warm-up build + one refresh, no third
-        assert routed.coalesced is True
-        assert harness.router.stats.prefetch_refreshes == 1
-        # Prefetch work is background: it is not a request.
-        assert harness.router.stats.requests == 4
-
-    def test_prefetch_skips_inflight_and_stale_keys(self):
-        entries = [ENTRY]
-        harness = Harness(
-            entries, RouterConfig(n_shards=2, max_queue_depth=8, prefetch_top_k=4)
-        )
-
-        async def scenario():
-            warm = asyncio.ensure_future(harness.router.query(REQUEST))
-            await harness.settle([warm])
-            # Re-register a newer product over the same region: the recorded
-            # popularity key now resolves elsewhere and must be dropped, not
-            # refreshed against the stale product.
-            harness.router.catalog.add(make_entry(1, (0.0, 0.0, 4800.0, 3200.0)))
-            refreshed = await harness.router.prefetch_once()
-            return refreshed
-
-        assert run(scenario()) == 0
-        assert len(harness.calls) == 1
-
-    def test_background_loop_paces_through_the_clock(self):
-        harness = Harness(
-            [ENTRY],
-            RouterConfig(
-                n_shards=1, max_queue_depth=8, prefetch_top_k=1, prefetch_interval_s=1.0
-            ),
-            service_s=0.01,
-        )
-
-        async def scenario():
-            warm = asyncio.ensure_future(harness.router.query(REQUEST))
-            await harness.settle([warm])
-            async with harness.router:
-                await asyncio.sleep(0)  # the loop parks on its first interval
-                await harness.clock.advance(1.05)  # one interval elapses
-                await harness.clock.advance(0.5)  # mid-interval: no refresh
-            return harness.router.stats.prefetch_refreshes
-
-        assert run(scenario()) == 1
-
-
 class FailingLoader(ProductLoader):
     """A loader whose decodes always raise — a shard serving corrupt files."""
 
@@ -676,8 +604,6 @@ class TestRouterConstruction:
             dict(max_queue_depth=0),
             dict(retry_after_s=-0.5),
             dict(quarantine_errors=0),
-            dict(prefetch_top_k=-1),
-            dict(prefetch_interval_s=0.0),
         ],
     )
     def test_router_config_rejects_bad_values(self, kwargs):

@@ -9,7 +9,7 @@ resolves to the same winner — as the unsharded one.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geodesy.grid import GridDefinition
@@ -218,10 +218,14 @@ class TestEngineFanOutEquivalence:
         zoom=st.integers(min_value=0, max_value=2),
         n_shards=st.integers(min_value=1, max_value=5),
     )
+    @example(x0=0.0, y0=0.0, zoom=0, n_shards=1)
     def test_router_tiles_bit_identical_to_unsharded_engine(
         self, product_archive, x0, y0, zoom, n_shards
     ):
-        from repro.config import ServeConfig
+        from dataclasses import replace
+
+        from repro.config import RouterConfig, ServeConfig
+        from repro.serve.handle import ServeHandle
         from repro.serve.query import QueryEngine
         from repro.serve.router import RequestRouter
 
@@ -236,10 +240,17 @@ class TestEngineFanOutEquivalence:
             ShardedCatalog.from_catalog(product_archive, n_shards), serve=serve
         )
         expected = engine.query(request)
-        routed = router.serve([request])[0]
-        assert routed.product == expected.product
-        assert routed.zoom == expected.zoom
-        assert routed.shard == router.catalog.shard_of(expected.product)
-        assert set(routed.tiles) == set(expected.tiles)
-        for address, tile in expected.tiles.items():
-            np.testing.assert_array_equal(routed.tiles[address], tile)
+        fronts = [(router, router.serve([request])[0])]
+        if n_shards == 1:
+            # The unsharded case of the handle's one front.
+            handle = ServeHandle(
+                product_archive, serve=replace(serve, router=RouterConfig(n_shards=1))
+            )
+            fronts.append((handle.router, handle.query_batch([request])[0]))
+        for front, routed in fronts:
+            assert routed.product == expected.product
+            assert routed.zoom == expected.zoom
+            assert routed.shard == front.catalog.shard_of(expected.product)
+            assert set(routed.tiles) == set(expected.tiles)
+            for address, tile in expected.tiles.items():
+                np.testing.assert_array_equal(routed.tiles[address], tile)
