@@ -5,8 +5,9 @@ Demonstrates the `repro.serve` subsystem end to end:
 
 1. run a small two-granule campaign and write its Level-3 products
    (mosaic + per-granule grids) with `CampaignRunner.serve`, which scans
-   them into a `ProductCatalog` — region/variable queries are answered from
-   the JSON sidecars alone, no npz is opened;
+   them into a catalog — region/variable queries are answered from the
+   JSON sidecars alone, no npz is opened — and build one `QueryEngine`
+   over that catalog (the handle's router runs one per shard);
 2. serve a region query: the engine resolves `(bbox, variable, zoom)` to
    tiles of the mosaic's pyramid, decoding the product once;
 3. repeat the query — it is served entirely from the fingerprint-keyed
@@ -31,7 +32,13 @@ from pathlib import Path
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.config import L3GridConfig, ServeConfig
 from repro.evaluation import format_table, serve_latency_table, serve_scaling_table
-from repro.serve import TileRequest, TrafficConfig, TrafficSimulator
+from repro.serve import (
+    ProductCatalog,
+    QueryEngine,
+    TileRequest,
+    TrafficConfig,
+    TrafficSimulator,
+)
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 
@@ -64,7 +71,8 @@ def main() -> None:
 
         # 1. Campaign -> written products -> catalog -> engine.
         runner = CampaignRunner(config)
-        engine = runner.serve(str(workdir / "products"))
+        handle = runner.serve(str(workdir / "products"))
+        engine = QueryEngine(ProductCatalog(handle.catalog.entries), serve=BASE.serve)
         kinds = sorted(entry.kind for entry in engine.catalog)
         print(f"\ncatalog: {len(engine.catalog)} products ({', '.join(kinds)}),")
         print(f"  extent: {tuple(round(v) for v in engine.catalog.extent())}")
