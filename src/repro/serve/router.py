@@ -27,14 +27,14 @@ traffic.  Request path, in order:
    **quarantined**: resolution routes around it (another product serves
    the region when one exists) and :meth:`RequestRouter.health` reports it.
 
-:meth:`RequestRouter.serve` on a router without an execute hook runs each
-request to completion on the calling thread, in order: nothing is ever in
-flight when the next request arrives, so nothing coalesces and no event
-loop is needed.  Coalescing and shedding come into play on the async
-entry, :meth:`RequestRouter.query`, whose execution is an injectable async
-hook: that is how the deterministic concurrency tests drive thousands of
-concurrent requests through a real event loop, timed by the pluggable
-clock (:mod:`repro.clock`), with zero real sleeps.
+A router without an execute hook serves each request to completion on the
+calling thread, in order (:meth:`RequestRouter.serve`, and
+:meth:`RequestRouter.query` alike): nothing is ever in flight when the
+next request arrives, so nothing coalesces or sheds and no event loop is
+needed.  Flights, coalescing and shedding come into play with an
+injectable async execute hook, on a real event loop: that is how the
+deterministic concurrency tests drive thousands of concurrent requests,
+timed by the pluggable clock (:mod:`repro.clock`), with zero real sleeps.
 """
 
 from __future__ import annotations
@@ -377,8 +377,12 @@ class RequestRouter:
         fields (``shard``, ``coalesced``, ``queue_wait_s``) filled in.
         Raises :class:`RouterOverloadedError` when shed, ``LookupError``
         when no healthy product matches, and propagates the underlying
-        engine error (to every coalesced waiter) when execution fails.
+        execution error (to every coalesced waiter) when it fails.  Without
+        an execute hook the request is served at once on the calling
+        thread, exactly as by :meth:`serve`.
         """
+        if self._execute is None:
+            return self._serve_now(request)
         with self._tracer.span(
             "router.request", variable=request.variable, zoom=request.zoom
         ) as span:
@@ -397,13 +401,11 @@ class RequestRouter:
                 )
             self._admit(span)
             span.set(shard=shard_id, coalesced=False, outcome="served")
-            response = await self._fly(key, shard_id, plan, span)
+            response = await self._fly(key, shard_id, request)
             return self._routed(request, response, shard_id, arrived, coalesced=False)
 
-    async def _fly(
-        self, key: Hashable, shard_id: int, plan: RequestPlan, span: Any
-    ) -> TileResponse:
-        """Run one underlying execution with the flight registered under ``key``."""
+    async def _fly(self, key: Hashable, shard_id: int, request: TileRequest) -> TileResponse:
+        """Run the execute hook with the flight registered under ``key``."""
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         # Retrieve the exception even when nobody coalesced onto the flight,
         # so a failed execution never logs "exception was never retrieved".
@@ -414,10 +416,7 @@ class RequestRouter:
         self._flights[key] = _Flight(future=future, shard=shard_id)
         self._started()
         try:
-            if self._execute is not None:
-                response = await self._execute(shard, plan.request)
-            else:
-                response = shard.engine.serve_plans([plan], span)[0]
+            response = await self._execute(shard, request)
         except BaseException as exc:
             self._finished(shard, exc)
             if not future.done():

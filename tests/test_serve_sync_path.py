@@ -2,13 +2,15 @@
 
 ``RequestRouter.serve`` on such a router runs each request to completion,
 in order, with no event loop: nothing is in flight when the next request
-arrives, so a loop would add cost and no behaviour.  Each request is
+arrives, so a loop would add cost and no behaviour.  ``query`` awaited on
+a loop serves the same way, at once.  Each request is
 resolved once and planned once, and the plan goes straight to the shard
 engine.  The archive is the two-mosaic one of the pinned session test.
 """
 
 from __future__ import annotations
 
+import asyncio
 from collections import Counter
 
 import repro.serve.query as query_module
@@ -18,21 +20,23 @@ from repro.obs.core import Obs
 from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog
 
-from tests.test_serve_session_pinned import CONFIG, EAST, SERVE, WEST, archive  # noqa: F401
+from tests import test_serve_session_pinned as pinned
 
-BATCH = [WEST, EAST, WEST, WEST, EAST]
+archive = pinned.archive  # the module-scoped fixture, shared
+WEST = pinned.WEST
+BATCH = [WEST, pinned.EAST, WEST, WEST, pinned.EAST]
 
 
 def make_router(catalog) -> RequestRouter:
     return RequestRouter(
-        ShardedCatalog.from_catalog(catalog, CONFIG.n_shards),
-        serve=SERVE,
-        config=CONFIG,
+        ShardedCatalog.from_catalog(catalog, pinned.CONFIG.n_shards),
+        serve=pinned.SERVE,
+        config=pinned.CONFIG,
         obs=Obs(clock=VirtualClock()),
     )
 
 
-def test_a_hook_less_batch_creates_no_event_loop(archive, monkeypatch):  # noqa: F811
+def test_a_hook_less_batch_creates_no_event_loop(archive, monkeypatch):
     def no_loop(*args, **kwargs):
         for arg in args:
             close = getattr(arg, "close", None)
@@ -50,7 +54,7 @@ def test_a_hook_less_batch_creates_no_event_loop(archive, monkeypatch):  # noqa:
     assert router.stats.executions == 2 * len(BATCH)
 
 
-def test_each_request_is_resolved_and_planned_once(archive, monkeypatch):  # noqa: F811
+def test_each_request_is_resolved_and_planned_once(archive, monkeypatch):
     calls: Counter = Counter()
 
     def spy(name, original):
@@ -69,3 +73,15 @@ def test_each_request_is_resolved_and_planned_once(archive, monkeypatch):  # noq
     router.serve(BATCH)
     router.serve(BATCH[:1])
     assert calls == {"plan_request": len(BATCH) + 1, "select_entry": len(BATCH) + 1}
+
+
+def test_async_query_without_a_hook_serves_each_request_at_once(archive):
+    router = make_router(archive)
+
+    async def burst():
+        return await asyncio.gather(*(router.query(WEST) for _ in range(4)))
+
+    responses = asyncio.run(burst())
+    assert [(r.shard, r.coalesced) for r in responses] == [(1, False)] * 4
+    stats = router.stats
+    assert (stats.requests, stats.executions, stats.coalesced) == (4, 4, 0)
