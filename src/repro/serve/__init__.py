@@ -22,7 +22,7 @@ ROADMAP's "heavy traffic" regime:
   fan-out level of its own);
 * :mod:`repro.serve.shard` — :class:`ShardedCatalog` hash-partitions the
   archive by product footprint (:func:`shard_index`, bit-stable across
-  rebuilds) into shards that share nothing, while queries merge back into
+  rebuilds) into shards that share nothing, while queries answer in
   global registration order so resolution is identical to the unsharded
   catalog;
 * :mod:`repro.serve.router` — :class:`RequestRouter`, the service tier

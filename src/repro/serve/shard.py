@@ -20,8 +20,8 @@ bounding box alone:
   same shard, so one shard's cache sees all traffic for that footprint.
 
 Global resolution semantics are preserved: :meth:`ShardedCatalog.query`
-merges per-shard results back into **global registration order**, so
-:func:`repro.serve.query.select_entry` over a sharded catalog picks
+answers from one index of every product in **global registration order**,
+so :func:`repro.serve.query.select_entry` over a sharded catalog picks
 exactly the product the unsharded engine would (the equivalence is
 property-tested).
 """
@@ -55,9 +55,8 @@ class ShardedCatalog:
 
     Mirrors the :class:`~repro.serve.catalog.ProductCatalog` registration
     API (``add`` / ``register`` / ``scan``) and its query semantics, with
-    results merged back into global registration order.  Re-registering an
-    existing key keeps its original order, exactly like the unsharded
-    catalog.
+    results in global registration order.  Re-registering an existing key
+    keeps its original order, exactly like the unsharded catalog.
     """
 
     def __init__(self, n_shards: int, entries: Sequence[CatalogEntry] = ()) -> None:
@@ -66,8 +65,9 @@ class ShardedCatalog:
         self.n_shards = n_shards
         self._shards = tuple(ProductCatalog() for _ in range(n_shards))
         self._assignment: dict[str, int] = {}
-        self._sequence: dict[str, int] = {}
-        self._counter = 0
+        #: Every entry, in global registration order: a query is one index
+        #: lookup however many shards there are.
+        self._all = ProductCatalog()
         for entry in entries:
             self.add(entry)
 
@@ -88,9 +88,7 @@ class ShardedCatalog:
             self._shards[previous].remove(entry.key)
         self._shards[shard].add(entry)
         self._assignment[entry.key] = shard
-        if entry.key not in self._sequence:
-            self._sequence[entry.key] = self._counter
-            self._counter += 1
+        self._all.add(entry)
         return entry
 
     def register(self, path: str | Path) -> CatalogEntry:
@@ -123,7 +121,7 @@ class ShardedCatalog:
         shard = self.shard_of(key)
         entry = self._shards[shard].remove(key)
         del self._assignment[key]
-        self._sequence.pop(key, None)
+        self._all.remove(key)
         return entry
 
     # -- lookup ------------------------------------------------------------
@@ -144,9 +142,7 @@ class ShardedCatalog:
     @property
     def entries(self) -> tuple[CatalogEntry, ...]:
         """Every entry, in global registration order."""
-        merged = [entry for shard in self._shards for entry in shard]
-        merged.sort(key=lambda entry: self._sequence[entry.key])
-        return tuple(merged)
+        return self._all.entries
 
     def shard_of(self, key: str) -> int:
         """The shard index owning a product key."""
@@ -166,15 +162,7 @@ class ShardedCatalog:
 
     def extent(self) -> BBox:
         """Union bbox of every registered product."""
-        entries = self.entries
-        if not entries:
-            raise ValueError("the sharded catalog is empty: register products first")
-        return (
-            min(e.x_min_m for e in entries),
-            min(e.y_min_m for e in entries),
-            max(e.x_max_m for e in entries),
-            max(e.y_max_m for e in entries),
-        )
+        return self._all.extent()
 
     def query(
         self,
@@ -190,13 +178,9 @@ class ShardedCatalog:
         uses it to resolve around quarantined shards, so one degraded shard
         never takes down queries another shard can serve.
         """
-        matched = [
-            entry
-            for index, shard in enumerate(self._shards)
-            if index not in exclude_shards
-            for entry in shard.query(
-                bbox=bbox, variable=variable, kind=kind, granule_id=granule_id
-            )
-        ]
-        matched.sort(key=lambda entry: self._sequence[entry.key])
+        matched = self._all.query(
+            bbox=bbox, variable=variable, kind=kind, granule_id=granule_id
+        )
+        if exclude_shards:
+            matched = [e for e in matched if self._assignment[e.key] not in exclude_shards]
         return matched
