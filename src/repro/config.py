@@ -459,7 +459,9 @@ class ServeConfig:
     #: Count layer used as the reduction weight for non-freeboard variables
     #: (freeboard/thickness layers weight by ``n_freeboard_segments``).
     weight_variable: str = "n_segments"
-    #: Capacity (in tiles) of the query engine's fingerprint-keyed LRU cache.
+    #: Capacity (in tiles) of each query engine's fingerprint-keyed LRU cache.
+    #: The router runs one engine per shard, so a handle caches up to
+    #: ``router.n_shards`` times this many tiles.
     tile_cache_size: int = 512
     #: Array-container layout for products the campaign/ingest tiers write:
     #: ``"npz"`` (zip archive, the classic default) or ``"raw"`` (flat blob

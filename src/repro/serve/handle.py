@@ -3,12 +3,16 @@
 ``CampaignRunner.serve(products_dir)`` returns a :class:`ServeHandle` — the
 single construction surface of the serve tier.  Every query goes through
 one :class:`~repro.serve.router.RequestRouter`, which the handle builds on
-first use (the first query, or ``with_ingest``) from the campaign's
-``serve.router`` config; ``RouterConfig(n_shards=1)`` is the unsharded
-case.  Builder steps:
+first use from the campaign's ``serve.router`` config: the first query,
+the first ``catalog``/``stats``/``health()``/``router``/
+``invalidate_tiles`` access, or ``with_ingest``.  Left unconfigured that is
+``RouterConfig()``'s 4 shards, each with its own engine and its own LRU of
+``serve.tile_cache_size`` tiles; ``RouterConfig(n_shards=1)`` is the
+unsharded case.  Builder steps:
 
 * ``.with_router(config, **router_kwargs)``: set the config and the hook
-  arguments (``clock``, ``execute``, ...) of the router built on first use;
+  arguments (``clock``, ``execute``, ...) of the router built on first use
+  (a second call before then replaces the first);
 * ``.with_ingest(...)``: attach a :class:`~repro.ingest.IngestService`
   that keeps the served mosaic live as new granules arrive, with
   dirty-tile pyramid rebuilds and targeted cache invalidation.
@@ -91,14 +95,16 @@ class ServeHandle:
 
         ``config`` replaces the ``serve.router`` slice; extra keyword
         arguments (``clock``, ``execute``, ...) pass through to
-        :class:`~repro.serve.router.RequestRouter`.  The router is built by
-        the first query or by ``with_ingest``, so this must come before
-        either.
+        :class:`~repro.serve.router.RequestRouter`.  The router is built on
+        first use (any query, ``catalog``/``stats``/``health()``/``router``/
+        ``invalidate_tiles`` access, or ``with_ingest``), so this must come
+        before that; a later call before then replaces an earlier one.
         """
         if self._router is not None:
             raise RuntimeError(
                 "a router is already attached to this handle: with_router() must "
-                "come before the first query and before with_ingest()"
+                "come before the router is first used: before the first query, "
+                "catalog/stats/health/router/invalidate_tiles access, and with_ingest()"
             )
         self._router_config = config
         self._router_kwargs = router_kwargs

@@ -12,7 +12,10 @@ Serving path, in order of decreasing cheapness:
    however many concurrent requests hit one mosaic, its npz is decoded and
    its pyramid built exactly once per batch.  The products of a batch are
    decoded one after another, in product-key order, on the calling thread;
-   the serve tier has no fan-out level of its own.
+   the serve tier has no fan-out level of its own.  A routed batch serves
+   its requests one at a time but hands every request the pyramids the
+   batch has already decoded (:meth:`QueryEngine.serve_plans`'s
+   ``decoded``), so there too a product is decoded once per batch.
 
 The loader is pluggable and instrumented (``n_loads``, ``loaded``): tests
 and the traffic simulator can assert exactly which requests caused a
@@ -192,7 +195,10 @@ class ProductLoader:
         return self.decode(entry)
 
     def fetch(
-        self, entry: CatalogEntry, needed: Sequence[TileKey]
+        self,
+        entry: CatalogEntry,
+        needed: Sequence[TileKey],
+        decoded: dict[str, TilePyramid] | None = None,
     ) -> dict[TileKey, np.ndarray]:
         """The requested tiles of one product, decoding only what's required.
 
@@ -202,7 +208,7 @@ class ProductLoader:
         own window, so the decode touches one tile's worth of pages — no
         archive inflation, no pyramid build.  Everything else (npz
         products, overview zooms, live in-memory products) decodes the full
-        pyramid as before.
+        pyramid as before, and adds it to ``decoded`` when one is given.
         """
         with self.obs.span(
             "loader.fetch", product=entry.key, n_tiles=len(needed)
@@ -216,9 +222,9 @@ class ProductLoader:
                 return tiles
             pyramid = self.load(entry)
             span.set(windowed=False)
-            return {
-                key: pyramid.tile(key[1], key[2], key[3], key[4]) for key in needed
-            }
+            if decoded is not None:
+                decoded[entry.key] = pyramid
+            return _cut_tiles(pyramid, needed)
 
     def _window_tiles(
         self, entry: CatalogEntry, needed: Sequence[TileKey]
@@ -266,6 +272,11 @@ class ProductLoader:
         overrides this during an in-flight ingest.
         """
         return False
+
+
+def _cut_tiles(pyramid: TilePyramid, keys: Iterable[TileKey]) -> dict[TileKey, np.ndarray]:
+    """The tiles at ``keys`` of one decoded product's pyramid."""
+    return {key: pyramid.tile(key[1], key[2], key[3], key[4]) for key in keys}
 
 
 class _LRUCache:
@@ -475,14 +486,22 @@ class QueryEngine:
         ) as span:
             return self.serve_plans([self._plan(request) for request in requests], span)
 
-    def serve_plans(self, plans: Sequence[RequestPlan], span: Any) -> list[TileResponse]:
+    def serve_plans(
+        self,
+        plans: Sequence[RequestPlan],
+        span: Any,
+        decoded: dict[str, TilePyramid] | None = None,
+    ) -> list[TileResponse]:
         """Serve already planned requests as one batch, recording onto the
         caller's open ``span`` instead of opening one.
 
         The router plans each request once against the global catalog and
         serves it through here, so a routed request costs one span
         (``router.request``) rather than a nested pair; the batch's
-        ``n_cached``/``n_computed`` land on the caller's span.
+        ``n_cached``/``n_computed`` land on the caller's span.  ``decoded``
+        maps product keys to pyramids the caller's wider batch has already
+        decoded: their missing tiles are cut from them, with no load, and
+        every pyramid decoded here is added to it.
         """
         start = time.perf_counter()
 
@@ -501,10 +520,15 @@ class QueryEngine:
                     entries[plan.entry.key] = plan.entry
                     needed.setdefault(plan.entry.key, set()).add(key)
 
-        # 2. One decode per product with cache-missing tiles.
+        # 2. One decode per product with cache-missing tiles, unless the
+        #    caller's batch has decoded the product already.
         for product_key, keys in sorted(needed.items()):
-            tiles = self.loader.fetch(entries[product_key], tuple(sorted(keys)))
-            self._c_loads.inc()
+            pyramid = decoded.get(product_key) if decoded is not None else None
+            if pyramid is not None:
+                tiles = _cut_tiles(pyramid, sorted(keys))
+            else:
+                tiles = self.loader.fetch(entries[product_key], tuple(sorted(keys)), decoded)
+                self._c_loads.inc()
             for key, tile in tiles.items():
                 # The LRU shares each tile with every response that reads
                 # it; freeze it so no consumer can write into the cache.

@@ -49,6 +49,7 @@ from repro.config import DEFAULT_SERVE, RouterConfig, ServeConfig
 from repro.l3.writer import Level3ProductError
 from repro.obs.core import Obs, default_obs
 from repro.serve.catalog import CatalogEntry, ProductCatalog
+from repro.serve.pyramid import TilePyramid
 from repro.serve.query import (
     ProductLoader,
     QueryEngine,
@@ -348,8 +349,15 @@ class RequestRouter:
                     **self._labels,
                 )
 
-    def _serve_now(self, request: TileRequest) -> TileResponse:
-        """Serve one request to completion on the calling thread."""
+    def _serve_now(
+        self, request: TileRequest, decoded: dict[str, TilePyramid] | None = None
+    ) -> TileResponse:
+        """Serve one request to completion on the calling thread.
+
+        ``decoded`` holds the pyramids the caller's batch has decoded so
+        far, so a product is decoded once per batch however many of its
+        requests miss the cache.
+        """
         with self._tracer.span(
             "router.request", variable=request.variable, zoom=request.zoom
         ) as span:
@@ -360,7 +368,7 @@ class RequestRouter:
             shard = self.shards[shard_id]
             self._started()
             try:
-                response = shard.engine.serve_plans([plan], span)[0]
+                response = shard.engine.serve_plans([plan], span, decoded)[0]
             except BaseException as exc:
                 self._finished(shard, exc)
                 raise
@@ -461,8 +469,10 @@ class RequestRouter:
         """Serve a batch synchronously; responses come back in request order.
 
         Without an execute hook each request is served to completion on the
-        calling thread, one after another; every request is served, then
-        the first failure (say an unroutable request's ``LookupError``)
+        calling thread, one after another, and a product is decoded at most
+        once per batch: later requests cut their missing tiles from the
+        pyramid an earlier one decoded.  Every request is served, then the
+        first failure (say an unroutable request's ``LookupError``)
         propagates.  With a hook the batch runs concurrently through
         :meth:`query` on a fresh event loop, so identical requests coalesce
         and the watermark sheds; the first failure propagates as from
@@ -477,10 +487,11 @@ class RequestRouter:
 
             return run_sync(_run())
         responses: list[TileResponse] = []
+        decoded: dict[str, TilePyramid] = {}
         first_error: Exception | None = None
         for request in requests:
             try:
-                responses.append(self._serve_now(request))
+                responses.append(self._serve_now(request, decoded))
             except Exception as exc:
                 first_error = first_error or exc
         if first_error is not None:

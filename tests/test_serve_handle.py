@@ -10,6 +10,7 @@ from a bare ``QueryEngine`` and from the handle, with the same tiles.
 import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.config import RouterConfig, ServeConfig
@@ -84,6 +85,17 @@ class TestBuilder:
         with pytest.raises(RuntimeError, match="before the first query"):
             handle.with_router()
 
+    def test_any_router_access_is_first_use(self, tmp_path):
+        handle = handle_over_synthetic_fleet(tmp_path)
+        handle.catalog.extent()  # builds the router, as a query would
+        with pytest.raises(RuntimeError, match="catalog/stats/health"):
+            handle.with_router(RouterConfig(n_shards=2))
+
+    def test_a_second_with_router_before_first_use_replaces_the_first(self, tmp_path):
+        handle = handle_over_synthetic_fleet(tmp_path)
+        handle.with_router(RouterConfig(n_shards=2)).with_router(RouterConfig(n_shards=1))
+        assert handle.catalog.n_shards == 1
+
     def test_double_attachment_raises(self, tmp_path):
         handle = handle_over_synthetic_fleet(tmp_path).with_router().with_ingest()
         with pytest.raises(RuntimeError, match="already attached"):
@@ -135,6 +147,31 @@ class TestUnifiedTileResponse:
         assert response.latency_s == response.queue_wait_s + response.seconds
         assert not response.stale
         assert not response.coalesced
+
+
+class TestBatchedDecode:
+    def test_a_cold_batch_decodes_each_npz_product_once(self, tmp_path):
+        # Four requests for four distinct zoom-0 tiles of the one npz mosaic:
+        # the batch decodes the mosaic once and cuts every tile from it.
+        handle = handle_over_synthetic_fleet(tmp_path)
+        requests = [
+            TileRequest(bbox=(x + 10.0, 10.0, x + 990.0, 990.0), variable="freeboard_mean")
+            for x in (0.0, 1_000.0, 2_000.0, 3_000.0)
+        ]
+        responses = handle.query_batch(requests)
+        (product,) = {response.product for response in responses}
+        assert handle.catalog.get(product).storage == "npz"
+        assert [(r.n_tiles, r.n_cached, r.n_computed) for r in responses] == [(1, 0, 1)] * 4
+        shards = handle.router.shards
+        assert sum(shard.engine.stats.loads for shard in shards) == 1
+        assert sum(shard.engine.loader.n_loads for shard in shards) == 1
+        # The same tiles as one bare-engine batch over the same catalog.
+        engine = QueryEngine(ProductCatalog(handle.catalog.entries), serve=SERVE)
+        for got, want in zip(responses, engine.query_batch(requests)):
+            assert got.tiles.keys() == want.tiles.keys()
+            for address, tile in want.tiles.items():
+                np.testing.assert_array_equal(got.tiles[address], tile)
+        assert engine.stats.loads == 1
 
 
 class TestMainThreadServing:
