@@ -59,7 +59,7 @@ from repro.workflow.end_to_end import ExperimentConfig
 ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
 
 SERVE = ServeConfig(tile_size=64, tile_cache_size=512)
-CONFIG = RouterConfig(n_shards=2, max_queue_depth=64)
+CONFIG = RouterConfig(n_shards=2)
 
 GRID_NX, GRID_NY = 512, 384
 

@@ -1,6 +1,6 @@
 """Serving-tier latency benchmarks: cold decode vs hot cache, kernels vs oracles.
 
-Times the full router request path — resolution and planning, admission
+Times the full router request path — resolution and planning, request
 accounting, shard-engine execution — over a real on-disk mosaic, in two
 regimes:
 
@@ -57,7 +57,7 @@ ROUNDS = dict(rounds=5, iterations=1, warmup_rounds=1)
 RUN_ON = {"reference": oracles, "vectorized": nullcontext}
 
 SERVE = ServeConfig(tile_size=64, tile_cache_size=512)
-CONFIG = RouterConfig(n_shards=2, max_queue_depth=64)
+CONFIG = RouterConfig(n_shards=2)
 
 GRID_NX, GRID_NY = 768, 512  # 76.8 km x 51.2 km at 100 m cells
 
@@ -89,7 +89,7 @@ def archive(tmp_path_factory):
 
 
 def make_requests() -> list[TileRequest]:
-    """A spread of distinct regions and zooms (no coalescing between them)."""
+    """A spread of distinct regions and zooms."""
     requests = []
     for i, zoom in ((0, 0), (1, 0), (2, 1), (3, 1), (4, 2)):
         x0, y0 = i * 12_000.0, (i % 3) * 12_000.0
@@ -127,7 +127,7 @@ def _bench_hot(benchmark, archive, side: str) -> None:
         warmed = router.serve(requests)
         assert all(r.n_tiles > 0 for r in warmed)
         # Steady state: every tile in the LRU, requests still walk the full
-        # router path (resolve -> flight -> shard engine -> cache hit).
+        # router path (resolve -> plan -> shard engine -> cache hit).
         benchmark.pedantic(router.serve, args=(requests,), **ROUNDS)
         assert all(r.from_cache for r in router.serve(requests))
 

@@ -6,7 +6,7 @@ Demonstrates the `repro.ingest` tier on top of the serve builder API:
 1. run a small two-granule campaign and mount it live with
    `CampaignRunner.serve(...).with_router().with_ingest()` — the mosaic is
    published under a stable `live:` key and served through the sharded
-   single-flight router;
+   router;
 2. warm the tile caches with a region query and show the cache-hot repeat;
 3. ingest a granule the fleet never saw (one more scenario point of the
    same campaign): the service grids it through the cached pipeline

@@ -1,23 +1,23 @@
 #!/usr/bin/env python
-"""Service tier: sharded catalog -> single-flight router -> open-loop load.
+"""Service tier: sharded catalog -> global resolution -> quarantine.
 
-Demonstrates the `repro.serve` router on top of the query engine:
+Demonstrates the `repro.serve` router on top of the per-shard query
+engines, all on the calling thread:
 
 1. run a small two-granule campaign and mount its products behind a
    `RequestRouter` (`CampaignRunner.serve(...).with_router()`): the
    catalog is hash-partitioned by bbox into shards, each with its own
    engine and LRU tile cache;
-2. serve a batch of region queries through the router and show the shard
-   fan-out plus the cache-hot repeat;
-3. drive the router open loop on a `VirtualClock` — Poisson arrivals at
-   2x the admission capacity, with a modelled per-request service time —
-   and print the measured latency table: admission control sheds the
-   excess immediately (503 + Retry-After) while single-flight coalescing
-   absorbs the Zipf head, so admitted p99 stays bounded;
-4. extrapolate saturation throughput across shard counts with the
-   calibrated cost model (the Table II/V scaling-table convention);
-5. print the router health summary (per-shard state, shed/coalescing
-   counters) a fronting HTTP layer would expose.
+2. serve a batch of region queries through the router: each request is
+   resolved against the whole archive, planned once and served by the
+   shard that owns its product, and each product is decoded at most once
+   per batch however many requests miss the cache; the repeat batch is
+   all cache hits;
+3. break the storage under one shard: after `quarantine_errors` failed
+   decodes the shard is quarantined and resolution routes around it;
+   `rebuild_shard` brings it back once the storage is readable again;
+4. print the router health summary (per-shard state and the request /
+   execution / error counters) a fronting HTTP layer would expose.
 
 Run:  python examples/serve_router.py
 
@@ -27,19 +27,46 @@ small scene and the fast MLP classifier.
 
 import shutil
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from repro.campaign import CampaignConfig, CampaignRunner
-from repro.clock import VirtualClock
 from repro.config import L3GridConfig, RouterConfig, ServeConfig
-from repro.evaluation import format_table, router_latency_table, router_scaling_table
-from repro.serve import RequestRouter, TileRequest, TrafficConfig, TrafficSimulator
+from repro.l3.writer import Level3ProductError
+from repro.serve import ProductLoader, RequestRouter, TileRequest
 from repro.surface.scene import SceneConfig
 from repro.workflow.end_to_end import ExperimentConfig
 
-#: Modelled per-request service time for the open-loop run (virtual seconds).
-SERVICE_S = 0.005
+#: Shards whose storage currently fails every product read.
+UNREADABLE: set[int] = set()
+
+
+class ShardStorage(ProductLoader):
+    """Reads products from disk, unless its shard's storage is unreadable."""
+
+    def __init__(self, serve: ServeConfig, shard: int) -> None:
+        super().__init__(serve)
+        self.shard = shard
+
+    def decode(self, entry):
+        if self.shard in UNREADABLE:
+            raise Level3ProductError(f"shard {self.shard}: cannot read {entry.key}")
+        return super().decode(entry)
+
+
+def print_health(router: RequestRouter) -> None:
+    health = router.health()
+    print(
+        f"health: {health['healthy_shards']}/{len(router.shards)} shards healthy, "
+        f"{health['requests']} requests, {health['executions']} executions, "
+        f"{health['errors']} errors"
+    )
+    for row in health["shards"]:
+        print(
+            f"  shard {row['shard']}: {row['products']} products, "
+            f"{row['cached_tiles']} cached tiles, {row['loads']} loads, "
+            f"{row['errors']} errors, quarantined={row['quarantined']}"
+        )
+
 
 BASE = ExperimentConfig(
     scene=SceneConfig(
@@ -56,7 +83,7 @@ BASE = ExperimentConfig(
     l3=L3GridConfig(cell_size_m=250.0),
     serve=ServeConfig(
         tile_size=8,
-        router=RouterConfig(n_shards=2, max_queue_depth=8, retry_after_s=0.05),
+        router=RouterConfig(n_shards=2, quarantine_errors=2),
     ),
 )
 
@@ -81,7 +108,8 @@ def main() -> None:
             f"{router.catalog.n_shards} shards (per-shard {counts})"
         )
 
-        # 2. A batch of region queries fans out across the shards.
+        # 2. A batch of region queries, served shard by shard; each product
+        #    is decoded at most once for the whole batch.
         x0, y0, _, _ = router.catalog.extent()
         requests = [
             TileRequest(
@@ -89,80 +117,65 @@ def main() -> None:
                 variable="freeboard_mean",
                 zoom=zoom,
             )
-            for dx, dy, zoom in ((0.0, 0.0, 0), (3_000.0, 0.0, 1), (0.0, 3_000.0, 1))
+            for dx, dy, zoom in (
+                (0.0, 0.0, 0),
+                (3_000.0, 0.0, 0),
+                (0.0, 3_000.0, 1),
+                (3_000.0, 3_000.0, 1),
+            )
         ]
+
+        def decodes() -> int:
+            return sum(shard.engine.stats.loads for shard in router.shards)
+
         served = router.serve(requests)
-        shards_used = sorted({routed.shard for routed in served})
+        products = {routed.product for routed in served}
         print(
-            f"served {len(served)} queries via shards {shards_used}, "
-            f"{sum(r.n_tiles for r in served)} tiles total"
+            f"served {len(served)} queries via shards "
+            f"{sorted({routed.shard for routed in served})}, "
+            f"{sum(r.n_tiles for r in served)} tiles from {len(products)} product(s) "
+            f"in {decodes()} decode(s)"
         )
+        assert decodes() == len(products), "one decode per product per batch"
         repeat = router.serve(requests)
         assert all(r.from_cache for r in repeat), "repeat must hit the LRUs"
-        print("repeat batch: all tiles from the per-shard LRU caches")
+        assert decodes() == len(products)
+        print("repeat batch: all tiles from the per-shard LRU caches, no decode")
 
-        # 3. Open loop on a virtual clock: Poisson arrivals at 2x capacity.
-        #    The execute hook charges a fixed virtual service time per
-        #    execution, so admission and coalescing behaviour is exact and
-        #    deterministic — no wall-clock sleeps anywhere.
-        clock = VirtualClock()
+        # 3. Quarantine: the storage under one shard becomes unreadable.
+        #    A router over the same sharded catalog, reading through
+        #    ShardStorage, shows the shard being routed around and repaired.
+        flaky = RequestRouter(
+            router.catalog,
+            serve=BASE.serve,
+            loader_factory=lambda index: ShardStorage(BASE.serve, index),
+        )
+        request = requests[0]
+        bad_shard, entry = flaky.resolve(request)
+        UNREADABLE.add(bad_shard)
+        for _ in range(BASE.serve.router.quarantine_errors):
+            try:
+                flaky.query(request)
+            except Level3ProductError as exc:
+                print(f"\ndecode failed: {exc}")
+        assert flaky.quarantined_shards == (bad_shard,)
+        print(f"shard {bad_shard} quarantined after {flaky.shards[bad_shard].errors} errors")
+        try:
+            rerouted = flaky.query(request)
+            print(f"  rerouted: {rerouted.product} on shard {rerouted.shard} serves the region")
+        except LookupError as exc:
+            print(f"  no healthy product left for the region: {exc}")
+        print_health(flaky)
 
-        async def modelled(shard, request):
-            await clock.sleep(SERVICE_S)
-            return replace(shard.engine.query(request), seconds=SERVICE_S)
+        UNREADABLE.clear()
+        flaky.rebuild_shard(bad_shard)
+        repaired = flaky.query(request)
+        assert repaired.shard == bad_shard and repaired.product == entry.key
+        print(f"\nstorage back, shard {bad_shard} rebuilt: {repaired.n_tiles} tiles served again")
 
-        serve_cfg = BASE.serve
-        loaded = RequestRouter(
-            router.catalog, serve=serve_cfg, clock=clock, execute=modelled
-        )
-        capacity_rps = serve_cfg.router.max_queue_depth / SERVICE_S
-        simulator = TrafficSimulator(
-            catalog=router.catalog,
-            config=TrafficConfig(
-                n_requests=3_000,
-                n_regions=12,
-                zipf_exponent=1.1,
-                region_fraction=0.25,
-                zoom_levels=(0, 1),
-                seed=17,
-            ),
-        )
-        result = simulator.run_open_loop(loaded, arrival_rate_rps=2.0 * capacity_rps)
-        print(
-            f"\nopen loop: offered {result.n_offered} requests at "
-            f"{result.arrival_rate_rps:.0f} req/s (2x the {capacity_rps:.0f} req/s "
-            f"admission capacity) in {result.seconds:.2f} virtual seconds"
-        )
-        print(format_table(router_latency_table(result), title="Open-loop traffic run"))
-        assert result.shed_rate > 0.0, "2x overload must shed"
-        print(
-            f"  shed {result.n_shed} immediately (Retry-After "
-            f"{serve_cfg.router.retry_after_s * 1e3:.0f}ms), coalesced "
-            f"{result.stats.coalesced} onto in-flight work"
-        )
-
-        # 4. Saturation throughput across shard counts (Table II/V style).
+        # 4. The health summary a fronting HTTP layer would expose.
         print()
-        print(
-            format_table(
-                router_scaling_table(result, shard_counts=(1, 2, 4)),
-                title="Simulated shard scalability (calibrated cost model)",
-            )
-        )
-
-        # 5. The health summary a fronting HTTP layer would expose.
-        health = loaded.health()
-        print(
-            f"\nhealth: {health['healthy_shards']}/{len(loaded.shards)} shards healthy, "
-            f"depth {health['depth']}, shed rate {health['shed_rate']}, "
-            f"coalescing ratio {health['coalescing_ratio']}"
-        )
-        for row in health["shards"]:
-            print(
-                f"  shard {row['shard']}: {row['products']} products, "
-                f"{row['cached_tiles']} cached tiles, {row['loads']} loads, "
-                f"quarantined={row['quarantined']}"
-            )
+        print_health(flaky)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -1,21 +1,20 @@
 #!/usr/bin/env python
-"""SLO burn-rate alerting: outage -> page -> shed -> recovery, no real time.
+"""SLO burn-rate alerting: storage outage -> page -> quarantine -> recovery.
 
-Drives the serve tier through a full alert lifecycle entirely on the
-virtual clock:
+Drives the serve tier through a full alert lifecycle on the virtual clock:
 
-1. declare an availability SLO (99.9% of requests admitted) over the
-   counters the router already emits — no new instrumentation;
-2. saturate a single-shard router with a 2x open-loop burst: admission
-   control sheds the overflow immediately (the shed *is* the failure mode
-   the SLO watches, and also what keeps the served requests fast);
+1. declare an availability SLO (99.9% of requests served without error)
+   over the counters the router already emits — no new instrumentation;
+2. the storage under the only shard fails mid-traffic: product decodes
+   raise, the shard is quarantined after three of them, and the requests
+   after that find no healthy product — every one counts as an error;
 3. the fast burn-rate window fires at the next evaluator tick — the
    ``HealthMonitor`` publishes the dashboard carrying the firing alert,
-   the overspent error budget and the ``router.shed`` events whose trace
-   ids join back to the shedding ``router.request`` spans;
-4. traffic returns to sustainable rates, the shed rate drops to zero, and
-   the alert resolves with hysteresis once the burn falls below half the
-   threshold.
+   the overspent error budget and the ``router.shard_quarantined`` event,
+   whose trace id joins back to the ``router.request`` span that failed;
+4. the storage comes back, ``rebuild_shard`` returns the shard to service,
+   and the alert resolves with hysteresis once the burn falls below half
+   the threshold.
 
 Every timestamp is exact virtual time — the whole story, outage to
 resolution, runs in milliseconds of wall clock.
@@ -25,14 +24,18 @@ Run:  python examples/slo_alerts.py
 This example is also the CI smoke test for the SLO engine.
 """
 
-import asyncio
 import json
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig, SloConfig
+from repro.geodesy.grid import GridDefinition
+from repro.l3.product import Level3Grid
+from repro.l3.writer import Level3ProductError, write_level3
 from repro.obs import (
     DASHBOARD_SCHEMA_VERSION,
     HealthMonitor,
@@ -40,55 +43,51 @@ from repro.obs import (
     SloEvaluator,
     availability_slo,
 )
-from repro.serve import TileRequest
-from repro.serve.catalog import CatalogEntry
-from repro.serve.query import TileResponse
-from repro.serve.router import RequestRouter, RouterOverloadedError
-from repro.serve.shard import ShardedCatalog
+from repro.serve import ProductCatalog, ProductLoader, TileRequest
+from repro.serve.router import RequestRouter
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=64)
-SERVICE_S = 0.25  # virtual seconds per underlying tile build
+#: The scripted outage: while set, every product read fails.
+STORAGE = {"down": False}
 
 
-def make_router(obs: Obs, clock: VirtualClock) -> RequestRouter:
-    entry = CatalogEntry(
-        base_path="/products/demo",
-        kind="mosaic",
-        fingerprint="fp-demo",
-        granule_ids=("g000",),
-        variables=("freeboard_mean",),
-        servable=("freeboard_mean",),
-        x_min_m=0.0,
-        y_min_m=0.0,
-        x_max_m=4800.0,
-        y_max_m=3200.0,
-        cell_size_m=100.0,
-        shape=(32, 48),
+class OutageLoader(ProductLoader):
+    """Reads products from disk, except while the storage is down."""
+
+    def decode(self, entry):
+        if STORAGE["down"]:
+            raise Level3ProductError(f"storage outage: cannot read {entry.key}")
+        return super().decode(entry)
+
+
+def make_router(workdir: Path, obs: Obs, clock: VirtualClock) -> RequestRouter:
+    """One 48 x 32-cell mosaic (6 x 4 tiles) behind a single-shard router."""
+    rng = np.random.default_rng(0)
+    grid = GridDefinition(x_min_m=0.0, y_min_m=0.0, cell_size_m=100.0, nx=48, ny=32)
+    n_seg = rng.integers(0, 4, grid.shape).astype(np.int64)
+    product = Level3Grid(
+        grid=grid,
+        variables={
+            "n_segments": n_seg,
+            "freeboard_mean": np.where(n_seg > 0, rng.normal(0.3, 0.1, grid.shape), np.nan),
+        },
+        metadata={"kind": "mosaic", "granule_ids": ["g000"], "fingerprint": "fp-demo"},
     )
-
-    async def execute(shard, request: TileRequest) -> TileResponse:
-        await clock.sleep(SERVICE_S)
-        return TileResponse(
-            request=request,
-            product="demo",
-            zoom=request.zoom,
-            tiles={},
-            n_cached=0,
-            n_computed=1,
-            seconds=SERVICE_S,
-        )
-
+    write_level3(product, workdir / "products" / "mosaic")
+    catalog = ProductCatalog()
+    catalog.scan(workdir / "products")
     return RequestRouter(
-        ShardedCatalog(1, [entry]),
+        catalog,
         serve=SERVE,
-        config=RouterConfig(n_shards=1, max_queue_depth=2),
+        config=RouterConfig(n_shards=1, quarantine_errors=3),
+        loader_factory=lambda index: OutageLoader(SERVE),
         clock=clock,
-        execute=execute,
         obs=obs,
     )
 
 
 def request(i: int) -> TileRequest:
+    """One whole tile per index, so every request misses the tile cache."""
     col, row = i % 6, i // 6
     return TileRequest(
         bbox=(col * 800.0, row * 800.0, col * 800.0 + 800.0, row * 800.0 + 800.0),
@@ -97,14 +96,15 @@ def request(i: int) -> TileRequest:
     )
 
 
-async def drive(clock: VirtualClock, tasks: list) -> list:
-    """Advance virtual time until every request task settles."""
-    while not all(t.done() for t in tasks):
-        for _ in range(30):  # let every submission reach admission control
-            await asyncio.sleep(0)
-        if not all(t.done() for t in tasks):
-            await clock.advance_to_next()
-    return await asyncio.gather(*tasks, return_exceptions=True)
+def serve_each(router: RequestRouter, indices) -> int:
+    """Serve the requests one at a time; return how many failed."""
+    failed = 0
+    for i in indices:
+        try:
+            router.query(request(i))
+        except (LookupError, Level3ProductError):
+            failed += 1
+    return failed
 
 
 def main() -> None:
@@ -112,7 +112,7 @@ def main() -> None:
     try:
         clock = VirtualClock()
         obs = Obs(clock=clock)
-        router = make_router(obs, clock)
+        router = make_router(workdir, obs, clock)
 
         slo = SloEvaluator(
             obs.registry,
@@ -125,20 +125,15 @@ def main() -> None:
         monitor.tick()  # baseline: no traffic yet, everything ok
         print(f"\nSLO: {spec.description} (fast window 60s, threshold 14.4x)")
 
-        # -- outage: a 2x-saturation open-loop burst ------------------------
-        async def burst():
-            tasks = [
-                asyncio.ensure_future(router.query(request(i))) for i in range(10)
-            ]
-            return await drive(clock, tasks)
-
-        results = asyncio.run(burst())
-        shed = sum(1 for r in results if isinstance(r, RouterOverloadedError))
+        # -- outage: the storage fails after two requests ---------------------
+        assert serve_each(router, range(2)) == 0
+        STORAGE["down"] = True
+        failed = serve_each(router, range(2, 10))
         print(
-            f"t={clock.now():6.2f}s  burst: 10 requests -> "
-            f"{10 - shed} served, {shed} shed (watermark 2)"
+            f"t={clock.now():6.2f}s  outage: 10 requests -> {10 - failed} served, "
+            f"{failed} failed; shards quarantined: {list(router.quarantined_shards)}"
         )
-        assert shed == 8
+        assert failed == 8 and router.quarantined_shards == (0,)
 
         clock.tick(30.0)
         monitor.tick()
@@ -151,33 +146,27 @@ def main() -> None:
 
         doc = json.loads((workdir / "health.json").read_text())
         budget = doc["slo"]["error_budgets"][0]
-        shed_events = [e for e in doc["events"] if e["event"] == "router.shed"]
-        assert doc["schema_version"] == DASHBOARD_SCHEMA_VERSION and shed_events
+        quarantined = [e for e in doc["events"] if e["event"] == "router.shard_quarantined"]
+        assert doc["schema_version"] == DASHBOARD_SCHEMA_VERSION and quarantined
         print(
             f"           dashboard v{DASHBOARD_SCHEMA_VERSION}: budget {budget['bad_events']:.0f}/"
             f"{budget['budget_events']:.2f} bad events spent "
             f"(remaining {budget['remaining_fraction']:.0%}), "
-            f"shed event trace {shed_events[0]['trace_id']}"
+            f"quarantine event trace {quarantined[0]['trace_id']}"
         )
 
-        # -- recovery: sustainable sequential traffic -----------------------
-        clock.tick(120.0)  # the burst ages out of the fast window
-
-        async def healthy():
-            for round_ in range(5):
-                for i in range(8):
-                    await drive(
-                        clock, [asyncio.ensure_future(router.query(request(i)))]
-                    )
-
-        asyncio.run(healthy())
-        before = router.stats.shed
+        # -- recovery: storage back, shard rebuilt, healthy traffic -----------
+        clock.tick(120.0)  # the outage ages out of the fast window
+        STORAGE["down"] = False
+        router.rebuild_shard(0)
+        for _ in range(5):
+            assert serve_each(router, range(8)) == 0
         monitor.tick()
-        assert router.stats.shed == before == 8  # shed rate dropped to zero
+        assert router.stats.errors == 8  # no new errors after the rebuild
         assert fast.state == "resolved", fast.state
         print(
-            f"t={clock.now():6.2f}s  alert RESOLVED after 40 healthy requests "
-            f"(burn {fast.burn_rate:.2f}x < resolve threshold 7.2x)"
+            f"t={clock.now():6.2f}s  shard rebuilt, alert RESOLVED after 40 healthy "
+            f"requests (burn {fast.burn_rate:.2f}x < resolve threshold 7.2x)"
         )
 
         doc = json.loads((workdir / "health.json").read_text())

@@ -1,21 +1,20 @@
 """The program's one time source: real monotonic, virtual, and wall clocks.
 
 Everything that reads "now" — span start/end in :mod:`repro.obs.trace`,
-SLO ticks, log timestamps, the router's latency measurement and open-loop
-arrival generation — goes through a tiny clock
-interface (``now()`` / ``sleep()`` / ``advance()``) instead of ``time``
-and ``asyncio.sleep`` directly:
+SLO ticks, log timestamps, the router's latency measurement and the health
+monitor's pacing — goes through a tiny clock interface (``now()`` /
+``sleep()`` / ``advance()``) instead of ``time`` and ``asyncio.sleep``
+directly:
 
 * :class:`MonotonicClock` — the default everywhere: ``time.perf_counter``
   plus ``asyncio.sleep``.
-* :class:`VirtualClock` — tests and large simulated traffic runs.  It
-  never touches real time: sleepers park on futures and
-  :meth:`VirtualClock.advance` wakes them **in deadline order**, draining
-  the event loop between wake-ups so a woken task runs to its next await
-  before a later deadline fires.  That is what makes the router's
-  concurrency tests reproducible (no real sleeps, no scheduler races),
-  span durations exact, and lets the open-loop simulator push millions of
-  Poisson arrivals through the router in seconds of real time.
+* :class:`VirtualClock` — tests.  It never touches real time:
+  :meth:`VirtualClock.tick` moves it synchronously, and async sleepers
+  park on futures that :meth:`VirtualClock.advance` wakes **in deadline
+  order**, draining the event loop between wake-ups so a woken task runs
+  to its next await before a later deadline fires.  That makes span
+  durations, request latencies and SLO fire/resolve ticks exact, with no
+  real sleeps.
 * :class:`WallClock` — ``time.time``, the default of a bare
   :class:`~repro.obs.log.EventLog` only, so standalone log timestamps are
   wall-clock epochs.
@@ -24,10 +23,6 @@ Durations of real work (map-reduce phases, pipeline stage ``seconds``,
 campaign stage timings) are *not* read from these clocks: they are inline
 ``time.perf_counter()`` deltas, so they stay real under an injected
 ``VirtualClock`` or a disabled ``Obs``.
-
-:func:`run_sync` is the serve tier's ``asyncio.run`` for the synchronous
-entry points (``RequestRouter.serve`` on a router with an execute hook,
-``TrafficSimulator.run_open_loop``).
 """
 
 from __future__ import annotations
@@ -35,29 +30,6 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
-from typing import Awaitable, TypeVar
-
-T = TypeVar("T")
-
-
-def run_sync(awaitable: Awaitable[T]) -> T:
-    """Run ``awaitable`` on a fresh event loop and return its result.
-
-    Unlike a bare ``asyncio.run(awaitable)``, the result never becomes the
-    loop task's result.  On the main thread ``asyncio.run`` checks its SIGINT
-    handler with ``signal.getsignal``, which formats that handler — a
-    ``functools.partial`` bound to the finished task — and so reprs the
-    task's result: for a batch of served tiles, every tile array is
-    numpy-formatted.  Handing the result back through a closure leaves the
-    task with ``None`` to repr.
-    """
-    results: list[T] = []
-
-    async def _main() -> None:
-        results.append(await awaitable)
-
-    asyncio.run(_main())
-    return results[0]
 
 
 class MonotonicClock:

@@ -241,29 +241,20 @@ class L3GridConfig:
 class RouterConfig:
     """Parameters of the service tier (:mod:`repro.serve.router`).
 
-    Sizes the sharded catalog, the admission-control watermark of the
-    request router, and shard quarantine.  Nested inside
+    Sizes the sharded catalog and sets when a failing shard is
+    quarantined.  Nested inside
     :class:`ServeConfig` so the whole serving stack is one campaign-level
     config slice.
     """
 
     #: Number of catalog shards (each with its own engine and tile LRU).
     n_shards: int = 4
-    #: Admission-control watermark: distinct underlying executions allowed
-    #: in flight before new (non-coalescable) requests are shed.
-    max_queue_depth: int = 64
-    #: ``Retry-After`` hint (seconds) attached to shed requests.
-    retry_after_s: float = 0.05
     #: Consecutive product-decode failures before a shard is quarantined.
     quarantine_errors: int = 3
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if self.retry_after_s < 0:
-            raise ValueError("retry_after_s must be non-negative")
         if self.quarantine_errors < 1:
             raise ValueError("quarantine_errors must be >= 1")
 
@@ -470,7 +461,7 @@ class ServeConfig:
     #: mixed-format catalogs are fine.
     product_format: str = "npz"
     #: The service tier built around the query engine
-    #: (:class:`RouterConfig`: sharding, admission control, quarantine).
+    #: (:class:`RouterConfig`: sharding, quarantine).
     router: RouterConfig = RouterConfig()
     #: The live-ingest tier that keeps served products fresh without a
     #: restart (:class:`IngestConfig`).

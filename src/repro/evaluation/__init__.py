@@ -8,8 +8,6 @@ from repro.evaluation.tables import (
     regenerate_table3,
     regenerate_table4,
     regenerate_table5,
-    router_latency_table,
-    router_scaling_table,
     serve_latency_table,
     serve_scaling_table,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "l3_coverage_table",
-    "router_latency_table",
-    "router_scaling_table",
     "serve_latency_table",
     "serve_scaling_table",
     "regenerate_table1",

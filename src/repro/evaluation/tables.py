@@ -5,13 +5,11 @@ Each function returns the table as a list of dict rows (printable with
 own pipeline on simulated data.  For the timing tables (II, IV, V) the rows
 are produced by the calibrated cost models, anchored either to the paper's
 single-slot baselines (default — regenerates the paper's numbers) or to
-locally measured baselines.  Tables II/V and the two serving scaling tables
-are phase declarations for :func:`~repro.distributed.cluster.scaling_table`.
+locally measured baselines.  Tables II/V and the serving scaling table are
+phase declarations for :func:`~repro.distributed.cluster.scaling_table`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.classification.pipeline import TrainedClassifier, train_classifier
 from repro.config import DEFAULT_GPU_CLUSTER
@@ -19,7 +17,6 @@ from repro.distributed.cluster import (
     ClusterCostModel,
     ClusterSimulation,
     Phase,
-    ScalingRow,
     scaling_table,
 )
 from repro.distributed.ddp import DDPTimingModel, DistributedTrainer
@@ -144,32 +141,11 @@ def serve_latency_table(result) -> list[dict[str, object]]:
     return [result.summary_row()]
 
 
-#: Per-configuration dispatch overhead of the serving scaling tables.  The
+#: Per-configuration dispatch overhead of the serving scaling table.  The
 #: Table II/V default (0.3 s) models Spark *job submission*; tile serving
 #: dispatches in-process tasks, so its scheduling cost is milliseconds —
 #: with the Spark constant a sub-second traffic run would flatten to ~1x.
 SERVE_DISPATCH_OVERHEAD_S = 0.005
-
-
-def _serving_scaling(
-    work_s: float, cost_model: ClusterCostModel | None, counts: Sequence[int]
-) -> tuple[float, list[ScalingRow]]:
-    """The measured work (raised to ``min_time_s``) and its scaling rows.
-
-    Requests share nothing but the catalog, so the work follows the reduce
-    profile, plus one dispatch overhead per configuration
-    (:data:`SERVE_DISPATCH_OVERHEAD_S` by default).
-    """
-    model = (
-        cost_model
-        if cost_model is not None
-        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
-    )
-    # The callers scale latencies by ``total / baseline``, so the baseline is
-    # clamped here; ``scaling_table``'s own clamp then leaves it unchanged.
-    baseline_s = max(work_s, model.min_time_s)
-    phases = (Phase("serve", baseline_s, "reduce"), Phase("dispatch", 0.0, "map"))
-    return baseline_s, scaling_table(model, phases, [(n, 1) for n in counts])
 
 
 def serve_scaling_table(
@@ -187,7 +163,18 @@ def serve_scaling_table(
     """
     if not executor_counts:
         raise ValueError("executor_counts must be non-empty")
-    baseline_s, rows = _serving_scaling(result.seconds, cost_model, executor_counts)
+    # Requests share nothing but the catalog, so the work follows the reduce
+    # profile, plus one dispatch overhead per configuration.
+    model = (
+        cost_model
+        if cost_model is not None
+        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
+    )
+    # Latencies scale by ``total / baseline``, so the baseline is clamped
+    # here; ``scaling_table``'s own clamp then leaves it unchanged.
+    baseline_s = max(result.seconds, model.min_time_s)
+    phases = (Phase("serve", baseline_s, "reduce"), Phase("dispatch", 0.0, "map"))
+    rows = scaling_table(model, phases, [(n, 1) for n in executor_counts])
     out: list[dict[str, object]] = []
     for row in rows:
         scale = row.total_s / baseline_s
@@ -198,52 +185,6 @@ def serve_scaling_table(
                 "Throughput (req/s)": round(result.n_requests / row.total_s, 1),
                 "Mean Latency (ms)": round(result.latency_ms() * scale, 2),
                 "P95 Latency (ms)": round(result.latency_ms(95.0) * scale, 2),
-                "Speedup": round(row.speedup, 2),
-            }
-        )
-    return out
-
-
-def router_latency_table(result) -> list[dict[str, object]]:
-    """Single-row summary of one open-loop run through the service tier.
-
-    ``result`` is an :class:`~repro.serve.traffic.OpenLoopResult`; the row
-    reports offered load, completed throughput, the shed rate and
-    coalescing ratio of the admission/single-flight layer, and the
-    p50/p95/p99 latency of completed requests.
-    """
-    return [result.summary_row()]
-
-
-def router_scaling_table(
-    result,
-    cost_model: ClusterCostModel | None = None,
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-) -> list[dict[str, object]]:
-    """Saturation throughput of an open-loop run across shard counts.
-
-    The measured service work of ``result`` (an
-    :class:`~repro.serve.traffic.OpenLoopResult`), the sum of per-request
-    service times, is routed through the calibrated
-    :class:`~repro.distributed.cluster.ClusterCostModel` with the shard
-    count in the executor column's role — the Table II/V convention applied
-    to the serving tier.  Latency percentiles scale with the serve time.
-    """
-    if not shard_counts:
-        raise ValueError("shard_counts must be non-empty")
-    baseline_s, rows = _serving_scaling(float(result.service_s.sum()), cost_model, shard_counts)
-    out: list[dict[str, object]] = []
-    for row in rows:
-        scale = row.total_s / baseline_s
-        out.append(
-            {
-                "Shards": row.executors,
-                "Serve Time (s)": round(row.total_s, 3),
-                "Saturation Throughput (req/s)": round(result.n_completed / row.total_s, 1),
-                "P50 Latency (ms)": round(result.latency_ms(50.0) * scale, 2),
-                "P99 Latency (ms)": round(result.latency_ms(99.0) * scale, 2),
-                "Shed Rate": round(result.shed_rate, 4),
-                "Coalescing Ratio": round(result.coalescing_ratio, 4),
                 "Speedup": round(row.speedup, 2),
             }
         )

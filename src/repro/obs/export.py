@@ -52,8 +52,10 @@ __all__ = [
 #: ``events`` (recent structured log records) and ``trace`` (ring-buffer
 #: drop accounting).  v3 reduced ``campaign.cache`` to the one stage-cache
 #: tier's ``{hits, misses}``.  v4 dropped ``serve.health.prefetch_refreshes``
-#: with the router's background prefetcher.
-DASHBOARD_SCHEMA_VERSION = 4
+#: with the router's background prefetcher.  v5 dropped ``serve.health``'s
+#: ``depth``, ``shed``, ``shed_rate``, ``coalesced`` and ``coalescing_ratio``
+#: with the router's admission control and single-flight coalescing.
+DASHBOARD_SCHEMA_VERSION = 5
 
 _SCHEMA_PATH = Path(__file__).with_name("dashboard.schema.json")
 

@@ -4,8 +4,8 @@ A log line you cannot join to a trace answers "what happened" but never
 "*which request* it happened to".  :class:`EventLog` closes that gap: every
 record automatically carries the ``trace_id``/``span_id`` of the caller's
 innermost open span (read from the tracer's ``contextvars``), so a firing
-dashboard alert, the router span that served the bad request and the
-``router.shed`` event it logged all share one trace id.
+dashboard alert, the router span whose request failed and the
+``router.shard_quarantined`` event it logged all share one trace id.
 
 Records land in two places:
 

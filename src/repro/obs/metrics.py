@@ -9,9 +9,9 @@ router shards, the ingest service.  Three properties drive the design:
   rebuilt query engine (quarantine re-route, loader swap) re-acquires the
   counters its predecessor was feeding and the series continues — the
   pre-obs ``QueryStats`` reset silently on every rebuild.
-* **Cheap updates, real thread safety.**  The router's asyncio tasks, the
-  map-reduce driver and its thread workers all hammer one
-  registry, and an unsynchronized ``+=`` is *not* atomic under the GIL.
+* **Cheap updates, real thread safety.**  Serve handles driven from
+  several threads, the map-reduce driver and its thread workers all hammer
+  one registry, and an unsynchronized ``+=`` is *not* atomic under the GIL.
   So an update only appends to the metric's pending list (one atomic C
   call), and reads fold the queued updates in under a per-metric
   ``threading.Lock``: the lock is paid per read, not per event.  Histogram

@@ -6,7 +6,7 @@ than 10 minutes stale") **over series the registry already collects** — no
 new instrumentation is required to add an objective, only a query:
 
 * :class:`CounterRatioQuery` — bad/total event counters (availability:
-  ``router_shed_total`` over ``router_requests_total``);
+  ``router_errors_total`` over ``router_requests_total``);
 * :class:`HistogramAboveQuery` — observations above a latency bound, read
   exactly from a histogram's cumulative ``le`` buckets (the bound should
   be one of the bucket edges, where the count is exact);
@@ -447,15 +447,19 @@ class SloEvaluator:
 def availability_slo(
     name: str = "serve_availability",
     objective: float = 0.999,
-    bad: str = "router_shed_total",
+    bad: str = "router_errors_total",
     total: str = "router_requests_total",
 ) -> SloSpec:
-    """Requests not shed by admission control, out of all routed requests."""
+    """Requests served, out of all routed requests.
+
+    A request is bad when it is unroutable (no healthy product covers it)
+    or its execution fails, e.g. on a corrupt product.
+    """
     return SloSpec(
         name=name,
         objective=objective,
         query=CounterRatioQuery(bad=bad, total=total),
-        description=f"{objective:.3%} of requests admitted (not shed)",
+        description=f"{objective:.3%} of requests served without error",
     )
 
 

@@ -26,11 +26,9 @@ ROADMAP's "heavy traffic" regime:
   global registration order so resolution is identical to the unsharded
   catalog;
 * :mod:`repro.serve.router` — :class:`RequestRouter`, the service tier
-  over the shards: each request resolved and planned once, served on the
-  calling thread without an execute hook; on the async path single-flight
-  coalescing of identical in-flight queries and admission control with
-  fast load-shedding (:class:`RouterOverloadedError` carries the
-  ``Retry-After`` hint); per-shard quarantine on repeated product errors;
+  over the shards: each request resolved and planned once against the
+  whole archive and served on the calling thread by its shard's engine;
+  per-shard quarantine on repeated product errors;
 * :mod:`repro.serve.handle` — :class:`ServeHandle`, the single
   construction surface: ``runner.serve(dir)`` returns a handle owning the
   catalog/router/ingest lifecycle — every query goes through one router,
@@ -43,16 +41,14 @@ ROADMAP's "heavy traffic" regime:
   to a full rebuild), and :class:`LivePyramidLoader` serves installed
   in-memory pyramids with per-tile-region revision fingerprints and the
   stale-while-revalidate flag;
-* :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives the engine
-  closed-loop with Zipf-distributed region traffic, or a router open-loop
-  on a Poisson arrival process.  Its measured runs feed the cost-model
-  scaling tables :func:`repro.evaluation.serve_scaling_table` and
-  :func:`repro.evaluation.router_scaling_table`.
+* :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives an
+  engine closed-loop with Zipf-distributed region traffic.  Its measured
+  runs feed the cost-model scaling table
+  :func:`repro.evaluation.serve_scaling_table`.
 
-The router and the open-loop simulator read time through :mod:`repro.clock`
+The router reads request latency through :mod:`repro.clock`
 (:class:`~repro.clock.MonotonicClock` by default,
-:class:`~repro.clock.VirtualClock` for deterministic concurrency tests and
-simulated open-loop runs).
+:class:`~repro.clock.VirtualClock` for exact timings in tests).
 
 Quick start (serving a campaign)::
 
@@ -92,32 +88,20 @@ from repro.serve.query import (
     plan_request,
     select_entry,
 )
-from repro.serve.router import (
-    RequestRouter,
-    RouterOverloadedError,
-    RouterStats,
-    Shard,
-)
+from repro.serve.router import RequestRouter, RouterStats, Shard
 from repro.serve.shard import ShardedCatalog, shard_index
-from repro.serve.traffic import (
-    OpenLoopResult,
-    TrafficConfig,
-    TrafficResult,
-    TrafficSimulator,
-)
+from repro.serve.traffic import TrafficConfig, TrafficResult, TrafficSimulator
 
 __all__ = [
     "CatalogEntry",
     "IncrementalPyramidBuilder",
     "LivePyramidLoader",
-    "OpenLoopResult",
     "ProductCatalog",
     "ProductLoader",
     "PyramidLevel",
     "QueryEngine",
     "QueryStats",
     "RequestRouter",
-    "RouterOverloadedError",
     "RouterStats",
     "ServeHandle",
     "Shard",

@@ -10,9 +10,8 @@ the first ``catalog``/``stats``/``health()``/``router``/
 ``serve.tile_cache_size`` tiles; ``RouterConfig(n_shards=1)`` is the
 unsharded case.  Builder steps:
 
-* ``.with_router(config, **router_kwargs)``: set the config and the hook
-  arguments (``clock``, ``execute``, ...) of the router built on first use
-  (a second call before then replaces the first);
+* ``.with_router(config)``: set the config of the router built on first
+  use (a second call before then replaces the first);
 * ``.with_ingest(...)``: attach a :class:`~repro.ingest.IngestService`
   that keeps the served mosaic live as new granules arrive, with
   dirty-tile pyramid rebuilds and targeted cache invalidation.
@@ -82,20 +81,15 @@ class ServeHandle:
         self._gridder = gridder
         self._seed_l3 = seed_l3
         self._router_config: RouterConfig | None = None
-        self._router_kwargs: dict[str, Any] = {}
         self._router: RequestRouter | None = None
         self._ingest: "IngestService | None" = None
 
     # -- builder steps -------------------------------------------------------
 
-    def with_router(
-        self, config: RouterConfig | None = None, **router_kwargs: Any
-    ) -> "ServeHandle":
+    def with_router(self, config: RouterConfig | None = None) -> "ServeHandle":
         """Configure the router the handle builds on first use.
 
-        ``config`` replaces the ``serve.router`` slice; extra keyword
-        arguments (``clock``, ``execute``, ...) pass through to
-        :class:`~repro.serve.router.RequestRouter`.  The router is built on
+        ``config`` replaces the ``serve.router`` slice.  The router is built on
         first use (any query, ``catalog``/``stats``/``health()``/``router``/
         ``invalidate_tiles`` access, or ``with_ingest``), so this must come
         before that; a later call before then replaces an earlier one.
@@ -107,7 +101,6 @@ class ServeHandle:
                 "catalog/stats/health/router/invalidate_tiles access, and with_ingest()"
             )
         self._router_config = config
-        self._router_kwargs = router_kwargs
         return self
 
     def with_ingest(
@@ -150,7 +143,7 @@ class ServeHandle:
                 serve=serve,
                 config=self._router_config,
                 loader_factory=lambda index: LivePyramidLoader(serve),
-                **{"obs": self.obs, **self._router_kwargs},
+                obs=self.obs,
             )
         return self._router
 

@@ -79,12 +79,11 @@ class TileResponse:
     Both :meth:`QueryEngine.query` and
     :meth:`repro.serve.router.RequestRouter.query` return this dataclass:
     the tiles, per-tile provenance fingerprints, cache accounting
-    (``n_cached``/``n_computed``), and the service-tier flags the router
-    fills in (``coalesced``, ``queue_wait_s``, ``shard``).  ``stale`` marks
-    a response served from the previous product revision while a live
-    ingest rebuild is in flight (stale-while-revalidate).  A coalesced
-    joiner gets its own response object but *shares* the executing
-    request's ``tiles`` dict, so treat ``tiles`` as read-only.
+    (``n_cached``/``n_computed``), and the ``shard`` the router fills in.
+    ``stale`` marks a response served from the previous product revision
+    while a live ingest rebuild is in flight (stale-while-revalidate).
+    ``tiles`` may share arrays with the engine's tile cache, so treat it
+    as read-only.
     """
 
     request: TileRequest
@@ -98,11 +97,8 @@ class TileResponse:
     fingerprints: dict[tuple[int, int], str] = field(default_factory=dict)
     #: Served from the previous revision while a rebuild is in flight.
     stale: bool = False
-    #: Router flags: joined an identical in-flight execution / time spent
-    #: waiting on it / the shard that served the request (``None`` when the
-    #: response came straight from an engine, not through the router).
-    coalesced: bool = False
-    queue_wait_s: float = 0.0
+    #: The shard that served the request (``None`` when the response came
+    #: straight from an engine, not through the router).
     shard: int | None = None
 
     @property
@@ -118,11 +114,6 @@ class TileResponse:
     def service_s(self) -> float:
         """Execution time of the underlying engine work."""
         return self.seconds
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end request latency: queue wait plus service time."""
-        return self.queue_wait_s + self.seconds
 
     def mosaic_array(self) -> np.ndarray:
         """The response's tiles stitched into one array (row-major window)."""
@@ -359,9 +350,9 @@ def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) 
 
     Pure geometry from catalog metadata — no decode.  The zoom is clamped
     to the product's pyramid depth; the resulting ``tile_keys`` are the
-    fingerprint-based cache keys, which double as the router's
-    single-flight identity (two requests whose bboxes cover the same tiles
-    of the same product coalesce even if the bboxes differ).
+    fingerprint-based cache keys, so two requests whose bboxes cover the
+    same tiles of the same product share cache entries even if the bboxes
+    differ.
     """
     levels = n_levels_for(entry.shape, serve.tile_size, serve.max_levels)
     zoom = max(0, min(request.zoom, levels - 1))

@@ -1,8 +1,8 @@
-"""The service tier: sharding, single-flight, admission control, quarantine.
+"""The service tier: sharding, global resolution, quarantine.
 
-:class:`RequestRouter` is the layer that turns the synchronous in-process
-:class:`~repro.serve.query.QueryEngine` into a service able to face heavy
-traffic.  Request path, in order:
+:class:`RequestRouter` is the layer that turns the per-shard
+:class:`~repro.serve.query.QueryEngine` into one service over a sharded
+archive.  Request path, in order:
 
 1. **Global resolution** — the request is resolved against the whole
    :class:`~repro.serve.shard.ShardedCatalog` with the *same* policy as
@@ -11,40 +11,26 @@ traffic.  Request path, in order:
    serves a request; the winning product names its owning shard.  The
    request is planned to tile addresses once, here, and the plan travels
    on to the shard engine.
-2. **Single-flight coalescing** — the request's planned tile keys (the
-   tile fingerprints) are its flight identity: if an identical query is
-   already executing, the new request parks on the same future and shares
-   the one underlying tile build.  K identical concurrent queries cost
-   exactly one decode, however large K is.
-3. **Admission control** — distinct (non-coalescable) executions are
-   bounded by a queue-depth watermark; beyond it requests are shed
-   *immediately* with :class:`RouterOverloadedError` carrying a
-   ``Retry-After`` hint, instead of queueing into latency collapse.
-   Coalesced joiners never count against the watermark — they add no work.
-4. **Sharded execution** — the owning shard's engine serves the request
+2. **Sharded execution** — the owning shard's engine serves the request
    from its private LRU tile cache / product loader.  A shard whose loader
    keeps raising :class:`~repro.l3.writer.Level3ProductError` is
    **quarantined**: resolution routes around it (another product serves
    the region when one exists) and :meth:`RequestRouter.health` reports it.
 
-A router without an execute hook serves each request to completion on the
-calling thread, in order (:meth:`RequestRouter.serve`, and
-:meth:`RequestRouter.query` alike): nothing is ever in flight when the
-next request arrives, so nothing coalesces or sheds and no event loop is
-needed.  Flights, coalescing and shedding come into play with an
-injectable async execute hook, on a real event loop: that is how the
-deterministic concurrency tests drive thousands of concurrent requests,
-timed by the pluggable clock (:mod:`repro.clock`), with zero real sleeps.
+The router serves each request to completion on the calling thread, in
+order (:meth:`RequestRouter.serve`, and :meth:`RequestRouter.query` for
+one request): no event loop, no executor, nothing in flight between
+requests.  Request latency is read from a pluggable clock
+(:mod:`repro.clock`), so tests time it exactly.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Awaitable, Callable, Hashable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.clock import MonotonicClock, VirtualClock, run_sync
+from repro.clock import MonotonicClock, VirtualClock
 from repro.config import DEFAULT_SERVE, RouterConfig, ServeConfig
 from repro.l3.writer import Level3ProductError
 from repro.obs.core import Obs, default_obs
@@ -63,38 +49,14 @@ from repro.serve.query import (
 from repro.serve.shard import ShardedCatalog
 
 __all__ = [
-    "ExecuteHook",
     "RequestRouter",
-    "RouterOverloadedError",
     "RouterStats",
     "Shard",
 ]
 
-#: Async execution hook: ``(shard, request) -> TileResponse``.  Without one
-#: the shard engine serves the request on the calling thread; tests inject
-#: virtual-clock implementations to model service time deterministically.
-ExecuteHook = Callable[["Shard", TileRequest], Awaitable[TileResponse]]
-
 #: Auto-assigned ``router=rN`` metric labels keeping independent routers'
 #: counter series separate on a shared (process-default) registry.
 _ROUTER_IDS = itertools.count(1)
-
-
-class RouterOverloadedError(RuntimeError):
-    """Fast 503-style rejection: the router is past its queue watermark.
-
-    Carries the ``Retry-After`` hint a fronting HTTP layer would serialize;
-    shedding is *immediate* (no queue time is spent before rejection).
-    """
-
-    def __init__(self, depth: int, max_queue_depth: int, retry_after_s: float) -> None:
-        super().__init__(
-            f"router overloaded: {depth} executions in flight "
-            f"(watermark {max_queue_depth}); Retry-After: {retry_after_s:.3f}s"
-        )
-        self.depth = depth
-        self.max_queue_depth = max_queue_depth
-        self.retry_after_s = retry_after_s
 
 
 @dataclass
@@ -125,6 +87,9 @@ class RouterStats:
 
     A *snapshot* dataclass: :attr:`RequestRouter.stats` assembles one from
     the registry-backed ``router_*_total`` counters on every access.
+    ``shed`` and ``coalesced`` always read 0: a router serving on the
+    calling thread never sheds or coalesces a request.  They stay as
+    fields for readers that sum them.
     """
 
     requests: int = 0
@@ -133,33 +98,9 @@ class RouterStats:
     executions: int = 0
     errors: int = 0
 
-    @property
-    def admitted(self) -> int:
-        return self.requests - self.shed
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.requests if self.requests else 0.0
-
-    @property
-    def coalescing_ratio(self) -> float:
-        """Fraction of admitted requests that shared another request's work."""
-        return self.coalesced / self.admitted if self.admitted else 0.0
-
-    def snapshot(self) -> "RouterStats":
-        return replace(self)
-
-
-@dataclass
-class _Flight:
-    """One in-flight execution; identical requests park on the future."""
-
-    future: asyncio.Future
-    shard: int
-
 
 class RequestRouter:
-    """Route tile requests across shards with coalescing and admission control."""
+    """Route tile requests across shards, resolving each one globally."""
 
     def __init__(
         self,
@@ -168,7 +109,6 @@ class RequestRouter:
         config: RouterConfig | None = None,
         loader_factory: Callable[[int], ProductLoader] | None = None,
         clock: MonotonicClock | VirtualClock | None = None,
-        execute: ExecuteHook | None = None,
         obs: Obs | None = None,
     ) -> None:
         self.config = config if config is not None else serve.router
@@ -181,7 +121,6 @@ class RequestRouter:
         self.catalog = catalog
         self.serve_config = serve
         self.clock = clock if clock is not None else MonotonicClock()
-        self._execute: ExecuteHook | None = execute
         self.obs = obs if obs is not None else default_obs()
         self._labels = {"router": f"r{next(_ROUTER_IDS)}"}
         self._loader_factory = loader_factory
@@ -191,20 +130,12 @@ class RequestRouter:
         )
         registry = self.obs.registry
         self._c_requests = registry.counter("router_requests_total", **self._labels)
-        self._c_shed = registry.counter("router_shed_total", **self._labels)
-        self._c_coalesced = registry.counter("router_coalesced_total", **self._labels)
         self._c_executions = registry.counter("router_executions_total", **self._labels)
         self._c_errors = registry.counter("router_errors_total", **self._labels)
         self._h_latency = registry.histogram(
             "router_request_latency_seconds", **self._labels
         )
-        self._h_queue_wait = registry.histogram(
-            "router_queue_wait_seconds", **self._labels
-        )
-        self._g_depth = registry.gauge("router_depth", **self._labels)
         self._tracer = self.obs.tracer
-        self._flights: dict[Hashable, _Flight] = {}
-        self._depth = 0
 
     def _build_engine(self, index: int, sub: ProductCatalog) -> QueryEngine:
         """One shard engine, its metrics labelled ``{router, shard}``.
@@ -247,8 +178,6 @@ class RequestRouter:
         """Snapshot of the registry-backed counters as a :class:`RouterStats`."""
         return RouterStats(
             requests=int(self._c_requests.value),
-            shed=int(self._c_shed.value),
-            coalesced=int(self._c_coalesced.value),
             executions=int(self._c_executions.value),
             errors=int(self._c_errors.value),
         )
@@ -285,16 +214,12 @@ class RequestRouter:
 
     # -- serving -----------------------------------------------------------
     #
-    # Both entries share the per-request body: ``_route`` counts the request
-    # and resolves and plans it once, ``_admit`` sheds past the watermark,
-    # ``_started``/``_finished`` account for an execution's depth and
-    # outcome, and ``_queue_wait`` times the request.  Every
-    # request opens exactly one span, ``router.request`` (attributes:
-    # variable, zoom, shard, coalesced, outcome ``served``/``shed``/
-    # ``unroutable``).  The shard engine serves an executing request onto
-    # that same span (:meth:`~repro.serve.query.QueryEngine.serve_plans`),
-    # adding its ``n_cached``/``n_computed``; only real work opens
-    # children — one ``loader.fetch`` per decoded product.
+    # Every request opens exactly one span, ``router.request`` (attributes:
+    # variable, zoom, shard, outcome ``served``/``unroutable``).  The shard
+    # engine serves the request onto that same span
+    # (:meth:`~repro.serve.query.QueryEngine.serve_plans`), adding its
+    # ``n_cached``/``n_computed``; only real work opens children — one
+    # ``loader.fetch`` per decoded product.
 
     def _route(self, request: TileRequest, span: Any) -> tuple[int, RequestPlan]:
         """Count one arriving request; resolve and plan it."""
@@ -307,47 +232,21 @@ class RequestRouter:
             raise
         return shard_id, plan_request(entry, request, self.serve_config)
 
-    def _admit(self, span: Any) -> None:
-        """Shed the request when the executions in flight reach the watermark."""
-        if self._depth < self.config.max_queue_depth:
-            return
-        self._c_shed.inc()
-        span.set(outcome="shed", depth=self._depth)
-        # Dedup keeps an overload burst to one ring slot per window.
-        self.obs.log.warning(
-            "router.shed",
-            depth=self._depth,
-            max_queue_depth=self.config.max_queue_depth,
-            **self._labels,
-        )
-        raise RouterOverloadedError(
-            depth=self._depth,
-            max_queue_depth=self.config.max_queue_depth,
-            retry_after_s=self.config.retry_after_s,
-        )
-
-    def _started(self) -> None:
-        self._depth += 1
-        self._g_depth.set(self._depth)
-
-    def _finished(self, shard: Shard, exc: BaseException | None) -> None:
-        self._depth -= 1
-        self._g_depth.set(self._depth)
-        if exc is None:
-            self._c_executions.inc()
-            return
+    def _failed(self, shard: Shard, exc: BaseException) -> None:
+        """Count a failed execution; quarantine a shard whose products fail."""
         self._c_errors.inc()
-        if isinstance(exc, Level3ProductError):
-            shard.errors += 1
-            if shard.errors >= self.config.quarantine_errors and not shard.quarantined:
-                shard.quarantined = True
-                self.obs.log.error(
-                    "router.shard_quarantined",
-                    shard=shard.index,
-                    errors=shard.errors,
-                    cause=type(exc).__name__,
-                    **self._labels,
-                )
+        if not isinstance(exc, Level3ProductError):
+            return
+        shard.errors += 1
+        if shard.errors >= self.config.quarantine_errors and not shard.quarantined:
+            shard.quarantined = True
+            self.obs.log.error(
+                "router.shard_quarantined",
+                shard=shard.index,
+                errors=shard.errors,
+                cause=type(exc).__name__,
+                **self._labels,
+            )
 
     def _serve_now(
         self, request: TileRequest, decoded: dict[str, TilePyramid] | None = None
@@ -363,129 +262,38 @@ class RequestRouter:
         ) as span:
             arrived = self.clock.now()
             shard_id, plan = self._route(request, span)
-            self._admit(span)
-            span.set(shard=shard_id, coalesced=False, outcome="served")
+            span.set(shard=shard_id, outcome="served")
             shard = self.shards[shard_id]
-            self._started()
             try:
                 response = shard.engine.serve_plans([plan], span, decoded)[0]
             except BaseException as exc:
-                self._finished(shard, exc)
+                self._failed(shard, exc)
                 raise
-            self._finished(shard, None)
+            self._c_executions.inc()
+            self._h_latency.observe(self.clock.now() - arrived)
             # The engine built this response for this request alone.
             response.shard = shard_id
-            response.queue_wait_s = self._queue_wait(response, arrived)
             return response
 
-    async def query(self, request: TileRequest) -> TileResponse:
-        """Serve one request through the service tier, on the running loop.
+    def query(self, request: TileRequest) -> TileResponse:
+        """Serve one request through the service tier.
 
-        Returns the unified :class:`TileResponse` with the service-tier
-        fields (``shard``, ``coalesced``, ``queue_wait_s``) filled in.
-        Raises :class:`RouterOverloadedError` when shed, ``LookupError``
-        when no healthy product matches, and propagates the underlying
-        execution error (to every coalesced waiter) when it fails.  Without
-        an execute hook the request is served at once on the calling
-        thread, exactly as by :meth:`serve`.
+        Returns the unified :class:`TileResponse` with ``shard`` filled in.
+        Raises ``LookupError`` when no healthy product matches, and
+        propagates the shard engine's error when the execution fails.
         """
-        if self._execute is None:
-            return self._serve_now(request)
-        with self._tracer.span(
-            "router.request", variable=request.variable, zoom=request.zoom
-        ) as span:
-            arrived = self.clock.now()
-            shard_id, plan = self._route(request, span)
-            # Two requests covering the same tiles of the same product at
-            # the same zoom coalesce, even when their bboxes differ.
-            key = plan.tile_keys or (plan.entry.key, request.variable, plan.zoom, request.bbox)
-            flight = self._flights.get(key)
-            if flight is not None:
-                self._c_coalesced.inc()
-                span.set(shard=flight.shard, coalesced=True, outcome="served")
-                response = await asyncio.shield(flight.future)
-                return self._routed(
-                    request, response, flight.shard, arrived, coalesced=True
-                )
-            self._admit(span)
-            span.set(shard=shard_id, coalesced=False, outcome="served")
-            response = await self._fly(key, shard_id, request)
-            return self._routed(request, response, shard_id, arrived, coalesced=False)
-
-    async def _fly(self, key: Hashable, shard_id: int, request: TileRequest) -> TileResponse:
-        """Run the execute hook with the flight registered under ``key``."""
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Retrieve the exception even when nobody coalesced onto the flight,
-        # so a failed execution never logs "exception was never retrieved".
-        future.add_done_callback(
-            lambda fut: fut.exception() if not fut.cancelled() else None
-        )
-        shard = self.shards[shard_id]
-        self._flights[key] = _Flight(future=future, shard=shard_id)
-        self._started()
-        try:
-            response = await self._execute(shard, request)
-        except BaseException as exc:
-            self._finished(shard, exc)
-            if not future.done():
-                future.set_exception(exc)
-            raise
-        else:
-            self._finished(shard, None)
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            del self._flights[key]
-
-    def _queue_wait(self, response: TileResponse, arrived: float) -> float:
-        """Observe one request's latency; return its wait beyond service."""
-        elapsed = self.clock.now() - arrived
-        queue_wait = max(elapsed - response.seconds, 0.0)
-        self._h_latency.observe(elapsed)
-        self._h_queue_wait.observe(queue_wait)
-        return queue_wait
-
-    def _routed(
-        self,
-        request: TileRequest,
-        response: TileResponse,
-        shard: int,
-        arrived: float,
-        coalesced: bool,
-    ) -> TileResponse:
-        # Each caller (including every coalesced joiner) gets its own
-        # response object with its own timing, sharing the executing
-        # request's tiles/fingerprints dicts.
-        return replace(
-            response,
-            request=request,
-            shard=shard,
-            coalesced=coalesced,
-            queue_wait_s=self._queue_wait(response, arrived),
-        )
+        return self._serve_now(request)
 
     def serve(self, requests: Sequence[TileRequest]) -> list[TileResponse]:
-        """Serve a batch synchronously; responses come back in request order.
+        """Serve a batch; responses come back in request order.
 
-        Without an execute hook each request is served to completion on the
-        calling thread, one after another, and a product is decoded at most
-        once per batch: later requests cut their missing tiles from the
-        pyramid an earlier one decoded.  Every request is served, then the
-        first failure (say an unroutable request's ``LookupError``)
-        propagates.  With a hook the batch runs concurrently through
-        :meth:`query` on a fresh event loop, so identical requests coalesce
-        and the watermark sheds; the first failure propagates as from
-        ``asyncio.gather``.  Use :meth:`query` directly (with
-        ``asyncio.gather(..., return_exceptions=True)``) to collect partial
-        results under load.
+        Each request is served to completion on the calling thread, one
+        after another, and a product is decoded at most once per batch:
+        later requests cut their missing tiles from the pyramid an earlier
+        one decoded.  Every request is served, then the first failure (say
+        an unroutable request's ``LookupError``) propagates; use
+        :meth:`query` per request to collect partial results.
         """
-        if self._execute is not None:
-
-            async def _run() -> list[TileResponse]:
-                return list(await asyncio.gather(*(self.query(req) for req in requests)))
-
-            return run_sync(_run())
         responses: list[TileResponse] = []
         decoded: dict[str, TilePyramid] = {}
         first_error: Exception | None = None
@@ -523,11 +331,6 @@ class RequestRouter:
 
     # -- health ------------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Distinct executions currently in flight."""
-        return self._depth
-
     def health(self) -> dict[str, object]:
         """The router health summary: per-shard state plus tier counters."""
         stats = self.stats
@@ -535,12 +338,7 @@ class RequestRouter:
             "shards": [shard.health_row() for shard in self.shards],
             "quarantined": list(self.quarantined_shards),
             "healthy_shards": sum(1 for shard in self.shards if not shard.quarantined),
-            "depth": self._depth,
             "requests": stats.requests,
-            "shed": stats.shed,
-            "shed_rate": round(stats.shed_rate, 4),
-            "coalesced": stats.coalesced,
-            "coalescing_ratio": round(stats.coalescing_ratio, 4),
             "executions": stats.executions,
             "errors": stats.errors,
         }

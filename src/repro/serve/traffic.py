@@ -1,4 +1,4 @@
-"""Zipf-distributed traffic over the serving tier, with scaling reports.
+"""Zipf-distributed traffic over the serving tier, with a scaling report.
 
 Real map-tile traffic is heavy-tailed: a few popular regions take most of
 the requests.  :class:`TrafficSimulator` reproduces that shape — it carves
@@ -8,45 +8,30 @@ configured request mix.  The heavy tail is exactly what makes the LRU tile
 cache pay: the hot regions are served from memory while the cold tail does
 the decoding.
 
-Two load-generation modes:
+:meth:`TrafficSimulator.run` drives a
+:class:`~repro.serve.query.QueryEngine` closed-loop, in batches of
+concurrent requests — the next batch is only submitted when the previous
+one finishes.  Per-request latency is reported split into **queue wait**
+(time spent behind earlier batches of the run) and **service** (the
+request's own batch execution), because conflating the two hides queueing
+collapse behind a flat "latency" number.
 
-* **closed loop** (:meth:`TrafficSimulator.run`) drives a
-  :class:`~repro.serve.query.QueryEngine` in batches of concurrent
-  requests — the next batch is only submitted when the previous one
-  finishes.  Per-request latency is reported split into **queue wait**
-  (time spent behind earlier batches of the run) and **service** (the
-  request's own batch execution), because conflating the two hides
-  queueing collapse behind a flat "latency" number.
-* **open loop** (:meth:`TrafficSimulator.run_open_loop`) fires requests at
-  a :class:`~repro.serve.router.RequestRouter` on a Poisson arrival
-  process at a configured offered rate, independent of completions — the
-  regime where admission control matters.  On a
-  :class:`~repro.clock.VirtualClock` the arrivals are simulated
-  (deterministically) up to millions of requests in seconds of real time;
-  the report carries p50/p95/p99 latency, shed rate and coalescing ratio.
-
-The scaling reports (:func:`repro.evaluation.serve_scaling_table` and
-:func:`repro.evaluation.router_scaling_table`) follow the repo's
-simulated-cluster convention of Tables II/V: the *measured* serving
-behaviour is routed through the calibrated
+The scaling report (:func:`repro.evaluation.serve_scaling_table`) follows
+the repo's simulated-cluster convention of Tables II/V: the *measured*
+serving behaviour is routed through the calibrated
 :class:`~repro.distributed.cluster.ClusterCostModel` to predict throughput
-and latency across executor or shard counts, with speedups referenced to
-the first grid point.
+and latency across executor counts, with speedups referenced to the first
+grid point.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.clock import run_sync
 from repro.serve.query import QueryEngine, QueryStats, TileRequest, TileResponse
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serve.router import RequestRouter, RouterStats
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -157,92 +142,11 @@ class TrafficResult:
         }
 
 
-@dataclass
-class OpenLoopResult:
-    """Measured outcome of one open-loop (Poisson-arrival) run.
-
-    ``stats`` is a per-run delta snapshot of the router's counters, so the
-    shed rate and coalescing ratio describe *this* run only.  The latency
-    arrays cover completed requests; shed requests never enter them — the
-    point of admission control is that rejection is immediate, and folding
-    zero-latency rejections into the percentiles would flatter the tail.
-    """
-
-    n_offered: int
-    arrival_rate_rps: float
-    seconds: float
-    latencies_s: np.ndarray
-    queue_wait_s: np.ndarray
-    service_s: np.ndarray
-    stats: "RouterStats"
-    n_errors: int = 0
-
-    @property
-    def n_completed(self) -> int:
-        return int(self.latencies_s.size)
-
-    @property
-    def n_shed(self) -> int:
-        return self.stats.shed
-
-    @property
-    def shed_rate(self) -> float:
-        return self.stats.shed_rate
-
-    @property
-    def coalescing_ratio(self) -> float:
-        return self.stats.coalescing_ratio
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per (possibly virtual) second of the run."""
-        return self.n_completed / self.seconds if self.seconds > 0 else float("inf")
-
-    def latency_ms(self, percentile: float | None = None) -> float:
-        """Mean time-in-system latency in ms, or a percentile when given."""
-        return _percentile_ms(self.latencies_s, percentile)
-
-    def service_ms(self, percentile: float | None = None) -> float:
-        return _percentile_ms(self.service_s, percentile)
-
-    def queue_wait_ms(self, percentile: float | None = None) -> float:
-        return _percentile_ms(self.queue_wait_s, percentile)
-
-    def summary_row(self) -> dict[str, object]:
-        """One table row: offered load, outcome mix, tail latency."""
-        return {
-            "Offered (req/s)": round(self.arrival_rate_rps, 1),
-            "Offered Requests": self.n_offered,
-            "Completed": self.n_completed,
-            "Throughput (req/s)": round(self.throughput_rps, 1),
-            "Shed Rate": round(self.shed_rate, 4),
-            "Coalescing Ratio": round(self.coalescing_ratio, 4),
-            "P50 Latency (ms)": round(self.latency_ms(50.0), 2),
-            "P95 Latency (ms)": round(self.latency_ms(95.0), 2),
-            "P99 Latency (ms)": round(self.latency_ms(99.0), 2),
-            "Errors": self.n_errors,
-        }
-
-
 class TrafficSimulator:
-    """Drive the serving tier with a reproducible heavy-tailed request stream.
+    """Drive a query engine with a reproducible heavy-tailed request stream."""
 
-    Construct with an engine for closed-loop runs (:meth:`run`), or with
-    just a ``catalog`` (any object with an ``extent()``) to generate
-    streams and drive a router open-loop (:meth:`run_open_loop`).
-    """
-
-    def __init__(
-        self,
-        engine: QueryEngine | None = None,
-        config: TrafficConfig | None = None,
-        *,
-        catalog=None,
-    ) -> None:
-        if engine is None and catalog is None:
-            raise ValueError("an engine or a catalog is required")
+    def __init__(self, engine: QueryEngine, config: TrafficConfig | None = None) -> None:
         self.engine = engine
-        self.catalog = catalog if catalog is not None else engine.catalog
         self.config = config if config is not None else TrafficConfig()
 
     # -- request generation ------------------------------------------------
@@ -253,7 +157,7 @@ class TrafficSimulator:
         Deterministic in the traffic seed: region 0 is the most popular.
         """
         cfg = self.config
-        x_min, y_min, x_max, y_max = self.catalog.extent()
+        x_min, y_min, x_max, y_max = self.engine.catalog.extent()
         width = (x_max - x_min) * cfg.region_fraction
         height = (y_max - y_min) * cfg.region_fraction
         rng = np.random.default_rng(cfg.seed)
@@ -264,17 +168,8 @@ class TrafficSimulator:
             boxes.append((x0, y0, x0 + width, y0 + height))
         return boxes
 
-    def _stream_chunks(
-        self, n_requests: int, chunk_size: int
-    ) -> Iterator[list[tuple[int, TileRequest]]]:
-        """The ``(region rank, request)`` stream in chunks (Zipf x mix).
-
-        Chunked generation is what lets the open-loop driver offer millions
-        of requests without materialising millions of request objects at
-        once.  The chunking changes the RNG draw grouping, so two runs are
-        comparable only at equal ``chunk_size``; :meth:`_stream` uses one
-        chunk, preserving the historical draw order.
-        """
+    def _stream(self) -> list[tuple[int, TileRequest]]:
+        """The full ``(region rank, request)`` stream (Zipf x variable/zoom mix)."""
         cfg = self.config
         boxes = self.regions()
         ranks = np.arange(1, cfg.n_regions + 1, dtype=float)
@@ -285,24 +180,14 @@ class TrafficSimulator:
             weights = np.asarray(cfg.variable_weights, dtype=float)
             weights = weights / weights.sum()
         rng = np.random.default_rng(cfg.seed + 1)
-        remaining = n_requests
-        while remaining > 0:
-            size = min(chunk_size, remaining)
-            region_ids = rng.choice(cfg.n_regions, size=size, p=popularity)
-            variables = rng.choice(
-                np.asarray(cfg.variables, dtype=object), size=size, p=weights
-            )
-            zooms = rng.choice(np.asarray(cfg.zoom_levels), size=size)
-            yield [
-                (int(rid), TileRequest(bbox=boxes[int(rid)], variable=str(var), zoom=int(zoom)))
-                for rid, var, zoom in zip(region_ids, variables, zooms)
-            ]
-            remaining -= size
-
-    def _stream(self) -> list[tuple[int, TileRequest]]:
-        """The full ``(region rank, request)`` stream (Zipf x variable/zoom mix)."""
-        n = self.config.n_requests
-        return next(self._stream_chunks(n, n))
+        n = cfg.n_requests
+        region_ids = rng.choice(cfg.n_regions, size=n, p=popularity)
+        variables = rng.choice(np.asarray(cfg.variables, dtype=object), size=n, p=weights)
+        zooms = rng.choice(np.asarray(cfg.zoom_levels), size=n)
+        return [
+            (int(rid), TileRequest(bbox=boxes[int(rid)], variable=str(var), zoom=int(zoom)))
+            for rid, var, zoom in zip(region_ids, variables, zooms)
+        ]
 
     def generate(self) -> list[TileRequest]:
         """The full request stream (Zipf regions x variable/zoom mix)."""
@@ -318,12 +203,6 @@ class TrafficSimulator:
         earlier batches, its service time the execution of its own batch,
         and its reported latency their sum.
         """
-        if self.engine is None:
-            raise ValueError(
-                "the closed loop needs an engine: build the simulator with "
-                "TrafficSimulator(engine); the open loop (run_open_loop) takes "
-                "a router instead"
-            )
         cfg = self.config
         stream = self._stream()
         before = replace(self.engine.stats)
@@ -365,119 +244,4 @@ class TrafficSimulator:
             responses=responses,
             queue_wait_s=np.asarray(queue_waits),
             service_s=np.asarray(services),
-        )
-
-    # -- open loop ---------------------------------------------------------
-
-    async def arun_open_loop(
-        self,
-        router: "RequestRouter",
-        arrival_rate_rps: float,
-        n_requests: int | None = None,
-        chunk_size: int = 65536,
-    ) -> OpenLoopResult:
-        """Offer a Poisson arrival process to a router; measure the outcome.
-
-        Open loop means arrivals never wait for completions: requests fire
-        at exponentially distributed gaps (rate ``arrival_rate_rps``)
-        regardless of how many are still in flight, which is the regime
-        where admission control and coalescing earn their keep.  The driver
-        paces through the router's clock — on a
-        :class:`~repro.clock.VirtualClock` the whole run is simulated
-        (millions of arrivals finish in seconds of real time, with
-        deterministic arrival gaps from the traffic seed).
-
-        Shed requests (:class:`~repro.serve.router.RouterOverloadedError`)
-        are counted by the router and excluded from the latency arrays;
-        any other per-request failure increments ``n_errors``.
-        """
-        from repro.serve.router import RouterOverloadedError
-
-        if arrival_rate_rps <= 0:
-            raise ValueError("arrival_rate_rps must be positive")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        n = n_requests if n_requests is not None else self.config.n_requests
-        clock = router.clock
-        rng = np.random.default_rng(self.config.seed + 2)
-        before = router.stats.snapshot()
-        started = clock.now()
-        loop = asyncio.get_running_loop()
-
-        latencies: list[float] = []
-        queue_waits: list[float] = []
-        services: list[float] = []
-        n_errors = 0
-        pending: set[asyncio.Task] = set()
-
-        def _settled(task: asyncio.Task) -> None:
-            nonlocal n_errors
-            pending.discard(task)
-            if task.cancelled():
-                return
-            exc = task.exception()
-            if exc is None:
-                routed = task.result()
-                latencies.append(routed.latency_s)
-                queue_waits.append(routed.queue_wait_s)
-                services.append(routed.service_s)
-            elif not isinstance(exc, RouterOverloadedError):
-                n_errors += 1  # shed requests are already counted by the router
-
-        for chunk in self._stream_chunks(n, chunk_size):
-            gaps = rng.exponential(1.0 / arrival_rate_rps, size=len(chunk))
-            for (_, request), gap in zip(chunk, gaps):
-                # advance(), not sleep(): a VirtualClock cannot move itself,
-                # so the arrival driver is what carries time forward (waking
-                # any due service sleepers along the way).
-                await clock.advance(float(gap))
-                task = loop.create_task(router.query(request))
-                task.add_done_callback(_settled)
-                pending.add(task)
-
-        # Drain: arrivals have stopped, let the in-flight tail complete.
-        advance_to_next = getattr(clock, "advance_to_next", None)
-        while pending:
-            for _ in range(8):
-                await asyncio.sleep(0)
-            if not pending:
-                break
-            if advance_to_next is not None and await advance_to_next():
-                continue
-            await asyncio.gather(*list(pending), return_exceptions=True)
-
-        after = router.stats
-        run_stats = type(after)(
-            requests=after.requests - before.requests,
-            shed=after.shed - before.shed,
-            coalesced=after.coalesced - before.coalesced,
-            executions=after.executions - before.executions,
-            errors=after.errors - before.errors,
-        )
-        return OpenLoopResult(
-            n_offered=n,
-            arrival_rate_rps=arrival_rate_rps,
-            seconds=clock.now() - started,
-            latencies_s=np.asarray(latencies),
-            queue_wait_s=np.asarray(queue_waits),
-            service_s=np.asarray(services),
-            stats=run_stats,
-            n_errors=n_errors,
-        )
-
-    def run_open_loop(
-        self,
-        router: "RequestRouter",
-        arrival_rate_rps: float,
-        n_requests: int | None = None,
-        chunk_size: int = 65536,
-    ) -> OpenLoopResult:
-        """Synchronous wrapper for :meth:`arun_open_loop` on a fresh loop."""
-        return run_sync(
-            self.arun_open_loop(
-                router,
-                arrival_rate_rps,
-                n_requests=n_requests,
-                chunk_size=chunk_size,
-            )
         )

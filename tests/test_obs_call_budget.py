@@ -9,8 +9,8 @@ request, built as in the benchmark's query pair, once under
 the difference.  A change that adds telemetry work to the request path
 fails here as a count, whatever the host does.
 
-The request path runs on the caller's thread (a router without an execute
-hook starts no event loop and hands nothing to an executor).
+The request path runs on the caller's thread (the router starts no event
+loop and hands nothing to an executor).
 ``threading.setprofile`` is set as well, so a thread that the path might
 start later is counted too.
 """
@@ -36,7 +36,7 @@ from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog
 
 SERVE = ServeConfig(tile_size=64, tile_cache_size=512)
-CONFIG = RouterConfig(n_shards=2, max_queue_depth=64)
+CONFIG = RouterConfig(n_shards=2)
 
 #: Python-level calls that telemetry adds to one warm routed request: the
 #: ``router.request`` span (constructor, trace and span ids, finish) and the

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig
+from repro.geodesy.grid import GridDefinition
+from repro.l3.product import Level3Grid
 from repro.obs.core import Obs
 from repro.obs.export import (
     DASHBOARD_SCHEMA_VERSION,
@@ -23,8 +26,9 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve.catalog import CatalogEntry
+from repro.serve.pyramid import build_pyramid
+from repro.serve.query import ProductLoader, TileRequest
 from repro.serve.router import RequestRouter
-from repro.serve.query import TileRequest, TileResponse
 from repro.serve.shard import ShardedCatalog
 
 SERVE = ServeConfig(tile_size=8, tile_cache_size=64)
@@ -48,26 +52,36 @@ def make_entry(i: int, bbox) -> CatalogEntry:
     )
 
 
-def make_router(obs=None, clock=None):
-    clock = clock if clock is not None else VirtualClock()
+class SyntheticLoader(ProductLoader):
+    """Decodes any entry to a uniform in-memory product of its shape: no disk."""
 
-    async def execute(shard, request: TileRequest) -> TileResponse:
-        return TileResponse(
-            request=request,
-            product="synthetic",
-            zoom=request.zoom,
-            tiles={},
-            n_cached=0,
-            n_computed=1,
-            seconds=0.0,
+    def decode(self, entry):
+        ny, nx = entry.shape
+        grid = GridDefinition(
+            x_min_m=entry.x_min_m,
+            y_min_m=entry.y_min_m,
+            cell_size_m=entry.cell_size_m,
+            nx=nx,
+            ny=ny,
         )
+        product = Level3Grid(
+            grid=grid,
+            variables={
+                "n_segments": np.ones(entry.shape, dtype=np.int64),
+                "freeboard_mean": np.full(entry.shape, 0.3),
+            },
+            metadata={"kind": "mosaic", "fingerprint": entry.fingerprint},
+        )
+        return build_pyramid(product, serve=self.serve)
 
+
+def make_router(obs=None, clock=None):
     return RequestRouter(
         ShardedCatalog(2, [make_entry(0, (0.0, 0.0, 4800.0, 3200.0))]),
         serve=SERVE,
         config=RouterConfig(n_shards=2),
-        clock=clock,
-        execute=execute,
+        loader_factory=lambda index: SyntheticLoader(SERVE),
+        clock=clock if clock is not None else VirtualClock(),
         obs=obs,
     )
 
@@ -234,13 +248,13 @@ class TestDashboardV2:
 
         obs = self.make_obs()
         obs.counter("router_requests_total").inc(100)
-        obs.counter("router_shed_total").inc(50)
+        obs.counter("router_errors_total").inc(50)
         ev = SloEvaluator(obs.registry, clock=obs.clock)
         ev.add(availability_slo())
         ev.evaluate()
         obs.clock.tick(30.0)
         obs.counter("router_requests_total").inc(100)
-        obs.counter("router_shed_total").inc(50)
+        obs.counter("router_errors_total").inc(50)
         ev.evaluate()
         doc = build_health_dashboard(registry=obs.registry, slo=ev, generated_at=0.0)
         validate_dashboard(doc)
@@ -250,12 +264,12 @@ class TestDashboardV2:
 
     def test_events_section_is_the_log_tail_sanitized(self):
         obs = self.make_obs()
-        obs.log.warning("router.shed", depth=3, extra=object())
+        obs.log.error("router.shard_quarantined", shard=3, extra=object())
         doc = build_health_dashboard(log=obs.log, generated_at=0.0)
         validate_dashboard(doc)
         (event,) = doc["events"]
-        assert event["event"] == "router.shed"
-        assert event["depth"] == 3
+        assert event["event"] == "router.shard_quarantined"
+        assert event["shard"] == 3
         assert isinstance(event["extra"], str)  # non-scalar clamped to repr
 
     def test_trace_section_reports_ring_drops(self):

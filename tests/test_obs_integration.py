@@ -1,7 +1,7 @@
 """Cross-tier telemetry integration: the E2E trace, stats survival, spans.
 
 The acceptance-critical scenario lives here: one request traced from
-router admission through the shard engine down to the tile loader, with
+the router through the shard engine down to the tile loader, with
 *exact* durations under the virtual clock, exportable as a Chrome trace.
 """
 
@@ -15,7 +15,7 @@ from repro.config import RouterConfig, ServeConfig
 from repro.distributed.mapreduce import MapReduceEngine
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
-from repro.l3.writer import write_level3
+from repro.l3.writer import Level3ProductError, write_level3
 from repro.obs.core import Obs
 from repro.obs.export import chrome_trace
 from repro.obs.metrics import MetricsRegistry
@@ -120,7 +120,6 @@ class TestEndToEndTrace:
         # The request span carries the routing outcome and the engine's
         # cache accounting.
         assert root.attributes["outcome"] == "served"
-        assert root.attributes["coalesced"] is False
         assert root.attributes["shard"] == response.shard
         assert root.attributes["n_computed"] == response.n_computed
         assert root.attributes["n_cached"] == response.n_cached == 0
@@ -412,56 +411,40 @@ class TestPipelineAndMapReduceSpans:
 
 
 class TestSloLifecycleAcceptance:
-    """The PR's acceptance scenario: a scripted outage fires the fast-window
-    alert at an exact virtual tick, the v2 dashboard carries the firing
-    alert + remaining budget + correlated shed events (trace ids matching
-    the router spans that shed), and recovery resolves it — no real sleeps.
+    """The acceptance scenario: a scripted storage outage fires the
+    fast-window availability alert at an exact virtual tick; the dashboard
+    carries the firing alert, the overspent budget and the quarantine event,
+    whose trace id matches the router span of the request that failed; and
+    rebuilding the shard once storage is back resolves the alert — no real
+    sleeps.
     """
 
     def make_stack(self, tmp_path):
-        import asyncio
-
-        from repro.config import RouterConfig, SloConfig
+        from repro.config import SloConfig
         from repro.obs.export import HealthMonitor
         from repro.obs.slo import SloEvaluator, availability_slo
-        from repro.serve.catalog import CatalogEntry
-        from repro.serve.query import TileResponse
 
+        write_product(tmp_path / "mosaic")
+        catalog = ProductCatalog()
+        catalog.scan(tmp_path)
         clock = VirtualClock()
         obs = Obs(clock=clock)
-        entry = CatalogEntry(
-            base_path="/products/p0",
-            kind="mosaic",
-            fingerprint="fp-0",
-            granule_ids=("g000",),
-            variables=("freeboard_mean",),
-            servable=("freeboard_mean",),
-            x_min_m=0.0,
-            y_min_m=0.0,
-            x_max_m=4800.0,
-            y_max_m=3200.0,
-            cell_size_m=100.0,
-            shape=(32, 48),
-        )
+        storage = {"down": False}
 
-        async def execute(shard, request):
-            await clock.sleep(0.25)
-            return TileResponse(
-                request=request,
-                product="synthetic",
-                zoom=request.zoom,
-                tiles={},
-                n_cached=0,
-                n_computed=1,
-                seconds=0.25,
-            )
+        class OutageLoader(ProductLoader):
+            """Decodes from disk, except while the scripted outage lasts."""
+
+            def decode(self, entry):
+                if storage["down"]:
+                    raise Level3ProductError(f"storage outage: cannot read {entry.key}")
+                return super().decode(entry)
 
         router = RequestRouter(
-            ShardedCatalog(1, [entry]),
+            ShardedCatalog.from_catalog(catalog, 1),
             serve=SERVE,
-            config=RouterConfig(n_shards=1, max_queue_depth=2),
+            config=RouterConfig(n_shards=1, quarantine_errors=3),
+            loader_factory=lambda index: OutageLoader(SERVE),
             clock=clock,
-            execute=execute,
             obs=obs,
         )
         slo = SloEvaluator(
@@ -472,46 +455,44 @@ class TestSloLifecycleAcceptance:
         )
         slo.add(availability_slo(objective=0.999))
         monitor = HealthMonitor(tmp_path / "health.json", obs, slo=slo, router=router)
-        return asyncio, clock, obs, router, slo, monitor
+        return storage, clock, obs, router, slo, monitor
 
     def request(self, i):
-        # One whole 800 m tile (tile_size 8 × cell 100 m) per index, so
-        # every request owns a distinct flight key — nothing coalesces.
-        col, row = i % 6, i // 6
+        # One whole 800 m tile (tile_size 8 x cell 100 m) of the 5 x 3-tile
+        # mosaic per index, so every request misses the tile cache.
+        col, row = i % 5, i // 5
         return TileRequest(
             bbox=(col * 800.0, row * 800.0, col * 800.0 + 800.0, row * 800.0 + 800.0),
             variable="freeboard_mean",
             zoom=0,
         )
 
+    def serve_each(self, router, indices) -> int:
+        """Serve the requests one at a time; return how many failed."""
+        failed = 0
+        for i in indices:
+            try:
+                router.query(self.request(i))
+            except (LookupError, Level3ProductError):
+                failed += 1
+        return failed
+
     def test_outage_fires_dashboard_correlates_recovery_resolves(self, tmp_path):
         import json
 
-        asyncio, clock, obs, router, slo, monitor = self.make_stack(tmp_path)
+        storage, clock, obs, router, slo, monitor = self.make_stack(tmp_path)
         monitor.tick()  # baseline sample at t=0, published
         fast = slo.alert("serve_availability", "fast")
         assert fast.state == "ok"
 
-        # -- the outage: 2x-saturation open-loop burst ----------------------
-        # 10 distinct requests hit a single shard with watermark 2: the
-        # admitted flights run, the rest shed immediately.
-        async def flood():
-            tasks = [
-                asyncio.ensure_future(router.query(self.request(i)))
-                for i in range(10)
-            ]
-            while not all(t.done() for t in tasks):
-                # Drain generously so every submission reaches admission
-                # control before any virtual time passes (a true burst).
-                for _ in range(30):
-                    await asyncio.sleep(0)
-                if not all(t.done() for t in tasks):
-                    await clock.advance_to_next()
-            return await asyncio.gather(*tasks, return_exceptions=True)
-
-        results = asyncio.run(flood())
-        n_shed = sum(1 for r in results if isinstance(r, Exception))
-        assert n_shed == 8 and router.stats.shed == 8
+        # -- the outage: 2 requests served, then storage fails ---------------
+        # Three decode failures quarantine the only shard; the five requests
+        # after that find no healthy product.  8 of 10 requests fail.
+        assert self.serve_each(router, range(2)) == 0
+        storage["down"] = True
+        assert self.serve_each(router, range(2, 10)) == 8
+        assert router.quarantined_shards == (0,)
+        assert (router.stats.requests, router.stats.errors) == (10, 8)
 
         clock.tick(30.0)
         fired_tick = clock.now()
@@ -522,7 +503,7 @@ class TestSloLifecycleAcceptance:
         assert fast.fired_at == fired_tick
         assert fast.burn_rate == pytest.approx((8 / 10) / 0.001)
 
-        # The published v2 document carries the whole story.
+        # The published document carries the whole story.
         on_disk = json.loads((tmp_path / "health.json").read_text())
         assert on_disk == json.loads(json.dumps(doc))
         alert_row = next(
@@ -533,36 +514,28 @@ class TestSloLifecycleAcceptance:
         assert alert_row["state"] == "firing"
         budget_row = doc["slo"]["error_budgets"][0]
         assert budget_row["remaining_fraction"] < 0  # overspent: 8 bad vs 0.01
-        assert doc["serve"]["health"]["shed"] == 8
+        health = doc["serve"]["health"]
+        assert (health["errors"], health["quarantined"], health["healthy_shards"]) == (8, [0], 0)
 
-        # Correlation: the dashboard's shed event carries the same trace id
-        # as a router.request span that shed.
-        shed_events = [e for e in doc["events"] if e["event"] == "router.shed"]
-        assert shed_events
-        shed_traces = {
+        # Correlation: the quarantine event carries the trace id of the
+        # router.request span whose decode failure tripped it.
+        (quarantined,) = [e for e in doc["events"] if e["event"] == "router.shard_quarantined"]
+        failed_traces = [
             s.trace_id
             for s in obs.tracer.spans("router.request")
-            if s.attributes.get("outcome") == "shed"
-        }
-        assert all(e["trace_id"] in shed_traces for e in shed_events)
+            if s.attributes.get("error") == "Level3ProductError"
+        ]
+        assert len(failed_traces) == 3
+        assert quarantined["trace_id"] == failed_traces[-1]
         assert any(e["event"] == "slo.alert_firing" for e in doc["events"])
 
-        # -- recovery: healthy sequential traffic after the burst ages out --
+        # -- recovery: storage is back, the shard is rebuilt ------------------
         clock.tick(120.0)
-
-        async def healthy():
-            for round_ in range(5):
-                for i in range(8):
-                    task = asyncio.ensure_future(router.query(self.request(i)))
-                    while not task.done():
-                        for _ in range(10):
-                            await asyncio.sleep(0)
-                        if not task.done():
-                            await clock.advance_to_next()
-                    await task  # sequential: never deeper than the watermark
-
-        asyncio.run(healthy())
-        assert router.stats.shed == 8  # no new sheds during recovery
+        storage["down"] = False
+        router.rebuild_shard(0)
+        for _ in range(5):
+            assert self.serve_each(router, range(8)) == 0
+        assert router.stats.errors == 8  # no new errors during recovery
         resolved_tick = clock.now()
         doc = monitor.tick(now=resolved_tick)
 
@@ -574,4 +547,6 @@ class TestSloLifecycleAcceptance:
             if a["slo"] == "serve_availability" and a["window"] == "fast"
         )
         assert alert_row["state"] == "resolved"
+        assert doc["serve"]["health"]["quarantined"] == []
+        assert any(e["event"] == "router.shard_rebuilt" for e in doc["events"])
         assert any(e["event"] == "slo.alert_resolved" for e in doc["events"])

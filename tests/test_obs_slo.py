@@ -42,19 +42,19 @@ def make_availability(registry=None, clock=None, config=CONFIG, log=None):
     return registry, clock, ev
 
 
-def serve_traffic(registry, total: int, shed: int = 0) -> None:
+def serve_traffic(registry, total: int, failed: int = 0) -> None:
     registry.counter("router_requests_total").inc(total)
-    if shed:
-        registry.counter("router_shed_total").inc(shed)
+    if failed:
+        registry.counter("router_errors_total").inc(failed)
 
 
 class TestQueries:
     def test_counter_ratio_sums_label_sets(self):
         reg = MetricsRegistry()
-        reg.counter("router_shed_total", router="a").inc(2)
-        reg.counter("router_shed_total", router="b").inc(3)
+        reg.counter("router_errors_total", router="a").inc(2)
+        reg.counter("router_errors_total", router="b").inc(3)
         reg.counter("router_requests_total", router="a").inc(10)
-        q = CounterRatioQuery(bad="router_shed_total", total="router_requests_total")
+        q = CounterRatioQuery(bad="router_errors_total", total="router_requests_total")
         assert q.sample(reg, 0.0) == (5.0, 10.0)
 
     def test_histogram_above_splits_exactly_on_an_edge(self):
@@ -111,8 +111,8 @@ class TestBurnRateMath:
         serve_traffic(reg, total=1000)
         ev.evaluate()
         clock.tick(30.0)
-        # 1% shed against a 0.1% budget: burn = 0.01 / 0.001 = 10.
-        serve_traffic(reg, total=1000, shed=10)
+        # 1% failed against a 0.1% budget: burn = 0.01 / 0.001 = 10.
+        serve_traffic(reg, total=1000, failed=10)
         ev.evaluate()
         assert ev.alert("serve_availability", "fast").burn_rate == pytest.approx(10.0)
 
@@ -120,9 +120,9 @@ class TestBurnRateMath:
         reg, clock, ev = make_availability()
         serve_traffic(reg, total=1000)
         ev.evaluate()
-        # A hard outage: 50% of requests shed, burn = 0.5/0.001 = 500.
+        # A hard outage: 50% of requests fail, burn = 0.5/0.001 = 500.
         clock.tick(30.0)
-        serve_traffic(reg, total=100, shed=50)
+        serve_traffic(reg, total=100, failed=50)
         ev.evaluate()
         fast = ev.alert("serve_availability", "fast")
         slow = ev.alert("serve_availability", "slow")
@@ -133,14 +133,14 @@ class TestBurnRateMath:
         assert slow.firing
 
     def test_sustained_low_grade_burn_caught_only_by_slow_window(self):
-        # Shed 1% steadily: burn 10 clears the slow threshold (6) but never
+        # Fail 1% steadily: burn 10 clears the slow threshold (6) but never
         # the fast one (14.4) — the pattern the slow window exists for.
         reg, clock, ev = make_availability()
         serve_traffic(reg, total=1000)
         ev.evaluate()
         for _ in range(20):
             clock.tick(30.0)
-            serve_traffic(reg, total=1000, shed=10)
+            serve_traffic(reg, total=1000, failed=10)
             ev.evaluate()
         assert not ev.alert("serve_availability", "fast").firing
         assert ev.alert("serve_availability", "slow").firing
@@ -165,7 +165,7 @@ class TestBurnRateMath:
         serve_traffic(reg, total=1000)
         ev.evaluate()
         clock.tick(10.0)
-        serve_traffic(reg, total=100, shed=50)
+        serve_traffic(reg, total=100, failed=50)
         ev.evaluate()
         fast = ev.alert("serve_availability", "fast")
         assert fast.state == "pending" and fast.pending_since == pytest.approx(10.0)
@@ -183,7 +183,7 @@ class TestAlertLifecycle:
         ev.evaluate()
 
         clock.tick(30.0)
-        serve_traffic(reg, total=100, shed=50)
+        serve_traffic(reg, total=100, failed=50)
         ev.evaluate()
         fast = ev.alert("serve_availability", "fast")
         assert fast.state == "firing" and fast.fired_at == pytest.approx(30.0)
@@ -191,7 +191,7 @@ class TestAlertLifecycle:
         # Burn drops below threshold but above threshold/2: still firing
         # (hysteresis — resolve_fraction defaults to 0.5).
         clock.tick(60.0)
-        serve_traffic(reg, total=10000, shed=100)  # window burn = 0.01/0.001 = 10
+        serve_traffic(reg, total=10000, failed=100)  # window burn = 0.01/0.001 = 10
         ev.evaluate()
         assert fast.state == "firing"
         assert fast.burn_rate == pytest.approx(10.0)
@@ -206,7 +206,7 @@ class TestAlertLifecycle:
         # A fresh outage — after the recovery sample ages out of the fast
         # window — re-arms the same alert.
         clock.tick(100.0)
-        serve_traffic(reg, total=100, shed=60)
+        serve_traffic(reg, total=100, failed=60)
         ev.evaluate()
         assert fast.state == "firing"
 
@@ -217,7 +217,7 @@ class TestAlertLifecycle:
         serve_traffic(reg, total=1000)
         ev.evaluate()
         clock.tick(30.0)
-        serve_traffic(reg, total=100, shed=50)
+        serve_traffic(reg, total=100, failed=50)
         ev.evaluate()
         fired = log.events(event="slo.alert_firing", level="warning")
         assert fired and fired[0].fields["slo"] == "serve_availability"
@@ -232,7 +232,7 @@ class TestErrorBudget:
         reg, clock, ev = make_availability()
         ev.evaluate()  # baseline: nothing served yet
         clock.tick(30.0)
-        serve_traffic(reg, total=10000, shed=5)
+        serve_traffic(reg, total=10000, failed=5)
         ev.evaluate()
         budget = ev.error_budget("serve_availability")
         # 10000 total events accrued since the baseline sample, objective
@@ -246,7 +246,7 @@ class TestErrorBudget:
     def test_overspent_budget_goes_negative(self):
         reg, clock, ev = make_availability()
         ev.evaluate()
-        serve_traffic(reg, total=1000, shed=20)  # budget is 1, spent 20
+        serve_traffic(reg, total=1000, failed=20)  # budget is 1, spent 20
         clock.tick(30.0)
         ev.evaluate()
         budget = ev.error_budget("serve_availability")
@@ -255,7 +255,7 @@ class TestErrorBudget:
 
     def test_baseline_excludes_traffic_before_first_evaluation(self):
         reg, clock, ev = make_availability()
-        serve_traffic(reg, total=5000, shed=100)  # pre-history
+        serve_traffic(reg, total=5000, failed=100)  # pre-history
         ev.evaluate()
         clock.tick(30.0)
         serve_traffic(reg, total=1000)

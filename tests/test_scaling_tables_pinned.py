@@ -1,11 +1,11 @@
 """Pinned output of every cost-model scaling table.
 
-Tables II and V, the campaign scaling report and both serving scaling tables
+Tables II and V, the campaign scaling report and the serving scaling table
 push a baseline through :class:`~repro.distributed.cluster.ClusterCostModel`.
 This file pins what each one prints for fixed inputs, so a change to how the
 tables are computed shows up here as a text difference.  The inputs are
 built directly (no timed runs): the paper's Table II/V baselines, fixed
-campaign stage times, and serving results made from fixed arrays and stats.
+campaign stage times, and a serving result made from fixed arrays and stats.
 Small inputs, below the model's ``min_time_s``, pin the clamping edge.
 """
 
@@ -20,12 +20,10 @@ from repro.evaluation import (
     format_table,
     regenerate_table2,
     regenerate_table5,
-    router_scaling_table,
     serve_scaling_table,
 )
 from repro.serve.query import QueryStats
-from repro.serve.router import RouterStats
-from repro.serve.traffic import OpenLoopResult, TrafficResult
+from repro.serve.traffic import TrafficResult
 
 LATENCIES_S = np.array([0.004, 0.006, 0.011, 0.012, 0.018, 0.025, 0.031, 0.052])
 
@@ -59,18 +57,6 @@ def traffic_result(scale: float = 1.0) -> TrafficResult:
         seconds=0.2 * scale,
         latencies_s=LATENCIES_S * scale,
         stats=QueryStats(requests=8, batches=2, tile_hits=5, tile_misses=3, loads=2),
-    )
-
-
-def open_loop_result(scale: float = 1.0) -> OpenLoopResult:
-    return OpenLoopResult(
-        n_offered=10,
-        arrival_rate_rps=50.0,
-        seconds=0.4,
-        latencies_s=LATENCIES_S * scale,
-        queue_wait_s=LATENCIES_S * scale / 2,
-        service_s=LATENCIES_S * scale / 2,
-        stats=RouterStats(requests=10, shed=2, coalesced=3, executions=5),
     )
 
 
@@ -144,14 +130,6 @@ Executors | Serve Time (s) | Throughput (req/s) | Mean Latency (ms) | P95 Latenc
         2 |           0.10 |              77.60 |             10.24 |            23.00 |    1.99
         4 |           0.05 |             153.30 |              5.18 |            11.65 |    3.93"""
 
-ROUTER = """\
-router
-Shards | Serve Time (s) | Saturation Throughput (req/s) | P50 Latency (ms) | P99 Latency (ms) | Shed Rate | Coalescing Ratio | Speedup
--------+----------------+-------------------------------+------------------+------------------+-----------+------------------+--------
-     1 |           0.09 |                         94.70 |            15.94 |            53.71 |      0.20 |             0.38 |    1.00
-     2 |           0.04 |                        181.90 |             8.30 |            27.95 |      0.20 |             0.38 |    1.92
-     4 |           0.02 |                        336.80 |             4.48 |            15.10 |      0.20 |             0.38 |    3.56"""
-
 
 def test_table2_text_is_pinned():
     assert format_table(regenerate_table2()) == TABLE2
@@ -173,10 +151,6 @@ def test_serve_table_text_is_pinned():
     assert format_table(serve_scaling_table(traffic_result()), "serve") == SERVE
 
 
-def test_router_table_text_is_pinned():
-    assert format_table(router_scaling_table(open_loop_result()), "router") == ROUTER
-
-
 def test_serve_table_rows_are_pinned():
     """Rows at full precision: the text rounds serve times to 2 decimals."""
     model = ClusterCostModel(map_overhead_s=0.0)
@@ -191,20 +165,4 @@ def test_serve_table_rows_are_pinned():
         (1, 0.006, 1333.3, 0.12, 0.27, 1.0),
         (2, 0.006, 1333.3, 0.12, 0.27, 1.0),
         (4, 0.006, 1333.3, 0.12, 0.27, 1.0),
-    ]
-
-
-def test_router_table_rows_are_pinned():
-    """Rows at full precision, on a shard grid that does not start at 1."""
-    rows = router_scaling_table(open_loop_result(), shard_counts=(2, 4, 16))
-    assert [tuple(row.values()) for row in rows] == [
-        (2, 0.044, 181.9, 8.3, 27.95, 0.2, 0.375, 1.0),
-        (4, 0.024, 336.8, 4.48, 15.1, 0.2, 0.375, 1.85),
-        (16, 0.009, 906.8, 1.66, 5.61, 0.2, 0.375, 4.98),
-    ]
-    tiny = router_scaling_table(open_loop_result(scale=1e-4))
-    assert [tuple(row.values()) for row in tiny] == [
-        (1, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
-        (2, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
-        (4, 0.006, 1333.3, 0.01, 0.03, 0.2, 0.375, 1.0),
     ]

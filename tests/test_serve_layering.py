@@ -1,12 +1,14 @@
 """Layering guard: the serve and ingest tiers import nothing from
-``repro.distributed``.
+``repro.distributed``, and start no event loop.
 
 The paper fans work out at two levels only, the segment jobs and the
 granules of a fleet, and both live in ``repro.distributed``.  The serve tier
 decodes on the calling thread, so a ``repro.distributed`` import under
 ``repro.serve`` or ``repro.ingest`` means a third fan-out level has crept
-back in.  The scan reads every module's AST, so imports inside functions
-and ``TYPE_CHECKING`` blocks count too.
+back in.  The router serves every request on the calling thread too, so an
+``asyncio`` import there means a second, event-loop path has come back.
+The scan reads every module's AST, so imports inside functions and
+``TYPE_CHECKING`` blocks count too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORBIDDEN = "repro.distributed"
 GUARDED = ("repro/serve", "repro/ingest")
+#: Imports that would give the serve path an event loop.
+EVENT_LOOP = ("asyncio", "repro.clock.run_sync")
 
 
 def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
@@ -37,12 +41,12 @@ def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-def forbidden_imports(path: Path) -> list[str]:
+def forbidden_imports(path: Path, forbidden: tuple[str, ...] = (FORBIDDEN,)) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
         f"{path.relative_to(SRC)}:{line} imports {name}"
         for line, name in imported_modules(tree)
-        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+        if any(name == f or name.startswith(f + ".") for f in forbidden)
     ]
 
 
@@ -78,4 +82,9 @@ def test_scan_ignores_lookalike_names():
 
 def test_serve_and_ingest_import_nothing_from_distributed():
     offenders = [hit for path in guarded_modules() for hit in forbidden_imports(path)]
+    assert offenders == []
+
+
+def test_serve_and_ingest_start_no_event_loop():
+    offenders = [hit for path in guarded_modules() for hit in forbidden_imports(path, EVENT_LOOP)]
     assert offenders == []

@@ -1,13 +1,13 @@
-"""Pinned telemetry of one scripted session on a router without an execute hook.
+"""Pinned telemetry of one scripted session on a router.
 
 The session is a cold two-request batch, its warm repeat, eight identical
 requests in one batch, and a batch whose first request no product serves.
 Every ``router_*`` and ``serve_*`` series the registry holds afterwards is
 pinned (counters and gauges by value, histograms by observation count),
 and so is every ``router.request`` span: its attributes (``shard``,
-``coalesced``, ``outcome``, ``n_cached``, ``n_computed``, ...) and its
-``loader.fetch`` children.  Any change to how a routed request is resolved,
-admitted, executed or accounted for shows up here as a changed number.
+``outcome``, ``n_cached``, ``n_computed``, ...) and its ``loader.fetch``
+children.  Any change to how a routed request is resolved, executed or
+accounted for shows up here as a changed number.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.serve.router import RequestRouter
 from repro.serve.shard import ShardedCatalog
 
 SERVE = ServeConfig(tile_size=16, tile_cache_size=64)
-CONFIG = RouterConfig(n_shards=2, max_queue_depth=4)
+CONFIG = RouterConfig(n_shards=2)
 
 #: Two 64 x 64-cell mosaics (100 m cells, 4 x 4 tiles each) on different shards.
 WEST = TileRequest(bbox=(100.0, 100.0, 3_000.0, 1_500.0), variable="freeboard_mean")
@@ -92,14 +92,10 @@ def series(obs: Obs) -> dict[str, float]:
 
 #: Shards: ``fp-west`` lives on shard 1 and ``fp-east`` on shard 0.
 EXPECTED_SERIES = {
-    "router_coalesced_total{}": 0,
-    "router_depth{}": 0,
     "router_errors_total{}": 1,
     "router_executions_total{}": 13,
-    "router_queue_wait_seconds{}": 13,
     "router_request_latency_seconds{}": 13,
     "router_requests_total{}": 14,
-    "router_shed_total{}": 0,
     "serve_batch_seconds{shard=0}": 3,
     "serve_batch_seconds{shard=1}": 10,
     "serve_batches_total{shard=0}": 3,
@@ -130,11 +126,11 @@ def test_responses_are_pinned(session):
     _, _, cold, warm, burst = session
 
     def rows(responses):
-        return [(r.shard, r.n_cached, r.n_computed, r.coalesced) for r in responses]
+        return [(r.shard, r.n_cached, r.n_computed) for r in responses]
 
-    assert rows(cold) == [(1, 0, 2, False), (0, 0, 4, False)]
-    assert rows(warm) == [(1, 2, 0, False), (0, 4, 0, False)]
-    assert rows(burst) == [(1, 2, 0, False)] * 8
+    assert rows(cold) == [(1, 0, 2), (0, 0, 4)]
+    assert rows(warm) == [(1, 2, 0), (0, 4, 0)]
+    assert rows(burst) == [(1, 2, 0)] * 8
 
 
 def request_spans(obs: Obs) -> list[dict]:
@@ -153,7 +149,6 @@ def served(variable_zoom: tuple[str, int], shard: int, n_cached: int, n_computed
         "variable": variable,
         "zoom": zoom,
         "shard": shard,
-        "coalesced": False,
         "outcome": "served",
         "n_cached": n_cached,
         "n_computed": n_computed,

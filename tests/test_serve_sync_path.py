@@ -1,11 +1,11 @@
-"""A router without an execute hook serves on the calling thread.
+"""The router serves on the calling thread.
 
-``RequestRouter.serve`` on such a router runs each request to completion,
-in order, with no event loop: nothing is in flight when the next request
-arrives, so a loop would add cost and no behaviour.  ``query`` awaited on
-a loop serves the same way, at once.  Each request is
-resolved once and planned once, and the plan goes straight to the shard
-engine.  The archive is the two-mosaic one of the pinned session test.
+``RequestRouter.serve`` runs each request to completion, in order, with no
+event loop: nothing is in flight when the next request arrives, so a loop
+would add cost and no behaviour.  ``query`` serves one request the same
+way.  Each request is resolved once and planned once, and the plan goes
+straight to the shard engine.  The archive is the two-mosaic one of the
+pinned session test.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def test_a_hook_less_batch_creates_no_event_loop(archive, monkeypatch):
             close = getattr(arg, "close", None)
             if close is not None:
                 close()  # the coroutine will never run
-        raise AssertionError("a hook-less router started an event loop")
+        raise AssertionError("the router started an event loop")
 
-    monkeypatch.setattr(router_module, "run_sync", no_loop)
-    monkeypatch.setattr(router_module.asyncio, "run", no_loop)
+    for name in ("run", "new_event_loop", "get_event_loop"):
+        monkeypatch.setattr(asyncio, name, no_loop)
     router = make_router(archive)
     cold = router.serve(BATCH)
     warm = router.serve(BATCH)
@@ -75,13 +75,10 @@ def test_each_request_is_resolved_and_planned_once(archive, monkeypatch):
     assert calls == {"plan_request": len(BATCH) + 1, "select_entry": len(BATCH) + 1}
 
 
-def test_async_query_without_a_hook_serves_each_request_at_once(archive):
+def test_query_serves_each_request_at_once(archive):
     router = make_router(archive)
-
-    async def burst():
-        return await asyncio.gather(*(router.query(WEST) for _ in range(4)))
-
-    responses = asyncio.run(burst())
-    assert [(r.shard, r.coalesced) for r in responses] == [(1, False)] * 4
+    responses = [router.query(WEST) for _ in range(4)]
+    assert [r.shard for r in responses] == [1] * 4
+    assert [r.from_cache for r in responses] == [False, True, True, True]
     stats = router.stats
     assert (stats.requests, stats.executions, stats.coalesced) == (4, 4, 0)

@@ -1,5 +1,7 @@
 """The traffic simulator: Zipf mix, determinism, the scaling report."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -118,32 +120,29 @@ class TestLatencySplit:
 
 
 class TestConstruction:
-    def test_requires_an_engine_or_a_catalog(self):
-        with pytest.raises(ValueError, match="engine or a catalog"):
+    def test_requires_an_engine(self):
+        with pytest.raises(TypeError):
             TrafficSimulator()
 
-    def test_closed_loop_without_an_engine_rejected(self, engine):
-        simulator = TrafficSimulator(
-            catalog=engine.catalog, config=TrafficConfig(n_requests=4)
+    def test_stream_keeps_the_closed_loop_draw_order(self):
+        """Regions, then variables, then zooms: one draw of the whole stream each."""
+        extent = SimpleNamespace(extent=lambda: (0.0, 0.0, 10_000.0, 8_000.0))
+        config = TrafficConfig(
+            n_requests=6,
+            n_regions=4,
+            variables=("freeboard_mean", "thickness_mean"),
+            zoom_levels=(0, 1, 2),
+            seed=7,
         )
-        with pytest.raises(ValueError, match="closed loop needs an engine") as info:
-            simulator.run()
-        assert "open loop" in str(info.value) and "router" in str(info.value)
-
-    def test_catalog_only_simulator_generates_streams(self, engine):
-        simulator = TrafficSimulator(
-            catalog=engine.catalog, config=TrafficConfig(n_requests=10, seed=3)
-        )
-        assert simulator.engine is None
-        assert len(simulator.generate()) == 10
-
-    def test_chunked_stream_covers_the_same_requests(self, engine):
-        simulator = TrafficSimulator(
-            engine, TrafficConfig(n_requests=64, n_regions=4, seed=14)
-        )
-        chunks = list(simulator._stream_chunks(64, 16))
-        assert [len(chunk) for chunk in chunks] == [16, 16, 16, 16]
-        assert sum(len(c) for c in simulator._stream_chunks(10, 4)) == 10
+        stream = TrafficSimulator(SimpleNamespace(catalog=extent), config)._stream()
+        assert [(rank, request.variable, request.zoom) for rank, request in stream] == [
+            (0, "thickness_mean", 1),
+            (3, "freeboard_mean", 1),
+            (0, "freeboard_mean", 2),
+            (2, "freeboard_mean", 0),
+            (2, "freeboard_mean", 2),
+            (0, "freeboard_mean", 0),
+        ]
 
 
 class TestConfigValidation:
