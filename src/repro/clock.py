@@ -3,8 +3,7 @@
 Everything that reads "now" — span start/end in :mod:`repro.obs.trace`,
 SLO ticks, log timestamps, the router's latency measurement and the health
 monitor's pacing — goes through a tiny clock interface (``now()`` /
-``sleep()`` / ``advance()``) instead of ``time`` and ``asyncio.sleep``
-directly:
+``sleep()``) instead of ``time`` and ``asyncio.sleep`` directly:
 
 * :class:`MonotonicClock` — the default everywhere: ``time.perf_counter``
   plus ``asyncio.sleep``.
@@ -39,10 +38,6 @@ class MonotonicClock:
         return time.perf_counter()
 
     async def sleep(self, seconds: float) -> None:
-        await asyncio.sleep(max(seconds, 0.0))
-
-    async def advance(self, seconds: float) -> None:
-        """Pacing hook: on the real clock, advancing *is* sleeping."""
         await asyncio.sleep(max(seconds, 0.0))
 
 

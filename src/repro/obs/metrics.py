@@ -356,6 +356,23 @@ class MetricsRegistry:
         chosen = self.default_buckets if edges is None else edges
         return self._get_or_create(Histogram, name, labels, edges=chosen)
 
+    def drop(self, **labels: Any) -> int:
+        """Forget every series whose labels include all the given pairs.
+
+        An owner releasing its series on close calls this with its own
+        label (``drop(router="r3")``); a later request for a dropped series
+        starts a fresh one.  Returns how many series went; at least one
+        label is required, so a bare ``drop()`` cannot empty the registry.
+        """
+        if not labels:
+            raise ValueError("drop() needs at least one label to match")
+        wanted = set(_label_key(labels))
+        with self._lock:
+            doomed = [key for key in self._metrics if wanted.issubset(key[1])]
+            for key in doomed:
+                del self._metrics[key]
+        return len(doomed)
+
     # -- introspection / export ---------------------------------------------
 
     def __len__(self) -> int:
@@ -471,6 +488,9 @@ class NullRegistry:
         self, name: str, edges: Sequence[float] | None = None, **labels: Any
     ) -> NullHistogram:
         return self._HISTOGRAM
+
+    def drop(self, **labels: Any) -> int:
+        return 0
 
     def __len__(self) -> int:
         return 0

@@ -18,9 +18,10 @@ hide a whole directory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class CatalogEntry:
     storage: str = "npz"
     metadata: Mapping[str, Any] = field(default_factory=dict, hash=False, compare=False)
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         """Catalog key: the content fingerprint, or the path when unset."""
         return self.fingerprint or f"path:{self.base_path}"
@@ -149,6 +150,9 @@ class ProductCatalog:
         self._by_variable: dict[str, set[str]] = {}
         self._by_kind: dict[str, set[str]] = {}
         self._by_granule: dict[str, set[str]] = {}
+        #: Each variable's entries in registration order, built on first
+        #: query and dropped by every ``add``/``remove``.
+        self._ordered_by_variable: dict[str, tuple[CatalogEntry, ...]] = {}
         for entry in entries:
             self.add(entry)
 
@@ -158,6 +162,7 @@ class ProductCatalog:
         """Index one entry (replacing any previous entry with the same key)."""
         if entry.key in self._entries:
             self._discard_from_indexes(self._entries[entry.key])
+        self._ordered_by_variable.clear()
         self._entries[entry.key] = entry
         for variable in entry.variables:
             self._by_variable.setdefault(variable, set()).add(entry.key)
@@ -256,6 +261,7 @@ class ProductCatalog:
         return entry
 
     def _discard_from_indexes(self, entry: CatalogEntry) -> None:
+        self._ordered_by_variable.clear()
         for variable in entry.variables:
             self._by_variable.get(variable, set()).discard(entry.key)
         self._by_kind.get(entry.kind, set()).discard(entry.key)
@@ -307,25 +313,47 @@ class ProductCatalog:
         """Products matching every given filter, in registration order.
 
         All filters are optional and conjunctive; ``bbox`` keeps products
-        whose footprint intersects the query box.  Answered entirely from
-        the sidecar-derived index — no product file is opened.
+        whose footprint intersects the query box (half-open: a footprint
+        that only touches the box on an edge does not match).  Answered
+        entirely from the sidecar-derived index — no product file is
+        opened.  A variable-only query (the router's) reads that
+        variable's entries in registration order from the index, with no
+        scan of the other products, and converts the bbox to floats once.
         """
-        keys: set[str] | None = None
-        for index, wanted in (
-            (self._by_variable, variable),
-            (self._by_kind, kind),
-            (self._by_granule, granule_id),
-        ):
-            if wanted is None:
-                continue
-            matched = index.get(wanted, set())
-            keys = set(matched) if keys is None else keys & matched
-        results = [
+        if kind is None and granule_id is None:
+            candidates: Iterable[CatalogEntry] = (
+                self._entries.values() if variable is None else self._variable_entries(variable)
+            )
+        else:
+            keys: set[str] | None = None
+            for index, wanted in (
+                (self._by_variable, variable),
+                (self._by_kind, kind),
+                (self._by_granule, granule_id),
+            ):
+                if wanted is not None:
+                    matched = index.get(wanted, set())
+                    keys = matched if keys is None else keys & matched
+            candidates = [entry for key, entry in self._entries.items() if key in keys]
+        if bbox is None:
+            return list(candidates)
+        x_min, y_min, x_max, y_max = map(float, bbox)
+        return [
             entry
-            for key, entry in self._entries.items()
-            if keys is None or key in keys
+            for entry in candidates
+            if entry.x_min_m < x_max
+            and x_min < entry.x_max_m
+            and entry.y_min_m < y_max
+            and y_min < entry.y_max_m
         ]
-        if bbox is not None:
-            box = tuple(float(v) for v in bbox)
-            results = [entry for entry in results if entry.intersects(box)]
-        return results
+
+    def _variable_entries(self, variable: str) -> tuple[CatalogEntry, ...]:
+        """One variable's entries in registration order (index-backed)."""
+        ordered = self._ordered_by_variable.get(variable)
+        if ordered is None:
+            keys = self._by_variable.get(variable)
+            if not keys:
+                return ()
+            ordered = tuple(entry for key, entry in self._entries.items() if key in keys)
+            self._ordered_by_variable[variable] = ordered
+        return ordered

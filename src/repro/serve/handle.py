@@ -185,12 +185,16 @@ class ServeHandle:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release nothing: the serve stack holds no worker pool.
+        """Release the router's metric series, if a router was built.
 
-        Every engine decodes on the calling thread.  ``close()`` and the
-        context-manager form let callers scope a handle
-        (``with runner.serve(dir) as handle:``); it stays usable after.
+        The serve stack holds no worker pool: every engine decodes on the
+        calling thread, so the only state to release is telemetry
+        (:meth:`RequestRouter.close`).  ``close()`` and the context-manager
+        form let callers scope a handle (``with runner.serve(dir) as
+        handle:``).
         """
+        if self._router is not None:
+            self._router.close()
 
     def __enter__(self) -> "ServeHandle":
         return self

@@ -24,6 +24,7 @@ decode, which is the whole point of the cache.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -345,6 +346,34 @@ def select_entry(candidates: Sequence[CatalogEntry], request: TileRequest) -> Ca
     return pool[-1]
 
 
+#: Bound of :func:`_tile_geometry`'s memo: distinct (product geometry,
+#: request bbox, zoom) combinations kept; the least recently used go first.
+TILE_GEOMETRY_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=TILE_GEOMETRY_MEMO_SIZE)
+def _tile_geometry(
+    origin: tuple[float, float],
+    cell_size_m: float,
+    shape: tuple[int, int],
+    bbox: tuple[float, float, float, float],
+    zoom: int,
+    tile_size: int,
+    max_levels: int | None,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The clamped zoom and the ``(row, col)`` tile addresses of one request.
+
+    A pure function of a product's grid and the request, so it is memoized:
+    a hot bbox pays for :func:`~repro.serve.pyramid.n_levels_for` and
+    :func:`~repro.serve.pyramid.tiles_for_bbox` once.  Errors (say a
+    non-finite bbox) are raised, never memoized.
+    """
+    levels = n_levels_for(shape, tile_size, max_levels)
+    zoom = max(0, min(zoom, levels - 1))
+    addresses = tiles_for_bbox(bbox, origin, cell_size_m, shape, zoom, tile_size)
+    return zoom, tuple(addresses)
+
+
 def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) -> RequestPlan:
     """Resolve one request against one product to concrete tile addresses.
 
@@ -352,21 +381,20 @@ def plan_request(entry: CatalogEntry, request: TileRequest, serve: ServeConfig) 
     to the product's pyramid depth; the resulting ``tile_keys`` are the
     fingerprint-based cache keys, so two requests whose bboxes cover the
     same tiles of the same product share cache entries even if the bboxes
-    differ.
+    differ.  The geometry is memoized (:data:`TILE_GEOMETRY_MEMO_SIZE`
+    combinations), so only the keys are built per request.
     """
-    levels = n_levels_for(entry.shape, serve.tile_size, serve.max_levels)
-    zoom = max(0, min(request.zoom, levels - 1))
-    addresses = tiles_for_bbox(
-        request.bbox,
+    zoom, addresses = _tile_geometry(
         (entry.x_min_m, entry.y_min_m),
         entry.cell_size_m,
         entry.shape,
-        zoom,
+        request.bbox,
+        request.zoom,
         serve.tile_size,
+        serve.max_levels,
     )
-    keys = tuple(
-        (entry.key, request.variable, zoom, row, col) for row, col in addresses
-    )
+    key, variable = entry.key, request.variable
+    keys = tuple([(key, variable, zoom, row, col) for row, col in addresses])
     return RequestPlan(request=request, entry=entry, zoom=zoom, tile_keys=keys)
 
 

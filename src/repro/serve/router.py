@@ -58,6 +58,8 @@ __all__ = [
 #: counter series separate on a shared (process-default) registry.
 _ROUTER_IDS = itertools.count(1)
 
+_NO_SHARDS: frozenset[int] = frozenset()
+
 
 @dataclass
 class Shard:
@@ -197,7 +199,11 @@ class RequestRouter:
         so a region covered by more than one product keeps being served
         when one shard degrades.
         """
-        excluded = frozenset(self.quarantined_shards)
+        excluded = _NO_SHARDS
+        for shard in self.shards:
+            if shard.quarantined:
+                excluded = frozenset(self.quarantined_shards)
+                break
         candidates = self.catalog.query(
             bbox=request.bbox, variable=request.variable, exclude_shards=excluded
         )
@@ -215,8 +221,8 @@ class RequestRouter:
     # -- serving -----------------------------------------------------------
     #
     # Every request opens exactly one span, ``router.request`` (attributes:
-    # variable, zoom, shard, outcome ``served``/``unroutable``).  The shard
-    # engine serves the request onto that same span
+    # variable, zoom, shard, outcome ``served``/``unroutable``/``failed``).
+    # The shard engine serves the request onto that same span
     # (:meth:`~repro.serve.query.QueryEngine.serve_plans`), adding its
     # ``n_cached``/``n_computed``; only real work opens children — one
     # ``loader.fetch`` per decoded product.
@@ -262,13 +268,15 @@ class RequestRouter:
         ) as span:
             arrived = self.clock.now()
             shard_id, plan = self._route(request, span)
-            span.set(shard=shard_id, outcome="served")
+            span.set(shard=shard_id)
             shard = self.shards[shard_id]
             try:
                 response = shard.engine.serve_plans([plan], span, decoded)[0]
             except BaseException as exc:
+                span.set(outcome="failed")
                 self._failed(shard, exc)
                 raise
+            span.set(outcome="served")
             self._c_executions.inc()
             self._h_latency.observe(self.clock.now() - arrived)
             # The engine built this response for this request alone.
@@ -328,6 +336,19 @@ class RequestRouter:
         for shard_id, shard_keys in by_shard.items():
             dropped += self.shards[shard_id].engine.invalidate_tiles(shard_keys)
         return dropped
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def close(self) -> None:
+        """Drop this router's metric series from the registry.
+
+        Every series the router and its shard engines registered carries
+        this router's ``router=`` label; they all go, so building and
+        closing routers on one long-lived ``Obs`` leaves its registry the
+        size it was.  :attr:`stats` and the engines' ``stats`` still read
+        the final counts afterwards (the router keeps its counter objects).
+        """
+        self.obs.registry.drop(**self._labels)
 
     # -- health ------------------------------------------------------------
 

@@ -27,11 +27,11 @@ class TestEmission:
     def test_record_carries_clock_time_level_and_fields(self):
         log, clock = make_log()
         clock.tick(12.5)
-        record = log.info("router.shed", depth=7)
+        record = log.info("router.shard_quarantined", shard=7)
         assert record.ts == 12.5
         assert record.level == "info"
-        assert record.event == "router.shed"
-        assert record.fields == {"depth": 7}
+        assert record.event == "router.shard_quarantined"
+        assert record.fields == {"shard": 7}
 
     def test_level_helpers_map_to_levels(self):
         log, _ = make_log()
@@ -67,16 +67,16 @@ class TestEmission:
 class TestDedup:
     def test_twins_within_window_suppressed_and_summarised(self):
         log, clock = make_log(config=LogConfig(dedup_window_s=5.0))
-        assert log.warning("router.shed", depth=1) is not None
-        for depth in (2, 3, 4):
+        assert log.warning("router.shard_quarantined", shard=1) is not None
+        for shard in (2, 3, 4):
             clock.tick(1.0)
-            assert log.warning("router.shed", depth=depth) is None
+            assert log.warning("router.shard_quarantined", shard=shard) is None
         assert log.n_suppressed == 3
         # Outside the window the next twin lands, carrying the count.
         clock.tick(5.0)
-        record = log.warning("router.shed", depth=5)
-        assert record.fields == {"depth": 5, "suppressed": 3}
-        assert len(log.events(event="router.shed")) == 2
+        record = log.warning("router.shard_quarantined", shard=5)
+        assert record.fields == {"shard": 5, "suppressed": 3}
+        assert len(log.events(event="router.shard_quarantined")) == 2
 
     def test_dedup_keys_on_level_and_event(self):
         log, _ = make_log(config=LogConfig(dedup_window_s=5.0))

@@ -251,6 +251,28 @@ class TestRegistryIdentity:
         assert clone.value("a") == 4
         assert clone.histogram("h").count == 1
 
+    def test_drop_forgets_every_series_carrying_the_labels(self):
+        reg = MetricsRegistry()
+        owned = reg.counter("router_requests_total", router="r1")
+        owned.inc(3)
+        reg.histogram("serve_batch_seconds", router="r1", shard="0")
+        kept = reg.counter("router_requests_total", router="r2")
+        reg.counter("trace_spans_dropped_total")
+        assert reg.drop(router="r1") == 2
+        assert len(reg) == 2
+        assert reg.counter("router_requests_total", router="r2") is kept
+        # The holder still reads its counter; the registry starts afresh.
+        assert owned.value == 3
+        assert reg.counter("router_requests_total", router="r1").value == 0
+        assert reg.drop(router="r9") == 0
+
+    def test_drop_needs_a_label(self):
+        reg = MetricsRegistry()
+        reg.counter("a")
+        with pytest.raises(ValueError, match="label"):
+            reg.drop()
+        assert len(reg) == 1
+
 
 class TestThreadSafety:
     def test_threads_and_asyncio_share_one_registry(self):
@@ -301,6 +323,7 @@ class TestNullRegistry:
         assert len(reg) == 0
         assert reg.collect() == []
         assert reg.as_dict() == {}
+        assert reg.drop(any="label") == 0
         assert not reg.enabled
 
     def test_null_metrics_are_shared_singletons(self):

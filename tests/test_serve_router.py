@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.clock import MonotonicClock, VirtualClock
+from repro.clock import VirtualClock
 from repro.config import RouterConfig, ServeConfig
 from repro.geodesy.grid import GridDefinition
 from repro.l3.product import Level3Grid
@@ -84,15 +84,6 @@ class TestVirtualClock:
             assert await clock.advance_to_next() is True
             await task
             assert await clock.advance_to_next() is False
-
-        run(scenario())
-
-    def test_monotonic_clock_advances_for_real(self):
-        async def scenario():
-            clock = MonotonicClock()
-            before = clock.now()
-            await clock.advance(0.0)
-            assert clock.now() >= before
 
         run(scenario())
 
@@ -231,10 +222,10 @@ class TestRouterConstruction:
             RouterConfig(**kwargs)
 
     def test_one_router_registers_a_pinned_set_of_series(self):
-        """The series a 4-shard router leaves on a fresh registry, by name.
+        """The series a 4-shard router holds on a fresh registry, by name.
 
-        Nothing drops them when the router goes away, so this count is what
-        every router built on a long-lived ``Obs`` adds for good.
+        Every one but ``trace_spans_dropped_total`` carries the router's
+        label, so :meth:`RequestRouter.close` releases them all.
         """
         obs = Obs()
         RequestRouter(ProductCatalog(), config=RouterConfig(n_shards=4), obs=obs)
@@ -263,6 +254,83 @@ class TestRouterConstruction:
 
         assert canonical(RouterConfig()) == canonical(RouterConfig())
         assert canonical(RouterConfig(n_shards=8)) != canonical(RouterConfig())
+
+
+def write_mosaic(path) -> ProductCatalog:
+    """A one-mosaic catalog over ENTRY's 48 x 32 grid, written to ``path``."""
+    rng = np.random.default_rng(5)
+    grid = GridDefinition(x_min_m=0.0, y_min_m=0.0, cell_size_m=100.0, nx=48, ny=32)
+    n_seg = rng.integers(0, 4, grid.shape).astype(np.int64)
+    product = Level3Grid(
+        grid=grid,
+        variables={
+            "n_segments": n_seg,
+            "freeboard_mean": np.where(n_seg > 0, rng.normal(0.3, 0.1, grid.shape), np.nan),
+        },
+        metadata={"kind": "mosaic", "granule_ids": ["m"], "fingerprint": "fp-m"},
+    )
+    _, json_path = write_level3(product, path / "mosaic")
+    catalog = ProductCatalog()
+    catalog.register(json_path)
+    return catalog
+
+
+class TestRequestOutcome:
+    def test_a_failed_execution_is_not_reported_as_served(self):
+        obs = Obs(clock=VirtualClock())
+        router = RequestRouter(
+            ShardedCatalog(1, [ENTRY]),
+            serve=SERVE,
+            config=RouterConfig(n_shards=1),
+            loader_factory=lambda index: FailingLoader(SERVE),
+            obs=obs,
+        )
+        with pytest.raises(Level3ProductError):
+            router.serve([TileRequest(bbox=(0.0, 0.0, 800.0, 800.0))])
+        (span,) = obs.tracer.spans("router.request")
+        assert span.attributes["shard"] == 0
+        assert span.attributes["outcome"] == "failed"
+        assert span.attributes["error"] == "Level3ProductError"
+        assert router.stats.errors == 1 and router.stats.executions == 0
+
+
+class TestRouterClose:
+    REQUEST = TileRequest(bbox=(100.0, 100.0, 1500.0, 1200.0))
+
+    def test_build_query_close_cycles_keep_the_registry_size(self, tmp_path):
+        catalog = write_mosaic(tmp_path)
+        obs = Obs()
+        before = len(obs.registry)
+        sizes = []
+        for _ in range(4):
+            router = RequestRouter(catalog, serve=SERVE, config=RouterConfig(n_shards=4), obs=obs)
+            assert router.serve([self.REQUEST])[0].n_tiles > 0
+            router.close()
+            sizes.append(len(obs.registry))
+        assert sizes == [before] * 4
+
+    def test_a_closed_router_still_reads_its_final_counts(self, tmp_path):
+        router = RequestRouter(
+            write_mosaic(tmp_path), serve=SERVE, config=RouterConfig(n_shards=2), obs=Obs()
+        )
+        router.serve([self.REQUEST, self.REQUEST])
+        router.close()
+        assert (router.stats.requests, router.stats.executions) == (2, 2)
+        assert sum(shard.engine.stats.loads for shard in router.shards) == 1
+
+    def test_handle_close_releases_the_router_it_built(self, tmp_path):
+        from repro.serve.handle import ServeHandle
+
+        catalog = write_mosaic(tmp_path)
+        obs = Obs()
+        before = len(obs.registry)
+        handle = ServeHandle(catalog, serve=SERVE, obs=obs)
+        handle.close()  # no router built yet: nothing to release, none built
+        assert handle._router is None and len(obs.registry) == before
+        with ServeHandle(catalog, serve=SERVE, obs=obs) as handle:
+            assert handle.query(self.REQUEST).n_tiles > 0
+            assert len(obs.registry) > before
+        assert len(obs.registry) == before
 
 
 class TestCampaignIntegration:
