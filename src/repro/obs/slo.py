@@ -71,6 +71,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _summed(series: list[tuple[Any, float, float]]) -> tuple[float, float]:
+    return float(sum(s[1] for s in series)), float(sum(s[2] for s in series))
+
+
 @dataclass(frozen=True)
 class CounterRatioQuery:
     """Cumulative bad/total event counters, summed across label sets."""
@@ -79,8 +83,18 @@ class CounterRatioQuery:
     total: str
     cumulative = True
 
+    def series(self, registry: Any) -> list[tuple[Any, float, float]]:
+        """``(series id, bad, total)`` for every label set of both counters."""
+        return [
+            ((metric.name, metric.labels), metric.value, 0.0)
+            for metric in registry.find(self.bad)
+        ] + [
+            ((metric.name, metric.labels), 0.0, metric.value)
+            for metric in registry.find(self.total)
+        ]
+
     def sample(self, registry: Any, now: float) -> tuple[float, float]:
-        return registry.total(self.bad), registry.total(self.total)
+        return _summed(self.series(registry))
 
 
 @dataclass(frozen=True)
@@ -97,17 +111,21 @@ class HistogramAboveQuery:
     threshold_s: float
     cumulative = True
 
-    def sample(self, registry: Any, now: float) -> tuple[float, float]:
-        bad = total = 0
+    def series(self, registry: Any) -> list[tuple[Any, float, float]]:
+        """``(series id, bad, total)`` for every label set of the histogram."""
+        out = []
         for metric in registry.find(self.histogram):
             if not isinstance(metric, Histogram):
                 continue
             cumulative = metric.cumulative_counts()
             index = bisect.bisect_right(metric.edges, self.threshold_s) - 1
             good = int(cumulative[index]) if index >= 0 else 0
-            total += metric.count
-            bad += metric.count - good
-        return float(bad), float(total)
+            count = metric.count
+            out.append(((metric.name, metric.labels), float(count - good), float(count)))
+        return out
+
+    def sample(self, registry: Any, now: float) -> tuple[float, float]:
+        return _summed(self.series(registry))
 
 
 @dataclass(frozen=True)
@@ -269,9 +287,12 @@ class SloEvaluator:
         self.specs: list[SloSpec] = []
         #: (t, bad_cum, total_cum) samples per spec, oldest first.
         self._history: dict[str, deque[tuple[float, float, float]]] = {}
-        #: Running (bad, total) accumulators for per-tick (non-cumulative)
-        #: queries, so their windows see monotone series like counters do.
+        #: Running (bad, total) per spec, so every window sees monotone
+        #: totals: per-tick (non-cumulative) samples are summed, cumulative
+        #: series add what they grew (:meth:`_grown`).
         self._accumulated: dict[str, tuple[float, float]] = {}
+        #: Each cumulative spec's last (bad, total) per series id.
+        self._last_series: dict[str, dict[Any, tuple[float, float]]] = {}
         #: First observed (bad, total) per spec — the budget ledger baseline.
         self._baseline: dict[str, tuple[float, float]] = {}
         self._alerts: dict[tuple[str, str], Alert] = {}
@@ -305,11 +326,13 @@ class SloEvaluator:
         """One tick: sample every spec, update windows, alerts, ledgers."""
         t = self.clock.now() if now is None else float(now)
         for spec in self.specs:
-            bad, total = spec.query.sample(self.registry, t)
-            if not spec.query.cumulative:
-                prev_bad, prev_total = self._accumulated.get(spec.name, (0.0, 0.0))
-                bad, total = prev_bad + bad, prev_total + total
-                self._accumulated[spec.name] = (bad, total)
+            if spec.query.cumulative:
+                bad, total = self._grown(spec.name, spec.query.series(self.registry))
+            else:
+                bad, total = spec.query.sample(self.registry, t)
+            prev_bad, prev_total = self._accumulated.get(spec.name, (0.0, 0.0))
+            bad, total = prev_bad + bad, prev_total + total
+            self._accumulated[spec.name] = (bad, total)
             if spec.name not in self._baseline:
                 self._baseline[spec.name] = (bad, total)
             history = self._history[spec.name]
@@ -320,6 +343,29 @@ class SloEvaluator:
                 alert.burn_rate = self._burn_rate(spec, history, window, t)
                 self._step(alert, t)
         return self.alerts()
+
+    def _grown(self, name: str, series: list[tuple[Any, float, float]]) -> tuple[float, float]:
+        """How much a cumulative spec's series grew since the last tick.
+
+        Summed per series, so a series that leaves the registry (a closed
+        router drops its own) takes nothing back: a sum over label sets
+        would fall and hide a burn.  A series seen for the first time
+        adds its whole value; one that fell (dropped, then registered
+        again) counts as reset to 0, as Prometheus' ``increase`` does.
+        Like any sampler it misses what a series counted after the last
+        tick if the series is dropped before the next one: tick before
+        closing a router to count its tail.
+        """
+        last = self._last_series.get(name, {})
+        bad = total = 0.0
+        for key, now_bad, now_total in series:
+            was_bad, was_total = last.get(key, (0.0, 0.0))
+            if now_bad < was_bad or now_total < was_total:
+                was_bad = was_total = 0.0
+            bad += now_bad - was_bad
+            total += now_total - was_total
+        self._last_series[name] = {key: (b, t) for key, b, t in series}
+        return bad, total
 
     def _prune(self, history: deque, now: float) -> None:
         """Drop samples older than the slow window needs (keep one beyond)."""

@@ -137,7 +137,7 @@ class CatalogEntry:
 
 
 class ProductCatalog:
-    """Registered products, indexed by variable / kind / granule / bbox.
+    """Registered products, queried by variable / kind / granule / bbox.
 
     Entries are keyed by content fingerprint (two registrations of the same
     fingerprint keep the latest path — the products are interchangeable by
@@ -147,12 +147,9 @@ class ProductCatalog:
 
     def __init__(self, entries: Sequence[CatalogEntry] = ()) -> None:
         self._entries: dict[str, CatalogEntry] = {}
-        self._by_variable: dict[str, set[str]] = {}
-        self._by_kind: dict[str, set[str]] = {}
-        self._by_granule: dict[str, set[str]] = {}
-        #: Each variable's entries in registration order, built on first
-        #: query and dropped by every ``add``/``remove``.
-        self._ordered_by_variable: dict[str, tuple[CatalogEntry, ...]] = {}
+        #: Each variable's entries in registration order, built on the
+        #: variable's first query and dropped by every ``add``/``remove``.
+        self._by_variable: dict[str, tuple[CatalogEntry, ...]] = {}
         for entry in entries:
             self.add(entry)
 
@@ -160,15 +157,8 @@ class ProductCatalog:
 
     def add(self, entry: CatalogEntry) -> CatalogEntry:
         """Index one entry (replacing any previous entry with the same key)."""
-        if entry.key in self._entries:
-            self._discard_from_indexes(self._entries[entry.key])
-        self._ordered_by_variable.clear()
         self._entries[entry.key] = entry
-        for variable in entry.variables:
-            self._by_variable.setdefault(variable, set()).add(entry.key)
-        self._by_kind.setdefault(entry.kind, set()).add(entry.key)
-        for granule_id in entry.granule_ids:
-            self._by_granule.setdefault(granule_id, set()).add(entry.key)
+        self._by_variable.clear()
         return entry
 
     def register(self, path: str | Path) -> CatalogEntry:
@@ -257,16 +247,8 @@ class ProductCatalog:
             raise KeyError(
                 f"no product {key!r} in the catalog ({len(self)} entries)"
             ) from None
-        self._discard_from_indexes(entry)
+        self._by_variable.clear()
         return entry
-
-    def _discard_from_indexes(self, entry: CatalogEntry) -> None:
-        self._ordered_by_variable.clear()
-        for variable in entry.variables:
-            self._by_variable.get(variable, set()).discard(entry.key)
-        self._by_kind.get(entry.kind, set()).discard(entry.key)
-        for granule_id in entry.granule_ids:
-            self._by_granule.get(granule_id, set()).discard(entry.key)
 
     # -- lookup ------------------------------------------------------------
 
@@ -315,32 +297,25 @@ class ProductCatalog:
         All filters are optional and conjunctive; ``bbox`` keeps products
         whose footprint intersects the query box (half-open: a footprint
         that only touches the box on an edge does not match).  Answered
-        entirely from the sidecar-derived index — no product file is
-        opened.  A variable-only query (the router's) reads that
-        variable's entries in registration order from the index, with no
-        scan of the other products, and converts the bbox to floats once.
+        entirely from the sidecar-derived entries — no product file is
+        opened.  A ``variable`` filter starts from that variable's entries
+        (kept in registration order between registrations), so the
+        router's variable + bbox query scans no other product; the bbox
+        is converted to floats once.
         """
-        if kind is None and granule_id is None:
-            candidates: Iterable[CatalogEntry] = (
-                self._entries.values() if variable is None else self._variable_entries(variable)
-            )
-        else:
-            keys: set[str] | None = None
-            for index, wanted in (
-                (self._by_variable, variable),
-                (self._by_kind, kind),
-                (self._by_granule, granule_id),
-            ):
-                if wanted is not None:
-                    matched = index.get(wanted, set())
-                    keys = matched if keys is None else keys & matched
-            candidates = [entry for key, entry in self._entries.items() if key in keys]
+        entries: Iterable[CatalogEntry] = (
+            self._entries.values() if variable is None else self._variable_entries(variable)
+        )
+        if kind is not None:
+            entries = [entry for entry in entries if entry.kind == kind]
+        if granule_id is not None:
+            entries = [entry for entry in entries if granule_id in entry.granule_ids]
         if bbox is None:
-            return list(candidates)
+            return list(entries)
         x_min, y_min, x_max, y_max = map(float, bbox)
         return [
             entry
-            for entry in candidates
+            for entry in entries
             if entry.x_min_m < x_max
             and x_min < entry.x_max_m
             and entry.y_min_m < y_max
@@ -348,12 +323,12 @@ class ProductCatalog:
         ]
 
     def _variable_entries(self, variable: str) -> tuple[CatalogEntry, ...]:
-        """One variable's entries in registration order (index-backed)."""
-        ordered = self._ordered_by_variable.get(variable)
-        if ordered is None:
-            keys = self._by_variable.get(variable)
-            if not keys:
-                return ()
-            ordered = tuple(entry for key, entry in self._entries.items() if key in keys)
-            self._ordered_by_variable[variable] = ordered
-        return ordered
+        """One variable's entries in registration order (built once per
+        variable between registrations)."""
+        entries = self._by_variable.get(variable)
+        if entries is None:
+            entries = tuple(
+                entry for entry in self._entries.values() if variable in entry.variables
+            )
+            self._by_variable[variable] = entries
+        return entries

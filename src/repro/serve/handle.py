@@ -83,6 +83,7 @@ class ServeHandle:
         self._router_config: RouterConfig | None = None
         self._router: RequestRouter | None = None
         self._ingest: "IngestService | None" = None
+        self._closed = False
 
     # -- builder steps -------------------------------------------------------
 
@@ -137,6 +138,8 @@ class ServeHandle:
     def router(self) -> RequestRouter:
         """The router every query goes through (built on first use)."""
         if self._router is None:
+            if self._closed:
+                raise RuntimeError("this serve handle is closed: build a new one to serve")
             serve = self.serve
             self._router = RequestRouter(
                 self._catalog,
@@ -191,8 +194,11 @@ class ServeHandle:
         calling thread, so the only state to release is telemetry
         (:meth:`RequestRouter.close`).  ``close()`` and the context-manager
         form let callers scope a handle (``with runner.serve(dir) as
-        handle:``).
+        handle:``).  A closed handle serves nothing: queries raise
+        ``RuntimeError``, while ``stats`` and ``health()`` of a router
+        built before the close still read its final counts.
         """
+        self._closed = True
         if self._router is not None:
             self._router.close()
 

@@ -58,8 +58,6 @@ __all__ = [
 #: counter series separate on a shared (process-default) registry.
 _ROUTER_IDS = itertools.count(1)
 
-_NO_SHARDS: frozenset[int] = frozenset()
-
 
 @dataclass
 class Shard:
@@ -138,6 +136,7 @@ class RequestRouter:
             "router_request_latency_seconds", **self._labels
         )
         self._tracer = self.obs.tracer
+        self._closed = False
 
     def _build_engine(self, index: int, sub: ProductCatalog) -> QueryEngine:
         """One shard engine, its metrics labelled ``{router, shard}``.
@@ -168,6 +167,8 @@ class RequestRouter:
         in the obs registry keyed by ``{router, shard}``, not on the engine —
         so :attr:`Shard.engine`'s ``stats`` survives the swap.
         """
+        if self._closed:
+            raise RuntimeError(f"router {self._labels['router']} is closed: cannot rebuild")
         shard = self.shards[index]
         shard.engine = self._build_engine(index, shard.catalog)
         shard.errors = 0
@@ -199,11 +200,11 @@ class RequestRouter:
         so a region covered by more than one product keeps being served
         when one shard degrades.
         """
-        excluded = _NO_SHARDS
-        for shard in self.shards:
-            if shard.quarantined:
-                excluded = frozenset(self.quarantined_shards)
-                break
+        excluded = (
+            frozenset(self.quarantined_shards)
+            if any([shard.quarantined for shard in self.shards])
+            else frozenset()
+        )
         candidates = self.catalog.query(
             bbox=request.bbox, variable=request.variable, exclude_shards=excluded
         )
@@ -263,6 +264,8 @@ class RequestRouter:
         far, so a product is decoded once per batch however many of its
         requests miss the cache.
         """
+        if self._closed:
+            raise RuntimeError(f"router {self._labels['router']} is closed: cannot serve")
         with self._tracer.span(
             "router.request", variable=request.variable, zoom=request.zoom
         ) as span:
@@ -340,14 +343,22 @@ class RequestRouter:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this router's metric series from the registry.
+        """Drop this router's metric series from the registry; serve no more.
 
         Every series the router and its shard engines registered carries
         this router's ``router=`` label; they all go, so building and
         closing routers on one long-lived ``Obs`` leaves its registry the
-        size it was.  :attr:`stats` and the engines' ``stats`` still read
-        the final counts afterwards (the router keeps its counter objects).
+        size it was.  A closed router raises ``RuntimeError`` on
+        :meth:`query`, :meth:`serve` and :meth:`rebuild_shard`: work it
+        did would count into series the registry no longer holds, and a
+        rebuilt engine's ``stats`` would restart from 0.  :attr:`stats`,
+        :meth:`health` and the engines' ``stats`` still read the final
+        counts (the router keeps its counter objects).  An
+        :class:`~repro.obs.slo.SloEvaluator` reading these series keeps
+        the counts they reached: the drop is not read as a fall.  Closing
+        twice is a no-op.
         """
+        self._closed = True
         self.obs.registry.drop(**self._labels)
 
     # -- health ------------------------------------------------------------

@@ -308,3 +308,50 @@ class TestReadyMadeSpecs:
         doc = ev.as_dict()
         assert {a["window"] for a in doc["alerts"]} == {"fast", "slow"}
         assert doc["error_budgets"][0]["slo"] == "serve_availability"
+
+
+class TestSeriesLeavingTheRegistry:
+    """Cumulative queries add per-series growth, so a dropped series (a
+    closed router's) keeps what it counted and a re-registered one restarts."""
+
+    def test_a_dropped_series_keeps_what_it_counted(self):
+        registry, _, ev = make_availability()
+        ev.evaluate(0.0)
+        registry.counter("router_requests_total", router="r1").inc(100)
+        registry.counter("router_errors_total", router="r1").inc(5)
+        ev.evaluate(10.0)
+        burn = ev.alert("serve_availability", "fast").burn_rate
+        assert burn == pytest.approx(50.0)
+        assert registry.drop(router="r1") == 2
+        ev.evaluate(20.0)
+        assert ev.alert("serve_availability", "fast").burn_rate == burn
+        assert ev.alert("serve_availability", "fast").firing
+        registry.counter("router_requests_total", router="r2").inc(900)
+        ev.evaluate(30.0)
+        budget = ev.error_budget("serve_availability")
+        assert (budget.bad_events, budget.total_events) == (5.0, 1000.0)
+
+    def test_a_series_that_falls_counts_as_reset(self):
+        registry, _, ev = make_availability()
+        ev.evaluate(0.0)
+        registry.counter("router_requests_total", router="r1").inc(100)
+        ev.evaluate(10.0)
+        registry.drop(router="r1")
+        registry.counter("router_requests_total", router="r1").inc(10)
+        ev.evaluate(20.0)
+        assert ev.error_budget("serve_availability").total_events == 110.0
+
+    def test_a_dropped_histogram_keeps_its_observations(self):
+        registry = MetricsRegistry()
+        ev = SloEvaluator(registry, clock=VirtualClock(), config=CONFIG)
+        ev.add(latency_slo(objective=0.99, threshold_s=0.25))
+        ev.evaluate(0.0)
+        histogram = registry.histogram("router_request_latency_seconds", router="r1")
+        for seconds in (0.01, 0.02, 1.0):
+            histogram.observe(seconds)
+        ev.evaluate(10.0)
+        registry.drop(router="r1")
+        ev.evaluate(20.0)
+        budget = ev.error_budget("serve_latency")
+        assert (budget.bad_events, budget.total_events) == (1.0, 3.0)
+        assert ev.alert("serve_latency", "fast").firing

@@ -1,8 +1,8 @@
 """The warm request path answers exactly as the direct computation does.
 
-Two shortcuts sit on every routed request.  ``ProductCatalog.query`` reads a
-variable's entries, in registration order, from the catalog index instead of
-scanning every product; ``plan_request`` takes the zoom clamp and the tile
+Two shortcuts sit on every routed request.  ``ProductCatalog.query`` starts
+from a variable's entries, kept in registration order, instead of scanning
+every product; ``plan_request`` takes the zoom clamp and the tile
 addresses from a memo keyed on the product geometry and the request.  These
 tests hold both to what they replace: the plan to ``n_levels_for`` and
 ``tiles_for_bbox`` computed afresh, and the router's resolution to
@@ -210,6 +210,21 @@ def assert_resolution_matches_a_scan(router: RequestRouter) -> None:
         assert outcome(router.resolve, request) == expected, request
         scanned = scanned_candidates(router.catalog, request)
         assert router.catalog.query(bbox=request.bbox, variable=request.variable) == scanned
+        # Kind and granule filters narrow the same registration-order list.
+        for kind in (None, "mosaic", "granule"):
+            for granule_id in (None, "g001", "g099"):
+                for variable in (None, request.variable):
+                    got = router.catalog.query(
+                        bbox=request.bbox, variable=variable, kind=kind, granule_id=granule_id
+                    )
+                    assert got == [
+                        entry
+                        for entry in router.catalog.entries
+                        if (variable is None or variable in entry.variables)
+                        and (kind is None or entry.kind == kind)
+                        and (granule_id is None or granule_id in entry.granule_ids)
+                        and entry.intersects(request.bbox)
+                    ]
 
 
 class TestResolutionAfterChanges:

@@ -332,6 +332,86 @@ class TestRouterClose:
             assert len(obs.registry) > before
         assert len(obs.registry) == before
 
+    def test_a_closed_router_refuses_to_serve_or_rebuild(self, tmp_path):
+        obs = Obs()
+        router = RequestRouter(
+            write_mosaic(tmp_path), serve=SERVE, config=RouterConfig(n_shards=2), obs=obs
+        )
+        router.serve([self.REQUEST])
+        router.close()
+        size = len(obs.registry)
+        with pytest.raises(RuntimeError, match="closed"):
+            router.query(self.REQUEST)
+        with pytest.raises(RuntimeError, match="closed"):
+            router.serve([self.REQUEST])
+        with pytest.raises(RuntimeError, match="closed"):
+            router.rebuild_shard(0)
+        # Nothing was counted and nothing was registered again.
+        assert (router.stats.requests, router.stats.executions) == (1, 1)
+        assert len(obs.registry) == size
+        router.close()  # idempotent
+        assert router.health()["requests"] == 1
+
+    def test_a_closed_handle_serves_nothing(self, tmp_path):
+        from repro.serve.handle import ServeHandle
+
+        catalog = write_mosaic(tmp_path)
+        with ServeHandle(catalog, serve=SERVE, obs=Obs()) as handle:
+            handle.query(self.REQUEST)
+        with pytest.raises(RuntimeError, match="closed"):
+            handle.query(self.REQUEST)
+        assert handle.stats.requests == 1
+        unused = ServeHandle(catalog, serve=SERVE, obs=Obs())
+        unused.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            unused.query(self.REQUEST)
+        assert unused._router is None
+
+    def test_slos_keep_a_closed_routers_counts(self, tmp_path):
+        """Closing a handle drops its series, but no burn rate or budget falls."""
+        from repro.config import SloConfig
+        from repro.obs.slo import SloEvaluator, availability_slo, latency_slo
+        from repro.serve.handle import ServeHandle
+
+        catalog = write_mosaic(tmp_path)
+        obs = Obs()
+        slo = SloEvaluator(
+            obs.registry,
+            clock=VirtualClock(),
+            config=SloConfig(fast_window_s=60.0, slow_window_s=600.0),
+        )
+        slo.add(availability_slo(objective=0.999))
+        slo.add(latency_slo(threshold_s=1e-9))  # every served request is slow
+        outside = TileRequest(bbox=(1e7, 1e7, 1e7 + 100.0, 1e7 + 100.0))
+
+        def burns():
+            return [alert.burn_rate for alert in slo.alerts()]
+
+        def ledgers():
+            return [(b.bad_events, b.total_events) for b in slo.error_budgets()]
+
+        slo.evaluate(now=0.0)  # baseline: nothing served yet
+        with ServeHandle(catalog, serve=SERVE, obs=obs) as handle:
+            for _ in range(3):
+                handle.query(self.REQUEST)
+            with pytest.raises(LookupError):
+                handle.query(outside)
+            slo.evaluate(now=10.0)
+            open_burns, open_ledgers = burns(), ledgers()
+        assert open_ledgers == [(1.0, 4.0), (3.0, 3.0)]
+        assert slo.alert("serve_availability", "fast").firing
+        slo.evaluate(now=20.0)  # the router's series are gone
+        assert "router_requests_total" not in obs.registry.as_dict()
+        assert burns() == open_burns and ledgers() == open_ledgers
+        assert slo.alert("serve_availability", "fast").firing
+        with ServeHandle(catalog, serve=SERVE, obs=obs) as handle:
+            handle.query(self.REQUEST)
+            handle.query(self.REQUEST)
+            slo.evaluate(now=30.0)
+        slo.evaluate(now=40.0)
+        assert ledgers() == [(1.0, 6.0), (5.0, 5.0)]
+        assert slo.alert("serve_availability", "fast").firing
+
 
 class TestCampaignIntegration:
     def test_runner_serve_returns_router_fronted_engine(self, tmp_path):
