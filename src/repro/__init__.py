@@ -33,9 +33,10 @@ provides:
   stereographic metre grid, multi-granule mosaics with propagated
   uncertainty, and self-describing on-disk product files (:mod:`repro.l3`);
 * a product-serving layer: a sidecar-indexed product catalog, tile
-  pyramids with vectorized overview reductions, and a query engine with a
-  fingerprint-keyed LRU tile cache, per-product decode batching and
-  executor fan-out, plus a Zipf traffic simulator (:mod:`repro.serve`).
+  pyramids with vectorized overview reductions, a query engine with a
+  fingerprint-keyed LRU tile cache and per-product decode batching, and a
+  sharded request router that serves every request on the calling thread
+  (:mod:`repro.serve`).
 
 Quick start::
 

@@ -11,7 +11,7 @@ Replaces the paper's two scaling technologies with purpose-built equivalents:
 * :mod:`repro.distributed.cluster` — a simulated Google-Cloud-Dataproc-style
   cluster with a calibrated cost model, and :func:`scaling_table`, the one
   function that scales named phases over an executor/core grid (Tables II
-  and V, the campaign report and the serving tables).
+  and V and the campaign report).
 * :mod:`repro.distributed.allreduce` — the ring all-reduce algorithm Horovod
   uses for gradient averaging, implemented over in-process "ranks".
 * :mod:`repro.distributed.ddp` — synchronous data-parallel training

@@ -28,7 +28,7 @@ speedups do not depend on the baseline, so one set of defaults gives the
 same 8.99x / 16.96x for both tables and cannot match both.
 
 :func:`scaling_table` is the one way from the model to a scaling table:
-every table (Tables II/V, the campaign report, the serving tables) is a list
+every table (Tables II/V and the campaign report) is a list
 of named :class:`Phase` objects, each scaled by its profile over a grid of
 ``(executors, cores)`` points.
 """

@@ -242,8 +242,7 @@ class MapReduceEngine:
 
         Single-task jobs run inline whatever the executor: spinning up (or
         even dispatching to) a pool for one task only adds latency, and the
-        campaign/serve layers rely on this to keep single-item fan-outs
-        serial.
+        campaign layer relies on this to keep single-item fan-outs serial.
 
         Inline tasks open no spans of their own: the job's one
         ``mapreduce.run`` span covers them (:meth:`_job`), and any span a

@@ -8,8 +8,6 @@ from repro.evaluation.tables import (
     regenerate_table3,
     regenerate_table4,
     regenerate_table5,
-    serve_latency_table,
-    serve_scaling_table,
 )
 from repro.evaluation.figures import (
     figure4_confusion_matrix,
@@ -25,8 +23,6 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "l3_coverage_table",
-    "serve_latency_table",
-    "serve_scaling_table",
     "regenerate_table1",
     "regenerate_table2",
     "regenerate_table3",

@@ -5,20 +5,14 @@ Each function returns the table as a list of dict rows (printable with
 own pipeline on simulated data.  For the timing tables (II, IV, V) the rows
 are produced by the calibrated cost models, anchored either to the paper's
 single-slot baselines (default — regenerates the paper's numbers) or to
-locally measured baselines.  Tables II/V and the serving scaling table are
-phase declarations for :func:`~repro.distributed.cluster.scaling_table`.
+locally measured baselines.
 """
 
 from __future__ import annotations
 
 from repro.classification.pipeline import TrainedClassifier, train_classifier
 from repro.config import DEFAULT_GPU_CLUSTER
-from repro.distributed.cluster import (
-    ClusterCostModel,
-    ClusterSimulation,
-    Phase,
-    scaling_table,
-)
+from repro.distributed.cluster import ClusterCostModel, ClusterSimulation
 from repro.distributed.ddp import DDPTimingModel, DistributedTrainer
 from repro.labeling.pairs import table_i_rows
 from repro.ml.models import build_lstm_classifier
@@ -129,63 +123,3 @@ def l3_coverage_table(products) -> list[dict[str, object]]:
     the at-a-glance answer to "how much of the grid did this fleet see".
     """
     return [product.summary_row() for product in products]
-
-
-def serve_latency_table(result) -> list[dict[str, object]]:
-    """Single-row serving summary of one measured traffic run.
-
-    ``result`` is a :class:`~repro.serve.traffic.TrafficResult`; the row
-    reports request volume, measured throughput, mean/P95 latency and the
-    tile-cache behaviour (hit rate, product decodes).
-    """
-    return [result.summary_row()]
-
-
-#: Per-configuration dispatch overhead of the serving scaling table.  The
-#: Table II/V default (0.3 s) models Spark *job submission*; tile serving
-#: dispatches in-process tasks, so its scheduling cost is milliseconds —
-#: with the Spark constant a sub-second traffic run would flatten to ~1x.
-SERVE_DISPATCH_OVERHEAD_S = 0.005
-
-
-def serve_scaling_table(
-    result,
-    cost_model: ClusterCostModel | None = None,
-    executor_counts: tuple[int, ...] = (1, 2, 4),
-) -> list[dict[str, object]]:
-    """Throughput/latency scaling of a traffic run across executor counts.
-
-    The measured single-executor serving time of ``result`` (a
-    :class:`~repro.serve.traffic.TrafficResult`) is routed through the
-    calibrated :class:`~repro.distributed.cluster.ClusterCostModel`, the
-    same convention as the Table II/V regenerations: latencies scale with
-    the serve time, and speedups are referenced to the first count.
-    """
-    if not executor_counts:
-        raise ValueError("executor_counts must be non-empty")
-    # Requests share nothing but the catalog, so the work follows the reduce
-    # profile, plus one dispatch overhead per configuration.
-    model = (
-        cost_model
-        if cost_model is not None
-        else ClusterCostModel(map_overhead_s=SERVE_DISPATCH_OVERHEAD_S)
-    )
-    # Latencies scale by ``total / baseline``, so the baseline is clamped
-    # here; ``scaling_table``'s own clamp then leaves it unchanged.
-    baseline_s = max(result.seconds, model.min_time_s)
-    phases = (Phase("serve", baseline_s, "reduce"), Phase("dispatch", 0.0, "map"))
-    rows = scaling_table(model, phases, [(n, 1) for n in executor_counts])
-    out: list[dict[str, object]] = []
-    for row in rows:
-        scale = row.total_s / baseline_s
-        out.append(
-            {
-                "Executors": row.executors,
-                "Serve Time (s)": round(row.total_s, 3),
-                "Throughput (req/s)": round(result.n_requests / row.total_s, 1),
-                "Mean Latency (ms)": round(result.latency_ms() * scale, 2),
-                "P95 Latency (ms)": round(result.latency_ms(95.0) * scale, 2),
-                "Speedup": round(row.speedup, 2),
-            }
-        )
-    return out

@@ -26,6 +26,7 @@ is small enough that a full validator buys nothing.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -250,6 +251,12 @@ def _render_labels(labels: Sequence[tuple[str, str]], extra: str = "") -> str:
 
 
 def _format_value(value: float) -> str:
+    """One sample value: integral values without a decimal point, and
+    non-finite ones as the exposition format spells them."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
@@ -360,21 +367,22 @@ def write_chrome_trace(
 
 
 # ---------------------------------------------------------------------------
-# HealthMonitor: the periodic evaluate-and-publish loop
+# HealthMonitor: evaluate and publish
 # ---------------------------------------------------------------------------
 
 
 class HealthMonitor:
-    """Evaluate SLOs on a cadence and atomically republish the dashboard.
+    """Evaluate SLOs and atomically republish the dashboard, once per tick.
 
     The glue between the interpretation layer and the exporters: every
     :meth:`tick` runs one :class:`~repro.obs.slo.SloEvaluator` evaluation,
-    rebuilds the v3 dashboard document (alerts, error budgets, recent
-    events, trace drops, plus whatever tiers were attached) and rewrites
-    ``path`` atomically — a poller always reads a complete, current
-    document.  :meth:`run` is the async loop form, paced by the same
-    pluggable clock as everything else, so a ``VirtualClock`` drives the
-    monitor to exact ticks in tests and the demo.
+    rebuilds the dashboard document (schema
+    :data:`DASHBOARD_SCHEMA_VERSION`: alerts, error budgets, recent events,
+    trace drops, plus whatever tiers were attached) and rewrites ``path``
+    atomically — a poller always reads a complete, current document.  The
+    caller sets the cadence by calling :meth:`tick`; the document's
+    ``generated_at`` reads the obs clock, so a ``VirtualClock`` gives exact
+    tick times in tests and the demo.
 
     Parameters
     ----------
@@ -388,8 +396,6 @@ class HealthMonitor:
         the monitor still publishes (metrics/events/trace sections only).
     campaign / router / ingest:
         Optional tier sections, as for :func:`build_health_dashboard`.
-    interval_s:
-        Cadence of :meth:`run` (ignored by manual :meth:`tick` calls).
     """
 
     def __init__(
@@ -400,18 +406,14 @@ class HealthMonitor:
         campaign: Any = None,
         router: Any = None,
         ingest: Any = None,
-        interval_s: float = 15.0,
         max_events: int = 50,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         self.path = Path(path)
         self.obs = obs
         self.slo = slo
         self.campaign = campaign
         self.router = router
         self.ingest = ingest
-        self.interval_s = float(interval_s)
         self.max_events = max_events
         self.n_ticks = 0
 
@@ -434,12 +436,3 @@ class HealthMonitor:
         write_health_dashboard(self.path, doc)
         self.n_ticks += 1
         return doc
-
-    async def run(self, n_ticks: int | None = None) -> None:
-        """Tick forever (or ``n_ticks`` times), sleeping on the obs clock."""
-        remaining = n_ticks
-        while remaining is None or remaining > 0:
-            await self.obs.clock.sleep(self.interval_s)
-            self.tick()
-            if remaining is not None:
-                remaining -= 1

@@ -211,7 +211,13 @@ class EventLog:
         return snapshot
 
     def tail(self, n: int = 50) -> list[dict[str, Any]]:
-        """The newest ``n`` records as JSON-friendly dicts (dashboard shape)."""
+        """The newest ``n`` records as JSON-friendly dicts (dashboard shape).
+
+        ``tail(0)`` is empty; a negative ``n`` raises ``ValueError``.
+        """
+        _check_tail(n)
+        if n == 0:
+            return []
         with self._lock:
             snapshot = list(self._ring)[-n:]
         return [record.as_dict() for record in snapshot]
@@ -226,6 +232,11 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self._ring)
+
+
+def _check_tail(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"tail needs n >= 0, got {n}")
 
 
 class NullEventLog:
@@ -261,6 +272,7 @@ class NullEventLog:
         return ()
 
     def tail(self, n: int = 50) -> list:
+        _check_tail(n)
         return []
 
     def clear(self) -> None:

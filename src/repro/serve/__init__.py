@@ -40,11 +40,7 @@ ROADMAP's "heavy traffic" regime:
   the pyramid tiles whose footprint a new granule touched (byte-identical
   to a full rebuild), and :class:`LivePyramidLoader` serves installed
   in-memory pyramids with per-tile-region revision fingerprints and the
-  stale-while-revalidate flag;
-* :mod:`repro.serve.traffic` — :class:`TrafficSimulator` drives an
-  engine closed-loop with Zipf-distributed region traffic.  Its measured
-  runs feed the cost-model scaling table
-  :func:`repro.evaluation.serve_scaling_table`.
+  stale-while-revalidate flag.
 
 The router reads request latency through :mod:`repro.clock`
 (:class:`~repro.clock.MonotonicClock` by default,
@@ -53,16 +49,13 @@ The router reads request latency through :mod:`repro.clock`
 Quick start (serving a campaign)::
 
     from repro.campaign import CampaignConfig, CampaignRunner
-    from repro.evaluation import serve_scaling_table
-    from repro.serve import ProductCatalog, QueryEngine, TileRequest, TrafficSimulator
+    from repro.serve import TileRequest
 
     runner = CampaignRunner(CampaignConfig(grid={"cloud_fraction": (0.1, 0.4)}))
     handle = runner.serve("products/")          # write products + catalog them
     response = handle.query(TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1))
-    engine = QueryEngine(ProductCatalog(handle.catalog.entries))
-    report = serve_scaling_table(TrafficSimulator(engine).run())
 
-    live = runner.serve("products/").with_router().with_ingest()
+    live = runner.serve("products/").with_ingest()
     live.ingest(new_granule_spec)               # merged + served, no restart
     routed = live.query_batch([TileRequest(bbox=(0, 0, 10_000, 10_000), zoom=1)])
 """
@@ -90,7 +83,6 @@ from repro.serve.query import (
 )
 from repro.serve.router import RequestRouter, RouterStats, Shard
 from repro.serve.shard import ShardedCatalog, shard_index
-from repro.serve.traffic import TrafficConfig, TrafficResult, TrafficSimulator
 
 __all__ = [
     "CatalogEntry",
@@ -109,9 +101,6 @@ __all__ = [
     "TilePyramid",
     "TileRequest",
     "TileResponse",
-    "TrafficConfig",
-    "TrafficResult",
-    "TrafficSimulator",
     "build_pyramid",
     "default_pyramid_variables",
     "n_levels_for",

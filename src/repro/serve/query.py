@@ -18,8 +18,8 @@ Serving path, in order of decreasing cheapness:
    ``decoded``), so there too a product is decoded once per batch.
 
 The loader is pluggable and instrumented (``n_loads``, ``loaded``): tests
-and the traffic simulator can assert exactly which requests caused a
-decode, which is the whole point of the cache.
+can assert exactly which requests caused a decode, which is the whole
+point of the cache.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class TileResponse:
     def from_cache(self) -> bool:
         """True when every tile came from the LRU (no decode, no filesystem)."""
         return self.n_computed == 0
-
-    @property
-    def service_s(self) -> float:
-        """Execution time of the underlying engine work."""
-        return self.seconds
 
     def mosaic_array(self) -> np.ndarray:
         """The response's tiles stitched into one array (row-major window)."""

@@ -123,6 +123,20 @@ class TestPrometheusText:
     def test_empty_registry_renders_empty(self):
         assert prometheus_text(MetricsRegistry()) == ""
 
+    def test_non_finite_values_render_as_the_format_spells_them(self):
+        reg = MetricsRegistry()
+        reg.gauge("up").set(float("inf"))
+        reg.gauge("down").set(float("-inf"))
+        reg.gauge("unknown").set(float("nan"))
+        h = reg.histogram("lat", edges=(0.1, 1.0))
+        h.observe(float("nan"))
+        text = prometheus_text(reg)
+        assert "up +Inf" in text
+        assert "down -Inf" in text
+        assert "unknown NaN" in text
+        assert "lat_sum NaN" in text
+        assert "lat_count 1" in text
+
 
 class TestChromeTrace:
     def test_spans_become_complete_events(self):
@@ -319,33 +333,19 @@ class TestHealthMonitor:
         assert on_disk["slo"]["error_budgets"][0]["total_events"] == 10
         assert not monitor.path.with_name("health.json.tmp").exists()
 
+    def test_zero_max_events_embeds_no_events(self, tmp_path):
+        from repro.obs.export import HealthMonitor
+
+        obs = Obs(clock=VirtualClock())
+        obs.log.info("hello")
+        doc = build_health_dashboard(log=obs.log, generated_at=0.0, max_events=0)
+        assert doc["events"] == []
+        monitor = HealthMonitor(tmp_path / "health.json", obs, max_events=0)
+        assert monitor.tick()["events"] == []
+
     def test_tick_without_slo_still_publishes(self, tmp_path):
         obs, _, monitor = self.make_monitor(tmp_path, with_slo=False)
         obs.log.info("hello")
         doc = monitor.tick()
         assert doc["slo"] is None
         assert doc["events"][0]["event"] == "hello"
-
-    def test_run_is_paced_by_the_obs_clock(self, tmp_path):
-        import asyncio
-
-        obs, _, monitor = self.make_monitor(tmp_path, with_slo=False)
-        monitor.interval_s = 10.0
-
-        async def drive():
-            task = asyncio.ensure_future(monitor.run(n_ticks=3))
-            for _ in range(10):
-                if monitor.n_ticks >= 3:
-                    break
-                await obs.clock.advance_to_next()
-            await task
-
-        asyncio.run(drive())
-        assert monitor.n_ticks == 3
-        assert obs.clock.now() == 30.0  # three exact 10 s intervals
-
-    def test_rejects_non_positive_interval(self, tmp_path):
-        from repro.obs.export import HealthMonitor
-
-        with pytest.raises(ValueError, match="interval_s"):
-            HealthMonitor(tmp_path / "h.json", Obs(), interval_s=0.0)

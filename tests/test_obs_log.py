@@ -172,6 +172,14 @@ class TestInspection:
         assert [row["event"] for row in tail] == ["e2", "e3"]
         assert all(isinstance(row, dict) for row in tail)
 
+    def test_tail_of_zero_is_empty_and_negative_is_rejected(self):
+        log, _ = make_log(config=LogConfig(dedup_window_s=0.0))
+        for i in range(3):
+            log.info(f"e{i}")
+        assert log.tail(0) == []
+        with pytest.raises(ValueError, match="n >= 0"):
+            log.tail(-1)
+
     def test_clear_resets_ring_and_dedup_state(self):
         log, _ = make_log(config=LogConfig(dedup_window_s=60.0))
         log.info("e")
@@ -192,6 +200,9 @@ class TestNullEventLog:
         assert log.error("boom") is None
         assert log.events() == ()
         assert log.tail() == []
+        assert log.tail(0) == []
+        with pytest.raises(ValueError, match="n >= 0"):
+            log.tail(-1)
         assert len(log) == 0
         log.close()
         assert not (tmp_path / "never.jsonl").exists()

@@ -1,12 +1,12 @@
 """Pinned output of every cost-model scaling table.
 
-Tables II and V, the campaign scaling report and the serving scaling table
-push a baseline through :class:`~repro.distributed.cluster.ClusterCostModel`.
-This file pins what each one prints for fixed inputs, so a change to how the
-tables are computed shows up here as a text difference.  The inputs are
-built directly (no timed runs): the paper's Table II/V baselines, fixed
-campaign stage times, and a serving result made from fixed arrays and stats.
-Small inputs, below the model's ``min_time_s``, pin the clamping edge.
+Tables II and V and the campaign scaling report push a baseline through
+:class:`~repro.distributed.cluster.ClusterCostModel`.  This file pins what
+each one prints for fixed inputs, so a change to how the tables are
+computed shows up here as a text difference.  The inputs are built directly
+(no timed runs): the paper's Table II/V baselines and fixed campaign stage
+times.  Small inputs, below the model's ``min_time_s``, pin the clamping
+edge.
 """
 
 from __future__ import annotations
@@ -15,17 +15,7 @@ import numpy as np
 
 from repro.campaign.metrics import CampaignMetrics, campaign_scaling_table
 from repro.campaign.runner import CampaignResult
-from repro.distributed.cluster import ClusterCostModel
-from repro.evaluation import (
-    format_table,
-    regenerate_table2,
-    regenerate_table5,
-    serve_scaling_table,
-)
-from repro.serve.query import QueryStats
-from repro.serve.traffic import TrafficResult
-
-LATENCIES_S = np.array([0.004, 0.006, 0.011, 0.012, 0.018, 0.025, 0.031, 0.052])
+from repro.evaluation import format_table, regenerate_table2, regenerate_table5
 
 
 def campaign_summary(curation_s: float, training_s: float, inference_s: float) -> str:
@@ -49,15 +39,6 @@ def campaign_summary(curation_s: float, training_s: float, inference_s: float) -
         scaling=campaign_scaling_table(curation_s, training_s, inference_s),
     )
     return result.summary()
-
-
-def traffic_result(scale: float = 1.0) -> TrafficResult:
-    return TrafficResult(
-        n_requests=8,
-        seconds=0.2 * scale,
-        latencies_s=LATENCIES_S * scale,
-        stats=QueryStats(requests=8, batches=2, tile_hits=5, tile_misses=3, loads=2),
-    )
 
 
 TABLE2 = """\
@@ -122,14 +103,6 @@ CAMPAIGN_TINY_ROWS = """\
         4 |     2 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00
         4 |     4 |         0.00 |         0.00 |          0.00 |      0.60 |    1.00"""
 
-SERVE = """\
-serve
-Executors | Serve Time (s) | Throughput (req/s) | Mean Latency (ms) | P95 Latency (ms) | Speedup
-----------+----------------+--------------------+-------------------+------------------+--------
-        1 |           0.20 |              39.00 |             20.37 |            45.77 |    1.00
-        2 |           0.10 |              77.60 |             10.24 |            23.00 |    1.99
-        4 |           0.05 |             153.30 |              5.18 |            11.65 |    3.93"""
-
 
 def test_table2_text_is_pinned():
     assert format_table(regenerate_table2()) == TABLE2
@@ -145,24 +118,3 @@ def test_campaign_table_text_is_pinned():
 
 def test_campaign_table_below_min_time_is_pinned():
     assert campaign_summary(0.0005, 0.0, 0.0) == CAMPAIGN_HEAD + CAMPAIGN_TINY_ROWS
-
-
-def test_serve_table_text_is_pinned():
-    assert format_table(serve_scaling_table(traffic_result()), "serve") == SERVE
-
-
-def test_serve_table_rows_are_pinned():
-    """Rows at full precision: the text rounds serve times to 2 decimals."""
-    model = ClusterCostModel(map_overhead_s=0.0)
-    rows = serve_scaling_table(traffic_result(), cost_model=model, executor_counts=(1, 3, 8))
-    assert [tuple(row.values()) for row in rows] == [
-        (1, 0.2, 40.0, 19.88, 44.65, 1.0),
-        (3, 0.064, 124.8, 6.37, 14.31, 3.12),
-        (8, 0.022, 364.8, 2.18, 4.9, 9.12),
-    ]
-    tiny = serve_scaling_table(traffic_result(scale=1e-3))
-    assert [tuple(row.values()) for row in tiny] == [
-        (1, 0.006, 1333.3, 0.12, 0.27, 1.0),
-        (2, 0.006, 1333.3, 0.12, 0.27, 1.0),
-        (4, 0.006, 1333.3, 0.12, 0.27, 1.0),
-    ]

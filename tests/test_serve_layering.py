@@ -1,14 +1,15 @@
 """Layering guard: the serve and ingest tiers import nothing from
-``repro.distributed``, and start no event loop.
+``repro.distributed``, and no module of the package starts an event loop.
 
 The paper fans work out at two levels only, the segment jobs and the
 granules of a fleet, and both live in ``repro.distributed``.  The serve tier
 decodes on the calling thread, so a ``repro.distributed`` import under
 ``repro.serve`` or ``repro.ingest`` means a third fan-out level has crept
-back in.  The router serves every request on the calling thread too, so an
-``asyncio`` import there means a second, event-loop path has come back.
-The scan reads every module's AST, so imports inside functions and
-``TYPE_CHECKING`` blocks count too.
+back in.  Nothing in the package runs on an event loop: the router serves
+every request on the calling thread and the health monitor ticks when its
+caller ticks it, so an ``asyncio`` import anywhere under ``src/repro`` means
+a second, event-loop path has come back.  The scan reads every module's
+AST, so imports inside functions and ``TYPE_CHECKING`` blocks count too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORBIDDEN = "repro.distributed"
 GUARDED = ("repro/serve", "repro/ingest")
-#: Imports that would give the serve path an event loop.
+#: Imports that would give the package an event loop.
 EVENT_LOOP = ("asyncio", "repro.clock.run_sync")
 
 
@@ -86,5 +87,8 @@ def test_serve_and_ingest_import_nothing_from_distributed():
 
 
 def test_serve_and_ingest_start_no_event_loop():
-    offenders = [hit for path in guarded_modules() for hit in forbidden_imports(path, EVENT_LOOP)]
+    """Every module under ``src/repro``, not only the serve and ingest tiers."""
+    modules = sorted((SRC / "repro").rglob("*.py"))
+    assert SRC / "repro" / "clock.py" in modules
+    offenders = [hit for path in modules for hit in forbidden_imports(path, EVENT_LOOP)]
     assert offenders == []

@@ -2,10 +2,8 @@
 
 The router serves on the calling thread, so every test here is plain
 synchronous code over synthetic catalog entries or small on-disk products.
-The virtual clock's own async sleepers are tested here too.
 """
 
-import asyncio
 from collections import Counter
 
 import numpy as np
@@ -43,49 +41,7 @@ def make_entry(i: int, bbox, kind: str = "mosaic") -> CatalogEntry:
     )
 
 
-def run(coro):
-    return asyncio.run(coro)
-
-
 ENTRY = make_entry(0, (0.0, 0.0, 4800.0, 3200.0))
-
-
-class TestVirtualClock:
-    def test_sleepers_wake_in_deadline_order(self):
-        async def scenario():
-            clock = VirtualClock()
-            order = []
-
-            async def sleeper(name, dt):
-                await clock.sleep(dt)
-                order.append(name)
-
-            tasks = [
-                asyncio.ensure_future(sleeper("c", 0.3)),
-                asyncio.ensure_future(sleeper("a", 0.1)),
-                asyncio.ensure_future(sleeper("b", 0.2)),
-            ]
-            await asyncio.sleep(0)  # let the tasks park on the clock
-            await clock.advance(0.15)
-            assert order == ["a"]
-            assert clock.now() == pytest.approx(0.15)
-            await clock.advance(1.0)
-            await asyncio.gather(*tasks)
-            return order
-
-        assert run(scenario()) == ["a", "b", "c"]
-
-    def test_advance_to_next_reports_exhaustion(self):
-        async def scenario():
-            clock = VirtualClock()
-            task = asyncio.ensure_future(clock.sleep(2.0))
-            await asyncio.sleep(0)
-            assert clock.next_delay() == pytest.approx(2.0)
-            assert await clock.advance_to_next() is True
-            await task
-            assert await clock.advance_to_next() is False
-
-        run(scenario())
 
 
 class FailingLoader(ProductLoader):
